@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter, deque
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -37,7 +37,7 @@ from .multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
     Multigraph,
     NeighborhoodPartition,
-    canonical_form,
+    _LCWalk,
     edges,
     enumerate_connected_multigraphs,
     find_angle_or_triangle,
@@ -279,37 +279,67 @@ def certify_constant_multiplicity(g: Multigraph) -> Certificate:
     return _obs1_certificate(g, (), g, triples[0][:3])
 
 
+def _neighbor_masks(g: Multigraph) -> list[int]:
+    """Bit j of entry i is set iff vertices i and j are adjacent."""
+    return [sum(1 << j for j, m in enumerate(row) if m) for row in g.mult]
+
+
+def _m_tilde(g: Multigraph, a: int, b: int, c: int) -> tuple[int, int]:
+    """(h, m_tilde): h = gcd of the triple's edge weights, m_tilde = m_ab m_ca / h mod d."""
+    m_ab = g.mult[a][b]
+    m_ca = g.mult[c][a]
+    h = gcd(m_ab, m_ca, g.mult[b][c])
+    return h, (m_ab * m_ca // h) % g.d
+
+
+def _obs4_blocked(
+    g: Multigraph, nb: Sequence[int], triple: tuple[int, int, int], reasons: list[str] | None
+) -> bool:
+    """Whether the general-multiplicity construction fails at this triple.
+
+    Decided from the neighbor bitmasks ``nb`` and the edge weights, without
+    building a partition; the failure reasons are appended to ``reasons``
+    unless it is None.
+    """
+    a, b, c = triple
+    all_three = nb[a] & nb[b] & nb[c]
+    # j_ab | j_ca: neighbors of a shared with exactly one of b, c
+    apex = g.mult[b][c] and nb[a] & (nb[b] ^ nb[c]) & ~(1 << b | 1 << c)
+    if all_three or apex:
+        if reasons is not None:
+            tag = f"triple ({a},{b},{c})"
+            if all_three:
+                reasons.append(f"{tag}: vertices adjacent to all three present")
+            if apex:
+                reasons.append(f"{tag}: triangle with shared neighbors at the apex")
+        return True
+    h, m_tilde = _m_tilde(g, a, b, c)
+    if m_tilde == 0:
+        if reasons is not None:
+            reasons.append(
+                f"triple ({a},{b},{c}): m_tilde = {g.mult[a][b]}*{g.mult[c][a]}/{h} = 0 (mod {g.d})"
+            )
+        return True
+    return False
+
+
 def _obs4_attempt(
     graph: Multigraph,
     lc_path: tuple[int, ...],
     certified: Multigraph,
     triple: tuple[int, int, int],
     part: NeighborhoodPartition,
-) -> Certificate | list[str]:
-    """General-multiplicity construction at one triple, or failure reasons."""
+) -> Certificate:
+    """General-multiplicity construction at a triple that _obs4_blocked passes."""
     a, b, c = triple
     d = certified.d
     names = _labels(certified)
     la, lb, lc_ = names[a], names[b], names[c]
-    tag = f"triple ({a},{b},{c})"
-    reasons = []
-    if part.t_abc:
-        reasons.append(f"{tag}: vertices adjacent to all three present")
-    if part.kind == "triangle" and (part.j_ab or part.j_ca):
-        reasons.append(f"{tag}: triangle with shared neighbors at the apex")
-    if reasons:
-        return reasons
-    m_ab = certified.mult[a][b]
-    m_ca = certified.mult[c][a]
-    m_bc = certified.mult[b][c]
-    h = gcd(gcd(m_ab, m_ca), m_bc) if m_bc else gcd(m_ab, m_ca)
-    m_tilde = (m_ab * m_ca // h) % d
-    if m_tilde == 0:
-        return [f"{tag}: m_tilde = {m_ab}*{m_ca}/{h} = 0 (mod {d})"]
+    h, m_tilde = _m_tilde(certified, a, b, c)
     choice = select_power_t(m_tilde, d)
-    ea = (-(m_bc // h)) % d
-    eb = (m_ca // h) % d
-    ec = (m_ab // h) % d
+    ea = (-(certified.mult[b][c] // h)) % d
+    eb = (certified.mult[c][a] // h) % d
+    ec = (certified.mult[a][b] // h) % d
     words = (
         word(certified, {a: ea, c: ec}),
         word(certified, {a: -ea, b: -eb}),
@@ -354,38 +384,51 @@ def certify_obs4(g: Multigraph, triple: Sequence[int]) -> Certificate | NotCerti
     """General-multiplicity certificate at a given angle or triangle."""
     a, b, c = triple[:3]
     part = partition_neighborhoods(g, a, b, c)
-    result = _obs4_attempt(g, (), g, (a, b, c), part)
-    if isinstance(result, Certificate):
-        return result
-    return NotCertified(graph=g, reasons=tuple(result))
+    reasons: list[str] = []
+    if _obs4_blocked(g, _neighbor_masks(g), (a, b, c), reasons):
+        return NotCertified(graph=g, reasons=tuple(reasons))
+    return _obs4_attempt(g, (), g, (a, b, c), part)
 
 
 def _certify_direct(
-    graph: Multigraph, lc_path: tuple[int, ...], certified: Multigraph
+    graph: Multigraph, lc_path: tuple[int, ...], certified: Multigraph, explain: bool = True
 ) -> Certificate | list[str]:
-    """Try every construction on one graph; Certificate or failure reasons."""
+    """Try every construction on one graph; Certificate or failure reasons.
+
+    Without ``explain`` a failure returns an empty list: no reason is formatted.
+    """
     triples = find_angle_or_triangle(certified)
     weights = {m for _, _, m in edges(certified)}
-    reasons: list[str] = []
     if len(weights) == 1:
         return _obs1_certificate(graph, lc_path, certified, triples[0][:3])
-    reasons.append(f"edge multiplicities {sorted(weights)} are not constant")
+    reasons = [f"edge multiplicities {sorted(weights)} are not constant"] if explain else None
+    nb = _neighbor_masks(certified)
     for a, b, c, _ in triples:
-        part = partition_neighborhoods(certified, a, b, c)
-        result = _obs4_attempt(graph, lc_path, certified, (a, b, c), part)
-        if isinstance(result, Certificate):
-            return result
-        reasons.extend(result)
-    return reasons
+        if not _obs4_blocked(certified, nb, (a, b, c), reasons):
+            part = partition_neighborhoods(certified, a, b, c)
+            return _obs4_attempt(graph, lc_path, certified, (a, b, c), part)
+    return reasons or []
 
 
-def certify_any(g: Multigraph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> Certificate | NotCertified:
+def certify_any(
+    g: Multigraph,
+    orbit_cap: int = DEFAULT_ORBIT_CAP,
+    *,
+    _failed: set[tuple[int, ...]] | None = None,
+) -> Certificate | NotCertified:
     """Certify a graph, searching its local-complementation orbit if needed.
 
     The orbit is explored breadth-first and each newly discovered member is
     tried immediately, so success exits early.  ``orbit_cap`` bounds the
     number of distinct orbit members examined.
+
+    ``_failed`` is exhaustive_table's memo across one table: the canonical
+    keys of graphs whose direct attempt failed.  Whether a direct attempt
+    succeeds depends only on the isomorphism class, so members found there
+    are walked past without a new attempt and no outcome changes.  The
+    starting graph is always tried, for its reasons.
     """
+    failed = set() if _failed is None else _failed
     if g.n < 3:
         return NotCertified(g, ("fewer than three vertices",))
     if not is_connected(g):
@@ -393,32 +436,20 @@ def certify_any(g: Multigraph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> Certificat
     result = _certify_direct(g, (), g)
     if isinstance(result, Certificate):
         return result
-    reasons = list(result)
-    seen = {canonical_form(g)}
-    queue: deque[tuple[Multigraph, tuple[int, ...]]] = deque([(g, ())])
-    truncated = False
-    while queue and not truncated:
-        current, path = queue.popleft()
-        for v in range(g.n):
-            image = local_complement(current, v)
-            key = canonical_form(image)
-            if key in seen:
-                continue
-            if len(seen) >= orbit_cap:
-                truncated = True
-                break
-            seen.add(key)
-            new_path = path + (v,)
-            attempt = _certify_direct(g, new_path, image)
+    walk = _LCWalk(g, orbit_cap)
+    size = 0
+    for image, path, key in walk:
+        size += 1
+        if path and key not in failed:
+            attempt = _certify_direct(g, path, image, explain=False)
             if isinstance(attempt, Certificate):
                 return attempt
-            queue.append((image, new_path))
-    note = f"all {len(seen)} graphs in the local-complementation orbit fail"
-    if truncated:
+        failed.add(key)
+    note = f"all {size} graphs in the local-complementation orbit fail"
+    if walk.truncated:
         note += f" (orbit search truncated at {orbit_cap})"
-    reasons.append(note)
     return NotCertified(
-        g, tuple(reasons), orbit_size=len(seen), orbit_truncated=truncated
+        g, (*result, note), orbit_size=size, orbit_truncated=walk.truncated
     )
 
 
@@ -457,7 +488,7 @@ def exhaustive_table(
         graphs.extend(enumerate_connected_multigraphs(n, d, budget=budget))
     except EnumerationOverflow:
         complete = False
-    run = partial(certify_any, orbit_cap=orbit_cap)
+    run = partial(certify_any, orbit_cap=orbit_cap, _failed=set())
     if workers > 1 and len(graphs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, graphs, chunksize=8))
@@ -594,10 +625,14 @@ def _verify_obs3_checks(
             )
         )
     else:
+        # U1 v = v = U2 v with U1 U2 = omega^k U2 U1 forces v = omega^k v, so
+        # k != 0 rules out a common +1 eigenvector without the dense check.
+        k = commutation_phase(r3, r4)
         checks.append(
             Check(
                 "eigenspace_obstruction",
-                True,
+                k != 0,
+                f"restricted operators commute up to omega^{k}; dense check "
                 f"skipped: dimension {d}^{len(sites)} exceeds cap {cap}",
             )
         )

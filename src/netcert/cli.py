@@ -24,7 +24,7 @@ from .certify import (
     DEFAULT_ORBIT_CAP,
     NotCertified,
     TableReport,
-    certificate_from_json,
+    certificate_from_json_obj,
     certificate_to_json_obj,
     certify_any,
     exhaustive_table,
@@ -297,11 +297,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _config(args)
     if args.input is None:
         raise NetcertError("provide a certificate file via --input")
-    text = Path(args.input).read_text()
-    obj = json.loads(text)
-    if "certificate" in obj:
+    obj = json.loads(Path(args.input).read_text())
+    if isinstance(obj, dict) and "certificate" in obj:
         obj = obj["certificate"]
-    cert = certificate_from_json(json.dumps(obj))
+    cert = certificate_from_json_obj(obj)
     report = verify_obs3(cert)
     if cfg.fmt == "human":
         lines = [

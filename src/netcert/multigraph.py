@@ -10,9 +10,11 @@ connected multigraphs up to isomorphism.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -141,6 +143,30 @@ def _triu_vector(g: Multigraph) -> tuple[int, ...]:
     return tuple(g.mult[i][j] for i in range(g.n) for j in range(i + 1, g.n))
 
 
+def _permutations(n: int) -> np.ndarray:
+    """Every permutation of range(n), one per row, in itertools order."""
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    return np.fromiter(flat, dtype=np.int8).reshape(-1, n)
+
+
+@lru_cache(maxsize=None)
+def _relabel_table(n: int) -> np.ndarray:
+    """Index table shared by canonical_form and the enumerator.
+
+    ``src[p, k]`` is the upper-triangle slot that slot k of the relabeled
+    vector reads under the p-th permutation of ``itertools.permutations``,
+    so ``vec[src]`` holds every relabeling of ``vec`` as one row each.  Built
+    on first use; n = 8 takes 40320 x 28 entries (about 9 MB).
+    """
+    perms = _permutations(n)
+    iu, ju = np.triu_indices(n, 1)
+    slot = np.zeros((n, n), dtype=np.int8)
+    slot[iu, ju] = slot[ju, iu] = np.arange(len(iu))
+    src = np.ascontiguousarray(slot[perms[:, iu], perms[:, ju]], dtype=np.intp)
+    src.setflags(write=False)
+    return src
+
+
 def canonical_form(g: Multigraph) -> tuple[int, ...]:
     """Lexicographically minimal upper-triangle vector over all relabelings.
 
@@ -149,17 +175,15 @@ def canonical_form(g: Multigraph) -> tuple[int, ...]:
     """
     if g.n > _CANONICAL_MAX_N:
         raise ResourceError(f"canonical_form scans n! permutations; n={g.n} > {_CANONICAL_MAX_N}")
-    import itertools
-
-    best: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(g.n)):
-        vec = tuple(
-            g.mult[perm[i]][perm[j]] for i in range(g.n) for j in range(i + 1, g.n)
-        )
-        if best is None or vec < best:
-            best = vec
-    assert best is not None
-    return best
+    size = next((s for s in (1, 2, 4, 8) if g.d <= 256**s), None)
+    if size is None:
+        raise ResourceError(f"canonical_form needs multiplicities below 2^64; d={g.d}")
+    # Fixed-width big-endian unsigned rows compare bytewise exactly as the
+    # tuples compare, so the minimal byte string is the lexicographic minimum.
+    vec = np.array(_triu_vector(g), dtype=f">u{size}")
+    rows = vec[_relabel_table(g.n)]
+    best = rows.view(f"S{rows.shape[1] * size}").argmin()
+    return tuple(rows[best].tolist())
 
 
 def from_triu_vector(d: int, n: int, vec: Sequence[int]) -> Multigraph:
@@ -175,16 +199,6 @@ def from_triu_vector(d: int, n: int, vec: Sequence[int]) -> Multigraph:
 def canonicalize(g: Multigraph) -> Multigraph:
     """The canonical representative of g's isomorphism class."""
     return from_triu_vector(g.d, g.n, canonical_form(g))
-
-
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    idx = {}
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            idx[(i, j)] = k
-            k += 1
-    return idx
 
 
 def enumerate_connected_multigraphs(
@@ -204,27 +218,23 @@ def enumerate_connected_multigraphs(
         raise StructureError(f"enumeration needs n >= 2, got {n}")
     if n > _CANONICAL_MAX_N:
         raise ResourceError(f"enumeration canonicalizes via n! scan; n={n} > {_CANONICAL_MAX_N}")
-    import itertools
-
     ncols = n * (n - 1) // 2
     total = d**ncols
     if total >= 2**62:
         raise ResourceError(f"d^(n choose 2) = {total} does not fit packed 64-bit keys")
 
-    # weights[k] makes the packed key of a row equal its row index.
-    weights = np.array([d ** (ncols - 1 - k) for k in range(ncols)], dtype=np.int64)
-    pidx = _pair_index(n)
-    perms = list(itertools.permutations(range(n)))
-    wmat = np.empty((ncols, len(perms)), dtype=np.int64)
-    for p, perm in enumerate(perms):
-        col = np.empty(ncols, dtype=np.int64)
-        for (i, j), k in pidx.items():
-            src = pidx[(min(perm[i], perm[j]), max(perm[i], perm[j]))]
-            # relabeled vector reads position src of the original at position k
-            col[src] = weights[k]
-        wmat[:, p] = col
+    # weights[k] makes the packed key of a row equal its row index; column p
+    # of wmat packs the row's p-th relabeling.
+    weights = d ** np.arange(ncols - 1, -1, -1, dtype=np.int64)
+    src = _relabel_table(n)
+    wmat = np.empty((ncols, len(src)), dtype=np.int64)
+    wmat[src, np.arange(len(src))[:, None]] = weights
+    # A canonical row is no larger than any relabeling, in particular any
+    # transposition; that cheap test discards most rows before the full scan.
+    moved = np.count_nonzero(_permutations(n) != np.arange(n), axis=1)
+    swaps = wmat[:, moved == 2]
 
-    chunk_rows = max(1024, min(262_144, 4_000_000 // len(perms)))
+    chunk_rows = max(1024, min(262_144, 4_000_000 // len(src)))
     examined = 0
     yielded = 0
     start = 0
@@ -241,8 +251,9 @@ def enumerate_connected_multigraphs(
                 )
         ids = np.arange(start, stop, dtype=np.int64)
         digits = (ids[:, None] // weights[None, :]) % d
-        keys = digits @ wmat
-        canonical = keys.min(axis=1) == ids
+        keep = (digits @ swaps).min(axis=1) >= ids
+        ids, digits = ids[keep], digits[keep]
+        canonical = (digits @ wmat).min(axis=1) == ids
         for row in digits[canonical]:
             g = from_triu_vector(d, n, [int(x) for x in row])
             if is_connected(g):
@@ -293,14 +304,12 @@ def find_angle_or_triangle(g: Multigraph) -> list[tuple[int, int, int, str]]:
         raise StructureError("graph is not connected")
     found = []
     for a in range(g.n):
-        for b in range(g.n):
-            if b == a or not g.mult[a][b]:
-                continue
-            for c in range(g.n):
-                if c in (a, b) or not g.mult[c][a]:
-                    continue
-                kind = "triangle" if g.mult[b][c] else "angle"
-                found.append((a, b, c, kind))
+        nbrs = [v for v, m in enumerate(g.mult[a]) if m]
+        for b in nbrs:
+            row_b = g.mult[b]
+            for c in nbrs:
+                if c != b:
+                    found.append((a, b, c, "triangle" if row_b[c] else "angle"))
     return found
 
 
@@ -371,34 +380,53 @@ class OrbitResult:
         return len(self.graphs)
 
 
+class _LCWalk:
+    """Breadth-first walk over g's local-complementation orbit.
+
+    Iterating yields ``(image, path, key)`` once per canonical class, the
+    starting graph first (path ``()``); ``path`` is the vertex sequence whose
+    successive local complementations take g to ``image``.  When a new class
+    turns up with ``cap`` classes already seen, ``truncated`` is set and the
+    walk stops.  The walk is lazy, so a caller may stop early.
+    """
+
+    def __init__(self, g: Multigraph, cap: int) -> None:
+        self.g = g
+        self.cap = cap
+        self.truncated = False
+
+    def __iter__(self) -> Iterator[tuple[Multigraph, tuple[int, ...], tuple[int, ...]]]:
+        start_key = canonical_form(self.g)
+        yield self.g, (), start_key
+        seen = {start_key}
+        queue: deque[tuple[Multigraph, tuple[int, ...]]] = deque([(self.g, ())])
+        while queue:
+            graph, path = queue.popleft()
+            for a in range(self.g.n):
+                image = local_complement(graph, a)
+                key = canonical_form(image)
+                if key in seen:
+                    continue
+                if len(seen) >= self.cap:
+                    self.truncated = True
+                    return
+                seen.add(key)
+                next_path = path + (a,)
+                yield image, next_path, key
+                queue.append((image, next_path))
+
+
 def lc_orbit(g: Multigraph, cap: int = 10**6) -> OrbitResult:
     """Breadth-first closure of g under local complementation at every vertex,
     deduplicated by canonical form, truncated (and flagged) at ``cap`` classes.
     """
     if cap < 1:
         raise StructureError(f"orbit cap must be positive, got {cap}")
-    start_key = canonical_form(g)
-    order: list[tuple[Multigraph, tuple[int, ...]]] = [(g, ())]
-    seen: set[tuple[int, ...]] = {start_key}
-    queue: deque[tuple[Multigraph, tuple[int, ...]]] = deque(order)
-    truncated = False
-    while queue and not truncated:
-        graph, path = queue.popleft()
-        for a in range(g.n):
-            image = local_complement(graph, a)
-            key = canonical_form(image)
-            if key in seen:
-                continue
-            if len(seen) >= cap:
-                truncated = True
-                break
-            seen.add(key)
-            entry = (image, path + (a,))
-            order.append(entry)
-            queue.append(entry)
+    walk = _LCWalk(g, cap)
+    members = list(walk)
     return OrbitResult(
-        graphs=tuple(item[0] for item in order),
-        paths=tuple(item[1] for item in order),
-        keys=frozenset(seen),
-        truncated=truncated,
+        graphs=tuple(item[0] for item in members),
+        paths=tuple(item[1] for item in members),
+        keys=frozenset(item[2] for item in members),
+        truncated=walk.truncated,
     )

@@ -14,7 +14,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .errors import RangeError, StructureError
 from .multigraph import Multigraph
-from .pauli import PauliOperator, identity, multiply, power
+from .pauli import PauliOperator
 
 GHZ_PARTIES = ("A", "B", "C")
 
@@ -58,18 +58,31 @@ def word(
     exponents: Mapping[int, int],
     labels: Sequence[str] | None = None,
 ) -> StabilizerWord:
-    """Product of generator powers, one per vertex, in ascending vertex order."""
+    """Product of generator powers, one per vertex, in ascending vertex order.
+
+    Built in one pass: g_v^e is X^e at v and Z^(e m_vu) at each neighbor u,
+    with no phase, so the product has X-part e and Z-part M e.  Appending
+    g_w^(e_w) reorders X^(e_w) past the Z^(sum_{v<w} e_v m_vw) gathered at w,
+    adding 2 e_w sum_{v<w} e_v m_vw to the tau exponent.
+    """
     names = _vertex_labels(g, labels)
-    op = identity(g.d)
+    d, n = g.d, g.n
+    x = [0] * n
+    z = [0] * n
+    phase = 0
     factors = []
     for v in sorted(exponents):
-        if not 0 <= v < g.n:
-            raise StructureError(f"vertex {v} outside 0..{g.n - 1}")
-        e = exponents[v] % g.d
+        if not 0 <= v < n:
+            raise StructureError(f"vertex {v} outside 0..{n - 1}")
+        e = exponents[v] % d
         if e == 0:
             continue
-        op = multiply(op, power(graph_generator(g, v, names), e))
+        phase += 2 * e * z[v]
+        x[v] = e
+        for u, m in enumerate(g.mult[v]):
+            z[u] += e * m
         factors.append((names[v], e))
+    op = PauliOperator.from_sites(d, {names[u]: (x[u], z[u]) for u in range(n)}, phase)
     return StabilizerWord(operator=op, factorization=tuple(factors))
 
 

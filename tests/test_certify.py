@@ -26,7 +26,7 @@ from netcert import (
     verify_obs3,
 )
 from netcert.certify import certificate_to_json_obj
-from netcert.multigraph import edges, permuted
+from netcert.multigraph import edges, is_connected, partition_neighborhoods, permuted
 
 
 def triangle(d, m=1):
@@ -225,6 +225,84 @@ def test_random_certificates_verify():
     assert verified == 30
 
 
+def reference_direct_reasons(g):
+    """What the partition-based direct attempt reports for a graph with
+    mixed weights: one line per failing triple, or None once a triple is
+    free of shared neighbors and has a nonzero m_tilde."""
+    weights = sorted({m for _, _, m in edges(g)})
+    reasons = [f"edge multiplicities {weights} are not constant"]
+    vs = range(g.n)
+    triples = [
+        (a, b, c)
+        for a in vs
+        for b in vs
+        for c in vs
+        if len({a, b, c}) == 3 and g.mult[a][b] and g.mult[c][a]
+    ]
+    for a, b, c in triples:
+        part = partition_neighborhoods(g, a, b, c)
+        tag = f"triple ({a},{b},{c})"
+        blocked = []
+        if part.t_abc:
+            blocked.append(f"{tag}: vertices adjacent to all three present")
+        if part.kind == "triangle" and (part.j_ab or part.j_ca):
+            blocked.append(f"{tag}: triangle with shared neighbors at the apex")
+        if not blocked:
+            m_ab, m_ca, m_bc = g.mult[a][b], g.mult[c][a], g.mult[b][c]
+            h = math.gcd(math.gcd(m_ab, m_ca), m_bc) if m_bc else math.gcd(m_ab, m_ca)
+            if (m_ab * m_ca // h) % g.d:
+                return None
+            blocked.append(f"{tag}: m_tilde = {m_ab}*{m_ca}/{h} = 0 (mod {g.d})")
+        reasons.extend(blocked)
+    return reasons
+
+
+def test_direct_attempt_matches_partition_reference():
+    from netcert.certify import _certify_direct
+
+    rng = np.random.default_rng(41)
+    refused = 0
+    for _ in range(400):
+        d = int(rng.integers(3, 8))
+        n = int(rng.integers(3, 7))
+        eds = [
+            (i, j, int(rng.integers(1, d)))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < 0.7
+        ]
+        g = Multigraph.from_edges(d, n, eds)
+        if not is_connected(g) or len({m for _, _, m in edges(g)}) == 1:
+            continue
+        want = reference_direct_reasons(g)
+        got = _certify_direct(g, (), g)
+        if want is None:
+            assert isinstance(got, Certificate)
+        else:
+            refused += 1
+            assert got == want
+            assert _certify_direct(g, (), g, explain=False) == []
+    assert refused >= 50
+
+
+# The two (5,4) classes no construction certifies; both are LC fixpoints.
+STRAGGLERS_5X4 = [
+    [(0, 2, 1), (0, 3, 2), (0, 4, 2), (1, 2, 2), (1, 3, 2), (1, 4, 2), (2, 4, 2), (3, 4, 2)],
+    [(0, 2, 2), (0, 3, 2), (0, 4, 2), (1, 2, 2), (1, 3, 2), (1, 4, 3), (2, 3, 2), (3, 4, 2)],
+]
+
+
+@pytest.mark.parametrize("eds", STRAGGLERS_5X4)
+def test_5x4_stragglers_refuse_with_every_reason(eds):
+    g = Multigraph.from_edges(4, 5, eds)
+    res = certify_any(g)
+    assert isinstance(res, NotCertified)
+    assert res.orbit_size == 1 and not res.orbit_truncated
+    orbit_note = "all 1 graphs in the local-complementation orbit fail"
+    assert res.reasons == (*reference_direct_reasons(g), orbit_note)
+    assert len(res.reasons) == 38
+
+
 # ---------------------------------------------------------------- verification
 
 
@@ -281,6 +359,16 @@ def test_verifier_dense_check_can_be_skipped():
     eig = [c for c in report.checks if c.name == "eigenspace_obstruction"]
     assert len(eig) == 1 and eig[0].passed and "skipped" in eig[0].detail
     assert report.all_passed
+
+
+def test_verifier_decides_obstruction_above_dense_cap():
+    """Skipping the dense check does not pass operators whose restrictions
+    to group 2 commute."""
+    cert = certify_constant_multiplicity(triangle(3))
+    commuting = _tampered(cert, s4=cert.s3)
+    report = verify_obs3(commuting, dense_cap=1)
+    eig = [c for c in report.checks if c.name == "eigenspace_obstruction"]
+    assert len(eig) == 1 and not eig[0].passed and "skipped" in eig[0].detail
 
 
 # ---------------------------------------------------------------- serialization

@@ -235,6 +235,16 @@ def test_verify_input_errors(tmp_path, capsys):
     assert code == EXIT_ERROR  # malformed certificate object
 
 
+@pytest.mark.parametrize("text", ["5", "null", "true", '"certificate"', "[1, 2]"])
+def test_verify_rejects_json_that_is_not_an_object(tmp_path, capsys, text):
+    path = tmp_path / "scalar.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # ------------------------------------------------------------------- selftest
 
 

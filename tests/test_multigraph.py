@@ -93,6 +93,41 @@ def test_enumeration_classes_pairwise_nonisomorphic_networkx():
             assert not weighted_isomorphic(a, b)
 
 
+def reference_canonical_form(g: Multigraph) -> tuple[int, ...]:
+    """The pure-Python n! scan canonical_form must agree with: build the
+    upper-triangle tuple of every relabeling and keep the smallest."""
+    best = None
+    for perm in itertools.permutations(range(g.n)):
+        vec = tuple(g.mult[perm[i]][perm[j]] for i in range(g.n) for j in range(i + 1, g.n))
+        if best is None or vec < best:
+            best = vec
+    return best
+
+
+def random_multigraph(rng, n, d, p):
+    eds = [
+        (i, j, int(rng.integers(1, d)))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < p
+    ]
+    return Multigraph.from_edges(d, n, eds)
+
+
+def test_canonical_form_matches_reference_scan():
+    rng = np.random.default_rng(17)
+    cells = [(n, d) for n in range(2, 8) for d in range(2, 8)]
+    # n = 8, d = 7 has 7^28 > 2^63 labeled vectors; wide d needs multi-byte rows
+    cells += [(8, 7), (8, 2), (4, 200), (4, 300), (3, 70_000), (3, 2**40)]
+    for n, d in cells:
+        for p in (0.3, 0.7, 1.0):
+            g = random_multigraph(rng, n, d, p)
+            assert canonical_form(g) == reference_canonical_form(g), (n, d, edges(g))
+    # many automorphisms: every relabeling of a constant-weight clique ties
+    clique = Multigraph.from_edges(3, 6, [(i, j, 2) for i in range(6) for j in range(i + 1, 6)])
+    assert canonical_form(clique) == reference_canonical_form(clique) == (2,) * 15
+
+
 def test_canonical_form_permutation_invariant():
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -254,3 +289,6 @@ def test_canonical_form_large_n_guard():
     g = Multigraph.from_edges(2, 9, [(i, i + 1, 1) for i in range(8)])
     with pytest.raises(ResourceError):
         canonical_form(g)
+    huge = Multigraph.from_edges(2**64 + 1, 3, [(0, 1, 2**64), (1, 2, 1)])
+    with pytest.raises(ResourceError):
+        canonical_form(huge)

@@ -33,6 +33,35 @@ def random_graph(rng, n, d):
     return Multigraph.from_edges(d, n, eds)
 
 
+def reference_word_operator(g, exponents, labels=None):
+    """The generator-power product word() must agree with: power each
+    generator and multiply them in ascending vertex order."""
+    op = identity(g.d)
+    for v in sorted(exponents):
+        e = exponents[v] % g.d
+        if e:
+            op = multiply(op, power(graph_generator(g, v, labels), e))
+    return op
+
+
+def test_word_matches_power_multiply_product():
+    rng = np.random.default_rng(23)
+    for trial in range(400):
+        d = int(rng.integers(2, 9))
+        n = int(rng.integers(2, 7))
+        g = random_graph(rng, n, d)
+        chosen = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        exps = {int(v): int(rng.integers(-2 * d, 2 * d)) for v in chosen}
+        labels = None if trial % 2 else [f"q{n - v}" for v in range(n)]
+        w = word(g, exps, labels)
+        assert w.operator == reference_word_operator(g, exps, labels)
+        names = labels or [str(v) for v in range(n)]
+        want = tuple((names[v], e % d) for v, e in sorted(exps.items()) if e % d)
+        assert w.factorization == want
+    with pytest.raises(StructureError):
+        word(g, {n: 1})
+
+
 def test_generator_layout():
     g = Multigraph.from_edges(3, 3, [(0, 1, 2), (1, 2, 1)])
     g1 = graph_generator(g, 1)
