@@ -151,6 +151,15 @@ class VerificationReport:
     def failed(self) -> tuple[Check, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
+    def to_json_obj(self) -> dict:
+        return {
+            "all_passed": self.all_passed,
+            "checks": [
+                {"name": c.name, "passed": c.passed, "detail": c.detail}
+                for c in self.checks
+            ],
+        }
+
 
 def _labels(g: Multigraph) -> list[str]:
     return [str(v) for v in range(g.n)]
@@ -455,7 +464,12 @@ def certify_any(
 
 @dataclass(frozen=True)
 class TableReport:
-    """Certification tally over all connected multigraphs of one size."""
+    """Certification tally over all connected multigraphs of one size.
+
+    ``examined`` counts the labeled multiplicity vectors the enumeration
+    scanned and ``yielded`` the classes it produced, also when it stopped on
+    its budget (``complete`` False).
+    """
 
     n: int
     d: int
@@ -464,6 +478,8 @@ class TableReport:
     methods: tuple[tuple[str, int], ...]
     uncertified: tuple[NotCertified, ...]
     complete: bool
+    examined: int
+    yielded: int
 
     @property
     def all_certified(self) -> bool:
@@ -484,10 +500,12 @@ def exhaustive_table(
     """Certify every connected multigraph class on n vertices over Z_d."""
     graphs: list[Multigraph] = []
     complete = True
+    examined = d ** (n * (n - 1) // 2)
     try:
         graphs.extend(enumerate_connected_multigraphs(n, d, budget=budget))
-    except EnumerationOverflow:
+    except EnumerationOverflow as exc:
         complete = False
+        examined = exc.examined
     run = partial(certify_any, orbit_cap=orbit_cap, _failed=set())
     if workers > 1 and len(graphs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -509,6 +527,8 @@ def exhaustive_table(
         methods=tuple(sorted(methods.items())),
         uncertified=tuple(uncertified),
         complete=complete,
+        examined=examined,
+        yielded=len(graphs),
     )
 
 
@@ -523,8 +543,9 @@ def verify_obs3(cert: Certificate, dense_cap: int | None = None) -> Verification
 
     Checks group structure, factorizations, the exact operator identities,
     the four marginal equalities, the twist kappa, the bound arithmetic,
-    and (when the restricted dimension is small enough) that the two
-    twisted operators have no common +1 eigenvector in a dense computation.
+    and (when the restricted dimension is within the dense cap) that the two
+    twisted operators have no common +1 eigenvector, from their exact
+    per-cycle +1 eigenbases (``oracle.shares_plus_one_eigenvector``).
     A certificate so malformed that re-derivation raises is reported as a
     failed ``integrity`` check rather than an exception.
     """
@@ -614,9 +635,7 @@ def _verify_obs3_checks(
     r4 = restrict(s4p, group_sets[1])
     sites = sorted(support(r3) | support(r4))
     if sites and d ** len(sites) <= cap:
-        u1 = oracle.dense(r3, sites)
-        u2 = oracle.dense(r4, sites)
-        shared = oracle.common_plus_one_eigenvector(u1, u2)
+        shared = oracle.shares_plus_one_eigenvector(r3, r4, sites)
         checks.append(
             Check(
                 "eigenspace_obstruction",
@@ -626,7 +645,7 @@ def _verify_obs3_checks(
         )
     else:
         # U1 v = v = U2 v with U1 U2 = omega^k U2 U1 forces v = omega^k v, so
-        # k != 0 rules out a common +1 eigenvector without the dense check.
+        # k != 0 rules out a common +1 eigenvector without the eigenbasis check.
         k = commutation_phase(r3, r4)
         checks.append(
             Check(

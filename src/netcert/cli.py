@@ -35,6 +35,7 @@ from .ghzbound import bound_report
 from .multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
     Multigraph,
+    edges,
     lc_orbit,
 )
 
@@ -124,14 +125,7 @@ def _not_certified_obj(res: NotCertified) -> dict:
 def _certificate_obj(cert: Certificate, verify: bool) -> dict:
     obj = {"certified": True, "certificate": certificate_to_json_obj(cert)}
     if verify:
-        report = verify_obs3(cert)
-        obj["verification"] = {
-            "all_passed": report.all_passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in report.checks
-            ],
-        }
+        obj["verification"] = verify_obs3(cert).to_json_obj()
     return obj
 
 
@@ -139,7 +133,7 @@ def _human_certificate(cert: Certificate) -> str:
     lines = [
         f"certified: yes ({cert.method})",
         f"graph: d={cert.graph.d} n={cert.graph.n} "
-        + " ".join(f"{i}-{j}:{m}" for i, j, m in _graph_edges(cert.graph)),
+        + " ".join(f"{i}-{j}:{m}" for i, j, m in edges(cert.graph)),
         f"triple: {cert.triple} ({cert.kind})",
         f"lc_path: {list(cert.lc_path) or '[]'}",
         "groups: "
@@ -152,12 +146,6 @@ def _human_certificate(cert: Certificate) -> str:
         f"fidelity_bound: {_fmt6(cert.fidelity_bound)}",
     ]
     return "\n".join(lines) + "\n"
-
-
-def _graph_edges(g: Multigraph) -> list[tuple[int, int, int]]:
-    from .multigraph import edges
-
-    return edges(g)
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
@@ -191,6 +179,8 @@ def _table_obj(report: TableReport) -> dict:
         "certified": report.certified,
         "all_certified": report.all_certified,
         "complete": report.complete,
+        "examined": report.examined,
+        "yielded": report.yielded,
         "methods": {name: count for name, count in report.methods},
         "uncertified": [_not_certified_obj(res) for res in report.uncertified],
     }
@@ -287,7 +277,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     else:
         lines = [f"orbit size: {result.size} (truncated: {result.truncated})"]
         for g, path in zip(result.graphs, result.paths):
-            edge_text = " ".join(f"{i}-{j}:{m}" for i, j, m in _graph_edges(g)) or "(none)"
+            edge_text = " ".join(f"{i}-{j}:{m}" for i, j, m in edges(g)) or "(none)"
             lines.append(f"  path {list(path)}: {edge_text}")
         _emit(cfg, "\n".join(lines) + "\n")
     return EXIT_BUDGET if result.truncated else EXIT_OK
@@ -311,16 +301,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lines.append("all passed" if report.all_passed else "VERIFICATION FAILED")
         _emit(cfg, "\n".join(lines) + "\n")
     else:
-        _emit_json(
-            cfg,
-            {
-                "all_passed": report.all_passed,
-                "checks": [
-                    {"name": c.name, "passed": c.passed, "detail": c.detail}
-                    for c in report.checks
-                ],
-            },
-        )
+        _emit_json(cfg, report.to_json_obj())
     return EXIT_OK if report.all_passed else EXIT_NEGATIVE
 
 

@@ -46,10 +46,6 @@ class UnsupportedSource(NetcertError):
     """A network source cannot be handled by the requested inflation."""
 
 
-class NotCertifiedError(NetcertError):
-    """Raised by CLI helpers when a graph could not be certified."""
-
-
 class PropertyViolation(NetcertError):
     """A randomized lemma check found a counterexample.
 

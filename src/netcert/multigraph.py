@@ -96,9 +96,6 @@ class Multigraph:
     def to_json_obj(self) -> dict:
         return {"d": self.d, "n": self.n, "edges": [list(e) for e in edges(self)]}
 
-    def multiplicity(self, i: int, j: int) -> int:
-        return self.mult[i][j]
-
 
 def edges(g: Multigraph) -> list[tuple[int, int, int]]:
     """Nonzero (i, j, m) entries with i < j, in row-major order."""

@@ -1,9 +1,16 @@
 """Dense-matrix oracle backing the symbolic layer.
 
-Everything here is brute force on purpose: explicit Weyl matrices, Kronecker
-products, full-spectrum projectors.  The symbolic modules never depend on
-this one at runtime; tests use it to validate phases, eigenspaces, and the
-operator inequalities the fidelity bounds rest on.
+Most of this is brute force on purpose: explicit Weyl matrices, Kronecker
+products, full-spectrum projectors.  Tests use it to validate phases,
+eigenspaces, and the operator inequalities the fidelity bounds rest on.
+
+One part runs in the library: ``verify_obs3`` imports this module and decides
+its eigenspace check with ``shares_plus_one_eigenvector``, which works on the
+monomial form of Weyl operators (a permutation plus exact phases) in O(dim)
+memory.  The dense routines ``dense``, ``plus_one_projector`` and
+``common_plus_one_eigenvector`` are its test reference.  Only they and the
+lemma suites import scipy, inside the function, so the verifier does not pay
+for that import.
 """
 
 from __future__ import annotations
@@ -15,9 +22,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .errors import PropertyViolation, ResourceError, StructureError
+from .errors import DimensionError, PropertyViolation, ResourceError, StructureError
 from .multigraph import Multigraph
 from .pauli import PauliOperator, support
 from .stabilizer import graph_generator
@@ -55,14 +61,19 @@ def _site_matrix(d: int, x: int, z: int) -> np.ndarray:
     )
 
 
-def dense(p: PauliOperator, parties: Sequence[str]) -> np.ndarray:
-    """Kronecker-product matrix of p over the given party order."""
+def _party_names(p: PauliOperator, parties: Sequence[str]) -> list[str]:
     names = [str(x) for x in parties]
     if len(set(names)) != len(names):
         raise StructureError(f"duplicate parties in {parties!r}")
     missing = support(p) - set(names)
     if missing:
         raise StructureError(f"operator acts on {sorted(missing)} outside parties")
+    return names
+
+
+def dense(p: PauliOperator, parties: Sequence[str]) -> np.ndarray:
+    """Kronecker-product matrix of p over the given party order."""
+    names = _party_names(p, parties)
     dim = p.d ** len(names)
     cap = dimension_cap()
     if dim > cap:
@@ -93,6 +104,8 @@ def plus_one_projector(unitary: np.ndarray, tol: float = _ANGULAR_TOL) -> np.nda
     Uses a Schur decomposition (orthonormal even for degenerate spectra)
     and keeps eigenvalues within angular tolerance of 1.
     """
+    import scipy.linalg
+
     t, q = scipy.linalg.schur(unitary, output="complex")
     keep = np.abs(np.angle(np.diagonal(t))) <= tol
     cols = q[:, keep]
@@ -112,11 +125,104 @@ def common_plus_one_eigenvector(
     The intersection is nonempty iff the largest eigenvalue of
     P1 P2 P1 equals 1 (P_i the +1 projectors).
     """
+    import scipy.linalg
+
     p1 = plus_one_projector(u1, tol)
     p2 = plus_one_projector(u2, tol)
     m = p1 @ p2 @ p1
     top = float(scipy.linalg.eigvalsh(m)[-1])
     return top > 1.0 - tol
+
+
+def monomial_form(p: PauliOperator, parties: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(target, expo) with p|q> = tau^expo[q] |target[q]>, exactly.
+
+    Per site X^x Z^z |q> = omega^(z q) |q + x>, so p translates the basis by
+    its X part and expo = phase_exp + 2 z.q (mod 2d).  The basis index is
+    ordered as in ``dense``: the first party is the most significant digit.
+    """
+    names = _party_names(p, parties)
+    d = p.d
+    sites = p.site_map()
+    x = np.array([sites.get(name, (0, 0))[0] for name in names], dtype=np.int64)
+    z = np.array([sites.get(name, (0, 0))[1] for name in names], dtype=np.int64)
+    weights = d ** np.arange(len(names) - 1, -1, -1, dtype=np.int64)
+    digits = np.arange(d ** len(names), dtype=np.int64)[:, None] // weights % d
+    target = (digits + x) % d @ weights
+    expo = (p.phase_exp + 2 * (digits @ z)) % (2 * d)
+    return target, expo
+
+
+def _plus_one_cycles(
+    p: PauliOperator, parties: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact orthonormal +1 eigenbasis of p, one vector per permutation cycle.
+
+    Every cycle q_0 -> ... -> q_{L-1} of the translation has the length L of
+    its order.  With p|q_j> = tau^e_j |q_{j+1}>, the cycle carries a +1
+    eigenvector iff e_0 + ... + e_{L-1} = 0 (mod 2d), namely
+    v(q_j) = tau^(e_0 + ... + e_{j-1}) / sqrt(L) from q_0 = the smallest
+    index on the cycle.  Returns per basis state: that smallest index (the
+    cycle's label), whether the cycle is kept, and the entry of its vector.
+    """
+    target, expo = monomial_form(p, parties)
+    d = p.d
+    length = d // math.gcd(d, *(x for _, (x, _) in p.sites))
+    cur = np.arange(len(target))
+    rep = cur.copy()
+    back = np.zeros(len(target), dtype=np.int64)  # exponent sum from q to rep
+    total = np.zeros(len(target), dtype=np.int64)
+    for _ in range(length):
+        total += expo[cur]
+        cur = target[cur]
+        lower = cur < rep
+        rep[lower] = cur[lower]
+        back[lower] = total[lower]
+    keep = total % (2 * d) == 0
+    # on a kept cycle, the sum from rep to q is minus the sum from q to rep
+    amp = np.exp(-1j * np.pi * (back % (2 * d)) / d) / math.sqrt(length)
+    return rep, keep, amp
+
+
+def _rank_within(group: np.ndarray, item: np.ndarray) -> np.ndarray:
+    """Index of each item among the distinct items of its group, in order."""
+    width = int(item.max()) + 1
+    uniq, inverse = np.unique(group * width + item, return_inverse=True)
+    groups = uniq // width
+    return (np.arange(len(uniq)) - np.searchsorted(groups, groups))[inverse]
+
+
+def shares_plus_one_eigenvector(
+    p: PauliOperator, q: PauliOperator, parties: Sequence[str]
+) -> bool:
+    """Whether two Weyl operators have a common +1 eigenvector.
+
+    The decision of ``common_plus_one_eigenvector`` on their dense matrices,
+    without them.  With Q1, Q2 the exact per-cycle +1 eigenbases, the
+    largest eigenvalue of P1 P2 P1 is sigma_max(B)^2 for B = Q1^H Q2, and
+    the eigenspaces meet iff it exceeds 1 - tol, with the same tolerance.
+    Every cycle of p and of q lies in one coset of the group H their two
+    translations generate, so B is block diagonal over the cosets of H,
+    with blocks of at most d x d: the check takes O(dim) memory and no
+    dense matrix.
+    """
+    if p.d != q.d:
+        raise DimensionError(f"dimension mismatch: {p.d} vs {q.d}")
+    rep1, keep1, amp1 = _plus_one_cycles(p, parties)
+    rep2, keep2, amp2 = _plus_one_cycles(q, parties)
+    both = keep1 & keep2
+    if not both.any():
+        return False
+    # smallest index of each coset: the minimum of rep1 over a cycle of q
+    low = np.full(len(rep1), len(rep1))
+    np.minimum.at(low, rep2, rep1)
+    block = np.unique(low[rep2][both], return_inverse=True)[1]
+    rows = _rank_within(block, rep1[both])
+    cols = _rank_within(block, rep2[both])
+    b = np.zeros((block.max() + 1, rows.max() + 1, cols.max() + 1), dtype=complex)
+    np.add.at(b, (block, rows, cols), np.conj(amp1[both]) * amp2[both])
+    top = float(np.linalg.svd(b, compute_uv=False)[:, 0].max())
+    return top * top > 1.0 - _ANGULAR_TOL
 
 
 def build_graph_state(g: Multigraph) -> np.ndarray:
@@ -305,6 +411,8 @@ def _gram_matrix(ops: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
 
 def check_lemma_eigenvalue(trials: int, seed: int = 0) -> PropertyReport:
     """sum_i |<S_i>|^2 <= lambda_max(Gram)/2 for any unitary family."""
+    import scipy.linalg
+
     rng = np.random.default_rng(seed)
     worst = math.inf
     for _ in range(trials):
@@ -335,6 +443,8 @@ def check_lemma_incompatible(trials: int, seed: int = 0) -> PropertyReport:
     For single-site operators X^a Z^b with S_i S_j = -e^{i theta_ij} S_j S_i,
     lambda_max(Gram) <= 2 [1 + (n-1) sin(theta_max / 2)].
     """
+    import scipy.linalg
+
     rng = np.random.default_rng(seed)
     worst = math.inf
     for _ in range(trials):
@@ -406,6 +516,8 @@ def check_lemma_uncertainty(trials: int, seed: int = 0) -> PropertyReport:
     where S1 S2 = -e^{i theta} S2 S1.  Trials are biased so both the active
     and inactive hinge branches occur.
     """
+    import scipy.linalg
+
     rng = np.random.default_rng(seed)
     worst = math.inf
     branches = {"hinge_active": 0, "hinge_inactive": 0}

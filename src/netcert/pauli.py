@@ -54,16 +54,6 @@ class PauliOperator:
     def site_map(self) -> dict[str, tuple[int, int]]:
         return dict(self.sites)
 
-    def exponents(self, label: str) -> tuple[int, int]:
-        """(x, z) at ``label``; (0, 0) if the operator does not act there."""
-        for site, xz in self.sites:
-            if site == label:
-                return xz
-        return (0, 0)
-
-    def __mul__(self, other: "PauliOperator") -> "PauliOperator":
-        return multiply(self, other)
-
 
 def identity(d: int) -> PauliOperator:
     """The identity operator (phase tau^0, no sites)."""

@@ -9,6 +9,7 @@ import pytest
 from netcert import (
     Certificate,
     DegenerateMultiplicity,
+    EnumerationOverflow,
     Multigraph,
     NotCertified,
     RangeError,
@@ -363,12 +364,15 @@ def test_verifier_dense_check_can_be_skipped():
 
 def test_verifier_decides_obstruction_above_dense_cap():
     """Skipping the dense check does not pass operators whose restrictions
-    to group 2 commute."""
+    to group 2 commute, and at the default cap the check runs and fails."""
     cert = certify_constant_multiplicity(triangle(3))
     commuting = _tampered(cert, s4=cert.s3)
     report = verify_obs3(commuting, dense_cap=1)
     eig = [c for c in report.checks if c.name == "eigenspace_obstruction"]
     assert len(eig) == 1 and not eig[0].passed and "skipped" in eig[0].detail
+    report = verify_obs3(commuting)
+    eig = [c for c in report.checks if c.name == "eigenspace_obstruction"]
+    assert len(eig) == 1 and not eig[0].passed and "skipped" not in eig[0].detail
 
 
 # ---------------------------------------------------------------- serialization
@@ -444,6 +448,18 @@ def test_exhaustive_table_budget_overflow_marks_incomplete():
     report = exhaustive_table(5, 3, budget=100)
     assert not report.complete
     assert not report.all_certified
+
+
+def test_exhaustive_table_keeps_enumeration_progress():
+    with pytest.raises(EnumerationOverflow) as info:
+        list(enumerate_connected_multigraphs(4, 3, budget=400))
+    report = exhaustive_table(4, 3, budget=400)
+    assert report.complete is False
+    assert report.examined == info.value.examined == 400
+    assert report.yielded == info.value.yielded == report.total
+    full = exhaustive_table(4, 3)
+    assert full.complete and full.examined == 3**6 and full.yielded == full.total
+    assert 0 < report.yielded < full.total
 
 
 def test_exhaustive_table_negative_case_d6():

@@ -134,6 +134,7 @@ def test_enumerate_budget_exit(capsys):
     assert code == EXIT_BUDGET
     (report,) = json.loads(out)
     assert report["complete"] is False
+    assert report["examined"] == 100 and report["yielded"] == 0
 
 
 def test_enumerate_bad_range(capsys):

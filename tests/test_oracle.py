@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from netcert import Multigraph, ResourceError, StructureError, ghz_stabilizer_element
+from netcert import (
+    DimensionError,
+    Multigraph,
+    PauliOperator,
+    ResourceError,
+    StructureError,
+    ghz_stabilizer_element,
+)
 from netcert.oracle import (
     ALL_LEMMA_CHECKS,
     build_graph_state,
@@ -15,12 +22,15 @@ from netcert.oracle import (
     ghz_state,
     haar_unitary,
     mean_plus_one,
+    monomial_form,
     plus_one_projector,
     random_density,
     random_state,
+    shares_plus_one_eigenvector,
     weyl_x,
     weyl_z,
 )
+from netcert.pauli import power
 
 
 def test_weyl_matrices():
@@ -98,6 +108,75 @@ def test_common_plus_one_eigenvector():
     assert not common_plus_one_eigenvector(x, z)
     # identity shares with everything
     assert common_plus_one_eigenvector(np.eye(2), x)
+
+
+def random_weyl(rng, d, parties):
+    """tau^p X^x Z^z on a random subset of the parties, random phase p."""
+    sites = {
+        name: (int(rng.integers(d)), int(rng.integers(d)))
+        for name in parties
+        if rng.random() < 0.8
+    }
+    return PauliOperator.from_sites(d, sites, phase_exp=int(rng.integers(2 * d)))
+
+
+def monomial_matrix(p, parties):
+    target, expo = monomial_form(p, parties)
+    dim = len(target)
+    m = np.zeros((dim, dim), dtype=complex)
+    m[target, np.arange(dim)] = np.exp(1j * np.pi * expo / p.d)
+    return m
+
+
+def test_monomial_form_matches_dense():
+    rng = np.random.default_rng(45)
+    cells = [(d, k) for d in range(2, 10) for k in range(1, 5) if d**k <= 1024]
+    for d, k in cells:
+        # party order is not the sorted label order, and some parties are idle
+        parties = [f"P{j}" for j in rng.permutation(k)]
+        for _ in range(6):
+            p = random_weyl(rng, d, parties)
+            target, expo = monomial_form(p, parties)
+            assert sorted(target) == list(range(d**k))
+            assert ((0 <= expo) & (expo < 2 * d)).all()
+            assert np.abs(monomial_matrix(p, parties) - dense(p, parties)).max() <= 1e-10
+    assert {d for d, _ in cells} == set(range(2, 10))
+    assert {k for _, k in cells} == {1, 2, 3, 4}
+
+
+def test_shares_plus_one_eigenvector_matches_schur_reference():
+    rng = np.random.default_rng(46)
+    outcomes = {True: 0, False: 0}
+    for trial in range(600):
+        d = int(rng.integers(2, 8))
+        k = int(rng.integers(1, 4))
+        while d**k > 125:
+            k -= 1
+        parties = [str(j) for j in range(k)]
+        p = random_weyl(rng, d, parties)
+        if trial % 3 == 0:
+            q = p
+        elif trial % 3 == 1:
+            # a power of p with a fresh phase commutes with p
+            q = power(p, int(rng.integers(d)))
+            q = PauliOperator.from_sites(d, q.site_map(), int(rng.integers(2 * d)))
+        else:
+            q = random_weyl(rng, d, parties)
+        got = shares_plus_one_eigenvector(p, q, parties)
+        want = common_plus_one_eigenvector(dense(p, parties), dense(q, parties))
+        assert got == want, (p, q)
+        outcomes[got] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_shares_plus_one_eigenvector_validation():
+    p = PauliOperator.from_sites(3, {"A": (1, 0)})
+    with pytest.raises(DimensionError):
+        shares_plus_one_eigenvector(p, PauliOperator.from_sites(2, {"A": (1, 0)}), ["A"])
+    with pytest.raises(StructureError):
+        shares_plus_one_eigenvector(p, PauliOperator.from_sites(3, {"B": (0, 1)}), ["A"])
+    with pytest.raises(StructureError):
+        monomial_form(p, ["A", "A"])
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (2, 5)])
