@@ -16,14 +16,16 @@ scaled by the edge weights around the triple.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     DegenerateMultiplicity,
@@ -36,14 +38,14 @@ from .errors import (
 from .multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
     Multigraph,
-    NeighborhoodPartition,
+    _canonical_rows,
     _LCWalk,
     edges,
-    enumerate_connected_multigraphs,
     find_angle_or_triangle,
     is_connected,
     local_complement,
     partition_neighborhoods,
+    triu_to_matrices,
 )
 from .network import marginal_chain_checks, prime
 from .pauli import PauliOperator, commutation_phase, multiply, relabel, restrict, support
@@ -222,57 +224,116 @@ def _finish_certificate(
     )
 
 
-def _obs1_certificate(
+def _neighbor_masks(g: Multigraph) -> list[int]:
+    """Bit j of entry i is set iff vertices i and j are adjacent."""
+    return [sum(1 << j for j, m in enumerate(row) if m) for row in g.mult]
+
+
+# The formulas below are written once for both callers: on Python ints for
+# one graph (certify_any) and on int64 arrays for a whole table cell
+# (_direct_pass).  Vertex sets are bitmasks; ``tri1`` is 1 for the obs1
+# construction on a triangle and 0 otherwise.
+
+
+def _obs4_weights(m_ab, m_bc, m_ca, h, d):
+    """(m_tilde, ea, eb, ec) of the obs4 construction, h the gcd of the
+    triple's three edge weights."""
+    m_tilde = (m_ab * m_ca // h) % d
+    return m_tilde, -(m_bc // h) % d, (m_ca // h) % d, (m_ab // h) % d
+
+
+def _exponent_table(tri1, ea, eb, ec, t):
+    """Generator exponents at (a, b, c) of S1, S2, S3 and S4.
+
+    Where tri1 is 0 these are the obs4 words; obs1 on an angle is the case
+    (ea, eb, ec) = (0, -1, -1).
+    """
+
+    def pick(x, y):
+        return tri1 * x + (1 - tri1) * y
+
+    return (
+        (pick(1, ea), pick(-1, 0), pick(0, ec)),
+        (pick(-1, -ea), pick(0, -eb), pick(1, 0)),
+        (0, pick(-1, -eb), pick(1, ec)),
+        (pick(0, t), 0, pick(t, 0)),
+    )
+
+
+def _group_masks(tri1, a, b, c, nb_a, nb_b, nb_c, full):
+    """Bitmasks of groups G1..G4 at triple (a, b, c) of the vertices ``full``.
+
+    The obs1 triangle layout where tri1 is 1, else the angle layout, which
+    obs4 shares: at a triple obs4 accepts t_abc is empty, and on a triangle
+    so are j_ab and j_ca.
+    """
+    rest = full & ~(1 << a | 1 << b | 1 << c)
+    e_a = rest & nb_a & ~(nb_b | nb_c)
+    e_b = rest & nb_b & ~(nb_a | nb_c)
+    e_c = rest & nb_c & ~(nb_a | nb_b)
+    j_ab = rest & nb_a & nb_b & ~nb_c
+    j_bc = rest & nb_b & nb_c & ~nb_a
+    j_ca = rest & nb_c & nb_a & ~nb_b
+    t_abc = rest & nb_a & nb_b & nb_c
+    far = rest & ~(nb_a | nb_b | nb_c)
+
+    def pick(x, y):
+        return (x & -tri1) | (y & (tri1 - 1))
+
+    return (
+        pick(1 << c | e_c, 1 << b | j_ab),
+        pick(1 << b | e_b | j_ca, 1 << c | j_ca),
+        pick(1 << a | e_a | j_bc | t_abc, 1 << a | e_a | t_abc),
+        pick(j_ab | far, e_b | e_c | j_bc | far),
+    )
+
+
+def _build_certificate(
     graph: Multigraph,
     lc_path: tuple[int, ...],
     certified: Multigraph,
     triple: tuple[int, int, int],
+    general: bool,
+    nb: Sequence[int],
 ) -> Certificate:
+    """The obs4 (``general``) or obs1 construction at a triple it accepts;
+    ``nb`` holds the neighbor masks of ``certified``."""
     a, b, c = triple
-    part = partition_neighborhoods(certified, a, b, c)
-    names = _labels(certified)
-    la, lb, lc_ = names[a], names[b], names[c]
-    m = certified.mult[a][b]
-    choice = select_power_t(m, certified.d)
-    as_labels = lambda vs: frozenset(names[v] for v in vs)
-    if part.kind == "triangle":
-        words = (
-            word(certified, {a: 1, b: -1}),
-            word(certified, {a: -1, c: 1}),
-            word(certified, {b: -1, c: 1}),
-            word(certified, {c: choice.t}),
-        )
-        group_sets = (
-            frozenset({lc_}) | as_labels(part.e_c),
-            frozenset({lb}) | as_labels(part.e_b) | as_labels(part.j_ca),
-            frozenset({la}) | as_labels(part.e_a) | as_labels(part.j_bc) | as_labels(part.t_abc),
-            as_labels(part.j_ab) | as_labels(part.far),
-        )
+    d, n, mult = certified.d, certified.n, certified.mult
+    m_ab, m_bc, m_ca = mult[a][b], mult[b][c], mult[c][a]
+    if general:
+        m_tilde, ea, eb, ec = _obs4_weights(m_ab, m_bc, m_ca, gcd(m_ab, m_ca, m_bc), d)
+        choice = select_power_t(m_tilde, d)
+        exponents = (("a", ea), ("b", eb), ("c", ec), ("e", choice.t))
     else:
-        words = (
-            word(certified, {c: -1}),
-            word(certified, {b: 1}),
-            word(certified, {b: 1, c: -1}),
-            word(certified, {a: choice.t}),
-        )
-        group_sets = (
-            frozenset({lb}) | as_labels(part.j_ab),
-            frozenset({lc_}) | as_labels(part.j_ca),
-            frozenset({la}) | as_labels(part.e_a) | as_labels(part.t_abc),
-            as_labels(part.e_b) | as_labels(part.e_c) | as_labels(part.j_bc) | as_labels(part.far),
-        )
-    return _finish_certificate(
+        choice = select_power_t(m_ab, d)
+        ea, eb, ec = 0, -1, -1
+        exponents = (("t", choice.t),)
+    tri1 = bool(m_bc) and not general
+    words = tuple(
+        word(certified, {a: xa, b: xb, c: xc})
+        for xa, xb, xc in _exponent_table(tri1, ea, eb, ec, choice.t)
+    )
+    names = _labels(certified)
+    group_sets = tuple(
+        frozenset(names[v] for v in range(n) if mask >> v & 1)
+        for mask in _group_masks(tri1, a, b, c, nb[a], nb[b], nb[c], (1 << n) - 1)
+    )
+    cert = _finish_certificate(
         graph,
         lc_path,
         certified,
         triple,
-        part.kind,
-        METHOD_CONSTANT,
+        "triangle" if m_bc else "angle",
+        METHOD_GENERAL if general else METHOD_CONSTANT,
         group_sets,
         words,
-        (("t", choice.t),),
+        exponents,
         choice.cos_value,
     )
+    if general and cert.kappa != (-choice.t * m_tilde) % d:
+        raise StructureError("construction bug: kappa differs from -e m_tilde")
+    return cert
 
 
 def certify_constant_multiplicity(g: Multigraph) -> Certificate:
@@ -285,20 +346,7 @@ def certify_constant_multiplicity(g: Multigraph) -> Certificate:
     weights = {m for _, _, m in edges(g)}
     if len(weights) != 1:
         raise WrongFamily(f"edge multiplicities {sorted(weights)} are not constant")
-    return _obs1_certificate(g, (), g, triples[0][:3])
-
-
-def _neighbor_masks(g: Multigraph) -> list[int]:
-    """Bit j of entry i is set iff vertices i and j are adjacent."""
-    return [sum(1 << j for j, m in enumerate(row) if m) for row in g.mult]
-
-
-def _m_tilde(g: Multigraph, a: int, b: int, c: int) -> tuple[int, int]:
-    """(h, m_tilde): h = gcd of the triple's edge weights, m_tilde = m_ab m_ca / h mod d."""
-    m_ab = g.mult[a][b]
-    m_ca = g.mult[c][a]
-    h = gcd(m_ab, m_ca, g.mult[b][c])
-    return h, (m_ab * m_ca // h) % g.d
+    return _build_certificate(g, (), g, triples[0][:3], general=False, nb=_neighbor_masks(g))
 
 
 def _obs4_blocked(
@@ -322,81 +370,24 @@ def _obs4_blocked(
             if apex:
                 reasons.append(f"{tag}: triangle with shared neighbors at the apex")
         return True
-    h, m_tilde = _m_tilde(g, a, b, c)
-    if m_tilde == 0:
+    m_ab, m_ca = g.mult[a][b], g.mult[c][a]
+    h = gcd(m_ab, m_ca, g.mult[b][c])
+    if (m_ab * m_ca // h) % g.d == 0:
         if reasons is not None:
-            reasons.append(
-                f"triple ({a},{b},{c}): m_tilde = {g.mult[a][b]}*{g.mult[c][a]}/{h} = 0 (mod {g.d})"
-            )
+            reasons.append(f"triple ({a},{b},{c}): m_tilde = {m_ab}*{m_ca}/{h} = 0 (mod {g.d})")
         return True
     return False
-
-
-def _obs4_attempt(
-    graph: Multigraph,
-    lc_path: tuple[int, ...],
-    certified: Multigraph,
-    triple: tuple[int, int, int],
-    part: NeighborhoodPartition,
-) -> Certificate:
-    """General-multiplicity construction at a triple that _obs4_blocked passes."""
-    a, b, c = triple
-    d = certified.d
-    names = _labels(certified)
-    la, lb, lc_ = names[a], names[b], names[c]
-    h, m_tilde = _m_tilde(certified, a, b, c)
-    choice = select_power_t(m_tilde, d)
-    ea = (-(certified.mult[b][c] // h)) % d
-    eb = (certified.mult[c][a] // h) % d
-    ec = (certified.mult[a][b] // h) % d
-    words = (
-        word(certified, {a: ea, c: ec}),
-        word(certified, {a: -ea, b: -eb}),
-        word(certified, {b: -eb, c: ec}),
-        word(certified, {a: choice.t}),
-    )
-    as_labels = lambda vs: frozenset(names[v] for v in vs)
-    rest = as_labels(part.e_b) | as_labels(part.e_c) | as_labels(part.j_bc) | as_labels(part.far)
-    if part.kind == "triangle":
-        group_sets = (
-            frozenset({lb}),
-            frozenset({lc_}),
-            frozenset({la}) | as_labels(part.e_a),
-            rest,
-        )
-    else:
-        group_sets = (
-            frozenset({lb}) | as_labels(part.j_ab),
-            frozenset({lc_}) | as_labels(part.j_ca),
-            frozenset({la}) | as_labels(part.e_a),
-            rest,
-        )
-    cert = _finish_certificate(
-        graph,
-        lc_path,
-        certified,
-        triple,
-        part.kind,
-        METHOD_GENERAL,
-        group_sets,
-        words,
-        (("a", ea), ("b", eb), ("c", ec), ("e", choice.t)),
-        choice.cos_value,
-    )
-    expected_kappa = (-choice.t * m_tilde) % d
-    if cert.kappa != expected_kappa:
-        raise StructureError("construction bug: kappa differs from -e m_tilde")
-    return cert
 
 
 def certify_obs4(g: Multigraph, triple: Sequence[int]) -> Certificate | NotCertified:
     """General-multiplicity certificate at a given angle or triangle."""
     a, b, c = triple[:3]
-    part = partition_neighborhoods(g, a, b, c)
+    partition_neighborhoods(g, a, b, c)  # validates the triple
     reasons: list[str] = []
-    if _obs4_blocked(g, _neighbor_masks(g), (a, b, c), reasons):
+    nb = _neighbor_masks(g)
+    if _obs4_blocked(g, nb, (a, b, c), reasons):
         return NotCertified(graph=g, reasons=tuple(reasons))
-    return _obs4_attempt(g, (), g, (a, b, c), part)
+    return _build_certificate(g, (), g, (a, b, c), general=True, nb=nb)
 
 
 def _certify_direct(
@@ -408,36 +399,27 @@ def _certify_direct(
     """
     triples = find_angle_or_triangle(certified)
     weights = {m for _, _, m in edges(certified)}
-    if len(weights) == 1:
-        return _obs1_certificate(graph, lc_path, certified, triples[0][:3])
-    reasons = [f"edge multiplicities {sorted(weights)} are not constant"] if explain else None
     nb = _neighbor_masks(certified)
+    if len(weights) == 1:
+        return _build_certificate(
+            graph, lc_path, certified, triples[0][:3], general=False, nb=nb
+        )
+    reasons = [f"edge multiplicities {sorted(weights)} are not constant"] if explain else None
     for a, b, c, _ in triples:
         if not _obs4_blocked(certified, nb, (a, b, c), reasons):
-            part = partition_neighborhoods(certified, a, b, c)
-            return _obs4_attempt(graph, lc_path, certified, (a, b, c), part)
+            return _build_certificate(
+                graph, lc_path, certified, (a, b, c), general=True, nb=nb
+            )
     return reasons or []
 
 
-def certify_any(
-    g: Multigraph,
-    orbit_cap: int = DEFAULT_ORBIT_CAP,
-    *,
-    _failed: set[tuple[int, ...]] | None = None,
-) -> Certificate | NotCertified:
+def certify_any(g: Multigraph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> Certificate | NotCertified:
     """Certify a graph, searching its local-complementation orbit if needed.
 
     The orbit is explored breadth-first and each newly discovered member is
     tried immediately, so success exits early.  ``orbit_cap`` bounds the
     number of distinct orbit members examined.
-
-    ``_failed`` is exhaustive_table's memo across one table: the canonical
-    keys of graphs whose direct attempt failed.  Whether a direct attempt
-    succeeds depends only on the isomorphism class, so members found there
-    are walked past without a new attempt and no outcome changes.  The
-    starting graph is always tried, for its reasons.
     """
-    failed = set() if _failed is None else _failed
     if g.n < 3:
         return NotCertified(g, ("fewer than three vertices",))
     if not is_connected(g):
@@ -447,13 +429,12 @@ def certify_any(
         return result
     walk = _LCWalk(g, orbit_cap)
     size = 0
-    for image, path, key in walk:
+    for image, path, _ in walk:
         size += 1
-        if path and key not in failed:
+        if path:
             attempt = _certify_direct(g, path, image, explain=False)
             if isinstance(attempt, Certificate):
                 return attempt
-        failed.add(key)
     note = f"all {size} graphs in the local-complementation orbit fail"
     if walk.truncated:
         note += f" (orbit search truncated at {orbit_cap})"
@@ -462,13 +443,153 @@ def certify_any(
     )
 
 
+#: Kinds of direct-attempt failure a table tallies, in the order
+#: _certify_direct reports them.
+REJECTION_KINDS = ("non_constant", "t_abc", "apex", "m_tilde_zero")
+
+
+class _DirectPass(NamedTuple):
+    """Direct attempts on a stack of N graphs (see _direct_pass).
+
+    The rows of ``general`` to ``phase`` are those of the k graphs that
+    certify, in stack order; ``phase`` holds tau exponents.
+    """
+
+    certified: np.ndarray  # (N,) bool
+    rejections: np.ndarray  # (N, 4) reason lines per REJECTION_KINDS; 0 where certified
+    general: np.ndarray  # (k,) bool: obs4, else obs1
+    triple: np.ndarray  # (k, 3)
+    groups: np.ndarray  # (k, 4) vertex bitmasks of G1..G4
+    x: np.ndarray  # (k, 4, n) X exponents of S1..S4
+    z: np.ndarray  # (k, 4, n) Z exponents of S1..S4
+    phase: np.ndarray  # (k, 4)
+
+
+#: Graphs per block of _direct_pass; bounds its (block, triples) temporaries.
+_PASS_BLOCK = 2048
+
+
+def _direct_pass(mats: np.ndarray, d: int) -> _DirectPass:
+    """_certify_direct on every graph of a stack of connected multiplicity
+    matrices (N, n, n), as arrays.
+
+    Each graph gets the construction and the triple that _certify_direct
+    picks (obs1 at its first triple when the weights are constant, else obs4
+    at the first triple that is not blocked), its S1..S4 are built, and every
+    check of _finish_certificate runs on them; a failing check raises
+    StructureError.  ``rejections`` counts the reason lines _certify_direct
+    reports for each graph that fails, by kind.
+    """
+    starts = range(0, max(len(mats), 1), _PASS_BLOCK)
+    blocks = [_direct_block(mats[i : i + _PASS_BLOCK], d) for i in starts]
+    return _DirectPass(*map(np.concatenate, zip(*blocks)))
+
+
+@lru_cache(maxsize=None)
+def _triples(n: int) -> np.ndarray:
+    """Every ordered triple of distinct vertices, in lexicographic order: a
+    superset of find_angle_or_triangle's triples, in its order."""
+    triples = np.array(list(itertools.permutations(range(n), 3)), dtype=np.int64).reshape(-1, 3)
+    triples.setflags(write=False)
+    return triples
+
+
+def _direct_block(mats: np.ndarray, d: int) -> _DirectPass:
+    """_direct_pass on one block of graphs."""
+    k, n = mats.shape[0], mats.shape[1]
+    mats = mats.astype(np.int64, copy=False)
+    ta, tb, tc = _triples(n).T
+    m_ab, m_bc, m_ca = mats[:, ta, tb], mats[:, tb, tc], mats[:, tc, ta]
+    nb = ((mats != 0) << np.arange(n)).sum(axis=2)
+    nb_a, nb_b, nb_c = nb[:, ta], nb[:, tb], nb[:, tc]
+    # blocked flags per (graph, triple), as in _obs4_blocked
+    valid = (m_ab != 0) & (m_ca != 0)
+    t_block = valid & ((nb_a & nb_b & nb_c) != 0)
+    apex = nb_a & (nb_b ^ nb_c) & ~(1 << tb | 1 << tc)
+    a_block = valid & (m_bc != 0) & (apex != 0)
+    h = np.gcd(np.gcd(m_ab, m_ca), m_bc)
+    h[h == 0] = 1
+    z_block = valid & ~(t_block | a_block) & ((m_ab * m_ca // h) % d == 0)
+    weights = mats.reshape(k, n * n)
+    constant = weights.max(axis=1) == np.where(weights != 0, weights, d).min(axis=1)
+    usable = np.where(constant[:, None], valid, valid & ~(t_block | a_block | z_block))
+    certified = usable.any(axis=1)
+    fail = ~certified & ~constant
+    lines = [np.ones(k, np.int64), t_block.sum(axis=1), a_block.sum(axis=1), z_block.sum(axis=1)]
+    rejections = np.stack(lines, axis=1) * fail[:, None]
+
+    rows = np.flatnonzero(certified)
+    first = usable[rows].argmax(axis=1) if len(rows) else rows
+    a, b, c = ta[first], tb[first], tc[first]
+    mats = mats[rows]
+    general = ~constant[rows]
+    tri1 = ((m_bc[rows, first] != 0) & ~general).astype(np.int64)
+    mt, ea, eb, ec = _obs4_weights(
+        m_ab[rows, first], m_bc[rows, first], m_ca[rows, first], h[rows, first], d
+    )
+    ea, eb, ec = (np.where(general, e, obs1) for e, obs1 in ((ea, 0), (eb, -1), (ec, -1)))
+    power_of = np.where(general, mt, m_ab[rows, first])
+    values, inverse = np.unique(power_of, return_inverse=True)
+    t = np.array([select_power_t(int(m), d).t for m in values], dtype=np.int64)[inverse]
+
+    sel = np.arange(len(rows))
+    e = np.zeros((len(rows), 4, n), dtype=np.int64)
+    for i, (xa, xb, xc) in enumerate(_exponent_table(tri1, ea, eb, ec, t)):
+        e[sel, i, a], e[sel, i, b], e[sel, i, c] = xa, xb, xc
+    e %= d
+    # word(): X-part e, Z-part M e, tau exponent 2 sum_{u<v} e_u m_uv e_v
+    z = (e @ mats) % d
+    upper = np.triu(mats, 1)
+    phase = 2 * ((e * ((e @ upper.transpose(0, 2, 1)) % d)).sum(axis=2) % d)
+    groups = np.stack(
+        _group_masks(tri1, a, b, c, nb[rows, a], nb[rows, b], nb[rows, c], (1 << n) - 1),
+        axis=1,
+    )
+    _check_witnesses(d, e, z, phase, groups, general, (-t * mt) % d)
+    return _DirectPass(
+        certified, rejections, general, np.stack((a, b, c), axis=1), groups, e, z, phase
+    )
+
+
+def _check_witnesses(d, x, z, phase, groups, general, expected_kappa) -> None:
+    """_finish_certificate's checks on (k, 4, n) operator arrays S1..S4."""
+    (x1, x2, x3, x4), (z1, z2, z3, z4) = x.transpose(1, 0, 2), z.transpose(1, 0, 2)
+    cross = (z1 * x2).sum(axis=1)
+    if not (
+        ((x1 + x2) % d == x3).all()
+        and ((z1 + z2) % d == z3).all()
+        and ((phase[:, 0] + phase[:, 1] + 2 * cross) % (2 * d) == phase[:, 2]).all()
+    ):
+        raise StructureError("construction bug: S3 is not exactly S1 S2")
+    if ((cross - (z2 * x1).sum(axis=1)) % d).any():
+        raise StructureError("construction bug: S1 and S2 do not commute")
+    bits = 1 << np.arange(x.shape[2])
+    supports = (((x != 0) | (z != 0)) * bits).sum(axis=2)
+    touching = (supports & groups).any(axis=0)
+    if touching.any():
+        idx = int(touching.argmax()) + 1
+        raise StructureError(f"construction bug: S{idx} touches group {idx}")
+    # S4's sites in G1 move to the primed copies, which S3 never touches
+    outside_g1 = (groups[:, :1] & bits) == 0
+    kappa = ((z3 * x4 - z4 * x3) * outside_g1).sum(axis=1) % d
+    if not kappa.all():
+        raise StructureError("construction bug: S3 and relabeled S4 commute")
+    common = supports[:, 2] & supports[:, 3] & ~groups[:, 0]
+    if (common & ~groups[:, 1]).any():
+        raise StructureError("construction bug: overlap leaks outside group 2")
+    if (general & (kappa != expected_kappa)).any():
+        raise StructureError("construction bug: kappa differs from -e m_tilde")
+
+
 @dataclass(frozen=True)
 class TableReport:
     """Certification tally over all connected multigraphs of one size.
 
     ``examined`` counts the labeled multiplicity vectors the enumeration
-    scanned and ``yielded`` the classes it produced, also when it stopped on
-    its budget (``complete`` False).
+    scanned, also when it stopped on its budget (``complete`` False).
+    ``rejections`` counts, over the classes whose direct attempt fails, the
+    reasons that attempt gives, by kind (REJECTION_KINDS): one
+    ``non_constant`` per class and one entry per blocked triple.
     """
 
     n: int
@@ -479,15 +600,32 @@ class TableReport:
     uncertified: tuple[NotCertified, ...]
     complete: bool
     examined: int
-    yielded: int
+    rejections: tuple[tuple[str, int], ...]
 
     @property
     def all_certified(self) -> bool:
         return self.complete and self.total > 0 and self.certified == self.total
 
 
-def _method_tag(cert: Certificate) -> str:
-    return cert.method + ("+lc" if cert.lc_path else "")
+def _orbit_rescue(
+    g: Multigraph, orbit_cap: int, direct_ok: dict[tuple[int, ...], bool]
+) -> Multigraph | None:
+    """First member of g's orbit walk (after g) that certifies directly.
+
+    ``direct_ok`` maps canonical keys to the outcome of their direct
+    attempt; success is a property of the isomorphism class, so a key found
+    there is looked up, and a key that is not gets a real attempt, recorded.
+    """
+    for image, path, key in _LCWalk(g, orbit_cap):
+        if not path:
+            continue
+        ok = direct_ok.get(key)
+        if ok is None:
+            ok = isinstance(_certify_direct(g, path, image, explain=False), Certificate)
+            direct_ok[key] = ok
+        if ok:
+            return image
+    return None
 
 
 def exhaustive_table(
@@ -495,40 +633,58 @@ def exhaustive_table(
     d: int,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     orbit_cap: int = 4096,
+    *,
     workers: int = 1,
 ) -> TableReport:
-    """Certify every connected multigraph class on n vertices over Z_d."""
-    graphs: list[Multigraph] = []
+    """Certify every connected multigraph class on n vertices over Z_d.
+
+    Outcomes and tallies are those of certify_any on every class, decided
+    on arrays: one _direct_pass over all classes, an orbit walk for each
+    class it fails that stops at the first member whose class certified
+    directly, one more _direct_pass that builds and checks the witness of
+    every such member, and certify_any for the refusals of the rest.
+    ``workers`` is accepted and ignored: the cell runs in one process.
+    """
+    chunks: list[np.ndarray] = []
     complete = True
     examined = d ** (n * (n - 1) // 2)
     try:
-        graphs.extend(enumerate_connected_multigraphs(n, d, budget=budget))
+        chunks.extend(_canonical_rows(n, d, budget))
     except EnumerationOverflow as exc:
         complete = False
         examined = exc.examined
-    run = partial(certify_any, orbit_cap=orbit_cap, _failed=set())
-    if workers > 1 and len(graphs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, graphs, chunksize=8))
-    else:
-        results = [run(gr) for gr in graphs]
-    methods: Counter[str] = Counter()
+    rows = np.concatenate(chunks) if chunks else np.zeros((0, n * (n - 1) // 2), np.int64)
+    mats = triu_to_matrices(rows, n)
+    direct = _direct_pass(mats, d)
+    methods = Counter(
+        {METHOD_CONSTANT: int((~direct.general).sum()), METHOD_GENERAL: int(direct.general.sum())}
+    )
+    direct_ok = dict(zip(map(tuple, rows.tolist()), direct.certified.tolist()))
+    images: list[tuple[tuple[int, ...], ...]] = []
     uncertified: list[NotCertified] = []
-    for res in results:
-        if isinstance(res, Certificate):
-            methods[_method_tag(res)] += 1
+    for idx in np.flatnonzero(~direct.certified):
+        g = Multigraph(d=d, n=n, mult=tuple(map(tuple, mats[idx].tolist())))
+        image = _orbit_rescue(g, orbit_cap, direct_ok) if n >= 3 else None
+        if image is None:
+            uncertified.append(certify_any(g, orbit_cap))
         else:
-            uncertified.append(res)
+            images.append(image.mult)
+    if images:
+        lc = _direct_pass(np.array(images, dtype=np.int64), d)
+        if not lc.certified.all():
+            raise StructureError("construction bug: an orbit member of a certified class fails")
+        methods[METHOD_CONSTANT + "+lc"] = int((~lc.general).sum())
+        methods[METHOD_GENERAL + "+lc"] = int(lc.general.sum())
     return TableReport(
         n=n,
         d=d,
-        total=len(graphs),
-        certified=len(graphs) - len(uncertified),
-        methods=tuple(sorted(methods.items())),
+        total=len(rows),
+        certified=len(rows) - len(uncertified),
+        methods=tuple(sorted((k, v) for k, v in methods.items() if v)),
         uncertified=tuple(uncertified),
         complete=complete,
         examined=examined,
-        yielded=len(graphs),
+        rejections=tuple(zip(REJECTION_KINDS, direct.rejections.sum(axis=0).tolist())),
     )
 
 

@@ -54,7 +54,6 @@ class RunConfig:
     fmt: str
     output: Path | None
     seed: int
-    workers: int
     budget_graphs: int
     budget_orbit: int
     verify: bool
@@ -90,13 +89,14 @@ def _load_graph(args: argparse.Namespace) -> Multigraph:
 
 
 def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise NetcertError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo_s, sep, hi_s = text.partition("..")
+    try:
+        lo, hi = int(lo_s), int(hi_s if sep else lo_s)
+    except ValueError:
+        raise NetcertError(f"not an integer or a range 'a..b': {text!r}") from None
+    if hi < lo:
+        raise NetcertError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
@@ -104,7 +104,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
         fmt=getattr(args, "format", "json"),
         output=Path(args.output) if getattr(args, "output", None) else None,
         seed=getattr(args, "seed", 0),
-        workers=getattr(args, "workers", 1),
         budget_graphs=getattr(args, "budget_graphs", DEFAULT_ENUMERATION_BUDGET),
         budget_orbit=getattr(args, "budget_orbit", DEFAULT_ORBIT_CAP),
         verify=getattr(args, "verify", False),
@@ -180,25 +179,18 @@ def _table_obj(report: TableReport) -> dict:
         "all_certified": report.all_certified,
         "complete": report.complete,
         "examined": report.examined,
-        "yielded": report.yielded,
         "methods": {name: count for name, count in report.methods},
+        "rejections": {kind: count for kind, count in report.rejections},
         "uncertified": [_not_certified_obj(res) for res in report.uncertified],
     }
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    reports = []
-    for d in _parse_range(args.d):
-        reports.append(
-            exhaustive_table(
-                args.n,
-                d,
-                budget=cfg.budget_graphs,
-                orbit_cap=cfg.budget_orbit,
-                workers=cfg.workers,
-            )
-        )
+    reports = [
+        exhaustive_table(args.n, d, budget=cfg.budget_graphs, orbit_cap=cfg.budget_orbit)
+        for d in _parse_range(args.d)
+    ]
     if cfg.fmt == "json":
         _emit_json(cfg, [_table_obj(r) for r in reports])
     else:
@@ -307,6 +299,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     cfg = _config(args)
+    if cfg.trials < 1:
+        raise NetcertError(f"--trials must be at least 1, got {cfg.trials}")
     from .errors import PropertyViolation
     from .oracle import ALL_LEMMA_CHECKS
 
@@ -374,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", required=True, help="dimension or range 'a..b'")
     p.add_argument("--budget-graphs", type=int, default=DEFAULT_ENUMERATION_BUDGET)
     p.add_argument("--budget-orbit", type=int, default=4096)
-    p.add_argument("--workers", type=int, default=1)
     _add_common_arguments(p)
     p.set_defaults(func=cmd_enumerate)
 

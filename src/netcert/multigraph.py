@@ -209,6 +209,35 @@ def enumerate_connected_multigraphs(
     without any dedup storage.  Raises EnumerationOverflow (with progress
     counts) once more than ``budget`` labeled vectors would be examined.
     """
+    for rows in _canonical_rows(n, d, budget):
+        for mat in triu_to_matrices(rows, n).tolist():
+            yield Multigraph(d=d, n=n, mult=tuple(map(tuple, mat)))
+
+
+def triu_to_matrices(rows: np.ndarray, n: int) -> np.ndarray:
+    """Stack of symmetric (k, n, n) multiplicity matrices from (k, n choose 2)
+    upper-triangle vectors in the order of canonical_form."""
+    iu, ju = np.triu_indices(n, 1)
+    mats = np.zeros((len(rows), n, n), dtype=rows.dtype)
+    mats[:, iu, ju] = mats[:, ju, iu] = rows
+    return mats
+
+
+def _connected(mats: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack, whether every vertex is reachable from 0."""
+    adj = mats != 0
+    reach = adj[:, 0, :].copy()
+    reach[:, 0] = True
+    for _ in range(mats.shape[1] - 2):
+        reach |= (reach[:, :, None] & adj).any(axis=1)
+    return reach.all(axis=1)
+
+
+def _canonical_rows(n: int, d: int, budget: int) -> Iterator[np.ndarray]:
+    """Array core of enumerate_connected_multigraphs: per chunk of labeled
+    vectors, the (k, n choose 2) int64 array of its canonical connected rows,
+    in ascending order.  Raises EnumerationOverflow as the public generator
+    does, with ``yielded`` the rows produced so far."""
     if d < 2:
         raise DimensionError(f"qudit dimension must be >= 2, got {d}")
     if n < 2:
@@ -250,12 +279,11 @@ def enumerate_connected_multigraphs(
         digits = (ids[:, None] // weights[None, :]) % d
         keep = (digits @ swaps).min(axis=1) >= ids
         ids, digits = ids[keep], digits[keep]
-        canonical = (digits @ wmat).min(axis=1) == ids
-        for row in digits[canonical]:
-            g = from_triu_vector(d, n, [int(x) for x in row])
-            if is_connected(g):
-                yielded += 1
-                yield g
+        rows = digits[(digits @ wmat).min(axis=1) == ids]
+        rows = rows[_connected(triu_to_matrices(rows, n))]
+        if len(rows):
+            yielded += len(rows)
+            yield rows
         examined += stop - start
         start = stop
         if examined >= budget and start < total:

@@ -154,13 +154,14 @@ def test_criterion_03_desk_scale_tables_fully_certified():
 
 @pytest.mark.skipif(
     not os.environ.get("NETCERT_STRETCH"),
-    reason="stretch table cells take minutes; set NETCERT_STRETCH=1 to run",
+    reason="stretch table cells take about 4 s ((6,3) 3.6 s on a 2-core VM); "
+    "set NETCERT_STRETCH=1 to run",
 )
 def test_criterion_03_stretch_tables_report_stragglers():
     stragglers = []
     summary = []
     for n, d, budget in STRETCH_CELLS:
-        report = exhaustive_table(n, d, budget=budget, workers=4)
+        report = exhaustive_table(n, d, budget=budget)
         assert report.complete, (n, d)
         summary.append(f"({n},{d})={report.certified}/{report.total}")
         for nc in report.uncertified:

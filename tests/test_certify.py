@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,8 +27,22 @@ from netcert import (
     select_power_t,
     verify_obs3,
 )
-from netcert.certify import certificate_to_json_obj
-from netcert.multigraph import edges, is_connected, partition_neighborhoods, permuted
+from netcert.certify import (
+    REJECTION_KINDS,
+    TableReport,
+    _certify_direct,
+    _check_witnesses,
+    _direct_pass,
+    certificate_to_json_obj,
+)
+from netcert.multigraph import (
+    DEFAULT_ENUMERATION_BUDGET,
+    edges,
+    is_connected,
+    partition_neighborhoods,
+    permuted,
+)
+from netcert.pauli import PauliOperator
 
 
 def triangle(d, m=1):
@@ -438,10 +453,136 @@ def test_exhaustive_table_3_3():
     assert dict(report.methods) == {"obs1": 4, "obs4": 3}
 
 
-def test_exhaustive_table_parallel_matches_serial():
-    serial = exhaustive_table(3, 4)
-    parallel = exhaustive_table(3, 4, workers=2)
-    assert serial == parallel
+def _reason_kind(line):
+    for kind, marker in (
+        ("non_constant", "are not constant"),
+        ("t_abc", "adjacent to all three"),
+        ("apex", "shared neighbors at the apex"),
+        ("m_tilde_zero", "m_tilde"),
+    ):
+        if marker in line:
+            return kind
+    raise AssertionError(line)
+
+
+def reference_table(n, d, budget=DEFAULT_ENUMERATION_BUDGET, orbit_cap=4096):
+    """The table assembled one class at a time from certify_any, with the
+    rejections counted from the reason lines of each failing direct attempt."""
+    graphs = []
+    complete, examined = True, d ** (n * (n - 1) // 2)
+    try:
+        graphs.extend(enumerate_connected_multigraphs(n, d, budget=budget))
+    except EnumerationOverflow as exc:
+        complete, examined = False, exc.examined
+    methods, rejections, uncertified = Counter(), Counter(), []
+    for g in graphs:
+        direct = _certify_direct(g, (), g)
+        if isinstance(direct, list):
+            rejections.update(_reason_kind(line) for line in direct)
+        res = certify_any(g, orbit_cap)
+        if isinstance(res, Certificate):
+            methods[res.method + ("+lc" if res.lc_path else "")] += 1
+        else:
+            uncertified.append(res)
+    return TableReport(
+        n=n,
+        d=d,
+        total=len(graphs),
+        certified=len(graphs) - len(uncertified),
+        methods=tuple(sorted(methods.items())),
+        uncertified=tuple(uncertified),
+        complete=complete,
+        examined=examined,
+        rejections=tuple((kind, rejections[kind]) for kind in REJECTION_KINDS),
+    )
+
+
+@pytest.mark.parametrize(
+    "n,d,budget",
+    [
+        (3, 3, None),
+        (3, 6, None),
+        (4, 3, None),
+        (4, 4, None),
+        (5, 3, None),
+        (5, 4, None),
+        (5, 3, 100),
+        (4, 3, 400),
+    ],
+)
+def test_exhaustive_table_matches_certify_any(n, d, budget):
+    kwargs = {} if budget is None else {"budget": budget}
+    report = exhaustive_table(n, d, **kwargs)
+    assert report == reference_table(n, d, **kwargs)
+    if (n, d) == (5, 4):
+        assert dict(report.rejections) == {
+            "non_constant": 3851,
+            "t_abc": 157416,
+            "apex": 71520,
+            "m_tilde_zero": 336,
+        }
+
+
+def test_direct_pass_operators_equal_certify_any():
+    """The array witnesses of the (4,4) classes that certify directly are the
+    operators, groups and triples of the certificates certify_any emits."""
+    graphs = list(enumerate_connected_multigraphs(4, 4))
+    direct = _direct_pass(np.array([g.mult for g in graphs]), 4)
+    assert direct.certified.sum() == len(direct.triple) == 185
+    certified = [g for g, ok in zip(graphs, direct.certified) if ok]
+    for k, g in enumerate(certified):
+        cert = certify_any(g)
+        assert cert.lc_path == ()
+        assert cert.method == ("obs4" if direct.general[k] else "obs1")
+        assert cert.triple == tuple(direct.triple[k].tolist())
+        masks = [sum(1 << int(v) for v in grp) for grp in cert.groups]
+        assert masks == direct.groups[k].tolist()
+        for i, w in enumerate((cert.s1, cert.s2, cert.s3, cert.s4)):
+            sites = {
+                str(v): (int(direct.x[k, i, v]), int(direct.z[k, i, v])) for v in range(g.n)
+            }
+            op = PauliOperator.from_sites(4, sites, int(direct.phase[k, i]))
+            assert op == w.operator, (g, i)
+    failing = [g for g, ok in zip(graphs, direct.certified) if not ok]
+    assert all(isinstance(_certify_direct(g, (), g), list) for g in failing)
+
+
+def test_direct_pass_checks_reject_tampered_witnesses():
+    graphs = list(enumerate_connected_multigraphs(4, 3))
+    direct = _direct_pass(np.array([g.mult for g in graphs]), 3)
+    expected = np.array(
+        [cert.kappa for cert in (certify_any(g) for g, ok in zip(graphs, direct.certified) if ok)]
+    )
+    args = dict(
+        d=3,
+        x=direct.x,
+        z=direct.z,
+        phase=direct.phase,
+        groups=direct.groups,
+        general=direct.general,
+        expected_kappa=expected,
+    )
+    _check_witnesses(**args)
+    phase = direct.phase.copy()
+    phase[0, 2] = (phase[0, 2] + 2) % 6
+    with pytest.raises(StructureError, match="not exactly S1 S2"):
+        _check_witnesses(**{**args, "phase": phase})
+    groups = direct.groups.copy()
+    groups[0, 3] = 0b1111
+    with pytest.raises(StructureError, match="S4 touches group 4"):
+        _check_witnesses(**{**args, "groups": groups})
+    s4_is_s3 = [0, 1, 2, 2]
+    with pytest.raises(StructureError, match="S3 and relabeled S4 commute"):
+        _check_witnesses(
+            **{
+                **args,
+                "x": direct.x[:, s4_is_s3],
+                "z": direct.z[:, s4_is_s3],
+                "groups": np.zeros_like(direct.groups),
+            }
+        )
+    with pytest.raises(StructureError, match="kappa differs"):
+        _check_witnesses(**{**args, "expected_kappa": expected + 1})
 
 
 def test_exhaustive_table_budget_overflow_marks_incomplete():
@@ -456,10 +597,10 @@ def test_exhaustive_table_keeps_enumeration_progress():
     report = exhaustive_table(4, 3, budget=400)
     assert report.complete is False
     assert report.examined == info.value.examined == 400
-    assert report.yielded == info.value.yielded == report.total
+    assert report.total == info.value.yielded
     full = exhaustive_table(4, 3)
-    assert full.complete and full.examined == 3**6 and full.yielded == full.total
-    assert 0 < report.yielded < full.total
+    assert full.complete and full.examined == 3**6
+    assert 0 < report.total < full.total
 
 
 def test_exhaustive_table_negative_case_d6():

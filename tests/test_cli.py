@@ -127,6 +127,10 @@ def test_enumerate_negative_exit(capsys):
     assert report["certified"] < 50
     assert report["complete"] is True
     assert all(res["certified"] is False for res in report["uncertified"])
+    rejections = report["rejections"]
+    assert list(rejections) == ["non_constant", "t_abc", "apex", "m_tilde_zero"]
+    assert rejections["non_constant"] >= len(report["uncertified"]) > 0
+    assert rejections["m_tilde_zero"] > 0
 
 
 def test_enumerate_budget_exit(capsys):
@@ -134,12 +138,21 @@ def test_enumerate_budget_exit(capsys):
     assert code == EXIT_BUDGET
     (report,) = json.loads(out)
     assert report["complete"] is False
-    assert report["examined"] == 100 and report["yielded"] == 0
+    assert report["examined"] == 100 and report["total"] == 0
 
 
 def test_enumerate_bad_range(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "3", "--d", "5..2")
     assert code == EXIT_ERROR and "error:" in err
+
+
+@pytest.mark.parametrize("command", ["enumerate", "ghz-bound"])
+@pytest.mark.parametrize("text", ["x", "2..x", "2.."])
+def test_non_integer_dimension_range(capsys, command, text):
+    extra = ["--n", "3"] if command == "enumerate" else []
+    code, out, err = run(capsys, command, *extra, "--d", text)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ------------------------------------------------------------------ ghz-bound
@@ -256,6 +269,13 @@ def test_selftest(capsys):
     assert len(results) == 6
     assert all(r["violations"] == 0 for r in results)
     assert all(r["trials"] == 60 for r in results)
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_selftest_rejects_no_trials(capsys, trials):
+    code, out, err = run(capsys, "selftest", "--trials", trials)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_selftest_human(capsys):

@@ -274,6 +274,24 @@ def test_lc_orbit_cap_truncates():
         lc_orbit(g, cap=0)
 
 
+def test_enumeration_order_and_stop_point():
+    """Each class comes as its canonical form, connected, in ascending order,
+    and a budget stop leaves exactly the first ``yielded`` classes."""
+    for n, d in [(4, 3), (5, 2), (3, 6)]:
+        classes = list(enumerate_connected_multigraphs(n, d))
+        keys = [canonical_form(g) for g in classes]
+        assert keys == sorted(keys)
+        assert all(from_triu_vector(d, n, k) == g for k, g in zip(keys, classes))
+        assert all(is_connected(g) for g in classes)
+    full = list(enumerate_connected_multigraphs(4, 3))
+    got = []
+    with pytest.raises(EnumerationOverflow) as info:
+        for g in enumerate_connected_multigraphs(4, 3, budget=400):
+            got.append(g)
+    assert info.value.examined == 400
+    assert got == full[: info.value.yielded] and 0 < len(got) < len(full)
+
+
 def test_enumeration_budget_overflow():
     with pytest.raises(EnumerationOverflow) as info:
         list(enumerate_connected_multigraphs(5, 3, budget=100))
