@@ -39,9 +39,12 @@ from .multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
     Multigraph,
     _canonical_rows,
+    _check_orbit_cap,
+    _LCClasses,
     _LCWalk,
     edges,
     find_angle_or_triangle,
+    from_triu_vector,
     is_connected,
     local_complement,
     partition_neighborhoods,
@@ -125,14 +128,24 @@ class Certificate:
         return self.graph.d
 
 
+#: Kinds of direct-attempt failure, in the order _refusal reports them.
+REJECTION_KINDS = ("non_constant", "t_abc", "apex", "m_tilde_zero")
+
+
 @dataclass(frozen=True)
 class NotCertified:
-    """Outcome when no construction applies anywhere in the orbit searched."""
+    """Outcome when no construction applies anywhere in the orbit searched.
+
+    ``reasons`` has one line per failure of the starting graph's direct
+    attempt, then a note on the orbit; ``rejections`` counts those lines by
+    kind, as (kind, count) pairs over REJECTION_KINDS.
+    """
 
     graph: Multigraph
     reasons: tuple[str, ...]
     orbit_size: int = 1
     orbit_truncated: bool = False
+    rejections: tuple[tuple[str, int], ...] = tuple((kind, 0) for kind in REJECTION_KINDS)
 
 
 @dataclass(frozen=True)
@@ -350,53 +363,60 @@ def certify_constant_multiplicity(g: Multigraph) -> Certificate:
 
 
 def _obs4_blocked(
-    g: Multigraph, nb: Sequence[int], triple: tuple[int, int, int], reasons: list[str] | None
-) -> bool:
-    """Whether the general-multiplicity construction fails at this triple.
+    g: Multigraph, nb: Sequence[int], triple: tuple[int, int, int]
+) -> tuple[str, ...]:
+    """The kinds of failure (REJECTION_KINDS) of the general-multiplicity
+    construction at this triple; empty where it succeeds.
 
     Decided from the neighbor bitmasks ``nb`` and the edge weights, without
-    building a partition; the failure reasons are appended to ``reasons``
-    unless it is None.
+    building a partition.
     """
     a, b, c = triple
     all_three = nb[a] & nb[b] & nb[c]
     # j_ab | j_ca: neighbors of a shared with exactly one of b, c
     apex = g.mult[b][c] and nb[a] & (nb[b] ^ nb[c]) & ~(1 << b | 1 << c)
     if all_three or apex:
-        if reasons is not None:
-            tag = f"triple ({a},{b},{c})"
-            if all_three:
-                reasons.append(f"{tag}: vertices adjacent to all three present")
-            if apex:
-                reasons.append(f"{tag}: triangle with shared neighbors at the apex")
-        return True
+        return ("t_abc",) * bool(all_three) + ("apex",) * bool(apex)
+    m_ab, m_ca = g.mult[a][b], g.mult[c][a]
+    if (m_ab * m_ca // gcd(m_ab, m_ca, g.mult[b][c])) % g.d == 0:
+        return ("m_tilde_zero",)
+    return ()
+
+
+def _reason_line(g: Multigraph, triple: tuple[int, int, int], kind: str) -> str:
+    a, b, c = triple
+    tag = f"triple ({a},{b},{c})"
+    if kind == "t_abc":
+        return f"{tag}: vertices adjacent to all three present"
+    if kind == "apex":
+        return f"{tag}: triangle with shared neighbors at the apex"
     m_ab, m_ca = g.mult[a][b], g.mult[c][a]
     h = gcd(m_ab, m_ca, g.mult[b][c])
-    if (m_ab * m_ca // h) % g.d == 0:
-        if reasons is not None:
-            reasons.append(f"triple ({a},{b},{c}): m_tilde = {m_ab}*{m_ca}/{h} = 0 (mod {g.d})")
-        return True
-    return False
+    return f"{tag}: m_tilde = {m_ab}*{m_ca}/{h} = 0 (mod {g.d})"
+
+
+def _tally(kinds: Iterable[str]) -> tuple[tuple[str, int], ...]:
+    counts = Counter(kinds)
+    return tuple((kind, counts[kind]) for kind in REJECTION_KINDS)
 
 
 def certify_obs4(g: Multigraph, triple: Sequence[int]) -> Certificate | NotCertified:
     """General-multiplicity certificate at a given angle or triangle."""
     a, b, c = triple[:3]
     partition_neighborhoods(g, a, b, c)  # validates the triple
-    reasons: list[str] = []
     nb = _neighbor_masks(g)
-    if _obs4_blocked(g, nb, (a, b, c), reasons):
-        return NotCertified(graph=g, reasons=tuple(reasons))
+    kinds = _obs4_blocked(g, nb, (a, b, c))
+    if kinds:
+        reasons = tuple(_reason_line(g, (a, b, c), kind) for kind in kinds)
+        return NotCertified(graph=g, reasons=reasons, rejections=_tally(kinds))
     return _build_certificate(g, (), g, (a, b, c), general=True, nb=nb)
 
 
 def _certify_direct(
-    graph: Multigraph, lc_path: tuple[int, ...], certified: Multigraph, explain: bool = True
-) -> Certificate | list[str]:
-    """Try every construction on one graph; Certificate or failure reasons.
-
-    Without ``explain`` a failure returns an empty list: no reason is formatted.
-    """
+    graph: Multigraph, lc_path: tuple[int, ...], certified: Multigraph
+) -> Certificate | None:
+    """Try every construction on one graph: a Certificate, or None; _refusal
+    explains a failure."""
     triples = find_angle_or_triangle(certified)
     weights = {m for _, _, m in edges(certified)}
     nb = _neighbor_masks(certified)
@@ -404,48 +424,58 @@ def _certify_direct(
         return _build_certificate(
             graph, lc_path, certified, triples[0][:3], general=False, nb=nb
         )
-    reasons = [f"edge multiplicities {sorted(weights)} are not constant"] if explain else None
     for a, b, c, _ in triples:
-        if not _obs4_blocked(certified, nb, (a, b, c), reasons):
+        if not _obs4_blocked(certified, nb, (a, b, c)):
             return _build_certificate(
                 graph, lc_path, certified, (a, b, c), general=True, nb=nb
             )
-    return reasons or []
+    return None
+
+
+def _refusal(g: Multigraph, size: int, truncated: bool, orbit_cap: int) -> NotCertified:
+    """certify_any's answer for a connected g (n >= 3) whose walk of ``size``
+    orbit members found nothing: why the direct attempt on g fails, line by
+    line and by kind, and how far the orbit search went."""
+    nb = _neighbor_masks(g)
+    reasons = [f"edge multiplicities {sorted({m for _, _, m in edges(g)})} are not constant"]
+    kinds = ["non_constant"]
+    for a, b, c, _ in find_angle_or_triangle(g):
+        for kind in _obs4_blocked(g, nb, (a, b, c)):
+            reasons.append(_reason_line(g, (a, b, c), kind))
+            kinds.append(kind)
+    note = f"all {size} graphs in the local-complementation orbit fail"
+    if truncated:
+        note += f" (orbit search truncated at {orbit_cap})"
+    return NotCertified(
+        g, (*reasons, note), orbit_size=size, orbit_truncated=truncated, rejections=_tally(kinds)
+    )
 
 
 def certify_any(g: Multigraph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> Certificate | NotCertified:
     """Certify a graph, searching its local-complementation orbit if needed.
 
     The orbit is explored breadth-first and each newly discovered member is
-    tried immediately, so success exits early.  ``orbit_cap`` bounds the
-    number of distinct orbit members examined.
+    tried immediately, so success exits early.  ``orbit_cap`` (at least 1)
+    bounds the number of distinct orbit members examined.
     """
+    _check_orbit_cap(orbit_cap)
     if g.n < 3:
         return NotCertified(g, ("fewer than three vertices",))
     if not is_connected(g):
         raise StructureError("graph is not connected")
-    result = _certify_direct(g, (), g)
-    if isinstance(result, Certificate):
-        return result
-    walk = _LCWalk(g, orbit_cap)
+    cert = _certify_direct(g, (), g)
+    if cert is not None:
+        return cert
+    classes, start = _LCClasses.of(g)
+    walk = _LCWalk(classes, start, classes.identity, orbit_cap)
     size = 0
-    for image, path, _ in walk:
+    for k, perm, path in walk:
         size += 1
         if path:
-            attempt = _certify_direct(g, path, image, explain=False)
-            if isinstance(attempt, Certificate):
-                return attempt
-    note = f"all {size} graphs in the local-complementation orbit fail"
-    if walk.truncated:
-        note += f" (orbit search truncated at {orbit_cap})"
-    return NotCertified(
-        g, (*result, note), orbit_size=size, orbit_truncated=walk.truncated
-    )
-
-
-#: Kinds of direct-attempt failure a table tallies, in the order
-#: _certify_direct reports them.
-REJECTION_KINDS = ("non_constant", "t_abc", "apex", "m_tilde_zero")
+            cert = _certify_direct(g, path, classes.member(k, perm))
+            if cert is not None:
+                return cert
+    return _refusal(g, size, walk.truncated, orbit_cap)
 
 
 class _DirectPass(NamedTuple):
@@ -477,8 +507,8 @@ def _direct_pass(mats: np.ndarray, d: int) -> _DirectPass:
     picks (obs1 at its first triple when the weights are constant, else obs4
     at the first triple that is not blocked), its S1..S4 are built, and every
     check of _finish_certificate runs on them; a failing check raises
-    StructureError.  ``rejections`` counts the reason lines _certify_direct
-    reports for each graph that fails, by kind.
+    StructureError.  ``rejections`` counts the reason lines _refusal gives
+    for each graph that fails, by kind.
     """
     starts = range(0, max(len(mats), 1), _PASS_BLOCK)
     blocks = [_direct_block(mats[i : i + _PASS_BLOCK], d) for i in starts]
@@ -607,25 +637,58 @@ class TableReport:
         return self.complete and self.total > 0 and self.certified == self.total
 
 
-def _orbit_rescue(
-    g: Multigraph, orbit_cap: int, direct_ok: dict[tuple[int, ...], bool]
-) -> Multigraph | None:
-    """First member of g's orbit walk (after g) that certifies directly.
+class _OrbitWalk(NamedTuple):
+    """The orbit walk of one class of a cell whose direct attempt fails."""
 
-    ``direct_ok`` maps canonical keys to the outcome of their direct
-    attempt; success is a property of the isomorphism class, so a key found
-    there is looked up, and a key that is not gets a real attempt, recorded.
+    start: int  # the class, by index into the cell
+    path: tuple[int, ...] | None  # to the first member that certifies; None if none does
+    size: int  # classes walked
+    truncated: bool
+
+
+def _orbit_walks(
+    rows: np.ndarray, n: int, d: int, certified: np.ndarray, orbit_cap: int
+) -> tuple[list[_OrbitWalk], np.ndarray]:
+    """certify_any's orbit walk from every class of a cell (canonical rows,
+    n >= 3) whose direct attempt fails, on class indices.
+
+    The steps of those classes are computed at once (_LCClasses.fill); a
+    walk only expands classes whose direct attempt fails, since it stops at
+    the first member whose class certifies.  ``certified`` holds that
+    outcome per class; classes outside the cell (a table cut short by its
+    budget) get a real direct attempt, memoised.  Returns the walks, in cell
+    order, and the stack of the members they stop at, in the same order.
     """
-    for image, path, key in _LCWalk(g, orbit_cap):
-        if not path:
-            continue
-        ok = direct_ok.get(key)
-        if ok is None:
-            ok = isinstance(_certify_direct(g, path, image, explain=False), Certificate)
-            direct_ok[key] = ok
-        if ok:
-            return image
-    return None
+    classes = _LCClasses(n, d, rows)
+    failing = np.flatnonzero(~certified).tolist()
+    classes.fill(failing)
+    ok: list[bool | None] = certified.tolist()
+    identity = classes.identity
+    walks, found = [], []
+    for start in failing:
+        walk = _LCWalk(classes, start, identity, orbit_cap)
+        size, rescue = 0, None
+        for k, perm, path in walk:
+            size += 1
+            if k >= len(ok):
+                ok.extend([None] * (len(classes) - len(ok)))
+            if ok[k] is None:
+                rep = classes.member(k, identity)
+                ok[k] = _certify_direct(rep, (), rep) is not None
+            if ok[k]:
+                rescue = path
+                found.append((k, classes.canonical_perm(k, perm)))
+                break
+        walks.append(_OrbitWalk(start, rescue, size, walk.truncated))
+    members = np.zeros((len(found), n, n), dtype=np.int64)
+    if found:
+        ks, perms = zip(*found)
+        inverse = np.argsort(np.array(perms), axis=1)
+        reps = triu_to_matrices(classes.key_rows(ks), n)
+        # member = permuted(rep, perm), so member[a, b] = rep[perm^-1 a, perm^-1 b]
+        sel = np.arange(len(found))[:, None, None]
+        members = reps[sel, inverse[:, :, None], inverse[:, None, :]]
+    return walks, members
 
 
 def exhaustive_table(
@@ -639,12 +702,15 @@ def exhaustive_table(
     """Certify every connected multigraph class on n vertices over Z_d.
 
     Outcomes and tallies are those of certify_any on every class, decided
-    on arrays: one _direct_pass over all classes, an orbit walk for each
-    class it fails that stops at the first member whose class certified
-    directly, one more _direct_pass that builds and checks the witness of
-    every such member, and certify_any for the refusals of the rest.
-    ``workers`` is accepted and ignored: the cell runs in one process.
+    on arrays: one _direct_pass over all classes, an orbit walk over class
+    indices for each class it fails (_orbit_walks), one more _direct_pass
+    that builds and checks the witness of every member those walks stop at,
+    and _refusal for the classes nothing certifies.  ``workers`` is accepted
+    and ignored: the cell runs in one process.
     """
+    _check_orbit_cap(orbit_cap)
+    if budget < 0:
+        raise RangeError(f"enumeration budget must be non-negative, got {budget}")
     chunks: list[np.ndarray] = []
     complete = True
     examined = d ** (n * (n - 1) // 2)
@@ -654,23 +720,31 @@ def exhaustive_table(
         complete = False
         examined = exc.examined
     rows = np.concatenate(chunks) if chunks else np.zeros((0, n * (n - 1) // 2), np.int64)
-    mats = triu_to_matrices(rows, n)
-    direct = _direct_pass(mats, d)
+    direct = _direct_pass(triu_to_matrices(rows, n), d)
+    certified = direct.certified
     methods = Counter(
         {METHOD_CONSTANT: int((~direct.general).sum()), METHOD_GENERAL: int(direct.general.sum())}
     )
-    direct_ok = dict(zip(map(tuple, rows.tolist()), direct.certified.tolist()))
-    images: list[tuple[tuple[int, ...], ...]] = []
-    uncertified: list[NotCertified] = []
-    for idx in np.flatnonzero(~direct.certified):
-        g = Multigraph(d=d, n=n, mult=tuple(map(tuple, mats[idx].tolist())))
-        image = _orbit_rescue(g, orbit_cap, direct_ok) if n >= 3 else None
-        if image is None:
-            uncertified.append(certify_any(g, orbit_cap))
-        else:
-            images.append(image.mult)
-    if images:
-        lc = _direct_pass(np.array(images, dtype=np.int64), d)
+    rejections = tuple(zip(REJECTION_KINDS, direct.rejections.sum(axis=0).tolist()))
+    # The witnesses are checked; freeing them lowers the peak memory of the
+    # second pass.
+    del direct
+
+    def graph(idx: int) -> Multigraph:
+        return from_triu_vector(d, n, rows[idx].tolist())
+
+    if n < 3:  # certify_any refuses every class outright
+        uncertified = [certify_any(graph(idx)) for idx in range(len(rows))]
+        members = np.zeros((0, n, n), dtype=np.int64)
+    else:
+        walks, members = _orbit_walks(rows, n, d, certified, orbit_cap)
+        uncertified = [
+            _refusal(graph(w.start), w.size, w.truncated, orbit_cap)
+            for w in walks
+            if w.path is None
+        ]
+    if len(members):
+        lc = _direct_pass(members, d)
         if not lc.certified.all():
             raise StructureError("construction bug: an orbit member of a certified class fails")
         methods[METHOD_CONSTANT + "+lc"] = int((~lc.general).sum())
@@ -684,7 +758,7 @@ def exhaustive_table(
         uncertified=tuple(uncertified),
         complete=complete,
         examined=examined,
-        rejections=tuple(zip(REJECTION_KINDS, direct.rejections.sum(axis=0).tolist())),
+        rejections=rejections,
     )
 
 

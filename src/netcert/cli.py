@@ -116,6 +116,7 @@ def _not_certified_obj(res: NotCertified) -> dict:
         "graph": res.graph.to_json_obj(),
         "certified": False,
         "reasons": list(res.reasons),
+        "rejections": {kind: count for kind, count in res.rejections},
         "orbit_size": res.orbit_size,
         "orbit_truncated": res.orbit_truncated,
     }
@@ -208,7 +209,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             )
         sep = "\t" if cfg.fmt == "tsv" else "  "
         _emit(cfg, "\n".join(sep.join(row) for row in rows) + "\n")
-    if any(not r.complete for r in reports):
+    if any(
+        not r.complete or any(res.orbit_truncated for res in r.uncertified) for r in reports
+    ):
         return EXIT_BUDGET
     if any(r.certified < r.total for r in reports):
         return EXIT_NEGATIVE

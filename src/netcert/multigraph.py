@@ -146,6 +146,24 @@ def _permutations(n: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.int8).reshape(-1, n)
 
 
+def _nth_permutation(n: int, index: int) -> tuple[int, ...]:
+    """Row ``index`` of _permutations(n), decoded from the factorial base."""
+    items = list(range(n))
+    perm = []
+    for left in range(n - 1, -1, -1):
+        q, index = divmod(index, math.factorial(left))
+        perm.append(items.pop(q))
+    return tuple(perm)
+
+
+def _after_inverse(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """The relabeling r = p q^-1, so that permuted(permuted(g, q), r) = permuted(g, p)."""
+    r = [0] * len(p)
+    for i, a in enumerate(q):
+        r[a] = p[i]
+    return tuple(r)
+
+
 @lru_cache(maxsize=None)
 def _relabel_table(n: int) -> np.ndarray:
     """Index table shared by canonical_form and the enumerator.
@@ -170,6 +188,12 @@ def canonical_form(g: Multigraph) -> tuple[int, ...]:
     Two multigraphs are isomorphic iff their canonical forms agree.  Exact
     but factorial: refuses n > 8.
     """
+    return _canonical(g)[0]
+
+
+def _canonical(g: Multigraph) -> tuple[tuple[int, ...], int]:
+    """canonical_form(g) and the index p of a relabeling that reaches it:
+    g = permuted(from_triu_vector(g.d, g.n, key), _nth_permutation(g.n, p))."""
     if g.n > _CANONICAL_MAX_N:
         raise ResourceError(f"canonical_form scans n! permutations; n={g.n} > {_CANONICAL_MAX_N}")
     size = next((s for s in (1, 2, 4, 8) if g.d <= 256**s), None)
@@ -180,7 +204,7 @@ def canonical_form(g: Multigraph) -> tuple[int, ...]:
     vec = np.array(_triu_vector(g), dtype=f">u{size}")
     rows = vec[_relabel_table(g.n)]
     best = rows.view(f"S{rows.shape[1] * size}").argmin()
-    return tuple(rows[best].tolist())
+    return tuple(rows[best].tolist()), int(best)
 
 
 def from_triu_vector(d: int, n: int, vec: Sequence[int]) -> Multigraph:
@@ -233,6 +257,24 @@ def _connected(mats: np.ndarray) -> np.ndarray:
     return reach.all(axis=1)
 
 
+@lru_cache(maxsize=16)
+def _packed_keys(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Packed 64-bit keys of upper-triangle vectors over Z_d, for d^(n choose 2) < 2^62.
+
+    ``vec @ weights`` is the rank of vec in lexicographic order, and column p
+    of ``vec @ wmat`` is the key of vec's p-th relabeling (the rows of
+    _relabel_table), so the argmin over the columns finds canonical_form.
+    """
+    ncols = n * (n - 1) // 2
+    weights = d ** np.arange(ncols - 1, -1, -1, dtype=np.int64)
+    src = _relabel_table(n)
+    wmat = np.empty((ncols, len(src)), dtype=np.int64)
+    wmat[src, np.arange(len(src))[:, None]] = weights
+    weights.setflags(write=False)
+    wmat.setflags(write=False)
+    return weights, wmat
+
+
 def _canonical_rows(n: int, d: int, budget: int) -> Iterator[np.ndarray]:
     """Array core of enumerate_connected_multigraphs: per chunk of labeled
     vectors, the (k, n choose 2) int64 array of its canonical connected rows,
@@ -244,23 +286,17 @@ def _canonical_rows(n: int, d: int, budget: int) -> Iterator[np.ndarray]:
         raise StructureError(f"enumeration needs n >= 2, got {n}")
     if n > _CANONICAL_MAX_N:
         raise ResourceError(f"enumeration canonicalizes via n! scan; n={n} > {_CANONICAL_MAX_N}")
-    ncols = n * (n - 1) // 2
-    total = d**ncols
+    total = d ** (n * (n - 1) // 2)
     if total >= 2**62:
         raise ResourceError(f"d^(n choose 2) = {total} does not fit packed 64-bit keys")
 
-    # weights[k] makes the packed key of a row equal its row index; column p
-    # of wmat packs the row's p-th relabeling.
-    weights = d ** np.arange(ncols - 1, -1, -1, dtype=np.int64)
-    src = _relabel_table(n)
-    wmat = np.empty((ncols, len(src)), dtype=np.int64)
-    wmat[src, np.arange(len(src))[:, None]] = weights
+    weights, wmat = _packed_keys(n, d)
     # A canonical row is no larger than any relabeling, in particular any
     # transposition; that cheap test discards most rows before the full scan.
     moved = np.count_nonzero(_permutations(n) != np.arange(n), axis=1)
     swaps = wmat[:, moved == 2]
 
-    chunk_rows = max(1024, min(262_144, 4_000_000 // len(src)))
+    chunk_rows = max(1024, min(262_144, 4_000_000 // wmat.shape[1]))
     examined = 0
     yielded = 0
     start = 0
@@ -405,53 +441,223 @@ class OrbitResult:
         return len(self.graphs)
 
 
-class _LCWalk:
-    """Breadth-first walk over g's local-complementation orbit.
+class _LCClasses:
+    """Local complementation between isomorphism classes of multigraphs on n
+    vertices over Z_d.
 
-    Iterating yields ``(image, path, key)`` once per canonical class, the
-    starting graph first (path ``()``); ``path`` is the vertex sequence whose
-    successive local complementations take g to ``image``.  When a new class
-    turns up with ``cap`` classes already seen, ``truncated`` is set and the
-    walk stops.  The walk is lazy, so a caller may stop early.
+    Classes are numbered as they are registered: first the canonical
+    ``rows`` given, then each new key ``add`` meets.  ``key(k)`` is the
+    canonical form of class k.  Its reference member ref_k is the canonical
+    representative from_triu_vector(d, n, key(k)), or the member it was
+    registered with.  ``step(k, v)`` is the class k2 of LC(ref_k, v) and
+    ``relabeling(k, v)`` the p with LC(ref_k, v) = permuted(ref_k2, p),
+    worked out only when a walk moves on to k2.  Single graphs fill the
+    steps one (class, vertex) pair at a time, on first use, and register
+    each new class with the image that met it, so a walk from one graph
+    reaches every new class at its reference member; ``fill`` computes every
+    step of many classes at once, on arrays.
     """
 
-    def __init__(self, g: Multigraph, cap: int) -> None:
-        self.g = g
+    def __init__(self, n: int, d: int, rows: np.ndarray | None = None) -> None:
+        self.n = n
+        self.d = d
+        ncols = n * (n - 1) // 2
+        self.rows = np.zeros((0, ncols), dtype=np.int64) if rows is None else rows
+        self.later: list[tuple[int, ...]] = []  # keys of the classes after rows
+        self.index: dict[tuple[int, ...], int] | None = None  # built on first add
+        self.identity = tuple(range(n))
+        # per class, once used: the class of each step (-1 until known) and
+        # its relabeling, or while that is not worked out, the index of the
+        # image's canonical relabeling
+        self.succ: list[list[int] | None] = [None] * len(self.rows)
+        self.relabel: list[list[tuple[int, ...] | int] | None] = [None] * len(self.rows)
+        # ref_k (None until built) = permuted(canonical representative,
+        # _nth_permutation(n, canon[k])); index 0 is the identity
+        self.refs: list[Multigraph | None] = [None] * len(self.rows)
+        self.canon: list[int] = [0] * len(self.rows)
+
+    @classmethod
+    def of(cls, g: Multigraph) -> tuple["_LCClasses", int]:
+        """A lookup holding g's class, with g as its reference member."""
+        classes = cls(g.n, g.d)
+        return classes, classes.add(*_canonical(g), g)
+
+    def __len__(self) -> int:
+        return len(self.succ)
+
+    def key(self, k: int) -> tuple[int, ...]:
+        rows = self.rows
+        return tuple(rows[k].tolist()) if k < len(rows) else self.later[k - len(rows)]
+
+    def key_rows(self, ks: Sequence[int]) -> np.ndarray:
+        """The keys of classes ``ks`` as an int64 array, one row each."""
+        ks = np.asarray(ks, dtype=np.intp)
+        out = np.empty((len(ks), self.rows.shape[1]), dtype=np.int64)
+        cut = ks < len(self.rows)
+        out[cut] = self.rows[ks[cut]]
+        if not cut.all():
+            out[~cut] = [self.later[k - len(self.rows)] for k in ks[~cut]]
+        return out
+
+    def add(self, key: tuple[int, ...], canon: int = 0, ref: Multigraph | None = None) -> int:
+        """The class of ``key``; a new one is registered with reference member
+        ``ref`` = permuted(canonical representative, _nth_permutation(n,
+        canon)) when given."""
+        if self.index is None:
+            self.index = {tuple(row): k for k, row in enumerate(self.rows.tolist())}
+        k = self.index.get(key)
+        if k is None:
+            k = self.index[key] = len(self)
+            self.later.append(key)
+            self.succ.append(None)
+            self.relabel.append(None)
+            self.refs.append(ref)
+            self.canon.append(canon)
+        return k
+
+    def member(self, k: int, perm: tuple[int, ...]) -> Multigraph:
+        """permuted(ref_k, perm)."""
+        ref = self.refs[k]
+        if ref is None:
+            ref = self.refs[k] = from_triu_vector(self.d, self.n, self.key(k))
+        return ref if perm == self.identity else permuted(ref, perm)
+
+    def canonical_perm(self, k: int, perm: tuple[int, ...]) -> tuple[int, ...]:
+        """The relabeling of the canonical representative that is
+        permuted(ref_k, perm)."""
+        c = self.canon[k]
+        return perm if c == 0 else tuple([perm[i] for i in _nth_permutation(self.n, c)])
+
+    def step(self, k: int, v: int) -> int:
+        succ = self.succ[k]
+        if succ is None:
+            succ = self.succ[k] = [-1] * self.n
+            self.relabel[k] = [self.identity] * self.n
+        if succ[v] < 0:
+            image = local_complement(self.member(k, self.identity), v)
+            key, best = _canonical(image)
+            succ[v] = self.add(key, best, image)
+            if self.refs[succ[v]] is not image:  # k2 was registered before
+                self.relabel[k][v] = best
+        return succ[v]
+
+    def relabeling(self, k: int, v: int) -> tuple[int, ...]:
+        p = self.relabel[k][v]
+        if isinstance(p, int):
+            # image = permuted(rep, P_p) and ref_k2 = permuted(rep, P_canon),
+            # so image = permuted(ref_k2, P_p P_canon^-1)
+            canon = self.canon[self.succ[k][v]]
+            p = _after_inverse(_nth_permutation(self.n, p), _nth_permutation(self.n, canon))
+            self.relabel[k][v] = p
+        return p
+
+    def fill(self, ks: Sequence[int]) -> None:
+        """Every step of the classes ``ks``, in one blocked pass over their
+        matrices: LC at v maps M to (M + (1 - I) r r^T) mod d with r = M[v],
+        and the argmin of the packed keys of its relabelings canonicalises it.
+        Runs before any ``add``, while every reference member is canonical.
+        Requires d^(n choose 2) < 2^62."""
+        if self.index is not None:
+            raise StructureError("fill runs before any class is added")
+        n, d = self.n, self.d
+        weights, wmat = _packed_keys(n, d)
+        iu, ju = np.triu_indices(n, 1)
+        off = 1 - np.eye(n, dtype=np.int64)
+        rows = self.key_rows(ks)
+        packed_succ = np.empty((len(rows), n), dtype=np.int64)
+        relabel = np.empty((len(rows), n), dtype=np.int64)
+        # bounds the (block, n!) key matrix to 32 MB
+        block = max(1, min(_FILL_BLOCK, 2**22 // wmat.shape[1]))
+        for start in range(0, len(rows), block):
+            mats = triu_to_matrices(rows[start : start + block], n)
+            sel = np.arange(len(mats))
+            for v in range(n):
+                r = mats[:, v, :]
+                images = (mats + off * r[:, :, None] * r[:, None, :]) % d
+                packed = images[:, iu, ju] @ wmat
+                best = packed.argmin(axis=1)
+                packed_succ[start : start + block, v] = packed[sel, best]
+                relabel[start : start + block, v] = best
+        known = self.key_rows(range(len(self))) @ weights
+        order = np.argsort(known)
+        pos = np.searchsorted(known, packed_succ, sorter=order).clip(max=len(known) - 1)
+        succ = order[pos]
+        missing = known[succ] != packed_succ
+        if missing.any():
+            # classes not registered yet (a table cut short by its budget)
+            new_keys, where = np.unique(packed_succ[missing], return_inverse=True)
+            digits = (new_keys[:, None] // weights) % d
+            succ[missing] = np.array([self.add(tuple(row)) for row in digits.tolist()])[where]
+        perms = list(map(tuple, _permutations(n).tolist()))
+        for k, s, p in zip(ks, succ.tolist(), relabel.tolist()):
+            self.succ[k], self.relabel[k] = s, [perms[i] for i in p]
+
+
+#: Classes per block of _LCClasses.fill, as for the table's direct pass.
+_FILL_BLOCK = 2048
+
+
+class _LCWalk:
+    """Breadth-first walk over a local-complementation orbit, on classes.
+
+    A state (k, perm) stands for the member permuted(ref_k, perm) of
+    ``classes``; the step at vertex a of that member is the step at vertex
+    perm^-1(a) of ref_k, relabeled by perm.  Iterating yields
+    ``(k, perm, path)`` once per class, the start first (path ``()``);
+    ``path`` is the vertex sequence whose successive local complementations
+    take the start to the member.  When a new class turns up with ``cap``
+    classes already seen, ``truncated`` is set and the walk stops.  The walk
+    is lazy, so a caller may stop early.
+    """
+
+    def __init__(self, classes: _LCClasses, start: int, perm: tuple[int, ...], cap: int) -> None:
+        self.classes = classes
+        self.start = start
+        self.perm = perm
         self.cap = cap
         self.truncated = False
 
-    def __iter__(self) -> Iterator[tuple[Multigraph, tuple[int, ...], tuple[int, ...]]]:
-        start_key = canonical_form(self.g)
-        yield self.g, (), start_key
-        seen = {start_key}
-        queue: deque[tuple[Multigraph, tuple[int, ...]]] = deque([(self.g, ())])
+    def __iter__(self) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+        n, step, relabeling = self.classes.n, self.classes.step, self.classes.relabeling
+        first = (self.start, self.perm, ())
+        yield first
+        seen = {self.start}
+        queue = deque([first])
         while queue:
-            graph, path = queue.popleft()
-            for a in range(self.g.n):
-                image = local_complement(graph, a)
-                key = canonical_form(image)
-                if key in seen:
+            k, perm, path = queue.popleft()
+            inverse = [0] * n
+            for i, a in enumerate(perm):
+                inverse[a] = i
+            for a in range(n):
+                k2 = step(k, inverse[a])
+                if k2 in seen:
                     continue
                 if len(seen) >= self.cap:
                     self.truncated = True
                     return
-                seen.add(key)
-                next_path = path + (a,)
-                yield image, next_path, key
-                queue.append((image, next_path))
+                seen.add(k2)
+                p = relabeling(k, inverse[a])
+                state = (k2, tuple([perm[i] for i in p]), path + (a,))
+                yield state
+                queue.append(state)
+
+
+def _check_orbit_cap(cap: int) -> None:
+    if cap < 1:
+        raise StructureError(f"orbit cap must be positive, got {cap}")
 
 
 def lc_orbit(g: Multigraph, cap: int = 10**6) -> OrbitResult:
     """Breadth-first closure of g under local complementation at every vertex,
     deduplicated by canonical form, truncated (and flagged) at ``cap`` classes.
     """
-    if cap < 1:
-        raise StructureError(f"orbit cap must be positive, got {cap}")
-    walk = _LCWalk(g, cap)
+    _check_orbit_cap(cap)
+    classes, start = _LCClasses.of(g)
+    walk = _LCWalk(classes, start, classes.identity, cap)
     members = list(walk)
     return OrbitResult(
-        graphs=tuple(item[0] for item in members),
-        paths=tuple(item[1] for item in members),
-        keys=frozenset(item[2] for item in members),
+        graphs=tuple(classes.member(k, p) for k, p, _ in members),
+        paths=tuple(path for _, _, path in members),
+        keys=frozenset(classes.key(k) for k, _, _ in members),
         truncated=walk.truncated,
     )

@@ -154,7 +154,7 @@ def test_criterion_03_desk_scale_tables_fully_certified():
 
 @pytest.mark.skipif(
     not os.environ.get("NETCERT_STRETCH"),
-    reason="stretch table cells take about 4 s ((6,3) 3.6 s on a 2-core VM); "
+    reason="stretch table cells take about 3.6 s ((6,3) 3.4 s on a 2-core VM); "
     "set NETCERT_STRETCH=1 to run",
 )
 def test_criterion_03_stretch_tables_report_stragglers():

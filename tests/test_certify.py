@@ -33,14 +33,18 @@ from netcert.certify import (
     _certify_direct,
     _check_witnesses,
     _direct_pass,
+    _orbit_walks,
     certificate_to_json_obj,
 )
 from netcert.multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
+    _canonical_rows,
     edges,
+    from_triu_vector,
     is_connected,
     partition_neighborhoods,
     permuted,
+    triu_to_matrices,
 )
 from netcert.pauli import PauliOperator
 
@@ -185,7 +189,7 @@ def test_lc_orbit_rescue():
     )
     from netcert.certify import _certify_direct
 
-    assert isinstance(_certify_direct(g, (), g), list)
+    assert _certify_direct(g, (), g) is None
     cert = certify_any(g)
     assert isinstance(cert, Certificate)
     assert cert.lc_path == (2,)
@@ -243,10 +247,10 @@ def test_random_certificates_verify():
 
 def reference_direct_reasons(g):
     """What the partition-based direct attempt reports for a graph with
-    mixed weights: one line per failing triple, or None once a triple is
-    free of shared neighbors and has a nonzero m_tilde."""
+    mixed weights: (kind, line) per failure, one line per failing triple, or
+    None once a triple is free of shared neighbors and has a nonzero m_tilde."""
     weights = sorted({m for _, _, m in edges(g)})
-    reasons = [f"edge multiplicities {weights} are not constant"]
+    reasons = [("non_constant", f"edge multiplicities {weights} are not constant")]
     vs = range(g.n)
     triples = [
         (a, b, c)
@@ -260,15 +264,15 @@ def reference_direct_reasons(g):
         tag = f"triple ({a},{b},{c})"
         blocked = []
         if part.t_abc:
-            blocked.append(f"{tag}: vertices adjacent to all three present")
+            blocked.append(("t_abc", f"{tag}: vertices adjacent to all three present"))
         if part.kind == "triangle" and (part.j_ab or part.j_ca):
-            blocked.append(f"{tag}: triangle with shared neighbors at the apex")
+            blocked.append(("apex", f"{tag}: triangle with shared neighbors at the apex"))
         if not blocked:
             m_ab, m_ca, m_bc = g.mult[a][b], g.mult[c][a], g.mult[b][c]
             h = math.gcd(math.gcd(m_ab, m_ca), m_bc) if m_bc else math.gcd(m_ab, m_ca)
             if (m_ab * m_ca // h) % g.d:
                 return None
-            blocked.append(f"{tag}: m_tilde = {m_ab}*{m_ca}/{h} = 0 (mod {g.d})")
+            blocked.append(("m_tilde_zero", f"{tag}: m_tilde = {m_ab}*{m_ca}/{h} = 0 (mod {g.d})"))
         reasons.extend(blocked)
     return reasons
 
@@ -296,8 +300,12 @@ def test_direct_attempt_matches_partition_reference():
             assert isinstance(got, Certificate)
         else:
             refused += 1
-            assert got == want
-            assert _certify_direct(g, (), g, explain=False) == []
+            assert got is None
+            # an orbit cap of 1 leaves the direct attempt's refusal
+            res = certify_any(g, orbit_cap=1)
+            assert res.reasons[:-1] == tuple(line for _, line in want)
+            kinds = Counter(kind for kind, _ in want)
+            assert res.rejections == tuple((kind, kinds[kind]) for kind in REJECTION_KINDS)
     assert refused >= 50
 
 
@@ -315,8 +323,12 @@ def test_5x4_stragglers_refuse_with_every_reason(eds):
     assert isinstance(res, NotCertified)
     assert res.orbit_size == 1 and not res.orbit_truncated
     orbit_note = "all 1 graphs in the local-complementation orbit fail"
-    assert res.reasons == (*reference_direct_reasons(g), orbit_note)
+    want = reference_direct_reasons(g)
+    assert res.reasons == (*(line for _, line in want), orbit_note)
     assert len(res.reasons) == 38
+    kinds = Counter(kind for kind, _ in want)
+    assert res.rejections == tuple((kind, kinds[kind]) for kind in REJECTION_KINDS)
+    assert res.rejections[0] == ("non_constant", 1)
 
 
 # ---------------------------------------------------------------- verification
@@ -453,21 +465,10 @@ def test_exhaustive_table_3_3():
     assert dict(report.methods) == {"obs1": 4, "obs4": 3}
 
 
-def _reason_kind(line):
-    for kind, marker in (
-        ("non_constant", "are not constant"),
-        ("t_abc", "adjacent to all three"),
-        ("apex", "shared neighbors at the apex"),
-        ("m_tilde_zero", "m_tilde"),
-    ):
-        if marker in line:
-            return kind
-    raise AssertionError(line)
-
-
 def reference_table(n, d, budget=DEFAULT_ENUMERATION_BUDGET, orbit_cap=4096):
     """The table assembled one class at a time from certify_any, with the
-    rejections counted from the reason lines of each failing direct attempt."""
+    rejections summed over the refusals of each failing direct attempt (an
+    orbit cap of 1 keeps certify_any to that attempt)."""
     graphs = []
     complete, examined = True, d ** (n * (n - 1) // 2)
     try:
@@ -476,9 +477,9 @@ def reference_table(n, d, budget=DEFAULT_ENUMERATION_BUDGET, orbit_cap=4096):
         complete, examined = False, exc.examined
     methods, rejections, uncertified = Counter(), Counter(), []
     for g in graphs:
-        direct = _certify_direct(g, (), g)
-        if isinstance(direct, list):
-            rejections.update(_reason_kind(line) for line in direct)
+        direct = certify_any(g, orbit_cap=1)
+        if isinstance(direct, NotCertified):
+            rejections.update(dict(direct.rejections))
         res = certify_any(g, orbit_cap)
         if isinstance(res, Certificate):
             methods[res.method + ("+lc" if res.lc_path else "")] += 1
@@ -497,21 +498,29 @@ def reference_table(n, d, budget=DEFAULT_ENUMERATION_BUDGET, orbit_cap=4096):
     )
 
 
+TABLE_CELLS = [  # n, d, enumeration budget, orbit cap; None keeps the default
+    (3, 3, None, None),
+    (3, 6, None, None),
+    (4, 3, None, None),
+    (4, 4, None, None),
+    (5, 3, None, None),
+    (5, 4, None, None),
+    (5, 3, 100, None),
+    (4, 3, 400, None),
+    (4, 4, None, 1),
+    (4, 8, None, 2),
+]
+
+
 @pytest.mark.parametrize(
-    "n,d,budget",
-    [
-        (3, 3, None),
-        (3, 6, None),
-        (4, 3, None),
-        (4, 4, None),
-        (5, 3, None),
-        (5, 4, None),
-        (5, 3, 100),
-        (4, 3, 400),
-    ],
+    "n,d,budget,orbit_cap",
+    TABLE_CELLS,
+    ids=[f"{n}-{d}-{b}" + (f"-cap{c}" if c else "") for n, d, b, c in TABLE_CELLS],
 )
-def test_exhaustive_table_matches_certify_any(n, d, budget):
+def test_exhaustive_table_matches_certify_any(n, d, budget, orbit_cap):
     kwargs = {} if budget is None else {"budget": budget}
+    if orbit_cap is not None:
+        kwargs["orbit_cap"] = orbit_cap
     report = exhaustive_table(n, d, **kwargs)
     assert report == reference_table(n, d, **kwargs)
     if (n, d) == (5, 4):
@@ -544,7 +553,23 @@ def test_direct_pass_operators_equal_certify_any():
             op = PauliOperator.from_sites(4, sites, int(direct.phase[k, i]))
             assert op == w.operator, (g, i)
     failing = [g for g, ok in zip(graphs, direct.certified) if not ok]
-    assert all(isinstance(_certify_direct(g, (), g), list) for g in failing)
+    assert all(_certify_direct(g, (), g) is None for g in failing)
+
+
+@pytest.mark.parametrize("n,d", [(4, 4), (4, 5), (5, 3), (4, 8)])
+def test_orbit_walks_land_on_certify_any_members(n, d):
+    """For every class the table rescues, its walk over class indices stops
+    at the path and the labeled member certify_any finds."""
+    rows = np.concatenate(list(_canonical_rows(n, d, DEFAULT_ENUMERATION_BUDGET)))
+    certified = _direct_pass(triu_to_matrices(rows, n), d).certified
+    walks, members = _orbit_walks(rows, n, d, certified, 4096)
+    rescued = [w for w in walks if w.path is not None]
+    assert len(walks) == (~certified).sum()
+    assert len(rescued) == len(members) > 0
+    for walk, member in zip(rescued, members):
+        cert = certify_any(from_triu_vector(d, n, rows[walk.start].tolist()))
+        assert cert.lc_path == walk.path
+        assert cert.certified_graph.mult == tuple(map(tuple, member.tolist()))
 
 
 def test_direct_pass_checks_reject_tampered_witnesses():

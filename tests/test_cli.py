@@ -58,6 +58,7 @@ def test_certify_negative(capsys):
     assert obj["certified"] is False
     assert obj["orbit_size"] == 1
     assert any("m_tilde" in r for r in obj["reasons"])
+    assert obj["rejections"] == {"non_constant": 1, "t_abc": 0, "apex": 0, "m_tilde_zero": 2}
 
 
 def test_certify_negative_human(capsys):
@@ -131,6 +132,35 @@ def test_enumerate_negative_exit(capsys):
     assert list(rejections) == ["non_constant", "t_abc", "apex", "m_tilde_zero"]
     assert rejections["non_constant"] >= len(report["uncertified"]) > 0
     assert rejections["m_tilde_zero"] > 0
+    for res in report["uncertified"]:
+        assert list(res["rejections"]) == list(rejections)
+        assert res["rejections"]["non_constant"] == 1
+
+
+def test_enumerate_orbit_budget_exit(capsys):
+    """Refusals cut short by the orbit cap end with the budget exit code."""
+    code, out, _ = run(capsys, "enumerate", "--n", "4", "--d", "4", "--budget-orbit", "1")
+    assert code == EXIT_BUDGET
+    (report,) = json.loads(out)
+    assert report["complete"] is True
+    assert len(report["uncertified"]) == 65
+    assert all(res["orbit_truncated"] for res in report["uncertified"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--inline", BAD_ANGLE, "--budget-orbit", "-5"],
+        ["certify", "--inline", TRIANGLE, "--budget-orbit", "0"],
+        ["orbit", "--inline", PATH_D2, "--budget-orbit", "0"],
+        ["enumerate", "--n", "3", "--d", "3", "--budget-orbit", "0"],
+        ["enumerate", "--n", "3", "--d", "3", "--budget-graphs", "-1"],
+    ],
+)
+def test_bad_budgets_exit_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_enumerate_budget_exit(capsys):
