@@ -40,6 +40,7 @@ from .multigraph import (
     Multigraph,
     _canonical_rows,
     _check_orbit_cap,
+    _graph_walk,
     _LCClasses,
     _LCWalk,
     edges,
@@ -466,13 +467,12 @@ def certify_any(g: Multigraph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> Certificat
     cert = _certify_direct(g, (), g)
     if cert is not None:
         return cert
-    classes, start = _LCClasses.of(g)
-    walk = _LCWalk(classes, start, classes.identity, orbit_cap)
+    walk = _graph_walk(g, orbit_cap)
     size = 0
-    for k, perm, path in walk:
+    for _, image, path in walk:
         size += 1
         if path:
-            cert = _certify_direct(g, path, classes.member(k, perm))
+            cert = _certify_direct(g, path, image)
             if cert is not None:
                 return cert
     return _refusal(g, size, walk.truncated, orbit_cap)
@@ -656,35 +656,36 @@ def _orbit_walks(
     walk only expands classes whose direct attempt fails, since it stops at
     the first member whose class certifies.  ``certified`` holds that
     outcome per class; classes outside the cell (a table cut short by its
-    budget) get a real direct attempt, memoised.  Returns the walks, in cell
-    order, and the stack of the members they stop at, in the same order.
+    budget) get a real direct attempt, memoised, and are filled when a walk
+    expands them.  Returns the walks, in cell order, and the stack of the
+    members they stop at, in the same order.
     """
     classes = _LCClasses(n, d, rows)
     failing = np.flatnonzero(~certified).tolist()
     classes.fill(failing)
     ok: list[bool | None] = certified.tolist()
-    identity = classes.identity
+    identity = tuple(range(n))
     walks, found = [], []
     for start in failing:
-        walk = _LCWalk(classes, start, identity, orbit_cap)
+        walk = _LCWalk((start, identity), start, classes.expand, orbit_cap)
         size, rescue = 0, None
-        for k, perm, path in walk:
+        for k, state, path in walk:
             size += 1
             if k >= len(ok):
-                ok.extend([None] * (len(classes) - len(ok)))
+                ok.extend([None] * (len(classes.rows) - len(ok)))
             if ok[k] is None:
-                rep = classes.member(k, identity)
+                rep = from_triu_vector(d, n, classes.rows[k].tolist())
                 ok[k] = _certify_direct(rep, (), rep) is not None
             if ok[k]:
                 rescue = path
-                found.append((k, classes.canonical_perm(k, perm)))
+                found.append(state)
                 break
         walks.append(_OrbitWalk(start, rescue, size, walk.truncated))
     members = np.zeros((len(found), n, n), dtype=np.int64)
     if found:
         ks, perms = zip(*found)
         inverse = np.argsort(np.array(perms), axis=1)
-        reps = triu_to_matrices(classes.key_rows(ks), n)
+        reps = triu_to_matrices(classes.rows[list(ks)], n)
         # member = permuted(rep, perm), so member[a, b] = rep[perm^-1 a, perm^-1 b]
         sel = np.arange(len(found))[:, None, None]
         members = reps[sel, inverse[:, :, None], inverse[:, None, :]]

@@ -6,7 +6,8 @@ re-verify a stored certificate, and run the randomized self-test suites.
 
 Exit codes: 0 success/certified, 1 usage or input error, 2 not certified
 or verification failure, 3 budget exhausted.  JSON output is
-deterministic: the same inputs and seed produce identical bytes.
+deterministic: the same inputs (and, for selftest, the same ``--seed``)
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from . import __version__
 from .certify import (
@@ -348,11 +349,19 @@ def _add_graph_arguments(p: argparse.ArgumentParser) -> None:
 def _add_common_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=FORMATS, default="json")
     p.add_argument("--output", help="write to a file instead of stdout")
-    p.add_argument("--seed", type=int, default=0)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a usage error exits with EXIT_ERROR: argparse's own
+    code 2 is EXIT_NEGATIVE here."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="netcert",
         description="Certify that graph states cannot arise from bipartite sources.",
     )
@@ -392,6 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="randomized operator-inequality suites")
     p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
     _add_common_arguments(p)
     p.set_defaults(func=cmd_selftest)
 

@@ -11,11 +11,10 @@ connected multigraphs up to isomorphism.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -146,24 +145,6 @@ def _permutations(n: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.int8).reshape(-1, n)
 
 
-def _nth_permutation(n: int, index: int) -> tuple[int, ...]:
-    """Row ``index`` of _permutations(n), decoded from the factorial base."""
-    items = list(range(n))
-    perm = []
-    for left in range(n - 1, -1, -1):
-        q, index = divmod(index, math.factorial(left))
-        perm.append(items.pop(q))
-    return tuple(perm)
-
-
-def _after_inverse(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """The relabeling r = p q^-1, so that permuted(permuted(g, q), r) = permuted(g, p)."""
-    r = [0] * len(p)
-    for i, a in enumerate(q):
-        r[a] = p[i]
-    return tuple(r)
-
-
 @lru_cache(maxsize=None)
 def _relabel_table(n: int) -> np.ndarray:
     """Index table shared by canonical_form and the enumerator.
@@ -188,12 +169,6 @@ def canonical_form(g: Multigraph) -> tuple[int, ...]:
     Two multigraphs are isomorphic iff their canonical forms agree.  Exact
     but factorial: refuses n > 8.
     """
-    return _canonical(g)[0]
-
-
-def _canonical(g: Multigraph) -> tuple[tuple[int, ...], int]:
-    """canonical_form(g) and the index p of a relabeling that reaches it:
-    g = permuted(from_triu_vector(g.d, g.n, key), _nth_permutation(g.n, p))."""
     if g.n > _CANONICAL_MAX_N:
         raise ResourceError(f"canonical_form scans n! permutations; n={g.n} > {_CANONICAL_MAX_N}")
     size = next((s for s in (1, 2, 4, 8) if g.d <= 256**s), None)
@@ -204,7 +179,7 @@ def _canonical(g: Multigraph) -> tuple[tuple[int, ...], int]:
     vec = np.array(_triu_vector(g), dtype=f">u{size}")
     rows = vec[_relabel_table(g.n)]
     best = rows.view(f"S{rows.shape[1] * size}").argmin()
-    return tuple(rows[best].tolist()), int(best)
+    return tuple(rows[best].tolist())
 
 
 def from_triu_vector(d: int, n: int, vec: Sequence[int]) -> Multigraph:
@@ -441,131 +416,114 @@ class OrbitResult:
         return len(self.graphs)
 
 
-class _LCClasses:
-    """Local complementation between isomorphism classes of multigraphs on n
-    vertices over Z_d.
+class _LCWalk:
+    """Breadth-first walk over a local-complementation orbit.
 
-    Classes are numbered as they are registered: first the canonical
-    ``rows`` given, then each new key ``add`` meets.  ``key(k)`` is the
-    canonical form of class k.  Its reference member ref_k is the canonical
-    representative from_triu_vector(d, n, key(k)), or the member it was
-    registered with.  ``step(k, v)`` is the class k2 of LC(ref_k, v) and
-    ``relabeling(k, v)`` the p with LC(ref_k, v) = permuted(ref_k2, p),
-    worked out only when a walk moves on to k2.  Single graphs fill the
-    steps one (class, vertex) pair at a time, on first use, and register
-    each new class with the image that met it, so a walk from one graph
-    reaches every new class at its reference member; ``fill`` computes every
-    step of many classes at once, on arrays.
+    A state stands for one member of the orbit, and ``expand(state)`` yields,
+    for each vertex a in turn, the class of LC at a of that member and the
+    state that stands for the image.  Iterating yields ``(cls, state, path)``
+    once per class, the start first (path ``()``); ``path`` is the vertex
+    sequence whose successive local complementations take the start to the
+    member.  When a new class turns up with ``cap`` classes already seen,
+    ``truncated`` is set and the walk stops.  The walk is lazy, so a caller
+    may stop early.
     """
 
-    def __init__(self, n: int, d: int, rows: np.ndarray | None = None) -> None:
+    def __init__(
+        self,
+        start: Any,
+        cls: Hashable,
+        expand: Callable[[Any], Iterable[tuple[Hashable, Any]]],
+        cap: int,
+    ) -> None:
+        self.start = start
+        self.cls = cls
+        self.expand = expand
+        self.cap = cap
+        self.truncated = False
+
+    def __iter__(self) -> Iterator[tuple[Hashable, Any, tuple[int, ...]]]:
+        first = (self.cls, self.start, ())
+        yield first
+        seen = {self.cls}
+        queue = deque([first])
+        while queue:
+            _, state, path = queue.popleft()
+            for a, (cls, image) in enumerate(self.expand(state)):
+                if cls in seen:
+                    continue
+                if len(seen) >= self.cap:
+                    self.truncated = True
+                    return
+                seen.add(cls)
+                item = (cls, image, path + (a,))
+                yield item
+                queue.append(item)
+
+
+def _lc_images(g: Multigraph) -> Iterator[tuple[tuple[int, ...], Multigraph]]:
+    """_LCWalk expansion of labeled graphs: per vertex a, the canonical form
+    of LC(g, a), and LC(g, a)."""
+    for a in range(g.n):
+        image = local_complement(g, a)
+        yield canonical_form(image), image
+
+
+def _graph_walk(g: Multigraph, cap: int) -> _LCWalk:
+    """The walk over g's orbit on labeled graphs, a class being a canonical form."""
+    return _LCWalk(g, canonical_form(g), _lc_images, cap)
+
+
+class _LCClasses:
+    """Local complementation between the isomorphism classes of a table of
+    multigraphs on n vertices over Z_d, with d^(n choose 2) < 2^62.
+
+    ``rows`` holds the canonical form of each class, by class index: first
+    the cell's, then each class a step meets outside them (a cell cut short
+    by its budget).  Class k stands for its canonical representative rep_k.
+    ``fill`` computes, on arrays, the steps of classes: per vertex v, the
+    class k2 of LC(rep_k, v) and the relabeling p with LC(rep_k, v) =
+    permuted(rep_k2, p).
+    """
+
+    def __init__(self, n: int, d: int, rows: np.ndarray) -> None:
         self.n = n
         self.d = d
-        ncols = n * (n - 1) // 2
-        self.rows = np.zeros((0, ncols), dtype=np.int64) if rows is None else rows
-        self.later: list[tuple[int, ...]] = []  # keys of the classes after rows
-        self.index: dict[tuple[int, ...], int] | None = None  # built on first add
-        self.identity = tuple(range(n))
-        # per class, once used: the class of each step (-1 until known) and
-        # its relabeling, or while that is not worked out, the index of the
-        # image's canonical relabeling
-        self.succ: list[list[int] | None] = [None] * len(self.rows)
-        self.relabel: list[list[tuple[int, ...] | int] | None] = [None] * len(self.rows)
-        # ref_k (None until built) = permuted(canonical representative,
-        # _nth_permutation(n, canon[k])); index 0 is the identity
-        self.refs: list[Multigraph | None] = [None] * len(self.rows)
-        self.canon: list[int] = [0] * len(self.rows)
+        self.rows = rows
+        self.perms = list(map(tuple, _permutations(n).tolist()))
+        # per class, once filled: the class and the relabeling of each step
+        self.succ: list[list[int] | None] = [None] * len(rows)
+        self.relabel: list[list[tuple[int, ...]] | None] = [None] * len(rows)
 
-    @classmethod
-    def of(cls, g: Multigraph) -> tuple["_LCClasses", int]:
-        """A lookup holding g's class, with g as its reference member."""
-        classes = cls(g.n, g.d)
-        return classes, classes.add(*_canonical(g), g)
-
-    def __len__(self) -> int:
-        return len(self.succ)
-
-    def key(self, k: int) -> tuple[int, ...]:
-        rows = self.rows
-        return tuple(rows[k].tolist()) if k < len(rows) else self.later[k - len(rows)]
-
-    def key_rows(self, ks: Sequence[int]) -> np.ndarray:
-        """The keys of classes ``ks`` as an int64 array, one row each."""
-        ks = np.asarray(ks, dtype=np.intp)
-        out = np.empty((len(ks), self.rows.shape[1]), dtype=np.int64)
-        cut = ks < len(self.rows)
-        out[cut] = self.rows[ks[cut]]
-        if not cut.all():
-            out[~cut] = [self.later[k - len(self.rows)] for k in ks[~cut]]
-        return out
-
-    def add(self, key: tuple[int, ...], canon: int = 0, ref: Multigraph | None = None) -> int:
-        """The class of ``key``; a new one is registered with reference member
-        ``ref`` = permuted(canonical representative, _nth_permutation(n,
-        canon)) when given."""
-        if self.index is None:
-            self.index = {tuple(row): k for k, row in enumerate(self.rows.tolist())}
-        k = self.index.get(key)
-        if k is None:
-            k = self.index[key] = len(self)
-            self.later.append(key)
-            self.succ.append(None)
-            self.relabel.append(None)
-            self.refs.append(ref)
-            self.canon.append(canon)
-        return k
-
-    def member(self, k: int, perm: tuple[int, ...]) -> Multigraph:
-        """permuted(ref_k, perm)."""
-        ref = self.refs[k]
-        if ref is None:
-            ref = self.refs[k] = from_triu_vector(self.d, self.n, self.key(k))
-        return ref if perm == self.identity else permuted(ref, perm)
-
-    def canonical_perm(self, k: int, perm: tuple[int, ...]) -> tuple[int, ...]:
-        """The relabeling of the canonical representative that is
-        permuted(ref_k, perm)."""
-        c = self.canon[k]
-        return perm if c == 0 else tuple([perm[i] for i in _nth_permutation(self.n, c)])
-
-    def step(self, k: int, v: int) -> int:
-        succ = self.succ[k]
-        if succ is None:
-            succ = self.succ[k] = [-1] * self.n
-            self.relabel[k] = [self.identity] * self.n
-        if succ[v] < 0:
-            image = local_complement(self.member(k, self.identity), v)
-            key, best = _canonical(image)
-            succ[v] = self.add(key, best, image)
-            if self.refs[succ[v]] is not image:  # k2 was registered before
-                self.relabel[k][v] = best
-        return succ[v]
-
-    def relabeling(self, k: int, v: int) -> tuple[int, ...]:
-        p = self.relabel[k][v]
-        if isinstance(p, int):
-            # image = permuted(rep, P_p) and ref_k2 = permuted(rep, P_canon),
-            # so image = permuted(ref_k2, P_p P_canon^-1)
-            canon = self.canon[self.succ[k][v]]
-            p = _after_inverse(_nth_permutation(self.n, p), _nth_permutation(self.n, canon))
-            self.relabel[k][v] = p
-        return p
+    def expand(
+        self, state: tuple[int, tuple[int, ...]]
+    ) -> Iterator[tuple[int, tuple[int, tuple[int, ...]]]]:
+        """_LCWalk expansion of states (k, perm), each standing for
+        permuted(rep_k, perm): LC at vertex a of that member is LC at vertex
+        perm^-1(a) of rep_k, relabeled by perm.  Fills class k first if no
+        earlier ``fill`` did."""
+        k, perm = state
+        if self.succ[k] is None:
+            self.fill([k])
+        succ, relabel = self.succ[k], self.relabel[k]
+        inverse = [0] * self.n
+        for i, a in enumerate(perm):
+            inverse[a] = i
+        for v in inverse:
+            yield succ[v], (succ[v], tuple([perm[i] for i in relabel[v]]))
 
     def fill(self, ks: Sequence[int]) -> None:
         """Every step of the classes ``ks``, in one blocked pass over their
         matrices: LC at v maps M to (M + (1 - I) r r^T) mod d with r = M[v],
         and the argmin of the packed keys of its relabelings canonicalises it.
-        Runs before any ``add``, while every reference member is canonical.
-        Requires d^(n choose 2) < 2^62."""
-        if self.index is not None:
-            raise StructureError("fill runs before any class is added")
+        A class a step meets that ``rows`` lacks is appended to it."""
         n, d = self.n, self.d
         weights, wmat = _packed_keys(n, d)
         iu, ju = np.triu_indices(n, 1)
         off = 1 - np.eye(n, dtype=np.int64)
-        rows = self.key_rows(ks)
+        rows = self.rows[np.asarray(ks, dtype=np.intp)]
         packed_succ = np.empty((len(rows), n), dtype=np.int64)
-        relabel = np.empty((len(rows), n), dtype=np.int64)
+        relabel = np.empty((len(rows), n), dtype=np.intp)
         # bounds the (block, n!) key matrix to 32 MB
         block = max(1, min(_FILL_BLOCK, 2**22 // wmat.shape[1]))
         for start in range(0, len(rows), block):
@@ -578,68 +536,24 @@ class _LCClasses:
                 best = packed.argmin(axis=1)
                 packed_succ[start : start + block, v] = packed[sel, best]
                 relabel[start : start + block, v] = best
-        known = self.key_rows(range(len(self))) @ weights
+        known = self.rows @ weights
         order = np.argsort(known)
         pos = np.searchsorted(known, packed_succ, sorter=order).clip(max=len(known) - 1)
         succ = order[pos]
         missing = known[succ] != packed_succ
         if missing.any():
-            # classes not registered yet (a table cut short by its budget)
             new_keys, where = np.unique(packed_succ[missing], return_inverse=True)
-            digits = (new_keys[:, None] // weights) % d
-            succ[missing] = np.array([self.add(tuple(row)) for row in digits.tolist()])[where]
-        perms = list(map(tuple, _permutations(n).tolist()))
+            succ[missing] = len(known) + where
+            self.rows = np.concatenate([self.rows, (new_keys[:, None] // weights) % d])
+            self.succ.extend([None] * len(new_keys))
+            self.relabel.extend([None] * len(new_keys))
+        perms = self.perms
         for k, s, p in zip(ks, succ.tolist(), relabel.tolist()):
             self.succ[k], self.relabel[k] = s, [perms[i] for i in p]
 
 
 #: Classes per block of _LCClasses.fill, as for the table's direct pass.
 _FILL_BLOCK = 2048
-
-
-class _LCWalk:
-    """Breadth-first walk over a local-complementation orbit, on classes.
-
-    A state (k, perm) stands for the member permuted(ref_k, perm) of
-    ``classes``; the step at vertex a of that member is the step at vertex
-    perm^-1(a) of ref_k, relabeled by perm.  Iterating yields
-    ``(k, perm, path)`` once per class, the start first (path ``()``);
-    ``path`` is the vertex sequence whose successive local complementations
-    take the start to the member.  When a new class turns up with ``cap``
-    classes already seen, ``truncated`` is set and the walk stops.  The walk
-    is lazy, so a caller may stop early.
-    """
-
-    def __init__(self, classes: _LCClasses, start: int, perm: tuple[int, ...], cap: int) -> None:
-        self.classes = classes
-        self.start = start
-        self.perm = perm
-        self.cap = cap
-        self.truncated = False
-
-    def __iter__(self) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-        n, step, relabeling = self.classes.n, self.classes.step, self.classes.relabeling
-        first = (self.start, self.perm, ())
-        yield first
-        seen = {self.start}
-        queue = deque([first])
-        while queue:
-            k, perm, path = queue.popleft()
-            inverse = [0] * n
-            for i, a in enumerate(perm):
-                inverse[a] = i
-            for a in range(n):
-                k2 = step(k, inverse[a])
-                if k2 in seen:
-                    continue
-                if len(seen) >= self.cap:
-                    self.truncated = True
-                    return
-                seen.add(k2)
-                p = relabeling(k, inverse[a])
-                state = (k2, tuple([perm[i] for i in p]), path + (a,))
-                yield state
-                queue.append(state)
 
 
 def _check_orbit_cap(cap: int) -> None:
@@ -652,12 +566,11 @@ def lc_orbit(g: Multigraph, cap: int = 10**6) -> OrbitResult:
     deduplicated by canonical form, truncated (and flagged) at ``cap`` classes.
     """
     _check_orbit_cap(cap)
-    classes, start = _LCClasses.of(g)
-    walk = _LCWalk(classes, start, classes.identity, cap)
+    walk = _graph_walk(g, cap)
     members = list(walk)
     return OrbitResult(
-        graphs=tuple(classes.member(k, p) for k, p, _ in members),
+        graphs=tuple(image for _, image, _ in members),
         paths=tuple(path for _, _, path in members),
-        keys=frozenset(classes.key(k) for k, _, _ in members),
+        keys=frozenset(key for key, _, _ in members),
         truncated=walk.truncated,
     )

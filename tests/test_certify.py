@@ -507,6 +507,7 @@ TABLE_CELLS = [  # n, d, enumeration budget, orbit cap; None keeps the default
     (5, 4, None, None),
     (5, 3, 100, None),
     (4, 3, 400, None),
+    (4, 6, 4665, None),  # its walks leave the budget-cut cell: 25 classes filled one by one
     (4, 4, None, 1),
     (4, 8, None, 2),
 ]

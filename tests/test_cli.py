@@ -327,7 +327,34 @@ def test_version_flag(capsys):
 def test_unknown_command():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
-    assert info.value.code == 2
+    assert info.value.code == EXIT_ERROR
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--inline", TRIANGLE, "--frobnicate"],
+        ["enumerate", "--n", "x", "--d", "3"],
+        # --seed belongs to selftest alone
+        ["orbit", "--inline", TRIANGLE, "--seed", "1"],
+    ],
+    ids=["unknown-option", "non-integer-n", "seed-outside-selftest"],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    """Usage errors exit 1, not argparse's 2 (which means "not certified"),
+    with argparse's usage and ``error:`` lines and no traceback."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("usage: netcert") and ": error: " in err.splitlines()[-1]
+
+
+def test_selftest_seed_is_deterministic(capsys):
+    first = run(capsys, "selftest", "--trials", "5", "--seed", "7")
+    assert first[0] == EXIT_OK
+    assert run(capsys, "selftest", "--trials", "5", "--seed", "7") == first
 
 
 def test_module_entry_point_subprocess():

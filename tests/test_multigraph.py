@@ -276,9 +276,10 @@ def test_lc_orbit_cap_truncates():
 
 @pytest.mark.parametrize("n,d", [(3, 5), (4, 6), (5, 4), (6, 3), (7, 2), (3, 300_000)])
 def test_lc_step_table_matches_single_steps(n, d):
-    """The array pass gives every step the one-pair-at-a-time path gives:
-    the class of LC(rep_k, v), and a relabeling of its reference member that
-    is that image.  At d = 300,000 the packed keys pass 2^53."""
+    """The array pass gives every step that local_complement and
+    canonical_form give: the class of LC(rep_k, v), and a relabeling of that
+    class's canonical representative that is the image.  At d = 300,000 the
+    packed keys pass 2^53."""
     rng = np.random.default_rng(n * 1000 + d)
     keys = set()
     for _ in range(40):
@@ -291,17 +292,16 @@ def test_lc_step_table_matches_single_steps(n, d):
         keys.add(canonical_form(Multigraph.from_edges(d, n, eds)))
     keys = sorted(keys)
     assert len(keys) >= 10
-    rows = np.array(keys, dtype=np.int64)
-    bulk, single = _LCClasses(n, d, rows), _LCClasses(n, d, rows)
-    bulk.fill(range(len(keys)))
+    classes = _LCClasses(n, d, np.array(keys, dtype=np.int64))
+    classes.fill(range(len(keys)))
     for k in range(len(keys)):
         rep = from_triu_vector(d, n, keys[k])
         for v in range(n):
-            k2, s2 = bulk.step(k, v), single.step(k, v)
-            assert bulk.key(k2) == single.key(s2)
             image = local_complement(rep, v)
-            assert bulk.member(k2, bulk.relabeling(k, v)) == image
-            assert single.member(s2, single.relabeling(k, v)) == image
+            k2, p = classes.succ[k][v], classes.relabel[k][v]
+            key = tuple(classes.rows[k2].tolist())
+            assert key == canonical_form(image)
+            assert permuted(from_triu_vector(d, n, key), p) == image
 
 
 def test_enumeration_order_and_stop_point():
