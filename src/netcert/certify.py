@@ -189,55 +189,6 @@ def _relabeling_for(s4: StabilizerWord, g1: frozenset[str]) -> tuple[tuple[str, 
     return tuple(sorted((lbl, prime(lbl)) for lbl in support(s4.operator) & g1))
 
 
-def _finish_certificate(
-    graph: Multigraph,
-    lc_path: tuple[int, ...],
-    certified: Multigraph,
-    triple: tuple[int, int, int],
-    kind: str,
-    method: str,
-    group_sets: tuple[frozenset[str], ...],
-    words: tuple[StabilizerWord, StabilizerWord, StabilizerWord, StabilizerWord],
-    exponents: tuple[tuple[str, int], ...],
-    cos_value: float,
-) -> Certificate:
-    s1, s2, s3, s4 = words
-    d = certified.d
-    if multiply(s1.operator, s2.operator) != s3.operator:
-        raise StructureError("construction bug: S3 is not exactly S1 S2")
-    if commutation_phase(s1.operator, s2.operator) % d != 0:
-        raise StructureError("construction bug: S1 and S2 do not commute")
-    for idx, (w, grp) in enumerate(zip(words, group_sets), start=1):
-        if support(w.operator) & grp:
-            raise StructureError(f"construction bug: S{idx} touches group {idx}")
-    sigma = _relabeling_for(s4, group_sets[0])
-    s4p = relabel(s4.operator, dict(sigma))
-    kappa = commutation_phase(s3.operator, s4p)
-    if kappa % d == 0:
-        raise StructureError("construction bug: S3 and relabeled S4 commute")
-    common = support(s3.operator) & support(s4p)
-    if not common <= group_sets[1]:
-        raise StructureError("construction bug: overlap leaks outside group 2")
-    lambda_prime = 2.0 * cos_value
-    return Certificate(
-        graph=graph,
-        lc_path=lc_path,
-        triple=triple,
-        kind=kind,
-        method=method,
-        groups=tuple(_sorted_group(s) for s in group_sets),
-        s1=s1,
-        s2=s2,
-        s3=s3,
-        s4=s4,
-        s4_relabeling=sigma,
-        exponents=exponents,
-        kappa=kappa % d,
-        lambda_prime=lambda_prime,
-        fidelity_bound=fidelity_bound_from_lambda(lambda_prime),
-    )
-
-
 def _neighbor_masks(g: Multigraph) -> list[int]:
     """Bit j of entry i is set iff vertices i and j are adjacent."""
     return [sum(1 << j for j, m in enumerate(row) if m) for row in g.mult]
@@ -333,21 +284,42 @@ def _build_certificate(
         frozenset(names[v] for v in range(n) if mask >> v & 1)
         for mask in _group_masks(tri1, a, b, c, nb[a], nb[b], nb[c], (1 << n) - 1)
     )
-    cert = _finish_certificate(
-        graph,
-        lc_path,
-        certified,
-        triple,
-        "triangle" if m_bc else "angle",
-        METHOD_GENERAL if general else METHOD_CONSTANT,
-        group_sets,
-        words,
-        exponents,
-        choice.cos_value,
-    )
-    if general and cert.kappa != (-choice.t * m_tilde) % d:
+    s1, s2, s3, s4 = words
+    if multiply(s1.operator, s2.operator) != s3.operator:
+        raise StructureError("construction bug: S3 is not exactly S1 S2")
+    if commutation_phase(s1.operator, s2.operator) % d != 0:
+        raise StructureError("construction bug: S1 and S2 do not commute")
+    for idx, (w, grp) in enumerate(zip(words, group_sets), start=1):
+        if support(w.operator) & grp:
+            raise StructureError(f"construction bug: S{idx} touches group {idx}")
+    sigma = _relabeling_for(s4, group_sets[0])
+    s4p = relabel(s4.operator, dict(sigma))
+    kappa = commutation_phase(s3.operator, s4p)
+    if kappa % d == 0:
+        raise StructureError("construction bug: S3 and relabeled S4 commute")
+    common = support(s3.operator) & support(s4p)
+    if not common <= group_sets[1]:
+        raise StructureError("construction bug: overlap leaks outside group 2")
+    if general and kappa % d != (-choice.t * m_tilde) % d:
         raise StructureError("construction bug: kappa differs from -e m_tilde")
-    return cert
+    lambda_prime = 2.0 * choice.cos_value
+    return Certificate(
+        graph=graph,
+        lc_path=lc_path,
+        triple=triple,
+        kind="triangle" if m_bc else "angle",
+        method=METHOD_GENERAL if general else METHOD_CONSTANT,
+        groups=tuple(_sorted_group(grp) for grp in group_sets),
+        s1=s1,
+        s2=s2,
+        s3=s3,
+        s4=s4,
+        s4_relabeling=sigma,
+        exponents=exponents,
+        kappa=kappa % d,
+        lambda_prime=lambda_prime,
+        fidelity_bound=fidelity_bound_from_lambda(lambda_prime),
+    )
 
 
 def certify_constant_multiplicity(g: Multigraph) -> Certificate:
@@ -506,7 +478,7 @@ def _direct_pass(mats: np.ndarray, d: int) -> _DirectPass:
     Each graph gets the construction and the triple that _certify_direct
     picks (obs1 at its first triple when the weights are constant, else obs4
     at the first triple that is not blocked), its S1..S4 are built, and every
-    check of _finish_certificate runs on them; a failing check raises
+    check of _build_certificate runs on them; a failing check raises
     StructureError.  ``rejections`` counts the reason lines _refusal gives
     for each graph that fails, by kind.
     """
@@ -582,7 +554,7 @@ def _direct_block(mats: np.ndarray, d: int) -> _DirectPass:
 
 
 def _check_witnesses(d, x, z, phase, groups, general, expected_kappa) -> None:
-    """_finish_certificate's checks on (k, 4, n) operator arrays S1..S4."""
+    """_build_certificate's checks on (k, 4, n) operator arrays S1..S4."""
     (x1, x2, x3, x4), (z1, z2, z3, z4) = x.transpose(1, 0, 2), z.transpose(1, 0, 2)
     cross = (z1 * x2).sum(axis=1)
     if not (
@@ -763,34 +735,27 @@ def exhaustive_table(
     )
 
 
-def _word_from_factorization(
-    g: Multigraph, factorization: Iterable[tuple[str, int]]
-) -> StabilizerWord:
-    return word(g, {int(lbl): e for lbl, e in factorization})
-
-
-def verify_obs3(cert: Certificate, dense_cap: int | None = None) -> VerificationReport:
+def verify_obs3(cert: Certificate) -> VerificationReport:
     """Re-derive every claim a certificate makes, from the graph up.
 
     Checks group structure, factorizations, the exact operator identities,
     the four marginal equalities, the twist kappa, the bound arithmetic,
-    and (when the restricted dimension is within the dense cap) that the two
-    twisted operators have no common +1 eigenvector, from their exact
-    per-cycle +1 eigenbases (``oracle.shares_plus_one_eigenvector``).
-    A certificate so malformed that re-derivation raises is reported as a
-    failed ``integrity`` check rather than an exception.
+    and (when the restricted dimension is within the dense cap,
+    ``oracle.dimension_cap()``) that the two twisted operators have no
+    common +1 eigenvector, from their exact per-cycle +1 eigenbases
+    (``oracle.shares_plus_one_eigenvector``).  A certificate so malformed
+    that re-derivation raises is reported as a failed ``integrity`` check
+    rather than an exception.
     """
     checks: list[Check] = []
     try:
-        _verify_obs3_checks(cert, dense_cap, checks)
+        _verify_obs3_checks(cert, checks)
     except (NetcertError, ValueError, KeyError) as exc:
         checks.append(Check("integrity", False, f"verification aborted: {exc}"))
     return VerificationReport(checks=tuple(checks))
 
 
-def _verify_obs3_checks(
-    cert: Certificate, dense_cap: int | None, checks: list[Check]
-) -> None:
+def _verify_obs3_checks(cert: Certificate, checks: list[Check]) -> None:
     from . import oracle
 
     h = cert.certified_graph
@@ -811,7 +776,7 @@ def _verify_obs3_checks(
     )
     words_ok = True
     for idx, w in enumerate((cert.s1, cert.s2, cert.s3, cert.s4), start=1):
-        rebuilt = _word_from_factorization(h, w.factorization)
+        rebuilt = word(h, {int(lbl): e for lbl, e in w.factorization})
         if rebuilt.operator != w.operator:
             words_ok = False
             checks.append(Check("factorizations", False, f"S{idx} mismatch"))
@@ -861,7 +826,7 @@ def _verify_obs3_checks(
         and cert.fidelity_bound == fidelity_bound_from_lambda(lam)
     )
     checks.append(Check("lambda_bound", lam_ok, f"lambda' = {lam}"))
-    cap = dense_cap if dense_cap is not None else oracle.dimension_cap()
+    cap = oracle.dimension_cap()
     r3 = restrict(cert.s3.operator, group_sets[1])
     r4 = restrict(s4p, group_sets[1])
     sites = sorted(support(r3) | support(r4))

@@ -3,6 +3,8 @@
 Subcommands: certify one graph, enumerate-and-certify a whole size class,
 tabulate GHZ fidelity ceilings, explore a local-complementation orbit,
 re-verify a stored certificate, and run the randomized self-test suites.
+Each offers only the formats it renders: ``tsv`` on the two table
+commands (enumerate, ghz-bound), ``json`` and ``human`` everywhere.
 
 Exit codes: 0 success/certified, 1 usage or input error, 2 not certified
 or verification failure, 3 budget exhausted.  JSON output is
@@ -15,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NoReturn, Sequence
 
@@ -45,43 +46,29 @@ EXIT_ERROR = 1
 EXIT_NEGATIVE = 2
 EXIT_BUDGET = 3
 
-FORMATS = ("json", "tsv", "human")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options shared by the subcommands."""
-
-    fmt: str
-    output: Path | None
-    seed: int
-    budget_graphs: int
-    budget_orbit: int
-    verify: bool
-    trials: int
+TABLE_FORMATS = ("json", "tsv", "human")
+RECORD_FORMATS = ("json", "human")
 
 
 def _fmt6(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output is not None:
-        cfg.output.write_text(text)
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(cfg: RunConfig, obj: object) -> None:
-    _emit(cfg, json.dumps(obj, indent=2) + "\n")
+def _emit_json(args: argparse.Namespace, obj: object) -> None:
+    _emit(args, json.dumps(obj, indent=2) + "\n")
 
 
 def _load_graph(args: argparse.Namespace) -> Multigraph:
     if args.inline is not None:
         text = args.inline.replace(";", "\n")
         return Multigraph.from_text(text)
-    if args.input is None:
-        raise NetcertError("provide a graph via --inline or --input")
     text = Path(args.input).read_text()
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -98,18 +85,6 @@ def _parse_range(text: str) -> list[int]:
     if hi < lo:
         raise NetcertError(f"empty range {text!r}")
     return list(range(lo, hi + 1))
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        fmt=getattr(args, "format", "json"),
-        output=Path(args.output) if getattr(args, "output", None) else None,
-        seed=getattr(args, "seed", 0),
-        budget_graphs=getattr(args, "budget_graphs", DEFAULT_ENUMERATION_BUDGET),
-        budget_orbit=getattr(args, "budget_orbit", DEFAULT_ORBIT_CAP),
-        verify=getattr(args, "verify", False),
-        trials=getattr(args, "trials", 1000),
-    )
 
 
 def _not_certified_obj(res: NotCertified) -> dict:
@@ -150,25 +125,24 @@ def _human_certificate(cert: Certificate) -> str:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     graph = _load_graph(args)
-    result = certify_any(graph, orbit_cap=cfg.budget_orbit)
+    result = certify_any(graph, orbit_cap=args.budget_orbit)
     if isinstance(result, Certificate):
-        if cfg.fmt == "human":
+        if args.format == "human":
             text = _human_certificate(result)
-            if cfg.verify:
+            if args.verify:
                 report = verify_obs3(result)
                 status = "pass" if report.all_passed else "FAIL"
                 text += f"verification: {status}\n"
-            _emit(cfg, text)
+            _emit(args, text)
         else:
-            _emit_json(cfg, _certificate_obj(result, cfg.verify))
+            _emit_json(args, _certificate_obj(result, args.verify))
         return EXIT_OK
-    if cfg.fmt == "human":
+    if args.format == "human":
         lines = ["certified: no"] + [f"  - {r}" for r in result.reasons]
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit_json(cfg, _not_certified_obj(result))
+        _emit_json(args, _not_certified_obj(result))
     return EXIT_BUDGET if result.orbit_truncated else EXIT_NEGATIVE
 
 
@@ -188,13 +162,12 @@ def _table_obj(report: TableReport) -> dict:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     reports = [
-        exhaustive_table(args.n, d, budget=cfg.budget_graphs, orbit_cap=cfg.budget_orbit)
+        exhaustive_table(args.n, d, budget=args.budget_graphs, orbit_cap=args.budget_orbit)
         for d in _parse_range(args.d)
     ]
-    if cfg.fmt == "json":
-        _emit_json(cfg, [_table_obj(r) for r in reports])
+    if args.format == "json":
+        _emit_json(args, [_table_obj(r) for r in reports])
     else:
         rows = [["n", "d", "total", "certified", "methods", "complete"]]
         for r in reports:
@@ -208,8 +181,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                     "yes" if r.complete else "no",
                 ]
             )
-        sep = "\t" if cfg.fmt == "tsv" else "  "
-        _emit(cfg, "\n".join(sep.join(row) for row in rows) + "\n")
+        sep = "\t" if args.format == "tsv" else "  "
+        _emit(args, "\n".join(sep.join(row) for row in rows) + "\n")
     if any(
         not r.complete or any(res.orbit_truncated for res in r.uncertified) for r in reports
     ):
@@ -220,9 +193,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_ghz_bound(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     reports = [bound_report(d) for d in _parse_range(args.d)]
-    if cfg.fmt == "json":
+    if args.format == "json":
         objs = []
         for r in reports:
             obj: dict = {"d": r.d, "bound_closed_form": r.bound_closed_form}
@@ -236,7 +208,7 @@ def cmd_ghz_bound(args: argparse.Namespace) -> int:
                     for f, ok, cells in r.solver_trace
                 ]
             objs.append(obj)
-        _emit_json(cfg, objs)
+        _emit_json(args, objs)
     else:
         rows = [["d", "closed_form", "prime", "numeric"]]
         for r in reports:
@@ -248,16 +220,15 @@ def cmd_ghz_bound(args: argparse.Namespace) -> int:
                     _fmt6(r.bound_numeric) if r.bound_numeric is not None else "-",
                 ]
             )
-        sep = "\t" if cfg.fmt == "tsv" else "  "
-        _emit(cfg, "\n".join(sep.join(row) for row in rows) + "\n")
+        sep = "\t" if args.format == "tsv" else "  "
+        _emit(args, "\n".join(sep.join(row) for row in rows) + "\n")
     return EXIT_OK
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     graph = _load_graph(args)
-    result = lc_orbit(graph, cap=cfg.budget_orbit)
-    if cfg.fmt == "json":
+    result = lc_orbit(graph, cap=args.budget_orbit)
+    if args.format == "json":
         obj = {
             "size": result.size,
             "truncated": result.truncated,
@@ -269,42 +240,38 @@ def cmd_orbit(args: argparse.Namespace) -> int:
                 for g, path in zip(result.graphs, result.paths)
             ],
         }
-        _emit_json(cfg, obj)
+        _emit_json(args, obj)
     else:
         lines = [f"orbit size: {result.size} (truncated: {result.truncated})"]
         for g, path in zip(result.graphs, result.paths):
             edge_text = " ".join(f"{i}-{j}:{m}" for i, j, m in edges(g)) or "(none)"
             lines.append(f"  path {list(path)}: {edge_text}")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_BUDGET if result.truncated else EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    if args.input is None:
-        raise NetcertError("provide a certificate file via --input")
     obj = json.loads(Path(args.input).read_text())
     if isinstance(obj, dict) and "certificate" in obj:
         obj = obj["certificate"]
     cert = certificate_from_json_obj(obj)
     report = verify_obs3(cert)
-    if cfg.fmt == "human":
+    if args.format == "human":
         lines = [
             f"{'pass' if c.passed else 'FAIL'}  {c.name}"
             + (f"  ({c.detail})" if c.detail else "")
             for c in report.checks
         ]
         lines.append("all passed" if report.all_passed else "VERIFICATION FAILED")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit_json(cfg, report.to_json_obj())
+        _emit_json(args, report.to_json_obj())
     return EXIT_OK if report.all_passed else EXIT_NEGATIVE
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    if cfg.trials < 1:
-        raise NetcertError(f"--trials must be at least 1, got {cfg.trials}")
+    if args.trials < 1:
+        raise NetcertError(f"--trials must be at least 1, got {args.trials}")
     from .errors import PropertyViolation
     from .oracle import ALL_LEMMA_CHECKS
 
@@ -312,7 +279,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     failed = False
     for check in ALL_LEMMA_CHECKS:
         try:
-            report = check(cfg.trials, seed=cfg.seed)
+            report = check(args.trials, seed=args.seed)
             results.append(
                 {
                     "name": report.name,
@@ -325,7 +292,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         except PropertyViolation as exc:
             failed = True
             results.append({"name": check.__name__, "violation": str(exc)})
-    if cfg.fmt == "human":
+    if args.format == "human":
         lines = []
         for r in results:
             if "violation" in r:
@@ -335,19 +302,20 @@ def cmd_selftest(args: argparse.Namespace) -> int:
                     f"pass  {r['name']}: {r['trials']} trials, "
                     f"min slack {_fmt6(r['extremal_slack'])}"
                 )
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit_json(cfg, results)
+        _emit_json(args, results)
     return EXIT_NEGATIVE if failed else EXIT_OK
 
 
 def _add_graph_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--inline", help="graph text: 'd n; i j m; ...'")
-    p.add_argument("--input", help="graph file (text or JSON)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--inline", help="graph text: 'd n; i j m; ...'")
+    source.add_argument("--input", help="graph file (text or JSON)")
 
 
-def _add_common_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=FORMATS, default="json")
+def _add_common_arguments(p: argparse.ArgumentParser, formats: Sequence[str]) -> None:
+    p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--output", help="write to a file instead of stdout")
 
 
@@ -372,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_arguments(p)
     p.add_argument("--budget-orbit", type=int, default=DEFAULT_ORBIT_CAP)
     p.add_argument("--verify", action="store_true", help="re-verify the certificate")
-    _add_common_arguments(p)
+    _add_common_arguments(p, RECORD_FORMATS)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("enumerate", help="certify every class of one size")
@@ -380,29 +348,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", required=True, help="dimension or range 'a..b'")
     p.add_argument("--budget-graphs", type=int, default=DEFAULT_ENUMERATION_BUDGET)
     p.add_argument("--budget-orbit", type=int, default=4096)
-    _add_common_arguments(p)
+    _add_common_arguments(p, TABLE_FORMATS)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("ghz-bound", help="GHZ fidelity ceilings")
     p.add_argument("--d", required=True, help="dimension or range 'a..b'")
-    _add_common_arguments(p)
+    _add_common_arguments(p, TABLE_FORMATS)
     p.set_defaults(func=cmd_ghz_bound)
 
     p = sub.add_parser("orbit", help="local-complementation orbit of a graph")
     _add_graph_arguments(p)
     p.add_argument("--budget-orbit", type=int, default=DEFAULT_ORBIT_CAP)
-    _add_common_arguments(p)
+    _add_common_arguments(p, RECORD_FORMATS)
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("verify", help="re-verify a stored certificate")
-    p.add_argument("--input", help="certificate JSON file")
-    _add_common_arguments(p)
+    p.add_argument("--input", required=True, help="certificate JSON file")
+    _add_common_arguments(p, RECORD_FORMATS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("selftest", help="randomized operator-inequality suites")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    _add_common_arguments(p)
+    _add_common_arguments(p, RECORD_FORMATS)
     p.set_defaults(func=cmd_selftest)
 
     return parser
@@ -414,10 +382,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     func: Callable[[argparse.Namespace], int] = args.func
     try:
         return func(args)
-    except NetcertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, json.JSONDecodeError) as exc:
+    except (NetcertError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

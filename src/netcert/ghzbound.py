@@ -34,6 +34,7 @@ from .stabilizer import ghz_stabilizer_element
 _GHZ_PARTIES = ("A", "B", "C")
 _NUMERIC_RANGE = (2, 8)
 _F_TOL = 1e-4
+_PRIME_TOL = 1e-9
 _BLOCK_GAP = 0.002
 _CELL_BUDGET = 150_000
 _MAX_BISECTIONS = 64
@@ -66,7 +67,7 @@ def is_prime(d: int) -> bool:
     return True
 
 
-def ghz_prime_bound(d: int, tol: float = 1e-9) -> float:
+def ghz_prime_bound(d: int) -> float:
     """Self-consistent fidelity ceiling, valid for prime d.
 
     Largest f in [3/4, 1] with
@@ -83,7 +84,7 @@ def ghz_prime_bound(d: int, tol: float = 1e-9) -> float:
         return rhs - f
 
     lo, hi = 0.75, 1.0
-    while hi - lo > tol:
+    while hi - lo > _PRIME_TOL:
         mid = (lo + hi) / 2
         if residual(mid) > 0:
             lo = mid
@@ -352,7 +353,7 @@ def ghz_numeric_bound(d: int) -> BoundReport:
         return total >= target * f - 1e-12, cells, points
 
     trace: list[tuple[float, bool, int]] = []
-    ok, cells, _ = feasible(0.75)
+    ok, cells, points = feasible(0.75)
     trace.append((0.75, ok, cells))
     if not ok:
         raise Unconverged("relaxation infeasible at f = 3/4; nothing to bisect")
@@ -362,14 +363,13 @@ def ghz_numeric_bound(d: int) -> BoundReport:
         if iterations >= _MAX_BISECTIONS:
             raise Unconverged(f"bisection stalled at [{lo}, {hi}]")
         mid = (lo + hi) / 2
-        ok, cells, _ = feasible(mid)
+        ok, cells, mid_points = feasible(mid)
         trace.append((mid, ok, cells))
         if ok:
-            lo = mid
+            lo, points = mid, mid_points
         else:
             hi = mid
         iterations += 1
-    _, _, points = feasible(lo)
     active: set[str] = set()
     u_star = 4.0 * lo - 3.0
     for block, pt in zip(blocks, points):
@@ -397,9 +397,9 @@ def ghz_numeric_bound(d: int) -> BoundReport:
     )
 
 
-def bound_report(d: int, numeric: bool = True) -> BoundReport:
+def bound_report(d: int) -> BoundReport:
     """Best-effort report: closed form always, prime and numeric when defined."""
-    if numeric and _NUMERIC_RANGE[0] <= d <= _NUMERIC_RANGE[1]:
+    if _NUMERIC_RANGE[0] <= d <= _NUMERIC_RANGE[1]:
         return ghz_numeric_bound(d)
     return BoundReport(
         d=d,

@@ -90,7 +90,16 @@ class Multigraph:
             d, n, edges = obj["d"], obj["n"], obj["edges"]
         except (TypeError, KeyError) as exc:
             raise StructureError(f"graph object needs keys d, n, edges: {obj!r}") from exc
-        return cls.from_edges(int(d), int(n), [tuple(int(x) for x in e) for e in edges])
+        # type() is int: JSON true/false load as bools, an int subclass
+        if not (type(d) is int and type(n) is int):
+            raise StructureError(f"d and n must be integers, got d={d!r}, n={n!r}")
+        if not isinstance(edges, (list, tuple)):
+            raise StructureError(f"edges must be a list of [i, j, m] triples, got {edges!r}")
+        for e in edges:
+            triple = isinstance(e, (list, tuple)) and len(e) == 3
+            if not (triple and all(type(x) is int for x in e)):
+                raise StructureError(f"edge must be an integer triple [i, j, m], got {e!r}")
+        return cls.from_edges(d, n, [tuple(e) for e in edges])
 
     def to_json_obj(self) -> dict:
         return {"d": self.d, "n": self.n, "edges": [list(e) for e in edges(self)]}
@@ -190,11 +199,6 @@ def from_triu_vector(d: int, n: int, vec: Sequence[int]) -> Multigraph:
     return Multigraph.from_edges(
         d, n, [(i, j, m) for i in range(n) for j in range(i + 1, n) if (m := next(it))]
     )
-
-
-def canonicalize(g: Multigraph) -> Multigraph:
-    """The canonical representative of g's isomorphism class."""
-    return from_triu_vector(g.d, g.n, canonical_form(g))
 
 
 def enumerate_connected_multigraphs(

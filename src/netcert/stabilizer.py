@@ -10,7 +10,7 @@ triples (a, b, c).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .errors import RangeError, StructureError
 from .multigraph import Multigraph
@@ -32,32 +32,18 @@ class StabilizerWord:
     factorization: tuple[tuple[str, int], ...]
 
 
-def _vertex_labels(g: Multigraph, labels: Sequence[str] | None) -> list[str]:
-    if labels is None:
-        return [str(v) for v in range(g.n)]
-    out = [str(x) for x in labels]
-    if len(out) != g.n or len(set(out)) != g.n:
-        raise StructureError(f"need {g.n} distinct labels, got {labels!r}")
-    return out
-
-
-def graph_generator(g: Multigraph, i: int, labels: Sequence[str] | None = None) -> PauliOperator:
+def graph_generator(g: Multigraph, i: int) -> PauliOperator:
     """The generator at vertex i: X there, Z^{m_ij} at each neighbor j."""
     if not 0 <= i < g.n:
         raise StructureError(f"vertex {i} outside 0..{g.n - 1}")
-    names = _vertex_labels(g, labels)
-    sites: dict[str, tuple[int, int]] = {names[i]: (1, 0)}
+    sites: dict[str, tuple[int, int]] = {str(i): (1, 0)}
     for j in range(g.n):
         if g.mult[i][j]:
-            sites[names[j]] = (0, g.mult[i][j])
+            sites[str(j)] = (0, g.mult[i][j])
     return PauliOperator.from_sites(g.d, sites)
 
 
-def word(
-    g: Multigraph,
-    exponents: Mapping[int, int],
-    labels: Sequence[str] | None = None,
-) -> StabilizerWord:
+def word(g: Multigraph, exponents: Mapping[int, int]) -> StabilizerWord:
     """Product of generator powers, one per vertex, in ascending vertex order.
 
     Built in one pass: g_v^e is X^e at v and Z^(e m_vu) at each neighbor u,
@@ -65,7 +51,6 @@ def word(
     g_w^(e_w) reorders X^(e_w) past the Z^(sum_{v<w} e_v m_vw) gathered at w,
     adding 2 e_w sum_{v<w} e_v m_vw to the tau exponent.
     """
-    names = _vertex_labels(g, labels)
     d, n = g.d, g.n
     x = [0] * n
     z = [0] * n
@@ -81,14 +66,12 @@ def word(
         x[v] = e
         for u, m in enumerate(g.mult[v]):
             z[u] += e * m
-        factors.append((names[v], e))
-    op = PauliOperator.from_sites(d, {names[u]: (x[u], z[u]) for u in range(n)}, phase)
+        factors.append((str(v), e))
+    op = PauliOperator.from_sites(d, {str(u): (x[u], z[u]) for u in range(n)}, phase)
     return StabilizerWord(operator=op, factorization=tuple(factors))
 
 
-def ghz_stabilizer_element(
-    d: int, a: int, b: int, c: int, labels: Sequence[str] = GHZ_PARTIES
-) -> PauliOperator:
+def ghz_stabilizer_element(d: int, a: int, b: int, c: int) -> PauliOperator:
     """The GHZ stabilizer S_abc = Z^a X^c (x) Z^{b-a} X^c (x) Z^{-b} X^c.
 
     The per-site reorder phases cancel exactly, so the stored phase is 0.
@@ -97,15 +80,15 @@ def ghz_stabilizer_element(
     for name, value in (("a", a), ("b", b), ("c", c)):
         if not 0 <= value < d:
             raise RangeError(f"exponent {name}={value} outside 0..{d - 1}")
-    la, lb, lc = (str(x) for x in labels)
+    la, lb, lc = GHZ_PARTIES
     return PauliOperator.from_sites(
         d, {la: (c, a), lb: (c, (b - a) % d), lc: (c, (-b) % d)}
     )
 
 
-def ghz_group(d: int, labels: Sequence[str] = GHZ_PARTIES) -> Iterator[PauliOperator]:
+def ghz_group(d: int) -> Iterator[PauliOperator]:
     """All d^3 GHZ stabilizer elements, in lexicographic (a, b, c) order."""
     for a in range(d):
         for b in range(d):
             for c in range(d):
-                yield ghz_stabilizer_element(d, a, b, c, labels)
+                yield ghz_stabilizer_element(d, a, b, c)

@@ -381,22 +381,25 @@ def test_verifier_rejects_tampering():
     assert any(c.name == "groups_partition" for c in report.failed())
 
 
-def test_verifier_dense_check_can_be_skipped():
+def test_verifier_dense_check_can_be_skipped(monkeypatch):
     cert = certify_constant_multiplicity(triangle(3))
-    report = verify_obs3(cert, dense_cap=1)
+    monkeypatch.setenv("NETCERT_CAP", "1")
+    report = verify_obs3(cert)
     eig = [c for c in report.checks if c.name == "eigenspace_obstruction"]
     assert len(eig) == 1 and eig[0].passed and "skipped" in eig[0].detail
     assert report.all_passed
 
 
-def test_verifier_decides_obstruction_above_dense_cap():
+def test_verifier_decides_obstruction_above_dense_cap(monkeypatch):
     """Skipping the dense check does not pass operators whose restrictions
     to group 2 commute, and at the default cap the check runs and fails."""
     cert = certify_constant_multiplicity(triangle(3))
     commuting = _tampered(cert, s4=cert.s3)
-    report = verify_obs3(commuting, dense_cap=1)
+    monkeypatch.setenv("NETCERT_CAP", "1")
+    report = verify_obs3(commuting)
     eig = [c for c in report.checks if c.name == "eigenspace_obstruction"]
     assert len(eig) == 1 and not eig[0].passed and "skipped" in eig[0].detail
+    monkeypatch.delenv("NETCERT_CAP")
     report = verify_obs3(commuting)
     eig = [c for c in report.checks if c.name == "eigenspace_obstruction"]
     assert len(eig) == 1 and not eig[0].passed and "skipped" not in eig[0].detail

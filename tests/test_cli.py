@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, round trips, determinism."""
 
+import argparse
 import json
 import shutil
 import subprocess
@@ -7,11 +8,12 @@ import sys
 
 import pytest
 
-from netcert.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
+from netcert.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, build_parser, main
 
 TRIANGLE = "2 3; 0 1 1; 1 2 1; 0 2 1"
 BAD_ANGLE = "6 3; 0 1 3; 0 2 2"
 PATH_D2 = "2 3; 0 1 1; 1 2 1"
+TRIANGLE_EDGES = [[0, 1, 1], [1, 2, 1], [0, 2, 1]]
 
 
 def run(capsys, *argv):
@@ -89,12 +91,40 @@ def test_certify_output_file(tmp_path, capsys):
 
 
 def test_certify_input_errors(capsys):
-    code, _, err = run(capsys, "certify")
-    assert code == EXIT_ERROR and "error:" in err
+    with pytest.raises(SystemExit) as info:
+        main(["certify"])
+    assert info.value.code == EXIT_ERROR and "error:" in capsys.readouterr().err
     code, _, err = run(capsys, "certify", "--inline", "2 3; 0 9 1")
     assert code == EXIT_ERROR and "error:" in err
     code, _, err = run(capsys, "certify", "--input", "/nonexistent/graph.txt")
     assert code == EXIT_ERROR
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"d": "x", "n": 3, "edges": TRIANGLE_EDGES},
+        {"d": 2, "n": 3.0, "edges": TRIANGLE_EDGES},
+        {"d": 2, "n": 3, "edges": 5},
+        {"d": 2, "n": 3, "edges": [[0, 1], *TRIANGLE_EDGES[1:]]},
+        {"d": 2, "n": 3, "edges": [[0, 1, 1.7], *TRIANGLE_EDGES[1:]]},
+        {"d": 2, "n": 3, "edges": [[0, 1, "1"], *TRIANGLE_EDGES[1:]]},
+        {"d": 2, "n": 3, "edges": [[0, 1, True], *TRIANGLE_EDGES[1:]]},
+        {"d": 2, "n": 3, "edges": [7, *TRIANGLE_EDGES[1:]]},
+    ],
+    ids=[
+        "d-string", "n-float", "edges-int", "edge-pair",
+        "m-float", "m-string", "m-bool", "edge-int",
+    ],
+)
+def test_certify_rejects_malformed_json_graph(tmp_path, capsys, obj):
+    """A graph file that is not integers d, n and [i, j, m] triples exits 1
+    with one error line; the triangle it spells is not certified instead."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "certify", "--input", str(path))
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ------------------------------------------------------------------ enumerate
@@ -267,8 +297,9 @@ def test_verify_rejects_tampering(tmp_path, capsys):
 
 
 def test_verify_input_errors(tmp_path, capsys):
-    code, _, err = run(capsys, "verify")
-    assert code == EXIT_ERROR and "error:" in err
+    with pytest.raises(SystemExit) as info:
+        main(["verify"])
+    assert info.value.code == EXIT_ERROR and "error:" in capsys.readouterr().err
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
     code, _, err = run(capsys, "verify", "--input", str(bad))
@@ -349,6 +380,66 @@ def test_usage_errors_exit_1(capsys, argv):
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
     assert err.startswith("usage: netcert") and ": error: " in err.splitlines()[-1]
+
+
+# Arguments of a normal run of each subcommand, which exits EXIT_OK; "{cert}"
+# is a stored certificate of TRIANGLE.
+NORMAL_ARGS = {
+    "certify": ["--inline", TRIANGLE],
+    "enumerate": ["--n", "3", "--d", "3"],
+    "ghz-bound": ["--d", "3"],
+    "orbit": ["--inline", PATH_D2],
+    "verify": ["--input", "{cert}"],
+    "selftest": ["--trials", "5"],
+}
+
+
+def _format_choices():
+    """(subcommand, format) for every --format value the parser accepts."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, parser in sub.choices.items():
+        (fmt,) = [a for a in parser._actions if a.dest == "format"]
+        for choice in fmt.choices:
+            yield command, choice
+
+
+def _normal_argv(tmp_path, command):
+    argv = NORMAL_ARGS[command]
+    if "{cert}" in argv:
+        cert_file = tmp_path / "cert.json"
+        assert main(["certify", "--inline", TRIANGLE, "--output", str(cert_file)]) == EXIT_OK
+        argv = [a.replace("{cert}", str(cert_file)) for a in argv]
+    return [command, *argv]
+
+
+@pytest.mark.parametrize("command,fmt", list(_format_choices()))
+def test_every_offered_format_renders(tmp_path, capsys, command, fmt):
+    code, out, err = run(capsys, *_normal_argv(tmp_path, command), "--format", fmt)
+    assert code == EXIT_OK and out and err == ""
+    if fmt == "json":
+        json.loads(out)
+    if fmt == "tsv":
+        assert "\t" in out.splitlines()[0]
+
+
+@pytest.mark.parametrize("command", ["certify", "orbit", "verify", "selftest"])
+def test_tsv_is_a_usage_error_where_not_rendered(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([*_normal_argv(tmp_path, command), "--format", "tsv"])
+    assert info.value.code == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice" in err and "tsv" in err
+
+
+@pytest.mark.parametrize("command", ["certify", "orbit"])
+def test_inline_and_input_together_is_a_usage_error(tmp_path, capsys, command):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text("2 3\n0 1 1\n1 2 1\n")
+    with pytest.raises(SystemExit) as info:
+        main([command, "--inline", TRIANGLE, "--input", str(graph_file)])
+    assert info.value.code == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument" in err
 
 
 def test_selftest_seed_is_deterministic(capsys):

@@ -152,8 +152,7 @@ def test_bound_report_dispatch():
     assert rep.bound_numeric is None
     assert rep.bound_prime == ghz_prime_bound(11)
     assert rep.bound_closed_form == ghz_closed_form_bound(11)
-    rep9 = bound_report(9, numeric=True)
+    rep9 = bound_report(9)
     assert rep9.bound_numeric is None and rep9.bound_prime is None
     rep3 = bound_report(3)
     assert rep3.bound_numeric is not None
-    assert bound_report(3, numeric=False).bound_numeric is None

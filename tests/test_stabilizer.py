@@ -33,30 +33,28 @@ def random_graph(rng, n, d):
     return Multigraph.from_edges(d, n, eds)
 
 
-def reference_word_operator(g, exponents, labels=None):
+def reference_word_operator(g, exponents):
     """The generator-power product word() must agree with: power each
     generator and multiply them in ascending vertex order."""
     op = identity(g.d)
     for v in sorted(exponents):
         e = exponents[v] % g.d
         if e:
-            op = multiply(op, power(graph_generator(g, v, labels), e))
+            op = multiply(op, power(graph_generator(g, v), e))
     return op
 
 
 def test_word_matches_power_multiply_product():
     rng = np.random.default_rng(23)
-    for trial in range(400):
+    for _ in range(400):
         d = int(rng.integers(2, 9))
         n = int(rng.integers(2, 7))
         g = random_graph(rng, n, d)
         chosen = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
         exps = {int(v): int(rng.integers(-2 * d, 2 * d)) for v in chosen}
-        labels = None if trial % 2 else [f"q{n - v}" for v in range(n)]
-        w = word(g, exps, labels)
-        assert w.operator == reference_word_operator(g, exps, labels)
-        names = labels or [str(v) for v in range(n)]
-        want = tuple((names[v], e % d) for v, e in sorted(exps.items()) if e % d)
+        w = word(g, exps)
+        assert w.operator == reference_word_operator(g, exps)
+        want = tuple((str(v), e % d) for v, e in sorted(exps.items()) if e % d)
         assert w.factorization == want
     with pytest.raises(StructureError):
         word(g, {n: 1})
@@ -69,8 +67,6 @@ def test_generator_layout():
     assert g1.site_map() == {"0": (0, 2), "1": (1, 0), "2": (0, 1)}
     with pytest.raises(StructureError):
         graph_generator(g, 3)
-    with pytest.raises(StructureError):
-        graph_generator(g, 1, labels=["A", "A", "B"])
 
 
 def test_generators_commute_exactly():
@@ -190,8 +186,3 @@ def test_ghz_elements_stabilize_ghz_state():
         for s in ghz_group(d):
             val = expectation_value(dense(s, GHZ_PARTIES), psi)
             assert abs(val - 1.0) < 1e-10
-
-
-def test_ghz_custom_labels():
-    s = ghz_stabilizer_element(3, 1, 2, 1, labels=("p", "q", "r"))
-    assert set(s.site_map()) == {"p", "q", "r"}
