@@ -21,8 +21,6 @@ from .certify import (
     certificate_from_json,
     certificate_to_json,
     certify_any,
-    certify_constant_multiplicity,
-    certify_obs4,
     exhaustive_table,
     fidelity_bound_from_lambda,
     select_power_t,
@@ -130,8 +128,6 @@ __all__ = [
     "certificate_from_json",
     "certificate_to_json",
     "certify_any",
-    "certify_constant_multiplicity",
-    "certify_obs4",
     "commutation_phase",
     "complete_bipartite_network",
     "dagger",

@@ -12,6 +12,19 @@ Two constructions are implemented: ``obs1`` for constant edge
 multiplicity, built from generator quotients around an angle or triangle,
 and ``obs4`` for general multiplicities, built from generator powers
 scaled by the edge weights around the triple.
+
+One rule set picks and builds them: the triple order (_triples), the obs4
+blocking test (_blocked), the witness exponents (_exponent_table) and the
+groups (_group_masks).  Two paths apply it: _certify_direct on one graph
+with Python ints, for certify_any, and _direct_pass on a stack of graphs
+with int64 arrays, for exhaustive_table.  They stay two because arrays
+only pay off in bulk.  Measured on a 2-core VM: running certify_any's
+graphs through _direct_pass made certify_any over the 216 graphs of the
+perfbench certify_verify pool 2x slower (0.13-0.19 s became 0.32-0.40 s);
+choosing the triple on ints and building and checking only the witness on
+arrays still cost 40-60 ms (about +35 %).  The enumerator keeps packed
+integer keys for the same reason: a byte-string canonicaliser took
+_canonical_rows(5, 4) from 0.28 s to 0.42 s.
 """
 
 from __future__ import annotations
@@ -33,7 +46,6 @@ from .errors import (
     NetcertError,
     RangeError,
     StructureError,
-    WrongFamily,
 )
 from .multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -44,11 +56,9 @@ from .multigraph import (
     _LCClasses,
     _LCWalk,
     edges,
-    find_angle_or_triangle,
     from_triu_vector,
     is_connected,
     local_complement,
-    partition_neighborhoods,
     triu_to_matrices,
 )
 from .network import marginal_chain_checks, prime
@@ -194,10 +204,29 @@ def _neighbor_masks(g: Multigraph) -> list[int]:
     return [sum(1 << j for j, m in enumerate(row) if m) for row in g.mult]
 
 
-# The formulas below are written once for both callers: on Python ints for
-# one graph (certify_any) and on int64 arrays for a whole table cell
+# The rules below are written once for both paths: on Python ints for one
+# graph (_certify_direct) and on int64 arrays for a whole table cell
 # (_direct_pass).  Vertex sets are bitmasks; ``tri1`` is 1 for the obs1
 # construction on a triangle and 0 otherwise.
+
+
+@lru_cache(maxsize=None)
+def _triples(n: int) -> tuple[tuple[int, int, int], ...]:
+    """Every ordered triple of distinct vertices, in lexicographic order.  A
+    construction is tried at those with edges AB and CA, in this order."""
+    return tuple(itertools.permutations(range(n), 3))
+
+
+def _blocked(m_ab, m_bc, m_ca, h, nb_a, nb_b, nb_c, b, c, d):
+    """Flags (t_abc, apex, m_tilde_zero) of REJECTION_KINDS: why the obs4
+    construction fails at a triple with edges AB and CA, h the gcd of its
+    three edge weights; all false where it succeeds.  m_tilde_zero is only
+    set where the other two are not."""
+    t_abc = (nb_a & nb_b & nb_c) != 0
+    # j_ab | j_ca: neighbors of a shared with exactly one of b, c
+    apex = (m_bc != 0) & ((nb_a & (nb_b ^ nb_c) & ~(1 << b | 1 << c)) != 0)
+    m_tilde_zero = ((t_abc | apex) == 0) & ((m_ab * m_ca // h) % d == 0)
+    return t_abc, apex, m_tilde_zero
 
 
 def _obs4_weights(m_ab, m_bc, m_ca, h, d):
@@ -322,86 +351,22 @@ def _build_certificate(
     )
 
 
-def certify_constant_multiplicity(g: Multigraph) -> Certificate:
-    """Certificate for a connected graph whose edges all share one weight.
-
-    Uses the first angle or triangle in lexicographic order; the
-    construction never fails on this family.
-    """
-    triples = find_angle_or_triangle(g)
-    weights = {m for _, _, m in edges(g)}
-    if len(weights) != 1:
-        raise WrongFamily(f"edge multiplicities {sorted(weights)} are not constant")
-    return _build_certificate(g, (), g, triples[0][:3], general=False, nb=_neighbor_masks(g))
-
-
-def _obs4_blocked(
-    g: Multigraph, nb: Sequence[int], triple: tuple[int, int, int]
-) -> tuple[str, ...]:
-    """The kinds of failure (REJECTION_KINDS) of the general-multiplicity
-    construction at this triple; empty where it succeeds.
-
-    Decided from the neighbor bitmasks ``nb`` and the edge weights, without
-    building a partition.
-    """
-    a, b, c = triple
-    all_three = nb[a] & nb[b] & nb[c]
-    # j_ab | j_ca: neighbors of a shared with exactly one of b, c
-    apex = g.mult[b][c] and nb[a] & (nb[b] ^ nb[c]) & ~(1 << b | 1 << c)
-    if all_three or apex:
-        return ("t_abc",) * bool(all_three) + ("apex",) * bool(apex)
-    m_ab, m_ca = g.mult[a][b], g.mult[c][a]
-    if (m_ab * m_ca // gcd(m_ab, m_ca, g.mult[b][c])) % g.d == 0:
-        return ("m_tilde_zero",)
-    return ()
-
-
-def _reason_line(g: Multigraph, triple: tuple[int, int, int], kind: str) -> str:
-    a, b, c = triple
-    tag = f"triple ({a},{b},{c})"
-    if kind == "t_abc":
-        return f"{tag}: vertices adjacent to all three present"
-    if kind == "apex":
-        return f"{tag}: triangle with shared neighbors at the apex"
-    m_ab, m_ca = g.mult[a][b], g.mult[c][a]
-    h = gcd(m_ab, m_ca, g.mult[b][c])
-    return f"{tag}: m_tilde = {m_ab}*{m_ca}/{h} = 0 (mod {g.d})"
-
-
-def _tally(kinds: Iterable[str]) -> tuple[tuple[str, int], ...]:
-    counts = Counter(kinds)
-    return tuple((kind, counts[kind]) for kind in REJECTION_KINDS)
-
-
-def certify_obs4(g: Multigraph, triple: Sequence[int]) -> Certificate | NotCertified:
-    """General-multiplicity certificate at a given angle or triangle."""
-    a, b, c = triple[:3]
-    partition_neighborhoods(g, a, b, c)  # validates the triple
-    nb = _neighbor_masks(g)
-    kinds = _obs4_blocked(g, nb, (a, b, c))
-    if kinds:
-        reasons = tuple(_reason_line(g, (a, b, c), kind) for kind in kinds)
-        return NotCertified(graph=g, reasons=reasons, rejections=_tally(kinds))
-    return _build_certificate(g, (), g, (a, b, c), general=True, nb=nb)
-
-
 def _certify_direct(
     graph: Multigraph, lc_path: tuple[int, ...], certified: Multigraph
 ) -> Certificate | None:
-    """Try every construction on one graph: a Certificate, or None; _refusal
-    explains a failure."""
-    triples = find_angle_or_triangle(certified)
-    weights = {m for _, _, m in edges(certified)}
+    """Try every construction on one graph: obs1 at its first triple when the
+    weights are constant, else obs4 at the first triple not _blocked.  A
+    Certificate, or None; _refusal explains a failure."""
+    d, mult = certified.d, certified.mult
     nb = _neighbor_masks(certified)
-    if len(weights) == 1:
-        return _build_certificate(
-            graph, lc_path, certified, triples[0][:3], general=False, nb=nb
-        )
-    for a, b, c, _ in triples:
-        if not _obs4_blocked(certified, nb, (a, b, c)):
-            return _build_certificate(
-                graph, lc_path, certified, (a, b, c), general=True, nb=nb
-            )
+    general = len({m for row in mult for m in row if m}) > 1
+    for a, b, c in _triples(certified.n):
+        m_ab, m_bc, m_ca = mult[a][b], mult[b][c], mult[c][a]
+        if not (m_ab and m_ca):
+            continue
+        h = gcd(m_ab, m_bc, m_ca)
+        if not (general and any(_blocked(m_ab, m_bc, m_ca, h, nb[a], nb[b], nb[c], b, c, d))):
+            return _build_certificate(graph, lc_path, certified, (a, b, c), general, nb)
     return None
 
 
@@ -409,18 +374,33 @@ def _refusal(g: Multigraph, size: int, truncated: bool, orbit_cap: int) -> NotCe
     """certify_any's answer for a connected g (n >= 3) whose walk of ``size``
     orbit members found nothing: why the direct attempt on g fails, line by
     line and by kind, and how far the orbit search went."""
+    d, mult = g.d, g.mult
     nb = _neighbor_masks(g)
     reasons = [f"edge multiplicities {sorted({m for _, _, m in edges(g)})} are not constant"]
     kinds = ["non_constant"]
-    for a, b, c, _ in find_angle_or_triangle(g):
-        for kind in _obs4_blocked(g, nb, (a, b, c)):
-            reasons.append(_reason_line(g, (a, b, c), kind))
-            kinds.append(kind)
+    for a, b, c in _triples(g.n):
+        m_ab, m_bc, m_ca = mult[a][b], mult[b][c], mult[c][a]
+        if not (m_ab and m_ca):
+            continue
+        h = gcd(m_ab, m_bc, m_ca)
+        t_abc, apex, m_tilde_zero = _blocked(m_ab, m_bc, m_ca, h, nb[a], nb[b], nb[c], b, c, d)
+        tag = f"triple ({a},{b},{c})"
+        if t_abc:
+            reasons.append(f"{tag}: vertices adjacent to all three present")
+            kinds.append("t_abc")
+        if apex:
+            reasons.append(f"{tag}: triangle with shared neighbors at the apex")
+            kinds.append("apex")
+        if m_tilde_zero:
+            reasons.append(f"{tag}: m_tilde = {m_ab}*{m_ca}/{h} = 0 (mod {d})")
+            kinds.append("m_tilde_zero")
     note = f"all {size} graphs in the local-complementation orbit fail"
     if truncated:
         note += f" (orbit search truncated at {orbit_cap})"
+    counts = Counter(kinds)
+    rejections = tuple((kind, counts[kind]) for kind in REJECTION_KINDS)
     return NotCertified(
-        g, (*reasons, note), orbit_size=size, orbit_truncated=truncated, rejections=_tally(kinds)
+        g, (*reasons, note), orbit_size=size, orbit_truncated=truncated, rejections=rejections
     )
 
 
@@ -487,31 +467,20 @@ def _direct_pass(mats: np.ndarray, d: int) -> _DirectPass:
     return _DirectPass(*map(np.concatenate, zip(*blocks)))
 
 
-@lru_cache(maxsize=None)
-def _triples(n: int) -> np.ndarray:
-    """Every ordered triple of distinct vertices, in lexicographic order: a
-    superset of find_angle_or_triangle's triples, in its order."""
-    triples = np.array(list(itertools.permutations(range(n), 3)), dtype=np.int64).reshape(-1, 3)
-    triples.setflags(write=False)
-    return triples
-
-
 def _direct_block(mats: np.ndarray, d: int) -> _DirectPass:
     """_direct_pass on one block of graphs."""
     k, n = mats.shape[0], mats.shape[1]
     mats = mats.astype(np.int64, copy=False)
-    ta, tb, tc = _triples(n).T
+    ta, tb, tc = np.array(_triples(n), dtype=np.int64).reshape(-1, 3).T
     m_ab, m_bc, m_ca = mats[:, ta, tb], mats[:, tb, tc], mats[:, tc, ta]
     nb = ((mats != 0) << np.arange(n)).sum(axis=2)
-    nb_a, nb_b, nb_c = nb[:, ta], nb[:, tb], nb[:, tc]
-    # blocked flags per (graph, triple), as in _obs4_blocked
     valid = (m_ab != 0) & (m_ca != 0)
-    t_block = valid & ((nb_a & nb_b & nb_c) != 0)
-    apex = nb_a & (nb_b ^ nb_c) & ~(1 << tb | 1 << tc)
-    a_block = valid & (m_bc != 0) & (apex != 0)
     h = np.gcd(np.gcd(m_ab, m_ca), m_bc)
     h[h == 0] = 1
-    z_block = valid & ~(t_block | a_block) & ((m_ab * m_ca // h) % d == 0)
+    t_block, a_block, z_block = (
+        valid & flag
+        for flag in _blocked(m_ab, m_bc, m_ca, h, nb[:, ta], nb[:, tb], nb[:, tc], tb, tc, d)
+    )
     weights = mats.reshape(k, n * n)
     constant = weights.max(axis=1) == np.where(weights != 0, weights, d).min(axis=1)
     usable = np.where(constant[:, None], valid, valid & ~(t_block | a_block | z_block))
@@ -628,14 +597,14 @@ def _orbit_walks(
     walk only expands classes whose direct attempt fails, since it stops at
     the first member whose class certifies.  ``certified`` holds that
     outcome per class; classes outside the cell (a table cut short by its
-    budget) get a real direct attempt, memoised, and are filled when a walk
-    expands them.  Returns the walks, in cell order, and the stack of the
-    members they stop at, in the same order.
+    budget) get theirs from _direct_pass on the rows fill appends, and are
+    filled when a walk expands them.  Returns the walks, in cell order, and
+    the stack of the members they stop at, in the same order.
     """
     classes = _LCClasses(n, d, rows)
     failing = np.flatnonzero(~certified).tolist()
     classes.fill(failing)
-    ok: list[bool | None] = certified.tolist()
+    ok: list[bool] = certified.tolist()
     identity = tuple(range(n))
     walks, found = [], []
     for start in failing:
@@ -644,10 +613,8 @@ def _orbit_walks(
         for k, state, path in walk:
             size += 1
             if k >= len(ok):
-                ok.extend([None] * (len(classes.rows) - len(ok)))
-            if ok[k] is None:
-                rep = from_triu_vector(d, n, classes.rows[k].tolist())
-                ok[k] = _certify_direct(rep, (), rep) is not None
+                added = triu_to_matrices(classes.rows[len(ok) :], n)
+                ok.extend(_direct_pass(added, d).certified.tolist())
             if ok[k]:
                 rescue = path
                 found.append(state)
@@ -887,8 +854,16 @@ def certificate_to_json_obj(cert: Certificate) -> dict:
     }
 
 
+def _int(value) -> int:
+    # type() is int: JSON true/false load as bools, an int subclass
+    if type(value) is not int:
+        raise StructureError(f"malformed certificate object: {value!r} is not an integer")
+    return value
+
+
 def certificate_from_json_obj(obj: dict) -> Certificate:
-    """Inverse of certificate_to_json_obj."""
+    """Inverse of certificate_to_json_obj.  Every integer field must hold a
+    JSON integer; anything else raises StructureError."""
     try:
         graph = Multigraph.from_json_obj(obj["graph"])
         d = graph.d
@@ -896,17 +871,17 @@ def certificate_from_json_obj(obj: dict) -> Certificate:
         def op_from(o: dict) -> StabilizerWord:
             operator = PauliOperator.from_sites(
                 d,
-                {lbl: (x, z) for lbl, (x, z) in o["sites"].items()},
-                phase_exp=o["phase_exp"],
+                {lbl: (_int(x), _int(z)) for lbl, (x, z) in o["sites"].items()},
+                phase_exp=_int(o["phase_exp"]),
             )
-            factorization = tuple((lbl, int(e)) for lbl, e in o["factorization"])
+            factorization = tuple((lbl, _int(e)) for lbl, e in o["factorization"])
             return StabilizerWord(operator=operator, factorization=factorization)
 
         ops = obj["operators"]
         return Certificate(
             graph=graph,
-            lc_path=tuple(int(v) for v in obj["lc_path"]),
-            triple=tuple(int(v) for v in obj["triple"]),
+            lc_path=tuple(map(_int, obj["lc_path"])),
+            triple=tuple(map(_int, obj["triple"])),
             kind=obj["kind"],
             method=obj["method"],
             groups=tuple(
@@ -917,12 +892,13 @@ def certificate_from_json_obj(obj: dict) -> Certificate:
             s3=op_from(ops["S3"]),
             s4=op_from(ops["S4"]),
             s4_relabeling=tuple(sorted(ops["S4prime_relabel"].items())),
-            exponents=tuple((k, int(v)) for k, v in obj["exponents"].items()),
-            kappa=int(obj["kappa"]),
+            exponents=tuple((k, _int(v)) for k, v in obj["exponents"].items()),
+            kappa=_int(obj["kappa"]),
             lambda_prime=float(obj["lambda_prime"]),
             fidelity_bound=float(obj["fidelity_bound"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    # AttributeError: a list where an object belongs has no .items()
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed certificate object: {exc}") from exc
 
 

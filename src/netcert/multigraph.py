@@ -276,20 +276,10 @@ def _canonical_rows(n: int, d: int, budget: int) -> Iterator[np.ndarray]:
     swaps = wmat[:, moved == 2]
 
     chunk_rows = max(1024, min(262_144, 4_000_000 // wmat.shape[1]))
-    examined = 0
+    limit = min(total, max(budget, 0))
     yielded = 0
-    start = 0
-    while start < total:
-        stop = min(start + chunk_rows, total)
-        if examined + (stop - start) > budget:
-            stop = start + (budget - examined)
-            if stop <= start:
-                raise EnumerationOverflow(
-                    f"enumeration budget {budget} exhausted for n={n}, d={d} "
-                    f"({total} labeled vectors total)",
-                    examined=examined,
-                    yielded=yielded,
-                )
+    for start in range(0, limit, chunk_rows):
+        stop = min(start + chunk_rows, limit)
         ids = np.arange(start, stop, dtype=np.int64)
         digits = (ids[:, None] // weights[None, :]) % d
         keep = (digits @ swaps).min(axis=1) >= ids
@@ -299,15 +289,13 @@ def _canonical_rows(n: int, d: int, budget: int) -> Iterator[np.ndarray]:
         if len(rows):
             yielded += len(rows)
             yield rows
-        examined += stop - start
-        start = stop
-        if examined >= budget and start < total:
-            raise EnumerationOverflow(
-                f"enumeration budget {budget} exhausted for n={n}, d={d} "
-                f"({total} labeled vectors total)",
-                examined=examined,
-                yielded=yielded,
-            )
+    if limit < total:
+        raise EnumerationOverflow(
+            f"enumeration budget {budget} exhausted for n={n}, d={d} "
+            f"({total} labeled vectors total)",
+            examined=limit,
+            yielded=yielded,
+        )
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,9 @@ from netcert import (
     NotCertified,
     RangeError,
     StructureError,
-    WrongFamily,
     certificate_from_json,
     certificate_to_json,
     certify_any,
-    certify_constant_multiplicity,
-    certify_obs4,
     enumerate_connected_multigraphs,
     exhaustive_table,
     fidelity_bound_from_lambda,
@@ -107,7 +104,7 @@ def test_fidelity_bound_from_lambda():
 
 
 def test_constant_multiplicity_triangle_d2():
-    cert = certify_constant_multiplicity(triangle(2))
+    cert = certify_any(triangle(2))
     assert cert.method == "obs1"
     assert cert.kind == "triangle"
     assert cert.kappa == 1
@@ -117,9 +114,11 @@ def test_constant_multiplicity_triangle_d2():
 
 
 def test_constant_multiplicity_rejects_mixed_weights():
+    """Mixed weights never get the constant-multiplicity construction."""
     g = Multigraph.from_edges(3, 3, [(0, 1, 1), (1, 2, 2)])
-    with pytest.raises(WrongFamily):
-        certify_constant_multiplicity(g)
+    cert = certify_any(g)
+    assert cert.method == "obs4" and cert.lc_path == ()
+    assert verify_obs3(cert).all_passed
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
@@ -128,7 +127,8 @@ def test_constant_multiplicity_bounds_by_dimension(d):
     # closed form at sin(pi/(2 d')).
     for m in range(1, d):
         g = triangle(d, m)
-        cert = certify_constant_multiplicity(g)
+        cert = certify_any(g)
+        assert cert.method == "obs1" and cert.lc_path == ()
         d_red = d // math.gcd(m, d)
         if d_red % 2 == 0:
             assert cert.fidelity_bound == 0.9
@@ -140,24 +140,12 @@ def test_constant_multiplicity_bounds_by_dimension(d):
 
 def test_obs4_on_mixed_angle():
     g = angle(3, 1, 2)
-    cert = certify_obs4(g, (0, 1, 2))
+    cert = certify_any(g)
     assert isinstance(cert, Certificate)
     assert cert.method == "obs4"
     assert cert.kind == "angle"
+    assert cert.triple == (0, 1, 2)
     assert verify_obs3(cert).all_passed
-
-
-def test_obs4_reports_reasons():
-    res = certify_obs4(angle(6, 3, 2), (0, 1, 2))
-    assert isinstance(res, NotCertified)
-    assert any("m_tilde" in r for r in res.reasons)
-    # apex shared neighbor blocks the triangle construction
-    g = Multigraph.from_edges(
-        2, 4, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 3, 1), (1, 3, 1)]
-    )
-    res = certify_obs4(g, (0, 1, 2))
-    assert isinstance(res, NotCertified)
-    assert any("shared neighbors" in r or "all three" in r for r in res.reasons)
 
 
 def test_negative_control_d6_angle_is_orbit_singleton():
@@ -187,8 +175,6 @@ def test_lc_orbit_rescue():
     g = Multigraph.from_edges(
         4, 4, [(0, 2, 2), (0, 3, 2), (1, 2, 2), (1, 3, 2), (2, 3, 1)]
     )
-    from netcert.certify import _certify_direct
-
     assert _certify_direct(g, (), g) is None
     cert = certify_any(g)
     assert isinstance(cert, Certificate)
@@ -278,8 +264,9 @@ def reference_direct_reasons(g):
 
 
 def test_direct_attempt_matches_partition_reference():
-    from netcert.certify import _certify_direct
-
+    """Both paths against the partition reference: _certify_direct and,
+    on the same labeled graph, the certified flag and rejection counts of
+    _direct_pass."""
     rng = np.random.default_rng(41)
     refused = 0
     for _ in range(400):
@@ -296,16 +283,20 @@ def test_direct_attempt_matches_partition_reference():
             continue
         want = reference_direct_reasons(g)
         got = _certify_direct(g, (), g)
+        # an orbit cap of 1 leaves the direct attempt's outcome
+        res = certify_any(g, orbit_cap=1)
+        direct = _direct_pass(np.array([g.mult]), d)
+        assert direct.certified[0] == isinstance(res, Certificate)
         if want is None:
             assert isinstance(got, Certificate)
+            assert direct.rejections[0].tolist() == [0] * len(REJECTION_KINDS)
         else:
             refused += 1
             assert got is None
-            # an orbit cap of 1 leaves the direct attempt's refusal
-            res = certify_any(g, orbit_cap=1)
             assert res.reasons[:-1] == tuple(line for _, line in want)
             kinds = Counter(kind for kind, _ in want)
             assert res.rejections == tuple((kind, kinds[kind]) for kind in REJECTION_KINDS)
+            assert tuple(zip(REJECTION_KINDS, direct.rejections[0].tolist())) == res.rejections
     assert refused >= 50
 
 
@@ -339,7 +330,7 @@ def _tampered(cert, **changes):
 
 
 def test_verifier_rejects_tampering():
-    cert = certify_constant_multiplicity(triangle(3))
+    cert = certify_any(triangle(3))
     assert verify_obs3(cert).all_passed
 
     wrong_kappa = _tampered(cert, kappa=(cert.kappa + 1) % 3)
@@ -372,7 +363,7 @@ def test_verifier_rejects_tampering():
     # drop a populated group: use a path on four vertices, whose far vertex
     # lands in group 4
     path4 = Multigraph.from_edges(2, 4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-    cert4 = certify_constant_multiplicity(path4)
+    cert4 = certify_any(path4)
     assert cert4.groups[3], "test needs a nonempty fourth group"
     missing_group = _tampered(
         cert4, groups=(cert4.groups[0], cert4.groups[1], cert4.groups[2], ())
@@ -382,7 +373,7 @@ def test_verifier_rejects_tampering():
 
 
 def test_verifier_dense_check_can_be_skipped(monkeypatch):
-    cert = certify_constant_multiplicity(triangle(3))
+    cert = certify_any(triangle(3))
     monkeypatch.setenv("NETCERT_CAP", "1")
     report = verify_obs3(cert)
     eig = [c for c in report.checks if c.name == "eigenspace_obstruction"]
@@ -393,7 +384,7 @@ def test_verifier_dense_check_can_be_skipped(monkeypatch):
 def test_verifier_decides_obstruction_above_dense_cap(monkeypatch):
     """Skipping the dense check does not pass operators whose restrictions
     to group 2 commute, and at the default cap the check runs and fails."""
-    cert = certify_constant_multiplicity(triangle(3))
+    cert = certify_any(triangle(3))
     commuting = _tampered(cert, s4=cert.s3)
     monkeypatch.setenv("NETCERT_CAP", "1")
     report = verify_obs3(commuting)
@@ -423,7 +414,7 @@ def test_json_round_trip_is_byte_identical():
 
 
 def test_json_schema_shape():
-    cert = certify_constant_multiplicity(triangle(2))
+    cert = certify_any(triangle(2))
     obj = certificate_to_json_obj(cert)
     assert list(obj) == [
         "graph",
@@ -447,7 +438,7 @@ def test_malformed_certificates_rejected():
         certificate_from_json("not json at all")
     with pytest.raises(StructureError):
         certificate_from_json("{}")
-    cert = certify_constant_multiplicity(triangle(2))
+    cert = certify_any(triangle(2))
     obj = certificate_to_json_obj(cert)
     del obj["kappa"]
     import json

@@ -127,6 +127,42 @@ def test_certify_rejects_malformed_json_graph(tmp_path, capsys, obj):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "where,value",
+    [
+        (["kappa"], 1.9),
+        (["kappa"], True),
+        (["exponents", "t"], 1.5),
+        (["operators", "S4", "factorization", 0, 1], 1.5),
+        (["operators", "S1", "phase_exp"], 2.0),
+        (["operators", "S4", "sites", "2"], [1.0, 0]),
+        (["triple"], [0, 1, 2.0]),
+        (["lc_path"], ["0"]),
+        (["exponents"], [["t", 1]]),
+        (["operators", "S4prime_relabel"], [["2", "2'"]]),
+    ],
+    ids=[
+        "kappa-float", "kappa-bool", "exponent-float", "factorization-float", "phase-float",
+        "site-float", "triple-float", "lc-path-string", "exponents-list", "relabel-list",
+    ],
+)
+def test_verify_rejects_malformed_certificate(tmp_path, capsys, where, value):
+    """A stored certificate whose integer fields are not JSON integers, or
+    whose objects are lists, exits 1 with one error line; it is not read
+    as some other certificate that verifies."""
+    cert_file = tmp_path / "cert.json"
+    run(capsys, "certify", "--inline", TRIANGLE, "--output", str(cert_file))
+    obj = json.loads(cert_file.read_text())
+    node = obj["certificate"]
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    cert_file.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--input", str(cert_file))
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # ------------------------------------------------------------------ enumerate
 
 

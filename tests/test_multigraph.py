@@ -326,6 +326,13 @@ def test_enumeration_budget_overflow():
         list(enumerate_connected_multigraphs(5, 3, budget=100))
     assert info.value.examined == 100
     assert info.value.yielded == 0  # first 100 vectors leave vertex 0 isolated
+    with pytest.raises(EnumerationOverflow) as info:
+        list(enumerate_connected_multigraphs(4, 3, budget=0))
+    assert (info.value.examined, info.value.yielded) == (0, 0)
+    # a budget of exactly d^(n choose 2) vectors completes the enumeration
+    assert list(enumerate_connected_multigraphs(4, 3, budget=3**6)) == list(
+        enumerate_connected_multigraphs(4, 3)
+    )
     with pytest.raises(StructureError):
         list(enumerate_connected_multigraphs(1, 3))
     with pytest.raises(ResourceError):
