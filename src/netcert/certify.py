@@ -17,14 +17,14 @@ One rule set picks and builds them: the triple order (_triples), the obs4
 blocking test (_blocked), the witness exponents (_exponent_table) and the
 groups (_group_masks).  Two paths apply it: _certify_direct on one graph
 with Python ints, for certify_any, and _direct_pass on a stack of graphs
-with int64 arrays, for exhaustive_table.  They stay two because arrays
-only pay off in bulk.  Measured on a 2-core VM: running certify_any's
-graphs through _direct_pass made certify_any over the 216 graphs of the
-perfbench certify_verify pool 2x slower (0.13-0.19 s became 0.32-0.40 s);
-choosing the triple on ints and building and checking only the witness on
-arrays still cost 40-60 ms (about +35 %).  The enumerator keeps packed
-integer keys for the same reason: a byte-string canonicaliser took
-_canonical_rows(5, 4) from 0.28 s to 0.42 s.
+with int64 arrays, once per isomorphism class, for exhaustive_table.  They
+stay two because arrays only pay off in bulk.  Measured on a 2-core VM:
+running certify_any's graphs through _direct_pass made certify_any over
+the 216 graphs of the perfbench certify_verify pool 2x slower (0.13-0.19 s
+became 0.32-0.40 s); choosing the triple on ints and building and checking
+only the witness on arrays still cost 40-60 ms (about +35 %).  The
+enumerator keeps packed integer keys for the same reason: a byte-string
+canonicaliser took _canonical_rows(5, 4) from 0.28 s to 0.42 s.
 """
 
 from __future__ import annotations
@@ -433,13 +433,13 @@ def certify_any(g: Multigraph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> Certificat
 class _DirectPass(NamedTuple):
     """Direct attempts on a stack of N graphs (see _direct_pass).
 
-    The rows of ``general`` to ``phase`` are those of the k graphs that
+    The rows of ``triple`` to ``phase`` are those of the k graphs that
     certify, in stack order; ``phase`` holds tau exponents.
     """
 
     certified: np.ndarray  # (N,) bool
     rejections: np.ndarray  # (N, 4) reason lines per REJECTION_KINDS; 0 where certified
-    general: np.ndarray  # (k,) bool: obs4, else obs1
+    general: np.ndarray  # (N,) bool: weights not constant, so obs4, else obs1
     triple: np.ndarray  # (k, 3)
     groups: np.ndarray  # (k, 4) vertex bitmasks of G1..G4
     x: np.ndarray  # (k, 4, n) X exponents of S1..S4
@@ -482,10 +482,10 @@ def _direct_block(mats: np.ndarray, d: int) -> _DirectPass:
         for flag in _blocked(m_ab, m_bc, m_ca, h, nb[:, ta], nb[:, tb], nb[:, tc], tb, tc, d)
     )
     weights = mats.reshape(k, n * n)
-    constant = weights.max(axis=1) == np.where(weights != 0, weights, d).min(axis=1)
-    usable = np.where(constant[:, None], valid, valid & ~(t_block | a_block | z_block))
+    general = weights.max(axis=1) != np.where(weights != 0, weights, d).min(axis=1)
+    usable = np.where(general[:, None], valid & ~(t_block | a_block | z_block), valid)
     certified = usable.any(axis=1)
-    fail = ~certified & ~constant
+    fail = ~certified & general
     lines = [np.ones(k, np.int64), t_block.sum(axis=1), a_block.sum(axis=1), z_block.sum(axis=1)]
     rejections = np.stack(lines, axis=1) * fail[:, None]
 
@@ -493,13 +493,13 @@ def _direct_block(mats: np.ndarray, d: int) -> _DirectPass:
     first = usable[rows].argmax(axis=1) if len(rows) else rows
     a, b, c = ta[first], tb[first], tc[first]
     mats = mats[rows]
-    general = ~constant[rows]
-    tri1 = ((m_bc[rows, first] != 0) & ~general).astype(np.int64)
+    obs4 = general[rows]
+    tri1 = ((m_bc[rows, first] != 0) & ~obs4).astype(np.int64)
     mt, ea, eb, ec = _obs4_weights(
         m_ab[rows, first], m_bc[rows, first], m_ca[rows, first], h[rows, first], d
     )
-    ea, eb, ec = (np.where(general, e, obs1) for e, obs1 in ((ea, 0), (eb, -1), (ec, -1)))
-    power_of = np.where(general, mt, m_ab[rows, first])
+    ea, eb, ec = (np.where(obs4, e, obs1) for e, obs1 in ((ea, 0), (eb, -1), (ec, -1)))
+    power_of = np.where(obs4, mt, m_ab[rows, first])
     values, inverse = np.unique(power_of, return_inverse=True)
     t = np.array([select_power_t(int(m), d).t for m in values], dtype=np.int64)[inverse]
 
@@ -516,7 +516,7 @@ def _direct_block(mats: np.ndarray, d: int) -> _DirectPass:
         _group_masks(tri1, a, b, c, nb[rows, a], nb[rows, b], nb[rows, c], (1 << n) - 1),
         axis=1,
     )
-    _check_witnesses(d, e, z, phase, groups, general, (-t * mt) % d)
+    _check_witnesses(d, e, z, phase, groups, obs4, (-t * mt) % d)
     return _DirectPass(
         certified, rejections, general, np.stack((a, b, c), axis=1), groups, e, z, phase
     )
@@ -583,52 +583,47 @@ class _OrbitWalk(NamedTuple):
 
     start: int  # the class, by index into the cell
     path: tuple[int, ...] | None  # to the first member that certifies; None if none does
+    general: bool | None  # that member's construction: obs4, else obs1; None if none
     size: int  # classes walked
     truncated: bool
 
 
 def _orbit_walks(
-    rows: np.ndarray, n: int, d: int, certified: np.ndarray, orbit_cap: int
-) -> tuple[list[_OrbitWalk], np.ndarray]:
-    """certify_any's orbit walk from every class of a cell (canonical rows,
-    n >= 3) whose direct attempt fails, on class indices.
+    rows: np.ndarray, n: int, d: int, certified: np.ndarray, general: np.ndarray, orbit_cap: int
+) -> list[_OrbitWalk]:
+    """certify_any's orbit walk, on class indices and in cell order, from
+    every class of a cell (canonical rows, n >= 3) whose direct attempt fails.
 
-    The steps of those classes are computed at once (_LCClasses.fill); a
-    walk only expands classes whose direct attempt fails, since it stops at
-    the first member whose class certifies.  ``certified`` holds that
-    outcome per class; classes outside the cell (a table cut short by its
-    budget) get theirs from _direct_pass on the rows fill appends, and are
-    filled when a walk expands them.  Returns the walks, in cell order, and
-    the stack of the members they stop at, in the same order.
+    The steps of those classes are computed at once (_LCClasses.fill): a
+    walk stops at the first member whose class certifies, so it expands only
+    failing ones.  ``certified`` and ``general`` give _direct_pass's outcome
+    per class; a class outside the cell (budget cut) gets its outcome, and
+    its one witness check, from _direct_pass on the rows fill appends.
+    Relabeling permutes the blocked triples, so outcome, rejections and
+    construction depend only on the class, and its checked witness covers
+    the member a walk reaches, which is never built.  The relabelings in
+    the states fix the vertex order of a walk, and with it the path.
     """
     classes = _LCClasses(n, d, rows)
     failing = np.flatnonzero(~certified).tolist()
     classes.fill(failing)
     ok: list[bool] = certified.tolist()
+    obs4: list[bool] = general.tolist()
     identity = tuple(range(n))
-    walks, found = [], []
+    walks = []
     for start in failing:
         walk = _LCWalk((start, identity), start, classes.expand, orbit_cap)
-        size, rescue = 0, None
-        for k, state, path in walk:
-            size += 1
+        for size, (k, _, path) in enumerate(walk, start=1):
             if k >= len(ok):
-                added = triu_to_matrices(classes.rows[len(ok) :], n)
-                ok.extend(_direct_pass(added, d).certified.tolist())
+                added = _direct_pass(triu_to_matrices(classes.rows[len(ok) :], n), d)
+                ok.extend(added.certified.tolist())
+                obs4.extend(added.general.tolist())
             if ok[k]:
-                rescue = path
-                found.append(state)
+                walks.append(_OrbitWalk(start, path, obs4[k], size, walk.truncated))
                 break
-        walks.append(_OrbitWalk(start, rescue, size, walk.truncated))
-    members = np.zeros((len(found), n, n), dtype=np.int64)
-    if found:
-        ks, perms = zip(*found)
-        inverse = np.argsort(np.array(perms), axis=1)
-        reps = triu_to_matrices(classes.rows[list(ks)], n)
-        # member = permuted(rep, perm), so member[a, b] = rep[perm^-1 a, perm^-1 b]
-        sel = np.arange(len(found))[:, None, None]
-        members = reps[sel, inverse[:, :, None], inverse[:, None, :]]
-    return walks, members
+        else:  # the walk yields at least its start
+            walks.append(_OrbitWalk(start, None, None, size, walk.truncated))
+    return walks
 
 
 def exhaustive_table(
@@ -642,11 +637,11 @@ def exhaustive_table(
     """Certify every connected multigraph class on n vertices over Z_d.
 
     Outcomes and tallies are those of certify_any on every class, decided
-    on arrays: one _direct_pass over all classes, an orbit walk over class
-    indices for each class it fails (_orbit_walks), one more _direct_pass
-    that builds and checks the witness of every member those walks stop at,
-    and _refusal for the classes nothing certifies.  ``workers`` is accepted
-    and ignored: the cell runs in one process.
+    on arrays: one _direct_pass over all classes, which builds and checks
+    each witness, an orbit walk over class indices from each class it fails
+    (_orbit_walks), and _refusal for the classes nothing certifies.  A
+    rescued class counts with the construction of the class its walk stops
+    at.  ``workers`` is accepted and ignored: the cell runs in one process.
     """
     _check_orbit_cap(orbit_cap)
     if budget < 0:
@@ -660,35 +655,23 @@ def exhaustive_table(
         complete = False
         examined = exc.examined
     rows = np.concatenate(chunks) if chunks else np.zeros((0, n * (n - 1) // 2), np.int64)
-    direct = _direct_pass(triu_to_matrices(rows, n), d)
-    certified = direct.certified
-    methods = Counter(
-        {METHOD_CONSTANT: int((~direct.general).sum()), METHOD_GENERAL: int(direct.general.sum())}
-    )
-    rejections = tuple(zip(REJECTION_KINDS, direct.rejections.sum(axis=0).tolist()))
-    # The witnesses are checked; freeing them lowers the peak memory of the
-    # second pass.
-    del direct
+    certified, rejected, general = _direct_pass(triu_to_matrices(rows, n), d)[:3]
+    methods = Counter(np.where(general[certified], METHOD_GENERAL, METHOD_CONSTANT).tolist())
+    rejections = tuple(zip(REJECTION_KINDS, rejected.sum(axis=0).tolist()))
 
     def graph(idx: int) -> Multigraph:
         return from_triu_vector(d, n, rows[idx].tolist())
 
     if n < 3:  # certify_any refuses every class outright
         uncertified = [certify_any(graph(idx)) for idx in range(len(rows))]
-        members = np.zeros((0, n, n), dtype=np.int64)
     else:
-        walks, members = _orbit_walks(rows, n, d, certified, orbit_cap)
-        uncertified = [
-            _refusal(graph(w.start), w.size, w.truncated, orbit_cap)
-            for w in walks
-            if w.path is None
-        ]
-    if len(members):
-        lc = _direct_pass(members, d)
-        if not lc.certified.all():
-            raise StructureError("construction bug: an orbit member of a certified class fails")
-        methods[METHOD_CONSTANT + "+lc"] = int((~lc.general).sum())
-        methods[METHOD_GENERAL + "+lc"] = int(lc.general.sum())
+        walks = _orbit_walks(rows, n, d, certified, general, orbit_cap)
+        uncertified = []
+        for w in walks:
+            if w.path is None:
+                uncertified.append(_refusal(graph(w.start), w.size, w.truncated, orbit_cap))
+            else:
+                methods[(METHOD_GENERAL if w.general else METHOD_CONSTANT) + "+lc"] += 1
     return TableReport(
         n=n,
         d=d,
@@ -854,16 +837,20 @@ def certificate_to_json_obj(cert: Certificate) -> dict:
     }
 
 
-def _int(value) -> int:
-    # type() is int: JSON true/false load as bools, an int subclass
-    if type(value) is not int:
-        raise StructureError(f"malformed certificate object: {value!r} is not an integer")
+def _typed(value, types: tuple[type, ...], among: tuple = ()):
+    # type(), not isinstance: JSON true/false load as bools, an int subclass
+    if type(value) not in types or (among and value not in among):
+        raise StructureError(f"malformed certificate object: unexpected {value!r}")
     return value
 
 
+def _int(value) -> int:
+    return _typed(value, (int,))
+
+
 def certificate_from_json_obj(obj: dict) -> Certificate:
-    """Inverse of certificate_to_json_obj.  Every integer field must hold a
-    JSON integer; anything else raises StructureError."""
+    """Inverse of certificate_to_json_obj.  A field that does not hold its
+    JSON type, or a kind or method it does not name, raises StructureError."""
     try:
         graph = Multigraph.from_json_obj(obj["graph"])
         d = graph.d
@@ -882,10 +869,11 @@ def certificate_from_json_obj(obj: dict) -> Certificate:
             graph=graph,
             lc_path=tuple(map(_int, obj["lc_path"])),
             triple=tuple(map(_int, obj["triple"])),
-            kind=obj["kind"],
-            method=obj["method"],
+            kind=_typed(obj["kind"], (str,), ("angle", "triangle")),
+            method=_typed(obj["method"], (str,), (METHOD_CONSTANT, METHOD_GENERAL)),
             groups=tuple(
-                tuple(obj["groups"][f"G{i}"]) for i in range(1, 5)
+                tuple(_typed(lbl, (str,)) for lbl in _typed(obj["groups"][f"G{i}"], (list,)))
+                for i in range(1, 5)
             ),
             s1=op_from(ops["S1"]),
             s2=op_from(ops["S2"]),
@@ -894,11 +882,11 @@ def certificate_from_json_obj(obj: dict) -> Certificate:
             s4_relabeling=tuple(sorted(ops["S4prime_relabel"].items())),
             exponents=tuple((k, _int(v)) for k, v in obj["exponents"].items()),
             kappa=_int(obj["kappa"]),
-            lambda_prime=float(obj["lambda_prime"]),
-            fidelity_bound=float(obj["fidelity_bound"]),
+            lambda_prime=float(_typed(obj["lambda_prime"], (int, float))),
+            fidelity_bound=float(_typed(obj["fidelity_bound"], (int, float))),
         )
-    # AttributeError: a list where an object belongs has no .items()
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    # AttributeError: a list in place of an object; OverflowError: a bound past float
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed certificate object: {exc}") from exc
 
 

@@ -382,7 +382,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     func: Callable[[argparse.Namespace], int] = args.func
     try:
         return func(args)
-    except (NetcertError, OSError, json.JSONDecodeError) as exc:
+    except (NetcertError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -400,7 +400,6 @@ class OrbitResult:
 
     graphs: tuple[Multigraph, ...]
     paths: tuple[tuple[int, ...], ...]
-    keys: frozenset[tuple[int, ...]]
     truncated: bool
 
     @property
@@ -563,6 +562,5 @@ def lc_orbit(g: Multigraph, cap: int = 10**6) -> OrbitResult:
     return OrbitResult(
         graphs=tuple(image for _, image, _ in members),
         paths=tuple(path for _, _, path in members),
-        keys=frozenset(key for key, _, _ in members),
         truncated=walk.truncated,
     )

@@ -504,6 +504,7 @@ TABLE_CELLS = [  # n, d, enumeration budget, orbit cap; None keeps the default
     (4, 6, 4665, None),  # its walks leave the budget-cut cell: 25 classes filled one by one
     (4, 4, None, 1),
     (4, 8, None, 2),
+    (5, 4, 600000, None),  # one walk stops at a class outside the cut cell, by obs1
 ]
 
 
@@ -518,7 +519,7 @@ def test_exhaustive_table_matches_certify_any(n, d, budget, orbit_cap):
         kwargs["orbit_cap"] = orbit_cap
     report = exhaustive_table(n, d, **kwargs)
     assert report == reference_table(n, d, **kwargs)
-    if (n, d) == (5, 4):
+    if (n, d, budget) == (5, 4, None):
         assert dict(report.rejections) == {
             "non_constant": 3851,
             "t_abc": 157416,
@@ -534,10 +535,11 @@ def test_direct_pass_operators_equal_certify_any():
     direct = _direct_pass(np.array([g.mult for g in graphs]), 4)
     assert direct.certified.sum() == len(direct.triple) == 185
     certified = [g for g, ok in zip(graphs, direct.certified) if ok]
+    general = direct.general[direct.certified]
     for k, g in enumerate(certified):
         cert = certify_any(g)
         assert cert.lc_path == ()
-        assert cert.method == ("obs4" if direct.general[k] else "obs1")
+        assert cert.method == ("obs4" if general[k] else "obs1")
         assert cert.triple == tuple(direct.triple[k].tolist())
         masks = [sum(1 << int(v) for v in grp) for grp in cert.groups]
         assert masks == direct.groups[k].tolist()
@@ -554,17 +556,35 @@ def test_direct_pass_operators_equal_certify_any():
 @pytest.mark.parametrize("n,d", [(4, 4), (4, 5), (5, 3), (4, 8)])
 def test_orbit_walks_land_on_certify_any_members(n, d):
     """For every class the table rescues, its walk over class indices stops
-    at the path and the labeled member certify_any finds."""
+    at the path certify_any finds, with the construction certify_any uses."""
     rows = np.concatenate(list(_canonical_rows(n, d, DEFAULT_ENUMERATION_BUDGET)))
-    certified = _direct_pass(triu_to_matrices(rows, n), d).certified
-    walks, members = _orbit_walks(rows, n, d, certified, 4096)
+    direct = _direct_pass(triu_to_matrices(rows, n), d)
+    walks = _orbit_walks(rows, n, d, direct.certified, direct.general, 4096)
     rescued = [w for w in walks if w.path is not None]
-    assert len(walks) == (~certified).sum()
-    assert len(rescued) == len(members) > 0
-    for walk, member in zip(rescued, members):
+    assert len(walks) == (~direct.certified).sum()
+    assert len(rescued) > 0
+    for walk in rescued:
         cert = certify_any(from_triu_vector(d, n, rows[walk.start].tolist()))
         assert cert.lc_path == walk.path
-        assert cert.certified_graph.mult == tuple(map(tuple, member.tolist()))
+        assert cert.method == ("obs4" if walk.general else "obs1")
+
+
+@pytest.mark.parametrize("n,d", [(4, 4), (5, 3), (4, 8)])
+def test_direct_pass_outcome_is_a_class_invariant(n, d):
+    """Relabeling a graph leaves its direct attempt's outcome, rejection
+    counts and construction unchanged, so the table checks one witness per
+    class and no labeled orbit member."""
+    rows = np.concatenate(list(_canonical_rows(n, d, DEFAULT_ENUMERATION_BUDGET)))
+    reps = triu_to_matrices(rows, n)
+    want = _direct_pass(reps, d)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        perms = np.array([rng.permutation(n) for _ in range(len(reps))])
+        sel = np.arange(len(reps))[:, None, None]
+        got = _direct_pass(reps[sel, perms[:, :, None], perms[:, None, :]], d)
+        assert (got.certified == want.certified).all()
+        assert (got.rejections == want.rejections).all()
+        assert (got.general == want.general).all()
 
 
 def test_direct_pass_checks_reject_tampered_witnesses():
@@ -579,7 +599,7 @@ def test_direct_pass_checks_reject_tampered_witnesses():
         z=direct.z,
         phase=direct.phase,
         groups=direct.groups,
-        general=direct.general,
+        general=direct.general[direct.certified],
         expected_kappa=expected,
     )
     _check_witnesses(**args)

@@ -140,16 +140,27 @@ def test_certify_rejects_malformed_json_graph(tmp_path, capsys, obj):
         (["lc_path"], ["0"]),
         (["exponents"], [["t", 1]]),
         (["operators", "S4prime_relabel"], [["2", "2'"]]),
+        (["lambda_prime"], "0.0"),
+        (["lambda_prime"], False),
+        (["fidelity_bound"], "0.9"),
+        (["fidelity_bound"], 10**400),
+        (["kind"], 5),
+        (["method"], ["obs1"]),
+        (["groups", "G1"], "2"),
+        (["groups", "G2"], [1]),
     ],
     ids=[
         "kappa-float", "kappa-bool", "exponent-float", "factorization-float", "phase-float",
         "site-float", "triple-float", "lc-path-string", "exponents-list", "relabel-list",
+        "lambda-string", "lambda-bool", "bound-string", "bound-huge-int", "kind-int", "method-list",
+        "group-string", "group-int-label",
     ],
 )
 def test_verify_rejects_malformed_certificate(tmp_path, capsys, where, value):
-    """A stored certificate whose integer fields are not JSON integers, or
-    whose objects are lists, exits 1 with one error line; it is not read
-    as some other certificate that verifies."""
+    """A stored certificate whose fields do not hold their JSON types (an
+    integer, a number, a list of strings), whose kind or method is not one
+    of its names, or whose objects are lists, exits 1 with one error line;
+    it is not read as some other certificate that verifies."""
     cert_file = tmp_path / "cert.json"
     run(capsys, "certify", "--inline", TRIANGLE, "--output", str(cert_file))
     obj = json.loads(cert_file.read_text())
@@ -465,6 +476,15 @@ def test_tsv_is_a_usage_error_where_not_rendered(tmp_path, capsys, command):
     assert info.value.code == EXIT_ERROR
     out, err = capsys.readouterr()
     assert out == "" and "invalid choice" in err and "tsv" in err
+
+
+@pytest.mark.parametrize("command", ["certify", "orbit", "verify"])
+def test_input_that_is_not_utf8_is_an_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("2 3\n0 1 1\n1 2 1\n# caf\u00e9\n".encode("latin-1"))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["certify", "orbit"])
