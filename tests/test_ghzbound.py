@@ -42,6 +42,39 @@ NUMERIC = {
     8: 0.877197,
 }
 
+# Frozen outputs of the numeric solver next to NUMERIC: the constraints
+# active at the last feasible point, and the bisection's verdicts in order
+# ("1" feasible, "0" infeasible; the first is f = 3/4, each later f is the
+# midpoint of the bracket the earlier verdicts leave).
+ACTIVE = {
+    2: ("phase(c=1,y=1)",),
+    3: ("uncert(c=1,y=1)", "uncert(c=2,y=1)"),
+    4: ("phase(c=1,y=2)", "phase(c=2,y=1)", "phase(c=3,y=2)"),
+    5: ("uncert(c=1,y=2)", "uncert(c=2,y=1)", "uncert(c=3,y=1)", "uncert(c=4,y=2)"),
+    6: (
+        "phase(c=1,y=3)", "phase(c=3,y=1)", "phase(c=5,y=3)",
+        "uncert(c=2,y=1)", "uncert(c=4,y=2)",
+    ),
+    7: (
+        "uncert(c=1,y=3)", "uncert(c=2,y=2)", "uncert(c=3,y=1)",
+        "uncert(c=4,y=1)", "uncert(c=5,y=2)", "uncert(c=6,y=3)",
+    ),
+    8: (
+        "phase(c=1,y=4)", "phase(c=2,y=2)", "phase(c=3,y=4)", "phase(c=4,y=1)",
+        "phase(c=5,y=4)", "phase(c=6,y=2)", "phase(c=7,y=4)",
+    ),
+}
+
+VERDICTS = {
+    2: "1100101010100",
+    3: "1110010110111",
+    4: "1100001101111",
+    5: "1101100000010",
+    6: "1100110000100",
+    7: "1101000101001",
+    8: "1100000100011",
+}
+
 
 def test_theta_d():
     assert theta_d(2) == 0.0
@@ -119,6 +152,28 @@ def test_numeric_bound_frozen_values():
     for d, want in NUMERIC.items():
         report = ghz_numeric_bound(d)
         assert report.bound_numeric == pytest.approx(want, abs=2e-6)
+
+
+def _bisection(verdicts: str) -> list[tuple[float, bool]]:
+    """The (f, feasible) sequence that a string of verdicts drives."""
+    seq = [(0.75, verdicts[0] == "1")]
+    lo, hi = 0.75, 1.0
+    for bit in verdicts[1:]:
+        mid = (lo + hi) / 2
+        seq.append((mid, bit == "1"))
+        if bit == "1":
+            lo = mid
+        else:
+            hi = mid
+    return seq
+
+
+@pytest.mark.parametrize("d", sorted(NUMERIC))
+def test_numeric_bound_frozen_search(d):
+    report = ghz_numeric_bound(d)
+    assert [(f, ok) for f, ok, _ in report.solver_trace] == _bisection(VERDICTS[d])
+    assert report.bound_numeric == min(f for f, ok in _bisection(VERDICTS[d]) if not ok)
+    assert report.constraints_active == ACTIVE[d]
 
 
 def test_numeric_bound_invariants():
