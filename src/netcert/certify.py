@@ -688,7 +688,8 @@ def exhaustive_table(
 def verify_obs3(cert: Certificate) -> VerificationReport:
     """Re-derive every claim a certificate makes, from the graph up.
 
-    Checks group structure, factorizations, the exact operator identities,
+    Checks the triple and its kind, group structure, factorizations (each
+    word as ``stabilizer.word`` rebuilds it), the exact operator identities,
     the four marginal equalities, the twist kappa, the bound arithmetic,
     and (when the restricted dimension is within the dense cap,
     ``oracle.dimension_cap()``) that the two twisted operators have no
@@ -724,10 +725,19 @@ def _verify_obs3_checks(cert: Certificate, checks: list[Check]) -> None:
             f"groups cover {sorted(union)} of {sorted(parties)}",
         )
     )
+    # distinct vertices with edges AB and CA; a triangle exactly when BC is one
+    triple = cert.triple
+    triple_ok = len(set(triple)) == len(triple) == 3 and all(0 <= v < h.n for v in triple)
+    if triple_ok:
+        a, b, c = triple
+        triple_ok = bool(h.mult[a][b] and h.mult[c][a]) and (
+            (cert.kind == "triangle") == bool(h.mult[b][c])
+        )
+    checks.append(Check("triple", triple_ok, f"{cert.kind} at {list(triple)}"))
     words_ok = True
     for idx, w in enumerate((cert.s1, cert.s2, cert.s3, cert.s4), start=1):
-        rebuilt = word(h, {int(lbl): e for lbl, e in w.factorization})
-        if rebuilt.operator != w.operator:
+        # the whole word: a relabeled, repeated or reduced factor changes it
+        if word(h, {int(lbl): e for lbl, e in w.factorization}) != w:
             words_ok = False
             checks.append(Check("factorizations", False, f"S{idx} mismatch"))
             break
@@ -861,7 +871,9 @@ def certificate_from_json_obj(obj: dict) -> Certificate:
                 {lbl: (_int(x), _int(z)) for lbl, (x, z) in o["sites"].items()},
                 phase_exp=_int(o["phase_exp"]),
             )
-            factorization = tuple((lbl, _int(e)) for lbl, e in o["factorization"])
+            factorization = tuple(
+                (_typed(lbl, (str,)), _int(e)) for lbl, e in o["factorization"]
+            )
             return StabilizerWord(operator=operator, factorization=factorization)
 
         ops = obj["operators"]

@@ -11,7 +11,10 @@ Three bounds of increasing sharpness and cost:
   group is relaxed to a finite constraint system (one variable per
   +/- conjugation class) whose infeasibility above a fidelity f is proven
   by interval branch-and-bound; bisection then returns the smallest f
-  whose feasibility cannot be established, a sound upper bound.
+  whose feasibility cannot be established, a sound upper bound.  Each
+  bisection step needs one bit, whether the relaxation reaches d^3 f, so
+  it searches all blocks jointly and stops as soon as the certified upper
+  bounds fall short (infeasible) or a point found reaches it (feasible).
 
 ``ghz_section3_chain`` assembles the explicit three-party certificate
 chain behind the closed form, with all premises checked.
@@ -253,46 +256,55 @@ class _Block:
         )
         return self.var_weight * (p2 + q2 + r2) + self._cap_sum(floors)
 
-    def maximize(
-        self, u: float, gap: float, budget: int
-    ) -> tuple[float, tuple[float, float, float], int]:
-        """Certified maximum over the box: returns (upper bound, argbest, cells)."""
-        p_lo = max(-1.0, u)
-        if p_lo > 1.0:
-            return -math.inf, (1.0, 1.0, 1.0), 0
-        box0 = (p_lo, 1.0, -1.0, 1.0, -1.0, 1.0)
 
-        def center(box: tuple[float, ...]) -> tuple[float, float, float]:
-            return (
-                (box[0] + box[1]) / 2,
-                (box[2] + box[3]) / 2,
-                (box[4] + box[5]) / 2,
-            )
+def _center(box: tuple[float, ...]) -> tuple[float, float, float]:
+    return ((box[0] + box[1]) / 2, (box[2] + box[3]) / 2, (box[4] + box[5]) / 2)
 
-        best_pt = center(box0)
-        best_lb = self.value(u, *best_pt)
-        heap = [(-self.box_bound(u, box0), box0)]
-        cells = 1
-        while heap:
-            neg_ub, box = heapq.heappop(heap)
-            ub = -neg_ub
-            if ub <= best_lb + gap or cells >= budget:
-                return ub, best_pt, cells
-            widths = (box[1] - box[0], box[3] - box[2], box[5] - box[4])
-            axis = widths.index(max(widths))
-            lo, hi = box[2 * axis], box[2 * axis + 1]
-            mid = (lo + hi) / 2
-            for piece in ((lo, mid), (mid, hi)):
-                child = list(box)
-                child[2 * axis], child[2 * axis + 1] = piece
-                child_t = tuple(child)
-                pt = center(child_t)
-                val = self.value(u, *pt)
-                if val > best_lb:
-                    best_lb, best_pt = val, pt
-                heapq.heappush(heap, (-self.box_bound(u, child_t), child_t))
-                cells += 1
-        return best_lb, best_pt, cells
+
+class _BlockSearch:
+    """Best-first branch-and-bound over one block at one u, a split at a time.
+
+    The heap pops boxes by descending ``box_bound``, so ``top`` is a
+    certified upper bound on the block's maximum at every moment, and
+    ``best_lb`` is attained at ``best_pt``.  The search is settled once
+    ``top`` is within ``_BLOCK_GAP`` of ``best_lb`` or ``_CELL_BUDGET``
+    boxes are bounded; ``top`` is then the block's final value.
+    """
+
+    def __init__(self, block: _Block, u: float):
+        box0 = (u, 1.0, -1.0, 1.0, -1.0, 1.0)  # p >= u = 4f - 3 >= 0
+        self.block = block
+        self.u = u
+        self.best_pt = _center(box0)
+        self.best_lb = block.value(u, *self.best_pt)
+        self.heap = [(-block.box_bound(u, box0), box0)]
+        self.cells = 1
+
+    @property
+    def top(self) -> float:
+        return -self.heap[0][0]
+
+    @property
+    def settled(self) -> bool:
+        return self.top <= self.best_lb + _BLOCK_GAP or self.cells >= _CELL_BUDGET
+
+    def split(self) -> None:
+        """Halve the top box along its widest axis and bound both halves."""
+        _, box = heapq.heappop(self.heap)
+        widths = (box[1] - box[0], box[3] - box[2], box[5] - box[4])
+        axis = widths.index(max(widths))
+        lo, hi = box[2 * axis], box[2 * axis + 1]
+        mid = (lo + hi) / 2
+        for piece in ((lo, mid), (mid, hi)):
+            child = list(box)
+            child[2 * axis], child[2 * axis + 1] = piece
+            child_t = tuple(child)
+            pt = _center(child_t)
+            val = self.block.value(self.u, *pt)
+            if val > self.best_lb:
+                self.best_lb, self.best_pt = val, pt
+            heapq.heappush(self.heap, (-self.block.box_bound(self.u, child_t), child_t))
+            self.cells += 1
 
 
 def _build_blocks(d: int) -> tuple[list[_Block], float, dict[int, list[int]]]:
@@ -329,6 +341,18 @@ def ghz_numeric_bound(d: int) -> BoundReport:
     the phase and variance constraints; correlator sums floor the doubled
     correlators.  If the relaxed objective cannot reach d^3 f, no network
     state has fidelity f.
+
+    Verdict rule of one bisection step: every block runs its own
+    best-first search (``_BlockSearch``), and after each split
+    ub = 1 + free + sum of the blocks' top bounds and lb = 1 + free + sum
+    of their best values are compared with need = d^3 f - 1e-12.
+    ub < need proves f infeasible, since each top bound is certified over
+    its block; lb >= need proves it feasible, since a point of the
+    relaxation reaches d^3 f.  Otherwise the live block with the largest
+    top - best gap is split.  Once every block has met its own stop rule
+    the step reads ub >= need, so a step that never decides early gives
+    the verdict of maximising each block to ``_BLOCK_GAP`` in turn.
+    ``solver_trace`` records (f, verdict, boxes bounded until the verdict).
     """
     lo_d, hi_d = _NUMERIC_RANGE
     if not lo_d <= d <= hi_d:
@@ -336,21 +360,25 @@ def ghz_numeric_bound(d: int) -> BoundReport:
     blocks, free_weight, members = _build_blocks(d)
     target = float(d**3)
 
-    def upper_bound(f: float) -> tuple[float, int, list[tuple[float, ...]]]:
-        u = 4.0 * f - 3.0
-        total = 1.0 + free_weight
-        cells_used = 0
-        points = []
-        for block in blocks:
-            val, pt, cells = block.maximize(u, _BLOCK_GAP, _CELL_BUDGET)
-            total += val
-            cells_used += cells
-            points.append(pt)
-        return total, cells_used, points
-
     def feasible(f: float) -> tuple[bool, int, list[tuple[float, ...]]]:
-        total, cells, points = upper_bound(f)
-        return total >= target * f - 1e-12, cells, points
+        u = 4.0 * f - 3.0
+        need = target * f - 1e-12
+        searches = [_BlockSearch(block, u) for block in blocks]
+        while True:
+            ub = 1.0 + free_weight
+            for search in searches:
+                ub += search.top
+            live = [search for search in searches if not search.settled]
+            if not live or ub < need:
+                break
+            lb = 1.0 + free_weight
+            for search in searches:
+                lb += search.best_lb
+            if lb >= need:
+                break  # ub >= need too: it was tested first
+            max(live, key=lambda search: search.top - search.best_lb).split()
+        cells = sum(search.cells for search in searches)
+        return ub >= need, cells, [search.best_pt for search in searches]
 
     trace: list[tuple[float, bool, int]] = []
     ok, cells, points = feasible(0.75)

@@ -371,6 +371,18 @@ def test_verifier_rejects_tampering():
     report = verify_obs3(missing_group)
     assert any(c.name == "groups_partition" for c in report.failed())
 
+    for changes, check in [
+        ({"triple": (0, 1)}, "triple"),
+        ({"triple": (0, 1, 1)}, "triple"),
+        ({"kind": "angle"}, "triple"),
+        ({"s4": dataclasses.replace(cert.s4, factorization=cert.s4.factorization * 2)},
+         "factorizations"),
+        ({"s1": dataclasses.replace(cert.s1, factorization=cert.s1.factorization[::-1])},
+         "factorizations"),
+    ]:
+        report = verify_obs3(_tampered(cert, **changes))
+        assert [c.name for c in report.failed()] == [check], changes
+
 
 def test_verifier_dense_check_can_be_skipped(monkeypatch):
     cert = certify_any(triangle(3))
@@ -445,6 +457,11 @@ def test_malformed_certificates_rejected():
 
     with pytest.raises(StructureError):
         certificate_from_json(json.dumps(obj))
+    for label in (2, 2.5, None):
+        obj = certificate_to_json_obj(cert)
+        obj["operators"]["S4"]["factorization"][0][0] = label
+        with pytest.raises(StructureError):
+            certificate_from_json(json.dumps(obj))
 
 
 # ---------------------------------------------------------------- tallies

@@ -134,6 +134,8 @@ def test_certify_rejects_malformed_json_graph(tmp_path, capsys, obj):
         (["kappa"], True),
         (["exponents", "t"], 1.5),
         (["operators", "S4", "factorization", 0, 1], 1.5),
+        (["operators", "S4", "factorization", 0, 0], 2.5),
+        (["operators", "S4", "factorization", 0, 0], 2),
         (["operators", "S1", "phase_exp"], 2.0),
         (["operators", "S4", "sites", "2"], [1.0, 0]),
         (["triple"], [0, 1, 2.0]),
@@ -150,7 +152,8 @@ def test_certify_rejects_malformed_json_graph(tmp_path, capsys, obj):
         (["groups", "G2"], [1]),
     ],
     ids=[
-        "kappa-float", "kappa-bool", "exponent-float", "factorization-float", "phase-float",
+        "kappa-float", "kappa-bool", "exponent-float", "factorization-float",
+        "factorization-label-float", "factorization-label-int", "phase-float",
         "site-float", "triple-float", "lc-path-string", "exponents-list", "relabel-list",
         "lambda-string", "lambda-bool", "bound-string", "bound-huge-int", "kind-int", "method-list",
         "group-string", "group-int-label",
@@ -341,6 +344,41 @@ def test_verify_rejects_tampering(tmp_path, capsys):
     report = json.loads(out)
     assert report["all_passed"] is False
     assert any(c["name"] == "kappa" and not c["passed"] for c in report["checks"])
+
+
+@pytest.mark.parametrize(
+    "where,value,check",
+    [
+        (["operators", "S4", "factorization"], [["2", 2], ["2", 1]], "factorizations"),
+        (["operators", "S4", "factorization"], [["02", 1]], "factorizations"),
+        (["operators", "S1", "factorization", 0, 1], 3, "factorizations"),
+        (["triple"], [0, 1], "triple"),
+        (["triple"], [0, 1, 1], "triple"),
+        (["triple"], [0, 1, 3], "triple"),
+        (["kind"], "angle", "triple"),
+    ],
+    ids=[
+        "factorization-repeated-label", "factorization-padded-label",
+        "factorization-unreduced-exponent", "triple-short", "triple-repeated",
+        "triple-outside", "kind-angle-on-triangle",
+    ],
+)
+def test_verify_fails_edited_certificate(tmp_path, capsys, where, value, check):
+    """A well-typed certificate edited so that its fields no longer match
+    what the construction emits fails verification at the named check."""
+    cert_file = tmp_path / "cert.json"
+    run(capsys, "certify", "--inline", TRIANGLE, "--output", str(cert_file))
+    obj = json.loads(cert_file.read_text())
+    node = obj["certificate"]
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    cert_file.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", "--input", str(cert_file))
+    assert code == EXIT_NEGATIVE
+    report = json.loads(out)
+    assert report["all_passed"] is False
+    assert any(c["name"] == check and not c["passed"] for c in report["checks"])
 
 
 def test_verify_input_errors(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """GHZ fidelity ceilings: closed form, prime self-consistency, certified numeric."""
 
 import math
+import random
 
 import pytest
 
@@ -15,7 +16,7 @@ from netcert import (
     ghz_section3_chain,
     theta_d,
 )
-from netcert.ghzbound import is_prime
+from netcert.ghzbound import _build_blocks, is_prime
 
 CLOSED_FORM = {
     2: 0.9,
@@ -174,6 +175,40 @@ def test_numeric_bound_frozen_search(d):
     assert [(f, ok) for f, ok, _ in report.solver_trace] == _bisection(VERDICTS[d])
     assert report.bound_numeric == min(f for f, ok in _bisection(VERDICTS[d]) if not ok)
     assert report.constraints_active == ACTIVE[d]
+
+
+def _sub_box(rng, box):
+    out = []
+    for k in range(3):
+        out += sorted(rng.uniform(box[2 * k], box[2 * k + 1]) for _ in range(2))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d", sorted(NUMERIC))
+def test_block_bounds_nest_and_dominate(d):
+    """The two facts an early verdict rests on: a box's bound never grows
+    under refinement, so a search's top bound only falls, and it is at
+    least the value at every point of the box, so it is certified."""
+    rng = random.Random(d)
+    blocks, _, _ = _build_blocks(d)
+    for block in blocks:
+        for u in (0.0, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99):
+            for _ in range(8):
+                box = (u, 1.0, -1.0, 1.0, -1.0, 1.0)
+                bound = block.box_bound(u, box)
+                for _ in range(6):
+                    points = [
+                        tuple(rng.uniform(box[2 * k], box[2 * k + 1]) for k in range(3))
+                        for _ in range(6)
+                    ]
+                    points.append(box[1::2])
+                    points.append(box[0::2])
+                    for p in points:
+                        assert bound >= block.value(u, *p)
+                    child = _sub_box(rng, box)
+                    child_bound = block.box_bound(u, child)
+                    assert child_bound <= bound + 1e-12
+                    box, bound = child, child_bound
 
 
 def test_numeric_bound_invariants():
