@@ -264,11 +264,9 @@ def _center(box: tuple[float, ...]) -> tuple[float, float, float]:
 class _BlockSearch:
     """Best-first branch-and-bound over one block at one u, a split at a time.
 
-    The heap pops boxes by descending ``box_bound``, so ``top`` is a
-    certified upper bound on the block's maximum at every moment, and
-    ``best_lb`` is attained at ``best_pt``.  The search is settled once
-    ``top`` is within ``_BLOCK_GAP`` of ``best_lb`` or ``_CELL_BUDGET``
-    boxes are bounded; ``top`` is then the block's final value.
+    ``top`` certifies an upper bound on the block's maximum at every step;
+    ``best_lb`` is attained at ``best_pt``.  Settled is the stop rule of a
+    search run alone, after which ``top`` is the block's final value.
     """
 
     def __init__(self, block: _Block, u: float):
