@@ -8,6 +8,12 @@ commute by a d-th root of unity omega^kappa.  Any network state must then
 satisfy all four stabilizers at once only up to a fidelity below 1; the
 bound is (7 + sqrt(4 + 5 lambda'/2))/10 with lambda' = 2 |cos(pi kappa/d)|.
 
+A Certificate stores only that proof: the graph, the local-complementation
+path to the member the operators live on, the groups, and S1, S2, S4 as
+exponent vectors over its generators; one function (_derive) derives the
+rest.  The reader also takes the earlier JSON form (no "version"), whose
+derived fields verify_obs3 compares with the derivation.
+
 Two constructions are implemented: ``obs1`` for constant edge
 multiplicity, built from generator quotients around an angle or triangle,
 and ``obs4`` for general multiplicities, built from generator powers
@@ -18,13 +24,10 @@ blocking test (_blocked), the witness exponents (_exponent_table) and the
 groups (_group_masks).  Two paths apply it: _certify_direct on one graph
 with Python ints, for certify_any, and _direct_pass on a stack of graphs
 with int64 arrays, once per isomorphism class, for exhaustive_table.  They
-stay two because arrays only pay off in bulk.  Measured on a 2-core VM:
-running certify_any's graphs through _direct_pass made certify_any over
-the 216 graphs of the perfbench certify_verify pool 2x slower (0.13-0.19 s
-became 0.32-0.40 s); choosing the triple on ints and building and checking
-only the witness on arrays still cost 40-60 ms (about +35 %).  The
-enumerator keeps packed integer keys for the same reason: a byte-string
-canonicaliser took _canonical_rows(5, 4) from 0.28 s to 0.42 s.
+stay two because arrays only pay off in bulk (the README gives the
+measurements).  The enumerator keeps packed integer keys for the same
+reason: a byte-string canonicaliser took _canonical_rows(5, 4) from 0.28 s
+to 0.42 s.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,7 +65,7 @@ from .multigraph import (
     triu_to_matrices,
 )
 from .network import marginal_chain_checks, prime
-from .pauli import PauliOperator, commutation_phase, multiply, relabel, restrict, support
+from .pauli import PauliOperator, commutation_phase, relabel, restrict, support
 from .stabilizer import StabilizerWord, word
 
 METHOD_CONSTANT = "obs1"
@@ -106,37 +109,81 @@ def fidelity_bound_from_lambda(lambda_prime: float) -> float:
     return (7.0 + math.sqrt(4.0 + 2.5 * lambda_prime)) / 10.0
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """A verified-construction record; see the module docstring."""
+class Proof(NamedTuple):
+    """Everything a Certificate's stored fields imply (see _derive)."""
 
-    graph: Multigraph
-    lc_path: tuple[int, ...]
-    triple: tuple[int, int, int]
-    kind: str
-    method: str
-    groups: tuple[tuple[str, ...], ...]
+    certified_graph: Multigraph
     s1: StabilizerWord
     s2: StabilizerWord
     s3: StabilizerWord
     s4: StabilizerWord
-    s4_relabeling: tuple[tuple[str, str], ...]
-    exponents: tuple[tuple[str, int], ...]
+    s4_relabeling: tuple[tuple[str, str], ...]  # S4's sites in G1 -> their doubled copies
+    s4_twisted: PauliOperator  # S4 relabeled by s4_relabeling
     kappa: int
     lambda_prime: float
     fidelity_bound: float
+    method: str  # obs4 exactly when certified_graph's weights are not constant
 
-    @property
-    def certified_graph(self) -> Multigraph:
-        """The orbit member the operators live on (replays lc_path)."""
-        g = self.graph
-        for v in self.lc_path:
-            g = local_complement(g, v)
-        return g
 
-    @property
-    def d(self) -> int:
-        return self.graph.d
+@dataclass(frozen=True)
+class Certificate:
+    """The proof a certificate consists of (see the module docstring).
+
+    ``e1``, ``e2`` and ``e4`` are S1, S2 and S4 as exponent vectors over the
+    generators of ``certified_graph``, the graph after the local
+    complementations of ``lc_path``: word(e) has X-part e and Z-part M e.
+    Everything else is the Proof that _derive computes, once per
+    certificate; its fields read as attributes (``s1``..``s4``, ``kappa``,
+    ``lambda_prime``, ``fidelity_bound``, ``method``, ...).  ``claims`` holds
+    the other fields of a file in the earlier JSON form, as (name, JSON
+    text) pairs: verify_obs3 compares the derived ones with the Proof and
+    lists the construction records (PROVENANCE) as ignored.
+    """
+
+    graph: Multigraph
+    lc_path: tuple[int, ...]
+    groups: tuple[tuple[str, ...], ...]
+    e1: tuple[int, ...]
+    e2: tuple[int, ...]
+    e4: tuple[int, ...]
+    claims: tuple[tuple[str, str], ...] = ()
+
+    @cached_property
+    def proof(self) -> Proof:
+        return _derive(self)
+
+    def __getattr__(self, name: str):
+        # reached only where normal lookup fails: the derived names read the Proof
+        if name in Proof._fields:
+            return getattr(self.proof, name)
+        raise AttributeError(f"'Certificate' object has no attribute {name!r}")
+
+
+def _general(g: Multigraph) -> bool:
+    """Whether g's edge weights are not constant: obs4, else obs1."""
+    return len({m for row in g.mult for m in row if m}) > 1
+
+
+def _derive(cert: Certificate) -> Proof:
+    """Replay lc_path, build S1, S2, S4 and S3 = S1 S2 as words, move S4's
+    sites in G1 to their doubled copies, and take kappa from the twist of
+    S3 and the moved S4.  lambda' is 2 |cos(pi kappa / d)| by the exact case
+    split of select_power_t, which is exact for a kappa that S4's power
+    already makes optimal (verify_obs3 checks that it is); kappa = 0 bounds
+    nothing."""
+    h = cert.graph
+    for v in cert.lc_path:
+        h = local_complement(h, v)
+    d = h.d
+    e3 = tuple((x + y) % d for x, y in zip(cert.e1, cert.e2))
+    s1, s2, s3, s4 = (word(h, dict(enumerate(e))) for e in (cert.e1, cert.e2, e3, cert.e4))
+    sigma = tuple(sorted((lbl, prime(lbl)) for lbl in support(s4.operator) & set(cert.groups[0])))
+    s4_twisted = relabel(s4.operator, dict(sigma))
+    kappa = commutation_phase(s3.operator, s4_twisted)
+    lam = 2.0 * select_power_t(kappa, d).cos_value if kappa else 2.0
+    method = METHOD_GENERAL if _general(h) else METHOD_CONSTANT
+    bound = fidelity_bound_from_lambda(lam)
+    return Proof(h, s1, s2, s3, s4, sigma, s4_twisted, kappa, lam, bound, method)
 
 
 #: Kinds of direct-attempt failure, in the order _refusal reports them.
@@ -168,7 +215,12 @@ class Check:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The checks verify_obs3 ran, and the stored fields it read but did
+    not interpret (an earlier form's construction records); those never
+    count as a passed check."""
+
     checks: tuple[Check, ...]
+    ignored: tuple[str, ...] = ()
 
     @property
     def all_passed(self) -> bool:
@@ -184,19 +236,12 @@ class VerificationReport:
                 {"name": c.name, "passed": c.passed, "detail": c.detail}
                 for c in self.checks
             ],
+            "ignored": list(self.ignored),
         }
 
 
 def _labels(g: Multigraph) -> list[str]:
     return [str(v) for v in range(g.n)]
-
-
-def _sorted_group(members: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted(members, key=lambda s: (len(s), s)))
-
-
-def _relabeling_for(s4: StabilizerWord, g1: frozenset[str]) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted((lbl, prime(lbl)) for lbl in support(s4.operator) & g1))
 
 
 def _neighbor_masks(g: Multigraph) -> list[int]:
@@ -291,64 +336,42 @@ def _build_certificate(
     nb: Sequence[int],
 ) -> Certificate:
     """The obs4 (``general``) or obs1 construction at a triple it accepts;
-    ``nb`` holds the neighbor masks of ``certified``."""
+    ``nb`` holds the neighbor masks of ``certified``.  A construction bug
+    raises here, on the certificate's derived words."""
     a, b, c = triple
     d, n, mult = certified.d, certified.n, certified.mult
     m_ab, m_bc, m_ca = mult[a][b], mult[b][c], mult[c][a]
     if general:
         m_tilde, ea, eb, ec = _obs4_weights(m_ab, m_bc, m_ca, gcd(m_ab, m_ca, m_bc), d)
-        choice = select_power_t(m_tilde, d)
-        exponents = (("a", ea), ("b", eb), ("c", ec), ("e", choice.t))
     else:
-        choice = select_power_t(m_ab, d)
         ea, eb, ec = 0, -1, -1
-        exponents = (("t", choice.t),)
+    t = select_power_t(m_tilde if general else m_ab, d).t
     tri1 = bool(m_bc) and not general
-    words = tuple(
-        word(certified, {a: xa, b: xb, c: xc})
-        for xa, xb, xc in _exponent_table(tri1, ea, eb, ec, choice.t)
+    e1, e2, e3, e4 = (
+        tuple(dict(zip(triple, row)).get(v, 0) % d for v in range(n))
+        for row in _exponent_table(tri1, ea, eb, ec, t)
     )
-    names = _labels(certified)
-    group_sets = tuple(
-        frozenset(names[v] for v in range(n) if mask >> v & 1)
+    groups = tuple(
+        tuple(str(v) for v in range(n) if mask >> v & 1)
         for mask in _group_masks(tri1, a, b, c, nb[a], nb[b], nb[c], (1 << n) - 1)
     )
-    s1, s2, s3, s4 = words
-    if multiply(s1.operator, s2.operator) != s3.operator:
+    cert = Certificate(graph, lc_path, groups, e1, e2, e4)
+    p = cert.proof
+    if e3 != tuple((x + y) % d for x, y in zip(e1, e2)):
         raise StructureError("construction bug: S3 is not exactly S1 S2")
-    if commutation_phase(s1.operator, s2.operator) % d != 0:
+    if commutation_phase(p.s1.operator, p.s2.operator) % d != 0:
         raise StructureError("construction bug: S1 and S2 do not commute")
-    for idx, (w, grp) in enumerate(zip(words, group_sets), start=1):
-        if support(w.operator) & grp:
+    for idx, (w, grp) in enumerate(zip((p.s1, p.s2, p.s3, p.s4), groups), start=1):
+        if support(w.operator) & set(grp):
             raise StructureError(f"construction bug: S{idx} touches group {idx}")
-    sigma = _relabeling_for(s4, group_sets[0])
-    s4p = relabel(s4.operator, dict(sigma))
-    kappa = commutation_phase(s3.operator, s4p)
-    if kappa % d == 0:
+    if p.kappa == 0:
         raise StructureError("construction bug: S3 and relabeled S4 commute")
-    common = support(s3.operator) & support(s4p)
-    if not common <= group_sets[1]:
+    common = support(p.s3.operator) & support(p.s4_twisted)
+    if not common <= set(groups[1]):
         raise StructureError("construction bug: overlap leaks outside group 2")
-    if general and kappa % d != (-choice.t * m_tilde) % d:
+    if general and p.kappa != (-t * m_tilde) % d:
         raise StructureError("construction bug: kappa differs from -e m_tilde")
-    lambda_prime = 2.0 * choice.cos_value
-    return Certificate(
-        graph=graph,
-        lc_path=lc_path,
-        triple=triple,
-        kind="triangle" if m_bc else "angle",
-        method=METHOD_GENERAL if general else METHOD_CONSTANT,
-        groups=tuple(_sorted_group(grp) for grp in group_sets),
-        s1=s1,
-        s2=s2,
-        s3=s3,
-        s4=s4,
-        s4_relabeling=sigma,
-        exponents=exponents,
-        kappa=kappa % d,
-        lambda_prime=lambda_prime,
-        fidelity_bound=fidelity_bound_from_lambda(lambda_prime),
-    )
+    return cert
 
 
 def _certify_direct(
@@ -359,7 +382,7 @@ def _certify_direct(
     Certificate, or None; _refusal explains a failure."""
     d, mult = certified.d, certified.mult
     nb = _neighbor_masks(certified)
-    general = len({m for row in mult for m in row if m}) > 1
+    general = _general(certified)
     for a, b, c in _triples(certified.n):
         m_ab, m_bc, m_ca = mult[a][b], mult[b][c], mult[c][a]
         if not (m_ab and m_ca):
@@ -686,164 +709,120 @@ def exhaustive_table(
 
 
 def verify_obs3(cert: Certificate) -> VerificationReport:
-    """Re-derive every claim a certificate makes, from the graph up.
+    """Derive what a certificate claims from its stored proof, and check it.
 
-    Checks the triple and its kind, group structure, factorizations (each
-    word as ``stabilizer.word`` rebuilds it), the exact operator identities,
-    the four marginal equalities, the twist kappa, the bound arithmetic,
-    and (when the restricted dimension is within the dense cap,
-    ``oracle.dimension_cap()``) that the two twisted operators have no
-    common +1 eigenvector, from their exact per-cycle +1 eigenbases
-    (``oracle.shares_plus_one_eigenvector``).  A certificate so malformed
-    that re-derivation raises is reported as a failed ``integrity`` check
-    rather than an exception.
+    Reports the derived kappa, lambda' and bound; checks the group
+    partition, that S1 and S2 commute, the supports, the twist kappa (nonzero,
+    overlap inside group 2), the four marginal equalities, that lambda' is
+    2 |cos(pi kappa / d)| (S4's power is the best one), and, within the dense
+    cap ``oracle.dimension_cap()``, that the twisted operators share no +1
+    eigenvector (``oracle.shares_plus_one_eigenvector``).  A certificate in
+    the earlier form gets one check per derived field it stores, named after
+    the field, and its construction records in ``ignored``.  A certificate
+    whose derivation raises fails an ``integrity`` check; a malformed cap
+    setting raises ResourceError.
     """
-    checks: list[Check] = []
-    try:
-        _verify_obs3_checks(cert, checks)
-    except (NetcertError, ValueError, KeyError) as exc:
-        checks.append(Check("integrity", False, f"verification aborted: {exc}"))
-    return VerificationReport(checks=tuple(checks))
-
-
-def _verify_obs3_checks(cert: Certificate, checks: list[Check]) -> None:
     from . import oracle
 
-    h = cert.certified_graph
-    d = h.d
-    parties = set(_labels(h))
+    cap = oracle.dimension_cap()
+    checks: list[Check] = []
+    try:
+        _verify_obs3_checks(cert, cap, checks)
+    except (NetcertError, ValueError, KeyError) as exc:
+        checks.append(Check("integrity", False, f"verification aborted: {exc}"))
+    ignored = tuple(name for name, _ in cert.claims if name in PROVENANCE)
+    return VerificationReport(checks=tuple(checks), ignored=ignored)
+
+
+def _verify_obs3_checks(cert: Certificate, cap: int, checks: list[Check]) -> None:
+    from . import oracle
+
+    p = cert.proof
+    d = cert.graph.d
+    parties = set(_labels(cert.graph))
     group_sets = [frozenset(grp) for grp in cert.groups]
-    union: set[str] = set()
-    total = 0
-    for grp in group_sets:
-        union |= grp
-        total += len(grp)
-    checks.append(
-        Check(
-            "groups_partition",
-            union == parties and total == len(parties),
-            f"groups cover {sorted(union)} of {sorted(parties)}",
-        )
-    )
-    # distinct vertices with edges AB and CA; a triangle exactly when BC is one
-    triple = cert.triple
-    triple_ok = len(set(triple)) == len(triple) == 3 and all(0 <= v < h.n for v in triple)
-    if triple_ok:
-        a, b, c = triple
-        triple_ok = bool(h.mult[a][b] and h.mult[c][a]) and (
-            (cert.kind == "triangle") == bool(h.mult[b][c])
-        )
-    checks.append(Check("triple", triple_ok, f"{cert.kind} at {list(triple)}"))
-    words_ok = True
-    for idx, w in enumerate((cert.s1, cert.s2, cert.s3, cert.s4), start=1):
-        # the whole word: a relabeled, repeated or reduced factor changes it
-        if word(h, {int(lbl): e for lbl, e in w.factorization}) != w:
-            words_ok = False
-            checks.append(Check("factorizations", False, f"S{idx} mismatch"))
-            break
-    if words_ok:
-        checks.append(Check("factorizations", True))
-    prod = multiply(cert.s1.operator, cert.s2.operator)
-    commute = commutation_phase(cert.s1.operator, cert.s2.operator) % d == 0
-    checks.append(
-        Check("product", prod == cert.s3.operator and commute, "S3 == S1 S2 exactly")
-    )
-    supports_ok = all(
-        not (support(w.operator) & grp)
-        for w, grp in zip((cert.s1, cert.s2, cert.s3, cert.s4), group_sets)
-    )
+    union = frozenset().union(*group_sets)
+    partition = union == parties and sum(map(len, group_sets)) == len(parties)
+    detail = f"groups cover {sorted(union)} of {sorted(parties)}"
+    checks.append(Check("groups_partition", partition, detail))
+    commute = commutation_phase(p.s1.operator, p.s2.operator) % d == 0
+    checks.append(Check("commute", commute, "S1 S2 == S2 S1; S3 = S1 S2"))
+    words = (p.s1, p.s2, p.s3, p.s4)
+    supports_ok = all(not (support(w.operator) & grp) for w, grp in zip(words, group_sets))
     checks.append(Check("supports", supports_ok, "each S_i avoids group i"))
-    sigma = dict(cert.s4_relabeling)
-    expected_sigma = dict(_relabeling_for(cert.s4, group_sets[0]))
-    checks.append(
-        Check("relabel_map", sigma == expected_sigma, "copies are support cap group 1")
-    )
-    s4p = relabel(cert.s4.operator, sigma)
-    kappa = commutation_phase(cert.s3.operator, s4p) % d
-    common = support(cert.s3.operator) & support(s4p)
-    checks.append(
-        Check(
-            "kappa",
-            kappa == cert.kappa % d and kappa != 0 and common <= group_sets[1],
-            f"kappa = {kappa}, overlap {sorted(common)}",
-        )
-    )
+    common = support(p.s3.operator) & support(p.s4_twisted)
+    detail = f"kappa = {p.kappa}, overlap {sorted(common)}"
+    checks.append(Check("kappa", p.kappa != 0 and common <= group_sets[1], detail))
     premises = marginal_chain_checks(
-        parties,
-        group_sets,
-        support(cert.s1.operator),
-        support(cert.s2.operator),
-        support(cert.s3.operator),
-        support(cert.s4.operator),
-        sigma,
+        parties, group_sets, *(support(w.operator) for w in words), dict(p.s4_relabeling)
     )
     for name, ok in premises:
         checks.append(Check(f"marginal: {name}", ok))
-    lam = cert.lambda_prime
-    lam_ok = (
-        0.0 <= lam <= 2.0
-        and lam <= 2.0 * abs(math.cos(math.pi * kappa / d)) + _LAMBDA_TOL
-        and cert.fidelity_bound == fidelity_bound_from_lambda(lam)
+    lam = p.lambda_prime
+    lam_ok = abs(lam - 2.0 * abs(math.cos(math.pi * p.kappa / d))) <= _LAMBDA_TOL
+    checks.append(
+        Check("lambda_bound", lam_ok, f"lambda' = {lam}, fidelity bound {p.fidelity_bound}")
     )
-    checks.append(Check("lambda_bound", lam_ok, f"lambda' = {lam}"))
-    cap = oracle.dimension_cap()
-    r3 = restrict(cert.s3.operator, group_sets[1])
-    r4 = restrict(s4p, group_sets[1])
+    r3 = restrict(p.s3.operator, group_sets[1])
+    r4 = restrict(p.s4_twisted, group_sets[1])
     sites = sorted(support(r3) | support(r4))
     if sites and d ** len(sites) <= cap:
-        shared = oracle.shares_plus_one_eigenvector(r3, r4, sites)
-        checks.append(
-            Check(
-                "eigenspace_obstruction",
-                not shared,
-                "restricted operators have no common +1 eigenvector",
-            )
-        )
+        ok = not oracle.shares_plus_one_eigenvector(r3, r4, sites)
+        detail = "restricted operators have no common +1 eigenvector"
     else:
         # U1 v = v = U2 v with U1 U2 = omega^k U2 U1 forces v = omega^k v, so
         # k != 0 rules out a common +1 eigenvector without the eigenbasis check.
         k = commutation_phase(r3, r4)
-        checks.append(
-            Check(
-                "eigenspace_obstruction",
-                k != 0,
-                f"restricted operators commute up to omega^{k}; dense check "
-                f"skipped: dimension {d}^{len(sites)} exceeds cap {cap}",
-            )
+        ok = k != 0
+        detail = (
+            f"restricted operators commute up to omega^{k}; dense check "
+            f"skipped: dimension {d}^{len(sites)} exceeds cap {cap}"
         )
+    checks.append(Check("eigenspace_obstruction", ok, detail))
+    derived = _v1_fields(p) if cert.claims else {}
+    for name, text in cert.claims:
+        if name in derived:
+            ok = text == derived[name]
+            checks.append(Check(name, ok, "" if ok else f"stored {text}, derived {derived[name]}"))
 
 
-def certificate_to_json_obj(cert: Certificate) -> dict:
-    """Schema-stable JSON form (field order is part of the format)."""
+#: Fields of the earlier JSON form that recorded how a certificate was built.
+PROVENANCE = ("triple", "kind", "exponents")
+_V1_SCALARS = ("kappa", "lambda_prime", "fidelity_bound", "method")
+_V2_FIELDS = ("version", "graph", "lc_path", "groups", "S1", "S2", "S4")
+
+
+def _json_text(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+def _v1_fields(p: Proof) -> dict[str, str]:
+    """The derived fields of the earlier JSON form, as _json_text."""
 
     def op_obj(w: StabilizerWord) -> dict:
-        sm = w.operator.site_map()
         return {
             "phase_exp": w.operator.phase_exp,
-            "sites": {lbl: list(sm[lbl]) for lbl in sorted(sm)},
+            "sites": {lbl: list(xz) for lbl, xz in w.operator.sites},
             "factorization": [[lbl, e] for lbl, e in w.factorization],
         }
 
+    fields = {f"S{i}": op_obj(w) for i, w in enumerate((p.s1, p.s2, p.s3, p.s4), start=1)}
+    fields["S4prime_relabel"] = dict(p.s4_relabeling)
+    fields.update((name, getattr(p, name)) for name in _V1_SCALARS)
+    return {name: _json_text(value) for name, value in fields.items()}
+
+
+def certificate_to_json_obj(cert: Certificate) -> dict:
+    """The JSON form, version 2: the stored proof and nothing derived.
+    Field order is part of the format."""
     return {
+        "version": 2,
         "graph": cert.graph.to_json_obj(),
-        "triple": list(cert.triple),
-        "kind": cert.kind,
-        "groups": {
-            f"G{i}": list(grp) for i, grp in enumerate(cert.groups, start=1)
-        },
-        "operators": {
-            "S1": op_obj(cert.s1),
-            "S2": op_obj(cert.s2),
-            "S3": op_obj(cert.s3),
-            "S4": op_obj(cert.s4),
-            "S4prime_relabel": {k: v for k, v in cert.s4_relabeling},
-        },
-        "exponents": {k: v for k, v in cert.exponents},
-        "kappa": cert.kappa,
-        "lambda_prime": cert.lambda_prime,
-        "fidelity_bound": cert.fidelity_bound,
-        "method": cert.method,
         "lc_path": list(cert.lc_path),
+        "groups": [list(grp) for grp in cert.groups],
+        "S1": list(cert.e1),
+        "S2": list(cert.e2),
+        "S4": list(cert.e4),
     }
 
 
@@ -854,51 +833,69 @@ def _typed(value, types: tuple[type, ...], among: tuple = ()):
     return value
 
 
-def _int(value) -> int:
-    return _typed(value, (int,))
+def _ints(value) -> tuple[int, ...]:
+    return tuple(_typed(x, (int,)) for x in _typed(value, (list,)))
+
+
+def _groups(groups) -> tuple[tuple[str, ...], ...]:
+    if len(_typed(groups, (list,))) != 4:
+        raise StructureError("malformed certificate object: groups must be G1..G4")
+    return tuple(tuple(_typed(lbl, (str,)) for lbl in _typed(grp, (list,))) for grp in groups)
+
+
+def _vector(value, graph: Multigraph) -> tuple[int, ...]:
+    e = _ints(value)
+    if len(e) != graph.n or not all(0 <= x < graph.d for x in e):
+        msg = f"{value!r} is not in Z_{graph.d}^{graph.n}"
+        raise StructureError(f"malformed certificate object: {msg}")
+    return e
+
+
+def _factorization_vector(factorization, graph: Multigraph) -> tuple[int, ...]:
+    """An earlier-form factorization [[label, exponent], ...] as a vector."""
+    e = [0] * graph.n
+    unseen = set(_labels(graph))
+    for lbl, x in _typed(factorization, (list,)):
+        if _typed(lbl, (str,)) not in unseen:
+            raise StructureError(f"malformed certificate object: repeated or unknown {lbl!r}")
+        unseen.remove(lbl)
+        e[int(lbl)] = _typed(x, (int,)) % graph.d
+    return tuple(e)
 
 
 def certificate_from_json_obj(obj: dict) -> Certificate:
-    """Inverse of certificate_to_json_obj.  A field that does not hold its
-    JSON type, or a kind or method it does not name, raises StructureError."""
+    """Inverse of certificate_to_json_obj.  An object without "version" is in
+    the earlier form: S1, S2 and S4 come from their factorizations, the other
+    fields become ``claims``.  A field not of its JSON type, a vertex or
+    exponent out of range, a repeated or unknown factor label, or a version
+    other than 2 raises StructureError."""
     try:
         graph = Multigraph.from_json_obj(obj["graph"])
-        d = graph.d
-
-        def op_from(o: dict) -> StabilizerWord:
-            operator = PauliOperator.from_sites(
-                d,
-                {lbl: (_int(x), _int(z)) for lbl, (x, z) in o["sites"].items()},
-                phase_exp=_int(o["phase_exp"]),
-            )
-            factorization = tuple(
-                (_typed(lbl, (str,)), _int(e)) for lbl, e in o["factorization"]
-            )
-            return StabilizerWord(operator=operator, factorization=factorization)
-
-        ops = obj["operators"]
-        return Certificate(
-            graph=graph,
-            lc_path=tuple(map(_int, obj["lc_path"])),
-            triple=tuple(map(_int, obj["triple"])),
-            kind=_typed(obj["kind"], (str,), ("angle", "triangle")),
-            method=_typed(obj["method"], (str,), (METHOD_CONSTANT, METHOD_GENERAL)),
-            groups=tuple(
-                tuple(_typed(lbl, (str,)) for lbl in _typed(obj["groups"][f"G{i}"], (list,)))
-                for i in range(1, 5)
-            ),
-            s1=op_from(ops["S1"]),
-            s2=op_from(ops["S2"]),
-            s3=op_from(ops["S3"]),
-            s4=op_from(ops["S4"]),
-            s4_relabeling=tuple(sorted(ops["S4prime_relabel"].items())),
-            exponents=tuple((k, _int(v)) for k, v in obj["exponents"].items()),
-            kappa=_int(obj["kappa"]),
-            lambda_prime=float(_typed(obj["lambda_prime"], (int, float))),
-            fidelity_bound=float(_typed(obj["fidelity_bound"], (int, float))),
-        )
-    # AttributeError: a list in place of an object; OverflowError: a bound past float
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        lc_path = _ints(obj["lc_path"])
+        if not all(0 <= v < graph.n for v in lc_path):
+            raise StructureError(f"malformed certificate object: lc_path {list(lc_path)}")
+        claims = ()
+        if "version" in obj:
+            _typed(obj["version"], (int,), (2,))
+            if sorted(obj) != sorted(_V2_FIELDS):
+                raise StructureError(f"malformed certificate object: fields {sorted(obj)}")
+            groups = obj["groups"]
+            vectors = [_vector(obj[f"S{i}"], graph) for i in (1, 2, 4)]
+        else:
+            ops = obj["operators"]
+            groups = [obj["groups"][f"G{i}"] for i in range(1, 5)]
+            factorizations = (ops[f"S{i}"]["factorization"] for i in (1, 2, 4))
+            vectors = [_factorization_vector(f, graph) for f in factorizations]
+            # the construction records: type-checked, never interpreted
+            _ints(obj["triple"])
+            _typed(obj["kind"], (str,), ("angle", "triangle"))
+            _ints(list(_typed(obj["exponents"], (dict,)).values()))
+            stored = {name: ops[name] for name in ("S1", "S2", "S3", "S4", "S4prime_relabel")}
+            stored.update((name, obj[name]) for name in (*_V1_SCALARS, *PROVENANCE))
+            claims = tuple((name, _json_text(value)) for name, value in stored.items())
+        return Certificate(graph, lc_path, _groups(groups), *vectors, claims)
+    # AttributeError: a list in place of an object
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed certificate object: {exc}") from exc
 
 

@@ -98,25 +98,16 @@ def _not_certified_obj(res: NotCertified) -> dict:
     }
 
 
-def _certificate_obj(cert: Certificate, verify: bool) -> dict:
-    obj = {"certified": True, "certificate": certificate_to_json_obj(cert)}
-    if verify:
-        obj["verification"] = verify_obs3(cert).to_json_obj()
-    return obj
-
-
 def _human_certificate(cert: Certificate) -> str:
     lines = [
         f"certified: yes ({cert.method})",
         f"graph: d={cert.graph.d} n={cert.graph.n} "
         + " ".join(f"{i}-{j}:{m}" for i, j, m in edges(cert.graph)),
-        f"triple: {cert.triple} ({cert.kind})",
         f"lc_path: {list(cert.lc_path) or '[]'}",
         "groups: "
         + "; ".join(
             f"G{i}={{{', '.join(grp)}}}" for i, grp in enumerate(cert.groups, 1)
         ),
-        f"exponents: {dict(cert.exponents)}",
         f"kappa: {cert.kappa}",
         f"lambda_prime: {_fmt6(cert.lambda_prime)}",
         f"fidelity_bound: {_fmt6(cert.fidelity_bound)}",
@@ -128,16 +119,24 @@ def cmd_certify(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     result = certify_any(graph, orbit_cap=args.budget_orbit)
     if isinstance(result, Certificate):
+        report = verify_obs3(result) if args.verify else None
         if args.format == "human":
             text = _human_certificate(result)
-            if args.verify:
-                report = verify_obs3(result)
-                status = "pass" if report.all_passed else "FAIL"
-                text += f"verification: {status}\n"
+            if report is not None:
+                text += f"verification: {'pass' if report.all_passed else 'FAIL'}\n"
             _emit(args, text)
         else:
-            _emit_json(args, _certificate_obj(result, args.verify))
-        return EXIT_OK
+            # derived from the certificate, so printed beside it
+            obj = {
+                "certified": True,
+                "method": result.method,
+                "fidelity_bound": result.fidelity_bound,
+                "certificate": certificate_to_json_obj(result),
+            }
+            if report is not None:
+                obj["verification"] = report.to_json_obj()
+            _emit_json(args, obj)
+        return EXIT_OK if report is None or report.all_passed else EXIT_NEGATIVE
     if args.format == "human":
         lines = ["certified: no"] + [f"  - {r}" for r in result.reasons]
         _emit(args, "\n".join(lines) + "\n")
@@ -262,6 +261,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             + (f"  ({c.detail})" if c.detail else "")
             for c in report.checks
         ]
+        if report.ignored:
+            lines.append(f"ignored  {', '.join(report.ignored)}  (stored, not interpreted)")
         lines.append("all passed" if report.all_passed else "VERIFICATION FAILED")
         _emit(args, "\n".join(lines) + "\n")
     else:

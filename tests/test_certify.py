@@ -1,8 +1,10 @@
 """Certificate constructions, verification, serialization, and tallies."""
 
 import dataclasses
+import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from netcert.certify import (
     _check_witnesses,
     _direct_pass,
     _orbit_walks,
+    certificate_from_json_obj,
     certificate_to_json_obj,
 )
 from netcert.multigraph import (
@@ -106,7 +109,9 @@ def test_fidelity_bound_from_lambda():
 def test_constant_multiplicity_triangle_d2():
     cert = certify_any(triangle(2))
     assert cert.method == "obs1"
-    assert cert.kind == "triangle"
+    # the triangle layout: G1 = {c}, where an angle's would be G1 = {b}
+    assert cert.groups == (("2",), ("1",), ("0",), ())
+    assert (cert.e1, cert.e2, cert.e4) == ((1, 1, 0), (1, 0, 1), (0, 0, 1))
     assert cert.kappa == 1
     assert cert.lambda_prime == 0.0
     assert cert.fidelity_bound == 0.9
@@ -143,8 +148,9 @@ def test_obs4_on_mixed_angle():
     cert = certify_any(g)
     assert isinstance(cert, Certificate)
     assert cert.method == "obs4"
-    assert cert.kind == "angle"
-    assert cert.triple == (0, 1, 2)
+    # the angle layout at triple (0, 1, 2): S4 = g_0^2, G1 = {1}, G2 = {2}
+    assert cert.groups == (("1",), ("2",), ("0",), ())
+    assert (cert.e1, cert.e2, cert.e4) == ((0, 0, 1), (0, 1, 0), (2, 0, 0))
     assert verify_obs3(cert).all_passed
 
 
@@ -329,22 +335,36 @@ def _tampered(cert, **changes):
     return dataclasses.replace(cert, **changes)
 
 
+#: Certificates in the earlier JSON form (no "version"), as `netcert certify
+#: --output` wrote them: obs1 on a triangle, obs4 on an angle, and obs4 after
+#: local complementations at d = 3 and d = 6.
+V1_FIXTURES = sorted((Path(__file__).parent / "data").glob("v1_*.json"))
+
+
+def _v1_edited(fixture, edit):
+    """The fixture's certificate object after ``edit(obj)``, read back."""
+    obj = json.loads(fixture.read_text())["certificate"]
+    edit(obj)
+    return certificate_from_json_obj(obj)
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(obj):
+        for step in path:
+            obj = obj[step]
+        obj[key] = value(obj[key]) if callable(value) else value
+
+    return edit
+
+
 def test_verifier_rejects_tampering():
+    """Each edit of a stored proof fails the check it breaks; each edit of a
+    field the proof fixes, in the earlier form, fails the check named after
+    the field; the construction records are only listed as ignored."""
     cert = certify_any(triangle(3))
     assert verify_obs3(cert).all_passed
-
-    wrong_kappa = _tampered(cert, kappa=(cert.kappa + 1) % 3)
-    report = verify_obs3(wrong_kappa)
-    assert not report.all_passed
-    assert any(c.name == "kappa" for c in report.failed())
-
-    wrong_bound = _tampered(cert, fidelity_bound=0.99)
-    report = verify_obs3(wrong_bound)
-    assert any(c.name == "lambda_bound" for c in report.failed())
-
-    wrong_lambda = _tampered(cert, lambda_prime=2.0)
-    report = verify_obs3(wrong_lambda)
-    assert any(c.name == "lambda_bound" for c in report.failed())
 
     swapped_groups = _tampered(
         cert, groups=(cert.groups[1], cert.groups[0], cert.groups[2], cert.groups[3])
@@ -352,13 +372,15 @@ def test_verifier_rejects_tampering():
     report = verify_obs3(swapped_groups)
     assert not report.all_passed
 
-    wrong_s3 = _tampered(cert, s3=cert.s1)
-    report = verify_obs3(wrong_s3)
-    assert any(c.name == "product" for c in report.failed())
+    # S4 = S3: no twist
+    s3 = tuple((x + y) % 3 for x, y in zip(cert.e1, cert.e2))
+    assert "kappa" in [c.name for c in verify_obs3(_tampered(cert, e4=s3)).failed()]
 
-    wrong_sigma = _tampered(cert, s4_relabeling=())
-    report = verify_obs3(wrong_sigma)
-    assert any(c.name == "relabel_map" for c in report.failed())
+    # S4 at a power whose twist is not the best one: lambda' undercuts the bound
+    cert5 = certify_any(triangle(5))
+    assert cert5.e4 == (0, 0, 2) and verify_obs3(cert5).all_passed
+    report = verify_obs3(_tampered(cert5, e4=(0, 0, 1)))
+    assert [c.name for c in report.failed()] == ["lambda_bound"]
 
     # drop a populated group: use a path on four vertices, whose far vertex
     # lands in group 4
@@ -371,17 +393,31 @@ def test_verifier_rejects_tampering():
     report = verify_obs3(missing_group)
     assert any(c.name == "groups_partition" for c in report.failed())
 
-    for changes, check in [
-        ({"triple": (0, 1)}, "triple"),
-        ({"triple": (0, 1, 1)}, "triple"),
-        ({"kind": "angle"}, "triple"),
-        ({"s4": dataclasses.replace(cert.s4, factorization=cert.s4.factorization * 2)},
-         "factorizations"),
-        ({"s1": dataclasses.replace(cert.s1, factorization=cert.s1.factorization[::-1])},
-         "factorizations"),
-    ]:
-        report = verify_obs3(_tampered(cert, **changes))
-        assert [c.name for c in report.failed()] == [check], changes
+    def s3_is_s1(obj):
+        obj["operators"]["S3"] = obj["operators"]["S1"]
+
+    other = {"obs1": "obs4", "obs4": "obs1", "angle": "triangle", "triangle": "angle"}
+    for fixture in V1_FIXTURES:
+        assert verify_obs3(_v1_edited(fixture, lambda obj: None)).all_passed
+        ops = json.loads(fixture.read_text())["certificate"]["operators"]
+        longer = next(f"S{i}" for i in range(1, 5) if len(ops[f"S{i}"]["factorization"]) > 1)
+        for edit, check in [
+            (_set("kappa", lambda k: k + 1), "kappa"),
+            (_set("fidelity_bound", 0.99), "fidelity_bound"),
+            (_set("lambda_prime", 2.0), "lambda_prime"),
+            (s3_is_s1, "S3"),
+            (_set("operators", "S4prime_relabel", {}), "S4prime_relabel"),
+            (_set("method", other.get), "method"),
+            (_set("operators", longer, "factorization", lambda f: f[::-1]), longer),
+        ]:
+            report = verify_obs3(_v1_edited(fixture, edit))
+            assert [c.name for c in report.failed()] == [check], (fixture.name, check)
+        for edit in [_set("triple", [0, 1]), _set("triple", [0, 1, 1]), _set("kind", other.get)]:
+            report = verify_obs3(_v1_edited(fixture, edit))
+            assert report.all_passed and report.ignored == ("triple", "kind", "exponents")
+        doubled = _set("operators", "S4", "factorization", lambda f: f * 2)
+        with pytest.raises(StructureError):
+            _v1_edited(fixture, doubled)
 
 
 def test_verifier_dense_check_can_be_skipped(monkeypatch):
@@ -397,7 +433,7 @@ def test_verifier_decides_obstruction_above_dense_cap(monkeypatch):
     """Skipping the dense check does not pass operators whose restrictions
     to group 2 commute, and at the default cap the check runs and fails."""
     cert = certify_any(triangle(3))
-    commuting = _tampered(cert, s4=cert.s3)
+    commuting = _tampered(cert, e4=tuple((x + y) % 3 for x, y in zip(cert.e1, cert.e2)))
     monkeypatch.setenv("NETCERT_CAP", "1")
     report = verify_obs3(commuting)
     eig = [c for c in report.checks if c.name == "eigenspace_obstruction"]
@@ -428,21 +464,16 @@ def test_json_round_trip_is_byte_identical():
 def test_json_schema_shape():
     cert = certify_any(triangle(2))
     obj = certificate_to_json_obj(cert)
-    assert list(obj) == [
-        "graph",
-        "triple",
-        "kind",
-        "groups",
-        "operators",
-        "exponents",
-        "kappa",
-        "lambda_prime",
-        "fidelity_bound",
-        "method",
-        "lc_path",
-    ]
-    assert list(obj["groups"]) == ["G1", "G2", "G3", "G4"]
-    assert list(obj["operators"]) == ["S1", "S2", "S3", "S4", "S4prime_relabel"]
+    assert obj == {
+        "version": 2,
+        "graph": {"d": 2, "n": 3, "edges": [[0, 1, 1], [0, 2, 1], [1, 2, 1]]},
+        "lc_path": [],
+        "groups": [["2"], ["1"], ["0"], []],
+        "S1": [1, 1, 0],
+        "S2": [1, 0, 1],
+        "S4": [0, 0, 1],
+    }
+    assert list(obj) == ["version", "graph", "lc_path", "groups", "S1", "S2", "S4"]
 
 
 def test_malformed_certificates_rejected():
@@ -451,17 +482,16 @@ def test_malformed_certificates_rejected():
     with pytest.raises(StructureError):
         certificate_from_json("{}")
     cert = certify_any(triangle(2))
-    obj = certificate_to_json_obj(cert)
-    del obj["kappa"]
-    import json
-
-    with pytest.raises(StructureError):
-        certificate_from_json(json.dumps(obj))
-    for label in (2, 2.5, None):
+    for field in ("S4", "groups"):
         obj = certificate_to_json_obj(cert)
-        obj["operators"]["S4"]["factorization"][0][0] = label
+        del obj[field]
         with pytest.raises(StructureError):
             certificate_from_json(json.dumps(obj))
+    with pytest.raises(StructureError):
+        _v1_edited(V1_FIXTURES[0], lambda obj: obj.pop("kappa"))
+    for label in (2, 2.5, None):
+        with pytest.raises(StructureError):
+            _v1_edited(V1_FIXTURES[0], _set("operators", "S4", "factorization", 0, 0, label))
 
 
 # ---------------------------------------------------------------- tallies
@@ -517,11 +547,10 @@ TABLE_CELLS = [  # n, d, enumeration budget, orbit cap; None keeps the default
     (5, 3, None, None),
     (5, 4, None, None),
     (5, 3, 100, None),
-    (4, 3, 400, None),
+    (4, 3, 400, None),  # one walk stops at a class outside the cut cell, by obs1
     (4, 6, 4665, None),  # its walks leave the budget-cut cell: 25 classes filled one by one
     (4, 4, None, 1),
     (4, 8, None, 2),
-    (5, 4, 600000, None),  # one walk stops at a class outside the cut cell, by obs1
 ]
 
 
@@ -547,7 +576,8 @@ def test_exhaustive_table_matches_certify_any(n, d, budget, orbit_cap):
 
 def test_direct_pass_operators_equal_certify_any():
     """The array witnesses of the (4,4) classes that certify directly are the
-    operators, groups and triples of the certificates certify_any emits."""
+    operators, groups and exponent vectors of the certificates certify_any
+    emits."""
     graphs = list(enumerate_connected_multigraphs(4, 4))
     direct = _direct_pass(np.array([g.mult for g in graphs]), 4)
     assert direct.certified.sum() == len(direct.triple) == 185
@@ -557,7 +587,7 @@ def test_direct_pass_operators_equal_certify_any():
         cert = certify_any(g)
         assert cert.lc_path == ()
         assert cert.method == ("obs4" if general[k] else "obs1")
-        assert cert.triple == tuple(direct.triple[k].tolist())
+        assert [cert.e1, cert.e2, cert.e4] == list(map(tuple, direct.x[k, [0, 1, 3]].tolist()))
         masks = [sum(1 << int(v) for v in grp) for grp in cert.groups]
         assert masks == direct.groups[k].tolist()
         for i, w in enumerate((cert.s1, cert.s2, cert.s3, cert.s4)):

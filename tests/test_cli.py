@@ -5,15 +5,31 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from netcert import cli
+from netcert.certify import Check, VerificationReport
 from netcert.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, build_parser, main
 
 TRIANGLE = "2 3; 0 1 1; 1 2 1; 0 2 1"
 BAD_ANGLE = "6 3; 0 1 3; 0 2 2"
 PATH_D2 = "2 3; 0 1 1; 1 2 1"
 TRIANGLE_EDGES = [[0, 1, 1], [1, 2, 1], [0, 2, 1]]
+
+#: Certificates in the earlier JSON form (no "version"), as `netcert certify
+#: --output` wrote them for these graphs: obs1 on a triangle, obs4 on an
+#: angle, obs4 after the local complementation [0] (d = 3) and after
+#: [2, 3, 0] (d = 6).
+V1_GRAPHS = {
+    "v1_obs1_triangle_d2.json": TRIANGLE,
+    "v1_obs4_angle_d3.json": "3 3; 0 1 1; 1 2 2",
+    "v1_obs4_lc_d3.json": "3 4; 0 1 1; 0 2 1; 0 3 1; 1 2 1; 1 3 1; 2 3 2",
+    "v1_obs4_lc_d6.json": "6 4; 0 2 2; 0 3 3; 1 2 2; 1 3 3; 2 3 1",
+}
+V1_FIXTURES = [Path(__file__).parent / "data" / name for name in V1_GRAPHS]
+PROVENANCE = ["triple", "kind", "exponents"]
 
 
 def run(capsys, *argv):
@@ -30,9 +46,10 @@ def test_certify_json(capsys):
     assert code == EXIT_OK
     obj = json.loads(out)
     assert obj["certified"] is True
-    cert = obj["certificate"]
-    assert cert["method"] == "obs1"
-    assert cert["fidelity_bound"] == 0.9
+    # derived, so beside the certificate, which holds only the proof
+    assert obj["method"] == "obs1"
+    assert obj["fidelity_bound"] == 0.9
+    assert list(obj["certificate"]) == ["version", "graph", "lc_path", "groups", "S1", "S2", "S4"]
     assert "verification" not in obj
 
 
@@ -51,6 +68,35 @@ def test_certify_human(capsys):
     assert "certified: yes (obs1)" in out
     assert "fidelity_bound: 0.9" in out
     assert "verification: pass" in out
+    assert "triple" not in out and "exponents" not in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "human"])
+def test_certify_verify_failure_exits_2(monkeypatch, capsys, fmt):
+    """A certificate that fails its re-verification is not a success."""
+    failing = VerificationReport(checks=(Check("kappa", False),))
+    monkeypatch.setattr(cli, "verify_obs3", lambda cert: failing)
+    code, out, _ = run(capsys, "certify", "--inline", TRIANGLE, "--verify", "--format", fmt)
+    assert code == EXIT_NEGATIVE
+    if fmt == "json":
+        assert json.loads(out)["verification"]["all_passed"] is False
+    else:
+        assert "verification: FAIL" in out
+
+
+@pytest.mark.parametrize("argv", [["verify", "--input", "{cert}"], ["certify", "--verify"]])
+def test_malformed_cap_is_an_input_error(tmp_path, monkeypatch, capsys, argv):
+    """NETCERT_CAP that is not an integer ends the run with exit 1 and one
+    error line; it is not reported as a failed check of the certificate."""
+    cert_file = tmp_path / "cert.json"
+    assert main(["certify", "--inline", TRIANGLE, "--output", str(cert_file)]) == EXIT_OK
+    argv = [a.replace("{cert}", str(cert_file)) for a in argv]
+    if argv[0] == "certify":
+        argv += ["--inline", TRIANGLE]
+    monkeypatch.setenv("NETCERT_CAP", "abc")
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error:") and "NETCERT_CAP" in err and err.count("\n") == 1
 
 
 def test_certify_negative(capsys):
@@ -127,54 +173,143 @@ def test_certify_rejects_malformed_json_graph(tmp_path, capsys, obj):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _key(node, key):
+    """An integer key into an object picks its i-th key."""
+    return list(node)[key] if isinstance(node, dict) and isinstance(key, int) else key
+
+
+def _edit(node, where, value, d):
+    """Set node[where...] to value; a callable value gets the old value (None
+    where there is none) and d."""
+    *path, last = where
+    for key in path:
+        node = node[_key(node, key)]
+    last = _key(node, last)
+    if callable(value):
+        value = value(node.get(last) if isinstance(node, dict) else node[last], d)
+    node[last] = value
+
+
+def _verify_edited(tmp_path, capsys, fixture, where, value):
+    """Run verify on the fixture's certificate, edited at ``where``."""
+    obj = json.loads(fixture.read_text())
+    _edit(obj["certificate"], where, value, obj["certificate"]["graph"]["d"])
+    path = tmp_path / fixture.name
+    path.write_text(json.dumps(obj))
+    return run(capsys, "verify", "--input", str(path))
+
+
+def _failed(out):
+    return [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+
+
+def _assert_refused(code, out, err):
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
-    "where,value",
+    "where,value,check",
     [
-        (["kappa"], 1.9),
-        (["kappa"], True),
-        (["exponents", "t"], 1.5),
-        (["operators", "S4", "factorization", 0, 1], 1.5),
-        (["operators", "S4", "factorization", 0, 0], 2.5),
-        (["operators", "S4", "factorization", 0, 0], 2),
-        (["operators", "S1", "phase_exp"], 2.0),
-        (["operators", "S4", "sites", "2"], [1.0, 0]),
-        (["triple"], [0, 1, 2.0]),
-        (["lc_path"], ["0"]),
-        (["exponents"], [["t", 1]]),
-        (["operators", "S4prime_relabel"], [["2", "2'"]]),
-        (["lambda_prime"], "0.0"),
-        (["lambda_prime"], False),
-        (["fidelity_bound"], "0.9"),
-        (["fidelity_bound"], 10**400),
-        (["kind"], 5),
-        (["method"], ["obs1"]),
-        (["groups", "G1"], "2"),
-        (["groups", "G2"], [1]),
+        (["kappa"], 1.9, "kappa"),
+        (["kappa"], True, "kappa"),
+        (["exponents", "t"], 1.5, None),
+        (["operators", "S4", "factorization", 0, 1], 1.5, None),
+        (["operators", "S4", "factorization", 0, 0], 2.5, None),
+        (["operators", "S4", "factorization", 0, 0], 2, None),
+        (["operators", "S1", "phase_exp"], 2.0, "S1"),
+        (["operators", "S4", "sites", "2"], [1.0, 0], "S4"),
+        (["triple"], [0, 1, 2.0], None),
+        (["lc_path"], ["0"], None),
+        (["lc_path"], [4], None),
+        (["exponents"], [["t", 1]], None),
+        (["operators", "S4prime_relabel"], [["2", "2'"]], "S4prime_relabel"),
+        (["lambda_prime"], "0.0", "lambda_prime"),
+        (["lambda_prime"], False, "lambda_prime"),
+        (["fidelity_bound"], "0.9", "fidelity_bound"),
+        (["fidelity_bound"], 10**400, "fidelity_bound"),
+        (["kind"], 5, None),
+        (["method"], ["obs1"], "method"),
+        (["groups", "G1"], "2", None),
+        (["groups", "G2"], [1], None),
     ],
     ids=[
         "kappa-float", "kappa-bool", "exponent-float", "factorization-float",
         "factorization-label-float", "factorization-label-int", "phase-float",
-        "site-float", "triple-float", "lc-path-string", "exponents-list", "relabel-list",
+        "site-float", "triple-float", "lc-path-string", "lc-path-outside", "exponents-list",
+        "relabel-list",
         "lambda-string", "lambda-bool", "bound-string", "bound-huge-int", "kind-int", "method-list",
         "group-string", "group-int-label",
     ],
 )
-def test_verify_rejects_malformed_certificate(tmp_path, capsys, where, value):
-    """A stored certificate whose fields do not hold their JSON types (an
-    integer, a number, a list of strings), whose kind or method is not one
-    of its names, or whose objects are lists, exits 1 with one error line;
-    it is not read as some other certificate that verifies."""
-    cert_file = tmp_path / "cert.json"
-    run(capsys, "certify", "--inline", TRIANGLE, "--output", str(cert_file))
-    obj = json.loads(cert_file.read_text())
-    node = obj["certificate"]
-    for key in where[:-1]:
-        node = node[key]
-    node[where[-1]] = value
-    cert_file.write_text(json.dumps(obj))
-    code, out, err = run(capsys, "verify", "--input", str(cert_file))
-    assert code == EXIT_ERROR and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+def test_verify_rejects_malformed_certificate(tmp_path, capsys, where, value, check):
+    """A stored certificate in the earlier form is never read as some other
+    certificate that verifies.  Where a field the proof is read from, or a
+    construction record, does not hold its JSON type (an integer, a list of
+    strings, a vertex) or name (kind), verify exits 1 with one error line
+    (``check`` None).  A field the proof fixes is compared with the
+    derivation as JSON, so a wrongly typed one fails the check named after
+    it."""
+    for fixture in V1_FIXTURES:
+        code, out, err = _verify_edited(tmp_path, capsys, fixture, where, value)
+        if check is None:
+            _assert_refused(code, out, err)
+        else:
+            assert code == EXIT_NEGATIVE and err == ""
+            assert _failed(out) == [check], fixture.name
+
+
+def _v2_certificate(tmp_path, inline):
+    path = tmp_path / "v2.json"
+    assert main(["certify", "--inline", inline, "--output", str(path)]) == EXIT_OK
+    return path
+
+
+@pytest.mark.parametrize(
+    "where,value",
+    [
+        (["version"], None),
+        (["version"], 3),
+        (["version"], "2"),
+        (["version"], 2.0),
+        (["kappa"], 1),
+        (["S1"], lambda e, d: e + [0]),
+        (["S2"], lambda e, d: e[:-1]),
+        (["S4", 0], 1.0),
+        (["S4", 0], True),
+        (["S1", 0], lambda x, d: d),
+        (["S2", 0], -1),
+        (["S4"], {"0": 1}),
+        (["groups"], lambda g, d: g[:3]),
+        (["groups"], lambda g, d: g + [[]]),
+        (["groups", 0], "0"),
+        (["groups", 1], [1]),
+        (["groups"], {"G1": []}),
+        (["lc_path"], ["0"]),
+        (["lc_path"], [0.0]),
+        (["lc_path"], [4]),
+    ],
+    ids=[
+        "version-missing", "version-3", "version-string", "version-float", "extra-field",
+        "S1-long", "S2-short", "S4-float", "S4-bool", "S1-equal-to-d", "S2-negative",
+        "S4-object", "groups-three", "groups-five", "group-string", "group-int-label",
+        "groups-object", "lc-path-string", "lc-path-float", "lc-path-outside",
+    ],
+)
+def test_verify_rejects_malformed_v2_certificate(tmp_path, capsys, where, value):
+    """A version 2 certificate whose fields are not exactly version 2, the
+    graph, a list of its vertices (lc_path), four lists of strings and three
+    lists of n integers in [0, d) exits 1 with one error line."""
+    for inline in V1_GRAPHS.values():
+        path = _v2_certificate(tmp_path, inline)
+        obj = json.loads(path.read_text())
+        cert = obj["certificate"]
+        if value is None:
+            del cert[where[0]]
+        else:
+            _edit(cert, where, value, cert["graph"]["d"])
+        path.write_text(json.dumps(obj))
+        _assert_refused(*run(capsys, "verify", "--input", str(path)))
 
 
 # ------------------------------------------------------------------ enumerate
@@ -333,52 +468,84 @@ def test_verify_round_trip(tmp_path, capsys):
     assert code == EXIT_OK and "all passed" in out
 
 
+def test_v1_fixtures_verify(capsys):
+    """Certificates in the earlier form verify, their construction records
+    listed as ignored and never as a passed check."""
+    for fixture in V1_FIXTURES:
+        code, out, _ = run(capsys, "verify", "--input", str(fixture))
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["all_passed"] is True and report["ignored"] == PROVENANCE
+        assert not {c["name"] for c in report["checks"]} & set(PROVENANCE)
+        code, out, _ = run(capsys, "verify", "--input", str(fixture), "--format", "human")
+        assert code == EXIT_OK and "ignored  triple, kind, exponents" in out
+        # the same proof, written in version 2, verifies with nothing ignored
+        code, out, _ = run(capsys, "certify", "--inline", V1_GRAPHS[fixture.name], "--verify")
+        obj = json.loads(out)
+        assert code == EXIT_OK and obj["verification"]["ignored"] == []
+        v1 = json.loads(fixture.read_text())["certificate"]
+        assert obj["fidelity_bound"] == v1["fidelity_bound"]
+        assert obj["method"] == v1["method"]
+
+
 def test_verify_rejects_tampering(tmp_path, capsys):
-    cert_file = tmp_path / "cert.json"
-    run(capsys, "certify", "--inline", TRIANGLE, "--output", str(cert_file))
-    obj = json.loads(cert_file.read_text())
-    obj["certificate"]["kappa"] = 0
-    cert_file.write_text(json.dumps(obj))
-    code, out, _ = run(capsys, "verify", "--input", str(cert_file))
-    assert code == EXIT_NEGATIVE
-    report = json.loads(out)
-    assert report["all_passed"] is False
-    assert any(c["name"] == "kappa" and not c["passed"] for c in report["checks"])
+    for fixture in V1_FIXTURES:
+        code, out, _ = _verify_edited(tmp_path, capsys, fixture, ["kappa"], 0)
+        assert code == EXIT_NEGATIVE
+        report = json.loads(out)
+        assert report["all_passed"] is False
+        assert any(c["name"] == "kappa" and not c["passed"] for c in report["checks"])
+    # version 2 stores no kappa: S4 = S1 S2 = S3 leaves no twist
+    for inline in V1_GRAPHS.values():
+        path = _v2_certificate(tmp_path, inline)
+        obj = json.loads(path.read_text())
+        cert = obj["certificate"]
+        d = cert["graph"]["d"]
+        cert["S4"] = [(x + y) % d for x, y in zip(cert["S1"], cert["S2"])]
+        path.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "verify", "--input", str(path))
+        assert code == EXIT_NEGATIVE and "kappa" in _failed(out)
 
 
 @pytest.mark.parametrize(
-    "where,value,check",
+    "where,value,outcome",
     [
-        (["operators", "S4", "factorization"], [["2", 2], ["2", 1]], "factorizations"),
-        (["operators", "S4", "factorization"], [["02", 1]], "factorizations"),
-        (["operators", "S1", "factorization", 0, 1], 3, "factorizations"),
-        (["triple"], [0, 1], "triple"),
-        (["triple"], [0, 1, 1], "triple"),
-        (["triple"], [0, 1, 3], "triple"),
-        (["kind"], "angle", "triple"),
+        (["operators", "S4", "factorization"], [["2", 2], ["2", 1]], "refused"),
+        (["operators", "S4", "factorization"], [["02", 1]], "refused"),
+        (["operators", "S1", "factorization", 0, 1], lambda e, d: e + d, "S1"),
+        (["triple"], [0, 1], "ignored"),
+        (["triple"], [0, 1, 1], "ignored"),
+        (["triple"], [0, 1, 3], "ignored"),
+        (["kind"], lambda k, d: {"angle": "triangle", "triangle": "angle"}[k], "ignored"),
+        (["method"], lambda m, d: {"obs1": "obs4", "obs4": "obs1"}[m], "method"),
+        (["exponents", "zz"], 3, "ignored"),
+        (["exponents", 0], 0, "ignored"),
     ],
     ids=[
         "factorization-repeated-label", "factorization-padded-label",
         "factorization-unreduced-exponent", "triple-short", "triple-repeated",
-        "triple-outside", "kind-angle-on-triangle",
+        "triple-outside", "kind-angle-on-triangle", "method-flipped", "exponent-extra",
+        "exponent-zeroed",
     ],
 )
-def test_verify_fails_edited_certificate(tmp_path, capsys, where, value, check):
-    """A well-typed certificate edited so that its fields no longer match
-    what the construction emits fails verification at the named check."""
-    cert_file = tmp_path / "cert.json"
-    run(capsys, "certify", "--inline", TRIANGLE, "--output", str(cert_file))
-    obj = json.loads(cert_file.read_text())
-    node = obj["certificate"]
-    for key in where[:-1]:
-        node = node[key]
-    node[where[-1]] = value
-    cert_file.write_text(json.dumps(obj))
-    code, out, _ = run(capsys, "verify", "--input", str(cert_file))
-    assert code == EXIT_NEGATIVE
-    report = json.loads(out)
-    assert report["all_passed"] is False
-    assert any(c["name"] == check and not c["passed"] for c in report["checks"])
+def test_verify_fails_edited_certificate(tmp_path, capsys, where, value, outcome):
+    """A well-typed certificate in the earlier form, edited so that its
+    fields no longer match what the construction emits: a factorization
+    that does not name each vertex at most once is refused (exit 1); one
+    the proof reads but that differs from the derived word, and a changed
+    method, fail the check named after the field; an edited construction
+    record (triple, kind, exponents) is only listed as ignored."""
+    for fixture in V1_FIXTURES:
+        code, out, err = _verify_edited(tmp_path, capsys, fixture, where, value)
+        if outcome == "refused":
+            _assert_refused(code, out, err)
+        elif outcome == "ignored":
+            report = json.loads(out)
+            assert code == EXIT_OK and report["all_passed"] is True
+            assert report["ignored"] == PROVENANCE
+        else:
+            assert code == EXIT_NEGATIVE
+            assert _failed(out) == [outcome], fixture.name
 
 
 def test_verify_input_errors(tmp_path, capsys):
