@@ -58,6 +58,7 @@ from .multigraph import (
     _graph_walk,
     _LCClasses,
     _LCWalk,
+    class_count,
     edges,
     from_triu_vector,
     is_connected,
@@ -664,7 +665,9 @@ def exhaustive_table(
     each witness, an orbit walk over class indices from each class it fails
     (_orbit_walks), and _refusal for the classes nothing certifies.  A
     rescued class counts with the construction of the class its walk stops
-    at.  ``workers`` is accepted and ignored: the cell runs in one process.
+    at.  A complete cell whose class total differs from class_count raises
+    StructureError (an enumerator bug).  ``workers`` is accepted and
+    ignored: the cell runs in one process.
     """
     _check_orbit_cap(orbit_cap)
     if budget < 0:
@@ -678,6 +681,11 @@ def exhaustive_table(
         complete = False
         examined = exc.examined
     rows = np.concatenate(chunks) if chunks else np.zeros((0, n * (n - 1) // 2), np.int64)
+    if complete and len(rows) != class_count(n, d):
+        raise StructureError(
+            f"enumerator bug: {len(rows)} classes of n={n}, d={d}, "
+            f"but Polya counting gives {class_count(n, d)}"
+        )
     certified, rejected, general = _direct_pass(triu_to_matrices(rows, n), d)[:3]
     methods = Counter(np.where(general[certified], METHOD_GENERAL, METHOD_CONSTANT).tolist())
     rejections = tuple(zip(REJECTION_KINDS, rejected.sum(axis=0).tolist()))

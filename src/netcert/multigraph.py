@@ -11,7 +11,8 @@ connected multigraphs up to isomorphism.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+import math
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
@@ -23,6 +24,9 @@ from .errors import DimensionError, EnumerationOverflow, ResourceError, Structur
 #: Largest number of labeled multiplicity vectors an enumeration call will
 #: examine unless the caller raises the budget explicitly.
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
+
+#: Most ids per block of the enumeration sweep (_canonical_rows).
+_SWEEP_BLOCK = 4096
 
 #: canonical_form() scans all n! permutations; beyond this it refuses.
 _CANONICAL_MAX_N = 8
@@ -254,11 +258,36 @@ def _packed_keys(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return weights, wmat
 
 
+def _sweep_tables(n: int, d: int) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-cell tables of the _canonical_rows sweep.
+
+    A canonical row is no larger than any relabeling, in particular any
+    transposition; that cheap test discards most rows before the full n! key
+    scan.  The sweep runs over aligned blocks of d^k ids that share their
+    first ``cut`` = n choose 2 - k digits (k = 0 when d alone exceeds
+    _SWEEP_BLOCK), so a row's transposition keys are its block's part plus
+    its own, and a block where some key is below the block's first id even
+    at that key's largest low part holds no canonical row: it is skipped
+    whole.  Returns ``span``, the most ids per block and per pass of the
+    sweep (at most about 4M keys of the n! scan, and _SWEEP_BLOCK), ``cut``,
+    the transposition key columns ``swaps`` of the packed keys, the (d^k, k)
+    table ``low`` of the last k digits and its keys ``low @ swaps[cut:]``.
+    """
+    weights, wmat = _packed_keys(n, d)
+    moved = np.count_nonzero(_permutations(n) != np.arange(n), axis=1)
+    swaps = wmat[:, moved == 2]
+    span = min(_SWEEP_BLOCK, max(1024, 4_000_000 // wmat.shape[1]))
+    cut = len(weights) - np.count_nonzero(weights * d <= span)
+    low = np.arange(d ** (len(weights) - cut))[:, None] // weights[cut:] % d
+    return span, cut, swaps, low, low @ swaps[cut:]
+
+
 def _canonical_rows(n: int, d: int, budget: int) -> Iterator[np.ndarray]:
     """Array core of enumerate_connected_multigraphs: per chunk of labeled
     vectors, the (k, n choose 2) int64 array of its canonical connected rows,
-    in ascending order.  Raises EnumerationOverflow as the public generator
-    does, with ``yielded`` the rows produced so far."""
+    in ascending order, swept by blocks (_sweep_tables).  Raises
+    EnumerationOverflow as the public generator does, with ``yielded`` the
+    rows produced so far."""
     if d < 2:
         raise DimensionError(f"qudit dimension must be >= 2, got {d}")
     if n < 2:
@@ -268,27 +297,26 @@ def _canonical_rows(n: int, d: int, budget: int) -> Iterator[np.ndarray]:
     total = d ** (n * (n - 1) // 2)
     if total >= 2**62:
         raise ResourceError(f"d^(n choose 2) = {total} does not fit packed 64-bit keys")
-
     weights, wmat = _packed_keys(n, d)
-    # A canonical row is no larger than any relabeling, in particular any
-    # transposition; that cheap test discards most rows before the full scan.
-    moved = np.count_nonzero(_permutations(n) != np.arange(n), axis=1)
-    swaps = wmat[:, moved == 2]
-
-    chunk_rows = max(1024, min(262_144, 4_000_000 // wmat.shape[1]))
-    limit = min(total, max(budget, 0))
-    yielded = 0
-    for start in range(0, limit, chunk_rows):
-        stop = min(start + chunk_rows, limit)
-        ids = np.arange(start, stop, dtype=np.int64)
-        digits = (ids[:, None] // weights[None, :]) % d
-        keep = (digits @ swaps).min(axis=1) >= ids
-        ids, digits = ids[keep], digits[keep]
-        rows = digits[(digits @ wmat).min(axis=1) == ids]
-        rows = rows[_connected(triu_to_matrices(rows, n))]
-        if len(rows):
-            yielded += len(rows)
-            yield rows
+    span, cut, swaps, low, low_sw = _sweep_tables(n, d)
+    size, low_top = len(low), low_sw.max(axis=0)
+    limit, yielded = min(total, max(budget, 0)), 0
+    nblocks, step = -(-limit // size), span // size
+    for first in range(0, nblocks, span):
+        blocks = np.arange(first, min(first + span, nblocks))
+        hi = blocks[:, None] // (weights[:cut] // size) % d
+        hi_sw = hi @ swaps[:cut]
+        live = np.flatnonzero((hi_sw + low_top >= (blocks * size)[:, None]).all(axis=1))
+        for group in np.split(live, range(step, len(live), step)):
+            ids = blocks[group, None] * size + np.arange(size)
+            keep = ((hi_sw[group, None, :] + low_sw).min(axis=2) >= ids) & (ids < limit)
+            b, j = np.nonzero(keep)
+            ids, digits = ids[b, j], np.concatenate([hi[group[b]], low[j]], axis=1)
+            rows = digits[(digits @ wmat).min(axis=1) == ids]
+            rows = rows[_connected(triu_to_matrices(rows, n))]
+            if len(rows):
+                yielded += len(rows)
+                yield rows
     if limit < total:
         raise EnumerationOverflow(
             f"enumeration budget {budget} exhausted for n={n}, d={d} "
@@ -296,6 +324,47 @@ def _canonical_rows(n: int, d: int, budget: int) -> Iterator[np.ndarray]:
             examined=limit,
             yielded=yielded,
         )
+
+
+def class_count(n: int, d: int) -> int:
+    """Number of isomorphism classes of connected multigraphs on n vertices
+    with multiplicities mod d, by Polya counting, independent of the
+    enumerator.
+
+    Burnside over the cycle types of S_n acting on vertex pairs: a
+    permutation with cycle lengths l_i fixes d^c labeled multigraphs, where
+    c = sum floor(l_i / 2) + sum_{i<j} gcd(l_i, l_j) counts its cycles on
+    pairs.  A multigraph is a multiset of its connected components, so the
+    inverse Euler transform of the totals gives the connected counts
+    (Harary & Palmer, Graphical Enumeration, 1973, ch. 4).
+    """
+    if d < 2:
+        raise DimensionError(f"qudit dimension must be >= 2, got {d}")
+    if n < 2:
+        raise StructureError(f"class count needs n >= 2, got {n}")
+
+    def partitions(m: int, top: int) -> Iterator[tuple[int, ...]]:
+        if m == 0:
+            yield ()
+        for first in range(min(m, top), 0, -1):
+            yield from ((first,) + rest for rest in partitions(m - first, first))
+
+    def classes(m: int) -> int:  # all multigraphs on m vertices
+        fixed = 0
+        for ls in partitions(m, m):
+            pairs = itertools.combinations(ls, 2)
+            c = sum(l // 2 for l in ls) + sum(math.gcd(a, b) for a, b in pairs)
+            z = math.prod(l**k * math.factorial(k) for l, k in Counter(ls).items())
+            fixed += math.factorial(m) // z * d**c
+        return fixed // math.factorial(m)
+
+    totals = [classes(m) for m in range(n + 1)]
+    # m a_m = sum_{k=1}^m s_k a_{m-k}, where s_k = sum_{j | k} j c_j
+    s, c = [0] * (n + 1), [0] * (n + 1)
+    for m in range(1, n + 1):
+        s[m] = m * totals[m] - sum(s[k] * totals[m - k] for k in range(1, m))
+        c[m] = (s[m] - sum(j * c[j] for j in range(1, m) if m % j == 0)) // m
+    return c[n]
 
 
 @dataclass(frozen=True)
@@ -482,6 +551,10 @@ class _LCClasses:
         self.d = d
         self.rows = rows
         self.perms = list(map(tuple, _permutations(n).tolist()))
+        # the packed keys of ``rows`` in ascending order, and their classes
+        keys = rows @ _packed_keys(n, d)[0]
+        self.order = np.argsort(keys)
+        self.sorted_keys = keys[self.order]
         # per class, once filled: the class and the relabeling of each step
         self.succ: list[list[int] | None] = [None] * len(rows)
         self.relabel: list[list[tuple[int, ...]] | None] = [None] * len(rows)
@@ -507,7 +580,8 @@ class _LCClasses:
         """Every step of the classes ``ks``, in one blocked pass over their
         matrices: LC at v maps M to (M + (1 - I) r r^T) mod d with r = M[v],
         and the argmin of the packed keys of its relabelings canonicalises it.
-        A class a step meets that ``rows`` lacks is appended to it."""
+        A class a step meets that ``rows`` lacks is appended to it, and its
+        key merged into the sorted key index."""
         n, d = self.n, self.d
         weights, wmat = _packed_keys(n, d)
         iu, ju = np.triu_indices(n, 1)
@@ -527,14 +601,15 @@ class _LCClasses:
                 best = packed.argmin(axis=1)
                 packed_succ[start : start + block, v] = packed[sel, best]
                 relabel[start : start + block, v] = best
-        known = self.rows @ weights
-        order = np.argsort(known)
-        pos = np.searchsorted(known, packed_succ, sorter=order).clip(max=len(known) - 1)
-        succ = order[pos]
-        missing = known[succ] != packed_succ
+        pos = np.searchsorted(self.sorted_keys, packed_succ).clip(max=len(self.rows) - 1)
+        succ = self.order[pos]
+        missing = self.sorted_keys[pos] != packed_succ
         if missing.any():
             new_keys, where = np.unique(packed_succ[missing], return_inverse=True)
-            succ[missing] = len(known) + where
+            succ[missing] = len(self.rows) + where
+            at = np.searchsorted(self.sorted_keys, new_keys)
+            self.sorted_keys = np.insert(self.sorted_keys, at, new_keys)
+            self.order = np.insert(self.order, at, len(self.rows) + np.arange(len(new_keys)))
             self.rows = np.concatenate([self.rows, (new_keys[:, None] // weights) % d])
             self.succ.extend([None] * len(new_keys))
             self.relabel.extend([None] * len(new_keys))

@@ -154,8 +154,8 @@ def test_criterion_03_desk_scale_tables_fully_certified():
 
 @pytest.mark.skipif(
     not os.environ.get("NETCERT_STRETCH"),
-    reason="stretch table cells take about 3.6 s ((6,3) 3.4 s on a 2-core VM); "
-    "set NETCERT_STRETCH=1 to run",
+    reason="stretch table cells take about 1 s ((6,3) 0.8 s on a 2-core VM), but "
+    "(5,4) still has 2 stragglers; set NETCERT_STRETCH=1 to run",
 )
 def test_criterion_03_stretch_tables_report_stragglers():
     stragglers = []

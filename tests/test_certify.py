@@ -36,9 +36,11 @@ from netcert.certify import (
     certificate_from_json_obj,
     certificate_to_json_obj,
 )
+from netcert import certify
 from netcert.multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
     _canonical_rows,
+    class_count,
     edges,
     from_triu_vector,
     is_connected,
@@ -688,6 +690,32 @@ def test_exhaustive_table_keeps_enumeration_progress():
     full = exhaustive_table(4, 3)
     assert full.complete and full.examined == 3**6
     assert 0 < report.total < full.total
+
+
+def test_exhaustive_table_6x3_complete_and_counted():
+    """(6,3) at budget 15M sweeps all 3^15 labeled vectors, and every one of
+    its 24,576 classes (Polya count) certifies."""
+    report = exhaustive_table(6, 3, budget=15_000_000)
+    assert report.complete and report.examined == 3**15
+    assert report.total == report.certified == class_count(6, 3) == 24_576
+    assert report.all_certified
+
+
+def test_exhaustive_table_raises_when_enumerator_drops_a_class(monkeypatch):
+    """A complete cell whose class total differs from Polya counting is an
+    enumerator bug, not a refusal: dropping one canonical row raises."""
+
+    def drop_one(n, d, budget):
+        chunks = list(_canonical_rows(n, d, budget))
+        chunks[-1] = chunks[-1][:-1]
+        yield from chunks
+
+    assert exhaustive_table(4, 3).total == class_count(4, 3)
+    monkeypatch.setattr(certify, "_canonical_rows", drop_one)
+    with pytest.raises(StructureError, match="enumerator bug"):
+        exhaustive_table(4, 3)
+    # a budget-cut cell is incomplete, so there is no total to check
+    assert exhaustive_table(4, 3, budget=400).complete is False
 
 
 def test_exhaustive_table_negative_case_d6():

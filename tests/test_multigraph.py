@@ -4,7 +4,9 @@ networkx provides an independent isomorphism oracle for the enumeration
 and canonical-form tests.
 """
 
+import functools
 import itertools
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -25,7 +27,17 @@ from netcert import (
     neighbors,
     partition_neighborhoods,
 )
-from netcert.multigraph import _LCClasses, edges, from_triu_vector, permuted
+from netcert import multigraph
+from netcert.multigraph import (
+    _canonical_rows,
+    _LCClasses,
+    _packed_keys,
+    _sweep_tables,
+    class_count,
+    edges,
+    from_triu_vector,
+    permuted,
+)
 
 
 def to_networkx(g: Multigraph) -> nx.Graph:
@@ -60,6 +72,32 @@ KNOWN_COUNTS = {
 def test_enumeration_counts(n, d):
     got = sum(1 for _ in enumerate_connected_multigraphs(n, d))
     assert got == KNOWN_COUNTS[(n, d)]
+
+
+POLYA_COUNTS = {
+    (5, 4): 10_364,
+    (6, 3): 24_576,
+    (7, 2): 853,
+    (4, 8): 12_348,
+    (4, 9): 24_450,
+    (3, 6): 50,
+    (5, 3): 712,
+    (4, 12): 131_846,
+}
+
+
+def test_class_count_pins_and_known_counts():
+    """Polya counting gives the pinned class totals, the known small counts,
+    the connected graphs of OEIS A001349 at d = 2, and C(d+2,3) - d at n = 3."""
+    assert {cell: class_count(*cell) for cell in POLYA_COUNTS} == POLYA_COUNTS
+    assert {cell: class_count(*cell) for cell in KNOWN_COUNTS} == KNOWN_COUNTS
+    a001349 = [1, 2, 6, 21, 112, 853, 11117, 261080, 11716571]
+    assert [class_count(n, 2) for n in range(2, 11)] == a001349
+    assert all(class_count(3, d) == (d + 2) * (d + 1) * d // 6 - d for d in range(2, 40))
+    with pytest.raises(DimensionError):
+        class_count(3, 1)
+    with pytest.raises(StructureError):
+        class_count(1, 3)
 
 
 def test_three_vertex_count_formula():
@@ -346,3 +384,82 @@ def test_canonical_form_large_n_guard():
     huge = Multigraph.from_edges(2**64 + 1, 3, [(0, 1, 2**64), (1, 2, 1)])
     with pytest.raises(ResourceError):
         canonical_form(huge)
+
+
+@functools.lru_cache(maxsize=None)
+def labeled_reference(n, d):
+    """Every connected labeled vector that is its own canonical form, in id
+    (lexicographic) order: the sweep's output by brute force."""
+    found = []
+    for vec in itertools.product(range(d), repeat=n * (n - 1) // 2):
+        g = from_triu_vector(d, n, vec)
+        if is_connected(g) and canonical_form(g) == vec:
+            found.append(vec)
+    return np.array(found, dtype=np.int64)
+
+
+SWEEP_CELLS = [(4, 3), (3, 6), (5, 2), (4, 4)]
+
+
+def sweep(n, d, budget):
+    """The rows of _canonical_rows, and (examined, yielded) if it overflows."""
+    chunks, progress = [], None
+    try:
+        chunks.extend(_canonical_rows(n, d, budget))
+    except EnumerationOverflow as exc:
+        progress = (exc.examined, exc.yielded)
+    assert all(len(c) for c in chunks)
+    rows = np.concatenate(chunks) if chunks else np.zeros((0, n * (n - 1) // 2), np.int64)
+    return rows, progress
+
+
+@pytest.mark.parametrize("n,d", SWEEP_CELLS)
+@pytest.mark.parametrize("block", [1, 3, 64, multigraph._SWEEP_BLOCK])
+def test_block_sweep_matches_brute_force(n, d, block, monkeypatch):
+    """At every block size, from one id per block (k = 0) up to the default,
+    the sweep yields exactly the brute-force rows in the same order."""
+    monkeypatch.setattr(multigraph, "_SWEEP_BLOCK", block)
+    assert len(_sweep_tables(n, d)[3]) <= block
+    rows, progress = sweep(n, d, d ** (n * (n - 1) // 2))
+    assert progress is None and np.array_equal(rows, labeled_reference(n, d))
+
+
+@pytest.mark.parametrize(
+    "n,d,block", [(n, d, 64) for n, d in SWEEP_CELLS] + [(5, 3, multigraph._SWEEP_BLOCK)]
+)
+def test_block_sweep_budget_stops(n, d, block, monkeypatch):
+    """A budget stop at 0, 1, d^(n choose 2), and at each block boundary and
+    one id either side of it, yields the full sweep's rows below the budget
+    and reports the budget as examined and their number as yielded."""
+    monkeypatch.setattr(multigraph, "_SWEEP_BLOCK", block)
+    total = d ** (n * (n - 1) // 2)
+    full, _ = sweep(n, d, total)
+    ids = full @ _packed_keys(n, d)[0]
+    size = len(_sweep_tables(n, d)[3])
+    assert total // size > 1
+    stops = {0, 1, total} | {b + e for b in range(size, total, size) for e in (-1, 0, 1)}
+    for budget in sorted(stops):
+        rows, progress = sweep(n, d, budget)
+        below = int(np.count_nonzero(ids < budget))
+        assert np.array_equal(rows, full[:below]), budget
+        assert progress == (None if budget >= total else (budget, below)), budget
+
+
+def test_block_sweep_bounded_for_huge_d():
+    """When d alone exceeds the block, blocks are single ids: a sweep at
+    d = 1.5M allocates no d-row table, and below its budget it finds the
+    paths 0-2-1 with m02 = 1 and m12 = 1..999."""
+    d = 1_500_000
+    tracemalloc.start()
+    try:
+        got = []
+        with pytest.raises(EnumerationOverflow) as info:
+            for g in enumerate_connected_multigraphs(3, d, budget=d + 1000):
+                got.append(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.examined, info.value.yielded) == (d + 1000, 999)
+    assert [g.mult[1][2] for g in got] == list(range(1, 1000))
+    assert all(g.mult[0][1] == 0 and g.mult[0][2] == 1 for g in got)
+    assert peak < 16 * 2**20, peak  # one block of d rows takes about 290 MB
