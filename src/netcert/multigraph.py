@@ -25,7 +25,7 @@ from .errors import DimensionError, EnumerationOverflow, ResourceError, Structur
 #: examine unless the caller raises the budget explicitly.
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
-#: Most ids per block of the enumeration sweep (_canonical_rows).
+#: Most ids per block and per pass of the enumeration sweep (_canonical_rows).
 _SWEEP_BLOCK = 4096
 
 #: canonical_form() scans all n! permutations; beyond this it refuses.
@@ -264,13 +264,13 @@ def _sweep_tables(n: int, d: int) -> tuple[int, int, np.ndarray, np.ndarray, np.
     A canonical row is no larger than any relabeling, in particular any
     transposition; that cheap test discards most rows before the full n! key
     scan.  The sweep runs over aligned blocks of d^k ids that share their
-    first ``cut`` = n choose 2 - k digits (k = 0 when d alone exceeds
-    _SWEEP_BLOCK), so a row's transposition keys are its block's part plus
+    first ``cut`` = n choose 2 - k digits (k = 0 when d alone exceeds the
+    span), so a row's transposition keys are its block's part plus
     its own, and a block where some key is below the block's first id even
     at that key's largest low part holds no canonical row: it is skipped
-    whole.  Returns ``span``, the most ids per block and per pass of the
-    sweep (at most about 4M keys of the n! scan, and _SWEEP_BLOCK), ``cut``,
-    the transposition key columns ``swaps`` of the packed keys, the (d^k, k)
+    whole.  Returns ``span``, the most ids per block and per pass
+    (_SWEEP_BLOCK, or 4M / n! if fewer, but at least 1024), ``cut``, the
+    transposition key columns ``swaps`` of the packed keys, the (d^k, k)
     table ``low`` of the last k digits and its keys ``low @ swaps[cut:]``.
     """
     weights, wmat = _packed_keys(n, d)
