@@ -20,9 +20,9 @@ BENCH_ghz.json from its runs.
 
 ``--sweep n,d[,budget] ...`` also times the enumeration sweep
 (``multigraph._canonical_rows``, drained to the end) of each cell in fresh
-processes, ``--sweep-runs`` times per checkout and alternating which goes
-first, and records each side's times, the sha256 of its rows with their
-count and overflow progress, and whether the two sides' outputs agree.  With
+processes, SWEEP_RUNS times per checkout and alternating which goes first,
+and records each side's times, the sha256 of its rows with their count and
+overflow progress, and whether the two sides' outputs agree.  With
 one workload and no ``--sweep`` the file holds that workload's object, as
 BENCH_ghz.json does; otherwise ``{"workloads": [...], "sweep": [...]}``.
 """
@@ -37,6 +37,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+SWEEP_RUNS = 5
 
 SWEEP = """
 import hashlib, json, sys, time
@@ -120,9 +122,9 @@ def sweep_once(root: Path, cell: list[int]) -> dict:
     return json.loads(out.stdout)
 
 
-def sweep(parent: Path, change: Path, cell: list[int], runs: int) -> dict:
+def sweep(parent: Path, change: Path, cell: list[int]) -> dict:
     results: dict[str, list[dict]] = {"parent": [], "change": []}
-    for k in range(runs):
+    for k in range(SWEEP_RUNS):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for name in order:
             results[name].append(sweep_once(parent if name == "parent" else change, cell))
@@ -157,13 +159,12 @@ def main() -> int:
     ap.add_argument("--workload", action="append", help="perfbench workload (repeatable)")
     ap.add_argument("--metrics", nargs="+", default=["wall_s", "ghz_s", "op_p50_ms"])
     ap.add_argument("--sweep", nargs="+", default=[], metavar="n,d[,budget]")
-    ap.add_argument("--sweep-runs", type=int, default=5)
     ap.add_argument("--out", type=Path, default=Path("BENCH_ghz.json"))
     args = ap.parse_args()
     workloads = args.workload or ["table_5x4"]
     reports = [pairs(args.parent, args.change, w, args.metrics) for w in workloads]
     cells = [[int(x) for x in cell.split(",")] for cell in args.sweep]
-    sweeps = [sweep(args.parent, args.change, cell, args.sweep_runs) for cell in cells]
+    sweeps = [sweep(args.parent, args.change, cell) for cell in cells]
     if len(reports) == 1 and not sweeps:
         out = reports[0]
     else:

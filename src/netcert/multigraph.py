@@ -25,7 +25,9 @@ from .errors import DimensionError, EnumerationOverflow, ResourceError, Structur
 #: examine unless the caller raises the budget explicitly.
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
-#: Most ids per block and per pass of the enumeration sweep (_canonical_rows).
+#: Most ids per block and per pass of the enumeration sweep (_canonical_rows);
+#: passes hold at most 1024 ids from n = 7 on, where every id has n! >= 5040
+#: relabeling keys.
 _SWEEP_BLOCK = 4096
 
 #: canonical_form() scans all n! permutations; beyond this it refuses.
@@ -258,36 +260,12 @@ def _packed_keys(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return weights, wmat
 
 
-def _sweep_tables(n: int, d: int) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-cell tables of the _canonical_rows sweep.
-
-    A canonical row is no larger than any relabeling, in particular any
-    transposition; that cheap test discards most rows before the full n! key
-    scan.  The sweep runs over aligned blocks of d^k ids that share their
-    first ``cut`` = n choose 2 - k digits (k = 0 when d alone exceeds the
-    span), so a row's transposition keys are its block's part plus
-    its own, and a block where some key is below the block's first id even
-    at that key's largest low part holds no canonical row: it is skipped
-    whole.  Returns ``span``, the most ids per block and per pass
-    (_SWEEP_BLOCK, or 4M / n! if fewer, but at least 1024), ``cut``, the
-    transposition key columns ``swaps`` of the packed keys, the (d^k, k)
-    table ``low`` of the last k digits and its keys ``low @ swaps[cut:]``.
-    """
-    weights, wmat = _packed_keys(n, d)
-    moved = np.count_nonzero(_permutations(n) != np.arange(n), axis=1)
-    swaps = wmat[:, moved == 2]
-    span = min(_SWEEP_BLOCK, max(1024, 4_000_000 // wmat.shape[1]))
-    cut = len(weights) - np.count_nonzero(weights * d <= span)
-    low = np.arange(d ** (len(weights) - cut))[:, None] // weights[cut:] % d
-    return span, cut, swaps, low, low @ swaps[cut:]
-
-
 def _canonical_rows(n: int, d: int, budget: int) -> Iterator[np.ndarray]:
-    """Array core of enumerate_connected_multigraphs: per chunk of labeled
-    vectors, the (k, n choose 2) int64 array of its canonical connected rows,
-    in ascending order, swept by blocks (_sweep_tables).  Raises
-    EnumerationOverflow as the public generator does, with ``yielded`` the
-    rows produced so far."""
+    """Array core of enumerate_connected_multigraphs: per chunk, the canonical
+    connected rows ((k, n choose 2) int64, ascending).  Ids run in aligned
+    blocks of d^k sharing all but the last k digits; a block where some
+    transposition key stays below its first id at every low part is skipped.
+    Raises EnumerationOverflow as the public generator does, with ``yielded``."""
     if d < 2:
         raise DimensionError(f"qudit dimension must be >= 2, got {d}")
     if n < 2:
@@ -298,21 +276,22 @@ def _canonical_rows(n: int, d: int, budget: int) -> Iterator[np.ndarray]:
     if total >= 2**62:
         raise ResourceError(f"d^(n choose 2) = {total} does not fit packed 64-bit keys")
     weights, wmat = _packed_keys(n, d)
-    span, cut, swaps, low, low_sw = _sweep_tables(n, d)
-    size, low_top = len(low), low_sw.max(axis=0)
-    limit, yielded = min(total, max(budget, 0)), 0
-    nblocks, step = -(-limit // size), span // size
+    swaps = wmat[:, (_permutations(n) != np.arange(n)).sum(axis=1) == 2]
+    span = min(_SWEEP_BLOCK, 4096 if n <= 6 else 1024)
+    cut = len(weights) - np.count_nonzero(weights * d <= span)
+    low = np.arange(d ** (len(weights) - cut))[:, None] // weights[cut:] % d
+    low_sw, limit, yielded = low @ swaps[cut:], min(total, max(budget, 0)), 0
+    size, low_top, nblocks = len(low), low_sw.max(axis=0), -(-limit // len(low))
     for first in range(0, nblocks, span):
         blocks = np.arange(first, min(first + span, nblocks))
         hi = blocks[:, None] // (weights[:cut] // size) % d
         hi_sw = hi @ swaps[:cut]
         live = np.flatnonzero((hi_sw + low_top >= (blocks * size)[:, None]).all(axis=1))
-        for group in np.split(live, range(step, len(live), step)):
+        for group in np.split(live, range(span // size, len(live), span // size)):
             ids = blocks[group, None] * size + np.arange(size)
-            keep = ((hi_sw[group, None, :] + low_sw).min(axis=2) >= ids) & (ids < limit)
-            b, j = np.nonzero(keep)
+            b, j = np.nonzero((hi_sw[group, None, :] + low_sw).min(axis=2) >= ids)
             ids, digits = ids[b, j], np.concatenate([hi[group[b]], low[j]], axis=1)
-            rows = digits[(digits @ wmat).min(axis=1) == ids]
+            rows = digits[((digits @ wmat).min(axis=1) == ids) & (ids < limit)]
             rows = rows[_connected(triu_to_matrices(rows, n))]
             if len(rows):
                 yielded += len(rows)
@@ -321,8 +300,7 @@ def _canonical_rows(n: int, d: int, budget: int) -> Iterator[np.ndarray]:
         raise EnumerationOverflow(
             f"enumeration budget {budget} exhausted for n={n}, d={d} "
             f"({total} labeled vectors total)",
-            examined=limit,
-            yielded=yielded,
+            examined=limit, yielded=yielded,
         )
 
 

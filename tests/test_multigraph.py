@@ -32,7 +32,6 @@ from netcert.multigraph import (
     _canonical_rows,
     _LCClasses,
     _packed_keys,
-    _sweep_tables,
     class_count,
     edges,
     from_triu_vector,
@@ -401,6 +400,14 @@ def labeled_reference(n, d):
 SWEEP_CELLS = [(4, 3), (3, 6), (5, 2), (4, 4)]
 
 
+def block_size(n, d):
+    """Ids per sweep block: the largest d^k <= _SWEEP_BLOCK, k <= n choose 2."""
+    size = 1
+    while size * d <= multigraph._SWEEP_BLOCK and size < d ** (n * (n - 1) // 2):
+        size *= d
+    return size
+
+
 def sweep(n, d, budget):
     """The rows of _canonical_rows, and (examined, yielded) if it overflows."""
     chunks, progress = [], None
@@ -419,7 +426,6 @@ def test_block_sweep_matches_brute_force(n, d, block, monkeypatch):
     """At every block size, from one id per block (k = 0) up to the default,
     the sweep yields exactly the brute-force rows in the same order."""
     monkeypatch.setattr(multigraph, "_SWEEP_BLOCK", block)
-    assert len(_sweep_tables(n, d)[3]) <= block
     rows, progress = sweep(n, d, d ** (n * (n - 1) // 2))
     assert progress is None and np.array_equal(rows, labeled_reference(n, d))
 
@@ -435,7 +441,7 @@ def test_block_sweep_budget_stops(n, d, block, monkeypatch):
     total = d ** (n * (n - 1) // 2)
     full, _ = sweep(n, d, total)
     ids = full @ _packed_keys(n, d)[0]
-    size = len(_sweep_tables(n, d)[3])
+    size = block_size(n, d)
     assert total // size > 1
     stops = {0, 1, total} | {b + e for b in range(size, total, size) for e in (-1, 0, 1)}
     for budget in sorted(stops):
