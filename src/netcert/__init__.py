@@ -6,7 +6,7 @@ The package is organized in layers:
 - ``pauli``      exact symbolic Weyl-Heisenberg operators on named sites
 - ``multigraph`` multigraphs mod d: partitions, local complementation, enumeration
 - ``stabilizer`` graph-state generators and the GHZ stabilizer group
-- ``network``    source hypergraphs, inflations, reduced-network equalities
+- ``network``    source multisets, the cut and doubled inflations, marginal equalities
 - ``certify``    certificate search, verification, fidelity bounds
 - ``ghzbound``   GHZ fidelity upper bounds (closed form, prime bisection, numeric)
 - ``oracle``     dense-matrix ground truth and randomized property suites
@@ -64,10 +64,10 @@ from .multigraph import (
 )
 from .network import (
     GroupedNetwork,
-    InflationSpec,
     Network,
-    build_inflation,
     complete_bipartite_network,
+    cut_inflation,
+    doubled_inflation,
     marginal_chain_checks,
     reduce,
     reduced_equal,
@@ -104,7 +104,6 @@ __all__ = [
     "EnumerationOverflow",
     "GhzChainRecord",
     "GroupedNetwork",
-    "InflationSpec",
     "Multigraph",
     "NeighborhoodPartition",
     "NetcertError",
@@ -123,14 +122,15 @@ __all__ = [
     "VerificationReport",
     "WrongFamily",
     "bound_report",
-    "build_inflation",
     "canonical_form",
     "certificate_from_json",
     "certificate_to_json",
     "certify_any",
     "commutation_phase",
     "complete_bipartite_network",
+    "cut_inflation",
     "dagger",
+    "doubled_inflation",
     "enumerate_connected_multigraphs",
     "exhaustive_table",
     "fidelity_bound_from_lambda",

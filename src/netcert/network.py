@@ -1,14 +1,15 @@
 """Source networks, marginal reduction, and the two inflations.
 
-A network is a multiset of sources, each a set of parties.  Reducing to a
-region keeps the intersection of every source with the region.  Two
-inflations of a grouped network matter here:
+A network is a multiset of sources, each a set of parties, stored as a
+Counter of frozensets.  Reducing to a region keeps the intersection of
+every source with the region.  Two inflations of a grouped network matter
+here:
 
-* gamma: every source joining group 1 to group 2 is cut into independent
-  halves;
-* eta: group 1 is doubled.  Sources into groups 2 and 3 follow the copy,
-  sources into group 4 stay with the original, internal sources are
-  duplicated.
+* ``cut_inflation`` (gamma): every source joining group 1 to group 2 is
+  cut into independent halves;
+* ``doubled_inflation`` (eta): group 1 is doubled.  Sources into groups 2
+  and 3 follow the copy, sources into group 4 stay with the original,
+  internal sources are duplicated.
 
 Both leave specific marginals identical to the base network, which is what
 the certification chain consumes.
@@ -22,9 +23,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import StructureError, UnsupportedSource
 
-GAMMA = "gamma"
-ETA = "eta"
-
 
 def prime(label: str) -> str:
     """Name of the copy of a party in the doubled inflation."""
@@ -33,27 +31,23 @@ def prime(label: str) -> str:
 
 @dataclass(frozen=True)
 class Network:
-    """Parties plus a multiset of sources (subsets of the parties)."""
+    """Parties plus a multiset of sources: source -> multiplicity."""
 
     parties: frozenset[str]
-    sources: tuple[frozenset[str], ...]
+    sources: Counter[frozenset[str]]
 
     @classmethod
     def make(cls, parties: Iterable[str], sources: Iterable[Iterable[str]]) -> "Network":
         party_set = frozenset(str(p) for p in parties)
-        canon = []
+        counts: Counter[frozenset[str]] = Counter()
         for src in sources:
             fs = frozenset(str(p) for p in src)
             if not fs:
                 raise StructureError("empty source")
             if not fs <= party_set:
                 raise StructureError(f"source {sorted(fs)} not within parties")
-            canon.append(fs)
-        canon.sort(key=lambda fs: (len(fs), sorted(fs)))
-        return cls(parties=party_set, sources=tuple(canon))
-
-    def source_multiset(self) -> Counter:
-        return Counter(tuple(sorted(src)) for src in self.sources)
+            counts[fs] += 1
+        return cls(parties=party_set, sources=counts)
 
 
 def complete_bipartite_network(parties: Iterable[str]) -> Network:
@@ -65,13 +59,20 @@ def complete_bipartite_network(parties: Iterable[str]) -> Network:
     return Network.make(names, pairs)
 
 
+def _marginal(net: Network, region: frozenset[str]) -> Counter[frozenset[str]]:
+    if not region <= net.parties:
+        raise StructureError(f"region {sorted(region)} not within parties")
+    kept: Counter[frozenset[str]] = Counter()
+    for src, k in net.sources.items():
+        if src & region:
+            kept[src & region] += k
+    return kept
+
+
 def reduce(net: Network, region: Iterable[str]) -> Network:
     """Marginal network on a region: intersect sources, drop empty ones."""
     reg = frozenset(str(p) for p in region)
-    if not reg <= net.parties:
-        raise StructureError(f"region {sorted(reg)} not within parties")
-    kept = [src & reg for src in net.sources if src & reg]
-    return Network.make(reg, kept)
+    return Network(parties=reg, sources=_marginal(net, reg))
 
 
 def reduced_equal(
@@ -94,10 +95,10 @@ def reduced_equal(
     image = set(mapping.values())
     if len(image) != len(reg1) or image != reg2:
         raise StructureError("relabeling is not a bijection between the regions")
-    r1 = reduce(net1, reg1)
-    r2 = reduce(net2, reg2)
-    mapped = Counter(tuple(sorted(mapping[p] for p in src)) for src in r1.sources)
-    return mapped == r2.source_multiset()
+    mapped: Counter[frozenset[str]] = Counter()
+    for src, k in _marginal(net1, reg1).items():
+        mapped[frozenset(mapping[p] for p in src)] += k
+    return mapped == _marginal(net2, reg2)
 
 
 @dataclass(frozen=True)
@@ -111,20 +112,11 @@ class GroupedNetwork:
     g4: frozenset[str]
 
     @classmethod
-    def make(
-        cls,
-        base: Network,
-        groups: Sequence[Iterable[str]],
-    ) -> "GroupedNetwork":
+    def make(cls, base: Network, groups: Sequence[Iterable[str]]) -> "GroupedNetwork":
         if len(groups) != 4:
             raise StructureError("need exactly four groups")
         sets = [frozenset(str(p) for p in grp) for grp in groups]
-        union: set[str] = set()
-        total = 0
-        for s in sets:
-            union |= s
-            total += len(s)
-        if union != set(base.parties) or total != len(base.parties):
+        if frozenset().union(*sets) != base.parties or sum(map(len, sets)) != len(base.parties):
             raise StructureError("groups must partition the parties")
         return cls(base, *sets)
 
@@ -133,77 +125,48 @@ class GroupedNetwork:
         return (self.g1, self.g2, self.g3, self.g4)
 
 
-@dataclass(frozen=True)
-class InflationSpec:
-    """Which inflation to build, of which grouped network.
-
-    ``relabeling`` records copy-name -> original-name for the doubled
-    parties (empty for the cut inflation).
-    """
-
-    kind: str
-    grouping: GroupedNetwork
-    relabeling: tuple[tuple[str, str], ...]
-
-    @classmethod
-    def make(cls, kind: str, grouping: GroupedNetwork) -> "InflationSpec":
-        if kind not in (GAMMA, ETA):
-            raise StructureError(f"unknown inflation kind {kind!r}")
-        relabeling: tuple[tuple[str, str], ...] = ()
-        if kind == ETA:
-            relabeling = tuple(sorted((prime(p), p) for p in grouping.g1))
-        return cls(kind=kind, grouping=grouping, relabeling=relabeling)
-
-
-def _classify(src: frozenset[str], grouping: GroupedNetwork) -> tuple[frozenset[str], ...]:
-    return tuple(src & g for g in grouping.groups)
-
-
-def build_inflation(spec: InflationSpec) -> Network:
-    """Materialize the inflated network described by the spec."""
-    grouping = spec.grouping
-    base = grouping.base
-    if spec.kind == GAMMA:
-        parties = set(base.parties)
-        sources: list[frozenset[str]] = []
-        for src in base.sources:
-            in1, in2, _, _ = _classify(src, grouping)
-            if in1 and in2:
-                if len(src) > 2:
-                    raise UnsupportedSource(
-                        f"source {sorted(src)} joins groups 1 and 2 and is not bipartite"
-                    )
-                sources.extend(frozenset([p]) for p in sorted(src))
-            else:
-                sources.append(src)
-        return Network.make(parties, sources)
-
-    if spec.kind != ETA:
-        raise StructureError(f"unknown inflation kind {spec.kind!r}")
-    parties = set(base.parties) | {prime(p) for p in grouping.g1}
-    sources = []
-    for src in base.sources:
-        in1 = src & grouping.g1
-        if not in1:
-            sources.append(src)
-            continue
-        if src <= grouping.g1:
-            sources.append(src)
-            sources.append(frozenset(prime(p) for p in src))
-            continue
-        if len(src) > 2:
+def cut_inflation(grouping: GroupedNetwork) -> Network:
+    """The gamma inflation: each source joining groups 1 and 2 becomes one
+    single-party source per endpoint."""
+    sources: Counter[frozenset[str]] = Counter()
+    for src, k in grouping.base.sources.items():
+        if not (src & grouping.g1 and src & grouping.g2):
+            sources[src] += k
+        elif len(src) > 2:
             raise UnsupportedSource(
-                f"source {sorted(src)} leaves group 1 and is not bipartite"
+                f"source {sorted(src)} joins groups 1 and 2 and is not bipartite"
             )
-        (u,) = sorted(in1)
-        (v,) = sorted(src - in1)
-        if v in grouping.g4:
-            sources.append(src)
-            sources.append(frozenset([prime(u)]))
         else:
-            sources.append(frozenset([prime(u), v]))
-            sources.append(frozenset([u]))
-    return Network.make(parties, sources)
+            for p in src:
+                sources[frozenset([p])] += k
+    return Network(parties=grouping.base.parties, sources=sources)
+
+
+def doubled_inflation(grouping: GroupedNetwork) -> Network:
+    """The eta inflation: a source from u in group 1 to v in group 2 or 3
+    becomes {u', v} plus a lone {u}; one to group 4 stays, plus a lone {u'}."""
+    g1 = grouping.g1
+    sources: Counter[frozenset[str]] = Counter()
+    for src, k in grouping.base.sources.items():
+        in1 = src & g1
+        if not in1:
+            sources[src] += k
+        elif src <= g1:
+            sources[src] += k
+            sources[frozenset(prime(p) for p in src)] += k
+        elif len(src) > 2:
+            raise UnsupportedSource(f"source {sorted(src)} leaves group 1 and is not bipartite")
+        else:
+            (u,) = in1
+            (v,) = src - in1
+            if v in grouping.g4:
+                sources[src] += k
+                sources[frozenset([prime(u)])] += k
+            else:
+                sources[frozenset([prime(u), v])] += k
+                sources[frozenset([u])] += k
+    parties = grouping.base.parties | {prime(p) for p in g1}
+    return Network(parties=parties, sources=sources)
 
 
 def marginal_chain_checks(
@@ -224,21 +187,16 @@ def marginal_chain_checks(
     """
     base = complete_bipartite_network(parties)
     grouping = GroupedNetwork.make(base, groups)
-    gamma_net = build_inflation(InflationSpec.make(GAMMA, grouping))
-    eta_net = build_inflation(InflationSpec.make(ETA, grouping))
-    supp1 = frozenset(str(p) for p in support1)
-    supp2 = frozenset(str(p) for p in support2)
-    supp3 = frozenset(str(p) for p in support3)
-    supp4 = frozenset(str(p) for p in support4)
+    cut = cut_inflation(grouping)
+    doubled = doubled_inflation(grouping)
+    supp1, supp2, supp3, supp4 = (
+        frozenset(str(p) for p in s) for s in (support1, support2, support3, support4)
+    )
     sigma = {str(k): str(v) for k, v in relabel4.items()}
     region4 = frozenset(sigma.get(p, p) for p in supp4)
-    checks = [
-        ("S1 base vs cut", reduced_equal(base, supp1, gamma_net, supp1)),
-        ("S2 base vs cut", reduced_equal(base, supp2, gamma_net, supp2)),
-        ("S3 cut vs doubled", reduced_equal(gamma_net, supp3, eta_net, supp3)),
-        (
-            "S4 base vs doubled",
-            reduced_equal(base, supp4, eta_net, region4, bijection=sigma),
-        ),
+    return [
+        ("S1 base vs cut", reduced_equal(base, supp1, cut, supp1)),
+        ("S2 base vs cut", reduced_equal(base, supp2, cut, supp2)),
+        ("S3 cut vs doubled", reduced_equal(cut, supp3, doubled, supp3)),
+        ("S4 base vs doubled", reduced_equal(base, supp4, doubled, region4, bijection=sigma)),
     ]
-    return checks

@@ -508,6 +508,16 @@ def test_exhaustive_table_3_3():
     assert dict(report.methods) == {"obs1": 4, "obs4": 3}
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_exhaustive_table_two_vertices(d):
+    """The single edge of each multiplicity is its own class, and none can
+    certify."""
+    report = exhaustive_table(2, d)
+    assert report.total == class_count(2, d) == d - 1
+    assert (report.certified, report.complete, report.examined) == (0, True, d)
+    assert all(res.reasons == ("fewer than three vertices",) for res in report.uncertified)
+
+
 def reference_table(n, d, budget=DEFAULT_ENUMERATION_BUDGET, orbit_cap=4096):
     """The table assembled one class at a time from certify_any, with the
     rejections summed over the refusals of each failing direct attempt (an
@@ -672,6 +682,51 @@ def test_direct_pass_checks_reject_tampered_witnesses():
         )
     with pytest.raises(StructureError, match="kappa differs"):
         _check_witnesses(**{**args, "expected_kappa": expected + 1})
+    # row 0 becomes S1 = Z_v, S2 = X_v, S3 = S1 S2 = tau^2 X_v Z_v: exact, not commuting
+    x, z, phase = direct.x.copy(), direct.z.copy(), direct.phase.copy()
+    x[0, :3], z[0, :3], phase[0, :3] = 0, 0, (0, 0, 2)
+    z[0, 0, 0] = x[0, 1, 0] = x[0, 2, 0] = z[0, 2, 0] = 1
+    with pytest.raises(StructureError, match="S1 and S2 do not commute"):
+        _check_witnesses(**{**args, "x": x, "z": z, "phase": phase})
+    # without group 2 the groups no longer partition, and S3, S4 overlap in no group
+    groups = direct.groups.copy()
+    groups[:, 1] = 0
+    with pytest.raises(StructureError, match="overlap leaks outside group 2"):
+        _check_witnesses(**{**args, "groups": groups})
+
+
+def _edited(name, edit):
+    """(name, f) where f returns edit(result) of certify's original ``name``."""
+    original = getattr(certify, name)
+    return name, lambda *args: edit(original(*args))
+
+
+def _with_row(slot, row):
+    return lambda rows: tuple(row if k == slot else r for k, r in enumerate(rows))
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        (_edited("_exponent_table", _with_row(2, (1, 1, 1))), "S3 is not exactly S1 S2"),
+        # S1 and S2 are words of an abelian stabilizer group, so only a faked
+        # phase reaches this check
+        (("commutation_phase", lambda a, b: 1), "S1 and S2 do not commute"),
+        (_edited("_group_masks", lambda m: (m[0] | m[1] | m[2] | m[3], 0, 0, 0)), "S1 touches"),
+        (_edited("_exponent_table", _with_row(3, (0, 0, 0))), "S3 and relabeled S4 commute"),
+        # the groups no longer partition the vertices
+        (_edited("_group_masks", _with_row(1, 0)), "overlap leaks outside group 2"),
+        (_edited("_obs4_weights", lambda w: (2 * w[0], *w[1:])), "kappa differs"),
+    ],
+    ids=["s3", "commute", "supports", "kappa", "overlap", "kappa_value"],
+)
+def test_build_certificate_raises_on_construction_bugs(monkeypatch, patch, message):
+    """Each construction check of _build_certificate fires on a tampered rule."""
+    g = angle(3, 1, 2)
+    assert isinstance(certify_any(g), Certificate)
+    monkeypatch.setattr(certify, *patch)
+    with pytest.raises(StructureError, match=f"^construction bug: {message}"):
+        certify_any(g)
 
 
 def test_exhaustive_table_budget_overflow_marks_incomplete():

@@ -386,6 +386,20 @@ def test_enumerate_budget_exit(capsys):
     assert report["examined"] == 100 and report["total"] == 0
 
 
+def test_enumerate_two_vertices_refuses_every_class(capsys):
+    code, out, _ = run(capsys, "enumerate", "--n", "2", "--d", "4")
+    assert code == EXIT_NEGATIVE
+    (report,) = json.loads(out)
+    assert (report["total"], report["certified"], report["complete"]) == (3, 0, True)
+
+
+def test_enumerate_oversize_cell_is_one_error_line(capsys):
+    """(8,5) has 5^28 >= 2^62 labeled vectors: a typed refusal, not a crash."""
+    code, out, err = run(capsys, "enumerate", "--n", "8", "--d", "5")
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_enumerate_bad_range(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "3", "--d", "5..2")
     assert code == EXIT_ERROR and "error:" in err

@@ -374,6 +374,10 @@ def test_enumeration_budget_overflow():
         list(enumerate_connected_multigraphs(1, 3))
     with pytest.raises(ResourceError):
         list(enumerate_connected_multigraphs(9, 2))
+    with pytest.raises(ResourceError):  # 5^28 >= 2^62: packed keys would overflow
+        list(enumerate_connected_multigraphs(8, 5))
+    with pytest.raises(DimensionError):
+        list(enumerate_connected_multigraphs(3, 1))
 
 
 def test_canonical_form_large_n_guard():

@@ -10,23 +10,29 @@ import pytest
 
 from netcert import (
     GroupedNetwork,
-    InflationSpec,
     Network,
     StructureError,
     UnsupportedSource,
-    build_inflation,
     complete_bipartite_network,
+    cut_inflation,
+    doubled_inflation,
     marginal_chain_checks,
     reduce,
     reduced_equal,
 )
-from netcert.network import ETA, GAMMA, prime
+from netcert.network import prime
+
+
+def src(*parties: str) -> frozenset[str]:
+    return frozenset(parties)
 
 
 def test_network_make_validation():
     net = Network.make("ABC", [("A", "B"), ("B", "C")])
     assert net.parties == frozenset("ABC")
-    assert net.source_multiset() == {("A", "B"): 1, ("B", "C"): 1}
+    assert net.sources == {src("A", "B"): 1, src("B", "C"): 1}
+    assert Network.make("AB", [("B", "A"), ("A", "B")]).sources == {src("A", "B"): 2}
+    assert Network.make("ABC", [("A", "B"), ("B", "C")]) == Network.make("CBA", ["CB", "BA"])
     with pytest.raises(StructureError):
         Network.make("AB", [()])
     with pytest.raises(StructureError):
@@ -44,11 +50,12 @@ def test_complete_bipartite_counts():
 
 def test_reduce_basics():
     net = complete_bipartite_network("ABCD")
-    assert reduce(net, "ABCD").source_multiset() == net.source_multiset()
+    assert reduce(net, "ABCD") == net
     small = reduce(net, "AB")
     # AB survives whole; AC, AD, BC, BD shrink to singletons; CD disappears
-    assert small.source_multiset() == {("A", "B"): 1, ("A",): 2, ("B",): 2}
-    assert reduce(net, []).sources == ()
+    assert small.sources == {src("A", "B"): 1, src("A"): 2, src("B"): 2}
+    assert small.parties == frozenset("AB")
+    assert reduce(net, []).sources == {}
     with pytest.raises(StructureError):
         reduce(net, "AX")
 
@@ -82,70 +89,58 @@ def test_grouped_network_validation():
         GroupedNetwork.make(base, ["AB", "C", "", ""])  # D missing
 
 
-def test_inflation_spec():
-    base = complete_bipartite_network("ABCD")
-    grouping = GroupedNetwork.make(base, ["AB", "C", "D", ""])
-    spec = InflationSpec.make(ETA, grouping)
-    assert spec.relabeling == (("A'", "A"), ("B'", "B"))
-    assert InflationSpec.make(GAMMA, grouping).relabeling == ()
-    with pytest.raises(StructureError):
-        InflationSpec.make("zeta", grouping)
-
-
 def test_gamma_inflation_cuts_exactly_the_crossing_sources():
     base = complete_bipartite_network("ABCD")
     grouping = GroupedNetwork.make(base, ["A", "B", "C", "D"])
-    net = build_inflation(InflationSpec.make(GAMMA, grouping))
+    net = cut_inflation(grouping)
     assert net.parties == frozenset("ABCD")
-    assert net.source_multiset() == {
-        ("A",): 1,
-        ("B",): 1,
-        ("A", "C"): 1,
-        ("A", "D"): 1,
-        ("B", "C"): 1,
-        ("B", "D"): 1,
-        ("C", "D"): 1,
+    assert net.sources == {
+        src("A"): 1,
+        src("B"): 1,
+        src("A", "C"): 1,
+        src("A", "D"): 1,
+        src("B", "C"): 1,
+        src("B", "D"): 1,
+        src("C", "D"): 1,
     }
 
 
 def test_eta_inflation_doubles_group_one():
     base = complete_bipartite_network("ABCD")
     grouping = GroupedNetwork.make(base, ["A", "B", "C", "D"])
-    net = build_inflation(InflationSpec.make(ETA, grouping))
+    net = doubled_inflation(grouping)
     assert net.parties == frozenset("ABCD") | {"A'"}
-    assert net.source_multiset() == {
-        ("A",): 2,  # left behind by the rewired AB and AC sources
-        ("A'",): 1,  # spectator copy for the AD source
-        ("A'", "B"): 1,
-        ("A'", "C"): 1,
-        ("A", "D"): 1,
-        ("B", "C"): 1,
-        ("B", "D"): 1,
-        ("C", "D"): 1,
+    assert net.sources == {
+        src("A"): 2,  # left behind by the rewired AB and AC sources
+        src("A'"): 1,  # spectator copy for the AD source
+        src("A'", "B"): 1,
+        src("A'", "C"): 1,
+        src("A", "D"): 1,
+        src("B", "C"): 1,
+        src("B", "D"): 1,
+        src("C", "D"): 1,
     }
 
 
 def test_eta_duplicates_internal_sources():
     base = complete_bipartite_network("ABC")
     grouping = GroupedNetwork.make(base, ["AB", "C", "", ""])
-    net = build_inflation(InflationSpec.make(ETA, grouping))
-    counts = net.source_multiset()
-    assert counts[("A", "B")] == 1 and counts[("A'", "B'")] == 1
+    counts = doubled_inflation(grouping).sources
+    assert counts[src("A", "B")] == 1 and counts[src("A'", "B'")] == 1
 
 
 def test_unsupported_sources():
     base = Network.make("ABC", [("A", "B", "C")])
     tri = GroupedNetwork.make(base, ["A", "B", "C", ""])
     with pytest.raises(UnsupportedSource):
-        build_inflation(InflationSpec.make(GAMMA, tri))
+        cut_inflation(tri)
     with pytest.raises(UnsupportedSource):
-        build_inflation(InflationSpec.make(ETA, tri))
+        doubled_inflation(tri)
     # a three-party source is fine if it stays clear of the rewiring
     safe_gamma = GroupedNetwork.make(base, ["", "A", "B", "C"])
-    assert build_inflation(InflationSpec.make(GAMMA, safe_gamma)) == base
+    assert cut_inflation(safe_gamma) == base
     inside = GroupedNetwork.make(base, ["ABC", "", "", ""])
-    doubled = build_inflation(InflationSpec.make(ETA, inside))
-    assert doubled.source_multiset()[("A'", "B'", "C'")] == 1
+    assert doubled_inflation(inside).sources[src("A'", "B'", "C'")] == 1
 
 
 def _random_grouping(rng, parties):
@@ -165,7 +160,7 @@ def test_gamma_marginal_invariance_is_exact():
     for _ in range(150):
         groups = _random_grouping(rng, parties)
         grouping = GroupedNetwork.make(base, groups)
-        net = build_inflation(InflationSpec.make(GAMMA, grouping))
+        net = cut_inflation(grouping)
         region = [p for p in parties if rng.random() < 0.6]
         bad = any(u in region and v in region for u in groups[0] for v in groups[1])
         assert reduced_equal(base, region, net, region) == (not bad)
@@ -180,8 +175,8 @@ def test_eta_vs_gamma_marginal_invariance_is_exact():
     for _ in range(150):
         groups = _random_grouping(rng, parties)
         grouping = GroupedNetwork.make(base, groups)
-        gamma_net = build_inflation(InflationSpec.make(GAMMA, grouping))
-        eta_net = build_inflation(InflationSpec.make(ETA, grouping))
+        gamma_net = cut_inflation(grouping)
+        eta_net = doubled_inflation(grouping)
         region = [p for p in parties if rng.random() < 0.6]
         bad = any(u in region and v in region for u in groups[0] for v in groups[2])
         assert reduced_equal(gamma_net, region, eta_net, region) == (not bad)
@@ -196,7 +191,7 @@ def test_eta_vs_base_primed_marginal_invariance_is_exact():
     for _ in range(150):
         groups = _random_grouping(rng, parties)
         grouping = GroupedNetwork.make(base, groups)
-        eta_net = build_inflation(InflationSpec.make(ETA, grouping))
+        eta_net = doubled_inflation(grouping)
         region = [p for p in parties if rng.random() < 0.6]
         sigma = {p: prime(p) for p in region if p in groups[0]}
         primed_region = [sigma.get(p, p) for p in region]
