@@ -19,15 +19,18 @@ multiplicity, built from generator quotients around an angle or triangle,
 and ``obs4`` for general multiplicities, built from generator powers
 scaled by the edge weights around the triple.
 
-One rule set picks and builds them: the triple order (_triples), the obs4
-blocking test (_blocked), the witness exponents (_exponent_table) and the
-groups (_group_masks).  Two paths apply it: _certify_direct on one graph
-with Python ints, for certify_any, and _direct_pass on a stack of graphs
-with int64 arrays, once per isomorphism class, for exhaustive_table.  They
-stay two because arrays only pay off in bulk (the README gives the
-measurements).  The enumerator keeps packed integer keys for the same
-reason: a byte-string canonicaliser took _canonical_rows(5, 4) from 0.28 s
-to 0.42 s.
+One rule set picks and builds them: the lazy angle order
+(multigraph._angles), the obs4 blocking test (_blocked), the witness
+exponents (_exponent_table) and the groups (_group_masks, from
+multigraph._partition_masks).  Two paths apply it: _certify_direct on one
+graph with Python ints, for certify_any, whose one scan (_scan) also gives
+_refusal its reasons, and _direct_pass on a stack of graphs with int64
+arrays, once per isomorphism class, for exhaustive_table.  Both check every
+witness they build against the verifier's witness conditions
+(_witness_checks; _check_witnesses on arrays).  They stay two because
+arrays only pay off in bulk (the README gives the measurements).  The
+enumerator keeps packed integer keys for the same reason: a byte-string
+canonicaliser took _canonical_rows(5, 4) from 0.28 s to 0.42 s.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,12 +55,16 @@ from .errors import (
 )
 from .multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
+    DEFAULT_ORBIT_CAP,
     Multigraph,
+    _angles,
     _canonical_rows,
     _check_orbit_cap,
     _graph_walk,
     _LCClasses,
     _LCWalk,
+    _neighbor_masks,
+    _partition_masks,
     class_count,
     edges,
     from_triu_vector,
@@ -72,7 +79,6 @@ from .stabilizer import StabilizerWord, word
 METHOD_CONSTANT = "obs1"
 METHOD_GENERAL = "obs4"
 
-DEFAULT_ORBIT_CAP = 10**6
 _LAMBDA_TOL = 1e-12
 
 
@@ -245,22 +251,10 @@ def _labels(g: Multigraph) -> list[str]:
     return [str(v) for v in range(g.n)]
 
 
-def _neighbor_masks(g: Multigraph) -> list[int]:
-    """Bit j of entry i is set iff vertices i and j are adjacent."""
-    return [sum(1 << j for j, m in enumerate(row) if m) for row in g.mult]
-
-
 # The rules below are written once for both paths: on Python ints for one
 # graph (_certify_direct) and on int64 arrays for a whole table cell
 # (_direct_pass).  Vertex sets are bitmasks; ``tri1`` is 1 for the obs1
 # construction on a triangle and 0 otherwise.
-
-
-@lru_cache(maxsize=None)
-def _triples(n: int) -> tuple[tuple[int, int, int], ...]:
-    """Every ordered triple of distinct vertices, in lexicographic order.  A
-    construction is tried at those with edges AB and CA, in this order."""
-    return tuple(itertools.permutations(range(n), 3))
 
 
 def _blocked(m_ab, m_bc, m_ca, h, nb_a, nb_b, nb_c, b, c, d):
@@ -307,15 +301,7 @@ def _group_masks(tri1, a, b, c, nb_a, nb_b, nb_c, full):
     obs4 shares: at a triple obs4 accepts t_abc is empty, and on a triangle
     so are j_ab and j_ca.
     """
-    rest = full & ~(1 << a | 1 << b | 1 << c)
-    e_a = rest & nb_a & ~(nb_b | nb_c)
-    e_b = rest & nb_b & ~(nb_a | nb_c)
-    e_c = rest & nb_c & ~(nb_a | nb_b)
-    j_ab = rest & nb_a & nb_b & ~nb_c
-    j_bc = rest & nb_b & nb_c & ~nb_a
-    j_ca = rest & nb_c & nb_a & ~nb_b
-    t_abc = rest & nb_a & nb_b & nb_c
-    far = rest & ~(nb_a | nb_b | nb_c)
+    e_a, e_b, e_c, j_ab, j_bc, j_ca, t_abc, far = _partition_masks(a, b, c, nb_a, nb_b, nb_c, full)
 
     def pick(x, y):
         return (x & -tri1) | (y & (tri1 - 1))
@@ -337,8 +323,8 @@ def _build_certificate(
     nb: Sequence[int],
 ) -> Certificate:
     """The obs4 (``general``) or obs1 construction at a triple it accepts;
-    ``nb`` holds the neighbor masks of ``certified``.  A construction bug
-    raises here, on the certificate's derived words."""
+    ``nb`` holds the neighbor masks of ``certified``.  A construction bug,
+    such as a witness that fails verify_obs3's _witness_checks, raises here."""
     a, b, c = triple
     d, n, mult = certified.d, certified.n, certified.mult
     m_ab, m_bc, m_ca = mult[a][b], mult[b][c], mult[c][a]
@@ -356,23 +342,27 @@ def _build_certificate(
         tuple(str(v) for v in range(n) if mask >> v & 1)
         for mask in _group_masks(tri1, a, b, c, nb[a], nb[b], nb[c], (1 << n) - 1)
     )
-    cert = Certificate(graph, lc_path, groups, e1, e2, e4)
-    p = cert.proof
     if e3 != tuple((x + y) % d for x, y in zip(e1, e2)):
         raise StructureError("construction bug: S3 is not exactly S1 S2")
-    if commutation_phase(p.s1.operator, p.s2.operator) % d != 0:
-        raise StructureError("construction bug: S1 and S2 do not commute")
-    for idx, (w, grp) in enumerate(zip((p.s1, p.s2, p.s3, p.s4), groups), start=1):
-        if support(w.operator) & set(grp):
-            raise StructureError(f"construction bug: S{idx} touches group {idx}")
-    if p.kappa == 0:
-        raise StructureError("construction bug: S3 and relabeled S4 commute")
-    common = support(p.s3.operator) & support(p.s4_twisted)
-    if not common <= set(groups[1]):
-        raise StructureError("construction bug: overlap leaks outside group 2")
-    if general and p.kappa != (-t * m_tilde) % d:
+    cert = Certificate(graph, lc_path, groups, e1, e2, e4)
+    checks: list[Check] = []
+    _witness_checks(cert, checks)
+    if failed := [check.name for check in checks if not check.passed]:
+        raise StructureError(f"construction bug: failed {', '.join(failed)}")
+    if general and cert.kappa != (-t * m_tilde) % d:
         raise StructureError("construction bug: kappa differs from -e m_tilde")
     return cert
+
+
+def _scan(g: Multigraph, nb: Sequence[int]) -> Iterator[tuple]:
+    """The direct attempt's view of g, lazily, in _angles order: per triple
+    with edges AB and CA, the triple, m_ab, m_ca, the gcd h of its three edge
+    weights, and its _blocked flags; ``nb`` holds g's neighbor masks."""
+    d, mult = g.d, g.mult
+    for a, b, c in _angles(g):
+        m_ab, m_bc, m_ca = mult[a][b], mult[b][c], mult[c][a]
+        h = gcd(m_ab, m_bc, m_ca)
+        yield (a, b, c), m_ab, m_ca, h, _blocked(m_ab, m_bc, m_ca, h, nb[a], nb[b], nb[c], b, c, d)
 
 
 def _certify_direct(
@@ -381,16 +371,11 @@ def _certify_direct(
     """Try every construction on one graph: obs1 at its first triple when the
     weights are constant, else obs4 at the first triple not _blocked.  A
     Certificate, or None; _refusal explains a failure."""
-    d, mult = certified.d, certified.mult
     nb = _neighbor_masks(certified)
     general = _general(certified)
-    for a, b, c in _triples(certified.n):
-        m_ab, m_bc, m_ca = mult[a][b], mult[b][c], mult[c][a]
-        if not (m_ab and m_ca):
-            continue
-        h = gcd(m_ab, m_bc, m_ca)
-        if not (general and any(_blocked(m_ab, m_bc, m_ca, h, nb[a], nb[b], nb[c], b, c, d))):
-            return _build_certificate(graph, lc_path, certified, (a, b, c), general, nb)
+    for triple, _, _, _, flags in _scan(certified, nb):
+        if not (general and any(flags)):
+            return _build_certificate(graph, lc_path, certified, triple, general, nb)
     return None
 
 
@@ -398,26 +383,18 @@ def _refusal(g: Multigraph, size: int, truncated: bool, orbit_cap: int) -> NotCe
     """certify_any's answer for a connected g (n >= 3) whose walk of ``size``
     orbit members found nothing: why the direct attempt on g fails, line by
     line and by kind, and how far the orbit search went."""
-    d, mult = g.d, g.mult
-    nb = _neighbor_masks(g)
     reasons = [f"edge multiplicities {sorted({m for _, _, m in edges(g)})} are not constant"]
     kinds = ["non_constant"]
-    for a, b, c in _triples(g.n):
-        m_ab, m_bc, m_ca = mult[a][b], mult[b][c], mult[c][a]
-        if not (m_ab and m_ca):
-            continue
-        h = gcd(m_ab, m_bc, m_ca)
-        t_abc, apex, m_tilde_zero = _blocked(m_ab, m_bc, m_ca, h, nb[a], nb[b], nb[c], b, c, d)
-        tag = f"triple ({a},{b},{c})"
-        if t_abc:
-            reasons.append(f"{tag}: vertices adjacent to all three present")
-            kinds.append("t_abc")
-        if apex:
-            reasons.append(f"{tag}: triangle with shared neighbors at the apex")
-            kinds.append("apex")
-        if m_tilde_zero:
-            reasons.append(f"{tag}: m_tilde = {m_ab}*{m_ca}/{h} = 0 (mod {d})")
-            kinds.append("m_tilde_zero")
+    for (a, b, c), m_ab, m_ca, h, flags in _scan(g, _neighbor_masks(g)):
+        lines = (
+            "vertices adjacent to all three present",
+            "triangle with shared neighbors at the apex",
+            f"m_tilde = {m_ab}*{m_ca}/{h} = 0 (mod {g.d})",
+        )
+        for kind, flag, line in zip(REJECTION_KINDS[1:], flags, lines):
+            if flag:
+                reasons.append(f"triple ({a},{b},{c}): {line}")
+                kinds.append(kind)
     note = f"all {size} graphs in the local-complementation orbit fail"
     if truncated:
         note += f" (orbit search truncated at {orbit_cap})"
@@ -444,9 +421,7 @@ def certify_any(g: Multigraph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> Certificat
     if cert is not None:
         return cert
     walk = _graph_walk(g, orbit_cap)
-    size = 0
-    for _, image, path in walk:
-        size += 1
+    for size, (_, image, path) in enumerate(walk, start=1):
         if path:
             cert = _certify_direct(g, path, image)
             if cert is not None:
@@ -495,7 +470,8 @@ def _direct_block(mats: np.ndarray, d: int) -> _DirectPass:
     """_direct_pass on one block of graphs."""
     k, n = mats.shape[0], mats.shape[1]
     mats = mats.astype(np.int64, copy=False)
-    ta, tb, tc = np.array(_triples(n), dtype=np.int64).reshape(-1, 3).T
+    # all ordered triples, lexicographic: those with edges AB and CA in _angles order
+    ta, tb, tc = np.array(list(itertools.permutations(range(n), 3)), np.int64).reshape(-1, 3).T
     m_ab, m_bc, m_ca = mats[:, ta, tb], mats[:, tb, tc], mats[:, tc, ta]
     nb = ((mats != 0) << np.arange(n)).sum(axis=2)
     valid = (m_ab != 0) & (m_ca != 0)
@@ -547,7 +523,8 @@ def _direct_block(mats: np.ndarray, d: int) -> _DirectPass:
 
 
 def _check_witnesses(d, x, z, phase, groups, general, expected_kappa) -> None:
-    """_build_certificate's checks on (k, 4, n) operator arrays S1..S4."""
+    """The checks of _build_certificate, verify_obs3's witness conditions
+    among them, on (k, 4, n) operator arrays S1..S4."""
     (x1, x2, x3, x4), (z1, z2, z3, z4) = x.transpose(1, 0, 2), z.transpose(1, 0, 2)
     cross = (z1 * x2).sum(axis=1)
     if not (
@@ -572,6 +549,10 @@ def _check_witnesses(d, x, z, phase, groups, general, expected_kappa) -> None:
     common = supports[:, 2] & supports[:, 3] & ~groups[:, 0]
     if (common & ~groups[:, 1]).any():
         raise StructureError("construction bug: overlap leaks outside group 2")
+    # they partition the vertices iff their union and their sum are all of them
+    full = (1 << x.shape[2]) - 1
+    if ((np.bitwise_or.reduce(groups, axis=1) != full) | (groups.sum(axis=1) != full)).any():
+        raise StructureError("construction bug: groups do not partition the vertices")
     if (general & (kappa != expected_kappa)).any():
         raise StructureError("construction bug: kappa differs from -e m_tilde")
 
@@ -742,18 +723,19 @@ def verify_obs3(cert: Certificate) -> VerificationReport:
     return VerificationReport(checks=tuple(checks), ignored=ignored)
 
 
-def _verify_obs3_checks(cert: Certificate, cap: int, checks: list[Check]) -> None:
-    from . import oracle
-
+def _witness_checks(cert: Certificate, checks: list[Check]) -> None:
+    """The four conditions on a witness: the groups partition the vertices,
+    S1 and S2 commute, each S_i avoids group i, and S3 and the relabeled S4
+    fail to commute with their overlap inside group 2.  verify_obs3 reports
+    them and _build_certificate raises on any that fails."""
     p = cert.proof
-    d = cert.graph.d
     parties = set(_labels(cert.graph))
     group_sets = [frozenset(grp) for grp in cert.groups]
     union = frozenset().union(*group_sets)
     partition = union == parties and sum(map(len, group_sets)) == len(parties)
     detail = f"groups cover {sorted(union)} of {sorted(parties)}"
     checks.append(Check("groups_partition", partition, detail))
-    commute = commutation_phase(p.s1.operator, p.s2.operator) % d == 0
+    commute = commutation_phase(p.s1.operator, p.s2.operator) % cert.graph.d == 0
     checks.append(Check("commute", commute, "S1 S2 == S2 S1; S3 = S1 S2"))
     words = (p.s1, p.s2, p.s3, p.s4)
     supports_ok = all(not (support(w.operator) & grp) for w, grp in zip(words, group_sets))
@@ -761,8 +743,17 @@ def _verify_obs3_checks(cert: Certificate, cap: int, checks: list[Check]) -> Non
     common = support(p.s3.operator) & support(p.s4_twisted)
     detail = f"kappa = {p.kappa}, overlap {sorted(common)}"
     checks.append(Check("kappa", p.kappa != 0 and common <= group_sets[1], detail))
+
+
+def _verify_obs3_checks(cert: Certificate, cap: int, checks: list[Check]) -> None:
+    from . import oracle
+
+    _witness_checks(cert, checks)
+    p = cert.proof
+    d = cert.graph.d
+    supports = (support(w.operator) for w in (p.s1, p.s2, p.s3, p.s4))
     premises = marginal_chain_checks(
-        parties, group_sets, *(support(w.operator) for w in words), dict(p.s4_relabeling)
+        _labels(cert.graph), cert.groups, *supports, dict(p.s4_relabeling)
     )
     for name, ok in premises:
         checks.append(Check(f"marginal: {name}", ok))
@@ -771,8 +762,8 @@ def _verify_obs3_checks(cert: Certificate, cap: int, checks: list[Check]) -> Non
     checks.append(
         Check("lambda_bound", lam_ok, f"lambda' = {lam}, fidelity bound {p.fidelity_bound}")
     )
-    r3 = restrict(p.s3.operator, group_sets[1])
-    r4 = restrict(p.s4_twisted, group_sets[1])
+    r3 = restrict(p.s3.operator, cert.groups[1])
+    r4 = restrict(p.s4_twisted, cert.groups[1])
     sites = sorted(support(r3) | support(r4))
     if sites and d ** len(sites) <= cap:
         ok = not oracle.shares_plus_one_eigenvector(r3, r4, sites)

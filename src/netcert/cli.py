@@ -23,7 +23,6 @@ from typing import Callable, NoReturn, Sequence
 from . import __version__
 from .certify import (
     Certificate,
-    DEFAULT_ORBIT_CAP,
     NotCertified,
     TableReport,
     certificate_from_json_obj,
@@ -36,6 +35,7 @@ from .errors import NetcertError
 from .ghzbound import bound_report
 from .multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
+    DEFAULT_ORBIT_CAP,
     Multigraph,
     edges,
     lc_orbit,

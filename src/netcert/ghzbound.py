@@ -32,9 +32,8 @@ from .certify import fidelity_bound_from_lambda, select_power_t
 from .errors import DimensionError, RangeError, StructureError, Unconverged, WrongFamily
 from .network import marginal_chain_checks
 from .pauli import PauliOperator, commutation_phase, multiply, power, relabel, support
-from .stabilizer import ghz_stabilizer_element
+from .stabilizer import GHZ_PARTIES, ghz_stabilizer_element
 
-_GHZ_PARTIES = ("A", "B", "C")
 _NUMERIC_RANGE = (2, 8)
 _F_TOL = 1e-4
 _PRIME_TOL = 1e-9
@@ -139,7 +138,7 @@ def ghz_section3_chain(d: int) -> GhzChainRecord:
     groups = (frozenset({"C"}), frozenset({"B"}), frozenset({"A"}), frozenset())
     premises = tuple(
         marginal_chain_checks(
-            _GHZ_PARTIES,
+            GHZ_PARTIES,
             groups,
             support(s1),
             support(s2),

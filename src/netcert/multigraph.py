@@ -2,10 +2,12 @@
 
 A multigraph is a symmetric n x n matrix of multiplicities m_ij in
 {0, ..., d-1} with zero diagonal; multiplicity 0 is the same thing as an
-absent edge.  This module provides connectivity, the neighborhood
-partition around a vertex triple, local complementation and its orbit,
-canonical forms under vertex relabeling, and exhaustive enumeration of
-connected multigraphs up to isomorphism.
+absent edge.  This module provides connectivity, local complementation
+and its orbit, canonical forms under vertex relabeling, exhaustive
+enumeration of connected multigraphs up to isomorphism, and the certificate
+search's rules on the graph alone: the lazy angle order (_angles) and the
+neighborhood partition around an angle (_partition_masks), which
+find_angle_or_triangle and partition_neighborhoods present.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionError, EnumerationOverflow, ResourceError, StructureError
+
+#: Most isomorphism classes an orbit search examines unless the caller sets its cap.
+DEFAULT_ORBIT_CAP = 10**6
 
 #: Largest number of labeled multiplicity vectors an enumeration call will
 #: examine unless the caller raises the budget explicitly.
@@ -367,8 +372,39 @@ class NeighborhoodPartition:
     far: frozenset[int]
 
 
+def _neighbor_masks(g: Multigraph) -> list[int]:
+    """Bit j of entry i is set iff vertices i and j are adjacent."""
+    return [sum(1 << j for j, m in enumerate(row) if m) for row in g.mult]
+
+
+def _angles(g: Multigraph) -> Iterator[tuple[int, int, int]]:
+    """Every ordered triple (a, b, c) with edges AB and CA, lazily and in
+    lexicographic order: for each a, the neighbors b != c of a, ascending."""
+    for a, row in enumerate(g.mult):
+        nbrs = [v for v, m in enumerate(row) if m]
+        for b, c in itertools.permutations(nbrs, 2):
+            yield a, b, c
+
+
+def _partition_masks(a, b, c, nb_a, nb_b, nb_c, full):
+    """Bitmasks (e_a, e_b, e_c, j_ab, j_bc, j_ca, t_abc, far) of the
+    NeighborhoodPartition of the vertices ``full`` around (a, b, c), given
+    the neighbor masks of a, b and c; on Python ints and int64 arrays alike."""
+    rest = full & ~(1 << a | 1 << b | 1 << c)
+    return (
+        rest & nb_a & ~(nb_b | nb_c),
+        rest & nb_b & ~(nb_a | nb_c),
+        rest & nb_c & ~(nb_a | nb_b),
+        rest & nb_a & nb_b & ~nb_c,
+        rest & nb_b & nb_c & ~nb_a,
+        rest & nb_c & nb_a & ~nb_b,
+        rest & nb_a & nb_b & nb_c,
+        rest & ~(nb_a | nb_b | nb_c),
+    )
+
+
 def find_angle_or_triangle(g: Multigraph) -> list[tuple[int, int, int, str]]:
-    """All ordered triples (A, B, C) with edges AB and CA present.
+    """All ordered triples (A, B, C) with edges AB and CA, in _angles order.
 
     kind is "triangle" when the BC edge is present too, else "angle".
     Connected graphs with n >= 3 always admit at least one.
@@ -377,15 +413,7 @@ def find_angle_or_triangle(g: Multigraph) -> list[tuple[int, int, int, str]]:
         raise StructureError(f"need at least 3 vertices, got {g.n}")
     if not is_connected(g):
         raise StructureError("graph is not connected")
-    found = []
-    for a in range(g.n):
-        nbrs = [v for v, m in enumerate(g.mult[a]) if m]
-        for b in nbrs:
-            row_b = g.mult[b]
-            for c in nbrs:
-                if c != b:
-                    found.append((a, b, c, "triangle" if row_b[c] else "angle"))
-    return found
+    return [(a, b, c, "triangle" if g.mult[b][c] else "angle") for a, b, c in _angles(g)]
 
 
 def partition_neighborhoods(g: Multigraph, a: int, b: int, c: int) -> NeighborhoodPartition:
@@ -394,29 +422,10 @@ def partition_neighborhoods(g: Multigraph, a: int, b: int, c: int) -> Neighborho
         raise StructureError(f"invalid triple ({a}, {b}, {c})")
     if not (g.mult[a][b] and g.mult[c][a]):
         raise StructureError(f"triple ({a}, {b}, {c}) is missing edge AB or CA")
-    kind = "triangle" if g.mult[b][c] else "angle"
-    buckets: dict[tuple[bool, bool, bool], set[int]] = {}
-    for v in range(g.n):
-        if v in (a, b, c):
-            continue
-        pattern = (bool(g.mult[v][a]), bool(g.mult[v][b]), bool(g.mult[v][c]))
-        buckets.setdefault(pattern, set()).add(v)
-
-    def grab(pa: bool, pb: bool, pc: bool) -> frozenset[int]:
-        return frozenset(buckets.get((pa, pb, pc), set()))
-
-    return NeighborhoodPartition(
-        triple=(a, b, c),
-        kind=kind,
-        e_a=grab(True, False, False),
-        e_b=grab(False, True, False),
-        e_c=grab(False, False, True),
-        j_ab=grab(True, True, False),
-        j_bc=grab(False, True, True),
-        j_ca=grab(True, False, True),
-        t_abc=grab(True, True, True),
-        far=grab(False, False, False),
-    )
+    nb = _neighbor_masks(g)
+    masks = _partition_masks(a, b, c, nb[a], nb[b], nb[c], (1 << g.n) - 1)
+    sets = (frozenset(v for v in range(g.n) if mask >> v & 1) for mask in masks)
+    return NeighborhoodPartition((a, b, c), "triangle" if g.mult[b][c] else "angle", *sets)
 
 
 def local_complement(g: Multigraph, a: int) -> Multigraph:
@@ -605,7 +614,7 @@ def _check_orbit_cap(cap: int) -> None:
         raise StructureError(f"orbit cap must be positive, got {cap}")
 
 
-def lc_orbit(g: Multigraph, cap: int = 10**6) -> OrbitResult:
+def lc_orbit(g: Multigraph, cap: int = DEFAULT_ORBIT_CAP) -> OrbitResult:
     """Breadth-first closure of g under local complementation at every vertex,
     deduplicated by canonical form, truncated (and flagged) at ``cap`` classes.
     """

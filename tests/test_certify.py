@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -175,6 +176,23 @@ def test_certify_any_small_and_disconnected():
     broken = Multigraph.from_edges(2, 4, [(0, 1, 1), (2, 3, 1)])
     with pytest.raises(StructureError):
         certify_any(broken)
+
+
+def test_direct_attempt_scales_with_the_graph():
+    """The direct attempt walks the angles lazily and stops at the first one
+    it can use: on a 100-vertex path it holds none of the 970,200 ordered
+    triples."""
+    g = Multigraph.from_edges(2, 100, [(v, v + 1, 1) for v in range(99)])
+    tracemalloc.start()
+    try:
+        cert = certify_any(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(cert, Certificate)
+    assert cert.fidelity_bound == 0.9
+    assert verify_obs3(cert).all_passed
+    assert peak < 4 * 2**20
 
 
 def test_lc_orbit_rescue():
@@ -693,6 +711,12 @@ def test_direct_pass_checks_reject_tampered_witnesses():
     groups[:, 1] = 0
     with pytest.raises(StructureError, match="overlap leaks outside group 2"):
         _check_witnesses(**{**args, "groups": groups})
+    # one vertex dropped from each nonempty group 4: only the partition fails
+    groups = direct.groups.copy()
+    assert groups[:, 3].any()
+    groups[:, 3] &= groups[:, 3] - 1
+    with pytest.raises(StructureError, match="groups do not partition the vertices"):
+        _check_witnesses(**{**args, "groups": groups})
 
 
 def _edited(name, edit):
@@ -705,24 +729,39 @@ def _with_row(slot, row):
     return lambda rows: tuple(row if k == slot else r for k, r in enumerate(rows))
 
 
+#: obs1 at triple (0, 1, 2) of this path 2-0-1-3 puts vertex 3 alone in group 4
+PATH4 = Multigraph.from_edges(2, 4, [(0, 1, 1), (0, 2, 1), (1, 3, 1)])
+
+
 @pytest.mark.parametrize(
-    "patch, message",
+    "patch, message, g",
     [
-        (_edited("_exponent_table", _with_row(2, (1, 1, 1))), "S3 is not exactly S1 S2"),
+        (_edited("_exponent_table", _with_row(2, (1, 1, 1))), "S3 is not exactly S1 S2", None),
         # S1 and S2 are words of an abelian stabilizer group, so only a faked
         # phase reaches this check
-        (("commutation_phase", lambda a, b: 1), "S1 and S2 do not commute"),
-        (_edited("_group_masks", lambda m: (m[0] | m[1] | m[2] | m[3], 0, 0, 0)), "S1 touches"),
-        (_edited("_exponent_table", _with_row(3, (0, 0, 0))), "S3 and relabeled S4 commute"),
-        # the groups no longer partition the vertices
-        (_edited("_group_masks", _with_row(1, 0)), "overlap leaks outside group 2"),
-        (_edited("_obs4_weights", lambda w: (2 * w[0], *w[1:])), "kappa differs"),
+        (("commutation_phase", lambda a, b: 1), "failed commute$", None),
+        (
+            _edited("_group_masks", lambda m: (m[0] | m[1] | m[2] | m[3], 0, 0, 0)),
+            "failed supports, kappa$",
+            None,
+        ),
+        (_edited("_exponent_table", _with_row(3, (0, 0, 0))), "failed kappa$", None),
+        # the groups no longer partition the vertices, and S3, S4 overlap in no group
+        (_edited("_group_masks", _with_row(1, 0)), "failed groups_partition, kappa$", None),
+        (_edited("_obs4_weights", lambda w: (2 * w[0], *w[1:])), "kappa differs", None),
+        # only the partition fails: every other check holds without vertex 3
+        (
+            _edited("_group_masks", lambda m: (*m[:3], m[3] & (m[3] - 1))),
+            "failed groups_partition$",
+            PATH4,
+        ),
     ],
-    ids=["s3", "commute", "supports", "kappa", "overlap", "kappa_value"],
+    ids=["s3", "commute", "supports", "kappa", "overlap", "kappa_value", "partition"],
 )
-def test_build_certificate_raises_on_construction_bugs(monkeypatch, patch, message):
-    """Each construction check of _build_certificate fires on a tampered rule."""
-    g = angle(3, 1, 2)
+def test_build_certificate_raises_on_construction_bugs(monkeypatch, patch, message, g):
+    """Each construction check of _build_certificate fires on a tampered rule
+    (on the obs4 angle unless a graph is given)."""
+    g = g or angle(3, 1, 2)
     assert isinstance(certify_any(g), Certificate)
     monkeypatch.setattr(certify, *patch)
     with pytest.raises(StructureError, match=f"^construction bug: {message}"):

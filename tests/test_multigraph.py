@@ -256,6 +256,41 @@ def test_partition_neighborhoods_buckets():
         partition_neighborhoods(g, 3, 4, 5)
 
 
+@pytest.mark.parametrize("n,d", [(3, 3), (4, 3), (5, 2), (4, 4)])
+def test_angle_order_and_partition_match_their_definitions(n, d):
+    """find_angle_or_triangle lists the ordered triples with edges AB and CA
+    in lexicographic order, and each set of partition_neighborhoods holds the
+    other vertices with its adjacency pattern to (A, B, C)."""
+    patterns = {
+        "e_a": (1, 0, 0),
+        "e_b": (0, 1, 0),
+        "e_c": (0, 0, 1),
+        "j_ab": (1, 1, 0),
+        "j_bc": (0, 1, 1),
+        "j_ca": (1, 0, 1),
+        "t_abc": (1, 1, 1),
+        "far": (0, 0, 0),
+    }
+    for g in enumerate_connected_multigraphs(n, d):
+        adj = [[int(m != 0) for m in row] for row in g.mult]
+        expected = [
+            (a, b, c, "triangle" if adj[b][c] else "angle")
+            for a, b, c in itertools.product(range(n), repeat=3)
+            if len({a, b, c}) == 3 and adj[a][b] and adj[c][a]
+        ]
+        assert find_angle_or_triangle(g) == expected
+        for a, b, c, kind in expected:
+            part = partition_neighborhoods(g, a, b, c)
+            assert (part.triple, part.kind) == ((a, b, c), kind)
+            for name, pattern in patterns.items():
+                members = {
+                    v
+                    for v in range(n)
+                    if v not in (a, b, c) and (adj[v][a], adj[v][b], adj[v][c]) == pattern
+                }
+                assert getattr(part, name) == members, (g, (a, b, c), name)
+
+
 def test_local_complement_d2_involution_and_known_orbit():
     path = Multigraph.from_edges(2, 3, [(0, 1, 1), (1, 2, 1)])
     tri = local_complement(path, 1)
