@@ -22,9 +22,15 @@ BENCH_ghz.json from its runs.
 (``multigraph._canonical_rows``, drained to the end) of each cell in fresh
 processes, SWEEP_RUNS times per checkout and alternating which goes first,
 and records each side's times, the sha256 of its rows with their count and
-overflow progress, and whether the two sides' outputs agree.  With
-one workload and no ``--sweep`` the file holds that workload's object, as
-BENCH_ghz.json does; otherwise ``{"workloads": [...], "sweep": [...]}``.
+overflow progress, and whether the two sides' outputs agree.
+``--canonical`` likewise times ``canonical_form`` per call, in fresh
+processes, on two sets of n = 8 graphs: those the ``certify_verify`` pool's
+orbit walks key, and every vertex-transitive Cayley multigraph of Z8, Z2^3
+and Z4 x Z2 over Z_2 and Z_3 (each call the best of three), and records
+per-call medians and maxima and a sha256 of the forms.  With one workload
+and neither option the file holds that workload's object, as
+BENCH_ghz.json does; otherwise ``{"workloads": [...], "sweep": [...]}``,
+plus ``"canonical"``.
 """
 
 from __future__ import annotations
@@ -55,6 +61,44 @@ except EnumerationOverflow as exc:
     overflow = [exc.examined, exc.yielded]
 sweep_s = time.perf_counter() - start
 print(json.dumps({"sweep_s": sweep_s, "sha256": h.hexdigest(), "rows": rows, "overflow": overflow}))
+"""
+
+CANONICAL = """
+import hashlib, itertools, json, statistics, sys, time
+sys.path.insert(0, "perfbench")
+import netcert, workloads
+from netcert import multigraph
+keyed, canonical_form = [], multigraph.canonical_form
+multigraph.canonical_form = lambda g: keyed.append(g) or canonical_form(g)
+for g in workloads.certify_stream(1):
+    netcert.certify_any(g)
+multigraph.canonical_form = canonical_form
+groups = [
+    (lambda a, b: (a + b) % 8, lambda a: -a % 8),
+    (lambda a, b: a ^ b, lambda a: a),
+    (lambda a, b: (a + b) % 4 + (a ^ b) // 4 * 4, lambda a: -a % 4 + a // 4 * 4),
+]
+cayley = []
+for d, (add, neg) in itertools.product((2, 3), groups):
+    classes = sorted({frozenset((s, neg(s))) for s in range(1, 8)}, key=min)
+    for ws in itertools.product(range(d), repeat=len(classes)):
+        w = {s: x for c, x in zip(classes, ws) for s in c}
+        eds = [(a, b, w[add(b, neg(a))]) for a in range(8) for b in range(a + 1, 8)]
+        cayley.append(netcert.Multigraph.from_edges(d, 8, [e for e in eds if e[2]]))
+out, h = {}, hashlib.sha256()
+for name, graphs in (("pool_n8", [g for g in keyed if g.n == 8]), ("cayley_n8", cayley)):
+    ms = []
+    for g in graphs:
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            form = canonical_form(g)
+            best = min(best, time.perf_counter() - start)
+        ms.append(best * 1e3)
+        h.update(repr(form).encode())
+    out[name] = {"calls": len(ms), "median_ms": statistics.median(ms), "max_ms": max(ms)}
+out["sha256"] = h.hexdigest()
+print(json.dumps(out))
 """
 
 
@@ -113,13 +157,18 @@ def pairs(parent: Path, change: Path, workload: str, metrics: list[str]) -> dict
     }
 
 
-def sweep_once(root: Path, cell: list[int]) -> dict:
+def fresh_run(root: Path, code: str, *args: str) -> dict:
+    """The JSON line a snippet prints, run in a fresh process in ``root``."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
     out = subprocess.run(
-        [sys.executable, "-c", SWEEP, *map(str, cell)],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", code, *args],
+        cwd=root, env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(out.stdout)
+
+
+def sweep_once(root: Path, cell: list[int]) -> dict:
+    return fresh_run(root, SWEEP, *map(str, cell))
 
 
 def sweep(parent: Path, change: Path, cell: list[int]) -> dict:
@@ -152,6 +201,33 @@ def sweep(parent: Path, change: Path, cell: list[int]) -> dict:
     return entry
 
 
+def canonical(parent: Path, change: Path) -> dict:
+    results: dict[str, list[dict]] = {"parent": [], "change": []}
+    for k in range(SWEEP_RUNS):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for name in order:
+            results[name].append(fresh_run(parent if name == "parent" else change, CANONICAL))
+    entry: dict = {"identical": len({r["sha256"] for res in results.values() for r in res}) == 1}
+    for name, res in results.items():
+        entry[name] = {
+            graphs: {
+                "calls": res[0][graphs]["calls"],
+                "median_ms": [r[graphs]["median_ms"] for r in res],
+                "max_ms": [r[graphs]["max_ms"] for r in res],
+            }
+            for graphs in ("pool_n8", "cayley_n8")
+        }
+    for graphs in ("pool_n8", "cayley_n8"):
+        before, after = (
+            statistics.median(entry[side][graphs]["median_ms"]) for side in ("parent", "change")
+        )
+        print(
+            f"canonical_form {graphs}: parent {before:.3f} ms a call, change {after:.3f} ms, "
+            f"identical {entry['identical']}"
+        )
+    return entry
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -159,16 +235,19 @@ def main() -> int:
     ap.add_argument("--workload", action="append", help="perfbench workload (repeatable)")
     ap.add_argument("--metrics", nargs="+", default=["wall_s", "ghz_s", "op_p50_ms"])
     ap.add_argument("--sweep", nargs="+", default=[], metavar="n,d[,budget]")
+    ap.add_argument("--canonical", action="store_true", help="time canonical_form per call")
     ap.add_argument("--out", type=Path, default=Path("BENCH_ghz.json"))
     args = ap.parse_args()
     workloads = args.workload or ["table_5x4"]
     reports = [pairs(args.parent, args.change, w, args.metrics) for w in workloads]
     cells = [[int(x) for x in cell.split(",")] for cell in args.sweep]
     sweeps = [sweep(args.parent, args.change, cell) for cell in cells]
-    if len(reports) == 1 and not sweeps:
+    if len(reports) == 1 and not sweeps and not args.canonical:
         out = reports[0]
     else:
         out = {"workloads": reports, "sweep": sweeps}
+        if args.canonical:
+            out["canonical"] = canonical(args.parent, args.change)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

@@ -27,7 +27,7 @@ graph with Python ints, for certify_any, whose one scan (_scan) also gives
 _refusal its reasons, and _direct_pass on a stack of graphs with int64
 arrays, once per isomorphism class, for exhaustive_table.  Both check every
 witness they build against the verifier's witness conditions
-(_witness_checks; _check_witnesses on arrays).  They stay two because
+(_witness; _check_witnesses on arrays).  They stay two because
 arrays only pay off in bulk (the README gives the measurements).  The
 enumerator keeps packed integer keys for the same reason: a byte-string
 canonicaliser took _canonical_rows(5, 4) from 0.28 s to 0.42 s.
@@ -324,7 +324,8 @@ def _build_certificate(
 ) -> Certificate:
     """The obs4 (``general``) or obs1 construction at a triple it accepts;
     ``nb`` holds the neighbor masks of ``certified``.  A construction bug,
-    such as a witness that fails verify_obs3's _witness_checks, raises here."""
+    such as a witness that fails one of verify_obs3's _WITNESS_CHECKS, raises
+    here."""
     a, b, c = triple
     d, n, mult = certified.d, certified.n, certified.mult
     m_ab, m_bc, m_ca = mult[a][b], mult[b][c], mult[c][a]
@@ -345,9 +346,8 @@ def _build_certificate(
     if e3 != tuple((x + y) % d for x, y in zip(e1, e2)):
         raise StructureError("construction bug: S3 is not exactly S1 S2")
     cert = Certificate(graph, lc_path, groups, e1, e2, e4)
-    checks: list[Check] = []
-    _witness_checks(cert, checks)
-    if failed := [check.name for check in checks if not check.passed]:
+    passed = _witness(cert)[0]
+    if failed := [name for name, ok in zip(_WITNESS_CHECKS, passed) if not ok]:
         raise StructureError(f"construction bug: failed {', '.join(failed)}")
     if general and cert.kappa != (-t * m_tilde) % d:
         raise StructureError("construction bug: kappa differs from -e m_tilde")
@@ -373,10 +373,14 @@ def _certify_direct(
     Certificate, or None; _refusal explains a failure."""
     nb = _neighbor_masks(certified)
     general = _general(certified)
-    for triple, _, _, _, flags in _scan(certified, nb):
-        if not (general and any(flags)):
-            return _build_certificate(graph, lc_path, certified, triple, general, nb)
-    return None
+    if general:
+        usable = (triple for triple, _, _, _, flags in _scan(certified, nb) if not any(flags))
+    else:
+        usable = _angles(certified)
+    triple = next(usable, None)
+    if triple is None:
+        return None
+    return _build_certificate(graph, lc_path, certified, triple, general, nb)
 
 
 def _refusal(g: Multigraph, size: int, truncated: bool, orbit_cap: int) -> NotCertified:
@@ -562,7 +566,9 @@ class TableReport:
     """Certification tally over all connected multigraphs of one size.
 
     ``examined`` counts the labeled multiplicity vectors the enumeration
-    scanned, also when it stopped on its budget (``complete`` False).
+    scanned, also when it stopped on its budget (``complete`` False), and
+    ``expected`` is the cell's class count by Polya counting (class_count),
+    so a cut cell shows how many classes it missed.
     ``rejections`` counts, over the classes whose direct attempt fails, the
     reasons that attempt gives, by kind (REJECTION_KINDS): one
     ``non_constant`` per class and one entry per blocked triple.
@@ -571,6 +577,7 @@ class TableReport:
     n: int
     d: int
     total: int
+    expected: int
     certified: int
     methods: tuple[tuple[str, int], ...]
     uncertified: tuple[NotCertified, ...]
@@ -662,10 +669,11 @@ def exhaustive_table(
         complete = False
         examined = exc.examined
     rows = np.concatenate(chunks) if chunks else np.zeros((0, n * (n - 1) // 2), np.int64)
-    if complete and len(rows) != class_count(n, d):
+    expected = class_count(n, d)
+    if complete and len(rows) != expected:
         raise StructureError(
             f"enumerator bug: {len(rows)} classes of n={n}, d={d}, "
-            f"but Polya counting gives {class_count(n, d)}"
+            f"but Polya counting gives {expected}"
         )
     certified, rejected, general = _direct_pass(triu_to_matrices(rows, n), d)[:3]
     methods = Counter(np.where(general[certified], METHOD_GENERAL, METHOD_CONSTANT).tolist())
@@ -688,6 +696,7 @@ def exhaustive_table(
         n=n,
         d=d,
         total=len(rows),
+        expected=expected,
         certified=len(rows) - len(uncertified),
         methods=tuple(sorted((k, v) for k, v in methods.items() if v)),
         uncertified=tuple(uncertified),
@@ -723,38 +732,45 @@ def verify_obs3(cert: Certificate) -> VerificationReport:
     return VerificationReport(checks=tuple(checks), ignored=ignored)
 
 
-def _witness_checks(cert: Certificate, checks: list[Check]) -> None:
-    """The four conditions on a witness: the groups partition the vertices,
-    S1 and S2 commute, each S_i avoids group i, and S3 and the relabeled S4
-    fail to commute with their overlap inside group 2.  verify_obs3 reports
-    them and _build_certificate raises on any that fails."""
+#: verify_obs3's four conditions on a witness, in the order it reports them.
+_WITNESS_CHECKS = ("groups_partition", "commute", "supports", "kappa")
+
+
+def _witness(cert: Certificate):
+    """Per _WITNESS_CHECKS whether it holds (the groups partition the
+    vertices, S1 and S2 commute, each S_i avoids group i, S3 and the
+    relabeled S4 fail to commute with their overlap inside group 2), then
+    the sets verify_obs3 reports and reuses: the union of the groups, the
+    supports of S1..S4 and the overlap.  _build_certificate raises on any
+    check that fails."""
     p = cert.proof
-    parties = set(_labels(cert.graph))
     group_sets = [frozenset(grp) for grp in cert.groups]
     union = frozenset().union(*group_sets)
-    partition = union == parties and sum(map(len, group_sets)) == len(parties)
-    detail = f"groups cover {sorted(union)} of {sorted(parties)}"
-    checks.append(Check("groups_partition", partition, detail))
+    n = cert.graph.n
+    partition = union == frozenset(_labels(cert.graph)) and sum(map(len, group_sets)) == n
     commute = commutation_phase(p.s1.operator, p.s2.operator) % cert.graph.d == 0
-    checks.append(Check("commute", commute, "S1 S2 == S2 S1; S3 = S1 S2"))
-    words = (p.s1, p.s2, p.s3, p.s4)
-    supports_ok = all(not (support(w.operator) & grp) for w, grp in zip(words, group_sets))
-    checks.append(Check("supports", supports_ok, "each S_i avoids group i"))
-    common = support(p.s3.operator) & support(p.s4_twisted)
-    detail = f"kappa = {p.kappa}, overlap {sorted(common)}"
-    checks.append(Check("kappa", p.kappa != 0 and common <= group_sets[1], detail))
+    supports = tuple(support(w.operator) for w in (p.s1, p.s2, p.s3, p.s4))
+    avoid = not any(sup & grp for sup, grp in zip(supports, group_sets))
+    overlap = supports[2] & support(p.s4_twisted)
+    kappa = p.kappa != 0 and overlap <= group_sets[1]
+    return (partition, commute, avoid, kappa), union, supports, overlap
 
 
 def _verify_obs3_checks(cert: Certificate, cap: int, checks: list[Check]) -> None:
     from . import oracle
 
-    _witness_checks(cert, checks)
     p = cert.proof
     d = cert.graph.d
-    supports = (support(w.operator) for w in (p.s1, p.s2, p.s3, p.s4))
-    premises = marginal_chain_checks(
-        _labels(cert.graph), cert.groups, *supports, dict(p.s4_relabeling)
+    parties = _labels(cert.graph)
+    passed, union, supports, overlap = _witness(cert)
+    details = (
+        f"groups cover {sorted(union)} of {sorted(parties)}",
+        "S1 S2 == S2 S1; S3 = S1 S2",
+        "each S_i avoids group i",
+        f"kappa = {p.kappa}, overlap {sorted(overlap)}",
     )
+    checks.extend(map(Check, _WITNESS_CHECKS, passed, details))
+    premises = marginal_chain_checks(parties, cert.groups, *supports, dict(p.s4_relabeling))
     for name, ok in premises:
         checks.append(Check(f"marginal: {name}", ok))
     lam = p.lambda_prime

@@ -150,6 +150,7 @@ def _table_obj(report: TableReport) -> dict:
         "n": report.n,
         "d": report.d,
         "total": report.total,
+        "expected": report.expected,
         "certified": report.certified,
         "all_certified": report.all_certified,
         "complete": report.complete,

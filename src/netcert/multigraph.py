@@ -35,7 +35,9 @@ DEFAULT_ENUMERATION_BUDGET = 2_000_000
 #: relabeling keys.
 _SWEEP_BLOCK = 4096
 
-#: canonical_form() scans all n! permutations; beyond this it refuses.
+#: Largest n that canonical_form and the enumerator take: the enumerator keys
+#: all n! relabelings, and canonical_form's search has no worst-case bound
+#: proved beyond it (a few ms on the symmetric n = 8 graphs).
 _CANONICAL_MAX_N = 8
 
 
@@ -155,51 +157,66 @@ def permuted(g: Multigraph, perm: Sequence[int]) -> Multigraph:
     return Multigraph(d=g.d, n=g.n, mult=tuple(tuple(r) for r in rows))
 
 
-def _triu_vector(g: Multigraph) -> tuple[int, ...]:
-    return tuple(g.mult[i][j] for i in range(g.n) for j in range(i + 1, g.n))
-
-
 def _permutations(n: int) -> np.ndarray:
     """Every permutation of range(n), one per row, in itertools order."""
     flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
     return np.fromiter(flat, dtype=np.int8).reshape(-1, n)
 
 
-@lru_cache(maxsize=None)
-def _relabel_table(n: int) -> np.ndarray:
-    """Index table shared by canonical_form and the enumerator.
-
-    ``src[p, k]`` is the upper-triangle slot that slot k of the relabeled
-    vector reads under the p-th permutation of ``itertools.permutations``,
-    so ``vec[src]`` holds every relabeling of ``vec`` as one row each.  Built
-    on first use; n = 8 takes 40320 x 28 entries (about 9 MB).
-    """
-    perms = _permutations(n)
-    iu, ju = np.triu_indices(n, 1)
-    slot = np.zeros((n, n), dtype=np.int8)
-    slot[iu, ju] = slot[ju, iu] = np.arange(len(iu))
-    src = np.ascontiguousarray(slot[perms[:, iu], perms[:, ju]], dtype=np.intp)
-    src.setflags(write=False)
-    return src
-
-
 def canonical_form(g: Multigraph) -> tuple[int, ...]:
     """Lexicographically minimal upper-triangle vector over all relabelings.
 
-    Two multigraphs are isomorphic iff their canonical forms agree.  Exact
-    but factorial: refuses n > 8.
+    Two multigraphs are isomorphic iff their canonical forms agree.  Exact,
+    by ordered partition refinement (McKay & Piperno, "Practical graph
+    isomorphism II", 2014): the vector is rows 0..n-2 of the relabeled
+    matrix, and the vertex placed at position i fixes row i.  A state labels
+    each vertex not yet placed by its multiplicities to the placed ones, in
+    order, as one base-``base`` number; equal labels are the cells, and the
+    lowest covers position i.  Placing a vertex v of it and extending the
+    labels by mult[v] gives the smallest row i the state allows.  States tie
+    on all earlier rows, so their sorted labels agree and sorted extended
+    labels compare as row i does; only placements with the smallest row go
+    on.  Twins (equal multiplicities to every other vertex) are swapped by
+    an automorphism, so one of each is tried.  Refuses n > 8.
     """
-    if g.n > _CANONICAL_MAX_N:
-        raise ResourceError(f"canonical_form scans n! permutations; n={g.n} > {_CANONICAL_MAX_N}")
-    size = next((s for s in (1, 2, 4, 8) if g.d <= 256**s), None)
-    if size is None:
+    n, mult = g.n, g.mult
+    if n > _CANONICAL_MAX_N:
+        raise ResourceError(f"canonical_form has no search bound past n={_CANONICAL_MAX_N}; n={n}")
+    if g.d > 2**64:
         raise ResourceError(f"canonical_form needs multiplicities below 2^64; d={g.d}")
-    # Fixed-width big-endian unsigned rows compare bytewise exactly as the
-    # tuples compare, so the minimal byte string is the lexicographic minimum.
-    vec = np.array(_triu_vector(g), dtype=f">u{size}")
-    rows = vec[_relabel_table(g.n)]
-    best = rows.view(f"S{rows.shape[1] * size}").argmin()
-    return tuple(rows[best].tolist())
+    base = 1 + max(map(max, mult))
+    rows = [sorted(r) for r in mult]  # the zero diagonal first
+    twin = list(range(n))  # the least vertex of each twin class
+    for v, rv in enumerate(mult):
+        for u, ru in enumerate(mult[:v]):
+            if rows[u] != rows[v]:
+                continue
+            if ru[:u] == rv[:u] and ru[u + 1 : v] == rv[u + 1 : v] and ru[v + 1 :] == rv[v + 1 :]:
+                twin[v] = u
+                break
+    # row 0 is the least sorted row; a state holds the vertices not yet placed
+    # as (label, vertex) pairs, ascending, and the states form an ordered set
+    row0 = min(rows)
+    states = {
+        tuple(sorted([(mult[v][u], u) for u in range(n) if u != v])): None
+        for v in {twin[v]: v for v in range(n) if rows[v] == row0}.values()
+    }
+    form = row0[1:]
+    for _ in range(n - 2):
+        best, survivors = None, {}
+        for state in states:
+            head = state[0][0]
+            for v in {twin[v]: v for x, v in state if x == head}.values():  # one per twin class
+                m = mult[v]
+                new = sorted([(x * base + m[u], u) for x, u in state if u != v])
+                keys = [x for x, _ in new]
+                if best is None or keys < best:
+                    best, survivors = keys, {}
+                if keys == best:
+                    survivors[tuple(new)] = None
+        form += [k % base for k in best]
+        states = survivors
+    return tuple(form)
 
 
 def from_triu_vector(d: int, n: int, vec: Sequence[int]) -> Multigraph:
@@ -252,14 +269,20 @@ def _packed_keys(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Packed 64-bit keys of upper-triangle vectors over Z_d, for d^(n choose 2) < 2^62.
 
     ``vec @ weights`` is the rank of vec in lexicographic order, and column p
-    of ``vec @ wmat`` is the key of vec's p-th relabeling (the rows of
-    _relabel_table), so the argmin over the columns finds canonical_form.
+    of ``vec @ wmat`` is the key of vec relabeled by the p-th permutation of
+    itertools.permutations, so the argmin over the columns finds
+    canonical_form.  n = 8 takes 28 x 40320 keys (about 9 MB).
     """
     ncols = n * (n - 1) // 2
     weights = d ** np.arange(ncols - 1, -1, -1, dtype=np.int64)
-    src = _relabel_table(n)
-    wmat = np.empty((ncols, len(src)), dtype=np.int64)
-    wmat[src, np.arange(len(src))[:, None]] = weights
+    perms = _permutations(n)
+    iu, ju = np.triu_indices(n, 1)
+    slot = np.zeros((n, n), dtype=np.int8)
+    slot[iu, ju] = slot[ju, iu] = np.arange(ncols)
+    # slot k of the p-th relabeling reads slot src[p, k] of vec
+    src = slot[perms[:, iu], perms[:, ju]]
+    wmat = np.empty((ncols, len(perms)), dtype=np.int64)
+    wmat[src, np.arange(len(perms))[:, None]] = weights
     weights.setflags(write=False)
     wmat.setflags(write=False)
     return weights, wmat

@@ -560,6 +560,7 @@ def reference_table(n, d, budget=DEFAULT_ENUMERATION_BUDGET, orbit_cap=4096):
         n=n,
         d=d,
         total=len(graphs),
+        expected=class_count(n, d),
         certified=len(graphs) - len(uncertified),
         methods=tuple(sorted(methods.items())),
         uncertified=tuple(uncertified),
@@ -810,6 +811,16 @@ def test_exhaustive_table_raises_when_enumerator_drops_a_class(monkeypatch):
         exhaustive_table(4, 3)
     # a budget-cut cell is incomplete, so there is no total to check
     assert exhaustive_table(4, 3, budget=400).complete is False
+
+
+def test_table_report_expects_the_polya_count():
+    """``expected`` is class_count whether or not the budget cuts the cell, so
+    a cut cell shows what it missed: (7,2) at the default budget finds 852
+    of its 853 classes."""
+    report = exhaustive_table(7, 2)
+    assert not report.complete
+    assert (report.total, report.expected) == (852, 853)
+    assert exhaustive_table(4, 3, budget=400).expected == class_count(4, 3)
 
 
 def test_exhaustive_table_negative_case_d6():

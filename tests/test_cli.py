@@ -319,7 +319,7 @@ def test_enumerate_json(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "3", "--d", "3")
     assert code == EXIT_OK
     (report,) = json.loads(out)
-    assert report["total"] == 7
+    assert report["total"] == report["expected"] == 7
     assert report["certified"] == 7
     assert report["all_certified"] is True
     assert report["methods"] == {"obs1": 4, "obs4": 3}
@@ -386,6 +386,16 @@ def test_enumerate_budget_exit(capsys):
     (report,) = json.loads(out)
     assert report["complete"] is False
     assert report["examined"] == 100 and report["total"] == 0
+
+
+def test_enumerate_budget_cut_reports_expected_classes(capsys):
+    """A cell cut by the default budget reports its Polya class count beside
+    the classes it found: (4,12) misses 276 of 131,846."""
+    code, out, _ = run(capsys, "enumerate", "--n", "4", "--d", "12")
+    assert code == EXIT_BUDGET
+    (report,) = json.loads(out)
+    assert report["complete"] is False
+    assert (report["total"], report["expected"]) == (131_570, 131_846)
 
 
 def test_enumerate_two_vertices_refuses_every_class(capsys):

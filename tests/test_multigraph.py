@@ -183,6 +183,90 @@ def test_canonical_form_permutation_invariant():
         assert weighted_isomorphic(g, h)
 
 
+#: Groups of order 8 on the elements 0..7, as (add, negate): Z8, Z2^3 and
+#: Z4 x Z2 (element x + 4y for (x, y)).
+GROUPS_OF_ORDER_8 = {
+    "circulant": (lambda a, b: (a + b) % 8, lambda a: -a % 8),
+    "z2^3": (lambda a, b: a ^ b, lambda a: a),
+    "z4xz2": (lambda a, b: (a + b) % 4 + (a ^ b) // 4 * 4, lambda a: -a % 4 + a // 4 * 4),
+}
+
+
+def cayley_graphs(d: int, group: str) -> list[Multigraph]:
+    """Every Cayley multigraph of the group over Z_d: the pair {a, b} takes
+    the weight of b - a, one weight per class {s, -s} of nonzero elements.
+    These are vertex-transitive, and most have no twins."""
+    add, neg = GROUPS_OF_ORDER_8[group]
+    classes = sorted({frozenset((s, neg(s))) for s in range(1, 8)}, key=min)
+    graphs = []
+    for weights in itertools.product(range(d), repeat=len(classes)):
+        w = {s: x for cls, x in zip(classes, weights) for s in cls}
+        eds = [(a, b, w[add(b, neg(a))]) for a in range(8) for b in range(a + 1, 8)]
+        graphs.append(Multigraph.from_edges(d, 8, [e for e in eds if e[2]]))
+    return graphs
+
+
+def packed_reference(graphs: list[Multigraph]) -> list[tuple[int, ...]]:
+    """canonical_form of n = 8 graphs over one Z_d by the enumerator's keys:
+    the least of the 8! relabeling keys (columns of ``vec @ wmat``), which
+    is exact while d^28 < 2^62, decoded to its digits."""
+    d = graphs[0].d
+    weights, wmat = _packed_keys(8, d)
+    iu, ju = np.triu_indices(8, 1)
+    vecs = np.array([np.array(g.mult)[iu, ju] for g in graphs], dtype=np.int64)
+    best = np.concatenate([(vecs[k : k + 64] @ wmat).min(axis=1) for k in range(0, len(vecs), 64)])
+    return [tuple(row) for row in (best[:, None] // weights % d).tolist()]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("group", sorted(GROUPS_OF_ORDER_8))
+def test_canonical_form_symmetric_n8_families(group, d):
+    """Vertex-transitive n = 8 graphs (every vertex ties at each position,
+    so the search keeps many states), relabeled at random, against the
+    packed-key reference; Z2^3 over Z_3 (2,187 graphs) is sampled."""
+    graphs = cayley_graphs(d, group)
+    if len(graphs) > 500:
+        graphs = graphs[::7]
+    rng = np.random.default_rng(23)
+    got = [canonical_form(permuted(g, rng.permutation(8).tolist())) for g in graphs]
+    assert got == packed_reference(graphs)
+
+
+def test_canonical_form_twin_heavy_n8():
+    """Twins: uniform K8 (all 8 twins), K4,4 (two twin classes), and two K4s
+    of different weights joined by a third (two twin classes)."""
+    side = [(a, b) for a in range(4) for b in range(4, 8)]
+    within = [(a, b) for a in range(8) for b in range(a + 1, 8) if (a < 4) == (b < 4)]
+    graphs = {
+        d: [
+            Multigraph.from_edges(d, 8, [(a, b, w) for a, b in pairs])
+            for w in range(1, d)
+            for pairs in (side + within, side)
+        ]
+        for d in (2, 3)
+    }
+    two_k4s = [(a, b, 1) for a, b in side] + [(a, b, 1 + (a < 4)) for a, b in within]
+    graphs[3].append(Multigraph.from_edges(3, 8, two_k4s))
+    rng = np.random.default_rng(29)
+    for group in graphs.values():
+        got = [canonical_form(permuted(g, rng.permutation(8).tolist())) for g in group]
+        assert got == packed_reference(group)
+    assert canonical_form(graphs[2][0]) == (1,) * 28
+
+
+def test_canonical_form_n8_peak_memory():
+    """One n = 8 call allocates well under 1 MB, so no n! relabeling table
+    comes back on this path (the scan it replaced peaked near 10 MB)."""
+    g = cayley_graphs(3, "z2^3")[1234]
+    tracemalloc.start()
+    try:
+        canonical_form(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_permuted_relabels_edges():
     g = Multigraph.from_edges(3, 3, [(0, 1, 1), (1, 2, 2)])
     h = permuted(g, [2, 0, 1])  # vertex v -> perm[v]
