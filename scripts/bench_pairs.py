@@ -27,10 +27,15 @@ overflow progress, and whether the two sides' outputs agree.
 processes, on two sets of n = 8 graphs: those the ``certify_verify`` pool's
 orbit walks key, and every vertex-transitive Cayley multigraph of Z8, Z2^3
 and Z4 x Z2 over Z_2 and Z_3 (each call the best of three), and records
-per-call medians and maxima and a sha256 of the forms.  With one workload
-and neither option the file holds that workload's object, as
-BENCH_ghz.json does; otherwise ``{"workloads": [...], "sweep": [...]}``,
-plus ``"canonical"``.
+per-call medians and maxima and a sha256 of the forms.  ``--verify`` times
+``verify_obs3`` once per certificate, in fresh processes, VERIFY_RUNS times
+per checkout and alternating which goes first, on the certificates
+``certify_any`` gives for the ``certify_verify`` pool (seed 1 order, after
+the workload's warm-up), and records each run's median, maximum and total
+and one sha256 over all its reports.  With one workload and no option the
+file holds that workload's object, as BENCH_ghz.json does; otherwise
+``{"workloads": [...], "sweep": [...]}``, plus ``"canonical"`` and
+``"verify"``.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ import sys
 from pathlib import Path
 
 SWEEP_RUNS = 5
+VERIFY_RUNS = 10
 
 SWEEP = """
 import hashlib, json, sys, time
@@ -99,6 +105,26 @@ for name, graphs in (("pool_n8", [g for g in keyed if g.n == 8]), ("cayley_n8", 
     out[name] = {"calls": len(ms), "median_ms": statistics.median(ms), "max_ms": max(ms)}
 out["sha256"] = h.hexdigest()
 print(json.dumps(out))
+"""
+
+VERIFY = """
+import hashlib, json, statistics, sys, time
+sys.path.insert(0, "perfbench")
+import netcert, workloads
+certs = [netcert.certify_any(g) for g in workloads.certify_stream(1)]
+workloads.warm_up()
+ms, reports = [], []
+for cert in certs:
+    start = time.perf_counter()
+    reports.append(netcert.verify_obs3(cert))
+    ms.append((time.perf_counter() - start) * 1e3)
+h = hashlib.sha256()
+for report in reports:
+    h.update(json.dumps(report.to_json_obj(), sort_keys=True).encode())
+print(json.dumps({
+    "certificates": len(ms), "median_ms": statistics.median(ms), "max_ms": max(ms),
+    "total_ms": sum(ms), "sha256": h.hexdigest(),
+}))
 """
 
 
@@ -228,6 +254,32 @@ def canonical(parent: Path, change: Path) -> dict:
     return entry
 
 
+def verify(parent: Path, change: Path) -> dict:
+    results: dict[str, list[dict]] = {"parent": [], "change": []}
+    for k in range(VERIFY_RUNS):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for name in order:
+            results[name].append(fresh_run(parent if name == "parent" else change, VERIFY))
+    entry: dict = {
+        "certificates": results["change"][0]["certificates"],
+        "identical": len({r["sha256"] for res in results.values() for r in res}) == 1,
+        "sha256": results["change"][0]["sha256"],
+    }
+    for name, res in results.items():
+        entry[name] = {key: [r[key] for r in res] for key in ("median_ms", "max_ms", "total_ms")}
+        entry[name]["median"] = statistics.median(entry[name]["median_ms"])
+        entry[name]["iqr"] = quartile_spread(entry[name]["median_ms"])
+    entry["ratio"] = entry["change"]["median"] / entry["parent"]["median"]
+    pairs_ms = zip(entry["change"]["median_ms"], entry["parent"]["median_ms"])
+    entry["change_wins"] = sum(after < before for after, before in pairs_ms)
+    print(
+        f"verify_obs3: parent {entry['parent']['median']:.3f} ms a certificate, change "
+        f"{entry['change']['median']:.3f} ms, ratio {entry['ratio']:.2f}, "
+        f"identical {entry['identical']}"
+    )
+    return entry
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -236,18 +288,21 @@ def main() -> int:
     ap.add_argument("--metrics", nargs="+", default=["wall_s", "ghz_s", "op_p50_ms"])
     ap.add_argument("--sweep", nargs="+", default=[], metavar="n,d[,budget]")
     ap.add_argument("--canonical", action="store_true", help="time canonical_form per call")
+    ap.add_argument("--verify", action="store_true", help="time verify_obs3 per certificate")
     ap.add_argument("--out", type=Path, default=Path("BENCH_ghz.json"))
     args = ap.parse_args()
     workloads = args.workload or ["table_5x4"]
     reports = [pairs(args.parent, args.change, w, args.metrics) for w in workloads]
     cells = [[int(x) for x in cell.split(",")] for cell in args.sweep]
     sweeps = [sweep(args.parent, args.change, cell) for cell in cells]
-    if len(reports) == 1 and not sweeps and not args.canonical:
+    if len(reports) == 1 and not sweeps and not args.canonical and not args.verify:
         out = reports[0]
     else:
         out = {"workloads": reports, "sweep": sweeps}
         if args.canonical:
             out["canonical"] = canonical(args.parent, args.change)
+        if args.verify:
+            out["verify"] = verify(args.parent, args.change)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

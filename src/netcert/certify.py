@@ -784,6 +784,10 @@ def _verify_obs3_checks(cert: Certificate, cap: int, checks: list[Check]) -> Non
     if sites and d ** len(sites) <= cap:
         ok = not oracle.shares_plus_one_eigenvector(r3, r4, sites)
         detail = "restricted operators have no common +1 eigenvector"
+    elif not sites:
+        # both restrictions are the identity, which fixes every vector
+        ok = False
+        detail = "restricted operators act trivially on group 2"
     else:
         # U1 v = v = U2 v with U1 U2 = omega^k U2 U1 forces v = omega^k v, so
         # k != 0 rules out a common +1 eigenvector without the eigenbasis check.

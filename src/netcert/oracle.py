@@ -11,11 +11,20 @@ memory.  The dense routines ``dense``, ``plus_one_projector`` and
 ``common_plus_one_eigenvector`` are its test reference.  Only they and the
 lemma suites import scipy, inside the function, so the verifier does not pay
 for that import.
+
+``shares_plus_one_eigenvector`` keeps its last _SHARES_MEMO decisions, keyed
+on d, the two phases and each operator's (x, z) at each party in party
+order.  That key is sound: it fixes both operators' matrices in the
+Kronecker basis of the party order, and the decision depends on nothing
+else; party names only pick which site is which, so renamed parties with the
+same exponents share a decision.  The party list is checked (distinct
+names, covering both operators) before the memo is consulted.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -30,6 +39,8 @@ from .stabilizer import graph_generator
 
 DEFAULT_DIMENSION_CAP = 4096
 _ANGULAR_TOL = 1e-8
+# Operator pairs whose eigenspace decision shares_plus_one_eigenvector keeps.
+_SHARES_MEMO = 4096
 
 
 def dimension_cap() -> int:
@@ -61,19 +72,22 @@ def _site_matrix(d: int, x: int, z: int) -> np.ndarray:
     )
 
 
-def _party_names(p: PauliOperator, parties: Sequence[str]) -> list[str]:
+def _party_names(parties: Sequence[str], *ops: PauliOperator) -> list[str]:
+    """The parties as names, checked distinct and covering each operator."""
     names = [str(x) for x in parties]
-    if len(set(names)) != len(names):
+    known = set(names)
+    if len(known) != len(names):
         raise StructureError(f"duplicate parties in {parties!r}")
-    missing = support(p) - set(names)
-    if missing:
-        raise StructureError(f"operator acts on {sorted(missing)} outside parties")
+    for p in ops:
+        missing = support(p) - known
+        if missing:
+            raise StructureError(f"operator acts on {sorted(missing)} outside parties")
     return names
 
 
 def dense(p: PauliOperator, parties: Sequence[str]) -> np.ndarray:
     """Kronecker-product matrix of p over the given party order."""
-    names = _party_names(p, parties)
+    names = _party_names(parties, p)
     dim = p.d ** len(names)
     cap = dimension_cap()
     if dim > cap:
@@ -134,6 +148,19 @@ def common_plus_one_eigenvector(
     return top > 1.0 - tol
 
 
+def _content(p: PauliOperator, names: Sequence[str]) -> tuple[tuple[int, int], ...]:
+    """The (x, z) exponents of p at each of the checked names, in order."""
+    sites = p.site_map()
+    return tuple(sites.get(name, (0, 0)) for name in names)
+
+
+def _basis_digits(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, weights): row q of digits holds the k digits of basis index
+    q, the first party most significant, and digits @ weights == q."""
+    weights = d ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return np.arange(d**k, dtype=np.int64)[:, None] // weights % d, weights
+
+
 def monomial_form(p: PauliOperator, parties: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """(target, expo) with p|q> = tau^expo[q] |target[q]>, exactly.
 
@@ -141,55 +168,71 @@ def monomial_form(p: PauliOperator, parties: Sequence[str]) -> tuple[np.ndarray,
     its X part and expo = phase_exp + 2 z.q (mod 2d).  The basis index is
     ordered as in ``dense``: the first party is the most significant digit.
     """
-    names = _party_names(p, parties)
+    xz = _content(p, _party_names(parties, p))
     d = p.d
-    sites = p.site_map()
-    x = np.array([sites.get(name, (0, 0))[0] for name in names], dtype=np.int64)
-    z = np.array([sites.get(name, (0, 0))[1] for name in names], dtype=np.int64)
-    weights = d ** np.arange(len(names) - 1, -1, -1, dtype=np.int64)
-    digits = np.arange(d ** len(names), dtype=np.int64)[:, None] // weights % d
+    x, z = np.array(xz, dtype=np.int64).reshape(-1, 2).T
+    digits, weights = _basis_digits(d, len(xz))
     target = (digits + x) % d @ weights
     expo = (p.phase_exp + 2 * (digits @ z)) % (2 * d)
     return target, expo
 
 
+def _step_coefficients(d: int, x: Sequence[int]) -> tuple[int, list[int]]:
+    """(g, c) with g = gcd(d, x) and c.x = g (mod d), by extended Euclid."""
+    g, c = d, [0] * len(x)
+    for i, xi in enumerate(x):
+        # invariant: r0 = s0 g + t0 xi, r1 = s1 g + t1 xi
+        r0, r1, s0, s1, t0, t1 = g, xi, 1, 0, 0, 1
+        while r1:
+            q = r0 // r1
+            r0, r1, s0, s1, t0, t1 = r1, r0 - q * r1, s1, s0 - q * s1, t1, t0 - q * t1
+        c = [s0 * ci % d for ci in c]
+        c[i] = t0 % d
+        g = r0
+    return g, c
+
+
 def _plus_one_cycles(
-    p: PauliOperator, parties: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact orthonormal +1 eigenbasis of p, one vector per permutation cycle.
+    d: int,
+    ops: Sequence[tuple[int, tuple[tuple[int, int], ...]]],
+    digits: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact +1 eigenbases of the operators tau^phase_exp X^x Z^z given as
+    (phase_exp, per-party (x, z)) in ``ops``, one vector per cycle of each
+    translation, over the basis of ``_basis_digits``.
 
-    Every cycle q_0 -> ... -> q_{L-1} of the translation has the length L of
-    its order.  With p|q_j> = tau^e_j |q_{j+1}>, the cycle carries a +1
-    eigenvector iff e_0 + ... + e_{L-1} = 0 (mod 2d), namely
-    v(q_j) = tau^(e_0 + ... + e_{j-1}) / sqrt(L) from q_0 = the smallest
-    index on the cycle.  Returns per basis state: that smallest index (the
-    cycle's label), whether the cycle is kept, and the entry of its vector.
+    The translation q -> q + x has order L = d / g, g = gcd(d, x), and so
+    has every cycle.  As 2 z.(q mod d) = 2 z.q (mod 2d), the step from q + i x
+    carries tau^(phase_exp + 2 z.q + 2 i z.x), and the first t steps from q0
+    sum to S_t(q0) = t phase_exp + 2 t z.q0 + t (t - 1) z.x (mod 2d).  Label
+    each cycle by its start q0, the member with position t = 0, where
+    t(q) = (c.q mod d) div g for c.x = g (mod d) grows by one per step,
+    mod L.  For q = q0 + t x, S_t(q0) = t (phase_exp + 2 z.q - (t + 1) z.x),
+    and as 2 L z.x = 0 (mod 2d) the whole cycle sums to that at t = L.  A
+    cycle carries a +1 eigenvector iff its sum is 0 (mod 2d), namely
+    v(q0 + t x) = tau^S_t(q0) / sqrt(L).  Returns, one column per operator:
+    each basis state's cycle label, whether its cycle is kept, and its
+    exponent S_t(q0); and the lengths L.
     """
-    target, expo = monomial_form(p, parties)
-    d = p.d
-    length = d // math.gcd(d, *(x for _, (x, _) in p.sites))
-    cur = np.arange(len(target))
-    rep = cur.copy()
-    back = np.zeros(len(target), dtype=np.int64)  # exponent sum from q to rep
-    total = np.zeros(len(target), dtype=np.int64)
-    for _ in range(length):
-        total += expo[cur]
-        cur = target[cur]
-        lower = cur < rep
-        rep[lower] = cur[lower]
-        back[lower] = total[lower]
-    keep = total % (2 * d) == 0
-    # on a kept cycle, the sum from rep to q is minus the sum from q to rep
-    amp = np.exp(-1j * np.pi * (back % (2 * d)) / d) / math.sqrt(length)
-    return rep, keep, amp
-
-
-def _rank_within(group: np.ndarray, item: np.ndarray) -> np.ndarray:
-    """Index of each item among the distinct items of its group, in order."""
-    width = int(item.max()) + 1
-    uniq, inverse = np.unique(group * width + item, return_inverse=True)
-    groups = uniq // width
-    return (np.arange(len(uniq)) - np.searchsorted(groups, groups))[inverse]
+    coefficients, shifts, scalars = [], [], []
+    for phase, sites in ops:
+        x = [a for a, _ in sites]
+        g, c = _step_coefficients(d, x)
+        length, zx = d // g, sum(a * b for a, b in sites)
+        coefficients += [c, [2 * b for _, b in sites]]
+        shifts.append(x)
+        scalars.append((length, length * (phase - (length + 1) * zx), phase - zx, zx))
+    length, kept_sum, offset, zx = np.array(scalars, dtype=np.int64).T
+    # per state and operator: c.q, then 2 z.q
+    prod = digits @ np.array(coefficients, dtype=np.int64).reshape(len(coefficients), -1).T
+    t = prod[:, 0::2] % d * length // d
+    zq2 = prod[:, 1::2]
+    x = np.array(shifts, dtype=np.int64).reshape(len(ops), -1)
+    start = (digits[:, None, :] - t[:, :, None] * x) % d @ weights
+    keep = (length * zq2 + kept_sum) % (2 * d) == 0
+    expo = t * (offset + zq2 - t * zx)
+    return start, keep, expo, length
 
 
 def shares_plus_one_eigenvector(
@@ -204,25 +247,45 @@ def shares_plus_one_eigenvector(
     Every cycle of p and of q lies in one coset of the group H their two
     translations generate, so B is block diagonal over the cosets of H,
     with blocks of at most d x d: the check takes O(dim) memory and no
-    dense matrix.
+    dense matrix.  Decisions are memoised (see the module docstring).
     """
     if p.d != q.d:
         raise DimensionError(f"dimension mismatch: {p.d} vs {q.d}")
-    rep1, keep1, amp1 = _plus_one_cycles(p, parties)
-    rep2, keep2, amp2 = _plus_one_cycles(q, parties)
-    both = keep1 & keep2
+    names = _party_names(parties, p, q)
+    return _shares(p.d, p.phase_exp, _content(p, names), q.phase_exp, _content(q, names))
+
+
+@functools.lru_cache(maxsize=_SHARES_MEMO)
+def _shares(d: int, phase1: int, xz1: tuple, phase2: int, xz2: tuple) -> bool:
+    digits, weights = _basis_digits(d, len(xz1))
+    start, keep, expo, length = _plus_one_cycles(
+        d, ((phase1, xz1), (phase2, xz2)), digits, weights
+    )
+    both = keep[:, 0] & keep[:, 1]
     if not both.any():
         return False
-    # smallest index of each coset: the minimum of rep1 over a cycle of q
-    low = np.full(len(rep1), len(rep1))
+    rep1, rep2 = start.T
+    dim, len1, len2 = len(rep1), int(length[0]), int(length[1])
+    # one label per coset of H: the least rep1 on a cycle of q, which meets
+    # every cycle of p in its coset
+    low = np.full(dim, dim)
     np.minimum.at(low, rep2, rep1)
-    block = np.unique(low[rep2][both], return_inverse=True)[1]
-    rows = _rank_within(block, rep1[both])
-    cols = _rank_within(block, rep2[both])
-    b = np.zeros((block.max() + 1, rows.max() + 1, cols.max() + 1), dtype=complex)
-    np.add.at(b, (block, rows, cols), np.conj(amp1[both]) * amp2[both])
+    coset = low[rep2]
+    size = np.count_nonzero(coset == coset[0])
+    # Sorted by coset, cycle of p and cycle of q, the states fall into equal
+    # blocks: per coset, size / L1 cycles of p by size / L2 cycles of q,
+    # each pair meeting in L1 L2 / size states.  Cycles without a +1 vector
+    # give zero rows and columns.
+    order = np.lexsort((rep2, rep1, coset))
+    overlap = np.where(both, np.exp(1j * np.pi / d * ((expo[:, 1] - expo[:, 0]) % (2 * d))), 0)
+    b = overlap[order].reshape(dim // size, size // len1, size // len2, -1).sum(axis=3)
+    # B is b / sqrt(L1 L2); the Frobenius norm of a block bounds its largest
+    # singular value, and most often already decides
+    threshold = (1.0 - _ANGULAR_TOL) * len1 * len2
+    if float(np.square(np.abs(b)).sum(axis=(1, 2)).max()) <= threshold:
+        return False
     top = float(np.linalg.svd(b, compute_uv=False)[:, 0].max())
-    return top * top > 1.0 - _ANGULAR_TOL
+    return top * top > threshold
 
 
 def build_graph_state(g: Multigraph) -> np.ndarray:

@@ -5,6 +5,8 @@ inflation equals the base marginal precisely when the region avoids both
 endpoints of every rewired source.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from netcert import (
     complete_bipartite_network,
     cut_inflation,
     doubled_inflation,
+    ghz_section3_chain,
     marginal_chain_checks,
     reduce,
     reduced_equal,
@@ -55,6 +58,9 @@ def test_reduce_basics():
     # AB survives whole; AC, AD, BC, BD shrink to singletons; CD disappears
     assert small.sources == {src("A", "B"): 1, src("A"): 2, src("B"): 2}
     assert small.parties == frozenset("AB")
+    # still a Counter, so a missing source reads 0
+    assert isinstance(small.sources, Counter)
+    assert small.sources[src("C")] == 0
     assert reduce(net, []).sources == {}
     with pytest.raises(StructureError):
         reduce(net, "AX")
@@ -74,6 +80,28 @@ def test_reduced_equal_detects_asymmetric_swap():
     assert reduced_equal(net, "ABC", net, "ABC")
     swap = {"A": "C", "C": "A"}
     assert not reduced_equal(net, "ABC", net, "ABC", bijection=swap)
+
+
+def test_reduced_equal_bijection_over_parallel_sources():
+    """A bijection must carry each source with its multiplicity."""
+    left = Network.make("ABC", ["AB", "AB", "BC", "BC", "BC"])
+    right = Network.make("XYZ", ["YZ", "YZ", "XY", "XY", "XY"])
+    reverse = {"A": "Z", "B": "Y", "C": "X"}
+    assert reduced_equal(left, "ABC", right, "XYZ", reverse)
+    assert not reduced_equal(left, "ABC", right, "XYZ", {"A": "X", "B": "Y", "C": "Z"})
+    # on a region the cut sources count too: AB twice and B three times
+    assert reduced_equal(left, "AB", right, "YZ", reverse)
+    assert not reduced_equal(left, "AB", right, "YZ", {"A": "Y", "B": "Z"})
+    thinner = Network.make("XYZ", ["YZ", "XY", "XY", "XY"])
+    assert not reduced_equal(left, "ABC", thinner, "XYZ", reverse)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_ghz_chain_premises_unchanged(d):
+    """The GHZ chain's four marginal premises, the last under the C -> C'
+    relabeling, all hold."""
+    names = ("S1 base vs cut", "S2 base vs cut", "S3 cut vs doubled", "S4 base vs doubled")
+    assert ghz_section3_chain(d).premises == tuple((name, True) for name in names)
 
 
 def test_grouped_network_validation():

@@ -30,7 +30,8 @@ from netcert.oracle import (
     weyl_x,
     weyl_z,
 )
-from netcert.pauli import power
+from netcert import oracle
+from netcert.pauli import power, relabel
 
 
 def test_weyl_matrices():
@@ -144,6 +145,32 @@ def test_monomial_form_matches_dense():
     assert {k for _, k in cells} == {1, 2, 3, 4}
 
 
+def test_plus_one_cycles_follow_the_monomial_form():
+    """The closed-form cycle data agree with stepping the monomial form: p
+    keeps each state on its cycle, a cycle has L members, one label (one of
+    them) and one keep flag, it is kept iff its exponents sum to 0 mod 2d,
+    and on a kept cycle p v = v for the vector the exponents define."""
+    rng = np.random.default_rng(48)
+    for d in range(2, 10):
+        for k in range(1, 4):
+            if d**k > 729:
+                continue
+            parties = [f"P{j}" for j in range(k)]
+            digits, weights = oracle._basis_digits(d, k)
+            for _ in range(4):
+                p = random_weyl(rng, d, parties)
+                target, expo = monomial_form(p, parties)
+                ops = [(p.phase_exp, oracle._content(p, parties))]
+                label, keep, cyc, length = oracle._plus_one_cycles(d, ops, digits, weights)
+                label, keep, cyc = label[:, 0], keep[:, 0], cyc[:, 0]
+                assert (label[target] == label).all() and (label[label] == label).all()
+                assert (np.bincount(label, minlength=d**k)[label] == length[0]).all()
+                total = np.bincount(label, weights=expo, minlength=d**k)[label]
+                assert (keep == (total % (2 * d) == 0)).all()
+                # v(target q) = tau^expo[q] v(q) with v(q) = tau^cyc[q]
+                assert ((cyc[target] - cyc - expo)[keep] % (2 * d) == 0).all()
+
+
 def test_shares_plus_one_eigenvector_matches_schur_reference():
     rng = np.random.default_rng(46)
     outcomes = {True: 0, False: 0}
@@ -177,6 +204,62 @@ def test_shares_plus_one_eigenvector_validation():
         shares_plus_one_eigenvector(p, PauliOperator.from_sites(3, {"B": (0, 1)}), ["A"])
     with pytest.raises(StructureError):
         monomial_form(p, ["A", "A"])
+
+
+def test_shares_plus_one_eigenvector_memo():
+    """The decision is kept per d, phases and per-party (x, z) in party
+    order: renamed parties and repeated calls reuse it, a reordered party
+    list is decided afresh, and every answer is the Schur reference's."""
+    rng = np.random.default_rng(47)
+    hits = oracle._shares.cache_info().hits
+    outcomes = {True: 0, False: 0}
+    for trial in range(300):
+        d = int(rng.integers(2, 7))
+        k = int(rng.integers(1, 4))
+        while d**k > 125:
+            k -= 1
+        parties = [str(j) for j in range(k)]
+        p = random_weyl(rng, d, parties)
+        if trial % 3 == 0:
+            q = p
+        elif trial % 3 == 1:
+            q = power(p, int(rng.integers(d)))
+            q = PauliOperator.from_sites(d, q.site_map(), int(rng.integers(2 * d)))
+        else:
+            q = random_weyl(rng, d, parties)
+        want = common_plus_one_eigenvector(dense(p, parties), dense(q, parties))
+        # new names whose sorted order is not the party order
+        names = [f"R{j}" for j in rng.permutation(k)]
+        rename = dict(zip(parties, names))
+        renamed = relabel(p, rename), relabel(q, rename)
+        for _ in range(2):
+            assert shares_plus_one_eigenvector(p, q, parties) == want
+            assert shares_plus_one_eigenvector(*renamed, names) == want
+        order = [parties[j] for j in rng.permutation(k)]
+        got = shares_plus_one_eigenvector(p, q, order)
+        assert got == common_plus_one_eigenvector(dense(p, order), dense(q, order))
+        outcomes[want] += 1
+    assert oracle._shares.cache_info().hits - hits >= 3 * 300
+    assert min(outcomes.values()) >= 40, outcomes
+
+
+def test_shares_plus_one_eigenvector_validates_before_the_memo():
+    """Each validation error still raises when the content it would read
+    was decided before."""
+    x, z = PauliOperator.from_sites(3, {"A": (1, 0)}), PauliOperator.from_sites(3, {"A": (0, 1)})
+    assert not shares_plus_one_eigenvector(x, z, ["A"])
+    with pytest.raises(DimensionError):
+        shares_plus_one_eigenvector(x, PauliOperator.from_sites(2, {"A": (0, 1)}), ["A"])
+    # z with an extra site outside the parties would read as z on ["A"]
+    outside = PauliOperator.from_sites(3, {"A": (0, 1), "B": (0, 1)})
+    with pytest.raises(StructureError):
+        shares_plus_one_eigenvector(x, outside, ["A"])
+    # on ["A", "A"] both would read as the decided pair below
+    xx = PauliOperator.from_sites(3, {"A": (1, 0), "B": (1, 0)})
+    zz = PauliOperator.from_sites(3, {"A": (0, 1), "B": (0, 1)})
+    assert not shares_plus_one_eigenvector(xx, zz, ["A", "B"])
+    with pytest.raises(StructureError):
+        shares_plus_one_eigenvector(x, z, ["A", "A"])
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (2, 5)])
