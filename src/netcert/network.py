@@ -39,14 +39,16 @@ class Network:
 
     @classmethod
     def make(cls, parties: Iterable[str], sources: Iterable[Iterable[str]]) -> "Network":
-        party_set = frozenset(map(str, parties))
-        found = [frozenset(map(str, src)) for src in sources]
-        for fs in found:
+        party_set = frozenset(str(p) for p in parties)
+        counts: Counter[frozenset[str]] = Counter()
+        for src in sources:
+            fs = frozenset(str(p) for p in src)
             if not fs:
                 raise StructureError("empty source")
             if not fs <= party_set:
                 raise StructureError(f"source {sorted(fs)} not within parties")
-        return cls(parties=party_set, sources=Counter(found))
+            counts[fs] += 1
+        return cls(parties=party_set, sources=counts)
 
 
 def complete_bipartite_network(parties: Iterable[str]) -> Network:
@@ -75,7 +77,7 @@ def _marginal(net: Network, region: frozenset[str]) -> dict[frozenset[str], int]
 
 def reduce(net: Network, region: Iterable[str]) -> Network:
     """Marginal network on a region: intersect sources, drop empty ones."""
-    reg = frozenset(map(str, region))
+    reg = frozenset(str(p) for p in region)
     return Network(parties=reg, sources=Counter(_marginal(net, reg)))
 
 

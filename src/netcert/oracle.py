@@ -222,16 +222,17 @@ def _plus_one_cycles(
         length, zx = d // g, sum(a * b for a, b in sites)
         coefficients += [c, [2 * b for _, b in sites]]
         shifts.append(x)
+        # S_L = L 2 z.q + L (phase - (L + 1) z.x), S_t = t (phase - z.x + 2 z.q - t z.x)
         scalars.append((length, length * (phase - (length + 1) * zx), phase - zx, zx))
-    length, kept_sum, offset, zx = np.array(scalars, dtype=np.int64).T
+    length, cycle_offset, step_offset, zx = np.array(scalars, dtype=np.int64).T
     # per state and operator: c.q, then 2 z.q
     prod = digits @ np.array(coefficients, dtype=np.int64).reshape(len(coefficients), -1).T
     t = prod[:, 0::2] % d * length // d
     zq2 = prod[:, 1::2]
     x = np.array(shifts, dtype=np.int64).reshape(len(ops), -1)
     start = (digits[:, None, :] - t[:, :, None] * x) % d @ weights
-    keep = (length * zq2 + kept_sum) % (2 * d) == 0
-    expo = t * (offset + zq2 - t * zx)
+    keep = (length * zq2 + cycle_offset) % (2 * d) == 0
+    expo = t * (step_offset + zq2 - t * zx)
     return start, keep, expo, length
 
 

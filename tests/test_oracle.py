@@ -209,7 +209,7 @@ def test_shares_plus_one_eigenvector_validation():
 def test_shares_plus_one_eigenvector_memo():
     """The decision is kept per d, phases and per-party (x, z) in party
     order: renamed parties and repeated calls reuse it, a reordered party
-    list is decided afresh, and every answer is the Schur reference's."""
+    list is a key of its own, and every answer is the Schur reference's."""
     rng = np.random.default_rng(47)
     hits = oracle._shares.cache_info().hits
     outcomes = {True: 0, False: 0}
