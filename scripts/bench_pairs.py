@@ -193,16 +193,20 @@ def fresh_run(root: Path, code: str, *args: str) -> dict:
     return json.loads(out.stdout)
 
 
-def sweep_once(root: Path, cell: list[int]) -> dict:
-    return fresh_run(root, SWEEP, *map(str, cell))
+def alternating(parent: Path, change: Path, runs: int, run) -> dict[str, list[dict]]:
+    """``run(root)`` in each checkout ``runs`` times, parent first on even k."""
+    results: dict[str, list[dict]] = {"parent": [], "change": []}
+    for k in range(runs):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for name in order:
+            results[name].append(run(parent if name == "parent" else change))
+    return results
 
 
 def sweep(parent: Path, change: Path, cell: list[int]) -> dict:
-    results: dict[str, list[dict]] = {"parent": [], "change": []}
-    for k in range(SWEEP_RUNS):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for name in order:
-            results[name].append(sweep_once(parent if name == "parent" else change, cell))
+    results = alternating(
+        parent, change, SWEEP_RUNS, lambda root: fresh_run(root, SWEEP, *map(str, cell))
+    )
     outputs = {
         name: {(r["sha256"], r["rows"], str(r["overflow"])) for r in res}
         for name, res in results.items()
@@ -228,11 +232,7 @@ def sweep(parent: Path, change: Path, cell: list[int]) -> dict:
 
 
 def canonical(parent: Path, change: Path) -> dict:
-    results: dict[str, list[dict]] = {"parent": [], "change": []}
-    for k in range(SWEEP_RUNS):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for name in order:
-            results[name].append(fresh_run(parent if name == "parent" else change, CANONICAL))
+    results = alternating(parent, change, SWEEP_RUNS, lambda root: fresh_run(root, CANONICAL))
     entry: dict = {"identical": len({r["sha256"] for res in results.values() for r in res}) == 1}
     for name, res in results.items():
         entry[name] = {
@@ -255,11 +255,7 @@ def canonical(parent: Path, change: Path) -> dict:
 
 
 def verify(parent: Path, change: Path) -> dict:
-    results: dict[str, list[dict]] = {"parent": [], "change": []}
-    for k in range(VERIFY_RUNS):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for name in order:
-            results[name].append(fresh_run(parent if name == "parent" else change, VERIFY))
+    results = alternating(parent, change, VERIFY_RUNS, lambda root: fresh_run(root, VERIFY))
     entry: dict = {
         "certificates": results["change"][0]["certificates"],
         "identical": len({r["sha256"] for res in results.values() for r in res}) == 1,
