@@ -32,10 +32,16 @@ per-call medians and maxima and a sha256 of the forms.  ``--verify`` times
 per checkout and alternating which goes first, on the certificates
 ``certify_any`` gives for the ``certify_verify`` pool (seed 1 order, after
 the workload's warm-up), and records each run's median, maximum and total
-and one sha256 over all its reports.  With one workload and no option the
-file holds that workload's object, as BENCH_ghz.json does; otherwise
-``{"workloads": [...], "sweep": [...]}``, plus ``"canonical"`` and
-``"verify"``.
+and one sha256 over all its reports.  ``--table n,d[,budget[,orbit_cap]] ...``
+times ``exhaustive_table`` on each cell in fresh processes, TABLE_RUNS times
+per checkout and alternating which goes first, and records each side's times
+and the sha256 of its ``TableReport`` repr (an empty budget keeps the
+default, as in ``4,4,,5``).  ``--table-outputs CELL ...`` runs every cell it
+names once per checkout, in one fresh process each, and records one sha256
+over their reprs in order.  With one workload and no option the file holds
+that workload's object, as BENCH_ghz.json does; otherwise
+``{"workloads": [...], "sweep": [...]}``, plus ``"canonical"``,
+``"verify"``, ``"table"`` and ``"table_outputs"``.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from pathlib import Path
 
 SWEEP_RUNS = 5
 VERIFY_RUNS = 10
+TABLE_RUNS = 5
 
 SWEEP = """
 import hashlib, json, sys, time
@@ -125,6 +132,20 @@ print(json.dumps({
     "certificates": len(ms), "median_ms": statistics.median(ms), "max_ms": max(ms),
     "total_ms": sum(ms), "sha256": h.hexdigest(),
 }))
+"""
+
+TABLE = """
+import hashlib, json, sys, time
+from netcert import exhaustive_table
+h, times = hashlib.sha256(), []
+for cell in sys.argv[1:]:
+    n, d, *rest = (int(x) if x else None for x in cell.split(","))
+    kwargs = {k: v for k, v in zip(("budget", "orbit_cap"), rest) if v is not None}
+    start = time.perf_counter()
+    report = exhaustive_table(n, d, **kwargs)
+    times.append(time.perf_counter() - start)
+    h.update(repr(report).encode())
+print(json.dumps({"table_s": times, "sha256": h.hexdigest()}))
 """
 
 
@@ -276,6 +297,34 @@ def verify(parent: Path, change: Path) -> dict:
     return entry
 
 
+def table(parent: Path, change: Path, cell: str) -> dict:
+    results = alternating(parent, change, TABLE_RUNS, lambda root: fresh_run(root, TABLE, cell))
+    entry: dict = {
+        "cell": cell,
+        "identical": len({r["sha256"] for res in results.values() for r in res}) == 1,
+        "sha256": results["change"][0]["sha256"],
+    }
+    for name, res in results.items():
+        times = [r["table_s"][0] for r in res]
+        entry[name] = {"table_s": times, "median": statistics.median(times)}
+    entry["speedup"] = entry["parent"]["median"] / entry["change"]["median"]
+    print(
+        f"table {cell}: parent {entry['parent']['median']:.3f} s, change "
+        f"{entry['change']['median']:.3f} s, x{entry['speedup']:.2f}, "
+        f"identical {entry['identical']}"
+    )
+    return entry
+
+
+def table_outputs(parent: Path, change: Path, cells: list[str]) -> dict:
+    entry: dict = {"cells": cells}
+    for name, root in (("parent", parent), ("change", change)):
+        entry[name] = fresh_run(root, TABLE, *cells)["sha256"]
+    entry["identical"] = entry["parent"] == entry["change"]
+    print(f"table outputs of {len(cells)} cells: identical {entry['identical']}")
+    return entry
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -285,13 +334,16 @@ def main() -> int:
     ap.add_argument("--sweep", nargs="+", default=[], metavar="n,d[,budget]")
     ap.add_argument("--canonical", action="store_true", help="time canonical_form per call")
     ap.add_argument("--verify", action="store_true", help="time verify_obs3 per certificate")
+    ap.add_argument("--table", nargs="+", default=[], metavar="n,d[,budget[,orbit_cap]]")
+    ap.add_argument("--table-outputs", nargs="+", default=[], metavar="n,d[,budget[,orbit_cap]]")
     ap.add_argument("--out", type=Path, default=Path("BENCH_ghz.json"))
     args = ap.parse_args()
     workloads = args.workload or ["table_5x4"]
     reports = [pairs(args.parent, args.change, w, args.metrics) for w in workloads]
     cells = [[int(x) for x in cell.split(",")] for cell in args.sweep]
     sweeps = [sweep(args.parent, args.change, cell) for cell in cells]
-    if len(reports) == 1 and not sweeps and not args.canonical and not args.verify:
+    extra = args.canonical or args.verify or args.table or args.table_outputs
+    if len(reports) == 1 and not sweeps and not extra:
         out = reports[0]
     else:
         out = {"workloads": reports, "sweep": sweeps}
@@ -299,6 +351,10 @@ def main() -> int:
             out["canonical"] = canonical(args.parent, args.change)
         if args.verify:
             out["verify"] = verify(args.parent, args.change)
+        if args.table:
+            out["table"] = [table(args.parent, args.change, cell) for cell in args.table]
+        if args.table_outputs:
+            out["table_outputs"] = table_outputs(args.parent, args.change, args.table_outputs)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

@@ -591,7 +591,7 @@ class TableReport:
 
 
 class _OrbitWalk(NamedTuple):
-    """The orbit walk of one class of a cell whose direct attempt fails."""
+    """The exact orbit walk of one class of a cell whose direct attempt fails."""
 
     start: int  # the class, by index into the cell
     path: tuple[int, ...] | None  # to the first member that certifies; None if none does
@@ -601,41 +601,98 @@ class _OrbitWalk(NamedTuple):
 
 
 def _orbit_walks(
-    rows: np.ndarray, n: int, d: int, certified: np.ndarray, general: np.ndarray, orbit_cap: int
-) -> list[_OrbitWalk]:
-    """certify_any's orbit walk, on class indices and in cell order, from
-    every class of a cell (canonical rows, n >= 3) whose direct attempt fails.
+    rows: np.ndarray,
+    n: int,
+    d: int,
+    certified: np.ndarray,
+    general: np.ndarray,
+    orbit_cap: int,
+    labels: bool = True,
+) -> tuple[np.ndarray, list[_OrbitWalk]]:
+    """The outcome of certify_any's orbit walk from every class of a cell
+    (canonical rows, n >= 3) whose direct attempt fails, in cell order: the
+    construction of the first member that certifies (1 obs1, 2 obs4, 0 if
+    none does), and the exact walks that decided it, where one was needed.
 
-    The steps of those classes are computed at once (_LCClasses.fill): a
-    walk stops at the first member whose class certifies, so it expands only
-    failing ones.  ``certified`` and ``general`` give _direct_pass's outcome
-    per class; a class outside the cell (budget cut) gets its outcome, and
-    its one witness check, from _direct_pass on the rows fill appends.
-    Relabeling permutes the blocked triples, so outcome, rejections and
-    construction depend only on the class, and its checked witness covers
-    the member a walk reaches, which is never built.  The relabelings in
-    the states fix the vertex order of a walk, and with it the path.
+    A walk is a breadth-first search over class indices, along the LC steps
+    _LCClasses.fill computes on arrays; it stops at the first class that
+    certifies, so it expands only failing ones.  That class lies at the
+    start's distance ``dist`` to the nearest certified class, whatever the
+    vertex order.  So when every certified class at that distance has one
+    construction (``cons``: 1 obs1, 2 obs4, 3 both), the outcome is known
+    without a walk, provided the walk cannot be truncated first: at most n^i
+    classes lie at distance i, so sum_{i <= dist} n^i <= orbit_cap suffices,
+    and ``depth`` is the largest such distance.  Both labels come from
+    relaxation over the filled classes: the failing classes of the cell
+    and, in a cell cut by its budget, the failing classes the steps append,
+    out to ``depth`` steps, which is all that such walks can reach.  The
+    exact walk (_LCWalk over _LCClasses.expand) runs for the rest:
+    refusals, which need the orbit's size and truncation, classes with both
+    constructions at their distance, and classes further out.  ``labels``
+    False walks every class, the reference the labels are tested against.
+
+    ``certified`` and ``general`` give _direct_pass's outcome per class; a
+    class outside the cell gets its outcome, and its one witness check, from
+    _direct_pass on the rows fill appends.  Relabeling permutes the blocked
+    triples, so outcome, rejections and construction depend only on the
+    class, and its checked witness covers the member a walk reaches, which
+    is never built.  The relabelings in the states fix the vertex order of a
+    walk, and with it the path.
     """
     classes = _LCClasses(n, d, rows)
-    failing = np.flatnonzero(~certified).tolist()
-    classes.fill(failing)
-    ok: list[bool] = certified.tolist()
-    obs4: list[bool] = general.tolist()
+
+    def appended(known: int) -> _DirectPass:  # the direct pass of the rows fill appended
+        return _direct_pass(triu_to_matrices(classes.rows[known:], n), d)
+
+    depth, reach = 0, 1 + n
+    while reach <= orbit_cap:
+        depth, reach = depth + 1, reach * n + 1
+    ok, obs4 = certified, general
+    failing = np.flatnonzero(~certified)
+    frontier, filled, succ = failing, [], []
+    for _ in range(max(depth, 1) if labels else 1):
+        filled.append(frontier)
+        succ.append(classes.fill(frontier.tolist()))
+        if len(classes.rows) == len(ok):
+            break
+        added = appended(len(ok))
+        frontier = len(ok) + np.flatnonzero(~added.certified)
+        ok, obs4 = np.concatenate([ok, added.certified]), np.concatenate([obs4, added.general])
+    outcome = np.zeros(len(failing), dtype=np.int64)
+    if labels:
+        f, s = np.concatenate(filled), np.concatenate(succ)
+        far = len(ok)  # beyond any distance
+        dist = np.where(ok, 0, far)
+        while True:
+            step = np.minimum(dist[s].min(axis=1) + 1, far)
+            if (step == dist[f]).all():
+                break
+            dist[f] = step
+        cons = np.where(ok, 1 + obs4, 0)
+        for level in range(1, depth + 1):
+            # a step leads one level down or further out, where cons is still 0
+            at = dist[f] == level
+            cons[f[at]] = np.bitwise_or.reduce(cons[s[at]], axis=1)
+        decided = (dist[failing] <= depth) & (cons[failing] != 3)
+        outcome[decided] = cons[failing[decided]]
+    ok, obs4 = ok.tolist(), obs4.tolist()
     identity = tuple(range(n))
     walks = []
-    for start in failing:
+    for i in np.flatnonzero(outcome == 0).tolist():
+        start = int(failing[i])
         walk = _LCWalk((start, identity), start, classes.expand, orbit_cap)
         for size, (k, _, path) in enumerate(walk, start=1):
             if k >= len(ok):
-                added = _direct_pass(triu_to_matrices(classes.rows[len(ok) :], n), d)
+                added = appended(len(ok))
                 ok.extend(added.certified.tolist())
                 obs4.extend(added.general.tolist())
             if ok[k]:
+                outcome[i] = 1 + obs4[k]
                 walks.append(_OrbitWalk(start, path, obs4[k], size, walk.truncated))
                 break
         else:  # the walk yields at least its start
             walks.append(_OrbitWalk(start, None, None, size, walk.truncated))
-    return walks
+    return outcome, walks
 
 
 def exhaustive_table(
@@ -650,10 +707,12 @@ def exhaustive_table(
 
     Outcomes and tallies are those of certify_any on every class, decided
     on arrays: one _direct_pass over all classes, which builds and checks
-    each witness, an orbit walk over class indices from each class it fails
-    (_orbit_walks), and _refusal for the classes nothing certifies.  A
-    rescued class counts with the construction of the class its walk stops
-    at.  A complete cell whose class total differs from class_count raises
+    each witness; for each class it fails, the outcome of the orbit walk
+    from it (_orbit_walks: distance labels over the LC steps of the
+    classes, and an exact walk over class indices where they cannot
+    decide); and _refusal for the classes nothing certifies.  A rescued
+    class counts with the construction of the class its walk stops at.  A
+    complete cell whose class total differs from class_count raises
     StructureError (an enumerator bug).  ``workers`` is accepted and
     ignored: the cell runs in one process.
     """
@@ -685,13 +744,15 @@ def exhaustive_table(
     if n < 3:  # certify_any refuses every class outright
         uncertified = [certify_any(graph(idx)) for idx in range(len(rows))]
     else:
-        walks = _orbit_walks(rows, n, d, certified, general, orbit_cap)
-        uncertified = []
-        for w in walks:
-            if w.path is None:
-                uncertified.append(_refusal(graph(w.start), w.size, w.truncated, orbit_cap))
-            else:
-                methods[(METHOD_GENERAL if w.general else METHOD_CONSTANT) + "+lc"] += 1
+        outcome, walks = _orbit_walks(rows, n, d, certified, general, orbit_cap)
+        rescues = np.bincount(outcome, minlength=3).tolist()
+        methods[METHOD_CONSTANT + "+lc"] += rescues[1]
+        methods[METHOD_GENERAL + "+lc"] += rescues[2]
+        uncertified = [
+            _refusal(graph(w.start), w.size, w.truncated, orbit_cap)
+            for w in walks
+            if w.path is None
+        ]
     return TableReport(
         n=n,
         d=d,

@@ -553,7 +553,7 @@ class _LCClasses:
     by its budget).  Class k stands for its canonical representative rep_k.
     ``fill`` computes, on arrays, the steps of classes: per vertex v, the
     class k2 of LC(rep_k, v) and the relabeling p with LC(rep_k, v) =
-    permuted(rep_k2, p).
+    permuted(rep_k2, p), by its index into ``perms``.
     """
 
     def __init__(self, n: int, d: int, rows: np.ndarray) -> None:
@@ -565,9 +565,9 @@ class _LCClasses:
         keys = rows @ _packed_keys(n, d)[0]
         self.order = np.argsort(keys)
         self.sorted_keys = keys[self.order]
-        # per class, once filled: the class and the relabeling of each step
+        # per class, once filled: the class and the relabeling (index) of each step
         self.succ: list[list[int] | None] = [None] * len(rows)
-        self.relabel: list[list[tuple[int, ...]] | None] = [None] * len(rows)
+        self.relabel: list[list[int] | None] = [None] * len(rows)
 
     def expand(
         self, state: tuple[int, tuple[int, ...]]
@@ -579,19 +579,20 @@ class _LCClasses:
         k, perm = state
         if self.succ[k] is None:
             self.fill([k])
-        succ, relabel = self.succ[k], self.relabel[k]
+        succ, relabel, perms = self.succ[k], self.relabel[k], self.perms
         inverse = [0] * self.n
         for i, a in enumerate(perm):
             inverse[a] = i
         for v in inverse:
-            yield succ[v], (succ[v], tuple([perm[i] for i in relabel[v]]))
+            yield succ[v], (succ[v], tuple([perm[i] for i in perms[relabel[v]]]))
 
-    def fill(self, ks: Sequence[int]) -> None:
+    def fill(self, ks: Sequence[int]) -> np.ndarray:
         """Every step of the classes ``ks``, in one blocked pass over their
         matrices: LC at v maps M to (M + (1 - I) r r^T) mod d with r = M[v],
         and the argmin of the packed keys of its relabelings canonicalises it.
         A class a step meets that ``rows`` lacks is appended to it, and its
-        key merged into the sorted key index."""
+        key merged into the sorted key index.  Returns the steps' classes,
+        (len(ks), n)."""
         n, d = self.n, self.d
         weights, wmat = _packed_keys(n, d)
         iu, ju = np.triu_indices(n, 1)
@@ -623,9 +624,9 @@ class _LCClasses:
             self.rows = np.concatenate([self.rows, (new_keys[:, None] // weights) % d])
             self.succ.extend([None] * len(new_keys))
             self.relabel.extend([None] * len(new_keys))
-        perms = self.perms
         for k, s, p in zip(ks, succ.tolist(), relabel.tolist()):
-            self.succ[k], self.relabel[k] = s, [perms[i] for i in p]
+            self.succ[k], self.relabel[k] = s, p
+        return succ
 
 
 #: Classes per block of _LCClasses.fill, as for the table's direct pass.

@@ -37,7 +37,9 @@ from netcert import (
     multiply,
     verify_obs3,
 )
-from netcert.oracle import ALL_LEMMA_CHECKS, build_graph_state, dense
+from netcert.oracle import ALL_LEMMA_CHECKS, dense
+
+from dense_reference import build_graph_state
 
 UNIVERSAL_CAP = 0.954951
 

@@ -600,6 +600,16 @@ TABLE_CELLS = [  # n, d, enumeration budget, orbit cap; None keeps the default
     (4, 6, 4665, None),  # its walks leave the budget-cut cell: 25 classes filled one by one
     (4, 4, None, 1),
     (4, 8, None, 2),
+    # both sides of sum_{i <= D} n^i for D = 1 and 2: the deepest distance
+    # at which the labels decide a class without a walk
+    (4, 4, None, 4),
+    (4, 4, None, 5),
+    (4, 4, None, 20),
+    (4, 4, None, 21),
+    (5, 3, None, 5),
+    (5, 3, None, 6),
+    (5, 3, None, 30),
+    (5, 3, None, 31),
 ]
 
 
@@ -649,20 +659,54 @@ def test_direct_pass_operators_equal_certify_any():
     assert all(_certify_direct(g, (), g) is None for g in failing)
 
 
+def _cell_rows(n, d, budget=DEFAULT_ENUMERATION_BUDGET):
+    """The canonical rows of a cell, up to its budget."""
+    chunks = []
+    try:
+        chunks.extend(_canonical_rows(n, d, budget))
+    except EnumerationOverflow:
+        pass
+    return np.concatenate(chunks)
+
+
 @pytest.mark.parametrize("n,d", [(4, 4), (4, 5), (5, 3), (4, 8)])
 def test_orbit_walks_land_on_certify_any_members(n, d):
-    """For every class the table rescues, its walk over class indices stops
-    at the path certify_any finds, with the construction certify_any uses."""
-    rows = np.concatenate(list(_canonical_rows(n, d, DEFAULT_ENUMERATION_BUDGET)))
+    """For every class the table rescues, its exact walk over class indices
+    stops at the path certify_any finds, with the construction certify_any
+    uses."""
+    rows = _cell_rows(n, d)
     direct = _direct_pass(triu_to_matrices(rows, n), d)
-    walks = _orbit_walks(rows, n, d, direct.certified, direct.general, 4096)
+    args = (rows, n, d, direct.certified, direct.general, 4096)
+    outcome, walks = _orbit_walks(*args, labels=False)
     rescued = [w for w in walks if w.path is not None]
-    assert len(walks) == (~direct.certified).sum()
+    assert [w.start for w in walks] == np.flatnonzero(~direct.certified).tolist()
     assert len(rescued) > 0
+    assert outcome.tolist() == [0 if w.path is None else 1 + w.general for w in walks]
     for walk in rescued:
         cert = certify_any(from_triu_vector(d, n, rows[walk.start].tolist()))
         assert cert.lc_path == walk.path
         assert cert.method == ("obs4" if walk.general else "obs1")
+
+
+@pytest.mark.parametrize(
+    "n,d,budget",
+    [(4, 4, None), (4, 5, None), (5, 3, None), (4, 8, None), (5, 4, None), (4, 3, 400),
+     (4, 6, 4665), (4, 6, 16000)],
+)
+def test_orbit_labels_agree_with_exact_walks(n, d, budget):
+    """The distance labels give every failing class the outcome of its exact
+    walk: rescued or not, and by which construction; the classes they leave
+    undecided walk as before.  The budget-cut cells reach classes outside
+    the cell; at budget 16000 labels from one fill round, without the
+    failing classes it appends, would mislabel three classes."""
+    rows = _cell_rows(n, d, budget or DEFAULT_ENUMERATION_BUDGET)
+    direct = _direct_pass(triu_to_matrices(rows, n), d)
+    args = (rows, n, d, direct.certified, direct.general, 4096)
+    (outcome, walks), (want, exact) = _orbit_walks(*args), _orbit_walks(*args, labels=False)
+    assert outcome.tolist() == want.tolist()
+    walked = {w.start for w in walks}
+    assert walks == [w for w in exact if w.start in walked]
+    assert len(walks) < len(exact)
 
 
 @pytest.mark.parametrize("n,d", [(4, 4), (5, 3), (4, 8)])
@@ -670,7 +714,7 @@ def test_direct_pass_outcome_is_a_class_invariant(n, d):
     """Relabeling a graph leaves its direct attempt's outcome, rejection
     counts and construction unchanged, so the table checks one witness per
     class and no labeled orbit member."""
-    rows = np.concatenate(list(_canonical_rows(n, d, DEFAULT_ENUMERATION_BUDGET)))
+    rows = _cell_rows(n, d)
     reps = triu_to_matrices(rows, n)
     want = _direct_pass(reps, d)
     rng = np.random.default_rng(7)

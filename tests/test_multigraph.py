@@ -453,7 +453,7 @@ def test_lc_step_table_matches_single_steps(n, d):
         rep = from_triu_vector(d, n, keys[k])
         for v in range(n):
             image = local_complement(rep, v)
-            k2, p = classes.succ[k][v], classes.relabel[k][v]
+            k2, p = classes.succ[k][v], classes.perms[classes.relabel[k][v]]
             key = tuple(classes.rows[k2].tolist())
             assert key == canonical_form(image)
             assert permuted(from_triu_vector(d, n, key), p) == image

@@ -13,16 +13,12 @@ from netcert import (
 )
 from netcert.oracle import (
     ALL_LEMMA_CHECKS,
-    build_graph_state,
-    build_graph_state_eig,
     common_plus_one_eigenvector,
     dense,
     dimension_cap,
     expectation_value,
-    ghz_state,
     haar_unitary,
     mean_plus_one,
-    monomial_form,
     plus_one_projector,
     random_density,
     random_state,
@@ -32,6 +28,8 @@ from netcert.oracle import (
 )
 from netcert import oracle
 from netcert.pauli import power, relabel
+
+from dense_reference import build_graph_state, build_graph_state_eig, ghz_state, monomial_form
 
 
 def test_weyl_matrices():

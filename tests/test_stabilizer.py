@@ -20,7 +20,9 @@ from netcert import (
     power,
     word,
 )
-from netcert.oracle import build_graph_state, dense, expectation_value, ghz_state
+from netcert.oracle import dense, expectation_value
+
+from dense_reference import build_graph_state, ghz_state
 
 
 def random_graph(rng, n, d):
