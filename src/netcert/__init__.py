@@ -86,7 +86,6 @@ from .pauli import (
 )
 from .stabilizer import (
     GHZ_PARTIES,
-    StabilizerWord,
     ghz_group,
     ghz_stabilizer_element,
     graph_generator,
@@ -114,7 +113,6 @@ __all__ = [
     "PropertyViolation",
     "RangeError",
     "ResourceError",
-    "StabilizerWord",
     "StructureError",
     "TableReport",
     "Unconverged",

@@ -74,7 +74,7 @@ from .multigraph import (
 )
 from .network import marginal_chain_checks, prime
 from .pauli import PauliOperator, commutation_phase, relabel, restrict, support
-from .stabilizer import StabilizerWord, word
+from .stabilizer import word
 
 METHOD_CONSTANT = "obs1"
 METHOD_GENERAL = "obs4"
@@ -120,10 +120,10 @@ class Proof(NamedTuple):
     """Everything a Certificate's stored fields imply (see _derive)."""
 
     certified_graph: Multigraph
-    s1: StabilizerWord
-    s2: StabilizerWord
-    s3: StabilizerWord
-    s4: StabilizerWord
+    s1: PauliOperator
+    s2: PauliOperator
+    s3: PauliOperator
+    s4: PauliOperator
     s4_relabeling: tuple[tuple[str, str], ...]  # S4's sites in G1 -> their doubled copies
     s4_twisted: PauliOperator  # S4 relabeled by s4_relabeling
     kappa: int
@@ -184,9 +184,9 @@ def _derive(cert: Certificate) -> Proof:
     d = h.d
     e3 = tuple((x + y) % d for x, y in zip(cert.e1, cert.e2))
     s1, s2, s3, s4 = (word(h, dict(enumerate(e))) for e in (cert.e1, cert.e2, e3, cert.e4))
-    sigma = tuple(sorted((lbl, prime(lbl)) for lbl in support(s4.operator) & set(cert.groups[0])))
-    s4_twisted = relabel(s4.operator, dict(sigma))
-    kappa = commutation_phase(s3.operator, s4_twisted)
+    sigma = tuple(sorted((lbl, prime(lbl)) for lbl in support(s4) & set(cert.groups[0])))
+    s4_twisted = relabel(s4, dict(sigma))
+    kappa = commutation_phase(s3, s4_twisted)
     lam = 2.0 * select_power_t(kappa, d).cos_value if kappa else 2.0
     method = METHOD_GENERAL if _general(h) else METHOD_CONSTANT
     bound = fidelity_bound_from_lambda(lam)
@@ -809,8 +809,8 @@ def _witness(cert: Certificate):
     union = frozenset().union(*group_sets)
     n = cert.graph.n
     partition = union == frozenset(_labels(cert.graph)) and sum(map(len, group_sets)) == n
-    commute = commutation_phase(p.s1.operator, p.s2.operator) % cert.graph.d == 0
-    supports = tuple(support(w.operator) for w in (p.s1, p.s2, p.s3, p.s4))
+    commute = commutation_phase(p.s1, p.s2) % cert.graph.d == 0
+    supports = tuple(map(support, (p.s1, p.s2, p.s3, p.s4)))
     avoid = not any(sup & grp for sup, grp in zip(supports, group_sets))
     overlap = supports[2] & support(p.s4_twisted)
     kappa = p.kappa != 0 and overlap <= group_sets[1]
@@ -839,7 +839,7 @@ def _verify_obs3_checks(cert: Certificate, cap: int, checks: list[Check]) -> Non
     checks.append(
         Check("lambda_bound", lam_ok, f"lambda' = {lam}, fidelity bound {p.fidelity_bound}")
     )
-    r3 = restrict(p.s3.operator, cert.groups[1])
+    r3 = restrict(p.s3, cert.groups[1])
     r4 = restrict(p.s4_twisted, cert.groups[1])
     sites = sorted(support(r3) | support(r4))
     if sites and d ** len(sites) <= cap:
@@ -859,7 +859,7 @@ def _verify_obs3_checks(cert: Certificate, cap: int, checks: list[Check]) -> Non
             f"skipped: dimension {d}^{len(sites)} exceeds cap {cap}"
         )
     checks.append(Check("eigenspace_obstruction", ok, detail))
-    derived = _v1_fields(p) if cert.claims else {}
+    derived = _v1_fields(cert) if cert.claims else {}
     for name, text in cert.claims:
         if name in derived:
             ok = text == derived[name]
@@ -876,17 +876,19 @@ def _json_text(value) -> str:
     return json.dumps(value, sort_keys=True)
 
 
-def _v1_fields(p: Proof) -> dict[str, str]:
-    """The derived fields of the earlier JSON form, as _json_text."""
-
-    def op_obj(w: StabilizerWord) -> dict:
-        return {
-            "phase_exp": w.operator.phase_exp,
-            "sites": {lbl: list(xz) for lbl, xz in w.operator.sites},
-            "factorization": [[lbl, e] for lbl, e in w.factorization],
+def _v1_fields(cert: Certificate) -> dict[str, str]:
+    """The derived fields of the earlier JSON form, as _json_text.  Each
+    factorization lists the nonzero exponents of the operator's vector, with
+    e3 = e1 + e2 (mod d)."""
+    p, d = cert.proof, cert.graph.d
+    e3 = tuple(x + y for x, y in zip(cert.e1, cert.e2))
+    fields = {}
+    for i, op, e in zip(range(1, 5), (p.s1, p.s2, p.s3, p.s4), (cert.e1, cert.e2, e3, cert.e4)):
+        fields[f"S{i}"] = {
+            "phase_exp": op.phase_exp,
+            "sites": {lbl: list(xz) for lbl, xz in op.sites},
+            "factorization": [[str(v), x % d] for v, x in enumerate(e) if x % d],
         }
-
-    fields = {f"S{i}": op_obj(w) for i, w in enumerate((p.s1, p.s2, p.s3, p.s4), start=1)}
     fields["S4prime_relabel"] = dict(p.s4_relabeling)
     fields.update((name, getattr(p, name)) for name in _V1_SCALARS)
     return {name: _json_text(value) for name, value in fields.items()}

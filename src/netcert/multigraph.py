@@ -7,7 +7,9 @@ and its orbit, canonical forms under vertex relabeling, exhaustive
 enumeration of connected multigraphs up to isomorphism, and the certificate
 search's rules on the graph alone: the lazy angle order (_angles) and the
 neighborhood partition around an angle (_partition_masks), which
-find_angle_or_triangle and partition_neighborhoods present.
+find_angle_or_triangle and partition_neighborhoods present.  No library code
+calls those two views; they stay because the benchmark's layer trace
+(perfbench/layertrace.py, TRACED) wraps them, which a tier-1 test pins.
 """
 
 from __future__ import annotations

@@ -4,27 +4,18 @@ Most of this is brute force on purpose: explicit Weyl matrices, Kronecker
 products, full-spectrum projectors.  Tests use it to validate phases,
 eigenspaces, and the operator inequalities the fidelity bounds rest on.
 
-One part runs in the library: ``verify_obs3`` imports this module and decides
-its eigenspace check with ``shares_plus_one_eigenvector``, which works on the
-monomial form of Weyl operators (a permutation plus exact phases) in O(dim)
-memory.  The dense routines ``dense``, ``plus_one_projector`` and
+One part runs in the library: ``verify_obs3`` decides its eigenspace check
+with ``shares_plus_one_eigenvector``, which works on the symbolic operators
+alone, from the group they generate, with exact integer arithmetic.  The
+dense routines ``dense``, ``plus_one_projector`` and
 ``common_plus_one_eigenvector`` are its test reference.  Only they and the
 lemma suites import scipy, inside the function, so the verifier does not pay
 for that import.
-
-``shares_plus_one_eigenvector`` keeps its last _SHARES_MEMO decisions, keyed
-on d, the two phases and each operator's (x, z) at each party in party
-order.  That key is sound: it fixes both operators' matrices in the
-Kronecker basis of the party order, and the decision depends on nothing
-else; party names only pick which site is which, so renamed parties with the
-same exponents share a decision.  The party list is checked (distinct
-names, covering both operators) before the memo is consulted.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -33,12 +24,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionError, PropertyViolation, ResourceError, StructureError
-from .pauli import PauliOperator, support
+from .pauli import PauliOperator, commutation_phase, identity, multiply, support
 
 DEFAULT_DIMENSION_CAP = 4096
 _ANGULAR_TOL = 1e-8
-# Operator pairs whose eigenspace decision shares_plus_one_eigenvector keeps.
-_SHARES_MEMO = 4096
 
 
 def dimension_cap() -> int:
@@ -146,129 +135,46 @@ def common_plus_one_eigenvector(
     return top > 1.0 - tol
 
 
-def _content(p: PauliOperator, names: Sequence[str]) -> tuple[tuple[int, int], ...]:
-    """The (x, z) exponents of p at each of the checked names, in order."""
-    sites = p.site_map()
-    return tuple(sites.get(name, (0, 0)) for name in names)
-
-
-def _basis_digits(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(digits, weights): row q of digits holds the k digits of basis index
-    q, the first party most significant, and digits @ weights == q."""
-    weights = d ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    return np.arange(d**k, dtype=np.int64)[:, None] // weights % d, weights
-
-
-def _step_coefficients(d: int, x: Sequence[int]) -> tuple[int, list[int]]:
-    """(g, c) with g = gcd(d, x) and c.x = g (mod d), by extended Euclid."""
-    g, c = d, [0] * len(x)
-    for i, xi in enumerate(x):
-        # invariant: r0 = s0 g + t0 xi, r1 = s1 g + t1 xi
-        r0, r1, s0, s1, t0, t1 = g, xi, 1, 0, 0, 1
-        while r1:
-            q = r0 // r1
-            r0, r1, s0, s1, t0, t1 = r1, r0 - q * r1, s1, s0 - q * s1, t1, t0 - q * t1
-        c = [s0 * ci % d for ci in c]
-        c[i] = t0 % d
-        g = r0
-    return g, c
-
-
-def _plus_one_cycles(
-    d: int,
-    ops: Sequence[tuple[int, tuple[tuple[int, int], ...]]],
-    digits: np.ndarray,
-    weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact +1 eigenbases of the operators tau^phase_exp X^x Z^z given as
-    (phase_exp, per-party (x, z)) in ``ops``, one vector per cycle of each
-    translation, over the basis of ``_basis_digits``.
-
-    The translation q -> q + x has order L = d / g, g = gcd(d, x), and so
-    has every cycle.  As 2 z.(q mod d) = 2 z.q (mod 2d), the step from q + i x
-    carries tau^(phase_exp + 2 z.q + 2 i z.x), and the first t steps from q0
-    sum to S_t(q0) = t phase_exp + 2 t z.q0 + t (t - 1) z.x (mod 2d).  Label
-    each cycle by its start q0, the member with position t = 0, where
-    t(q) = (c.q mod d) div g for c.x = g (mod d) grows by one per step,
-    mod L.  For q = q0 + t x, S_t(q0) = t (phase_exp + 2 z.q - (t + 1) z.x),
-    and as 2 L z.x = 0 (mod 2d) the whole cycle sums to that at t = L.  A
-    cycle carries a +1 eigenvector iff its sum is 0 (mod 2d), namely
-    v(q0 + t x) = tau^S_t(q0) / sqrt(L).  Returns, one column per operator:
-    each basis state's cycle label, whether its cycle is kept, and its
-    exponent S_t(q0); and the lengths L.
-    """
-    coefficients, shifts, scalars = [], [], []
-    for phase, sites in ops:
-        x = [a for a, _ in sites]
-        g, c = _step_coefficients(d, x)
-        length, zx = d // g, sum(a * b for a, b in sites)
-        coefficients += [c, [2 * b for _, b in sites]]
-        shifts.append(x)
-        # S_L = L 2 z.q + L (phase - (L + 1) z.x), S_t = t (phase - z.x + 2 z.q - t z.x)
-        scalars.append((length, length * (phase - (length + 1) * zx), phase - zx, zx))
-    length, cycle_offset, step_offset, zx = np.array(scalars, dtype=np.int64).T
-    # per state and operator: c.q, then 2 z.q
-    prod = digits @ np.array(coefficients, dtype=np.int64).reshape(len(coefficients), -1).T
-    t = prod[:, 0::2] % d * length // d
-    zq2 = prod[:, 1::2]
-    x = np.array(shifts, dtype=np.int64).reshape(len(ops), -1)
-    start = (digits[:, None, :] - t[:, :, None] * x) % d @ weights
-    keep = (length * zq2 + cycle_offset) % (2 * d) == 0
-    expo = t * (step_offset + zq2 - t * zx)
-    return start, keep, expo, length
-
-
 def shares_plus_one_eigenvector(
     p: PauliOperator, q: PauliOperator, parties: Sequence[str]
 ) -> bool:
-    """Whether two Weyl operators have a common +1 eigenvector.
+    """Whether two Weyl operators have a common +1 eigenvector, exactly.
 
-    The decision of ``common_plus_one_eigenvector`` on their dense matrices,
-    without them.  With Q1, Q2 the exact per-cycle +1 eigenbases, the
-    largest eigenvalue of P1 P2 P1 is sigma_max(B)^2 for B = Q1^H Q2, and
-    the eigenspaces meet iff it exceeds 1 - tol, with the same tolerance.
-    Every cycle of p and of q lies in one coset of the group H their two
-    translations generate, so B is block diagonal over the cosets of H,
-    with blocks of at most d x d: the check takes O(dim) memory and no
-    dense matrix.  Decisions are memoised (see the module docstring).
+    Decided from the group S that p and q generate, as in the stabilizer
+    formalism (Gottesman, arXiv:quant-ph/9705052).  If p q = omega^k q p
+    with k != 0, a common +1 eigenvector v would give v = p q v = omega^k v.
+    Otherwise S is finite and abelian, and (1/|S|) sum_{s in S} s projects
+    onto the common +1 eigenspace.  Every Weyl operator with a nonzero Pauli
+    part is traceless, so the trace of that projector is dim |C| / |S| when
+    the group C of scalars in S is {1}, and 0 otherwise: a nontrivial group
+    of roots of unity sums to 0.  The (a, b) with p^a q^b scalar form a
+    lattice with basis (0, L), L the order of q's Pauli part, and (a0, b0)
+    with the least a0 >= 1; as p and q commute, (a, b) -> p^a q^b is a
+    homomorphism on it, so C = {1} iff q^L and p^a0 q^b0 are the identity.
+    Idle parties and the party order tensor S with identities or permute
+    its factors, so they do not change the answer.
     """
     if p.d != q.d:
         raise DimensionError(f"dimension mismatch: {p.d} vs {q.d}")
-    names = _party_names(parties, p, q)
-    return _shares(p.d, p.phase_exp, _content(p, names), q.phase_exp, _content(q, names))
-
-
-@functools.lru_cache(maxsize=_SHARES_MEMO)
-def _shares(d: int, phase1: int, xz1: tuple, phase2: int, xz2: tuple) -> bool:
-    digits, weights = _basis_digits(d, len(xz1))
-    start, keep, expo, length = _plus_one_cycles(
-        d, ((phase1, xz1), (phase2, xz2)), digits, weights
-    )
-    both = keep[:, 0] & keep[:, 1]
-    if not both.any():
+    _party_names(parties, p, q)
+    if commutation_phase(p, q):
         return False
-    rep1, rep2 = start.T
-    dim, len1, len2 = len(rep1), int(length[0]), int(length[1])
-    # one label per coset of H: the least rep1 on a cycle of q, which meets
-    # every cycle of p in its coset
-    low = np.full(dim, dim)
-    np.minimum.at(low, rep2, rep1)
-    coset = low[rep2]
-    size = np.count_nonzero(coset == coset[0])
-    # Sorted by coset, cycle of p and cycle of q, the states fall into equal
-    # blocks: per coset, size / L1 cycles of p by size / L2 cycles of q,
-    # each pair meeting in L1 L2 / size states.  Cycles without a +1 vector
-    # give zero rows and columns.
-    order = np.lexsort((rep2, rep1, coset))
-    overlap = np.where(both, np.exp(1j * np.pi / d * ((expo[:, 1] - expo[:, 0]) % (2 * d))), 0)
-    b = overlap[order].reshape(dim // size, size // len1, size // len2, -1).sum(axis=3)
-    # B is b / sqrt(L1 L2); the Frobenius norm of a block bounds its largest
-    # singular value, and most often already decides
-    threshold = (1.0 - _ANGULAR_TOL) * len1 * len2
-    if float(np.square(np.abs(b)).sum(axis=(1, 2)).max()) <= threshold:
+    d = p.d
+    # q^b for b < L by Pauli part; the first repeated part is q^L's, zero
+    powers: dict[tuple, PauliOperator] = {}
+    qb = identity(d)
+    while qb.sites not in powers:
+        powers[qb.sites] = qb
+        qb = multiply(qb, q)
+    if qb.phase_exp:
         return False
-    top = float(np.linalg.svd(b, compute_uv=False)[:, 0].max())
-    return top * top > threshold
+    # p^a until q^b cancels its Pauli part, at a = a0 <= the order of p's
+    pa = p
+    while True:
+        inverse = tuple((label, (-x % d, -z % d)) for label, (x, z) in pa.sites)
+        if inverse in powers:
+            return multiply(pa, powers[inverse]).phase_exp == 0
+        pa = multiply(pa, p)
 
 
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -9,7 +9,6 @@ triples (a, b, c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .errors import RangeError, StructureError
@@ -19,31 +18,7 @@ from .pauli import PauliOperator
 GHZ_PARTIES = ("A", "B", "C")
 
 
-@dataclass(frozen=True)
-class StabilizerWord:
-    """A stabilizer-group element together with how it was generated.
-
-    ``factorization`` lists (vertex-label, exponent) pairs, exponents in
-    [1, d); the operator equals the product of the corresponding generator
-    powers (order irrelevant: generators commute exactly).
-    """
-
-    operator: PauliOperator
-    factorization: tuple[tuple[str, int], ...]
-
-
-def graph_generator(g: Multigraph, i: int) -> PauliOperator:
-    """The generator at vertex i: X there, Z^{m_ij} at each neighbor j."""
-    if not 0 <= i < g.n:
-        raise StructureError(f"vertex {i} outside 0..{g.n - 1}")
-    sites: dict[str, tuple[int, int]] = {str(i): (1, 0)}
-    for j in range(g.n):
-        if g.mult[i][j]:
-            sites[str(j)] = (0, g.mult[i][j])
-    return PauliOperator.from_sites(g.d, sites)
-
-
-def word(g: Multigraph, exponents: Mapping[int, int]) -> StabilizerWord:
+def word(g: Multigraph, exponents: Mapping[int, int]) -> PauliOperator:
     """Product of generator powers, one per vertex, in ascending vertex order.
 
     Built in one pass: g_v^e is X^e at v and Z^(e m_vu) at each neighbor u,
@@ -55,7 +30,6 @@ def word(g: Multigraph, exponents: Mapping[int, int]) -> StabilizerWord:
     x = [0] * n
     z = [0] * n
     phase = 0
-    factors = []
     for v in sorted(exponents):
         if not 0 <= v < n:
             raise StructureError(f"vertex {v} outside 0..{n - 1}")
@@ -66,9 +40,14 @@ def word(g: Multigraph, exponents: Mapping[int, int]) -> StabilizerWord:
         x[v] = e
         for u, m in enumerate(g.mult[v]):
             z[u] += e * m
-        factors.append((str(v), e))
-    op = PauliOperator.from_sites(d, {str(u): (x[u], z[u]) for u in range(n)}, phase)
-    return StabilizerWord(operator=op, factorization=tuple(factors))
+    return PauliOperator.from_sites(d, {str(u): (x[u], z[u]) for u in range(n)}, phase)
+
+
+def graph_generator(g: Multigraph, i: int) -> PauliOperator:
+    """The generator at vertex i: X there, Z^{m_ij} at each neighbor j."""
+    if not 0 <= i < g.n:
+        raise StructureError(f"vertex {i} outside 0..{g.n - 1}")
+    return word(g, {i: 1})
 
 
 def ghz_stabilizer_element(d: int, a: int, b: int, c: int) -> PauliOperator:

@@ -1,8 +1,8 @@
 """Dense reference states and the exact monomial form of Weyl operators.
 
 Only tests use these: the graph-state builders and the GHZ state are ground
-truth for the stabilizer layer, and ``monomial_form`` is the reference for
-the cycles of ``netcert.oracle.shares_plus_one_eigenvector``.
+truth for the stabilizer layer, and ``monomial_form`` writes a Weyl operator
+as a basis permutation with exact phases, checked against ``oracle.dense``.
 """
 
 from __future__ import annotations
@@ -14,8 +14,21 @@ from typing import Sequence
 import numpy as np
 
 from netcert import Multigraph, PauliOperator, ResourceError, StructureError
-from netcert.oracle import _basis_digits, _content, _party_names, dense, dimension_cap
+from netcert.oracle import _party_names, dense, dimension_cap
 from netcert.stabilizer import graph_generator
+
+
+def _content(p: PauliOperator, names: Sequence[str]) -> tuple[tuple[int, int], ...]:
+    """The (x, z) exponents of p at each of the checked names, in order."""
+    sites = p.site_map()
+    return tuple(sites.get(name, (0, 0)) for name in names)
+
+
+def _basis_digits(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, weights): row q of digits holds the k digits of basis index
+    q, the first party most significant, and digits @ weights == q."""
+    weights = d ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return np.arange(d**k, dtype=np.int64)[:, None] // weights % d, weights
 
 
 def monomial_form(p: PauliOperator, parties: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:

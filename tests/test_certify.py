@@ -654,7 +654,7 @@ def test_direct_pass_operators_equal_certify_any():
                 str(v): (int(direct.x[k, i, v]), int(direct.z[k, i, v])) for v in range(g.n)
             }
             op = PauliOperator.from_sites(4, sites, int(direct.phase[k, i]))
-            assert op == w.operator, (g, i)
+            assert op == w, (g, i)
     failing = [g for g, ok in zip(graphs, direct.certified) if not ok]
     assert all(_certify_direct(g, (), g) is None for g in failing)
 

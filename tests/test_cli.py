@@ -157,10 +157,11 @@ def test_certify_input_errors(capsys):
         {"d": 2, "n": 3, "edges": [[0, 1, "1"], *TRIANGLE_EDGES[1:]]},
         {"d": 2, "n": 3, "edges": [[0, 1, True], *TRIANGLE_EDGES[1:]]},
         {"d": 2, "n": 3, "edges": [7, *TRIANGLE_EDGES[1:]]},
+        {"d": 2, "n": 3},
     ],
     ids=[
         "d-string", "n-float", "edges-int", "edge-pair",
-        "m-float", "m-string", "m-bool", "edge-int",
+        "m-float", "m-string", "m-bool", "edge-int", "no-edges",
     ],
 )
 def test_certify_rejects_malformed_json_graph(tmp_path, capsys, obj):
@@ -171,6 +172,27 @@ def test_certify_rejects_malformed_json_graph(tmp_path, capsys, obj):
     code, out, err = run(capsys, "certify", "--input", str(path))
     assert code == EXIT_ERROR and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (" ; ", "empty graph description"),
+        ("2 x; 0 1 1", "non-integer header"),
+        ("2 3; 0 1", "edge line must be 'i j m'"),
+        ("2 3; 0 1 a", "non-integer edge line"),
+        ("2 1", "at least 2 vertices"),
+        ("2 3; 0 1 1; 1 0 1", "duplicate edge"),
+    ],
+    ids=["empty", "header-not-integer", "edge-not-triple", "edge-not-integer", "one-vertex",
+         "duplicate-edge"],
+)
+def test_certify_rejects_bad_graph_text(capsys, text, message):
+    """Each malformed graph line exits 1 with nothing on stdout and one
+    error line on stderr, which names what is wrong."""
+    code, out, err = run(capsys, "certify", "--inline", text)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
 def _key(node, key):
@@ -616,6 +638,29 @@ def test_selftest_human(capsys):
     assert out.count("pass  ") == 6
 
 
+@pytest.mark.parametrize("fmt", ["json", "human"])
+def test_selftest_reports_a_violation(monkeypatch, capsys, fmt):
+    """A lemma check that finds a counterexample gives exit 2, a
+    ``violation`` entry in JSON and a FAIL line in the human format."""
+    from netcert import oracle
+    from netcert.errors import PropertyViolation
+
+    def check_lemma_broken(trials, seed=0):
+        raise PropertyViolation("broken: inequality violated", instance={})
+
+    monkeypatch.setattr(oracle, "ALL_LEMMA_CHECKS", (oracle.check_lemma_product, check_lemma_broken))
+    code, out, _ = run(capsys, "selftest", "--trials", "5", "--format", fmt)
+    assert code == EXIT_NEGATIVE
+    if fmt == "json":
+        passed, failed = json.loads(out)
+        assert passed["violations"] == 0
+        assert failed == {"name": "check_lemma_broken", "violation": "broken: inequality violated"}
+    else:
+        lines = out.splitlines()
+        assert lines[0].startswith("pass  product:")
+        assert lines[1] == "FAIL  check_lemma_broken: broken: inequality violated"
+
+
 # ------------------------------------------------------------------- plumbing
 
 
@@ -726,6 +771,25 @@ def test_selftest_seed_is_deterministic(capsys):
     first = run(capsys, "selftest", "--trials", "5", "--seed", "7")
     assert first[0] == EXIT_OK
     assert run(capsys, "selftest", "--trials", "5", "--seed", "7") == first
+
+
+def test_layer_trace_names_exist():
+    """Every (module, function) the benchmark's layer trace wraps is still
+    an attribute of that netcert module, so the traced run cannot fail on a
+    renamed or deleted function."""
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    missing = [
+        f"{module}.{name}"
+        for module, name in layertrace.TRACED
+        if not callable(getattr(importlib.import_module(f"netcert.{module}"), name, None))
+    ]
+    assert layertrace.TRACED and missing == []
 
 
 def test_module_entry_point_subprocess():

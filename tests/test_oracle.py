@@ -26,7 +26,6 @@ from netcert.oracle import (
     weyl_x,
     weyl_z,
 )
-from netcert import oracle
 from netcert.pauli import power, relabel
 
 from dense_reference import build_graph_state, build_graph_state_eig, ghz_state, monomial_form
@@ -143,32 +142,6 @@ def test_monomial_form_matches_dense():
     assert {k for _, k in cells} == {1, 2, 3, 4}
 
 
-def test_plus_one_cycles_follow_the_monomial_form():
-    """The closed-form cycle data agree with stepping the monomial form: p
-    keeps each state on its cycle, a cycle has L members, one label (one of
-    them) and one keep flag, it is kept iff its exponents sum to 0 mod 2d,
-    and on a kept cycle p v = v for the vector the exponents define."""
-    rng = np.random.default_rng(48)
-    for d in range(2, 10):
-        for k in range(1, 4):
-            if d**k > 729:
-                continue
-            parties = [f"P{j}" for j in range(k)]
-            digits, weights = oracle._basis_digits(d, k)
-            for _ in range(4):
-                p = random_weyl(rng, d, parties)
-                target, expo = monomial_form(p, parties)
-                ops = [(p.phase_exp, oracle._content(p, parties))]
-                label, keep, cyc, length = oracle._plus_one_cycles(d, ops, digits, weights)
-                label, keep, cyc = label[:, 0], keep[:, 0], cyc[:, 0]
-                assert (label[target] == label).all() and (label[label] == label).all()
-                assert (np.bincount(label, minlength=d**k)[label] == length[0]).all()
-                total = np.bincount(label, weights=expo, minlength=d**k)[label]
-                assert (keep == (total % (2 * d) == 0)).all()
-                # v(target q) = tau^expo[q] v(q) with v(q) = tau^cyc[q]
-                assert ((cyc[target] - cyc - expo)[keep] % (2 * d) == 0).all()
-
-
 def test_shares_plus_one_eigenvector_matches_schur_reference():
     rng = np.random.default_rng(46)
     outcomes = {True: 0, False: 0}
@@ -204,12 +177,11 @@ def test_shares_plus_one_eigenvector_validation():
         monomial_form(p, ["A", "A"])
 
 
-def test_shares_plus_one_eigenvector_memo():
-    """The decision is kept per d, phases and per-party (x, z) in party
-    order: renamed parties and repeated calls reuse it, a reordered party
-    list is a key of its own, and every answer is the Schur reference's."""
+def test_shares_plus_one_eigenvector_ignores_party_names():
+    """Renamed parties and repeated calls give the same decision, a reordered
+    party list gives the Schur reference's on that order, and every answer
+    is the Schur reference's."""
     rng = np.random.default_rng(47)
-    hits = oracle._shares.cache_info().hits
     outcomes = {True: 0, False: 0}
     for trial in range(300):
         d = int(rng.integers(2, 7))
@@ -237,22 +209,51 @@ def test_shares_plus_one_eigenvector_memo():
         got = shares_plus_one_eigenvector(p, q, order)
         assert got == common_plus_one_eigenvector(dense(p, order), dense(q, order))
         outcomes[want] += 1
-    assert oracle._shares.cache_info().hits - hits >= 3 * 300
     assert min(outcomes.values()) >= 40, outcomes
 
 
-def test_shares_plus_one_eigenvector_validates_before_the_memo():
-    """Each validation error still raises when the content it would read
-    was decided before."""
+def _op(d, phase_exp, **sites):
+    return PauliOperator.from_sites(d, sites, phase_exp)
+
+
+@pytest.mark.parametrize(
+    "p,q,want",
+    [
+        # p q = omega q p: no common +1 eigenvector
+        (_op(3, 0, A=(1, 0)), _op(3, 0, A=(0, 1)), False),
+        # q = tau X on a qutrit: q^3 = tau^3 = -1, a scalar other than 1
+        (_op(3, 0, A=(1, 0)), _op(3, 1, A=(1, 0)), False),
+        # Z and -Z: each squares to 1, but p q = -1
+        (_op(2, 0, A=(0, 1)), _op(2, 2, A=(0, 1)), False),
+        # d = 6, p = omega Z, q = Z^2: p^6 = q^3 = 1, but p^2 q^2 = omega^2;
+        # a0 = 2 properly divides the order 6 of p's Pauli part
+        (_op(6, 2, A=(0, 1), B=(3, 0)), _op(6, 0, A=(0, 2)), False),
+        # the same with q = omega^2 Z^2: p^2 q^2 = 1, and |5>|+> is shared
+        (_op(6, 2, A=(0, 1), B=(3, 0)), _op(6, 4, A=(0, 2)), True),
+        # X X and Z Z on two qubits share the Bell state
+        (_op(2, 0, A=(1, 0), B=(1, 0)), _op(2, 0, A=(0, 1), B=(0, 1)), True),
+    ],
+    ids=["noncommuting", "q-power-scalar", "mixed-scalar", "d6-proper-divisor", "d6-shared",
+         "bell"],
+)
+def test_shares_plus_one_eigenvector_hand_made_pairs(p, q, want):
+    """Each way the group criterion can answer, against the Schur reference."""
+    parties = ["A", "B"]
+    assert shares_plus_one_eigenvector(p, q, parties) == want
+    assert common_plus_one_eigenvector(dense(p, parties), dense(q, parties)) == want
+
+
+def test_shares_plus_one_eigenvector_validates_every_call():
+    """Each validation error raises even right after the same operators'
+    content was decided on a valid party list."""
     x, z = PauliOperator.from_sites(3, {"A": (1, 0)}), PauliOperator.from_sites(3, {"A": (0, 1)})
     assert not shares_plus_one_eigenvector(x, z, ["A"])
     with pytest.raises(DimensionError):
         shares_plus_one_eigenvector(x, PauliOperator.from_sites(2, {"A": (0, 1)}), ["A"])
-    # z with an extra site outside the parties would read as z on ["A"]
+    # z with an extra site outside the parties
     outside = PauliOperator.from_sites(3, {"A": (0, 1), "B": (0, 1)})
     with pytest.raises(StructureError):
         shares_plus_one_eigenvector(x, outside, ["A"])
-    # on ["A", "A"] both would read as the decided pair below
     xx = PauliOperator.from_sites(3, {"A": (1, 0), "B": (1, 0)})
     zz = PauliOperator.from_sites(3, {"A": (0, 1), "B": (0, 1)})
     assert not shares_plus_one_eigenvector(xx, zz, ["A", "B"])
