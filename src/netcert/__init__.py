@@ -6,7 +6,7 @@ The package is organized in layers:
 - ``pauli``      exact symbolic Weyl-Heisenberg operators on named sites
 - ``multigraph`` multigraphs mod d: partitions, local complementation, enumeration
 - ``stabilizer`` graph-state generators and the GHZ stabilizer group
-- ``network``    source multisets, the cut and doubled inflations, marginal equalities
+- ``network``    the four marginal equalities of the inflation chain, in closed form
 - ``certify``    certificate search, verification, fidelity bounds
 - ``ghzbound``   GHZ fidelity upper bounds (closed form, prime bisection, numeric)
 - ``oracle``     dense-matrix ground truth and randomized property suites
@@ -62,16 +62,7 @@ from .multigraph import (
     neighbors,
     partition_neighborhoods,
 )
-from .network import (
-    GroupedNetwork,
-    Network,
-    complete_bipartite_network,
-    cut_inflation,
-    doubled_inflation,
-    marginal_chain_checks,
-    reduce,
-    reduced_equal,
-)
+from .network import marginal_chain_checks
 from .pauli import (
     PauliOperator,
     commutation_phase,
@@ -102,11 +93,9 @@ __all__ = [
     "DimensionError",
     "EnumerationOverflow",
     "GhzChainRecord",
-    "GroupedNetwork",
     "Multigraph",
     "NeighborhoodPartition",
     "NetcertError",
-    "Network",
     "NotCertified",
     "OrbitResult",
     "PauliOperator",
@@ -125,10 +114,7 @@ __all__ = [
     "certificate_to_json",
     "certify_any",
     "commutation_phase",
-    "complete_bipartite_network",
-    "cut_inflation",
     "dagger",
-    "doubled_inflation",
     "enumerate_connected_multigraphs",
     "exhaustive_table",
     "fidelity_bound_from_lambda",
@@ -149,8 +135,6 @@ __all__ = [
     "neighbors",
     "partition_neighborhoods",
     "power",
-    "reduce",
-    "reduced_equal",
     "relabel",
     "restrict",
     "select_power_t",

@@ -775,11 +775,15 @@ def verify_obs3(cert: Certificate) -> VerificationReport:
     overlap inside group 2), the four marginal equalities, that lambda' is
     2 |cos(pi kappa / d)| (S4's power is the best one), and, within the dense
     cap ``oracle.dimension_cap()``, that the twisted operators share no +1
-    eigenvector (``oracle.shares_plus_one_eigenvector``).  A certificate in
-    the earlier form gets one check per derived field it stores, named after
-    the field, and its construction records in ``ignored``.  A certificate
-    whose derivation raises fails an ``integrity`` check; a malformed cap
-    setting raises ResourceError.
+    eigenvector (``oracle.shares_plus_one_eigenvector``).  A passing kappa
+    check implies the last: with the overlap inside group 2, restricting
+    both operators to group 2 keeps their commutation phase kappa != 0, so
+    the eigenspace check is decided by its first test; it stays, as the
+    obstruction the bound rests on.  A certificate in the earlier form gets
+    one check per derived field it stores, named after the field, and its
+    construction records in ``ignored``.  A certificate whose derivation
+    raises fails an ``integrity`` check; a malformed cap setting raises
+    ResourceError.
     """
     from . import oracle
 
@@ -831,7 +835,7 @@ def _verify_obs3_checks(cert: Certificate, cap: int, checks: list[Check]) -> Non
         f"kappa = {p.kappa}, overlap {sorted(overlap)}",
     )
     checks.extend(map(Check, _WITNESS_CHECKS, passed, details))
-    premises = marginal_chain_checks(parties, cert.groups, *supports, dict(p.s4_relabeling))
+    premises = marginal_chain_checks(parties, cert.groups, *supports)
     for name, ok in premises:
         checks.append(Check(f"marginal: {name}", ok))
     lam = p.lambda_prime

@@ -144,7 +144,6 @@ def ghz_section3_chain(d: int) -> GhzChainRecord:
             support(s2),
             support(s3),
             support(s4),
-            sigma,
         )
     )
     if kappa == 0:

@@ -42,6 +42,12 @@ _SWEEP_BLOCK = 4096
 #: proved beyond it (a few ms on the symmetric n = 8 graphs).
 _CANONICAL_MAX_N = 8
 
+#: Most vertices a multigraph may have.  The n x n matrix is built before
+#: any edge is read, so a larger header is refused first.  1024 vertices is
+#: about 1M entries: 10x the largest graph the tests build (a 100-vertex
+#: path) and 64x the n = 16 the single-graph path is meant to reach.
+_MAX_VERTICES = 1024
+
 
 @dataclass(frozen=True)
 class Multigraph:
@@ -58,6 +64,8 @@ class Multigraph:
             raise DimensionError(f"qudit dimension must be >= 2, got {d}")
         if n < 2:
             raise StructureError(f"multigraph needs at least 2 vertices, got {n}")
+        if n > _MAX_VERTICES:
+            raise ResourceError(f"multigraph has {n} vertices, more than {_MAX_VERTICES}")
         rows = [[0] * n for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for i, j, m in edges:

@@ -1,6 +1,7 @@
 """Certificate constructions, verification, serialization, and tallies."""
 
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from network_reference import reference_chain
 
 from netcert import (
     Certificate,
@@ -37,7 +39,7 @@ from netcert.certify import (
     certificate_from_json_obj,
     certificate_to_json_obj,
 )
-from netcert import certify
+from netcert import certify, oracle
 from netcert.multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
     _canonical_rows,
@@ -49,7 +51,7 @@ from netcert.multigraph import (
     permuted,
     triu_to_matrices,
 )
-from netcert.pauli import PauliOperator
+from netcert.pauli import PauliOperator, commutation_phase, restrict, support
 
 
 def triangle(d, m=1):
@@ -480,6 +482,70 @@ def test_verifier_reports_empty_group_two(monkeypatch, cap):
     eig = [c for c in verify_obs3(emptied).checks if c.name == "eigenspace_obstruction"]
     detail = "restricted operators act trivially on group 2"
     assert eig == [certify.Check("eigenspace_obstruction", False, detail)]
+
+
+def test_marginal_checks_of_every_grouping_match_the_network_model():
+    """verify_obs3's four marginal checks, on each of the 256 groupings of
+    the 4-vertex path certificate, are the explicit networks' answer."""
+    cert = certify_any(Multigraph.from_edges(2, 4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]))
+    parties = ["0", "1", "2", "3"]
+    supports = [support(op) for op in (cert.s1, cert.s2, cert.s3, cert.s4)]
+    failing = 0
+    for assign in itertools.product(range(4), repeat=4):
+        groups = tuple(tuple(v for v in parties if assign[int(v)] == k) for k in range(4))
+        report = verify_obs3(_tampered(cert, groups=groups))
+        marginal = [
+            (c.name.removeprefix("marginal: "), c.passed)
+            for c in report.checks
+            if c.name.startswith("marginal: ")
+        ]
+        assert marginal == reference_chain(parties, groups, *supports), groups
+        failing += not all(ok for _, ok in marginal)
+    assert failing == 161
+
+
+def test_verifier_reports_a_non_partition_as_integrity():
+    """Groups that do not partition the vertices fail groups_partition, and
+    the marginal checks, which need a partition, end the report with one
+    integrity check."""
+    cert = certify_any(Multigraph.from_edges(2, 4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]))
+    g1, g2, g3, g4 = cert.groups
+    assert g4, "test needs a nonempty fourth group"
+    report = verify_obs3(_tampered(cert, groups=(g1, g2, g3, ())))
+    assert [c.name for c in report.checks] == [*certify._WITNESS_CHECKS, "integrity"]
+    assert not report.checks[0].passed
+    detail = "verification aborted: groups must partition the parties"
+    assert report.checks[-1] == certify.Check("integrity", False, detail)
+
+
+def _pool_certificates(monkeypatch):
+    """certify_any's certificates for the certify_verify benchmark pool."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    return [certify_any(g) for g in workloads.certify_stream(1)]
+
+
+def test_kappa_check_implies_the_eigenspace_obstruction(monkeypatch):
+    """When the overlap of S3 and the relabeled S4 lies in group 2,
+    restricting both to group 2 keeps their commutation phase kappa, so a
+    passing kappa check decides the eigenspace check by its first test:
+    on the pool and on every (4,4) certificate, the group computation after
+    that test is never reached."""
+    certs = _pool_certificates(monkeypatch)
+    certs += [certify_any(g) for g in enumerate_connected_multigraphs(4, 4)]
+    assert len(certs) == 216 + 250 and all(isinstance(c, Certificate) for c in certs)
+
+    def unreachable(*args):
+        raise AssertionError("the eigenspace check went past its first test")
+
+    monkeypatch.delenv("NETCERT_CAP", raising=False)
+    monkeypatch.setattr(oracle, "multiply", unreachable)
+    for cert in certs:
+        r3, r4 = (restrict(op, cert.groups[1]) for op in (cert.s3, cert.s4_twisted))
+        assert commutation_phase(r3, r4) == cert.kappa
+        passed = {c.name: c.passed for c in verify_obs3(cert).checks}
+        assert passed["kappa"] and passed["eigenspace_obstruction"]
 
 
 # ---------------------------------------------------------------- serialization

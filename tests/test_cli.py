@@ -158,10 +158,12 @@ def test_certify_input_errors(capsys):
         {"d": 2, "n": 3, "edges": [[0, 1, True], *TRIANGLE_EDGES[1:]]},
         {"d": 2, "n": 3, "edges": [7, *TRIANGLE_EDGES[1:]]},
         {"d": 2, "n": 3},
+        {"d": 3, "n": 1025, "edges": [[0, 1, 1]]},
+        {"d": 3, "n": 10**20, "edges": [[0, 1, 1]]},
     ],
     ids=[
         "d-string", "n-float", "edges-int", "edge-pair",
-        "m-float", "m-string", "m-bool", "edge-int", "no-edges",
+        "m-float", "m-string", "m-bool", "edge-int", "no-edges", "n-1025", "n-huge",
     ],
 )
 def test_certify_rejects_malformed_json_graph(tmp_path, capsys, obj):
@@ -183,9 +185,11 @@ def test_certify_rejects_malformed_json_graph(tmp_path, capsys, obj):
         ("2 3; 0 1 a", "non-integer edge line"),
         ("2 1", "at least 2 vertices"),
         ("2 3; 0 1 1; 1 0 1", "duplicate edge"),
+        ("3 1025; 0 1 1", "1025 vertices, more than 1024"),
+        ("3 100000000000000000000; 0 1 1", "100000000000000000000 vertices, more than 1024"),
     ],
     ids=["empty", "header-not-integer", "edge-not-triple", "edge-not-integer", "one-vertex",
-         "duplicate-edge"],
+         "duplicate-edge", "n-1025", "n-huge"],
 )
 def test_certify_rejects_bad_graph_text(capsys, text, message):
     """Each malformed graph line exits 1 with nothing on stdout and one
@@ -254,6 +258,8 @@ def _assert_refused(code, out, err):
         (["method"], ["obs1"], "method"),
         (["groups", "G1"], "2", None),
         (["groups", "G2"], [1], None),
+        (["graph", "n"], 1025, None),
+        (["graph", "n"], 10**20, None),
     ],
     ids=[
         "kappa-float", "kappa-bool", "exponent-float", "factorization-float",
@@ -261,7 +267,7 @@ def _assert_refused(code, out, err):
         "site-float", "triple-float", "lc-path-string", "lc-path-outside", "exponents-list",
         "relabel-list",
         "lambda-string", "lambda-bool", "bound-string", "bound-huge-int", "kind-int", "method-list",
-        "group-string", "group-int-label",
+        "group-string", "group-int-label", "graph-n-1025", "graph-n-huge",
     ],
 )
 def test_verify_rejects_malformed_certificate(tmp_path, capsys, where, value, check):

@@ -10,19 +10,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from netcert import (
+from network_reference import (
     GroupedNetwork,
     Network,
-    StructureError,
-    UnsupportedSource,
     complete_bipartite_network,
     cut_inflation,
     doubled_inflation,
-    ghz_section3_chain,
-    marginal_chain_checks,
     reduce,
     reduced_equal,
+    reference_chain,
 )
+
+from netcert import StructureError, UnsupportedSource, ghz_section3_chain, marginal_chain_checks
 from netcert.network import prime
 
 
@@ -237,7 +236,6 @@ def test_marginal_chain_checks_pass_for_compliant_supports():
         support2="ABD",  # avoids group 2
         support3="BCD",  # avoids group 3
         support4="ABC",  # avoids group 4
-        relabel4={"B": "B'"},
     )
     assert [name for name, _ in checks] == [
         "S1 base vs cut",
@@ -256,8 +254,83 @@ def test_marginal_chain_checks_fail_for_violating_support():
         support2="ABD",
         support3="BCD",
         support4="ABC",
-        relabel4={"B": "B'"},
     )
     results = dict(checks)
     assert not results["S1 base vs cut"]
     assert results["S2 base vs cut"]
+
+
+def _outcome(chain, *args):
+    try:
+        return chain(*args)
+    except StructureError as exc:
+        return type(exc), str(exc)
+
+
+def _random_chain_input(rng):
+    """Parties P0..P{n-1} (2 to 8 of them, or fewer), four groups that may be
+    empty, and four supports; a third of the draws carry one or more of the
+    faults marginal_chain_checks raises on."""
+    n = int(rng.integers(2, 9))
+    parties = [f"P{k}" for k in range(n)]
+    groups = [[], [], [], []]
+    for p in parties:
+        groups[int(rng.integers(4))].append(p)
+    supports = [[p for p in parties if rng.random() < 0.5] for _ in range(4)]
+    if rng.random() < 1 / 3:
+        for _ in range(int(rng.integers(1, 4))):
+            fault = int(rng.integers(6))
+            if fault == 0:
+                parties = parties[: int(rng.integers(2))]
+            elif fault == 1:
+                groups = groups[:3] if rng.random() < 0.5 else groups + [[]]
+            elif fault == 2:
+                groups[int(rng.integers(len(groups)))].append(parties[0] if parties else "P0")
+            elif fault == 3:
+                groups[int(rng.integers(len(groups)))].append("X")
+            elif fault == 4 and len(parties) > 1:
+                for grp in groups:
+                    if parties[-1] in grp:
+                        grp.remove(parties[-1])
+            else:
+                supports[int(rng.integers(4))].append("X")
+    return parties, groups, *supports
+
+
+def test_closed_form_matches_reference_chain():
+    """The closed form gives the explicit networks' answer on random inputs
+    with 2 to 8 parties, and the same StructureError on every faulty one."""
+    rng = np.random.default_rng(31)
+    raised = Counter()
+    for _ in range(2500):
+        args = _random_chain_input(rng)
+        expected = _outcome(reference_chain, *args)
+        assert _outcome(marginal_chain_checks, *args) == expected, args
+        if isinstance(expected, tuple):
+            raised[expected[1].split(" [")[0]] += 1
+    assert set(raised) == {
+        "need at least two parties",
+        "need exactly four groups",
+        "groups must partition the parties",
+        "region",
+    }
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("A", ["A", "", "", ""], "", "", "", ""), "need at least two parties"),
+        (("AB", ["A", "B", ""], "", "", "", ""), "need exactly four groups"),
+        (("AB", ["A", "B", "", "", ""], "", "", "", ""), "need exactly four groups"),
+        (("AB", ["A", "AB", "", ""], "", "", "", ""), "groups must partition the parties"),
+        (("ABC", ["A", "B", "", ""], "", "", "", ""), "groups must partition the parties"),
+        (("AB", ["A", "B", "X", ""], "", "", "", ""), "groups must partition the parties"),
+        (("AB", ["A", "B", "", ""], "A", "B", "AX", "XA"), "region ['A', 'X'] not within parties"),
+        (("AB", ["A", "B", "", ""], "A", "B", "A", "BX"), "region ['B', 'X'] not within parties"),
+    ],
+)
+def test_closed_form_raises_as_reference_chain(args, message):
+    for chain in (marginal_chain_checks, reference_chain):
+        with pytest.raises(StructureError) as excinfo:
+            chain(*args)
+        assert str(excinfo.value) == message
