@@ -1,6 +1,8 @@
-"""Source networks, marginal reduction, and the cut/doubled inflations.
+"""The marginal chain in closed form, against the explicit network model.
 
-The property tests pin down the exact invariance regions: a marginal of an
+The model (network_reference: source multisets, marginal reduction, the
+cut and doubled inflations) is tested first.  Its property tests pin down
+the exact invariance regions the closed form uses: a marginal of an
 inflation equals the base marginal precisely when the region avoids both
 endpoints of every rewired source.
 """
