@@ -81,6 +81,9 @@ METHOD_GENERAL = "obs4"
 
 _LAMBDA_TOL = 1e-12
 
+#: exhaustive_table's default orbit_cap: the most classes one orbit walk visits.
+TABLE_ORBIT_CAP = 4096
+
 
 class PowerChoice(NamedTuple):
     """Power t of the fourth operator and the exact |cos(pi t m / d)|."""
@@ -699,7 +702,7 @@ def exhaustive_table(
     n: int,
     d: int,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    orbit_cap: int = 4096,
+    orbit_cap: int = TABLE_ORBIT_CAP,
     *,
     workers: int = 1,
 ) -> TableReport:
@@ -720,13 +723,12 @@ def exhaustive_table(
     if budget < 0:
         raise RangeError(f"enumeration budget must be non-negative, got {budget}")
     chunks: list[np.ndarray] = []
-    complete = True
-    examined = d ** (n * (n - 1) // 2)
     try:
         chunks.extend(_canonical_rows(n, d, budget))
     except EnumerationOverflow as exc:
-        complete = False
-        examined = exc.examined
+        complete, examined = False, exc.examined
+    else:  # only now: _canonical_rows refuses an n too large for this power
+        complete, examined = True, d ** (n * (n - 1) // 2)
     rows = np.concatenate(chunks) if chunks else np.zeros((0, n * (n - 1) // 2), np.int64)
     expected = class_count(n, d)
     if complete and len(rows) != expected:
@@ -773,24 +775,20 @@ def verify_obs3(cert: Certificate) -> VerificationReport:
     Reports the derived kappa, lambda' and bound; checks the group
     partition, that S1 and S2 commute, the supports, the twist kappa (nonzero,
     overlap inside group 2), the four marginal equalities, that lambda' is
-    2 |cos(pi kappa / d)| (S4's power is the best one), and, within the dense
-    cap ``oracle.dimension_cap()``, that the twisted operators share no +1
-    eigenvector (``oracle.shares_plus_one_eigenvector``).  A passing kappa
-    check implies the last: with the overlap inside group 2, restricting
-    both operators to group 2 keeps their commutation phase kappa != 0, so
-    the eigenspace check is decided by its first test; it stays, as the
-    obstruction the bound rests on.  A certificate in the earlier form gets
+    2 |cos(pi kappa / d)| (S4's power is the best one), and that the twisted
+    operators, restricted to group 2, share no +1 eigenvector
+    (``oracle.shares_plus_one_eigenvector``, exact at any dimension).  A
+    passing kappa check implies the last: with the overlap inside group 2,
+    restricting both operators to group 2 keeps their commutation phase
+    kappa != 0, so the eigenspace check is decided by its first test; it
+    stays, as the obstruction the bound rests on.  A certificate in the earlier form gets
     one check per derived field it stores, named after the field, and its
     construction records in ``ignored``.  A certificate whose derivation
-    raises fails an ``integrity`` check; a malformed cap setting raises
-    ResourceError.
+    raises fails an ``integrity`` check.
     """
-    from . import oracle
-
-    cap = oracle.dimension_cap()
     checks: list[Check] = []
     try:
-        _verify_obs3_checks(cert, cap, checks)
+        _verify_obs3_checks(cert, checks)
     except (NetcertError, ValueError, KeyError) as exc:
         checks.append(Check("integrity", False, f"verification aborted: {exc}"))
     ignored = tuple(name for name, _ in cert.claims if name in PROVENANCE)
@@ -821,7 +819,7 @@ def _witness(cert: Certificate):
     return (partition, commute, avoid, kappa), union, supports, overlap
 
 
-def _verify_obs3_checks(cert: Certificate, cap: int, checks: list[Check]) -> None:
+def _verify_obs3_checks(cert: Certificate, checks: list[Check]) -> None:
     from . import oracle
 
     p = cert.proof
@@ -845,23 +843,13 @@ def _verify_obs3_checks(cert: Certificate, cap: int, checks: list[Check]) -> Non
     )
     r3 = restrict(p.s3, cert.groups[1])
     r4 = restrict(p.s4_twisted, cert.groups[1])
-    sites = sorted(support(r3) | support(r4))
-    if sites and d ** len(sites) <= cap:
-        ok = not oracle.shares_plus_one_eigenvector(r3, r4, sites)
+    if r3.sites or r4.sites:
+        ok = not oracle.shares_plus_one_eigenvector(r3, r4)
         detail = "restricted operators have no common +1 eigenvector"
-    elif not sites:
+    else:
         # both restrictions are the identity, which fixes every vector
         ok = False
         detail = "restricted operators act trivially on group 2"
-    else:
-        # U1 v = v = U2 v with U1 U2 = omega^k U2 U1 forces v = omega^k v, so
-        # k != 0 rules out a common +1 eigenvector without the eigenbasis check.
-        k = commutation_phase(r3, r4)
-        ok = k != 0
-        detail = (
-            f"restricted operators commute up to omega^{k}; dense check "
-            f"skipped: dimension {d}^{len(sites)} exceeds cap {cap}"
-        )
     checks.append(Check("eigenspace_obstruction", ok, detail))
     derived = _v1_fields(cert) if cert.claims else {}
     for name, text in cert.claims:

@@ -22,6 +22,7 @@ from typing import Callable, NoReturn, Sequence
 
 from . import __version__
 from .certify import (
+    TABLE_ORBIT_CAP,
     Certificate,
     NotCertified,
     TableReport,
@@ -349,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", required=True, help="dimension or range 'a..b'")
     p.add_argument("--budget-graphs", type=int, default=DEFAULT_ENUMERATION_BUDGET)
-    p.add_argument("--budget-orbit", type=int, default=4096)
+    p.add_argument("--budget-orbit", type=int, default=TABLE_ORBIT_CAP)
     _add_common_arguments(p, TABLE_FORMATS)
     p.set_defaults(func=cmd_enumerate)
 

@@ -6,18 +6,18 @@ eigenspaces, and the operator inequalities the fidelity bounds rest on.
 
 One part runs in the library: ``verify_obs3`` decides its eigenspace check
 with ``shares_plus_one_eigenvector``, which works on the symbolic operators
-alone, from the group they generate, with exact integer arithmetic.  The
-dense routines ``dense``, ``plus_one_projector`` and
-``common_plus_one_eigenvector`` are its test reference.  Only they and the
-lemma suites import scipy, inside the function, so the verifier does not pay
-for that import.
+alone, from the group they generate, with exact integer arithmetic, so its
+cost does not grow with the dimension.  The dense routines ``dense``,
+``plus_one_projector`` and ``common_plus_one_eigenvector`` are its test
+reference; ``dense`` refuses more than MAX_DENSE_DIMENSION dimensions.
+Only they and the lemma suites import scipy, inside the function, so the
+verifier does not pay for that import.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -26,17 +26,9 @@ import numpy as np
 from .errors import DimensionError, PropertyViolation, ResourceError, StructureError
 from .pauli import PauliOperator, commutation_phase, identity, multiply, support
 
-DEFAULT_DIMENSION_CAP = 4096
+#: Largest Hilbert-space dimension ``dense`` builds a matrix for.
+MAX_DENSE_DIMENSION = 4096
 _ANGULAR_TOL = 1e-8
-
-
-def dimension_cap() -> int:
-    """Largest dense Hilbert-space dimension allowed (env NETCERT_CAP)."""
-    raw = os.environ.get("NETCERT_CAP", "")
-    try:
-        return int(raw) if raw else DEFAULT_DIMENSION_CAP
-    except ValueError:
-        raise ResourceError(f"NETCERT_CAP={raw!r} is not an integer") from None
 
 
 def weyl_x(d: int) -> np.ndarray:
@@ -76,9 +68,8 @@ def dense(p: PauliOperator, parties: Sequence[str]) -> np.ndarray:
     """Kronecker-product matrix of p over the given party order."""
     names = _party_names(parties, p)
     dim = p.d ** len(names)
-    cap = dimension_cap()
-    if dim > cap:
-        raise ResourceError(f"dimension {dim} exceeds cap {cap}")
+    if dim > MAX_DENSE_DIMENSION:
+        raise ResourceError(f"dimension {dim} exceeds cap {MAX_DENSE_DIMENSION}")
     sites = p.site_map()
     out = np.array([[1.0 + 0.0j]])
     for name in names:
@@ -135,9 +126,7 @@ def common_plus_one_eigenvector(
     return top > 1.0 - tol
 
 
-def shares_plus_one_eigenvector(
-    p: PauliOperator, q: PauliOperator, parties: Sequence[str]
-) -> bool:
+def shares_plus_one_eigenvector(p: PauliOperator, q: PauliOperator) -> bool:
     """Whether two Weyl operators have a common +1 eigenvector, exactly.
 
     Decided from the group S that p and q generate, as in the stabilizer
@@ -152,11 +141,10 @@ def shares_plus_one_eigenvector(
     with the least a0 >= 1; as p and q commute, (a, b) -> p^a q^b is a
     homomorphism on it, so C = {1} iff q^L and p^a0 q^b0 are the identity.
     Idle parties and the party order tensor S with identities or permute
-    its factors, so they do not change the answer.
+    its factors, so the answer holds over any parties that cover p and q.
     """
     if p.d != q.d:
         raise DimensionError(f"dimension mismatch: {p.d} vs {q.d}")
-    _party_names(parties, p, q)
     if commutation_phase(p, q):
         return False
     d = p.d

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from netcert import Multigraph, PauliOperator, ResourceError, StructureError
-from netcert.oracle import _party_names, dense, dimension_cap
+from netcert.oracle import MAX_DENSE_DIMENSION, _party_names, dense
 from netcert.stabilizer import graph_generator
 
 
@@ -50,8 +50,8 @@ def monomial_form(p: PauliOperator, parties: Sequence[str]) -> tuple[np.ndarray,
 def build_graph_state(g: Multigraph) -> np.ndarray:
     """Graph state via the circuit picture: CZ^m powers on a plus-state."""
     dim = g.d**g.n
-    if dim > dimension_cap():
-        raise ResourceError(f"dimension {dim} exceeds cap {dimension_cap()}")
+    if dim > MAX_DENSE_DIMENSION:
+        raise ResourceError(f"dimension {dim} exceeds cap {MAX_DENSE_DIMENSION}")
     digits = np.zeros((dim, g.n), dtype=np.int64)
     ids = np.arange(dim, dtype=np.int64)
     for v in range(g.n):
@@ -72,8 +72,8 @@ def build_graph_state_eig(g: Multigraph) -> np.ndarray:
     multigraph, and any nonzero column is the state.
     """
     dim = g.d**g.n
-    if dim > dimension_cap():
-        raise ResourceError(f"dimension {dim} exceeds cap {dimension_cap()}")
+    if dim > MAX_DENSE_DIMENSION:
+        raise ResourceError(f"dimension {dim} exceeds cap {MAX_DENSE_DIMENSION}")
     parties = [str(v) for v in range(g.n)]
     proj = np.eye(dim, dtype=complex)
     for v in range(g.n):

@@ -19,6 +19,7 @@ from netcert import (
     Multigraph,
     NotCertified,
     RangeError,
+    ResourceError,
     StructureError,
     certificate_from_json,
     certificate_to_json,
@@ -442,43 +443,25 @@ def test_verifier_rejects_tampering():
             _v1_edited(fixture, doubled)
 
 
-def test_verifier_dense_check_can_be_skipped(monkeypatch):
-    cert = certify_any(triangle(3))
-    monkeypatch.setenv("NETCERT_CAP", "1")
-    report = verify_obs3(cert)
-    eig = [c for c in report.checks if c.name == "eigenspace_obstruction"]
-    assert len(eig) == 1 and eig[0].passed and "skipped" in eig[0].detail
-    assert report.all_passed
-
-
-def test_verifier_decides_obstruction_above_dense_cap(monkeypatch):
-    """Skipping the dense check does not pass operators whose restrictions
-    to group 2 commute, and at the default cap the check runs and fails."""
+def test_verifier_decides_obstruction_above_dense_cap():
+    """Operators whose restrictions to group 2 commute fail the exact check,
+    with no setting that could skip it."""
     cert = certify_any(triangle(3))
     commuting = _tampered(cert, e4=tuple((x + y) % 3 for x, y in zip(cert.e1, cert.e2)))
-    monkeypatch.setenv("NETCERT_CAP", "1")
     report = verify_obs3(commuting)
     eig = [c for c in report.checks if c.name == "eigenspace_obstruction"]
-    assert len(eig) == 1 and not eig[0].passed and "skipped" in eig[0].detail
-    monkeypatch.delenv("NETCERT_CAP")
-    report = verify_obs3(commuting)
-    eig = [c for c in report.checks if c.name == "eigenspace_obstruction"]
-    assert len(eig) == 1 and not eig[0].passed and "skipped" not in eig[0].detail
+    detail = "restricted operators have no common +1 eigenvector"
+    assert eig == [certify.Check("eigenspace_obstruction", False, detail)]
 
 
-@pytest.mark.parametrize("cap", [None, "1"])
-def test_verifier_reports_empty_group_two(monkeypatch, cap):
+def test_verifier_reports_empty_group_two():
     """With group 2 emptied into group 3, S3 and the relabeled S4 restrict
-    to the identity: the check fails and says so, under any cap."""
+    to the identity: the check fails and says so."""
     g = Multigraph.from_edges(3, 4, [(0, 1, 1), (1, 2, 2), (2, 3, 1)])
     cert = certify_any(g)
     g1, g2, g3, g4 = cert.groups
     assert g2, "test needs a nonempty second group"
     emptied = _tampered(cert, groups=(g1, (), tuple(sorted(g2 + g3)), g4))
-    if cap is None:
-        monkeypatch.delenv("NETCERT_CAP", raising=False)
-    else:
-        monkeypatch.setenv("NETCERT_CAP", cap)
     eig = [c for c in verify_obs3(emptied).checks if c.name == "eigenspace_obstruction"]
     detail = "restricted operators act trivially on group 2"
     assert eig == [certify.Check("eigenspace_obstruction", False, detail)]
@@ -539,7 +522,6 @@ def test_kappa_check_implies_the_eigenspace_obstruction(monkeypatch):
     def unreachable(*args):
         raise AssertionError("the eigenspace check went past its first test")
 
-    monkeypatch.delenv("NETCERT_CAP", raising=False)
     monkeypatch.setattr(oracle, "multiply", unreachable)
     for cert in certs:
         r3, r4 = (restrict(op, cert.groups[1]) for op in (cert.s3, cert.s4_twisted))
@@ -913,6 +895,12 @@ def test_exhaustive_table_keeps_enumeration_progress():
     full = exhaustive_table(4, 3)
     assert full.complete and full.examined == 3**6
     assert 0 < report.total < full.total
+
+
+def test_exhaustive_table_refuses_a_huge_n_at_once():
+    """n > 8 is refused before 7^(n choose 2) labeled vectors are counted."""
+    with pytest.raises(ResourceError, match="n=100000 > 8"):
+        exhaustive_table(100000, 7)
 
 
 def test_exhaustive_table_6x3_complete_and_counted():

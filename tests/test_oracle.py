@@ -13,9 +13,9 @@ from netcert import (
 )
 from netcert.oracle import (
     ALL_LEMMA_CHECKS,
+    MAX_DENSE_DIMENSION,
     common_plus_one_eigenvector,
     dense,
-    dimension_cap,
     expectation_value,
     haar_unitary,
     mean_plus_one,
@@ -26,7 +26,7 @@ from netcert.oracle import (
     weyl_x,
     weyl_z,
 )
-from netcert.pauli import power, relabel
+from netcert.pauli import commutation_phase, multiply, power, relabel
 
 from dense_reference import build_graph_state, build_graph_state_eig, ghz_state, monomial_form
 
@@ -57,14 +57,13 @@ def test_dense_validation():
     assert np.allclose(m @ m.conj().T, np.eye(27))
 
 
-def test_dense_respects_cap(monkeypatch):
-    monkeypatch.setenv("NETCERT_CAP", "8")
-    assert dimension_cap() == 8
-    p = ghz_stabilizer_element(3, 1, 0, 2)
-    with pytest.raises(ResourceError):
-        dense(p, ["A", "B", "C"])
-    monkeypatch.delenv("NETCERT_CAP")
-    assert dimension_cap() == 4096
+def test_dense_respects_cap():
+    """13 qubits are 8192 dimensions, more than MAX_DENSE_DIMENSION."""
+    parties = [f"q{j}" for j in range(13)]
+    p = PauliOperator.from_sites(2, {name: (1, 0) for name in parties})
+    assert 2 ** len(parties) > MAX_DENSE_DIMENSION
+    with pytest.raises(ResourceError, match=f"dimension 8192 exceeds cap {MAX_DENSE_DIMENSION}"):
+        dense(p, parties)
 
 
 def test_expectation_value_forms():
@@ -160,7 +159,7 @@ def test_shares_plus_one_eigenvector_matches_schur_reference():
             q = PauliOperator.from_sites(d, q.site_map(), int(rng.integers(2 * d)))
         else:
             q = random_weyl(rng, d, parties)
-        got = shares_plus_one_eigenvector(p, q, parties)
+        got = shares_plus_one_eigenvector(p, q)
         want = common_plus_one_eigenvector(dense(p, parties), dense(q, parties))
         assert got == want, (p, q)
         outcomes[got] += 1
@@ -170,17 +169,15 @@ def test_shares_plus_one_eigenvector_matches_schur_reference():
 def test_shares_plus_one_eigenvector_validation():
     p = PauliOperator.from_sites(3, {"A": (1, 0)})
     with pytest.raises(DimensionError):
-        shares_plus_one_eigenvector(p, PauliOperator.from_sites(2, {"A": (1, 0)}), ["A"])
-    with pytest.raises(StructureError):
-        shares_plus_one_eigenvector(p, PauliOperator.from_sites(3, {"B": (0, 1)}), ["A"])
+        shares_plus_one_eigenvector(p, PauliOperator.from_sites(2, {"A": (1, 0)}))
     with pytest.raises(StructureError):
         monomial_form(p, ["A", "A"])
 
 
 def test_shares_plus_one_eigenvector_ignores_party_names():
-    """Renamed parties and repeated calls give the same decision, a reordered
-    party list gives the Schur reference's on that order, and every answer
-    is the Schur reference's."""
+    """Renamed parties and repeated calls give the same decision, which is
+    the Schur reference's over the parties in any order and with an idle
+    party added."""
     rng = np.random.default_rng(47)
     outcomes = {True: 0, False: 0}
     for trial in range(300):
@@ -203,11 +200,13 @@ def test_shares_plus_one_eigenvector_ignores_party_names():
         rename = dict(zip(parties, names))
         renamed = relabel(p, rename), relabel(q, rename)
         for _ in range(2):
-            assert shares_plus_one_eigenvector(p, q, parties) == want
-            assert shares_plus_one_eigenvector(*renamed, names) == want
+            assert shares_plus_one_eigenvector(p, q) == want
+            assert shares_plus_one_eigenvector(*renamed) == want
         order = [parties[j] for j in rng.permutation(k)]
-        got = shares_plus_one_eigenvector(p, q, order)
-        assert got == common_plus_one_eigenvector(dense(p, order), dense(q, order))
+        assert common_plus_one_eigenvector(dense(p, order), dense(q, order)) == want
+        if d ** (k + 1) <= 125:
+            idle = [*order, "idle"]
+            assert common_plus_one_eigenvector(dense(p, idle), dense(q, idle)) == want
         outcomes[want] += 1
     assert min(outcomes.values()) >= 40, outcomes
 
@@ -239,26 +238,32 @@ def _op(d, phase_exp, **sites):
 def test_shares_plus_one_eigenvector_hand_made_pairs(p, q, want):
     """Each way the group criterion can answer, against the Schur reference."""
     parties = ["A", "B"]
-    assert shares_plus_one_eigenvector(p, q, parties) == want
+    assert shares_plus_one_eigenvector(p, q) == want
     assert common_plus_one_eigenvector(dense(p, parties), dense(q, parties)) == want
 
 
+def test_shares_plus_one_eigenvector_above_the_dense_limit():
+    """q = XZ on one qubit squares to -1, so it fixes no vector, and p = X on
+    twelve other qubits commutes with it: no common +1 eigenvector, decided
+    on 2^13 = 8192 dimensions, more than dense builds, where the two
+    operators commuting does not settle the answer."""
+    q = PauliOperator.from_sites(2, {"A": (1, 1)})
+    p = PauliOperator.from_sites(2, {f"B{j:02}": (1, 0) for j in range(12)})
+    assert commutation_phase(p, q) == 0
+    assert multiply(q, q) == PauliOperator.from_sites(2, {}, phase_exp=2)  # tau^2 = -1
+    assert shares_plus_one_eigenvector(p, q) is False
+
+
 def test_shares_plus_one_eigenvector_validates_every_call():
-    """Each validation error raises even right after the same operators'
-    content was decided on a valid party list."""
+    """The dimension check raises even right after the same operators'
+    content was decided."""
     x, z = PauliOperator.from_sites(3, {"A": (1, 0)}), PauliOperator.from_sites(3, {"A": (0, 1)})
-    assert not shares_plus_one_eigenvector(x, z, ["A"])
+    assert not shares_plus_one_eigenvector(x, z)
     with pytest.raises(DimensionError):
-        shares_plus_one_eigenvector(x, PauliOperator.from_sites(2, {"A": (0, 1)}), ["A"])
-    # z with an extra site outside the parties
-    outside = PauliOperator.from_sites(3, {"A": (0, 1), "B": (0, 1)})
-    with pytest.raises(StructureError):
-        shares_plus_one_eigenvector(x, outside, ["A"])
+        shares_plus_one_eigenvector(x, PauliOperator.from_sites(2, {"A": (0, 1)}))
     xx = PauliOperator.from_sites(3, {"A": (1, 0), "B": (1, 0)})
     zz = PauliOperator.from_sites(3, {"A": (0, 1), "B": (0, 1)})
-    assert not shares_plus_one_eigenvector(xx, zz, ["A", "B"])
-    with pytest.raises(StructureError):
-        shares_plus_one_eigenvector(x, z, ["A", "A"])
+    assert not shares_plus_one_eigenvector(xx, zz)
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (2, 5)])
