@@ -454,14 +454,20 @@ def test_verifier_decides_obstruction_above_dense_cap():
     assert eig == [certify.Check("eigenspace_obstruction", False, detail)]
 
 
-def test_verifier_reports_empty_group_two():
+@pytest.mark.parametrize("cap", [None, "1"])
+def test_verifier_reports_empty_group_two(monkeypatch, cap):
     """With group 2 emptied into group 3, S3 and the relabeled S4 restrict
-    to the identity: the check fails and says so."""
+    to the identity: the check fails and says so, whether or not the retired
+    NETCERT_CAP variable is set."""
     g = Multigraph.from_edges(3, 4, [(0, 1, 1), (1, 2, 2), (2, 3, 1)])
     cert = certify_any(g)
     g1, g2, g3, g4 = cert.groups
     assert g2, "test needs a nonempty second group"
     emptied = _tampered(cert, groups=(g1, (), tuple(sorted(g2 + g3)), g4))
+    if cap is None:
+        monkeypatch.delenv("NETCERT_CAP", raising=False)
+    else:
+        monkeypatch.setenv("NETCERT_CAP", cap)
     eig = [c for c in verify_obs3(emptied).checks if c.name == "eigenspace_obstruction"]
     detail = "restricted operators act trivially on group 2"
     assert eig == [certify.Check("eigenspace_obstruction", False, detail)]
