@@ -38,10 +38,15 @@ per checkout and alternating which goes first, and records each side's times
 and the sha256 of its ``TableReport`` repr (an empty budget keeps the
 default, as in ``4,4,,5``).  ``--table-outputs CELL ...`` runs every cell it
 names once per checkout, in one fresh process each, and records one sha256
-over their reprs in order.  With one workload and no option the file holds
-that workload's object, as BENCH_ghz.json does; otherwise
-``{"workloads": [...], "sweep": [...]}``, plus ``"canonical"``,
-``"verify"``, ``"table"`` and ``"table_outputs"``.
+over their reprs in order.  ``--lc-orbit n,d[,cap] ...`` times ``lc_orbit``
+(at orbit cap ``cap``, default DEFAULT_ORBIT_CAP) on every class of each
+cell, in fresh processes, LC_ORBIT_RUNS times per checkout and alternating
+which goes first, and records each side's total and per-call median times
+and a sha256 of the orbits' graphs, paths and truncation.  With one
+workload and no option the file holds that workload's object, as
+BENCH_ghz.json does; otherwise ``{"workloads": [...], "sweep": [...]}``,
+plus ``"canonical"``, ``"verify"``, ``"table"``, ``"table_outputs"`` and
+``"lc_orbit"``.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from pathlib import Path
 SWEEP_RUNS = 5
 VERIFY_RUNS = 10
 TABLE_RUNS = 5
+LC_ORBIT_RUNS = 5
 
 SWEEP = """
 import hashlib, json, sys, time
@@ -146,6 +152,24 @@ for cell in sys.argv[1:]:
     times.append(time.perf_counter() - start)
     h.update(repr(report).encode())
 print(json.dumps({"table_s": times, "sha256": h.hexdigest()}))
+"""
+
+LC_ORBIT = """
+import hashlib, json, statistics, sys, time
+from netcert import enumerate_connected_multigraphs, lc_orbit
+from netcert.multigraph import DEFAULT_ORBIT_CAP
+n, d, *cap = map(int, sys.argv[1:])
+cap = cap[0] if cap else DEFAULT_ORBIT_CAP
+h, ms = hashlib.sha256(), []
+for g in enumerate_connected_multigraphs(n, d):
+    start = time.perf_counter()
+    orbit = lc_orbit(g, cap)
+    ms.append((time.perf_counter() - start) * 1e3)
+    h.update(repr((orbit.graphs, orbit.paths, orbit.truncated)).encode())
+print(json.dumps({
+    "classes": len(ms), "lc_orbit_s": sum(ms) / 1e3, "median_ms": statistics.median(ms),
+    "sha256": h.hexdigest(),
+}))
 """
 
 
@@ -316,6 +340,32 @@ def table(parent: Path, change: Path, cell: str) -> dict:
     return entry
 
 
+def lc_orbit(parent: Path, change: Path, cell: str) -> dict:
+    results = alternating(
+        parent, change, LC_ORBIT_RUNS, lambda root: fresh_run(root, LC_ORBIT, *cell.split(","))
+    )
+    entry: dict = {
+        "cell": cell,
+        "classes": results["change"][0]["classes"],
+        "identical": len({r["sha256"] for res in results.values() for r in res}) == 1,
+        "sha256": results["change"][0]["sha256"],
+    }
+    for name, res in results.items():
+        times = [r["lc_orbit_s"] for r in res]
+        entry[name] = {
+            "lc_orbit_s": times,
+            "median_ms": [r["median_ms"] for r in res],
+            "median": statistics.median(times),
+        }
+    entry["speedup"] = entry["parent"]["median"] / entry["change"]["median"]
+    print(
+        f"lc_orbit {cell}: parent {entry['parent']['median']:.3f} s, change "
+        f"{entry['change']['median']:.3f} s, x{entry['speedup']:.2f}, "
+        f"identical {entry['identical']}"
+    )
+    return entry
+
+
 def table_outputs(parent: Path, change: Path, cells: list[str]) -> dict:
     entry: dict = {"cells": cells}
     for name, root in (("parent", parent), ("change", change)):
@@ -336,13 +386,14 @@ def main() -> int:
     ap.add_argument("--verify", action="store_true", help="time verify_obs3 per certificate")
     ap.add_argument("--table", nargs="+", default=[], metavar="n,d[,budget[,orbit_cap]]")
     ap.add_argument("--table-outputs", nargs="+", default=[], metavar="n,d[,budget[,orbit_cap]]")
+    ap.add_argument("--lc-orbit", nargs="+", default=[], metavar="n,d[,cap]")
     ap.add_argument("--out", type=Path, default=Path("BENCH_ghz.json"))
     args = ap.parse_args()
     workloads = args.workload or ["table_5x4"]
     reports = [pairs(args.parent, args.change, w, args.metrics) for w in workloads]
     cells = [[int(x) for x in cell.split(",")] for cell in args.sweep]
     sweeps = [sweep(args.parent, args.change, cell) for cell in cells]
-    extra = args.canonical or args.verify or args.table or args.table_outputs
+    extra = args.canonical or args.verify or args.table or args.table_outputs or args.lc_orbit
     if len(reports) == 1 and not sweeps and not extra:
         out = reports[0]
     else:
@@ -355,6 +406,8 @@ def main() -> int:
             out["table"] = [table(args.parent, args.change, cell) for cell in args.table]
         if args.table_outputs:
             out["table_outputs"] = table_outputs(args.parent, args.change, args.table_outputs)
+        if args.lc_orbit:
+            out["lc_orbit"] = [lc_orbit(args.parent, args.change, cell) for cell in args.lc_orbit]
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

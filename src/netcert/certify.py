@@ -25,12 +25,15 @@ exponents (_exponent_table) and the groups (_group_masks, from
 multigraph._partition_masks).  Two paths apply it: _certify_direct on one
 graph with Python ints, for certify_any, whose one scan (_scan) also gives
 _refusal its reasons, and _direct_pass on a stack of graphs with int64
-arrays, once per isomorphism class, for exhaustive_table.  Both check every
-witness they build against the verifier's witness conditions
-(_witness; _check_witnesses on arrays).  They stay two because
-arrays only pay off in bulk (the README gives the measurements).  The
-enumerator keeps packed integer keys for the same reason: a byte-string
-canonicaliser took _canonical_rows(5, 4) from 0.28 s to 0.42 s.
+arrays, once per isomorphism class, for exhaustive_table; it reads each
+pair of mirror triples (a, b, c), (a, c, b) once, which gives the same
+triple and counts (see its docstring).  Both check every witness they
+build against the verifier's witness conditions (_witness;
+_check_witnesses on arrays).  They stay two because arrays only pay off in
+bulk (the README gives the measurements).  The enumerator keeps packed
+integer keys (multigraph._key_product: exact in float64 below 2^53, int64
+above) for the same reason: a byte-string canonicaliser took
+_canonical_rows(5, 4) from 0.28 s to 0.42 s.
 """
 
 from __future__ import annotations
@@ -467,6 +470,18 @@ def _direct_pass(mats: np.ndarray, d: int) -> _DirectPass:
     check of _build_certificate runs on them; a failing check raises
     StructureError.  ``rejections`` counts the reason lines _refusal gives
     for each graph that fails, by kind.
+
+    It reads each angle once, by the mirror lemma: at a triple (a, b, c)
+    with edges AB and CA, validity (m_ab, m_ca nonzero) and the three
+    _blocked flags are unchanged when b and c swap, since each reads b and
+    c only symmetrically: nb_a & nb_b & nb_c, then m_bc, nb_b ^ nb_c and
+    the mask {b, c}, then m_ab m_ca and h, the gcd of all three weights.
+    So the first usable triple in _angles order has b < c: were it
+    (a, b, c) with b > c, its mirror (a, c, b) would be usable too and
+    come earlier (same a, smaller second vertex).  And each kind's count
+    of rejected ordered triples is twice its count over those with b < c.
+    _direct_block therefore keeps only the n(n-1)(n-2)/2 triples with
+    b < c and doubles the blocked-triple counts.
     """
     starts = range(0, max(len(mats), 1), _PASS_BLOCK)
     blocks = [_direct_block(mats[i : i + _PASS_BLOCK], d) for i in starts]
@@ -477,8 +492,11 @@ def _direct_block(mats: np.ndarray, d: int) -> _DirectPass:
     """_direct_pass on one block of graphs."""
     k, n = mats.shape[0], mats.shape[1]
     mats = mats.astype(np.int64, copy=False)
-    # all ordered triples, lexicographic: those with edges AB and CA in _angles order
-    ta, tb, tc = np.array(list(itertools.permutations(range(n), 3)), np.int64).reshape(-1, 3).T
+    # the ordered triples with b < c, lexicographic: those with edges AB and
+    # CA in _angles order, each mirror pair once (see _direct_pass)
+    ta, tb, tc = np.array(
+        [(a, b, c) for a, b, c in itertools.permutations(range(n), 3) if b < c], np.int64
+    ).reshape(-1, 3).T
     m_ab, m_bc, m_ca = mats[:, ta, tb], mats[:, tb, tc], mats[:, tc, ta]
     nb = ((mats != 0) << np.arange(n)).sum(axis=2)
     valid = (m_ab != 0) & (m_ca != 0)
@@ -493,7 +511,7 @@ def _direct_block(mats: np.ndarray, d: int) -> _DirectPass:
     usable = np.where(general[:, None], valid & ~(t_block | a_block | z_block), valid)
     certified = usable.any(axis=1)
     fail = ~certified & general
-    lines = [np.ones(k, np.int64), t_block.sum(axis=1), a_block.sum(axis=1), z_block.sum(axis=1)]
+    lines = [np.ones(k, np.int64), *(2 * x.sum(axis=1) for x in (t_block, a_block, z_block))]
     rejections = np.stack(lines, axis=1) * fail[:, None]
 
     rows = np.flatnonzero(certified)

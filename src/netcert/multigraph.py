@@ -276,12 +276,14 @@ def _connected(mats: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _packed_keys(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Packed 64-bit keys of upper-triangle vectors over Z_d, for d^(n choose 2) < 2^62.
+    """Packed keys of upper-triangle vectors over Z_d, for d^(n choose 2) < 2^62.
 
-    ``vec @ weights`` is the rank of vec in lexicographic order, and column p
-    of ``vec @ wmat`` is the key of vec relabeled by the p-th permutation of
-    itertools.permutations, so the argmin over the columns finds
-    canonical_form.  n = 8 takes 28 x 40320 keys (about 9 MB).
+    ``vec @ weights`` (int64) is the rank of vec in lexicographic order, and
+    column p of ``_key_product(vec, wmat)`` is the key of vec relabeled by
+    the p-th permutation of itertools.permutations, so the argmin over the
+    columns finds canonical_form.  wmat is float64 while d^(n choose 2) <=
+    2^53, else int64 (see _key_product).  n = 8 takes 28 x 40320 keys
+    (about 9 MB).
     """
     ncols = n * (n - 1) // 2
     weights = d ** np.arange(ncols - 1, -1, -1, dtype=np.int64)
@@ -291,11 +293,29 @@ def _packed_keys(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     slot[iu, ju] = slot[ju, iu] = np.arange(ncols)
     # slot k of the p-th relabeling reads slot src[p, k] of vec
     src = slot[perms[:, iu], perms[:, ju]]
-    wmat = np.empty((ncols, len(perms)), dtype=np.int64)
+    exact = np.float64 if d**ncols <= 2**53 else np.int64
+    wmat = np.empty((ncols, len(perms)), dtype=exact)
     wmat[src, np.arange(len(perms))[:, None]] = weights
     weights.setflags(write=False)
     wmat.setflags(write=False)
     return weights, wmat
+
+
+def _key_product(x: np.ndarray, wmat: np.ndarray) -> np.ndarray:
+    """``x @ wmat`` exactly, for rows x of digits in 0..d-1 and columns of
+    _packed_keys(n, d)'s wmat (a slice of them too): the relabeling keys.
+
+    While d^(n choose 2) <= 2^53 every key, product and partial sum is an
+    integer below 2^53, so float64 sums them exactly in any order; einsum
+    does so in numpy's own loop, much faster than its plain int64 matmul.
+    Not ``@`` on the floats: that is a BLAS dgemm, whose threads now and
+    then stall on a shared machine and cost more than the product at these
+    sizes.  Above 2^53 only the int64 matmul is exact, and wmat is int64
+    there.
+    """
+    if wmat.dtype == np.int64:
+        return x @ wmat
+    return np.einsum("ij,jk->ik", x.astype(np.float64), wmat)
 
 
 def _canonical_rows(n: int, d: int, budget: int) -> Iterator[np.ndarray]:
@@ -318,18 +338,18 @@ def _canonical_rows(n: int, d: int, budget: int) -> Iterator[np.ndarray]:
     span = min(_SWEEP_BLOCK, 4096 if n <= 6 else 1024)
     cut = len(weights) - np.count_nonzero(weights * d <= span)
     low = np.arange(d ** (len(weights) - cut))[:, None] // weights[cut:] % d
-    low_sw, limit, yielded = low @ swaps[cut:], min(total, max(budget, 0)), 0
+    low_sw, limit, yielded = _key_product(low, swaps[cut:]), min(total, max(budget, 0)), 0
     size, low_top, nblocks = len(low), low_sw.max(axis=0), -(-limit // len(low))
     for first in range(0, nblocks, span):
         blocks = np.arange(first, min(first + span, nblocks))
         hi = blocks[:, None] // (weights[:cut] // size) % d
-        hi_sw = hi @ swaps[:cut]
+        hi_sw = _key_product(hi, swaps[:cut])
         live = np.flatnonzero((hi_sw + low_top >= (blocks * size)[:, None]).all(axis=1))
         for group in np.split(live, range(span // size, len(live), span // size)):
             ids = blocks[group, None] * size + np.arange(size)
             b, j = np.nonzero((hi_sw[group, None, :] + low_sw).min(axis=2) >= ids)
             ids, digits = ids[b, j], np.concatenate([hi[group[b]], low[j]], axis=1)
-            rows = digits[((digits @ wmat).min(axis=1) == ids) & (ids < limit)]
+            rows = digits[(_key_product(digits, wmat).min(axis=1) == ids) & (ids < limit)]
             rows = rows[_connected(triu_to_matrices(rows, n))]
             if len(rows):
                 yielded += len(rows)
@@ -618,7 +638,7 @@ class _LCClasses:
             for v in range(n):
                 r = mats[:, v, :]
                 images = (mats + off * r[:, :, None] * r[:, None, :]) % d
-                packed = images[:, iu, ju] @ wmat
+                packed = _key_product(images[:, iu, ju], wmat)
                 best = packed.argmin(axis=1)
                 packed_succ[start : start + block, v] = packed[sel, best]
                 relabel[start : start + block, v] = best

@@ -33,6 +33,7 @@ from netcert import (
 from netcert.certify import (
     REJECTION_KINDS,
     TableReport,
+    _blocked,
     _certify_direct,
     _check_witnesses,
     _direct_pass,
@@ -44,6 +45,7 @@ from netcert import certify, oracle
 from netcert.multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
     _canonical_rows,
+    _neighbor_masks,
     class_count,
     edges,
     from_triu_vector,
@@ -779,6 +781,59 @@ def test_direct_pass_outcome_is_a_class_invariant(n, d):
         assert (got.certified == want.certified).all()
         assert (got.rejections == want.rejections).all()
         assert (got.general == want.general).all()
+
+
+def test_mirror_triples_read_alike():
+    """The mirror lemma of _direct_pass on Python ints: validity and every
+    _blocked flag are equal at (a, b, c) and (a, c, b)."""
+    rng = np.random.default_rng(43)
+    mirrored = 0
+    for _ in range(300):
+        d = int(rng.integers(2, 10))
+        n = int(rng.integers(3, 9))
+        eds = [
+            (i, j, int(rng.integers(1, d)))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < 0.6
+        ]
+        g = Multigraph.from_edges(d, n, eds)
+        nb, mult = _neighbor_masks(g), g.mult
+
+        def read(a, b, c):
+            m_ab, m_bc, m_ca = mult[a][b], mult[b][c], mult[c][a]
+            h = math.gcd(m_ab, m_bc, m_ca) or 1
+            flags = _blocked(m_ab, m_bc, m_ca, h, nb[a], nb[b], nb[c], b, c, d)
+            return bool(m_ab and m_ca), tuple(bool(f) for f in flags)
+
+        for a, b, c in itertools.permutations(range(n), 3):
+            if b < c:
+                assert read(a, b, c) == read(a, c, b), (g, a, b, c)
+                mirrored += read(a, b, c)[0]
+    assert mirrored > 1000
+
+
+@pytest.mark.parametrize("n,d", [(4, 4), (5, 3), (4, 8)])
+def test_direct_pass_triple_is_certify_direct_triple(n, d, monkeypatch):
+    """On every class that certifies directly, the triple _direct_pass picks
+    among the triples with b < c is the one _certify_direct picks among all
+    ordered triples."""
+    picked = []
+    build = certify._build_certificate
+
+    def record(graph, lc_path, certified, triple, general, nb):
+        picked.append(triple)
+        return build(graph, lc_path, certified, triple, general, nb)
+
+    monkeypatch.setattr(certify, "_build_certificate", record)
+    rows = _cell_rows(n, d)
+    direct = _direct_pass(triu_to_matrices(rows, n), d)
+    for k in np.flatnonzero(direct.certified).tolist():
+        g = from_triu_vector(d, n, rows[k].tolist())
+        assert _certify_direct(g, (), g) is not None
+    assert len(picked) == len(direct.triple) > 0
+    assert direct.triple.tolist() == [list(t) for t in picked]
+    assert (direct.triple[:, 1] < direct.triple[:, 2]).all()
 
 
 def test_direct_pass_checks_reject_tampered_witnesses():

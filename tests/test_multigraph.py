@@ -28,8 +28,10 @@ from netcert import (
     partition_neighborhoods,
 )
 from netcert import multigraph
+from netcert.certify import _direct_pass
 from netcert.multigraph import (
     _canonical_rows,
+    _key_product,
     _LCClasses,
     _packed_keys,
     class_count,
@@ -208,13 +210,15 @@ def cayley_graphs(d: int, group: str) -> list[Multigraph]:
 
 def packed_reference(graphs: list[Multigraph]) -> list[tuple[int, ...]]:
     """canonical_form of n = 8 graphs over one Z_d by the enumerator's keys:
-    the least of the 8! relabeling keys (columns of ``vec @ wmat``), which
-    is exact while d^28 < 2^62, decoded to its digits."""
+    the least of the 8! relabeling keys (columns of ``_key_product(vec,
+    wmat)``), which is exact while d^28 < 2^62, decoded to its digits."""
     d = graphs[0].d
     weights, wmat = _packed_keys(8, d)
     iu, ju = np.triu_indices(8, 1)
     vecs = np.array([np.array(g.mult)[iu, ju] for g in graphs], dtype=np.int64)
-    best = np.concatenate([(vecs[k : k + 64] @ wmat).min(axis=1) for k in range(0, len(vecs), 64)])
+    best = np.concatenate(
+        [_key_product(vecs[k : k + 64], wmat).min(axis=1) for k in range(0, len(vecs), 64)]
+    ).astype(np.int64)
     return [tuple(row) for row in (best[:, None] // weights % d).tolist()]
 
 
@@ -592,3 +596,51 @@ def test_block_sweep_bounded_for_huge_d():
     assert [g.mult[1][2] for g in got] == list(range(1, 1000))
     assert all(g.mult[0][1] == 0 and g.mult[0][2] == 1 for g in got)
     assert peak < 16 * 2**20, peak  # one block of d rows takes about 290 MB
+
+
+def python_keys(vec, n, d):
+    """Relabeling keys of one upper-triangle vector in Python ints: per
+    permutation p of itertools.permutations, the rank of the matrix M[p][:, p]."""
+    pairs = list(itertools.combinations(range(n), 2))
+    m = {}
+    for (i, j), x in zip(pairs, vec):
+        m[i, j] = m[j, i] = x
+    return [
+        sum(m[p[i], p[j]] * d ** (len(pairs) - 1 - k) for k, (i, j) in enumerate(pairs))
+        for p in itertools.permutations(range(n))
+    ]
+
+
+@pytest.mark.parametrize("d,dtype", [(208_063, np.float64), (208_064, np.int64)])
+def test_key_product_exact_on_both_sides_of_2_53(d, dtype):
+    """The relabeling keys are exact where d^(n choose 2) is just below 2^53
+    (float64, summed by einsum) and just above it (int64 matmul): the largest
+    key, d^3 - 1 at n = 3, is an odd number past 2^53 at d = 208,064, which
+    float64 cannot hold."""
+    assert (d**3 <= 2**53) == (dtype is np.float64)
+    _, wmat = _packed_keys(3, d)
+    assert wmat.dtype == dtype
+    rng = np.random.default_rng(d)
+    vecs = np.concatenate([np.full((1, 3), d - 1), rng.integers(0, d, (50, 3))])
+    keys = _key_product(vecs, wmat).astype(np.int64)
+    assert keys.tolist() == [python_keys(v, 3, d) for v in vecs.tolist()]
+    assert keys[0].tolist() == [d**3 - 1] * 6
+
+
+def test_key_product_matches_int64_on_lc_images():
+    """On every LC image of the (5,4) classes whose direct attempt fails, as
+    _LCClasses.fill forms them, the key product equals the int64 matmul."""
+    n, d = 5, 4
+    rows = np.concatenate(list(_canonical_rows(n, d, 4**10)))
+    mats = multigraph.triu_to_matrices(rows, n)
+    mats = mats[~_direct_pass(mats, d).certified]
+    assert len(mats) == 3851
+    _, wmat = _packed_keys(n, d)
+    assert wmat.dtype == np.float64
+    iu, ju = np.triu_indices(n, 1)
+    off = 1 - np.eye(n, dtype=np.int64)
+    for v in range(n):
+        r = mats[:, v, :]
+        images = ((mats + off * r[:, :, None] * r[:, None, :]) % d)[:, iu, ju]
+        got = _key_product(images, wmat)
+        assert np.array_equal(got, images @ wmat.astype(np.int64))
