@@ -1,69 +1,69 @@
-"""Collect paired perfbench reports of two checkouts into one BENCH_*.json.
+"""Time two checkouts of netcert in alternating pairs, into one BENCH_*.json.
 
-Run alternating pairs of
+From the repository root:
+
+    python3 scripts/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
+        [--sweep n,d[,budget] ...] [--table n,d[,budget[,orbit_cap]] ...] \\
+        [--table-outputs CELL ...] [--lc-orbit n,d[,cap] ...] \\
+        [--verify] [--canonical] --out BENCH_x.json
+
+Each kind is a snippet that runs RUNS times in a fresh process in each
+checkout (its ``src/`` on PYTHONPATH, PYTHONHASHSEED=0), the parent first on
+even k and the change first on odd k; run k of each side forms pair k.  A
+snippet prints one JSON line ``{"sha256", "times": {name: value}, ...}``:
+
+- ``sweep n,d[,budget]``: ``multigraph._canonical_rows`` drained to the end;
+  sha256 over its chunks, with the row count and any overflow progress.
+- ``table CELL``: ``exhaustive_table`` on the cell (an empty budget keeps the
+  default, as in ``4,4,,5``); sha256 of the ``TableReport`` repr.
+  ``--table-outputs`` runs all its cells in one process under one key, with
+  one sha256 over their reprs in order.
+- ``lc_orbit n,d[,cap]``: ``lc_orbit`` at orbit cap ``cap`` (default
+  DEFAULT_ORBIT_CAP) on every class of the cell; sha256 over the orbits'
+  graphs, paths and truncation.
+- ``verify``: ``verify_obs3`` once per certificate ``certify_any`` gives for
+  the ``certify_verify`` pool (seed 1 order, after the workload's warm-up);
+  sha256 over all reports.
+- ``canonical``: ``canonical_form`` per call (best of three) on the n = 8
+  graphs the pool's orbit walks key and on every vertex-transitive Cayley
+  multigraph of Z8, Z2^3 and Z4 x Z2 over Z_2 and Z_3; sha256 of the forms.
+
+perfbench runs pair by seed.  Run
 
     python3 perfbench/run.py --workload W --seed K --seconds 60 --trace 0
 
-for seeds K, once in a checkout of the parent commit and once in a checkout
-of the change, parent first for odd K and change first for even K; each run
-leaves ``.perfbench_out/report-W-seedK-trace0.json`` in its checkout, and
-the two runs of one seed form a pair.  Then, from the repository root:
+for seeds K = 1, 2, ... in both checkouts, the parent first on even K; each
+leaves ``.perfbench_out/report-W-seedK-trace0.json``.  Every workload with at
+least two seeds in both checkouts becomes one entry: each metric of its
+reports is a time, and its sha256 is over the reports' pinned outputs and
+failure notes.
 
-    python3 scripts/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
-        --workload W [--workload W2 ...] --metrics M [M ...] --out BENCH_x.json
+The file is one object keyed by kind (``"sweep 5,4"``, ``"verify"``,
+``"perfbench table_5x4"``), each entry in the shape ``summarize`` gives:
+``identical`` (every run of both sides printed the same sha256 and extras),
+the sha256 and extras, each side's ``src_sha256`` (the digest perfbench
+records), and under ``times``, for each name, both sides' values, median and
+IQR, plus ``change_wins``, the pairs the change reads lower, for quantities
+in s, ms or MB.  A gain may be claimed only when the change wins at least 9
+of 10 pairs and the medians lie further apart than the parent's IQR.
 
-writes, per workload, the chosen metrics of every run, both commits, the pair
-count, per-side medians and interquartile ranges, and the number of pairs the
-change wins on each metric (all metrics are lower-is-better).  The defaults
-(``table_5x4``; ``wall_s ghz_s op_p50_ms``; ``BENCH_ghz.json``) rebuild
-BENCH_ghz.json from its runs.
-
-``--sweep n,d[,budget] ...`` also times the enumeration sweep
-(``multigraph._canonical_rows``, drained to the end) of each cell in fresh
-processes, SWEEP_RUNS times per checkout and alternating which goes first,
-and records each side's times, the sha256 of its rows with their count and
-overflow progress, and whether the two sides' outputs agree.
-``--canonical`` likewise times ``canonical_form`` per call, in fresh
-processes, on two sets of n = 8 graphs: those the ``certify_verify`` pool's
-orbit walks key, and every vertex-transitive Cayley multigraph of Z8, Z2^3
-and Z4 x Z2 over Z_2 and Z_3 (each call the best of three), and records
-per-call medians and maxima and a sha256 of the forms.  ``--verify`` times
-``verify_obs3`` once per certificate, in fresh processes, VERIFY_RUNS times
-per checkout and alternating which goes first, on the certificates
-``certify_any`` gives for the ``certify_verify`` pool (seed 1 order, after
-the workload's warm-up), and records each run's median, maximum and total
-and one sha256 over all its reports.  ``--table n,d[,budget[,orbit_cap]] ...``
-times ``exhaustive_table`` on each cell in fresh processes, TABLE_RUNS times
-per checkout and alternating which goes first, and records each side's times
-and the sha256 of its ``TableReport`` repr (an empty budget keeps the
-default, as in ``4,4,,5``).  ``--table-outputs CELL ...`` runs every cell it
-names once per checkout, in one fresh process each, and records one sha256
-over their reprs in order.  ``--lc-orbit n,d[,cap] ...`` times ``lc_orbit``
-(at orbit cap ``cap``, default DEFAULT_ORBIT_CAP) on every class of each
-cell, in fresh processes, LC_ORBIT_RUNS times per checkout and alternating
-which goes first, and records each side's total and per-call median times
-and a sha256 of the orbits' graphs, paths and truncation.  With one
-workload and no option the file holds that workload's object, as
-BENCH_ghz.json does; otherwise ``{"workloads": [...], "sweep": [...]}``,
-plus ``"canonical"``, ``"verify"``, ``"table"``, ``"table_outputs"`` and
-``"lc_orbit"``.
+A/A check: with ``--parent`` and ``--change`` two copies of one commit every
+entry must read ``identical: true``, and its wins and medians show the noise
+floor of the host; BENCH_pairs.json holds such a run.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
-import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-SWEEP_RUNS = 5
-VERIFY_RUNS = 10
-TABLE_RUNS = 5
-LC_ORBIT_RUNS = 5
+RUNS = 10
 
 SWEEP = """
 import hashlib, json, sys, time
@@ -79,7 +79,9 @@ try:
 except EnumerationOverflow as exc:
     overflow = [exc.examined, exc.yielded]
 sweep_s = time.perf_counter() - start
-print(json.dumps({"sweep_s": sweep_s, "sha256": h.hexdigest(), "rows": rows, "overflow": overflow}))
+print(json.dumps({
+    "sha256": h.hexdigest(), "times": {"sweep_s": sweep_s}, "rows": rows, "overflow": overflow,
+}))
 """
 
 CANONICAL = """
@@ -104,7 +106,7 @@ for d, (add, neg) in itertools.product((2, 3), groups):
         w = {s: x for c, x in zip(classes, ws) for s in c}
         eds = [(a, b, w[add(b, neg(a))]) for a in range(8) for b in range(a + 1, 8)]
         cayley.append(netcert.Multigraph.from_edges(d, 8, [e for e in eds if e[2]]))
-out, h = {}, hashlib.sha256()
+out, h = {"times": {}}, hashlib.sha256()
 for name, graphs in (("pool_n8", [g for g in keyed if g.n == 8]), ("cayley_n8", cayley)):
     ms = []
     for g in graphs:
@@ -115,7 +117,9 @@ for name, graphs in (("pool_n8", [g for g in keyed if g.n == 8]), ("cayley_n8", 
             best = min(best, time.perf_counter() - start)
         ms.append(best * 1e3)
         h.update(repr(form).encode())
-    out[name] = {"calls": len(ms), "median_ms": statistics.median(ms), "max_ms": max(ms)}
+    out[f"{name}_calls"] = len(ms)
+    out["times"][f"{name}_median_ms"] = statistics.median(ms)
+    out["times"][f"{name}_max_ms"] = max(ms)
 out["sha256"] = h.hexdigest()
 print(json.dumps(out))
 """
@@ -135,23 +139,24 @@ h = hashlib.sha256()
 for report in reports:
     h.update(json.dumps(report.to_json_obj(), sort_keys=True).encode())
 print(json.dumps({
-    "certificates": len(ms), "median_ms": statistics.median(ms), "max_ms": max(ms),
-    "total_ms": sum(ms), "sha256": h.hexdigest(),
+    "sha256": h.hexdigest(),
+    "times": {"median_ms": statistics.median(ms), "max_ms": max(ms), "total_ms": sum(ms)},
+    "certificates": len(ms),
 }))
 """
 
 TABLE = """
 import hashlib, json, sys, time
 from netcert import exhaustive_table
-h, times = hashlib.sha256(), []
+h, table_s = hashlib.sha256(), 0.0
 for cell in sys.argv[1:]:
     n, d, *rest = (int(x) if x else None for x in cell.split(","))
     kwargs = {k: v for k, v in zip(("budget", "orbit_cap"), rest) if v is not None}
     start = time.perf_counter()
     report = exhaustive_table(n, d, **kwargs)
-    times.append(time.perf_counter() - start)
+    table_s += time.perf_counter() - start
     h.update(repr(report).encode())
-print(json.dumps({"table_s": times, "sha256": h.hexdigest()}))
+print(json.dumps({"sha256": h.hexdigest(), "times": {"table_s": table_s}}))
 """
 
 LC_ORBIT = """
@@ -167,65 +172,19 @@ for g in enumerate_connected_multigraphs(n, d):
     ms.append((time.perf_counter() - start) * 1e3)
     h.update(repr((orbit.graphs, orbit.paths, orbit.truncated)).encode())
 print(json.dumps({
-    "classes": len(ms), "lc_orbit_s": sum(ms) / 1e3, "median_ms": statistics.median(ms),
     "sha256": h.hexdigest(),
+    "times": {"lc_orbit_s": sum(ms) / 1e3, "median_ms": statistics.median(ms)},
+    "classes": len(ms),
 }))
 """
 
 
-def load(root: Path, workload: str) -> dict[int, dict]:
-    """Reports of one workload in one checkout, by seed."""
-    pattern = re.compile(rf"report-{re.escape(workload)}-seed(\d+)-trace0\.json")
-    runs = {}
-    for path in (root / ".perfbench_out").glob(f"report-{workload}-seed*-trace0.json"):
-        match = pattern.fullmatch(path.name)
-        if match:
-            runs[int(match.group(1))] = json.loads(path.read_text())
-    return runs
-
-
-def quartile_spread(values: list[float]) -> float:
-    q = statistics.quantiles(values, n=4)
-    return q[2] - q[0]
-
-
-def side(runs: dict[int, dict], seeds: list[int], metrics: list[str]) -> dict:
-    reports = [runs[seed] for seed in seeds]
-    values = {m: [r["metrics"][m]["value"] for r in reports] for m in metrics}
-    return {
-        "commit": sorted({r["env"]["git_commit"] for r in reports}),
-        "src_sha256": sorted({r["env"]["src_sha256"] for r in reports}),
-        "runs": [
-            {"seed": seed, **{m: values[m][k] for m in metrics}, "notes": reports[k]["notes"]}
-            for k, seed in enumerate(seeds)
-        ],
-        "median": {m: statistics.median(v) for m, v in values.items()},
-        "iqr": {m: quartile_spread(v) for m, v in values.items()},
-    }
-
-
-def pairs(parent: Path, change: Path, workload: str, metrics: list[str]) -> dict:
-    before_runs, after_runs = load(parent, workload), load(change, workload)
-    seeds = sorted(before_runs.keys() & after_runs.keys())
-    if len(seeds) < 2:
-        raise SystemExit(f"bench_pairs: need at least two {workload} seeds run in both checkouts")
-    before, after = side(before_runs, seeds, metrics), side(after_runs, seeds, metrics)
-    wins = {m: sum(a[m] < b[m] for a, b in zip(after["runs"], before["runs"])) for m in metrics}
-    env = after_runs[seeds[0]]["env"]
-    for m in metrics:
-        print(
-            f"{workload} {m}: parent median {before['median'][m]:.4g} "
-            f"(IQR {before['iqr'][m]:.3g}), change median {after['median'][m]:.4g}, "
-            f"change wins {wins[m]}/{len(seeds)}"
-        )
-    return {
-        "workload": workload,
-        "pairs": len(seeds),
-        "env": {k: env[k] for k in ("cpu_model", "nproc", "python", "numpy", "blas_threads")},
-        "parent": before,
-        "change": after,
-        "change_wins": wins,
-    }
+def source_digest(root: Path) -> str:
+    """The ``src_sha256`` perfbench records: every ``src/netcert/*.py`` with its name."""
+    h = hashlib.sha256()
+    for path in sorted((root / "src" / "netcert").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
 
 
 def fresh_run(root: Path, code: str, *args: str) -> dict:
@@ -235,179 +194,122 @@ def fresh_run(root: Path, code: str, *args: str) -> dict:
         [sys.executable, "-c", code, *args],
         cwd=root, env=env, capture_output=True, text=True, check=True,
     )
-    return json.loads(out.stdout)
+    return {"src_sha256": source_digest(root), **json.loads(out.stdout)}
 
 
-def alternating(parent: Path, change: Path, runs: int, run) -> dict[str, list[dict]]:
-    """``run(root)`` in each checkout ``runs`` times, parent first on even k."""
+def alternating(parent: Path, change: Path, run) -> dict[str, list[dict]]:
+    """``run(root)`` in each checkout RUNS times, parent first on even k."""
     results: dict[str, list[dict]] = {"parent": [], "change": []}
-    for k in range(runs):
+    for k in range(RUNS):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for name in order:
-            results[name].append(run(parent if name == "parent" else change))
+        for side in order:
+            results[side].append(run(parent if side == "parent" else change))
     return results
 
 
-def sweep(parent: Path, change: Path, cell: list[int]) -> dict:
-    results = alternating(
-        parent, change, SWEEP_RUNS, lambda root: fresh_run(root, SWEEP, *map(str, cell))
-    )
-    outputs = {
-        name: {(r["sha256"], r["rows"], str(r["overflow"])) for r in res}
-        for name, res in results.items()
-    }
+def summarize(results: dict[str, list[dict]]) -> dict:
+    """One entry from paired results ``{"parent": [...], "change": [...]}``.
+
+    Result k of each side forms pair k.  Each result is a snippet's line with
+    the ``src_sha256`` of its checkout; a perfbench report also names the
+    ``units`` of its times, while a snippet's time takes the suffix of its
+    name (``table_s``, ``median_ms``).  Everything else a result holds is
+    output, which must be the same in every run for ``identical``.
+    """
+
+    def output(result: dict) -> dict:
+        return {k: v for k, v in result.items() if k not in ("src_sha256", "times", "units")}
+
     first = results["change"][0]
-    entry = {
-        "cell": cell,
-        "identical": len(outputs["parent"] | outputs["change"]) == 1,
-        "sha256": first["sha256"],
-        "rows": first["rows"],
-        "overflow": first["overflow"],
+    runs = [json.dumps(output(r), sort_keys=True) for res in results.values() for r in res]
+    entry: dict = {
+        "identical": len(set(runs)) == 1,
+        **output(first),
+        "src_sha256": {
+            side: sorted({r["src_sha256"] for r in res}) for side, res in results.items()
+        },
+        "pairs": len(results["change"]),
+        "times": {},
     }
-    for name, res in results.items():
-        times = [r["sweep_s"] for r in res]
-        entry[name] = {"sweep_s": times, "median": statistics.median(times)}
-    entry["speedup"] = entry["parent"]["median"] / entry["change"]["median"]
-    print(
-        f"sweep {cell}: parent {entry['parent']['median']:.3f} s, change "
-        f"{entry['change']['median']:.3f} s, x{entry['speedup']:.1f}, "
-        f"identical {entry['identical']}"
-    )
-    return entry
-
-
-def canonical(parent: Path, change: Path) -> dict:
-    results = alternating(parent, change, SWEEP_RUNS, lambda root: fresh_run(root, CANONICAL))
-    entry: dict = {"identical": len({r["sha256"] for res in results.values() for r in res}) == 1}
-    for name, res in results.items():
-        entry[name] = {
-            graphs: {
-                "calls": res[0][graphs]["calls"],
-                "median_ms": [r[graphs]["median_ms"] for r in res],
-                "max_ms": [r[graphs]["max_ms"] for r in res],
+    for name in first["times"]:
+        unit = first.get("units", {}).get(name, name.rsplit("_", 1)[-1])
+        timed: dict = {"unit": unit}
+        for side, res in results.items():
+            values = [r["times"][name] for r in res]
+            q = statistics.quantiles(values, n=4)
+            timed[side] = {
+                "values": values, "median": statistics.median(values), "iqr": q[2] - q[0],
             }
-            for graphs in ("pool_n8", "cayley_n8")
-        }
-    for graphs in ("pool_n8", "cayley_n8"):
-        before, after = (
-            statistics.median(entry[side][graphs]["median_ms"]) for side in ("parent", "change")
-        )
-        print(
-            f"canonical_form {graphs}: parent {before:.3f} ms a call, change {after:.3f} ms, "
-            f"identical {entry['identical']}"
-        )
+        if unit in ("s", "ms", "MB"):
+            pairs = zip(timed["change"]["values"], timed["parent"]["values"])
+            timed["change_wins"] = sum(after < before for after, before in pairs)
+        entry["times"][name] = timed
     return entry
 
 
-def verify(parent: Path, change: Path) -> dict:
-    results = alternating(parent, change, VERIFY_RUNS, lambda root: fresh_run(root, VERIFY))
-    entry: dict = {
-        "certificates": results["change"][0]["certificates"],
-        "identical": len({r["sha256"] for res in results.values() for r in res}) == 1,
-        "sha256": results["change"][0]["sha256"],
-    }
-    for name, res in results.items():
-        entry[name] = {key: [r[key] for r in res] for key in ("median_ms", "max_ms", "total_ms")}
-        entry[name]["median"] = statistics.median(entry[name]["median_ms"])
-        entry[name]["iqr"] = quartile_spread(entry[name]["median_ms"])
-    entry["ratio"] = entry["change"]["median"] / entry["parent"]["median"]
-    pairs_ms = zip(entry["change"]["median_ms"], entry["parent"]["median_ms"])
-    entry["change_wins"] = sum(after < before for after, before in pairs_ms)
-    print(
-        f"verify_obs3: parent {entry['parent']['median']:.3f} ms a certificate, change "
-        f"{entry['change']['median']:.3f} ms, ratio {entry['ratio']:.2f}, "
-        f"identical {entry['identical']}"
-    )
-    return entry
-
-
-def table(parent: Path, change: Path, cell: str) -> dict:
-    results = alternating(parent, change, TABLE_RUNS, lambda root: fresh_run(root, TABLE, cell))
-    entry: dict = {
-        "cell": cell,
-        "identical": len({r["sha256"] for res in results.values() for r in res}) == 1,
-        "sha256": results["change"][0]["sha256"],
-    }
-    for name, res in results.items():
-        times = [r["table_s"][0] for r in res]
-        entry[name] = {"table_s": times, "median": statistics.median(times)}
-    entry["speedup"] = entry["parent"]["median"] / entry["change"]["median"]
-    print(
-        f"table {cell}: parent {entry['parent']['median']:.3f} s, change "
-        f"{entry['change']['median']:.3f} s, x{entry['speedup']:.2f}, "
-        f"identical {entry['identical']}"
-    )
-    return entry
-
-
-def lc_orbit(parent: Path, change: Path, cell: str) -> dict:
-    results = alternating(
-        parent, change, LC_ORBIT_RUNS, lambda root: fresh_run(root, LC_ORBIT, *cell.split(","))
-    )
-    entry: dict = {
-        "cell": cell,
-        "classes": results["change"][0]["classes"],
-        "identical": len({r["sha256"] for res in results.values() for r in res}) == 1,
-        "sha256": results["change"][0]["sha256"],
-    }
-    for name, res in results.items():
-        times = [r["lc_orbit_s"] for r in res]
-        entry[name] = {
-            "lc_orbit_s": times,
-            "median_ms": [r["median_ms"] for r in res],
-            "median": statistics.median(times),
-        }
-    entry["speedup"] = entry["parent"]["median"] / entry["change"]["median"]
-    print(
-        f"lc_orbit {cell}: parent {entry['parent']['median']:.3f} s, change "
-        f"{entry['change']['median']:.3f} s, x{entry['speedup']:.2f}, "
-        f"identical {entry['identical']}"
-    )
-    return entry
-
-
-def table_outputs(parent: Path, change: Path, cells: list[str]) -> dict:
-    entry: dict = {"cells": cells}
-    for name, root in (("parent", parent), ("change", change)):
-        entry[name] = fresh_run(root, TABLE, *cells)["sha256"]
-    entry["identical"] = entry["parent"] == entry["change"]
-    print(f"table outputs of {len(cells)} cells: identical {entry['identical']}")
-    return entry
+def perfbench(parent: Path, change: Path) -> dict[str, dict]:
+    """One entry per workload whose trace-0 reports both checkouts hold, paired by seed."""
+    sides: dict[str, dict] = {"parent": {}, "change": {}}
+    for side, root in (("parent", parent), ("change", change)):
+        for path in (root / ".perfbench_out").glob("report-*-trace0.json"):
+            report = json.loads(path.read_text())
+            pinned = json.dumps([report["outputs"], report["notes"]], sort_keys=True)
+            sides[side][report["workload"], report["seed"]] = {
+                "src_sha256": report["env"]["src_sha256"],
+                "sha256": hashlib.sha256(pinned.encode()).hexdigest(),
+                "times": {m: v["value"] for m, v in report["metrics"].items()},
+                "units": {m: v["unit"] for m, v in report["metrics"].items()},
+            }
+    common = sorted(sides["parent"].keys() & sides["change"].keys())
+    entries = {}
+    for workload in sorted({w for w, _ in common}):
+        seeds = [seed for w, seed in common if w == workload]
+        if len(seeds) < 2:
+            raise SystemExit(f"bench_pairs: {workload} needs two seeds run in both checkouts")
+        results = {side: [runs[workload, seed] for seed in seeds] for side, runs in sides.items()}
+        entries[f"perfbench {workload}"] = {"seeds": seeds, **summarize(results)}
+    return entries
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    ap.add_argument("--workload", action="append", help="perfbench workload (repeatable)")
-    ap.add_argument("--metrics", nargs="+", default=["wall_s", "ghz_s", "op_p50_ms"])
     ap.add_argument("--sweep", nargs="+", default=[], metavar="n,d[,budget]")
     ap.add_argument("--canonical", action="store_true", help="time canonical_form per call")
     ap.add_argument("--verify", action="store_true", help="time verify_obs3 per certificate")
     ap.add_argument("--table", nargs="+", default=[], metavar="n,d[,budget[,orbit_cap]]")
     ap.add_argument("--table-outputs", nargs="+", default=[], metavar="n,d[,budget[,orbit_cap]]")
     ap.add_argument("--lc-orbit", nargs="+", default=[], metavar="n,d[,cap]")
-    ap.add_argument("--out", type=Path, default=Path("BENCH_ghz.json"))
+    ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
-    workloads = args.workload or ["table_5x4"]
-    reports = [pairs(args.parent, args.change, w, args.metrics) for w in workloads]
-    cells = [[int(x) for x in cell.split(",")] for cell in args.sweep]
-    sweeps = [sweep(args.parent, args.change, cell) for cell in cells]
-    extra = args.canonical or args.verify or args.table or args.table_outputs or args.lc_orbit
-    if len(reports) == 1 and not sweeps and not extra:
-        out = reports[0]
-    else:
-        out = {"workloads": reports, "sweep": sweeps}
-        if args.canonical:
-            out["canonical"] = canonical(args.parent, args.change)
-        if args.verify:
-            out["verify"] = verify(args.parent, args.change)
-        if args.table:
-            out["table"] = [table(args.parent, args.change, cell) for cell in args.table]
-        if args.table_outputs:
-            out["table_outputs"] = table_outputs(args.parent, args.change, args.table_outputs)
-        if args.lc_orbit:
-            out["lc_orbit"] = [lc_orbit(args.parent, args.change, cell) for cell in args.lc_orbit]
+    jobs = [(f"sweep {cell}", SWEEP, cell.split(",")) for cell in args.sweep]
+    jobs += [(f"table {cell}", TABLE, [cell]) for cell in args.table]
+    if args.table_outputs:
+        jobs.append((f"table {' '.join(args.table_outputs)}", TABLE, args.table_outputs))
+    jobs += [(f"lc_orbit {cell}", LC_ORBIT, cell.split(",")) for cell in args.lc_orbit]
+    if args.verify:
+        jobs.append(("verify", VERIFY, []))
+    if args.canonical:
+        jobs.append(("canonical", CANONICAL, []))
+    out = {
+        key: summarize(
+            alternating(args.parent, args.change, lambda root: fresh_run(root, code, *argv))
+        )
+        for key, code, argv in jobs
+    }
+    out.update(perfbench(args.parent, args.change))
+    for key, entry in out.items():
+        print(f"{key}: identical {entry['identical']}, sha256 {entry['sha256'][:16]}")
+        for name, timed in entry["times"].items():
+            before, after = timed["parent"], timed["change"]
+            wins = ""
+            if "change_wins" in timed:
+                wins = f", change wins {timed['change_wins']}/{entry['pairs']}"
+            print(
+                f"  {name}: parent {before['median']:.4g} (IQR {before['iqr']:.3g}), "
+                f"change {after['median']:.4g} (IQR {after['iqr']:.3g}){wins}"
+            )
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

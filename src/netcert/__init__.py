@@ -36,7 +36,6 @@ from .errors import (
     ResourceError,
     StructureError,
     Unconverged,
-    UnsupportedSource,
     WrongFamily,
 )
 from .ghzbound import (
@@ -105,7 +104,6 @@ __all__ = [
     "StructureError",
     "TableReport",
     "Unconverged",
-    "UnsupportedSource",
     "VerificationReport",
     "WrongFamily",
     "bound_report",

@@ -77,7 +77,7 @@ def _load_graph(args: argparse.Namespace) -> Multigraph:
     return Multigraph.from_text(text)
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
     lo_s, sep, hi_s = text.partition("..")
     try:
         lo, hi = int(lo_s), int(hi_s if sep else lo_s)
@@ -85,7 +85,12 @@ def _parse_range(text: str) -> list[int]:
         raise NetcertError(f"not an integer or a range 'a..b': {text!r}") from None
     if hi < lo:
         raise NetcertError(f"empty range {text!r}")
-    return list(range(lo, hi + 1))
+    values = range(lo, hi + 1)
+    try:
+        len(values)
+    except OverflowError:
+        raise NetcertError(f"range {text!r} has too many values") from None
+    return values
 
 
 def _not_certified_obj(res: NotCertified) -> dict:

@@ -42,10 +42,6 @@ class ResourceError(NetcertError):
     """A dense computation would exceed the configured size cap."""
 
 
-class UnsupportedSource(NetcertError):
-    """A network source cannot be handled by the requested inflation."""
-
-
 class PropertyViolation(NetcertError):
     """A randomized lemma check found a counterexample.
 

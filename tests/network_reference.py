@@ -16,8 +16,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from netcert.errors import StructureError, UnsupportedSource
+from netcert.errors import NetcertError, StructureError
 from netcert.network import prime
+
+
+class UnsupportedSource(NetcertError):
+    """A source joins the rewired groups and is not bipartite."""
 
 
 @dataclass(frozen=True)

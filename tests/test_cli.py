@@ -450,6 +450,20 @@ def test_non_integer_dimension_range(capsys, command, text):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ghz-bound", "--d", "2..100000000000000000000"],
+        ["enumerate", "--n", "3", "--d", "2..100000000000000000000"],
+    ],
+)
+def test_oversized_dimension_range(capsys, argv):
+    """A range longer than an index can count is an error, not an OverflowError."""
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # ------------------------------------------------------------------ ghz-bound
 
 

@@ -15,6 +15,7 @@ import pytest
 from network_reference import (
     GroupedNetwork,
     Network,
+    UnsupportedSource,
     complete_bipartite_network,
     cut_inflation,
     doubled_inflation,
@@ -23,7 +24,7 @@ from network_reference import (
     reference_chain,
 )
 
-from netcert import StructureError, UnsupportedSource, ghz_section3_chain, marginal_chain_checks
+from netcert import StructureError, ghz_section3_chain, marginal_chain_checks
 from netcert.network import prime
 
 
