@@ -20,20 +20,20 @@ and ``obs4`` for general multiplicities, built from generator powers
 scaled by the edge weights around the triple.
 
 One rule set picks and builds them: the lazy angle order
-(multigraph._angles), the obs4 blocking test (_blocked), the witness
+(multigraph._angles), the obs4 blocking tests (_blocked, _m_tilde), the witness
 exponents (_exponent_table) and the groups (_group_masks, from
 multigraph._partition_masks).  Two paths apply it: _certify_direct on one
 graph with Python ints, for certify_any, whose one scan (_scan) also gives
-_refusal its reasons, and _direct_pass on a stack of graphs with int64
+_refusal its reasons, and _direct_pass on a stack of graphs with integer
 arrays, once per isomorphism class, for exhaustive_table; it reads each
 pair of mirror triples (a, b, c), (a, c, b) once, which gives the same
 triple and counts (see its docstring).  Both check every witness they
 build against the verifier's witness conditions (_witness;
 _check_witnesses on arrays).  They stay two because arrays only pay off in
 bulk (the README gives the measurements).  The enumerator keeps packed
-integer keys (multigraph._key_product: exact in float64 below 2^53, int64
-above) for the same reason: a byte-string canonicaliser took
-_canonical_rows(5, 4) from 0.28 s to 0.42 s.
+integer keys (multigraph._packed_keys: sums of chunk-table rows, int32
+below 2^31, int64 above) for the same reason: a byte-string canonicaliser
+took _canonical_rows(5, 4) from 0.28 s to 0.42 s.
 """
 
 from __future__ import annotations
@@ -258,28 +258,31 @@ def _labels(g: Multigraph) -> list[str]:
 
 
 # The rules below are written once for both paths: on Python ints for one
-# graph (_certify_direct) and on int64 arrays for a whole table cell
+# graph (_certify_direct) and on integer arrays for a whole table cell
 # (_direct_pass).  Vertex sets are bitmasks; ``tri1`` is 1 for the obs1
 # construction on a triangle and 0 otherwise.
 
 
-def _blocked(m_ab, m_bc, m_ca, h, nb_a, nb_b, nb_c, b, c, d):
-    """Flags (t_abc, apex, m_tilde_zero) of REJECTION_KINDS: why the obs4
-    construction fails at a triple with edges AB and CA, h the gcd of its
-    three edge weights; all false where it succeeds.  m_tilde_zero is only
-    set where the other two are not."""
+def _blocked(m_bc, nb_a, nb_b, nb_c, b, c):
+    """Flags (t_abc, apex) of REJECTION_KINDS at a triple with edges AB and
+    CA: the obs4 construction fails where either is set, and where both are
+    clear it fails iff _m_tilde is 0 (m_tilde_zero)."""
     t_abc = (nb_a & nb_b & nb_c) != 0
     # j_ab | j_ca: neighbors of a shared with exactly one of b, c
     apex = (m_bc != 0) & ((nb_a & (nb_b ^ nb_c) & ~(1 << b | 1 << c)) != 0)
-    m_tilde_zero = ((t_abc | apex) == 0) & ((m_ab * m_ca // h) % d == 0)
-    return t_abc, apex, m_tilde_zero
+    return t_abc, apex
+
+
+def _m_tilde(m_ab, m_ca, h, d):
+    """m_tilde of the obs4 construction, h the gcd of the triple's three
+    edge weights."""
+    return (m_ab * m_ca // h) % d
 
 
 def _obs4_weights(m_ab, m_bc, m_ca, h, d):
     """(m_tilde, ea, eb, ec) of the obs4 construction, h the gcd of the
     triple's three edge weights."""
-    m_tilde = (m_ab * m_ca // h) % d
-    return m_tilde, -(m_bc // h) % d, (m_ca // h) % d, (m_ab // h) % d
+    return _m_tilde(m_ab, m_ca, h, d), -(m_bc // h) % d, (m_ca // h) % d, (m_ab // h) % d
 
 
 def _exponent_table(tri1, ea, eb, ec, t):
@@ -363,12 +366,15 @@ def _build_certificate(
 def _scan(g: Multigraph, nb: Sequence[int]) -> Iterator[tuple]:
     """The direct attempt's view of g, lazily, in _angles order: per triple
     with edges AB and CA, the triple, m_ab, m_ca, the gcd h of its three edge
-    weights, and its _blocked flags; ``nb`` holds g's neighbor masks."""
+    weights, and its flags (t_abc, apex, m_tilde_zero) by _blocked and
+    _m_tilde; ``nb`` holds g's neighbor masks."""
     d, mult = g.d, g.mult
     for a, b, c in _angles(g):
         m_ab, m_bc, m_ca = mult[a][b], mult[b][c], mult[c][a]
         h = gcd(m_ab, m_bc, m_ca)
-        yield (a, b, c), m_ab, m_ca, h, _blocked(m_ab, m_bc, m_ca, h, nb[a], nb[b], nb[c], b, c, d)
+        t_abc, apex = _blocked(m_bc, nb[a], nb[b], nb[c], b, c)
+        zero = not (t_abc or apex) and _m_tilde(m_ab, m_ca, h, d) == 0
+        yield (a, b, c), m_ab, m_ca, h, (t_abc, apex, zero)
 
 
 def _certify_direct(
@@ -473,7 +479,7 @@ def _direct_pass(mats: np.ndarray, d: int) -> _DirectPass:
 
     It reads each angle once, by the mirror lemma: at a triple (a, b, c)
     with edges AB and CA, validity (m_ab, m_ca nonzero) and the three
-    _blocked flags are unchanged when b and c swap, since each reads b and
+    flags of _scan are unchanged when b and c swap, since each reads b and
     c only symmetrically: nb_a & nb_b & nb_c, then m_bc, nb_b ^ nb_c and
     the mask {b, c}, then m_ab m_ca and h, the gcd of all three weights.
     So the first usable triple in _angles order has b < c: were it
@@ -489,42 +495,47 @@ def _direct_pass(mats: np.ndarray, d: int) -> _DirectPass:
 
 
 def _direct_block(mats: np.ndarray, d: int) -> _DirectPass:
-    """_direct_pass on one block of graphs."""
+    """_direct_pass on one block of graphs.  Weights are gathered by flat
+    index, and h and m_tilde are computed only where _blocked's flags are
+    clear, at about one triple in twelve on (5,4)."""
     k, n = mats.shape[0], mats.shape[1]
     mats = mats.astype(np.int64, copy=False)
     # the ordered triples with b < c, lexicographic: those with edges AB and
     # CA in _angles order, each mirror pair once (see _direct_pass)
     ta, tb, tc = np.array(
-        [(a, b, c) for a, b, c in itertools.permutations(range(n), 3) if b < c], np.int64
+        [(a, b, c) for a, b, c in itertools.permutations(range(n), 3) if b < c], np.int32
     ).reshape(-1, 3).T
-    m_ab, m_bc, m_ca = mats[:, ta, tb], mats[:, tb, tc], mats[:, tc, ta]
-    nb = ((mats != 0) << np.arange(n)).sum(axis=2)
+    flat = mats.reshape(k, n * n)
+    # int32 where there are triples: n >= 3 keeps d below 2^21
+    small = flat.astype(np.int32)
+    m_ab, m_bc, m_ca = (small.take(i * n + j, axis=1) for i, j in ((ta, tb), (tb, tc), (tc, ta)))
+    nb = ((small != 0).reshape(k, n, n) << np.arange(n, dtype=np.int32)).sum(axis=2, dtype=np.int32)
     valid = (m_ab != 0) & (m_ca != 0)
-    h = np.gcd(np.gcd(m_ab, m_ca), m_bc)
-    h[h == 0] = 1
-    t_block, a_block, z_block = (
-        valid & flag
-        for flag in _blocked(m_ab, m_bc, m_ca, h, nb[:, ta], nb[:, tb], nb[:, tc], tb, tc, d)
-    )
-    weights = mats.reshape(k, n * n)
-    general = weights.max(axis=1) != np.where(weights != 0, weights, d).min(axis=1)
+    t_abc, apex = _blocked(m_bc, *(nb.take(x, axis=1) for x in (ta, tb, tc)), tb, tc)
+    t_block, a_block = valid & t_abc, valid & apex
+    clear = np.flatnonzero(valid & ~(t_abc | apex))
+    z_block = np.zeros((k, len(ta)), dtype=bool)
+    ab, bc, ca = (x.ravel()[clear].astype(np.int64) for x in (m_ab, m_bc, m_ca))
+    z_block.ravel()[clear] = _m_tilde(ab, ca, np.gcd(np.gcd(ab, ca), bc), d) == 0
+    general = flat.max(axis=1) != np.where(flat != 0, flat, d).min(axis=1)
     usable = np.where(general[:, None], valid & ~(t_block | a_block | z_block), valid)
     certified = usable.any(axis=1)
     fail = ~certified & general
-    lines = [np.ones(k, np.int64), *(2 * x.sum(axis=1) for x in (t_block, a_block, z_block))]
-    rejections = np.stack(lines, axis=1) * fail[:, None]
+    rejections = np.zeros((k, 4), dtype=np.int64)
+    rejections[fail] = [1, 0, 0, 0]
+    for i, x in enumerate((t_block, a_block, z_block), start=1):
+        rejections[fail, i] = 2 * np.count_nonzero(x[fail], axis=1)
 
     rows = np.flatnonzero(certified)
     first = usable[rows].argmax(axis=1) if len(rows) else rows
-    a, b, c = ta[first], tb[first], tc[first]
+    a, b, c = (x[first].astype(np.int64) for x in (ta, tb, tc))
     mats = mats[rows]
     obs4 = general[rows]
-    tri1 = ((m_bc[rows, first] != 0) & ~obs4).astype(np.int64)
-    mt, ea, eb, ec = _obs4_weights(
-        m_ab[rows, first], m_bc[rows, first], m_ca[rows, first], h[rows, first], d
-    )
+    ab, bc, ca = (x[rows, first].astype(np.int64) for x in (m_ab, m_bc, m_ca))
+    tri1 = ((bc != 0) & ~obs4).astype(np.int64)
+    mt, ea, eb, ec = _obs4_weights(ab, bc, ca, np.gcd(np.gcd(ab, ca), bc), d)
     ea, eb, ec = (np.where(obs4, e, obs1) for e, obs1 in ((ea, 0), (eb, -1), (ec, -1)))
-    power_of = np.where(obs4, mt, m_ab[rows, first])
+    power_of = np.where(obs4, mt, ab)
     values, inverse = np.unique(power_of, return_inverse=True)
     t = np.array([select_power_t(int(m), d).t for m in values], dtype=np.int64)[inverse]
 
@@ -533,10 +544,12 @@ def _direct_block(mats: np.ndarray, d: int) -> _DirectPass:
     for i, (xa, xb, xc) in enumerate(_exponent_table(tri1, ea, eb, ec, t)):
         e[sel, i, a], e[sel, i, b], e[sel, i, c] = xa, xb, xc
     e %= d
-    # word(): X-part e, Z-part M e, tau exponent 2 sum_{u<v} e_u m_uv e_v
+    # word(): X-part e, Z-part M e, tau exponent 2 sum_{u<v} e_u m_uv e_v,
+    # where only e_a, e_b and e_c are nonzero
     z = (e @ mats) % d
-    upper = np.triu(mats, 1)
-    phase = 2 * ((e * ((e @ upper.transpose(0, 2, 1)) % d)).sum(axis=2) % d)
+    xa, xb, xc = (e[sel, :, v] for v in (a, b, c))
+    pairs = xa * xb % d * ab[:, None] + xa * xc % d * ca[:, None] + xb * xc % d * bc[:, None]
+    phase = 2 * (pairs % d)
     groups = np.stack(
         _group_masks(tri1, a, b, c, nb[rows, a], nb[rows, b], nb[rows, c], (1 << n) - 1),
         axis=1,

@@ -54,18 +54,39 @@ def ghz_closed_form_bound(d: int) -> float:
     return fidelity_bound_from_lambda(2.0 * math.sin(theta_d(d)))
 
 
+#: Bases of is_prime's Miller-Rabin test: the first 13 primes.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: The least odd composite that is a strong probable prime to every base in
+#: _MR_BASES (Sorenson & Webster, "Strong pseudoprimes to twelve prime
+#: bases", Math. Comp. 86, 2017): is_prime is exact below it.  The first 12
+#: bases alone pass the composite 318665857834031151167461.
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(d: int) -> bool:
+    """Whether d is prime, by deterministic Miller-Rabin over _MR_BASES.
+    Raises RangeError from _MR_LIMIT on, where it is no longer exact."""
+    if d >= _MR_LIMIT:
+        raise RangeError(f"primality is decided only below {_MR_LIMIT}; d={d}")
     if d < 2:
         return False
-    if d < 4:
-        return True
-    if d % 2 == 0:
-        return False
-    f = 3
-    while f * f <= d:
-        if d % f == 0:
+    for p in _MR_BASES:
+        if d % p == 0:
+            return d == p
+    # d - 1 = q 2^s with q odd; every base is below d here
+    s = ((d - 1) & (1 - d)).bit_length() - 1
+    q = (d - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, q, d)
+        if x == 1 or x == d - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % d
+            if x == d - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

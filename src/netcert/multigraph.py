@@ -19,7 +19,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -264,26 +264,58 @@ def triu_to_matrices(rows: np.ndarray, n: int) -> np.ndarray:
     return mats
 
 
-def _connected(mats: np.ndarray) -> np.ndarray:
-    """Per matrix of the stack, whether every vertex is reachable from 0."""
-    adj = mats != 0
-    reach = adj[:, 0, :].copy()
-    reach[:, 0] = True
-    for _ in range(mats.shape[1] - 2):
-        reach |= (reach[:, :, None] & adj).any(axis=1)
-    return reach.all(axis=1)
+def _connected(rows: np.ndarray, n: int) -> np.ndarray:
+    """Per upper-triangle row of the stack (k, n choose 2), whether every
+    vertex of its multigraph is reachable from 0."""
+    iu, ju = np.triu_indices(n, 1)
+    adj = np.zeros((n, n, len(rows)), dtype=bool)  # graphs on the inner axis
+    adj[iu, ju] = adj[ju, iu] = (rows != 0).T
+    reach = adj[0].copy()
+    reach[0] = True
+    for _ in range(n - 2):
+        reach |= (reach[:, None, :] & adj).any(axis=0)
+    return reach.all(axis=0)
 
 
-@lru_cache(maxsize=16)
-def _packed_keys(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Packed keys of upper-triangle vectors over Z_d, for d^(n choose 2) < 2^62.
+#: Largest chunk table of _packed_keys, in bytes.
+_TABLE_BYTES = 2**20
 
-    ``vec @ weights`` (int64) is the rank of vec in lexicographic order, and
-    column p of ``_key_product(vec, wmat)`` is the key of vec relabeled by
-    the p-th permutation of itertools.permutations, so the argmin over the
-    columns finds canonical_form.  wmat is float64 while d^(n choose 2) <=
-    2^53, else int64 (see _key_product).  n = 8 takes 28 x 40320 keys
-    (about 9 MB).
+#: Most keys (rows x n! relabelings) that _key_blocks forms at once.
+_KEY_BLOCK = 2**16
+
+
+class _Keys(NamedTuple):
+    """Relabeling keys of upper-triangle vectors over Z_d by table lookup
+    (see _packed_keys).  A digit is one place, or several base-b places
+    (digit // b^i % b) where d exceeds a table's rows; a chunk is a run of
+    places, and its rank the number they spell."""
+
+    weights: np.ndarray  # (N,) int64: vec @ weights is the rank of vec
+    place: np.ndarray  # (3, places) int64: digit position, scale and radix
+    chunk: np.ndarray  # (places, C) int64: a place's weight in its chunk's rank
+    tables: tuple[np.ndarray, ...]  # (rows_c, n!), int32 while d^N < 2^31, else int64
+    lows: int  # the chunks from this one on hold the digits from ``cut`` on
+
+    def ranks(self, digits: np.ndarray) -> np.ndarray:
+        """Chunk ranks (k, C) of the digit rows (k, N)."""
+        pos, scale, radix = self.place
+        return (digits[:, pos] // scale % radix) @ self.chunk
+
+
+@lru_cache(maxsize=4)
+def _packed_keys(n: int, d: int, cut: int) -> _Keys:
+    """Relabeling keys of upper-triangle vectors over Z_d, for d^(n choose 2) < 2^62.
+
+    The key of vec under a relabeling is the rank of the relabeled vector in
+    lexicographic order (``vec @ weights`` for the identity); column p of
+    every table is the p-th permutation of itertools.permutations, so the
+    argmin of a key row finds canonical_form.  A key is linear in the
+    digits, so the table of chunk c holds, per value of its places, their
+    share of all n! keys, and a key row is the sum of one row per chunk,
+    exact in the tables' integer dtype.  Each table takes at most
+    _TABLE_BYTES, in as few chunks as that allows, and no chunk spans digit
+    ``cut`` (the sweep's split of an id into high and low digits).  n = 8
+    over Z_2 takes seven tables of 16 rows (18 MB in all).
     """
     ncols = n * (n - 1) // 2
     weights = d ** np.arange(ncols - 1, -1, -1, dtype=np.int64)
@@ -291,39 +323,77 @@ def _packed_keys(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     iu, ju = np.triu_indices(n, 1)
     slot = np.zeros((n, n), dtype=np.int8)
     slot[iu, ju] = slot[ju, iu] = np.arange(ncols)
-    # slot k of the p-th relabeling reads slot src[p, k] of vec
+    # digit j weighs wmat[j, p] in the p-th key: slot k of that relabeling
+    # reads slot src[p, k] of vec
     src = slot[perms[:, iu], perms[:, ju]]
-    exact = np.float64 if d**ncols <= 2**53 else np.int64
-    wmat = np.empty((ncols, len(perms)), dtype=exact)
+    wmat = np.empty((ncols, len(perms)), dtype=np.int64)
     wmat[src, np.arange(len(perms))[:, None]] = weights
-    weights.setflags(write=False)
-    wmat.setflags(write=False)
-    return weights, wmat
+    dtype = np.int32 if d**ncols < 2**31 else np.int64
+    rows = _TABLE_BYTES // (len(perms) * np.dtype(dtype).itemsize)
+    b, m = min(d, rows), 1  # m base-b places per digit
+    while b**m < d:
+        m += 1
+    places = [(j, b**i, min(b, -(-d // b**i))) for j in range(ncols) for i in range(m - 1, -1, -1)]
+    per = 1  # places per chunk
+    while b ** (per + 1) <= rows:
+        per += 1
+
+    def runs(side):  # as few runs of at most ``per`` places as cover side, balanced
+        q = -(-len(side) // per)
+        return [side[len(side) * i // q : len(side) * (i + 1) // q] for i in range(q)]
+
+    high = runs(places[: cut * m])
+    chunks = high + runs(places[cut * m :])
+    chunk = np.zeros((len(places), len(chunks)), dtype=np.int64)
+    tables, at = [], 0
+    for c, part in enumerate(chunks):
+        table, value = np.zeros((1, len(perms)), dtype=dtype), 1
+        for i, (j, scale, radix) in reversed(list(enumerate(part, start=at))):
+            chunk[i, c], value = value, value * radix
+        for j, scale, radix in part:
+            share = (np.arange(radix, dtype=np.int64)[:, None] * scale * wmat[j]).astype(dtype)
+            table = (table[:, None, :] + share).reshape(-1, len(perms))
+        tables.append(table)
+        at += len(part)
+    keys = _Keys(weights, np.array(places, dtype=np.int64).T, chunk, tuple(tables), len(high))
+    for a in (keys.weights, keys.place, keys.chunk, *keys.tables):
+        a.setflags(write=False)
+    return keys
 
 
-def _key_product(x: np.ndarray, wmat: np.ndarray) -> np.ndarray:
-    """``x @ wmat`` exactly, for rows x of digits in 0..d-1 and columns of
-    _packed_keys(n, d)'s wmat (a slice of them too): the relabeling keys.
+def _key_blocks(
+    tables: Sequence[np.ndarray], ranks: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The key rows sum_c tables[c][ranks[:, c]] of the rank rows (k, C), as
+    (first row, keys) over runs of rows of at most _KEY_BLOCK keys."""
+    step = max(1, _KEY_BLOCK // tables[0].shape[1])
+    for start in range(0, len(ranks), step):
+        r = ranks[start : start + step]
+        keys = tables[0].take(r[:, 0], axis=0)
+        for c in range(1, len(tables)):
+            keys += tables[c].take(r[:, c], axis=0)
+        yield start, keys
 
-    While d^(n choose 2) <= 2^53 every key, product and partial sum is an
-    integer below 2^53, so float64 sums them exactly in any order; einsum
-    does so in numpy's own loop, much faster than its plain int64 matmul.
-    Not ``@`` on the floats: that is a BLAS dgemm, whose threads now and
-    then stall on a shared machine and cost more than the product at these
-    sizes.  Above 2^53 only the int64 matmul is exact, and wmat is int64
-    there.
-    """
-    if wmat.dtype == np.int64:
-        return x @ wmat
-    return np.einsum("ij,jk->ik", x.astype(np.float64), wmat)
+
+def _sweep_span(n: int) -> int:
+    """Most ids per block and per group of the sweep, and most blocks per pass."""
+    return min(_SWEEP_BLOCK, 4096 if n <= 6 else 1024)
+
+
+def _sweep_cut(n: int, d: int) -> int:
+    """The sweep's high digits: a block holds d^k ids, the most that fit
+    _sweep_span, which share all but their last k digits."""
+    cut = n * (n - 1) // 2
+    while cut and d ** (n * (n - 1) // 2 - cut + 1) <= _sweep_span(n):
+        cut -= 1
+    return cut
 
 
 def _canonical_rows(n: int, d: int, budget: int) -> Iterator[np.ndarray]:
-    """Array core of enumerate_connected_multigraphs: per chunk, the canonical
-    connected rows ((k, n choose 2) int64, ascending).  Ids run in aligned
-    blocks of d^k sharing all but the last k digits; a block where some
-    transposition key stays below its first id at every low part is skipped.
-    Raises EnumerationOverflow as the public generator does, with ``yielded``."""
+    """Array core of enumerate_connected_multigraphs: the canonical connected
+    rows ((k, n choose 2) int64, ascending), in batches; connectivity is
+    tested once per _SWEEP_ROWS canonical rows (_canonical_runs).  Raises
+    EnumerationOverflow as the public generator does, with ``yielded``."""
     if d < 2:
         raise DimensionError(f"qudit dimension must be >= 2, got {d}")
     if n < 2:
@@ -333,33 +403,82 @@ def _canonical_rows(n: int, d: int, budget: int) -> Iterator[np.ndarray]:
     total = d ** (n * (n - 1) // 2)
     if total >= 2**62:
         raise ResourceError(f"d^(n choose 2) = {total} does not fit packed 64-bit keys")
-    weights, wmat = _packed_keys(n, d)
-    swaps = wmat[:, (_permutations(n) != np.arange(n)).sum(axis=1) == 2]
-    span = min(_SWEEP_BLOCK, 4096 if n <= 6 else 1024)
-    cut = len(weights) - np.count_nonzero(weights * d <= span)
-    low = np.arange(d ** (len(weights) - cut))[:, None] // weights[cut:] % d
-    low_sw, limit, yielded = _key_product(low, swaps[cut:]), min(total, max(budget, 0)), 0
-    size, low_top, nblocks = len(low), low_sw.max(axis=0), -(-limit // len(low))
-    for first in range(0, nblocks, span):
-        blocks = np.arange(first, min(first + span, nblocks))
-        hi = blocks[:, None] // (weights[:cut] // size) % d
-        hi_sw = _key_product(hi, swaps[:cut])
-        live = np.flatnonzero((hi_sw + low_top >= (blocks * size)[:, None]).all(axis=1))
-        for group in np.split(live, range(span // size, len(live), span // size)):
-            ids = blocks[group, None] * size + np.arange(size)
-            b, j = np.nonzero((hi_sw[group, None, :] + low_sw).min(axis=2) >= ids)
-            ids, digits = ids[b, j], np.concatenate([hi[group[b]], low[j]], axis=1)
-            rows = digits[(_key_product(digits, wmat).min(axis=1) == ids) & (ids < limit)]
-            rows = rows[_connected(triu_to_matrices(rows, n))]
-            if len(rows):
-                yielded += len(rows)
-                yield rows
+    limit, yielded = min(total, max(budget, 0)), 0
+    for rows in _batches(_canonical_runs(n, d, limit), _SWEEP_ROWS):
+        rows = rows[_connected(rows, n)]
+        if len(rows):
+            yielded += len(rows)
+            yield rows
     if limit < total:
         raise EnumerationOverflow(
             f"enumeration budget {budget} exhausted for n={n}, d={d} "
             f"({total} labeled vectors total)",
             examined=limit, yielded=yielded,
         )
+
+
+#: Most canonical rows _canonical_rows holds before it tests their connectivity.
+_SWEEP_ROWS = 2**16
+
+
+def _batches(runs: Iterable[np.ndarray], most: int) -> Iterator[np.ndarray]:
+    """The runs end to end, in batches of at least ``most`` rows but the last."""
+    held, count = [], 0
+    for run in runs:
+        held.append(run)
+        count += len(run)
+        if count >= most:
+            yield np.concatenate(held)
+            held, count = [], 0
+    if held:
+        yield np.concatenate(held)
+
+
+def _canonical_runs(n: int, d: int, limit: int) -> Iterator[np.ndarray]:
+    """The ids below ``limit`` that are their own canonical form, as digit
+    rows (int64, ascending), one run per group of blocks.  Ids run in
+    aligned blocks of d^k sharing all but the last k digits, in passes of
+    blocks; a block where some transposition key stays below its first id
+    at every low part is skipped.  A surviving id's key row is its block's
+    share, looked up once per block, plus one row per low chunk
+    (_packed_keys)."""
+    cut = _sweep_cut(n, d)
+    keys = _packed_keys(n, d, cut)
+    weights, lows, tables = keys.weights, keys.lows, keys.tables
+    dtype, ncols = tables[0].dtype, tables[0].shape[1]
+    swaps = np.flatnonzero((_permutations(n) != np.arange(n)).sum(axis=1) == 2)
+    swap_tables = [t[:, swaps] for t in tables]
+
+    def shares(parts, ranks, width):  # per rank row, the sum of the parts' rows
+        out = np.zeros((len(ranks), width), dtype)
+        for part, r in zip(parts, ranks.T):
+            out += part.take(r, axis=0)
+        return out
+
+    # the digits of each low part (zero at the high digits), and their shares
+    size = int(weights[cut - 1]) if cut else d ** len(weights)
+    low = np.arange(size)[:, None] // weights % d
+    low_ranks = keys.ranks(low)[:, lows:]
+    low_sw = shares(swap_tables[lows:], low_ranks, len(swaps)).T.copy()  # swaps on the outer axis
+    low_top = low_sw.max(axis=1)[:, None]
+    span, nblocks = _sweep_span(n), -(-limit // size)
+    per_group = span // size
+    for first in range(0, nblocks, span):
+        blocks = np.arange(first, min(first + span, nblocks), dtype=dtype)
+        hi = blocks[:, None] * size // weights % d
+        hi_ranks = keys.ranks(hi)[:, :lows]
+        hi_sw = shares(swap_tables[:lows], hi_ranks, len(swaps)).T.copy()
+        live = np.flatnonzero((hi_sw + low_top >= blocks * size).all(axis=0))
+        for group in np.split(live, range(per_group, len(live), per_group)):
+            ids = (blocks[group] * size)[:, None] + np.arange(size, dtype=dtype)
+            b, j = np.nonzero((hi_sw[:, group, None] + low_sw[:, None, :]).min(axis=0) >= ids)
+            ids, least = ids[b, j], np.empty(len(b), dtype)
+            hi_keys = shares(tables[:lows], hi_ranks[group], ncols)
+            ranks = np.column_stack([b, low_ranks[j]])
+            for start, block in _key_blocks((hi_keys, *tables[lows:]), ranks):
+                least[start : start + len(block)] = block.min(axis=1)
+            keep = (least == ids) & (ids < limit)
+            yield hi[group[b[keep]]] + low[j[keep]]
 
 
 def class_count(n: int, d: int) -> int:
@@ -591,8 +710,9 @@ class _LCClasses:
         self.d = d
         self.rows = rows
         self.perms = list(map(tuple, _permutations(n).tolist()))
+        self.keys = _packed_keys(n, d, _sweep_cut(n, d))
         # the packed keys of ``rows`` in ascending order, and their classes
-        keys = rows @ _packed_keys(n, d)[0]
+        keys = rows @ self.keys.weights
         self.order = np.argsort(keys)
         self.sorted_keys = keys[self.order]
         # per class, once filled: the class and the relabeling (index) of each step
@@ -617,31 +737,31 @@ class _LCClasses:
             yield succ[v], (succ[v], tuple([perm[i] for i in perms[relabel[v]]]))
 
     def fill(self, ks: Sequence[int]) -> np.ndarray:
-        """Every step of the classes ``ks``, in one blocked pass over their
-        matrices: LC at v maps M to (M + (1 - I) r r^T) mod d with r = M[v],
-        and the argmin of the packed keys of its relabelings canonicalises it.
-        A class a step meets that ``rows`` lacks is appended to it, and its
-        key merged into the sorted key index.  Returns the steps' classes,
-        (len(ks), n)."""
-        n, d = self.n, self.d
-        weights, wmat = _packed_keys(n, d)
+        """Every step of the classes ``ks``, blockwise on their rows: LC at v
+        adds m_vi m_vj to entry (i, j), so the images of a row are
+        ``(row + row[P1] * row[P2]) % d`` with P1, P2 the slots of (v, i) and
+        (v, j), and the argmin of each image's key row (_packed_keys)
+        canonicalises it.  A class a step meets that ``rows`` lacks is
+        appended to it, and its key merged into the sorted key index.
+        Returns the steps' classes, (len(ks), n)."""
+        n, d, keys = self.n, self.d, self.keys
+        ncols = n * (n - 1) // 2
         iu, ju = np.triu_indices(n, 1)
-        off = 1 - np.eye(n, dtype=np.int64)
+        slot = np.full((n, n), ncols)  # the diagonal reads a zero column
+        slot[iu, ju] = slot[ju, iu] = np.arange(ncols)
+        p1, p2 = slot[:, iu], slot[:, ju]
         rows = self.rows[np.asarray(ks, dtype=np.intp)]
-        packed_succ = np.empty((len(rows), n), dtype=np.int64)
-        relabel = np.empty((len(rows), n), dtype=np.intp)
-        # bounds the (block, n!) key matrix to 32 MB
-        block = max(1, min(_FILL_BLOCK, 2**22 // wmat.shape[1]))
-        for start in range(0, len(rows), block):
-            mats = triu_to_matrices(rows[start : start + block], n)
-            sel = np.arange(len(mats))
-            for v in range(n):
-                r = mats[:, v, :]
-                images = (mats + off * r[:, :, None] * r[:, None, :]) % d
-                packed = _key_product(images[:, iu, ju], wmat)
-                best = packed.argmin(axis=1)
-                packed_succ[start : start + block, v] = packed[sel, best]
-                relabel[start : start + block, v] = best
+        packed_succ = np.empty(len(rows) * n, dtype=np.int64)
+        relabel = np.empty(len(rows) * n, dtype=np.intp)
+        for first in range(0, len(rows), _FILL_BLOCK):
+            block = rows[first : first + _FILL_BLOCK]
+            ext = np.concatenate([block, np.zeros((len(block), 1), block.dtype)], axis=1)
+            images = (block[:, None, :] + ext[:, p1] * ext[:, p2]) % d
+            for start, key_rows in _key_blocks(keys.tables, keys.ranks(images.reshape(-1, ncols))):
+                best = key_rows.argmin(axis=1)
+                at = slice(first * n + start, first * n + start + len(best))
+                packed_succ[at], relabel[at] = key_rows[np.arange(len(best)), best], best
+        packed_succ, relabel = packed_succ.reshape(-1, n), relabel.reshape(-1, n)
         pos = np.searchsorted(self.sorted_keys, packed_succ).clip(max=len(self.rows) - 1)
         succ = self.order[pos]
         missing = self.sorted_keys[pos] != packed_succ
@@ -651,7 +771,7 @@ class _LCClasses:
             at = np.searchsorted(self.sorted_keys, new_keys)
             self.sorted_keys = np.insert(self.sorted_keys, at, new_keys)
             self.order = np.insert(self.order, at, len(self.rows) + np.arange(len(new_keys)))
-            self.rows = np.concatenate([self.rows, (new_keys[:, None] // weights) % d])
+            self.rows = np.concatenate([self.rows, (new_keys[:, None] // keys.weights) % d])
             self.succ.extend([None] * len(new_keys))
             self.relabel.extend([None] * len(new_keys))
         for k, s, p in zip(ks, succ.tolist(), relabel.tolist()):

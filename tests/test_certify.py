@@ -37,6 +37,7 @@ from netcert.certify import (
     _certify_direct,
     _check_witnesses,
     _direct_pass,
+    _m_tilde,
     _orbit_walks,
     certificate_from_json_obj,
     certificate_to_json_obj,
@@ -784,8 +785,9 @@ def test_direct_pass_outcome_is_a_class_invariant(n, d):
 
 
 def test_mirror_triples_read_alike():
-    """The mirror lemma of _direct_pass on Python ints: validity and every
-    _blocked flag are equal at (a, b, c) and (a, c, b)."""
+    """The mirror lemma of _direct_pass on Python ints: validity, both
+    _blocked flags and whether m_tilde is 0 are equal at (a, b, c) and
+    (a, c, b)."""
     rng = np.random.default_rng(43)
     mirrored = 0
     for _ in range(300):
@@ -803,7 +805,7 @@ def test_mirror_triples_read_alike():
         def read(a, b, c):
             m_ab, m_bc, m_ca = mult[a][b], mult[b][c], mult[c][a]
             h = math.gcd(m_ab, m_bc, m_ca) or 1
-            flags = _blocked(m_ab, m_bc, m_ca, h, nb[a], nb[b], nb[c], b, c, d)
+            flags = (*_blocked(m_bc, nb[a], nb[b], nb[c], b, c), _m_tilde(m_ab, m_ca, h, d) == 0)
             return bool(m_ab and m_ca), tuple(bool(f) for f in flags)
 
         for a, b, c in itertools.permutations(range(n), 3):

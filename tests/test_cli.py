@@ -464,6 +464,31 @@ def test_oversized_dimension_range(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["enumerate", "ghz-bound"])
+def test_dimension_range_over_the_cap(capsys, command):
+    """A range of more than MAX_RANGE dimensions is refused before any report
+    is built (ghz-bound --d 2..1000000000 once ran silently for hours);
+    exactly MAX_RANGE dimensions are taken."""
+    extra = ["--n", "3"] if command == "enumerate" else []
+    for last in (cli.MAX_RANGE + 2, 1_000_000_000):
+        code, out, err = run(capsys, command, *extra, "--d", f"2..{last}")
+        assert code == EXIT_ERROR and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"more than {cli.MAX_RANGE}" in err
+    assert len(cli._parse_range(f"2..{cli.MAX_RANGE + 1}")) == cli.MAX_RANGE
+
+
+def test_ghz_bound_huge_dimensions(capsys):
+    """A prime near 10^18 gets its prime bound at once (trial division took
+    minutes); past the exact range of the primality test, exit 1."""
+    code, out, _ = run(capsys, "ghz-bound", "--d", "1000000000000000003", "--format", "tsv")
+    assert code == EXIT_OK
+    assert out.splitlines()[1].split("\t")[2] != "-"
+    code, out, err = run(capsys, "ghz-bound", "--d", str(10**25))
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # ------------------------------------------------------------------ ghz-bound
 
 

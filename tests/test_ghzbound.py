@@ -16,7 +16,7 @@ from netcert import (
     ghz_section3_chain,
     theta_d,
 )
-from netcert.ghzbound import _build_blocks, is_prime
+from netcert.ghzbound import _MR_LIMIT, _build_blocks, is_prime
 
 CLOSED_FORM = {
     2: 0.9,
@@ -104,6 +104,38 @@ def test_is_prime():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
     for d in range(-3, 25):
         assert is_prime(d) == (d in primes)
+
+
+def trial_division(d: int) -> bool:
+    return d >= 2 and all(d % f for f in range(2, math.isqrt(d) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    """Miller-Rabin agrees with trial division on 2..10^5 and on strong
+    pseudoprimes: 3215031751 passes bases 2, 3, 5 and 7; the Carmichael
+    numbers fool every Fermat test; 318665857834031151167461 =
+    399165290221 * 798330580441 passes every base up to 37, so only base 41
+    tells it apart.  2^61 - 1 and 10^18 + 3 are prime, the latter once too
+    slow for trial division."""
+    assert all(is_prime(d) == trial_division(d) for d in range(2, 10**5 + 1))
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+    carmichael += [3215031751, 5394826801]
+    for d in carmichael:
+        assert not trial_division(d) and pow(2, d - 1, d) == 1
+        assert not is_prime(d), d
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**61 - 1) and is_prime(10**18 + 3)
+
+
+def test_is_prime_refuses_past_its_limit():
+    """The 13 bases are exact only below _MR_LIMIT, itself a strong
+    pseudoprime to all of them (1287836182261 * 2575672364521)."""
+    assert 1287836182261 * 2575672364521 == _MR_LIMIT
+    assert not is_prime(_MR_LIMIT - 2)  # divisible by 17
+    for d in (_MR_LIMIT, 10**30):
+        with pytest.raises(RangeError):
+            is_prime(d)
 
 
 def test_prime_bound_values():

@@ -6,6 +6,7 @@ and canonical-form tests.
 
 import functools
 import itertools
+import math
 import tracemalloc
 
 import networkx as nx
@@ -31,9 +32,10 @@ from netcert import multigraph
 from netcert.certify import _direct_pass
 from netcert.multigraph import (
     _canonical_rows,
-    _key_product,
+    _key_blocks,
     _LCClasses,
     _packed_keys,
+    _sweep_cut,
     class_count,
     edges,
     from_triu_vector,
@@ -208,18 +210,38 @@ def cayley_graphs(d: int, group: str) -> list[Multigraph]:
     return graphs
 
 
+def relabel_weights(n: int, d: int) -> np.ndarray:
+    """The plain int64 key matrix: column p of ``vec @ relabel_weights(n, d)``
+    is the rank of vec relabeled by the p-th permutation of
+    itertools.permutations, exact while d^(n choose 2) < 2^63."""
+    pairs = list(itertools.combinations(range(n), 2))
+    slot = {pair: k for k, pair in enumerate(pairs)}
+    wmat = np.zeros((len(pairs), math.factorial(n)), dtype=np.int64)
+    for p, perm in enumerate(itertools.permutations(range(n))):
+        for k, (i, j) in enumerate(pairs):
+            wmat[slot[tuple(sorted((perm[i], perm[j])))], p] = d ** (len(pairs) - 1 - k)
+    return wmat
+
+
+def lookup_keys(n: int, d: int, vecs: np.ndarray) -> np.ndarray:
+    """The relabeling keys of the rows vecs by the enumerator's chunk tables."""
+    keys = _packed_keys(n, d, _sweep_cut(n, d))
+    return np.concatenate([block for _, block in _key_blocks(keys.tables, keys.ranks(vecs))])
+
+
 def packed_reference(graphs: list[Multigraph]) -> list[tuple[int, ...]]:
     """canonical_form of n = 8 graphs over one Z_d by the enumerator's keys:
-    the least of the 8! relabeling keys (columns of ``_key_product(vec,
-    wmat)``), which is exact while d^28 < 2^62, decoded to its digits."""
+    the least of the 8! relabeling keys, which must equal the least of the
+    plain int64 matmul's, decoded to its digits."""
     d = graphs[0].d
-    weights, wmat = _packed_keys(8, d)
+    wmat = relabel_weights(8, d)
     iu, ju = np.triu_indices(8, 1)
     vecs = np.array([np.array(g.mult)[iu, ju] for g in graphs], dtype=np.int64)
     best = np.concatenate(
-        [_key_product(vecs[k : k + 64], wmat).min(axis=1) for k in range(0, len(vecs), 64)]
+        [lookup_keys(8, d, vecs[k : k + 64]).min(axis=1) for k in range(0, len(vecs), 64)]
     ).astype(np.int64)
-    return [tuple(row) for row in (best[:, None] // weights % d).tolist()]
+    assert np.array_equal(best, (vecs @ wmat).min(axis=1))
+    return [tuple(row) for row in (best[:, None] // wmat[:, 0] % d).tolist()]
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -567,7 +589,7 @@ def test_block_sweep_budget_stops(n, d, block, monkeypatch):
     monkeypatch.setattr(multigraph, "_SWEEP_BLOCK", block)
     total = d ** (n * (n - 1) // 2)
     full, _ = sweep(n, d, total)
-    ids = full @ _packed_keys(n, d)[0]
+    ids = full @ relabel_weights(n, d)[:, 0]
     size = block_size(n, d)
     assert total // size > 1
     stops = {0, 1, total} | {b + e for b in range(size, total, size) for e in (-1, 0, 1)}
@@ -611,36 +633,52 @@ def python_keys(vec, n, d):
     ]
 
 
-@pytest.mark.parametrize("d,dtype", [(208_063, np.float64), (208_064, np.int64)])
-def test_key_product_exact_on_both_sides_of_2_53(d, dtype):
-    """The relabeling keys are exact where d^(n choose 2) is just below 2^53
-    (float64, summed by einsum) and just above it (int64 matmul): the largest
-    key, d^3 - 1 at n = 3, is an odd number past 2^53 at d = 208,064, which
-    float64 cannot hold."""
-    assert (d**3 <= 2**53) == (dtype is np.float64)
-    _, wmat = _packed_keys(3, d)
-    assert wmat.dtype == dtype
+@pytest.mark.parametrize("d,dtype", [(1290, np.int32), (1291, np.int64)])
+def test_keys_exact_on_both_sides_of_2_31(d, dtype):
+    """The relabeling keys are exact where d^(n choose 2) is just below 2^31
+    (int32 tables) and just above it (int64): at n = 3 the largest key,
+    d^3 - 1, is 2,146,688,999 at d = 1290 and past 2^31 at d = 1291."""
+    assert (d**3 < 2**31) == (dtype is np.int32)
+    assert all(t.dtype == dtype for t in _packed_keys(3, d, _sweep_cut(3, d)).tables)
     rng = np.random.default_rng(d)
     vecs = np.concatenate([np.full((1, 3), d - 1), rng.integers(0, d, (50, 3))])
-    keys = _key_product(vecs, wmat).astype(np.int64)
+    keys = lookup_keys(3, d, vecs)
     assert keys.tolist() == [python_keys(v, 3, d) for v in vecs.tolist()]
     assert keys[0].tolist() == [d**3 - 1] * 6
 
 
-def test_key_product_matches_int64_on_lc_images():
+def test_lookup_keys_match_int64_on_lc_images():
     """On every LC image of the (5,4) classes whose direct attempt fails, as
-    _LCClasses.fill forms them, the key product equals the int64 matmul."""
+    _LCClasses.fill forms them, the looked-up keys equal the plain int64
+    matmul's."""
     n, d = 5, 4
     rows = np.concatenate(list(_canonical_rows(n, d, 4**10)))
     mats = multigraph.triu_to_matrices(rows, n)
     mats = mats[~_direct_pass(mats, d).certified]
     assert len(mats) == 3851
-    _, wmat = _packed_keys(n, d)
-    assert wmat.dtype == np.float64
+    wmat = relabel_weights(n, d)
     iu, ju = np.triu_indices(n, 1)
     off = 1 - np.eye(n, dtype=np.int64)
     for v in range(n):
         r = mats[:, v, :]
         images = ((mats + off * r[:, :, None] * r[:, None, :]) % d)[:, iu, ju]
-        got = _key_product(images, wmat)
-        assert np.array_equal(got, images @ wmat.astype(np.int64))
+        assert np.array_equal(lookup_keys(n, d, images), images @ wmat)
+
+
+def test_budgeted_sweep_on_int64_keys():
+    """(6,5) has 5^15 > 2^31 labeled vectors, so int64 tables.  Below id 5^10
+    vertex 0 has no edge, so a sweep cut at 5^10 + 2 * 5^6 yields exactly the
+    connected vectors with ids from 5^10 up that are their own canonical form."""
+    n, d = 6, 5
+    first, budget = d**10, d**10 + 2 * d**6
+    assert _packed_keys(n, d, _sweep_cut(n, d)).tables[0].dtype == np.int64
+    rows, progress = sweep(n, d, budget)
+    want = []
+    for i in range(first, budget):
+        vec = tuple(i // d**k % d for k in range(14, -1, -1))
+        g = from_triu_vector(d, n, vec)
+        if is_connected(g) and canonical_form(g) == vec:
+            want.append(vec)
+    assert len(want) > 1000
+    assert progress == (budget, len(want))
+    assert [tuple(r) for r in rows.tolist()] == want
