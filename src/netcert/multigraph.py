@@ -32,9 +32,9 @@ DEFAULT_ORBIT_CAP = 10**6
 #: examine unless the caller raises the budget explicitly.
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
-#: Most ids per block and per pass of the enumeration sweep (_canonical_rows);
-#: passes hold at most 1024 ids from n = 7 on, where every id has n! >= 5040
-#: relabeling keys.
+#: Most ids per block and per group, and most blocks per pass, of the
+#: enumeration sweep (_canonical_runs); 1024 from n = 7 on, where every id
+#: has n! >= 5040 relabeling keys.
 _SWEEP_BLOCK = 4096
 
 #: Largest n that canonical_form and the enumerator take: the enumerator keys
@@ -314,8 +314,8 @@ def _packed_keys(n: int, d: int, cut: int) -> _Keys:
     share of all n! keys, and a key row is the sum of one row per chunk,
     exact in the tables' integer dtype.  Each table takes at most
     _TABLE_BYTES, in as few chunks as that allows, and no chunk spans digit
-    ``cut`` (the sweep's split of an id into high and low digits).  n = 8
-    over Z_2 takes seven tables of 16 rows (18 MB in all).
+    ``cut`` (the sweep's split of an id into high and low digits).  (5,4)
+    takes three tables (180 KB), (8,2) fourteen of 4 rows (8.6 MB).
     """
     ncols = n * (n - 1) // 2
     weights = d ** np.arange(ncols - 1, -1, -1, dtype=np.int64)
