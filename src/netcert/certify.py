@@ -366,14 +366,14 @@ def _build_certificate(
 def _scan(g: Multigraph, nb: Sequence[int]) -> Iterator[tuple]:
     """The direct attempt's view of g, lazily, in _angles order: per triple
     with edges AB and CA, the triple, m_ab, m_ca, the gcd h of its three edge
-    weights, and its flags (t_abc, apex, m_tilde_zero) by _blocked and
-    _m_tilde; ``nb`` holds g's neighbor masks."""
+    weights where _blocked's flags are clear (else None), and its flags
+    (t_abc, apex, m_tilde_zero); ``nb`` holds g's neighbor masks."""
     d, mult = g.d, g.mult
     for a, b, c in _angles(g):
         m_ab, m_bc, m_ca = mult[a][b], mult[b][c], mult[c][a]
-        h = gcd(m_ab, m_bc, m_ca)
         t_abc, apex = _blocked(m_bc, nb[a], nb[b], nb[c], b, c)
-        zero = not (t_abc or apex) and _m_tilde(m_ab, m_ca, h, d) == 0
+        h = None if t_abc or apex else gcd(m_ab, m_bc, m_ca)
+        zero = h is not None and _m_tilde(m_ab, m_ca, h, d) == 0
         yield (a, b, c), m_ab, m_ca, h, (t_abc, apex, zero)
 
 

@@ -347,9 +347,10 @@ def _packed_keys(n: int, d: int, cut: int) -> _Keys:
     chunk = np.zeros((len(places), len(chunks)), dtype=np.int64)
     tables, at = [], 0
     for c, part in enumerate(chunks):
-        table, value = np.zeros((1, len(perms)), dtype=dtype), 1
-        for i, (j, scale, radix) in reversed(list(enumerate(part, start=at))):
-            chunk[i, c], value = value, value * radix
+        # mixed radix: a place weighs the product of the later places' radices
+        radices = [radix for _, _, radix in part]
+        chunk[at : at + len(part), c] = np.cumprod([1, *radices[:0:-1]])[::-1]
+        table = np.zeros((1, len(perms)), dtype=dtype)
         for j, scale, radix in part:
             share = (np.arange(radix, dtype=np.int64)[:, None] * scale * wmat[j]).astype(dtype)
             table = (table[:, None, :] + share).reshape(-1, len(perms))
