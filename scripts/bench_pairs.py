@@ -15,7 +15,8 @@ snippet prints one JSON line ``{"sha256", "times": {name: value}, ...}``:
 - ``sweep n,d[,budget]``: ``multigraph._canonical_rows`` drained to the end;
   sha256 over its chunks, with the row count and any overflow progress.
 - ``table CELL``: ``exhaustive_table`` on the cell (an empty budget keeps the
-  default, as in ``4,4,,5``); sha256 of the ``TableReport`` repr.
+  default, as in ``4,4,,5``); sha256 of the ``TableReport`` repr, and the
+  process's peak RSS (``peak_rss_MB``) beside the time.
   ``--table-outputs`` runs all its cells in one process under one key, with
   one sha256 over their reprs in order.
 - ``lc_orbit n,d[,cap]``: ``lc_orbit`` at orbit cap ``cap`` (default
@@ -146,7 +147,7 @@ print(json.dumps({
 """
 
 TABLE = """
-import hashlib, json, sys, time
+import hashlib, json, resource, sys, time
 from netcert import exhaustive_table
 h, table_s = hashlib.sha256(), 0.0
 for cell in sys.argv[1:]:
@@ -156,7 +157,9 @@ for cell in sys.argv[1:]:
     report = exhaustive_table(n, d, **kwargs)
     table_s += time.perf_counter() - start
     h.update(repr(report).encode())
-print(json.dumps({"sha256": h.hexdigest(), "times": {"table_s": table_s}}))
+peak_rss_MB = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+times = {"table_s": table_s, "peak_rss_MB": peak_rss_MB}
+print(json.dumps({"sha256": h.hexdigest(), "times": times}))
 """
 
 LC_ORBIT = """

@@ -24,16 +24,13 @@ One rule set picks and builds them: the lazy angle order
 exponents (_exponent_table) and the groups (_group_masks, from
 multigraph._partition_masks).  Two paths apply it: _certify_direct on one
 graph with Python ints, for certify_any, whose one scan (_scan) also gives
-_refusal its reasons, and _direct_pass on a stack of graphs with integer
-arrays, once per isomorphism class, for exhaustive_table; it reads each
-pair of mirror triples (a, b, c), (a, c, b) once, which gives the same
-triple and counts (see its docstring).  Both check every witness they
-build against the verifier's witness conditions (_witness;
-_check_witnesses on arrays).  They stay two because arrays only pay off in
-bulk (the README gives the measurements).  The enumerator keeps packed
-integer keys (multigraph._packed_keys: sums of chunk-table rows, int32
-below 2^31, int64 above) for the same reason: a byte-string canonicaliser
-took _canonical_rows(5, 4) from 0.28 s to 0.42 s.
+_refusal its reasons, and _direct_pass on a table cell's canonical rows with
+integer arrays, a block at a time, for exhaustive_table; it reads each pair
+of mirror triples (a, b, c), (a, c, b) once (see its docstring).  Both
+check every witness they build against the verifier's witness conditions
+(_witness; _check_witnesses on each block's arrays, which are then dropped:
+a table keeps only the outcome per class).  They stay two because arrays
+only pay off in bulk (the README gives the measurements).
 """
 
 from __future__ import annotations
@@ -60,6 +57,7 @@ from .multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
     DEFAULT_ORBIT_CAP,
     Multigraph,
+    _PASS_BLOCK,
     _angles,
     _canonical_rows,
     _check_orbit_cap,
@@ -68,12 +66,12 @@ from .multigraph import (
     _LCWalk,
     _neighbor_masks,
     _partition_masks,
+    _slots,
     class_count,
     edges,
     from_triu_vector,
     is_connected,
     local_complement,
-    triu_to_matrices,
 )
 from .network import marginal_chain_checks, prime
 from .pauli import PauliOperator, commutation_phase, relabel, restrict, support
@@ -446,15 +444,20 @@ def certify_any(g: Multigraph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> Certificat
 
 
 class _DirectPass(NamedTuple):
-    """Direct attempts on a stack of N graphs (see _direct_pass).
-
-    The rows of ``triple`` to ``phase`` are those of the k graphs that
-    certify, in stack order; ``phase`` holds tau exponents.
-    """
+    """Direct attempts on N graphs (see _direct_pass)."""
 
     certified: np.ndarray  # (N,) bool
     rejections: np.ndarray  # (N, 4) reason lines per REJECTION_KINDS; 0 where certified
     general: np.ndarray  # (N,) bool: weights not constant, so obs4, else obs1
+
+
+class _DirectBlock(NamedTuple):
+    """_DirectPass on one block, with the witnesses of its k graphs that
+    certify, in block order; ``phase`` holds tau exponents."""
+
+    certified: np.ndarray
+    rejections: np.ndarray
+    general: np.ndarray
     triple: np.ndarray  # (k, 3)
     groups: np.ndarray  # (k, 4) vertex bitmasks of G1..G4
     x: np.ndarray  # (k, 4, n) X exponents of S1..S4
@@ -462,20 +465,17 @@ class _DirectPass(NamedTuple):
     phase: np.ndarray  # (k, 4)
 
 
-#: Graphs per block of _direct_pass; bounds its (block, triples) temporaries.
-_PASS_BLOCK = 2048
-
-
-def _direct_pass(mats: np.ndarray, d: int) -> _DirectPass:
-    """_certify_direct on every graph of a stack of connected multiplicity
-    matrices (N, n, n), as arrays.
+def _direct_pass(rows: np.ndarray, n: int, d: int) -> _DirectPass:
+    """_certify_direct on every connected multigraph of a stack of
+    upper-triangle rows (N, n choose 2), as arrays, _PASS_BLOCK rows at a
+    time; only the outcome per graph is kept.
 
     Each graph gets the construction and the triple that _certify_direct
     picks (obs1 at its first triple when the weights are constant, else obs4
     at the first triple that is not blocked), its S1..S4 are built, and every
-    check of _build_certificate runs on them; a failing check raises
-    StructureError.  ``rejections`` counts the reason lines _refusal gives
-    for each graph that fails, by kind.
+    check of _build_certificate runs on them (_direct_block); a failing
+    check raises StructureError.  ``rejections`` counts the reason lines
+    _refusal gives for each graph that fails, by kind.
 
     It reads each angle once, by the mirror lemma: at a triple (a, b, c)
     with edges AB and CA, validity (m_ab, m_ca nonzero) and the three
@@ -489,27 +489,27 @@ def _direct_pass(mats: np.ndarray, d: int) -> _DirectPass:
     _direct_block therefore keeps only the n(n-1)(n-2)/2 triples with
     b < c and doubles the blocked-triple counts.
     """
-    starts = range(0, max(len(mats), 1), _PASS_BLOCK)
-    blocks = [_direct_block(mats[i : i + _PASS_BLOCK], d) for i in starts]
+    starts = range(0, max(len(rows), 1), _PASS_BLOCK)
+    blocks = [_direct_block(rows[i : i + _PASS_BLOCK], n, d)[:3] for i in starts]
     return _DirectPass(*map(np.concatenate, zip(*blocks)))
 
 
-def _direct_block(mats: np.ndarray, d: int) -> _DirectPass:
-    """_direct_pass on one block of graphs.  Weights are gathered by flat
-    index, and h and m_tilde are computed only where _blocked's flags are
-    clear, at about one triple in twelve on (5,4)."""
-    k, n = mats.shape[0], mats.shape[1]
-    mats = mats.astype(np.int64, copy=False)
+def _direct_block(rows: np.ndarray, n: int, d: int) -> _DirectBlock:
+    """_direct_pass on one block of rows, with its checked witnesses.
+    Weights and neighbour masks are gathered through multigraph._slots, h
+    and m_tilde are computed only where _blocked's flags are clear, at about
+    one triple in twelve on (5,4), and matrices are built only for the rows
+    that certify, for Z = e M."""
+    k, slot = len(rows), _slots(n)
     # the ordered triples with b < c, lexicographic: those with edges AB and
     # CA in _angles order, each mirror pair once (see _direct_pass)
     ta, tb, tc = np.array(
         [(a, b, c) for a, b, c in itertools.permutations(range(n), 3) if b < c], np.int32
     ).reshape(-1, 3).T
-    flat = mats.reshape(k, n * n)
     # int32 where there are triples: n >= 3 keeps d below 2^21
-    small = flat.astype(np.int32)
-    m_ab, m_bc, m_ca = (small.take(i * n + j, axis=1) for i, j in ((ta, tb), (tb, tc), (tc, ta)))
-    nb = ((small != 0).reshape(k, n, n) << np.arange(n, dtype=np.int32)).sum(axis=2, dtype=np.int32)
+    small = np.pad(rows, [(0, 0), (0, 1)]).astype(np.int32)
+    m_ab, m_bc, m_ca = (small[:, slot[i, j]] for i, j in ((ta, tb), (tb, tc), (tc, ta)))
+    nb = ((small[:, slot] != 0) << np.arange(n, dtype=np.int32)).sum(axis=2, dtype=np.int32)
     valid = (m_ab != 0) & (m_ca != 0)
     t_abc, apex = _blocked(m_bc, *(nb.take(x, axis=1) for x in (ta, tb, tc)), tb, tc)
     t_block, a_block = valid & t_abc, valid & apex
@@ -517,7 +517,7 @@ def _direct_block(mats: np.ndarray, d: int) -> _DirectPass:
     z_block = np.zeros((k, len(ta)), dtype=bool)
     ab, bc, ca = (x.ravel()[clear].astype(np.int64) for x in (m_ab, m_bc, m_ca))
     z_block.ravel()[clear] = _m_tilde(ab, ca, np.gcd(np.gcd(ab, ca), bc), d) == 0
-    general = flat.max(axis=1) != np.where(flat != 0, flat, d).min(axis=1)
+    general = rows.max(axis=1) != np.where(rows != 0, rows, d).min(axis=1)
     usable = np.where(general[:, None], valid & ~(t_block | a_block | z_block), valid)
     certified = usable.any(axis=1)
     fail = ~certified & general
@@ -526,12 +526,11 @@ def _direct_block(mats: np.ndarray, d: int) -> _DirectPass:
     for i, x in enumerate((t_block, a_block, z_block), start=1):
         rejections[fail, i] = 2 * np.count_nonzero(x[fail], axis=1)
 
-    rows = np.flatnonzero(certified)
-    first = usable[rows].argmax(axis=1) if len(rows) else rows
+    hit = np.flatnonzero(certified)
+    first = usable[hit].argmax(axis=1) if len(hit) else hit
     a, b, c = (x[first].astype(np.int64) for x in (ta, tb, tc))
-    mats = mats[rows]
-    obs4 = general[rows]
-    ab, bc, ca = (x[rows, first].astype(np.int64) for x in (m_ab, m_bc, m_ca))
+    obs4 = general[hit]
+    ab, bc, ca = (x[hit, first].astype(np.int64) for x in (m_ab, m_bc, m_ca))
     tri1 = ((bc != 0) & ~obs4).astype(np.int64)
     mt, ea, eb, ec = _obs4_weights(ab, bc, ca, np.gcd(np.gcd(ab, ca), bc), d)
     ea, eb, ec = (np.where(obs4, e, obs1) for e, obs1 in ((ea, 0), (eb, -1), (ec, -1)))
@@ -539,25 +538,21 @@ def _direct_block(mats: np.ndarray, d: int) -> _DirectPass:
     values, inverse = np.unique(power_of, return_inverse=True)
     t = np.array([select_power_t(int(m), d).t for m in values], dtype=np.int64)[inverse]
 
-    sel = np.arange(len(rows))
-    e = np.zeros((len(rows), 4, n), dtype=np.int64)
+    sel = np.arange(len(hit))
+    e = np.zeros((len(hit), 4, n), dtype=np.int64)
     for i, (xa, xb, xc) in enumerate(_exponent_table(tri1, ea, eb, ec, t)):
         e[sel, i, a], e[sel, i, b], e[sel, i, c] = xa, xb, xc
     e %= d
     # word(): X-part e, Z-part M e, tau exponent 2 sum_{u<v} e_u m_uv e_v,
     # where only e_a, e_b and e_c are nonzero
-    z = (e @ mats) % d
+    z = (e @ small[hit][:, slot]) % d
     xa, xb, xc = (e[sel, :, v] for v in (a, b, c))
     pairs = xa * xb % d * ab[:, None] + xa * xc % d * ca[:, None] + xb * xc % d * bc[:, None]
     phase = 2 * (pairs % d)
-    groups = np.stack(
-        _group_masks(tri1, a, b, c, nb[rows, a], nb[rows, b], nb[rows, c], (1 << n) - 1),
-        axis=1,
-    )
+    triple = np.stack((a, b, c), axis=1)
+    groups = np.stack(_group_masks(tri1, a, b, c, *nb[hit, triple.T], (1 << n) - 1), axis=1)
     _check_witnesses(d, e, z, phase, groups, obs4, (-t * mt) % d)
-    return _DirectPass(
-        certified, rejections, general, np.stack((a, b, c), axis=1), groups, e, z, phase
-    )
+    return _DirectBlock(certified, rejections, general, triple, groups, e, z, phase)
 
 
 def _check_witnesses(d, x, z, phase, groups, general, expected_kappa) -> None:
@@ -675,9 +670,6 @@ def _orbit_walks(
     """
     classes = _LCClasses(n, d, rows)
 
-    def appended(known: int) -> _DirectPass:  # the direct pass of the rows fill appended
-        return _direct_pass(triu_to_matrices(classes.rows[known:], n), d)
-
     depth, reach = 0, 1 + n
     while reach <= orbit_cap:
         depth, reach = depth + 1, reach * n + 1
@@ -689,7 +681,7 @@ def _orbit_walks(
         succ.append(classes.fill(frontier.tolist()))
         if len(classes.rows) == len(ok):
             break
-        added = appended(len(ok))
+        added = _direct_pass(classes.rows[len(ok) :], n, d)  # the rows fill appended
         frontier = len(ok) + np.flatnonzero(~added.certified)
         ok, obs4 = np.concatenate([ok, added.certified]), np.concatenate([obs4, added.general])
     outcome = np.zeros(len(failing), dtype=np.int64)
@@ -717,7 +709,7 @@ def _orbit_walks(
         walk = _LCWalk((start, identity), start, classes.expand, orbit_cap)
         for size, (k, _, path) in enumerate(walk, start=1):
             if k >= len(ok):
-                added = appended(len(ok))
+                added = _direct_pass(classes.rows[len(ok) :], n, d)
                 ok.extend(added.certified.tolist())
                 obs4.extend(added.general.tolist())
             if ok[k]:
@@ -767,7 +759,7 @@ def exhaustive_table(
             f"enumerator bug: {len(rows)} classes of n={n}, d={d}, "
             f"but Polya counting gives {expected}"
         )
-    certified, rejected, general = _direct_pass(triu_to_matrices(rows, n), d)[:3]
+    certified, rejected, general = _direct_pass(rows, n, d)
     methods = Counter(np.where(general[certified], METHOD_GENERAL, METHOD_CONSTANT).tolist())
     rejections = tuple(zip(REJECTION_KINDS, rejected.sum(axis=0).tolist()))
 

@@ -187,13 +187,12 @@ def canonical_form(g: Multigraph) -> tuple[int, ...]:
     on all earlier rows, so their sorted labels agree and sorted extended
     labels compare as row i does; only placements with the smallest row go
     on.  Twins (equal multiplicities to every other vertex) are swapped by
-    an automorphism, so one of each is tried.  Refuses n > 8.
+    an automorphism, so one of each is tried.  Labels are Python ints, so d
+    has no limit.  Refuses n > 8.
     """
     n, mult = g.n, g.mult
     if n > _CANONICAL_MAX_N:
         raise ResourceError(f"canonical_form has no search bound past n={_CANONICAL_MAX_N}; n={n}")
-    if g.d > 2**64:
-        raise ResourceError(f"canonical_form needs multiplicities below 2^64; d={g.d}")
     base = 1 + max(map(max, mult))
     rows = [sorted(r) for r in mult]  # the zero diagonal first
     twin = list(range(n))  # the least vertex of each twin class
@@ -255,23 +254,29 @@ def enumerate_connected_multigraphs(
             yield Multigraph(d=d, n=n, mult=tuple(map(tuple, mat)))
 
 
+@lru_cache(maxsize=None)
+def _slots(n: int) -> np.ndarray:
+    """The row format of n-vertex multigraphs, read-only: entry (i, j) is
+    column slot[i, j] of the upper-triangle row (canonical_form's order),
+    and the diagonal reads column n choose 2, a zero appended to the row."""
+    iu, ju = np.triu_indices(n, 1)
+    slot = np.full((n, n), len(iu), dtype=np.intp)
+    slot[iu, ju] = slot[ju, iu] = np.arange(len(iu))
+    slot.setflags(write=False)
+    return slot
+
+
 def triu_to_matrices(rows: np.ndarray, n: int) -> np.ndarray:
     """Stack of symmetric (k, n, n) multiplicity matrices from (k, n choose 2)
     upper-triangle vectors in the order of canonical_form."""
-    iu, ju = np.triu_indices(n, 1)
-    mats = np.zeros((len(rows), n, n), dtype=rows.dtype)
-    mats[:, iu, ju] = mats[:, ju, iu] = rows
-    return mats
+    return np.pad(rows, [(0, 0), (0, 1)])[:, _slots(n)]
 
 
 def _connected(rows: np.ndarray, n: int) -> np.ndarray:
     """Per upper-triangle row of the stack (k, n choose 2), whether every
     vertex of its multigraph is reachable from 0."""
-    iu, ju = np.triu_indices(n, 1)
-    adj = np.zeros((n, n, len(rows)), dtype=bool)  # graphs on the inner axis
-    adj[iu, ju] = adj[ju, iu] = (rows != 0).T
-    reach = adj[0].copy()
-    reach[0] = True
+    adj = np.pad((rows != 0).T, [(0, 1), (0, 0)])[_slots(n)]  # (n, n, k): graphs inner
+    reach = adj[0] | (np.arange(n) == 0)[:, None]
     for _ in range(n - 2):
         reach |= (reach[:, None, :] & adj).any(axis=0)
     return reach.all(axis=0)
@@ -320,14 +325,13 @@ def _packed_keys(n: int, d: int, cut: int) -> _Keys:
     ncols = n * (n - 1) // 2
     weights = d ** np.arange(ncols - 1, -1, -1, dtype=np.int64)
     perms = _permutations(n)
-    iu, ju = np.triu_indices(n, 1)
-    slot = np.zeros((n, n), dtype=np.int8)
-    slot[iu, ju] = slot[ju, iu] = np.arange(ncols)
-    # digit j weighs wmat[j, p] in the p-th key: slot k of that relabeling
-    # reads slot src[p, k] of vec
-    src = slot[perms[:, iu], perms[:, ju]]
+    # digit j weighs wmat[j, p] in the p-th key: entry (i, j) of that
+    # relabeling reads entry (p[i], p[j]) of vec, column src[p, slot[i, j]]
+    slot = _slots(n).astype(np.int8)  # the n! x n x n gather in int8: 2.6 MB at n = 8
+    src = np.empty((len(perms), ncols + 1), dtype=np.int8)
+    src[:, slot] = slot[perms[:, :, None], perms[:, None, :]]
     wmat = np.empty((ncols, len(perms)), dtype=np.int64)
-    wmat[src, np.arange(len(perms))[:, None]] = weights
+    wmat[src[:, :ncols], np.arange(len(perms))[:, None]] = weights
     dtype = np.int32 if d**ncols < 2**31 else np.int64
     rows = _TABLE_BYTES // (len(perms) * np.dtype(dtype).itemsize)
     b, m = min(d, rows), 1  # m base-b places per digit
@@ -464,7 +468,8 @@ def _canonical_runs(n: int, d: int, limit: int) -> Iterator[np.ndarray]:
     low_top = low_sw.max(axis=1)[:, None]
     span, nblocks = _sweep_span(n), -(-limit // size)
     per_group = span // size
-    for first in range(0, nblocks, span):
+    # below d^(N - n + 1) row 0 is zero: vertex 0 is isolated, no id connected
+    for first in range(int(weights[n - 2]) // size, nblocks, span):
         blocks = np.arange(first, min(first + span, nblocks), dtype=dtype)
         hi = blocks[:, None] * size // weights % d
         hi_ranks = keys.ranks(hi)[:, :lows]
@@ -694,6 +699,11 @@ def _graph_walk(g: Multigraph, cap: int) -> _LCWalk:
     return _LCWalk(g, canonical_form(g), _lc_images, cap)
 
 
+#: Classes per block of the table's passes over classes, _LCClasses.fill and
+#: certify._direct_pass; bounds their (block, ...) temporaries.
+_PASS_BLOCK = 2048
+
+
 class _LCClasses:
     """Local complementation between the isomorphism classes of a table of
     multigraphs on n vertices over Z_d, with d^(n choose 2) < 2^62.
@@ -747,16 +757,17 @@ class _LCClasses:
         Returns the steps' classes, (len(ks), n)."""
         n, d, keys = self.n, self.d, self.keys
         ncols = n * (n - 1) // 2
-        iu, ju = np.triu_indices(n, 1)
-        slot = np.full((n, n), ncols)  # the diagonal reads a zero column
-        slot[iu, ju] = slot[ju, iu] = np.arange(ncols)
-        p1, p2 = slot[:, iu], slot[:, ju]
+        slot = _slots(n)
+        # at column slot[i, j] of the image at v, the columns of (v, i) and (v, j)
+        p1, p2 = np.empty((2, n, ncols + 1), dtype=np.intp)
+        p1[:, slot], p2[:, slot] = slot[:, :, None], slot[:, None, :]
+        p1, p2 = p1[:, :ncols], p2[:, :ncols]
         rows = self.rows[np.asarray(ks, dtype=np.intp)]
         packed_succ = np.empty(len(rows) * n, dtype=np.int64)
         relabel = np.empty(len(rows) * n, dtype=np.intp)
-        for first in range(0, len(rows), _FILL_BLOCK):
-            block = rows[first : first + _FILL_BLOCK]
-            ext = np.concatenate([block, np.zeros((len(block), 1), block.dtype)], axis=1)
+        for first in range(0, len(rows), _PASS_BLOCK):
+            block = rows[first : first + _PASS_BLOCK]
+            ext = np.pad(block, [(0, 0), (0, 1)])
             images = (block[:, None, :] + ext[:, p1] * ext[:, p2]) % d
             for start, key_rows in _key_blocks(keys.tables, keys.ranks(images.reshape(-1, ncols))):
                 best = key_rows.argmin(axis=1)
@@ -778,10 +789,6 @@ class _LCClasses:
         for k, s, p in zip(ks, succ.tolist(), relabel.tolist()):
             self.succ[k], self.relabel[k] = s, p
         return succ
-
-
-#: Classes per block of _LCClasses.fill, as for the table's direct pass.
-_FILL_BLOCK = 2048
 
 
 def _check_orbit_cap(cap: int) -> None:

@@ -36,15 +36,17 @@ from netcert.certify import (
     _blocked,
     _certify_direct,
     _check_witnesses,
+    _direct_block,
     _direct_pass,
     _m_tilde,
     _orbit_walks,
     certificate_from_json_obj,
     certificate_to_json_obj,
 )
-from netcert import certify, oracle
+from netcert import certify, multigraph, oracle
 from netcert.multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
+    _PASS_BLOCK,
     _canonical_rows,
     _neighbor_masks,
     class_count,
@@ -217,6 +219,21 @@ def test_lc_orbit_rescue():
     assert verify_obs3(cert).all_passed
 
 
+def test_lc_orbit_rescue_past_2_to_the_64():
+    """The orbit walk keys classes by canonical_form at any d: over
+    d = 2^70 + 1, K4 with weight 3 on 0-1 and d - 1 elsewhere fails directly
+    and certifies after LC at vertex 0."""
+    d = 2**70 + 1
+    eds = [(i, j, 3 if (i, j) == (0, 1) else d - 1) for i, j in itertools.combinations(range(4), 2)]
+    g = Multigraph.from_edges(d, 4, eds)
+    assert _certify_direct(g, (), g) is None
+    cert = certify_any(g)
+    assert isinstance(cert, Certificate)
+    assert cert.lc_path == (0,)
+    assert cert.fidelity_bound == 0.9
+    assert verify_obs3(cert).all_passed
+
+
 def test_orbit_cap_truncation_reported():
     g = Multigraph.from_edges(6, 3, [(0, 1, 3), (0, 2, 2)])
     res = certify_any(g, orbit_cap=1)
@@ -317,7 +334,7 @@ def test_direct_attempt_matches_partition_reference():
         got = _certify_direct(g, (), g)
         # an orbit cap of 1 leaves the direct attempt's outcome
         res = certify_any(g, orbit_cap=1)
-        direct = _direct_pass(np.array([g.mult]), d)
+        direct = _direct_pass(triu_rows([g]), n, d)
         assert direct.certified[0] == isinstance(res, Certificate)
         if want is None:
             assert isinstance(got, Certificate)
@@ -695,7 +712,7 @@ def test_direct_pass_operators_equal_certify_any():
     operators, groups and exponent vectors of the certificates certify_any
     emits."""
     graphs = list(enumerate_connected_multigraphs(4, 4))
-    direct = _direct_pass(np.array([g.mult for g in graphs]), 4)
+    direct = _direct_block(triu_rows(graphs), 4, 4)
     assert direct.certified.sum() == len(direct.triple) == 185
     certified = [g for g, ok in zip(graphs, direct.certified) if ok]
     general = direct.general[direct.certified]
@@ -716,6 +733,11 @@ def test_direct_pass_operators_equal_certify_any():
     assert all(_certify_direct(g, (), g) is None for g in failing)
 
 
+def triu_rows(graphs):
+    """The upper-triangle rows of labeled graphs, in canonical_form's order."""
+    return np.array([[m for i, row in enumerate(g.mult) for m in row[i + 1 :]] for g in graphs])
+
+
 def _cell_rows(n, d, budget=DEFAULT_ENUMERATION_BUDGET):
     """The canonical rows of a cell, up to its budget."""
     chunks = []
@@ -732,7 +754,7 @@ def test_orbit_walks_land_on_certify_any_members(n, d):
     stops at the path certify_any finds, with the construction certify_any
     uses."""
     rows = _cell_rows(n, d)
-    direct = _direct_pass(triu_to_matrices(rows, n), d)
+    direct = _direct_pass(rows, n, d)
     args = (rows, n, d, direct.certified, direct.general, 4096)
     outcome, walks = _orbit_walks(*args, labels=False)
     rescued = [w for w in walks if w.path is not None]
@@ -757,7 +779,7 @@ def test_orbit_labels_agree_with_exact_walks(n, d, budget):
     the cell; at budget 16000 labels from one fill round, without the
     failing classes it appends, would mislabel three classes."""
     rows = _cell_rows(n, d, budget or DEFAULT_ENUMERATION_BUDGET)
-    direct = _direct_pass(triu_to_matrices(rows, n), d)
+    direct = _direct_pass(rows, n, d)
     args = (rows, n, d, direct.certified, direct.general, 4096)
     (outcome, walks), (want, exact) = _orbit_walks(*args), _orbit_walks(*args, labels=False)
     assert outcome.tolist() == want.tolist()
@@ -773,12 +795,14 @@ def test_direct_pass_outcome_is_a_class_invariant(n, d):
     class and no labeled orbit member."""
     rows = _cell_rows(n, d)
     reps = triu_to_matrices(rows, n)
-    want = _direct_pass(reps, d)
+    want = _direct_pass(rows, n, d)
     rng = np.random.default_rng(7)
+    iu, ju = np.triu_indices(n, 1)
     for _ in range(3):
         perms = np.array([rng.permutation(n) for _ in range(len(reps))])
         sel = np.arange(len(reps))[:, None, None]
-        got = _direct_pass(reps[sel, perms[:, :, None], perms[:, None, :]], d)
+        mats = reps[sel, perms[:, :, None], perms[:, None, :]]
+        got = _direct_pass(mats[:, iu, ju], n, d)
         assert (got.certified == want.certified).all()
         assert (got.rejections == want.rejections).all()
         assert (got.general == want.general).all()
@@ -829,7 +853,7 @@ def test_direct_pass_triple_is_certify_direct_triple(n, d, monkeypatch):
 
     monkeypatch.setattr(certify, "_build_certificate", record)
     rows = _cell_rows(n, d)
-    direct = _direct_pass(triu_to_matrices(rows, n), d)
+    direct = _direct_block(rows, n, d)
     for k in np.flatnonzero(direct.certified).tolist():
         g = from_triu_vector(d, n, rows[k].tolist())
         assert _certify_direct(g, (), g) is not None
@@ -840,7 +864,7 @@ def test_direct_pass_triple_is_certify_direct_triple(n, d, monkeypatch):
 
 def test_direct_pass_checks_reject_tampered_witnesses():
     graphs = list(enumerate_connected_multigraphs(4, 3))
-    direct = _direct_pass(np.array([g.mult for g in graphs]), 3)
+    direct = _direct_block(triu_rows(graphs), 4, 3)
     expected = np.array(
         [cert.kappa for cert in (certify_any(g) for g, ok in zip(graphs, direct.certified) if ok)]
     )
@@ -891,6 +915,24 @@ def test_direct_pass_checks_reject_tampered_witnesses():
     groups[:, 3] &= groups[:, 3] - 1
     with pytest.raises(StructureError, match="groups do not partition the vertices"):
         _check_witnesses(**{**args, "groups": groups})
+
+
+def test_direct_pass_memory_is_bounded_per_block():
+    """_direct_pass keeps only the outcome per class and drops each block's
+    witnesses once checked: on (5,5) at budget 10M (88,985 classes, 44
+    blocks) its traced peak stays below twice its peak on one block."""
+    rows = _cell_rows(5, 5, 10_000_000)
+    assert len(rows) > 40 * _PASS_BLOCK
+    peaks = []
+    tracemalloc.start()
+    try:
+        for part in (rows[:_PASS_BLOCK], rows):
+            tracemalloc.reset_peak()
+            _direct_pass(part, 5, 5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
 
 
 def _edited(name, edit):
@@ -958,6 +1000,19 @@ def test_exhaustive_table_keeps_enumeration_progress():
     full = exhaustive_table(4, 3)
     assert full.complete and full.examined == 3**6
     assert 0 < report.total < full.total
+
+
+def test_exhaustive_table_skips_ids_with_vertex_0_isolated(monkeypatch):
+    """Below d^(N - n + 1) row 0 is all zero, so the sweep keys no id there:
+    (8,3) at the default budget of 2M ids, all below 3^21, reports no class
+    without forming one relabeling key."""
+
+    def no_keys(tables, ranks):
+        raise AssertionError("keys formed for an id with vertex 0 isolated")
+
+    monkeypatch.setattr(multigraph, "_key_blocks", no_keys)
+    report = exhaustive_table(8, 3)
+    assert (report.total, report.complete, report.examined) == (0, False, 2_000_000)
 
 
 def test_exhaustive_table_refuses_a_huge_n_at_once():

@@ -529,9 +529,10 @@ def test_canonical_form_large_n_guard():
     g = Multigraph.from_edges(2, 9, [(i, i + 1, 1) for i in range(8)])
     with pytest.raises(ResourceError):
         canonical_form(g)
+    # no limit on d: the form is the least of the 6 relabelings' vectors
     huge = Multigraph.from_edges(2**64 + 1, 3, [(0, 1, 2**64), (1, 2, 1)])
-    with pytest.raises(ResourceError):
-        canonical_form(huge)
+    relabeled = (permuted(huge, p).mult for p in itertools.permutations(range(3)))
+    assert canonical_form(huge) == min((m[0][1], m[0][2], m[1][2]) for m in relabeled)
 
 
 @functools.lru_cache(maxsize=None)
@@ -653,8 +654,7 @@ def test_lookup_keys_match_int64_on_lc_images():
     matmul's."""
     n, d = 5, 4
     rows = np.concatenate(list(_canonical_rows(n, d, 4**10)))
-    mats = multigraph.triu_to_matrices(rows, n)
-    mats = mats[~_direct_pass(mats, d).certified]
+    mats = multigraph.triu_to_matrices(rows[~_direct_pass(rows, n, d).certified], n)
     assert len(mats) == 3851
     wmat = relabel_weights(n, d)
     iu, ju = np.triu_indices(n, 1)
