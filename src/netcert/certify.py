@@ -31,6 +31,11 @@ check every witness they build against the verifier's witness conditions
 (_witness; _check_witnesses on each block's arrays, which are then dropped:
 a table keeps only the outcome per class).  They stay two because arrays
 only pay off in bulk (the README gives the measurements).
+
+A class that fails is walked along its local-complementation orbit:
+certify_any walks labeled graphs (multigraph._graph_walk), a table its
+class indices (_orbit_walks) in one store, _LCClasses, of each class's row,
+direct outcome and LC steps as arrays; it judges each class it appends.
 """
 
 from __future__ import annotations
@@ -57,16 +62,18 @@ from .multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
     DEFAULT_ORBIT_CAP,
     Multigraph,
-    _PASS_BLOCK,
     _angles,
     _canonical_rows,
     _check_orbit_cap,
     _graph_walk,
-    _LCClasses,
+    _key_blocks,
     _LCWalk,
     _neighbor_masks,
+    _packed_keys,
     _partition_masks,
+    _permutations,
     _slots,
+    _sweep_cut,
     class_count,
     edges,
     from_triu_vector,
@@ -84,6 +91,10 @@ _LAMBDA_TOL = 1e-12
 
 #: exhaustive_table's default orbit_cap: the most classes one orbit walk visits.
 TABLE_ORBIT_CAP = 4096
+
+#: Classes per block of the table's passes over classes, _direct_pass and
+#: _LCClasses.fill; bounds their (block, ...) temporaries.
+_PASS_BLOCK = 2048
 
 
 class PowerChoice(NamedTuple):
@@ -619,12 +630,104 @@ class TableReport:
         return self.complete and self.total > 0 and self.certified == self.total
 
 
+class _LCClasses:
+    """The classes of a table cell on n >= 3 vertices over Z_d, with
+    d^(n choose 2) < 2^62, and local complementation between them: one
+    store, by class index, of arrays that grow together.
+
+    ``rows`` holds the canonical form of each class: first the cell's, then
+    each class a step meets outside them (a cell cut short by its budget).
+    Class k stands for its canonical representative rep_k, and
+    ``certified`` and ``general`` hold _direct_pass's outcome on it.  Once
+    ``fill`` has run on k, ``succ[k, v]`` is the class of LC(rep_k, v) and
+    ``relabel[k, v]`` the index into ``perms`` of the relabeling p with
+    LC(rep_k, v) = permuted(rep_k2, p); ``succ[k]`` is -1 until then.
+    """
+
+    def __init__(
+        self, n: int, d: int, rows: np.ndarray, certified: np.ndarray, general: np.ndarray
+    ) -> None:
+        self.n, self.d = n, d
+        self.rows, self.certified, self.general = rows, certified, general
+        self.succ = np.full((len(rows), n), -1, dtype=np.int32)
+        self.relabel = np.zeros((len(rows), n), dtype=np.uint16)  # n! <= 40,320
+        self.perms = _permutations(n)
+        self.keys = _packed_keys(n, d, _sweep_cut(n, d))
+        # the packed keys of ``rows`` in ascending order, and their classes
+        keys = rows @ self.keys.weights
+        self.order = np.argsort(keys)
+        self.sorted_keys = keys[self.order]
+
+    def expand(
+        self, state: tuple[int, tuple[int, ...]]
+    ) -> Iterator[tuple[int, tuple[int, tuple[int, ...]]]]:
+        """_LCWalk expansion of states (k, perm), each standing for
+        permuted(rep_k, perm): LC at vertex a of that member is LC at vertex
+        perm^-1(a) of rep_k, relabeled by perm.  Fills class k first if no
+        earlier ``fill`` did."""
+        k, perm = state
+        if self.succ[k, 0] < 0:
+            self.fill([k])
+        succ, relabel = self.succ[k].tolist(), self.perms[self.relabel[k]].tolist()
+        inverse = [0] * self.n
+        for i, a in enumerate(perm):
+            inverse[a] = i
+        for v in inverse:
+            yield succ[v], (succ[v], tuple([perm[i] for i in relabel[v]]))
+
+    def fill(self, ks: Sequence[int]) -> None:
+        """Every step of the classes ``ks``, blockwise on their rows: LC at v
+        adds m_vi m_vj to entry (i, j), so the images of a row are
+        ``(row + row[P1] * row[P2]) % d`` with P1, P2 the slots of (v, i) and
+        (v, j), and the argmin of each image's key row (_packed_keys)
+        canonicalises it.  A class a step meets that the store lacks is
+        appended, its key merged into the sorted key index and its outcome
+        taken from _direct_pass."""
+        n, d, keys = self.n, self.d, self.keys
+        ncols = n * (n - 1) // 2
+        slot = _slots(n)
+        # at column slot[i, j] of the image at v, the columns of (v, i) and (v, j)
+        p1, p2 = np.empty((2, n, ncols + 1), dtype=np.intp)
+        p1[:, slot], p2[:, slot] = slot[:, :, None], slot[:, None, :]
+        p1, p2 = p1[:, :ncols], p2[:, :ncols]
+        ks = np.asarray(ks, dtype=np.intp)
+        packed_succ = np.empty(len(ks) * n, dtype=np.int64)
+        relabel = np.empty(len(ks) * n, dtype=np.uint16)
+        for first in range(0, len(ks), _PASS_BLOCK):
+            block = self.rows[ks[first : first + _PASS_BLOCK]]
+            ext = np.pad(block, [(0, 0), (0, 1)])
+            images = (block[:, None, :] + ext[:, p1] * ext[:, p2]) % d
+            for start, key_rows in _key_blocks(keys.tables, keys.ranks(images.reshape(-1, ncols))):
+                best = key_rows.argmin(axis=1)
+                at = slice(first * n + start, first * n + start + len(best))
+                packed_succ[at], relabel[at] = key_rows[np.arange(len(best)), best], best
+        packed_succ = packed_succ.reshape(-1, n)
+        pos = np.searchsorted(self.sorted_keys, packed_succ).clip(max=len(self.rows) - 1)
+        succ = self.order[pos]
+        missing = self.sorted_keys[pos] != packed_succ
+        if missing.any():
+            new_keys, where = np.unique(packed_succ[missing], return_inverse=True)
+            succ[missing] = len(self.rows) + where
+            at = np.searchsorted(self.sorted_keys, new_keys)
+            self.sorted_keys = np.insert(self.sorted_keys, at, new_keys)
+            self.order = np.insert(self.order, at, len(self.rows) + np.arange(len(new_keys)))
+            rows = (new_keys[:, None] // keys.weights) % d
+            added = _direct_pass(rows, n, d)
+            unfilled = np.full((len(rows), n), -1, dtype=np.int32)
+            self.rows, self.certified, self.general, self.succ, self.relabel = (
+                np.concatenate(pair) for pair in zip(
+                    (self.rows, self.certified, self.general, self.succ, self.relabel),
+                    (rows, added.certified, added.general, unfilled, np.zeros_like(unfilled, np.uint16)),
+                )
+            )
+        self.succ[ks], self.relabel[ks] = succ, relabel.reshape(-1, n)
+
+
 class _OrbitWalk(NamedTuple):
     """The exact orbit walk of one class of a cell whose direct attempt fails."""
 
     start: int  # the class, by index into the cell
     path: tuple[int, ...] | None  # to the first member that certifies; None if none does
-    general: bool | None  # that member's construction: obs4, else obs1; None if none
     size: int  # classes walked
     truncated: bool
 
@@ -644,80 +747,62 @@ def _orbit_walks(
     none does), and the exact walks that decided it, where one was needed.
 
     A walk is a breadth-first search over class indices, along the LC steps
-    _LCClasses.fill computes on arrays; it stops at the first class that
+    of the class store (_LCClasses); it stops at the first class that
     certifies, so it expands only failing ones.  That class lies at the
     start's distance ``dist`` to the nearest certified class, whatever the
     vertex order.  So when every certified class at that distance has one
     construction (``cons``: 1 obs1, 2 obs4, 3 both), the outcome is known
     without a walk, provided the walk cannot be truncated first: at most n^i
     classes lie at distance i, so sum_{i <= dist} n^i <= orbit_cap suffices,
-    and ``depth`` is the largest such distance.  Both labels come from
-    relaxation over the filled classes: the failing classes of the cell
-    and, in a cell cut by its budget, the failing classes the steps append,
-    out to ``depth`` steps, which is all that such walks can reach.  The
-    exact walk (_LCWalk over _LCClasses.expand) runs for the rest:
-    refusals, which need the orbit's size and truncation, classes with both
-    constructions at their distance, and classes further out.  ``labels``
-    False walks every class, the reference the labels are tested against.
+    and ``depth`` is the largest such distance.  The store first fills the
+    failing classes out to ``depth`` steps from the cell, which is all that
+    such walks can reach; then one breadth-first loop sets both labels level
+    by level: a failing class with a step to level - 1 is at that level, and
+    its ``cons`` is the OR of its steps' (those at its level or further out
+    are still 0).  The exact walk (_LCWalk over _LCClasses.expand) runs for
+    the rest: refusals, which need the orbit's size and truncation, classes
+    with both constructions at their distance, and classes further out.
+    ``labels`` False walks every class, the reference the labels are tested
+    against.
 
-    ``certified`` and ``general`` give _direct_pass's outcome per class; a
-    class outside the cell gets its outcome, and its one witness check, from
-    _direct_pass on the rows fill appends.  Relabeling permutes the blocked
-    triples, so outcome, rejections and construction depend only on the
-    class, and its checked witness covers the member a walk reaches, which
-    is never built.  The relabelings in the states fix the vertex order of a
-    walk, and with it the path.
+    ``certified`` and ``general`` give _direct_pass's outcome per class of
+    the cell; the store judges each class it appends the same way.
+    Relabeling permutes the blocked triples, so outcome, rejections and
+    construction depend only on the class, and its checked witness covers
+    the member a walk reaches, which is never built.  The relabelings in
+    the states fix the vertex order of a walk, and with it the path.
     """
-    classes = _LCClasses(n, d, rows)
-
+    classes = _LCClasses(n, d, rows, certified, general)
     depth, reach = 0, 1 + n
     while reach <= orbit_cap:
         depth, reach = depth + 1, reach * n + 1
-    ok, obs4 = certified, general
-    failing = np.flatnonzero(~certified)
-    frontier, filled, succ = failing, [], []
-    for _ in range(max(depth, 1) if labels else 1):
-        filled.append(frontier)
-        succ.append(classes.fill(frontier.tolist()))
-        if len(classes.rows) == len(ok):
+    for _ in range(max(depth, 1)):
+        todo = np.flatnonzero(~classes.certified & (classes.succ[:, 0] < 0))
+        if not len(todo):
             break
-        added = _direct_pass(classes.rows[len(ok) :], n, d)  # the rows fill appended
-        frontier = len(ok) + np.flatnonzero(~added.certified)
-        ok, obs4 = np.concatenate([ok, added.certified]), np.concatenate([obs4, added.general])
-    outcome = np.zeros(len(failing), dtype=np.int64)
+        classes.fill(todo)
+    failing = np.flatnonzero(~certified)
+    cons = np.where(classes.certified, 1 + classes.general, 0)
     if labels:
-        f, s = np.concatenate(filled), np.concatenate(succ)
-        far = len(ok)  # beyond any distance
-        dist = np.where(ok, 0, far)
-        while True:
-            step = np.minimum(dist[s].min(axis=1) + 1, far)
-            if (step == dist[f]).all():
-                break
-            dist[f] = step
-        cons = np.where(ok, 1 + obs4, 0)
+        dist = np.where(classes.certified, 0, -1)
+        filled = np.flatnonzero(classes.succ[:, 0] >= 0)
         for level in range(1, depth + 1):
-            # a step leads one level down or further out, where cons is still 0
-            at = dist[f] == level
-            cons[f[at]] = np.bitwise_or.reduce(cons[s[at]], axis=1)
-        decided = (dist[failing] <= depth) & (cons[failing] != 3)
-        outcome[decided] = cons[failing[decided]]
-    ok, obs4 = ok.tolist(), obs4.tolist()
+            filled = filled[dist[filled] < 0]
+            succ = classes.succ[filled]
+            at = (dist[succ] == level - 1).any(axis=1)
+            cons[filled[at]] = np.bitwise_or.reduce(cons[succ[at]], axis=1)
+            dist[filled[at]] = level
+    outcome = cons[failing] % 3  # 0 where a walk must decide: no label, or both
     identity = tuple(range(n))
     walks = []
     for i in np.flatnonzero(outcome == 0).tolist():
         start = int(failing[i])
-        walk = _LCWalk((start, identity), start, classes.expand, orbit_cap)
-        for size, (k, _, path) in enumerate(walk, start=1):
-            if k >= len(ok):
-                added = _direct_pass(classes.rows[len(ok) :], n, d)
-                ok.extend(added.certified.tolist())
-                obs4.extend(added.general.tolist())
-            if ok[k]:
-                outcome[i] = 1 + obs4[k]
-                walks.append(_OrbitWalk(start, path, obs4[k], size, walk.truncated))
+        walk, path = _LCWalk((start, identity), start, classes.expand, orbit_cap), None
+        for size, (k, _, steps) in enumerate(walk, start=1):
+            if classes.certified[k]:
+                outcome[i], path = 1 + classes.general[k], steps
                 break
-        else:  # the walk yields at least its start
-            walks.append(_OrbitWalk(start, None, None, size, walk.truncated))
+        walks.append(_OrbitWalk(start, path, size, walk.truncated))
     return outcome, walks
 
 
@@ -766,9 +851,10 @@ def exhaustive_table(
     def graph(idx: int) -> Multigraph:
         return from_triu_vector(d, n, rows[idx].tolist())
 
+    uncertified = []
     if n < 3:  # certify_any refuses every class outright
         uncertified = [certify_any(graph(idx)) for idx in range(len(rows))]
-    else:
+    elif not certified.all():
         outcome, walks = _orbit_walks(rows, n, d, certified, general, orbit_cap)
         rescues = np.bincount(outcome, minlength=3).tolist()
         methods[METHOD_CONSTANT + "+lc"] += rescues[1]

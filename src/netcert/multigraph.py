@@ -3,12 +3,13 @@
 A multigraph is a symmetric n x n matrix of multiplicities m_ij in
 {0, ..., d-1} with zero diagonal; multiplicity 0 is the same thing as an
 absent edge.  This module provides connectivity, local complementation
-and its orbit, canonical forms under vertex relabeling, exhaustive
-enumeration of connected multigraphs up to isomorphism, and the certificate
-search's rules on the graph alone: the lazy angle order (_angles) and the
+and its orbit walk (_LCWalk; a table's walks run in certify._LCClasses),
+canonical forms under vertex relabeling, exhaustive enumeration of
+connected multigraphs up to isomorphism, and the certificate search's
+rules on the graph alone: the lazy angle order (_angles) and the
 neighborhood partition around an angle (_partition_masks), which
-find_angle_or_triangle and partition_neighborhoods present.  No library code
-calls those two views; they stay because the benchmark's layer trace
+find_angle_or_triangle and partition_neighborhoods present.  No library
+code calls those two views; they stay because the benchmark's layer trace
 (perfbench/layertrace.py, TRACED) wraps them, which a tier-1 test pins.
 """
 
@@ -447,7 +448,13 @@ def _canonical_runs(n: int, d: int, limit: int) -> Iterator[np.ndarray]:
     at every low part is skipped.  A surviving id's key row is its block's
     share, looked up once per block, plus one row per low chunk
     (_packed_keys)."""
-    cut = _sweep_cut(n, d)
+    cut, span = _sweep_cut(n, d), _sweep_span(n)
+    size = d ** (n * (n - 1) // 2 - cut)
+    # below d^(N - n + 1) row 0 is zero: vertex 0 is isolated, no id connected;
+    # a sweep with no block left keys nothing, so builds no tables
+    begin, nblocks = d ** ((n - 1) * (n - 2) // 2) // size, -(-limit // size)
+    if begin >= nblocks:
+        return
     keys = _packed_keys(n, d, cut)
     weights, lows, tables = keys.weights, keys.lows, keys.tables
     dtype, ncols = tables[0].dtype, tables[0].shape[1]
@@ -461,15 +468,12 @@ def _canonical_runs(n: int, d: int, limit: int) -> Iterator[np.ndarray]:
         return out
 
     # the digits of each low part (zero at the high digits), and their shares
-    size = int(weights[cut - 1]) if cut else d ** len(weights)
     low = np.arange(size)[:, None] // weights % d
     low_ranks = keys.ranks(low)[:, lows:]
     low_sw = shares(swap_tables[lows:], low_ranks, len(swaps)).T.copy()  # swaps on the outer axis
     low_top = low_sw.max(axis=1)[:, None]
-    span, nblocks = _sweep_span(n), -(-limit // size)
     per_group = span // size
-    # below d^(N - n + 1) row 0 is zero: vertex 0 is isolated, no id connected
-    for first in range(int(weights[n - 2]) // size, nblocks, span):
+    for first in range(begin, nblocks, span):
         blocks = np.arange(first, min(first + span, nblocks), dtype=dtype)
         hi = blocks[:, None] * size // weights % d
         hi_ranks = keys.ranks(hi)[:, :lows]
@@ -697,98 +701,6 @@ def _lc_images(g: Multigraph) -> Iterator[tuple[tuple[int, ...], Multigraph]]:
 def _graph_walk(g: Multigraph, cap: int) -> _LCWalk:
     """The walk over g's orbit on labeled graphs, a class being a canonical form."""
     return _LCWalk(g, canonical_form(g), _lc_images, cap)
-
-
-#: Classes per block of the table's passes over classes, _LCClasses.fill and
-#: certify._direct_pass; bounds their (block, ...) temporaries.
-_PASS_BLOCK = 2048
-
-
-class _LCClasses:
-    """Local complementation between the isomorphism classes of a table of
-    multigraphs on n vertices over Z_d, with d^(n choose 2) < 2^62.
-
-    ``rows`` holds the canonical form of each class, by class index: first
-    the cell's, then each class a step meets outside them (a cell cut short
-    by its budget).  Class k stands for its canonical representative rep_k.
-    ``fill`` computes, on arrays, the steps of classes: per vertex v, the
-    class k2 of LC(rep_k, v) and the relabeling p with LC(rep_k, v) =
-    permuted(rep_k2, p), by its index into ``perms``.
-    """
-
-    def __init__(self, n: int, d: int, rows: np.ndarray) -> None:
-        self.n = n
-        self.d = d
-        self.rows = rows
-        self.perms = list(map(tuple, _permutations(n).tolist()))
-        self.keys = _packed_keys(n, d, _sweep_cut(n, d))
-        # the packed keys of ``rows`` in ascending order, and their classes
-        keys = rows @ self.keys.weights
-        self.order = np.argsort(keys)
-        self.sorted_keys = keys[self.order]
-        # per class, once filled: the class and the relabeling (index) of each step
-        self.succ: list[list[int] | None] = [None] * len(rows)
-        self.relabel: list[list[int] | None] = [None] * len(rows)
-
-    def expand(
-        self, state: tuple[int, tuple[int, ...]]
-    ) -> Iterator[tuple[int, tuple[int, tuple[int, ...]]]]:
-        """_LCWalk expansion of states (k, perm), each standing for
-        permuted(rep_k, perm): LC at vertex a of that member is LC at vertex
-        perm^-1(a) of rep_k, relabeled by perm.  Fills class k first if no
-        earlier ``fill`` did."""
-        k, perm = state
-        if self.succ[k] is None:
-            self.fill([k])
-        succ, relabel, perms = self.succ[k], self.relabel[k], self.perms
-        inverse = [0] * self.n
-        for i, a in enumerate(perm):
-            inverse[a] = i
-        for v in inverse:
-            yield succ[v], (succ[v], tuple([perm[i] for i in perms[relabel[v]]]))
-
-    def fill(self, ks: Sequence[int]) -> np.ndarray:
-        """Every step of the classes ``ks``, blockwise on their rows: LC at v
-        adds m_vi m_vj to entry (i, j), so the images of a row are
-        ``(row + row[P1] * row[P2]) % d`` with P1, P2 the slots of (v, i) and
-        (v, j), and the argmin of each image's key row (_packed_keys)
-        canonicalises it.  A class a step meets that ``rows`` lacks is
-        appended to it, and its key merged into the sorted key index.
-        Returns the steps' classes, (len(ks), n)."""
-        n, d, keys = self.n, self.d, self.keys
-        ncols = n * (n - 1) // 2
-        slot = _slots(n)
-        # at column slot[i, j] of the image at v, the columns of (v, i) and (v, j)
-        p1, p2 = np.empty((2, n, ncols + 1), dtype=np.intp)
-        p1[:, slot], p2[:, slot] = slot[:, :, None], slot[:, None, :]
-        p1, p2 = p1[:, :ncols], p2[:, :ncols]
-        rows = self.rows[np.asarray(ks, dtype=np.intp)]
-        packed_succ = np.empty(len(rows) * n, dtype=np.int64)
-        relabel = np.empty(len(rows) * n, dtype=np.intp)
-        for first in range(0, len(rows), _PASS_BLOCK):
-            block = rows[first : first + _PASS_BLOCK]
-            ext = np.pad(block, [(0, 0), (0, 1)])
-            images = (block[:, None, :] + ext[:, p1] * ext[:, p2]) % d
-            for start, key_rows in _key_blocks(keys.tables, keys.ranks(images.reshape(-1, ncols))):
-                best = key_rows.argmin(axis=1)
-                at = slice(first * n + start, first * n + start + len(best))
-                packed_succ[at], relabel[at] = key_rows[np.arange(len(best)), best], best
-        packed_succ, relabel = packed_succ.reshape(-1, n), relabel.reshape(-1, n)
-        pos = np.searchsorted(self.sorted_keys, packed_succ).clip(max=len(self.rows) - 1)
-        succ = self.order[pos]
-        missing = self.sorted_keys[pos] != packed_succ
-        if missing.any():
-            new_keys, where = np.unique(packed_succ[missing], return_inverse=True)
-            succ[missing] = len(self.rows) + where
-            at = np.searchsorted(self.sorted_keys, new_keys)
-            self.sorted_keys = np.insert(self.sorted_keys, at, new_keys)
-            self.order = np.insert(self.order, at, len(self.rows) + np.arange(len(new_keys)))
-            self.rows = np.concatenate([self.rows, (new_keys[:, None] // keys.weights) % d])
-            self.succ.extend([None] * len(new_keys))
-            self.relabel.extend([None] * len(new_keys))
-        for k, s, p in zip(ks, succ.tolist(), relabel.tolist()):
-            self.succ[k], self.relabel[k] = s, p
-        return succ
 
 
 def _check_orbit_cap(cap: int) -> None:

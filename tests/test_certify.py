@@ -38,15 +38,16 @@ from netcert.certify import (
     _check_witnesses,
     _direct_block,
     _direct_pass,
+    _LCClasses,
     _m_tilde,
     _orbit_walks,
+    _PASS_BLOCK,
     certificate_from_json_obj,
     certificate_to_json_obj,
 )
 from netcert import certify, multigraph, oracle
 from netcert.multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
-    _PASS_BLOCK,
     _canonical_rows,
     _neighbor_masks,
     class_count,
@@ -760,11 +761,13 @@ def test_orbit_walks_land_on_certify_any_members(n, d):
     rescued = [w for w in walks if w.path is not None]
     assert [w.start for w in walks] == np.flatnonzero(~direct.certified).tolist()
     assert len(rescued) > 0
-    assert outcome.tolist() == [0 if w.path is None else 1 + w.general for w in walks]
-    for walk in rescued:
+    assert [o == 0 for o in outcome.tolist()] == [w.path is None for w in walks]
+    for walk, construction in zip(walks, outcome.tolist()):
+        if walk.path is None:
+            continue
         cert = certify_any(from_triu_vector(d, n, rows[walk.start].tolist()))
         assert cert.lc_path == walk.path
-        assert cert.method == ("obs4" if walk.general else "obs1")
+        assert cert.method == ("obs4" if construction == 2 else "obs1")
 
 
 @pytest.mark.parametrize(
@@ -935,6 +938,25 @@ def test_direct_pass_memory_is_bounded_per_block():
     assert peaks[1] < 2 * peaks[0]
 
 
+def test_class_store_memory_per_class():
+    """The class store keeps its steps and outcomes as arrays, no Python
+    object per class: on (5,5) at budget 10M (88,985 classes) the store and
+    the steps of its failing classes retain under 64 bytes per class."""
+    rows = _cell_rows(5, 5, 10_000_000)
+    direct = _direct_pass(rows, 5, 5)
+    failing = np.flatnonzero(~direct.certified)
+    assert len(failing) > 0
+    tracemalloc.start()
+    try:
+        classes = _LCClasses(5, 5, rows, direct.certified, direct.general)
+        classes.fill(failing)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (classes.succ[failing] >= 0).all()
+    assert retained < 64 * len(rows), retained / len(rows)
+
+
 def _edited(name, edit):
     """(name, f) where f returns edit(result) of certify's original ``name``."""
     original = getattr(certify, name)
@@ -1004,15 +1026,19 @@ def test_exhaustive_table_keeps_enumeration_progress():
 
 def test_exhaustive_table_skips_ids_with_vertex_0_isolated(monkeypatch):
     """Below d^(N - n + 1) row 0 is all zero, so the sweep keys no id there:
-    (8,3) at the default budget of 2M ids, all below 3^21, reports no class
-    without forming one relabeling key."""
+    (8,3) and (8,2) at the default budget of 2M ids, all below 3^21 and
+    2^21, report no class without forming one relabeling key, and build no
+    key table, neither in the sweep nor in the orbit pass."""
 
-    def no_keys(tables, ranks):
+    def no_keys(*args):
         raise AssertionError("keys formed for an id with vertex 0 isolated")
 
     monkeypatch.setattr(multigraph, "_key_blocks", no_keys)
-    report = exhaustive_table(8, 3)
-    assert (report.total, report.complete, report.examined) == (0, False, 2_000_000)
+    for module in (multigraph, certify):
+        monkeypatch.setattr(module, "_packed_keys", no_keys)
+    for d in (3, 2):
+        report = exhaustive_table(8, d)
+        assert (report.total, report.complete, report.examined) == (0, False, 2_000_000)
 
 
 def test_exhaustive_table_refuses_a_huge_n_at_once():

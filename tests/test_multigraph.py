@@ -29,11 +29,10 @@ from netcert import (
     partition_neighborhoods,
 )
 from netcert import multigraph
-from netcert.certify import _direct_pass
+from netcert.certify import _direct_pass, _LCClasses
 from netcert.multigraph import (
     _canonical_rows,
     _key_blocks,
-    _LCClasses,
     _packed_keys,
     _sweep_cut,
     class_count,
@@ -473,7 +472,9 @@ def test_lc_step_table_matches_single_steps(n, d):
         keys.add(canonical_form(Multigraph.from_edges(d, n, eds)))
     keys = sorted(keys)
     assert len(keys) >= 10
-    classes = _LCClasses(n, d, np.array(keys, dtype=np.int64))
+    rows = np.array(keys, dtype=np.int64)
+    direct = _direct_pass(rows, n, d)
+    classes = _LCClasses(n, d, rows, direct.certified, direct.general)
     classes.fill(range(len(keys)))
     for k in range(len(keys)):
         rep = from_triu_vector(d, n, keys[k])
