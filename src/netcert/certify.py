@@ -838,6 +838,7 @@ def exhaustive_table(
     else:  # only now: _canonical_rows refuses an n too large for this power
         complete, examined = True, d ** (n * (n - 1) // 2)
     rows = np.concatenate(chunks) if chunks else np.zeros((0, n * (n - 1) // 2), np.int64)
+    del chunks  # the rows are a copy; holding both doubles the cell for the whole table
     expected = class_count(n, d)
     if complete and len(rows) != expected:
         raise StructureError(
