@@ -29,13 +29,13 @@ integer arrays, a block at a time, for exhaustive_table; it reads each pair
 of mirror triples (a, b, c), (a, c, b) once (see its docstring).  Both
 check every witness they build against the verifier's witness conditions
 (_witness; _check_witnesses on each block's arrays, which are then dropped:
-a table keeps only the outcome per class).  They stay two because arrays
-only pay off in bulk (the README gives the measurements).
+a table keeps one construction code per class).  They stay two because
+arrays only pay off in bulk (the README gives the measurements).
 
 A class that fails is walked along its local-complementation orbit:
 certify_any walks labeled graphs (multigraph._graph_walk), a table its
 class indices (_orbit_walks) in one store, _LCClasses, of each class's row,
-direct outcome and LC steps as arrays; it judges each class it appends.
+construction code and LC steps as arrays; it judges each class it appends.
 """
 
 from __future__ import annotations
@@ -66,14 +66,12 @@ from .multigraph import (
     _canonical_rows,
     _check_orbit_cap,
     _graph_walk,
-    _key_blocks,
     _LCWalk,
     _neighbor_masks,
     _packed_keys,
     _partition_masks,
     _permutations,
     _slots,
-    _sweep_cut,
     class_count,
     edges,
     from_triu_vector,
@@ -457,18 +455,16 @@ def certify_any(g: Multigraph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> Certificat
 class _DirectPass(NamedTuple):
     """Direct attempts on N graphs (see _direct_pass)."""
 
-    certified: np.ndarray  # (N,) bool
-    rejections: np.ndarray  # (N, 4) reason lines per REJECTION_KINDS; 0 where certified
-    general: np.ndarray  # (N,) bool: weights not constant, so obs4, else obs1
+    construction: np.ndarray  # (N,) int8: 0 fails, 1 obs1, 2 obs4 (weights not constant)
+    rejections: np.ndarray  # (4,) reason lines per REJECTION_KINDS, summed over the failures
 
 
 class _DirectBlock(NamedTuple):
-    """_DirectPass on one block, with the witnesses of its k graphs that
-    certify, in block order; ``phase`` holds tau exponents."""
+    """_DirectPass on one block, rejections per graph, with the witnesses of
+    its k graphs that certify, in block order; ``phase`` holds tau exponents."""
 
-    certified: np.ndarray
-    rejections: np.ndarray
-    general: np.ndarray
+    construction: np.ndarray
+    rejections: np.ndarray  # (block, 4); 0 where certified
     triple: np.ndarray  # (k, 3)
     groups: np.ndarray  # (k, 4) vertex bitmasks of G1..G4
     x: np.ndarray  # (k, 4, n) X exponents of S1..S4
@@ -479,14 +475,14 @@ class _DirectBlock(NamedTuple):
 def _direct_pass(rows: np.ndarray, n: int, d: int) -> _DirectPass:
     """_certify_direct on every connected multigraph of a stack of
     upper-triangle rows (N, n choose 2), as arrays, _PASS_BLOCK rows at a
-    time; only the outcome per graph is kept.
+    time; only the construction per graph and the rejection totals are kept.
 
     Each graph gets the construction and the triple that _certify_direct
     picks (obs1 at its first triple when the weights are constant, else obs4
     at the first triple that is not blocked), its S1..S4 are built, and every
     check of _build_certificate runs on them (_direct_block); a failing
     check raises StructureError.  ``rejections`` counts the reason lines
-    _refusal gives for each graph that fails, by kind.
+    _refusal gives for the graphs that fail, by kind.
 
     It reads each angle once, by the mirror lemma: at a triple (a, b, c)
     with edges AB and CA, validity (m_ab, m_ca nonzero) and the three
@@ -501,8 +497,9 @@ def _direct_pass(rows: np.ndarray, n: int, d: int) -> _DirectPass:
     b < c and doubles the blocked-triple counts.
     """
     starts = range(0, max(len(rows), 1), _PASS_BLOCK)
-    blocks = [_direct_block(rows[i : i + _PASS_BLOCK], n, d)[:3] for i in starts]
-    return _DirectPass(*map(np.concatenate, zip(*blocks)))
+    blocks = (_direct_block(rows[i : i + _PASS_BLOCK], n, d) for i in starts)
+    construction, rejections = zip(*((b.construction, b.rejections.sum(axis=0)) for b in blocks))
+    return _DirectPass(np.concatenate(construction), np.sum(rejections, axis=0))
 
 
 def _direct_block(rows: np.ndarray, n: int, d: int) -> _DirectBlock:
@@ -531,6 +528,7 @@ def _direct_block(rows: np.ndarray, n: int, d: int) -> _DirectBlock:
     general = rows.max(axis=1) != np.where(rows != 0, rows, d).min(axis=1)
     usable = np.where(general[:, None], valid & ~(t_block | a_block | z_block), valid)
     certified = usable.any(axis=1)
+    construction = (certified * (1 + general)).astype(np.int8)
     fail = ~certified & general
     rejections = np.zeros((k, 4), dtype=np.int64)
     rejections[fail] = [1, 0, 0, 0]
@@ -563,7 +561,7 @@ def _direct_block(rows: np.ndarray, n: int, d: int) -> _DirectBlock:
     triple = np.stack((a, b, c), axis=1)
     groups = np.stack(_group_masks(tri1, a, b, c, *nb[hit, triple.T], (1 << n) - 1), axis=1)
     _check_witnesses(d, e, z, phase, groups, obs4, (-t * mt) % d)
-    return _DirectBlock(certified, rejections, general, triple, groups, e, z, phase)
+    return _DirectBlock(construction, rejections, triple, groups, e, z, phase)
 
 
 def _check_witnesses(d, x, z, phase, groups, general, expected_kappa) -> None:
@@ -635,28 +633,27 @@ class _LCClasses:
     d^(n choose 2) < 2^62, and local complementation between them: one
     store, by class index, of arrays that grow together.
 
-    ``rows`` holds the canonical form of each class: first the cell's, then
+    ``rows`` holds the canonical form of each class: first the cell's, in
+    ascending order (as the sweep yields them; else StructureError), then
     each class a step meets outside them (a cell cut short by its budget).
     Class k stands for its canonical representative rep_k, and
-    ``certified`` and ``general`` hold _direct_pass's outcome on it.  Once
-    ``fill`` has run on k, ``succ[k, v]`` is the class of LC(rep_k, v) and
+    ``construction`` holds _direct_pass's outcome on it.  Once ``fill`` has
+    run on k, ``succ[k, v]`` is the class of LC(rep_k, v) and
     ``relabel[k, v]`` the index into ``perms`` of the relabeling p with
     LC(rep_k, v) = permuted(rep_k2, p); ``succ[k]`` is -1 until then.
     """
 
-    def __init__(
-        self, n: int, d: int, rows: np.ndarray, certified: np.ndarray, general: np.ndarray
-    ) -> None:
+    def __init__(self, n: int, d: int, rows: np.ndarray, construction: np.ndarray) -> None:
         self.n, self.d = n, d
-        self.rows, self.certified, self.general = rows, certified, general
+        self.rows, self.construction = rows, construction
         self.succ = np.full((len(rows), n), -1, dtype=np.int32)
         self.relabel = np.zeros((len(rows), n), dtype=np.uint16)  # n! <= 40,320
         self.perms = _permutations(n)
-        self.keys = _packed_keys(n, d, _sweep_cut(n, d))
+        self.keys = _packed_keys(n, d)
         # the packed keys of ``rows`` in ascending order, and their classes
-        keys = rows @ self.keys.weights
-        self.order = np.argsort(keys)
-        self.sorted_keys = keys[self.order]
+        self.sorted_keys, self.order = rows @ self.keys.weights, np.arange(len(rows))
+        if (np.diff(self.sorted_keys) <= 0).any():
+            raise StructureError("class store rows are not in strictly ascending order")
 
     def expand(
         self, state: tuple[int, tuple[int, ...]]
@@ -676,51 +673,42 @@ class _LCClasses:
             yield succ[v], (succ[v], tuple([perm[i] for i in relabel[v]]))
 
     def fill(self, ks: Sequence[int]) -> None:
-        """Every step of the classes ``ks``, blockwise on their rows: LC at v
-        adds m_vi m_vj to entry (i, j), so the images of a row are
+        """Every step of the classes ``ks``, _PASS_BLOCK classes at a time:
+        LC at v adds m_vi m_vj to entry (i, j), so the images of a row are
         ``(row + row[P1] * row[P2]) % d`` with P1, P2 the slots of (v, i) and
-        (v, j), and the argmin of each image's key row (_packed_keys)
-        canonicalises it.  A class a step meets that the store lacks is
-        appended, its key merged into the sorted key index and its outcome
-        taken from _direct_pass."""
-        n, d, keys = self.n, self.d, self.keys
-        ncols = n * (n - 1) // 2
+        (v, j), and _Keys.least canonicalises them.  A class a step meets
+        that the store lacks gets the next index, its key merged into the
+        sorted key index before the next block is looked up; its row and its
+        outcome from _direct_pass are appended once all blocks are done."""
+        n, d, ncols = self.n, self.d, self.rows.shape[1]
         slot = _slots(n)
         # at column slot[i, j] of the image at v, the columns of (v, i) and (v, j)
         p1, p2 = np.empty((2, n, ncols + 1), dtype=np.intp)
         p1[:, slot], p2[:, slot] = slot[:, :, None], slot[:, None, :]
         p1, p2 = p1[:, :ncols], p2[:, :ncols]
-        ks = np.asarray(ks, dtype=np.intp)
-        packed_succ = np.empty(len(ks) * n, dtype=np.int64)
-        relabel = np.empty(len(ks) * n, dtype=np.uint16)
+        ks, added = np.asarray(ks, dtype=np.intp), []
         for first in range(0, len(ks), _PASS_BLOCK):
-            block = self.rows[ks[first : first + _PASS_BLOCK]]
-            ext = np.pad(block, [(0, 0), (0, 1)])
-            images = (block[:, None, :] + ext[:, p1] * ext[:, p2]) % d
-            for start, key_rows in _key_blocks(keys.tables, keys.ranks(images.reshape(-1, ncols))):
-                best = key_rows.argmin(axis=1)
-                at = slice(first * n + start, first * n + start + len(best))
-                packed_succ[at], relabel[at] = key_rows[np.arange(len(best)), best], best
-        packed_succ = packed_succ.reshape(-1, n)
-        pos = np.searchsorted(self.sorted_keys, packed_succ).clip(max=len(self.rows) - 1)
-        succ = self.order[pos]
-        missing = self.sorted_keys[pos] != packed_succ
-        if missing.any():
-            new_keys, where = np.unique(packed_succ[missing], return_inverse=True)
-            succ[missing] = len(self.rows) + where
-            at = np.searchsorted(self.sorted_keys, new_keys)
-            self.sorted_keys = np.insert(self.sorted_keys, at, new_keys)
-            self.order = np.insert(self.order, at, len(self.rows) + np.arange(len(new_keys)))
-            rows = (new_keys[:, None] // keys.weights) % d
-            added = _direct_pass(rows, n, d)
-            unfilled = np.full((len(rows), n), -1, dtype=np.int32)
-            self.rows, self.certified, self.general, self.succ, self.relabel = (
-                np.concatenate(pair) for pair in zip(
-                    (self.rows, self.certified, self.general, self.succ, self.relabel),
-                    (rows, added.certified, added.general, unfilled, np.zeros_like(unfilled, np.uint16)),
-                )
-            )
-        self.succ[ks], self.relabel[ks] = succ, relabel.reshape(-1, n)
+            block = ks[first : first + _PASS_BLOCK]
+            ext = np.pad(self.rows[block], [(0, 0), (0, 1)])
+            images = (ext[:, None, :ncols] + ext[:, p1] * ext[:, p2]) % d
+            packed, relabel = self.keys.least(images.reshape(-1, ncols))
+            pos = np.searchsorted(self.sorted_keys, packed).clip(max=len(self.order) - 1)
+            succ, missing = self.order[pos], self.sorted_keys[pos] != packed
+            if missing.any():
+                new_keys, where = np.unique(packed[missing], return_inverse=True)
+                succ[missing] = len(self.order) + where
+                at = np.searchsorted(self.sorted_keys, new_keys)
+                self.sorted_keys = np.insert(self.sorted_keys, at, new_keys)
+                self.order = np.insert(self.order, at, len(self.order) + np.arange(len(new_keys)))
+                added.append(new_keys)
+            self.succ[block], self.relabel[block] = succ.reshape(-1, n), relabel.reshape(-1, n)
+        if added:
+            rows = (np.concatenate(added)[:, None] // self.keys.weights) % d
+            grow = [(0, len(rows)), (0, 0)]
+            self.rows = np.concatenate((self.rows, rows))
+            self.construction = np.append(self.construction, _direct_pass(rows, n, d).construction)
+            self.succ = np.pad(self.succ, grow, constant_values=-1)
+            self.relabel = np.pad(self.relabel, grow)
 
 
 class _OrbitWalk(NamedTuple):
@@ -736,8 +724,7 @@ def _orbit_walks(
     rows: np.ndarray,
     n: int,
     d: int,
-    certified: np.ndarray,
-    general: np.ndarray,
+    construction: np.ndarray,
     orbit_cap: int,
     labels: bool = True,
 ) -> tuple[np.ndarray, list[_OrbitWalk]]:
@@ -765,26 +752,26 @@ def _orbit_walks(
     ``labels`` False walks every class, the reference the labels are tested
     against.
 
-    ``certified`` and ``general`` give _direct_pass's outcome per class of
-    the cell; the store judges each class it appends the same way.
+    ``construction`` gives _direct_pass's outcome per class of the cell;
+    the store judges each class it appends the same way.
     Relabeling permutes the blocked triples, so outcome, rejections and
     construction depend only on the class, and its checked witness covers
     the member a walk reaches, which is never built.  The relabelings in
     the states fix the vertex order of a walk, and with it the path.
     """
-    classes = _LCClasses(n, d, rows, certified, general)
+    classes = _LCClasses(n, d, rows, construction)
     depth, reach = 0, 1 + n
     while reach <= orbit_cap:
         depth, reach = depth + 1, reach * n + 1
     for _ in range(max(depth, 1)):
-        todo = np.flatnonzero(~classes.certified & (classes.succ[:, 0] < 0))
+        todo = np.flatnonzero((classes.construction == 0) & (classes.succ[:, 0] < 0))
         if not len(todo):
             break
         classes.fill(todo)
-    failing = np.flatnonzero(~certified)
-    cons = np.where(classes.certified, 1 + classes.general, 0)
+    failing = np.flatnonzero(construction == 0)
+    cons = classes.construction.copy()
     if labels:
-        dist = np.where(classes.certified, 0, -1)
+        dist = np.where(cons > 0, 0, -1)
         filled = np.flatnonzero(classes.succ[:, 0] >= 0)
         for level in range(1, depth + 1):
             filled = filled[dist[filled] < 0]
@@ -799,8 +786,8 @@ def _orbit_walks(
         start = int(failing[i])
         walk, path = _LCWalk((start, identity), start, classes.expand, orbit_cap), None
         for size, (k, _, steps) in enumerate(walk, start=1):
-            if classes.certified[k]:
-                outcome[i], path = 1 + classes.general[k], steps
+            if classes.construction[k]:
+                outcome[i], path = classes.construction[k], steps
                 break
         walks.append(_OrbitWalk(start, path, size, walk.truncated))
     return outcome, walks
@@ -845,9 +832,10 @@ def exhaustive_table(
             f"enumerator bug: {len(rows)} classes of n={n}, d={d}, "
             f"but Polya counting gives {expected}"
         )
-    certified, rejected, general = _direct_pass(rows, n, d)
-    methods = Counter(np.where(general[certified], METHOD_GENERAL, METHOD_CONSTANT).tolist())
-    rejections = tuple(zip(REJECTION_KINDS, rejected.sum(axis=0).tolist()))
+    construction, rejected = _direct_pass(rows, n, d)
+    direct = np.bincount(construction, minlength=3).tolist()
+    methods = {METHOD_CONSTANT: direct[1], METHOD_GENERAL: direct[2]}
+    rejections = tuple(zip(REJECTION_KINDS, rejected.tolist()))
 
     def graph(idx: int) -> Multigraph:
         return from_triu_vector(d, n, rows[idx].tolist())
@@ -855,11 +843,10 @@ def exhaustive_table(
     uncertified = []
     if n < 3:  # certify_any refuses every class outright
         uncertified = [certify_any(graph(idx)) for idx in range(len(rows))]
-    elif not certified.all():
-        outcome, walks = _orbit_walks(rows, n, d, certified, general, orbit_cap)
+    elif not construction.all():
+        outcome, walks = _orbit_walks(rows, n, d, construction, orbit_cap)
         rescues = np.bincount(outcome, minlength=3).tolist()
-        methods[METHOD_CONSTANT + "+lc"] += rescues[1]
-        methods[METHOD_GENERAL + "+lc"] += rescues[2]
+        methods.update({METHOD_CONSTANT + "+lc": rescues[1], METHOD_GENERAL + "+lc": rescues[2]})
         uncertified = [
             _refusal(graph(w.start), w.size, w.truncated, orbit_cap)
             for w in walks

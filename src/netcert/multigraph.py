@@ -307,9 +307,19 @@ class _Keys(NamedTuple):
         pos, scale, radix = self.place
         return (digits[:, pos] // scale % radix) @ self.chunk
 
+    def least(self, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each digit row's least key (int64) and the index of the relabeling
+        that gives it: its canonical form, and the permutation reaching it."""
+        key, index = np.empty(len(digits), np.int64), np.empty(len(digits), np.intp)
+        for start, block in _key_blocks(self.tables, self.ranks(digits)):
+            best = block.argmin(axis=1)
+            at = slice(start, start + len(best))
+            key[at], index[at] = block[np.arange(len(best)), best], best
+        return key, index
+
 
 @lru_cache(maxsize=4)
-def _packed_keys(n: int, d: int, cut: int) -> _Keys:
+def _packed_keys(n: int, d: int) -> _Keys:
     """Relabeling keys of upper-triangle vectors over Z_d, for d^(n choose 2) < 2^62.
 
     The key of vec under a relabeling is the rank of the relabeled vector in
@@ -320,10 +330,11 @@ def _packed_keys(n: int, d: int, cut: int) -> _Keys:
     share of all n! keys, and a key row is the sum of one row per chunk,
     exact in the tables' integer dtype.  Each table takes at most
     _TABLE_BYTES, in as few chunks as that allows, and no chunk spans digit
-    ``cut`` (the sweep's split of an id into high and low digits).  (5,4)
-    takes three tables (180 KB), (8,2) fourteen of 4 rows (8.6 MB).
+    _sweep_cut(n, d), the sweep's split of an id into high and low digits
+    (fixed per (n, d), the cache's key).  (5,4) takes three tables (180 KB),
+    (8,2) fourteen of 4 rows (8.6 MB).
     """
-    ncols = n * (n - 1) // 2
+    ncols, cut = n * (n - 1) // 2, _sweep_cut(n, d)
     weights = d ** np.arange(ncols - 1, -1, -1, dtype=np.int64)
     perms = _permutations(n)
     # digit j weighs wmat[j, p] in the p-th key: entry (i, j) of that
@@ -455,7 +466,7 @@ def _canonical_runs(n: int, d: int, limit: int) -> Iterator[np.ndarray]:
     begin, nblocks = d ** ((n - 1) * (n - 2) // 2) // size, -(-limit // size)
     if begin >= nblocks:
         return
-    keys = _packed_keys(n, d, cut)
+    keys = _packed_keys(n, d)
     weights, lows, tables = keys.weights, keys.lows, keys.tables
     dtype, ncols = tables[0].dtype, tables[0].shape[1]
     swaps = np.flatnonzero((_permutations(n) != np.arange(n)).sum(axis=1) == 2)

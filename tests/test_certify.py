@@ -315,8 +315,8 @@ def reference_direct_reasons(g):
 
 def test_direct_attempt_matches_partition_reference():
     """Both paths against the partition reference: _certify_direct and,
-    on the same labeled graph, the certified flag and rejection counts of
-    _direct_pass."""
+    on the same labeled graph, the construction and rejection counts of
+    _direct_block, and _direct_pass's totals."""
     rng = np.random.default_rng(41)
     refused = 0
     for _ in range(400):
@@ -335,8 +335,9 @@ def test_direct_attempt_matches_partition_reference():
         got = _certify_direct(g, (), g)
         # an orbit cap of 1 leaves the direct attempt's outcome
         res = certify_any(g, orbit_cap=1)
-        direct = _direct_pass(triu_rows([g]), n, d)
-        assert direct.certified[0] == isinstance(res, Certificate)
+        direct = _direct_block(triu_rows([g]), n, d)
+        assert (direct.construction[0] > 0) == isinstance(res, Certificate)
+        assert (_direct_pass(triu_rows([g]), n, d).rejections == direct.rejections[0]).all()
         if want is None:
             assert isinstance(got, Certificate)
             assert direct.rejections[0].tolist() == [0] * len(REJECTION_KINDS)
@@ -714,13 +715,13 @@ def test_direct_pass_operators_equal_certify_any():
     emits."""
     graphs = list(enumerate_connected_multigraphs(4, 4))
     direct = _direct_block(triu_rows(graphs), 4, 4)
-    assert direct.certified.sum() == len(direct.triple) == 185
-    certified = [g for g, ok in zip(graphs, direct.certified) if ok]
-    general = direct.general[direct.certified]
+    assert np.count_nonzero(direct.construction) == len(direct.triple) == 185
+    certified = [g for g, code in zip(graphs, direct.construction) if code]
+    construction = direct.construction[direct.construction > 0]
     for k, g in enumerate(certified):
         cert = certify_any(g)
         assert cert.lc_path == ()
-        assert cert.method == ("obs4" if general[k] else "obs1")
+        assert cert.method == ("obs4" if construction[k] == 2 else "obs1")
         assert [cert.e1, cert.e2, cert.e4] == list(map(tuple, direct.x[k, [0, 1, 3]].tolist()))
         masks = [sum(1 << int(v) for v in grp) for grp in cert.groups]
         assert masks == direct.groups[k].tolist()
@@ -730,7 +731,7 @@ def test_direct_pass_operators_equal_certify_any():
             }
             op = PauliOperator.from_sites(4, sites, int(direct.phase[k, i]))
             assert op == w, (g, i)
-    failing = [g for g, ok in zip(graphs, direct.certified) if not ok]
+    failing = [g for g, code in zip(graphs, direct.construction) if not code]
     assert all(_certify_direct(g, (), g) is None for g in failing)
 
 
@@ -756,10 +757,10 @@ def test_orbit_walks_land_on_certify_any_members(n, d):
     uses."""
     rows = _cell_rows(n, d)
     direct = _direct_pass(rows, n, d)
-    args = (rows, n, d, direct.certified, direct.general, 4096)
+    args = (rows, n, d, direct.construction, 4096)
     outcome, walks = _orbit_walks(*args, labels=False)
     rescued = [w for w in walks if w.path is not None]
-    assert [w.start for w in walks] == np.flatnonzero(~direct.certified).tolist()
+    assert [w.start for w in walks] == np.flatnonzero(direct.construction == 0).tolist()
     assert len(rescued) > 0
     assert [o == 0 for o in outcome.tolist()] == [w.path is None for w in walks]
     for walk, construction in zip(walks, outcome.tolist()):
@@ -783,7 +784,7 @@ def test_orbit_labels_agree_with_exact_walks(n, d, budget):
     failing classes it appends, would mislabel three classes."""
     rows = _cell_rows(n, d, budget or DEFAULT_ENUMERATION_BUDGET)
     direct = _direct_pass(rows, n, d)
-    args = (rows, n, d, direct.certified, direct.general, 4096)
+    args = (rows, n, d, direct.construction, 4096)
     (outcome, walks), (want, exact) = _orbit_walks(*args), _orbit_walks(*args, labels=False)
     assert outcome.tolist() == want.tolist()
     walked = {w.start for w in walks}
@@ -798,17 +799,16 @@ def test_direct_pass_outcome_is_a_class_invariant(n, d):
     class and no labeled orbit member."""
     rows = _cell_rows(n, d)
     reps = triu_to_matrices(rows, n)
-    want = _direct_pass(rows, n, d)
+    want = _direct_block(rows, n, d)
     rng = np.random.default_rng(7)
     iu, ju = np.triu_indices(n, 1)
     for _ in range(3):
         perms = np.array([rng.permutation(n) for _ in range(len(reps))])
         sel = np.arange(len(reps))[:, None, None]
         mats = reps[sel, perms[:, :, None], perms[:, None, :]]
-        got = _direct_pass(mats[:, iu, ju], n, d)
-        assert (got.certified == want.certified).all()
+        got = _direct_block(mats[:, iu, ju], n, d)
+        assert (got.construction == want.construction).all()
         assert (got.rejections == want.rejections).all()
-        assert (got.general == want.general).all()
 
 
 def test_mirror_triples_read_alike():
@@ -857,7 +857,7 @@ def test_direct_pass_triple_is_certify_direct_triple(n, d, monkeypatch):
     monkeypatch.setattr(certify, "_build_certificate", record)
     rows = _cell_rows(n, d)
     direct = _direct_block(rows, n, d)
-    for k in np.flatnonzero(direct.certified).tolist():
+    for k in np.flatnonzero(direct.construction).tolist():
         g = from_triu_vector(d, n, rows[k].tolist())
         assert _certify_direct(g, (), g) is not None
     assert len(picked) == len(direct.triple) > 0
@@ -869,7 +869,7 @@ def test_direct_pass_checks_reject_tampered_witnesses():
     graphs = list(enumerate_connected_multigraphs(4, 3))
     direct = _direct_block(triu_rows(graphs), 4, 3)
     expected = np.array(
-        [cert.kappa for cert in (certify_any(g) for g, ok in zip(graphs, direct.certified) if ok)]
+        [cert.kappa for cert in (certify_any(g) for g, ok in zip(graphs, direct.construction) if ok)]
     )
     args = dict(
         d=3,
@@ -877,7 +877,7 @@ def test_direct_pass_checks_reject_tampered_witnesses():
         z=direct.z,
         phase=direct.phase,
         groups=direct.groups,
-        general=direct.general[direct.certified],
+        general=direct.construction[direct.construction > 0] == 2,
         expected_kappa=expected,
     )
     _check_witnesses(**args)
@@ -944,17 +944,52 @@ def test_class_store_memory_per_class():
     the steps of its failing classes retain under 64 bytes per class."""
     rows = _cell_rows(5, 5, 10_000_000)
     direct = _direct_pass(rows, 5, 5)
-    failing = np.flatnonzero(~direct.certified)
+    failing = np.flatnonzero(direct.construction == 0)
     assert len(failing) > 0
     tracemalloc.start()
     try:
-        classes = _LCClasses(5, 5, rows, direct.certified, direct.general)
+        classes = _LCClasses(5, 5, rows, direct.construction)
         classes.fill(failing)
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert (classes.succ[failing] >= 0).all()
     assert retained < 64 * len(rows), retained / len(rows)
+
+
+def test_class_store_fill_memory_is_bounded_per_block():
+    """fill keys, looks up and stores one _PASS_BLOCK of classes at a time:
+    over the failing classes of (5,5) at budget 10M (21 blocks) its traced
+    peak stays below twice its peak on their first block."""
+    rows = _cell_rows(5, 5, 10_000_000)
+    direct = _direct_pass(rows, 5, 5)
+    failing = np.flatnonzero(direct.construction == 0)
+    assert len(failing) > 20 * _PASS_BLOCK
+    parts = (failing[:_PASS_BLOCK], failing)
+    stores = [_LCClasses(5, 5, rows, direct.construction) for _ in parts]
+    peaks = []
+    tracemalloc.start()
+    try:
+        for classes, part in zip(stores, parts):
+            tracemalloc.reset_peak()
+            classes.fill(part)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert (stores[1].succ[failing] >= 0).all()
+    assert peaks[1] < 2 * peaks[0], peaks
+
+
+def test_class_store_takes_ascending_rows():
+    """The store takes the row order as key order, so rows that do not
+    ascend strictly, such as the (4,4) cell reversed, raise StructureError."""
+    rows = _cell_rows(4, 4)
+    construction = _direct_pass(rows, 4, 4).construction
+    _LCClasses(4, 4, rows, construction)
+    with pytest.raises(StructureError, match="ascending"):
+        _LCClasses(4, 4, rows[::-1], construction[::-1])
+    with pytest.raises(StructureError, match="ascending"):
+        _LCClasses(4, 4, rows[[0, 0]], construction[[0, 0]])
 
 
 def _edited(name, edit):

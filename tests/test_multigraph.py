@@ -34,7 +34,6 @@ from netcert.multigraph import (
     _canonical_rows,
     _key_blocks,
     _packed_keys,
-    _sweep_cut,
     class_count,
     edges,
     from_triu_vector,
@@ -224,7 +223,7 @@ def relabel_weights(n: int, d: int) -> np.ndarray:
 
 def lookup_keys(n: int, d: int, vecs: np.ndarray) -> np.ndarray:
     """The relabeling keys of the rows vecs by the enumerator's chunk tables."""
-    keys = _packed_keys(n, d, _sweep_cut(n, d))
+    keys = _packed_keys(n, d)
     return np.concatenate([block for _, block in _key_blocks(keys.tables, keys.ranks(vecs))])
 
 
@@ -474,7 +473,7 @@ def test_lc_step_table_matches_single_steps(n, d):
     assert len(keys) >= 10
     rows = np.array(keys, dtype=np.int64)
     direct = _direct_pass(rows, n, d)
-    classes = _LCClasses(n, d, rows, direct.certified, direct.general)
+    classes = _LCClasses(n, d, rows, direct.construction)
     classes.fill(range(len(keys)))
     for k in range(len(keys)):
         rep = from_triu_vector(d, n, keys[k])
@@ -559,6 +558,20 @@ def block_size(n, d):
     return size
 
 
+@pytest.fixture
+def sweep_block(monkeypatch):
+    """Sets multigraph._SWEEP_BLOCK.  _packed_keys chunks its tables at the
+    sweep's cut but is cached by (n, d) alone, so its cache is cleared on
+    both sides: no test reads tables chunked for another block size."""
+
+    def set_block(block):
+        monkeypatch.setattr(multigraph, "_SWEEP_BLOCK", block)
+        _packed_keys.cache_clear()
+
+    yield set_block
+    _packed_keys.cache_clear()
+
+
 def sweep(n, d, budget):
     """The rows of _canonical_rows, and (examined, yielded) if it overflows."""
     chunks, progress = [], None
@@ -573,10 +586,10 @@ def sweep(n, d, budget):
 
 @pytest.mark.parametrize("n,d", SWEEP_CELLS)
 @pytest.mark.parametrize("block", [1, 3, 64, multigraph._SWEEP_BLOCK])
-def test_block_sweep_matches_brute_force(n, d, block, monkeypatch):
+def test_block_sweep_matches_brute_force(n, d, block, sweep_block):
     """At every block size, from one id per block (k = 0) up to the default,
     the sweep yields exactly the brute-force rows in the same order."""
-    monkeypatch.setattr(multigraph, "_SWEEP_BLOCK", block)
+    sweep_block(block)
     rows, progress = sweep(n, d, d ** (n * (n - 1) // 2))
     assert progress is None and np.array_equal(rows, labeled_reference(n, d))
 
@@ -584,11 +597,11 @@ def test_block_sweep_matches_brute_force(n, d, block, monkeypatch):
 @pytest.mark.parametrize(
     "n,d,block", [(n, d, 64) for n, d in SWEEP_CELLS] + [(5, 3, multigraph._SWEEP_BLOCK)]
 )
-def test_block_sweep_budget_stops(n, d, block, monkeypatch):
+def test_block_sweep_budget_stops(n, d, block, sweep_block):
     """A budget stop at 0, 1, d^(n choose 2), and at each block boundary and
     one id either side of it, yields the full sweep's rows below the budget
     and reports the budget as examined and their number as yielded."""
-    monkeypatch.setattr(multigraph, "_SWEEP_BLOCK", block)
+    sweep_block(block)
     total = d ** (n * (n - 1) // 2)
     full, _ = sweep(n, d, total)
     ids = full @ relabel_weights(n, d)[:, 0]
@@ -641,7 +654,7 @@ def test_keys_exact_on_both_sides_of_2_31(d, dtype):
     (int32 tables) and just above it (int64): at n = 3 the largest key,
     d^3 - 1, is 2,146,688,999 at d = 1290 and past 2^31 at d = 1291."""
     assert (d**3 < 2**31) == (dtype is np.int32)
-    assert all(t.dtype == dtype for t in _packed_keys(3, d, _sweep_cut(3, d)).tables)
+    assert all(t.dtype == dtype for t in _packed_keys(3, d).tables)
     rng = np.random.default_rng(d)
     vecs = np.concatenate([np.full((1, 3), d - 1), rng.integers(0, d, (50, 3))])
     keys = lookup_keys(3, d, vecs)
@@ -652,10 +665,11 @@ def test_keys_exact_on_both_sides_of_2_31(d, dtype):
 def test_lookup_keys_match_int64_on_lc_images():
     """On every LC image of the (5,4) classes whose direct attempt fails, as
     _LCClasses.fill forms them, the looked-up keys equal the plain int64
-    matmul's."""
+    matmul's, and _Keys.least gives their least key and a relabeling that
+    attains it."""
     n, d = 5, 4
     rows = np.concatenate(list(_canonical_rows(n, d, 4**10)))
-    mats = multigraph.triu_to_matrices(rows[~_direct_pass(rows, n, d).certified], n)
+    mats = multigraph.triu_to_matrices(rows[_direct_pass(rows, n, d).construction == 0], n)
     assert len(mats) == 3851
     wmat = relabel_weights(n, d)
     iu, ju = np.triu_indices(n, 1)
@@ -664,6 +678,9 @@ def test_lookup_keys_match_int64_on_lc_images():
         r = mats[:, v, :]
         images = ((mats + off * r[:, :, None] * r[:, None, :]) % d)[:, iu, ju]
         assert np.array_equal(lookup_keys(n, d, images), images @ wmat)
+        least, index = _packed_keys(n, d).least(images)
+        assert np.array_equal(least, (images @ wmat).min(axis=1))
+        assert np.array_equal((images @ wmat)[np.arange(len(images)), index], least)
 
 
 def test_budgeted_sweep_on_int64_keys():
@@ -672,7 +689,7 @@ def test_budgeted_sweep_on_int64_keys():
     connected vectors with ids from 5^10 up that are their own canonical form."""
     n, d = 6, 5
     first, budget = d**10, d**10 + 2 * d**6
-    assert _packed_keys(n, d, _sweep_cut(n, d)).tables[0].dtype == np.int64
+    assert _packed_keys(n, d).tables[0].dtype == np.int64
     rows, progress = sweep(n, d, budget)
     want = []
     for i in range(first, budget):
