@@ -676,34 +676,35 @@ class _LCClasses:
         """Every step of the classes ``ks``, _PASS_BLOCK classes at a time:
         LC at v adds m_vi m_vj to entry (i, j), so the images of a row are
         ``(row + row[P1] * row[P2]) % d`` with P1, P2 the slots of (v, i) and
-        (v, j), and _Keys.least canonicalises them.  A class a step meets
-        that the store lacks gets the next index, its key merged into the
-        sorted key index before the next block is looked up; its row and its
-        outcome from _direct_pass are appended once all blocks are done."""
+        (v, j), and _Keys.least canonicalises them.  Only the steps to a
+        class the store lacks are kept past their block; once all blocks
+        are done those classes are appended, their keys merged into the
+        sorted key index and their outcome taken from _direct_pass."""
         n, d, ncols = self.n, self.d, self.rows.shape[1]
         slot = _slots(n)
         # at column slot[i, j] of the image at v, the columns of (v, i) and (v, j)
         p1, p2 = np.empty((2, n, ncols + 1), dtype=np.intp)
         p1[:, slot], p2[:, slot] = slot[:, :, None], slot[:, None, :]
         p1, p2 = p1[:, :ncols], p2[:, :ncols]
-        ks, added = np.asarray(ks, dtype=np.intp), []
+        ks, lost = np.asarray(ks, dtype=np.intp), []
         for first in range(0, len(ks), _PASS_BLOCK):
             block = ks[first : first + _PASS_BLOCK]
             ext = np.pad(self.rows[block], [(0, 0), (0, 1)])
             images = (ext[:, None, :ncols] + ext[:, p1] * ext[:, p2]) % d
             packed, relabel = self.keys.least(images.reshape(-1, ncols))
             pos = np.searchsorted(self.sorted_keys, packed).clip(max=len(self.order) - 1)
-            succ, missing = self.order[pos], self.sorted_keys[pos] != packed
-            if missing.any():
-                new_keys, where = np.unique(packed[missing], return_inverse=True)
-                succ[missing] = len(self.order) + where
-                at = np.searchsorted(self.sorted_keys, new_keys)
-                self.sorted_keys = np.insert(self.sorted_keys, at, new_keys)
-                self.order = np.insert(self.order, at, len(self.order) + np.arange(len(new_keys)))
-                added.append(new_keys)
-            self.succ[block], self.relabel[block] = succ.reshape(-1, n), relabel.reshape(-1, n)
-        if added:
-            rows = (np.concatenate(added)[:, None] // self.keys.weights) % d
+            self.succ[block] = self.order[pos].reshape(-1, n)
+            self.relabel[block] = relabel.reshape(-1, n)
+            if (missing := self.sorted_keys[pos] != packed).any():
+                lost.append(((block[:, None] * n + np.arange(n)).ravel()[missing], packed[missing]))
+        if lost:
+            steps, packed = map(np.concatenate, zip(*lost))
+            new_keys, where = np.unique(packed, return_inverse=True)
+            self.succ.flat[steps] = len(self.order) + where
+            at = np.searchsorted(self.sorted_keys, new_keys)
+            self.sorted_keys = np.insert(self.sorted_keys, at, new_keys)
+            self.order = np.insert(self.order, at, len(self.order) + np.arange(len(new_keys)))
+            rows = (new_keys[:, None] // self.keys.weights) % d
             grow = [(0, len(rows)), (0, 0)]
             self.rows = np.concatenate((self.rows, rows))
             self.construction = np.append(self.construction, _direct_pass(rows, n, d).construction)
