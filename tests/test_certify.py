@@ -869,7 +869,7 @@ def test_direct_pass_checks_reject_tampered_witnesses():
     graphs = list(enumerate_connected_multigraphs(4, 3))
     direct = _direct_block(triu_rows(graphs), 4, 3)
     expected = np.array(
-        [cert.kappa for cert in (certify_any(g) for g, ok in zip(graphs, direct.construction) if ok)]
+        [cert.kappa for cert in (certify_any(g) for g, c in zip(graphs, direct.construction) if c)]
     )
     args = dict(
         d=3,
