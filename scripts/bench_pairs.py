@@ -5,7 +5,7 @@ From the repository root:
     python3 scripts/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
         [--sweep n,d[,budget] ...] [--table n,d[,budget[,orbit_cap]] ...] \\
         [--table-outputs CELL ...] [--lc-orbit n,d[,cap] ...] \\
-        [--verify] [--canonical] --out BENCH_x.json
+        [--verify] [--canonical] [--ghz] --out BENCH_x.json
 
 Each kind is a snippet that runs RUNS times in a fresh process in each
 checkout (its ``src/`` on PYTHONPATH, PYTHONHASHSEED=0), the parent first on
@@ -28,6 +28,9 @@ snippet prints one JSON line ``{"sha256", "times": {name: value}, ...}``:
 - ``canonical``: ``canonical_form`` per call (best of three) on the n = 8
   graphs the pool's orbit walks key and on every vertex-transitive Cayley
   multigraph of Z8, Z2^3 and Z4 x Z2 over Z_2 and Z_3; sha256 of the forms.
+- ``ghz``: ``ghz_numeric_bound(d)`` for d = 2..8 in turn, timed in total
+  (``ghz_s``) and per d (``d2_s`` ... ``d8_s``); sha256 over the reports'
+  repr, ``solver_trace`` cells included, and the cells' total (``cells``).
 
 perfbench runs pair by seed.  Run
 
@@ -181,6 +184,20 @@ print(json.dumps({
 }))
 """
 
+GHZ = """
+import hashlib, json, time
+from netcert import ghz_numeric_bound
+h, times, cells = hashlib.sha256(), {}, 0
+for d in range(2, 9):
+    start = time.perf_counter()
+    report = ghz_numeric_bound(d)
+    times[f"d{d}_s"] = time.perf_counter() - start
+    h.update(repr(report).encode())
+    cells += sum(c for _, _, c in report.solver_trace)
+times = {"ghz_s": sum(times.values()), **times}
+print(json.dumps({"sha256": h.hexdigest(), "times": times, "cells": cells}))
+"""
+
 
 def source_digest(root: Path) -> str:
     """The ``src_sha256`` perfbench records: every ``src/netcert/*.py`` with its name."""
@@ -281,6 +298,7 @@ def main() -> int:
     ap.add_argument("--sweep", nargs="+", default=[], metavar="n,d[,budget]")
     ap.add_argument("--canonical", action="store_true", help="time canonical_form per call")
     ap.add_argument("--verify", action="store_true", help="time verify_obs3 per certificate")
+    ap.add_argument("--ghz", action="store_true", help="time ghz_numeric_bound for d = 2..8")
     ap.add_argument("--table", nargs="+", default=[], metavar="n,d[,budget[,orbit_cap]]")
     ap.add_argument("--table-outputs", nargs="+", default=[], metavar="n,d[,budget[,orbit_cap]]")
     ap.add_argument("--lc-orbit", nargs="+", default=[], metavar="n,d[,cap]")
@@ -295,6 +313,8 @@ def main() -> int:
         jobs.append(("verify", VERIFY, []))
     if args.canonical:
         jobs.append(("canonical", CANONICAL, []))
+    if args.ghz:
+        jobs.append(("ghz", GHZ, []))
     out = {
         key: summarize(
             alternating(args.parent, args.change, lambda root: fresh_run(root, code, *argv))

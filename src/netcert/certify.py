@@ -649,6 +649,7 @@ class _LCClasses:
         self.succ = np.full((len(rows), n), -1, dtype=np.int32)
         self.relabel = np.zeros((len(rows), n), dtype=np.uint16)  # n! <= 40,320
         self.perms = _permutations(n)
+        self.perm_rows: list[list[int]] | None = None  # ``perms`` as lists, for expand
         self.keys = _packed_keys(n, d)
         # the packed keys of ``rows`` in ascending order, and their classes
         self.sorted_keys, self.order = rows @ self.keys.weights, np.arange(len(rows))
@@ -663,9 +664,13 @@ class _LCClasses:
         perm^-1(a) of rep_k, relabeled by perm.  Fills class k first if no
         earlier ``fill`` did."""
         k, perm = state
-        if self.succ[k, 0] < 0:
+        succ = self.succ[k].tolist()
+        if succ[0] < 0:
             self.fill([k])
-        succ, relabel = self.succ[k].tolist(), self.perms[self.relabel[k]].tolist()
+            succ = self.succ[k].tolist()
+        if self.perm_rows is None:  # built by the first walk: most cells walk none
+            self.perm_rows = self.perms.tolist()
+        relabel = [self.perm_rows[j] for j in self.relabel[k].tolist()]
         inverse = [0] * self.n
         for i, a in enumerate(perm):
             inverse[a] = i

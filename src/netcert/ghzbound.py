@@ -15,6 +15,10 @@ Three bounds of increasing sharpness and cost:
   bisection step needs one bit, whether the relaxation reaches d^3 f, so
   it searches all blocks jointly and stops as soon as the certified upper
   bounds fall short (infeasible) or a point found reaches it (feasible).
+  One flat kernel on float locals (``_Block.kernel``) bounds each box and
+  values its centre with the operations of the relaxation's formulas in
+  their order, so every bound, and with it the search, is bit-identical
+  to those formulas.
 
 ``ghz_section3_chain`` assembles the explicit three-party certificate
 chain behind the closed form, with all premises checked.
@@ -212,19 +216,14 @@ def _pm_classes(d: int) -> list[tuple[tuple[int, int, int], int]]:
     return out
 
 
-def _min_sq(lo: float, hi: float) -> float:
-    if lo <= 0.0 <= hi:
-        return 0.0
-    return min(lo * lo, hi * hi)
-
-
 def _cap(k: float, h: float, hh: float) -> float:
     """Largest |<S>| compatible with twist k against floor h and modulus hh.
 
     Combines the twisted-pair phase constraint (via hh, the floor on the
     partner modulus) with the variance trade-off (via h, the floor on the
     partner real part); both are monotone, so evaluating at the floors
-    upper-bounds every feasible point.
+    upper-bounds every feasible point.  _Block.kernel inlines it; the
+    constraints_active report calls it.
     """
     c1 = math.sqrt(max(0.0, 1.0 + k - hh * hh))
     if h <= k:
@@ -240,88 +239,102 @@ class _Block:
     p, q, r are the real stabilizer expectations for exponent triples
     (y,0,0), (0,y,0), (y,y,0); the coupled quantities h/hh floor the
     doubled-network correlators that the phase constraints consume.
+    ``groups`` holds the cap groups by ascending twist k, each as the
+    constants of _cap: (k, weight, 1 + k, 1 - k*k).
     """
 
     def __init__(self, y: int, var_weight: int, cap_groups: dict[float, int]):
         self.y = y
         self.var_weight = var_weight
-        self.cap_groups = sorted(cap_groups.items())
+        self.groups = [(k, w, 1.0 + k, 1.0 - k * k) for k, w in sorted(cap_groups.items())]
 
-    def _floors(
-        self, u: float, p_lo: float, q_lo: float, r_lo: float,
-        p_sq: float, q_sq: float, r_sq: float,
-    ) -> tuple[float, float, float, float]:
-        h_yy = max(u, p_lo + q_lo - 1.5)
-        hh_yy = max(h_yy, math.sqrt(max(0.0, p_sq + q_sq - 1.5)))
-        h_0y = max(u, r_lo + p_lo - 1.5)
-        hh_0y = max(h_0y, math.sqrt(max(0.0, r_sq + p_sq - 1.5)))
-        return h_yy, hh_yy, h_0y, hh_0y
+    def kernel(
+        self, u: float, box: tuple[float, ...]
+    ) -> tuple[float, tuple[float, float, float], float]:
+        """The certified bound over ``box``, its centre and the value there.
 
-    def _cap_sum(self, floors: tuple[float, float, float, float]) -> float:
-        h_yy, hh_yy, h_0y, hh_0y = floors
-        total = 0.0
-        for k, weight in self.cap_groups:
-            total += weight * min(_cap(k, h_yy, hh_yy), _cap(k, h_0y, hh_0y))
-        return total
-
-    def value(self, u: float, p: float, q: float, r: float) -> float:
-        floors = self._floors(u, p, q, r, p * p, q * q, r * r)
-        return self.var_weight * (p + q + r) + self._cap_sum(floors)
-
-    def box_bound(self, u: float, box: tuple[float, ...]) -> float:
+        A value is var_weight (p + q + r) plus, per cap group, weight times
+        the lesser of _cap at the floors (h_yy, hh_yy) and (h_0y, hh_0y):
+        h_yy = max(u, p + q - 1.5), hh_yy = max(h_yy, sqrt(max(0, p^2 + q^2
+        - 1.5))), and h_0y, hh_0y the same on (r, p).  The bound takes the
+        sum at the box's upper corner and the floors at its lower corner
+        and least squares; the caps fall as the floors rise, so it holds at
+        every point of the box.  All of it runs on float locals, with the
+        operations, operands and order of those formulas and the first of
+        equals where they take max or min, so both numbers are theirs bit
+        for bit (tests/ghz_reference.py keeps them).
+        """
+        sqrt = math.sqrt
         p1, p2, q1, q2, r1, r2 = box
-        floors = self._floors(
-            u, p1, q1, r1, _min_sq(p1, p2), _min_sq(q1, q2), _min_sq(r1, r2)
-        )
-        return self.var_weight * (p2 + q2 + r2) + self._cap_sum(floors)
-
-
-def _center(box: tuple[float, ...]) -> tuple[float, float, float]:
-    return ((box[0] + box[1]) / 2, (box[2] + box[3]) / 2, (box[4] + box[5]) / 2)
+        pt = p, q, r = (p1 + p2) / 2, (q1 + q2) / 2, (r1 + r2) / 2
+        a, b = p1 * p1, p2 * p2
+        pp = 0.0 if p1 <= 0.0 <= p2 else b if b < a else a
+        a, b = q1 * q1, q2 * q2
+        qq = 0.0 if q1 <= 0.0 <= q2 else b if b < a else a
+        a, b = r1 * r1, r2 * r2
+        rr = 0.0 if r1 <= 0.0 <= r2 else b if b < a else a
+        out = []
+        for x, y, z, xx, yy, zz, s in (
+            (p1, q1, r1, pp, qq, rr, p2 + q2 + r2), (p, q, r, p * p, q * q, r * r, p + q + r)
+        ):
+            h, h0 = x + y - 1.5, z + x - 1.5  # h_yy and h_0y; hh, hh0 end as hh_yy^2, hh_0y^2
+            h, h0 = h if h > u else u, h0 if h0 > u else u
+            t, t0 = xx + yy - 1.5, zz + xx - 1.5
+            hh, hh0 = sqrt(t) if t > 0.0 else 0.0, sqrt(t0) if t0 > 0.0 else 0.0
+            hh, hh0 = hh if hh > h else h, hh0 if hh0 > h0 else h0
+            hh, hh0, g, g0 = hh * hh, hh0 * hh0, 1.0 - h * h, 1.0 - h0 * h0
+            total = 0.0
+            for k, w, k1, kk in self.groups:  # w min(_cap(k, h, hh), _cap(k, h0, hh0))
+                t, t0 = k1 - hh, k1 - hh0
+                c, c0 = sqrt(t) if t > 0.0 else 0.0, sqrt(t0) if t0 > 0.0 else 0.0
+                c, c0 = c if c < 1.0 else 1.0, c0 if c0 < 1.0 else 1.0
+                if h > k:
+                    t = g * kk
+                    t = k * h + (sqrt(t) if t > 0.0 else 0.0)
+                    c = t if t < c else c
+                if h0 > k:
+                    t0 = g0 * kk
+                    t0 = k * h0 + (sqrt(t0) if t0 > 0.0 else 0.0)
+                    c0 = t0 if t0 < c0 else c0
+                total += w * (c0 if c0 < c else c)
+            out.append(self.var_weight * s + total)
+        return out[0], pt, out[1]
 
 
 class _BlockSearch:
     """Best-first branch-and-bound over one block at one u, a split at a time.
 
-    ``top`` certifies an upper bound on the block's maximum at every step;
-    ``best_lb`` is attained at ``best_pt``.  Settled is the stop rule of a
-    search run alone, after which ``top`` is the block's final value.
+    ``-heap[0][0]``, the top box's bound, certifies an upper bound on the
+    block's maximum at every step; ``best_lb`` is attained at ``best_pt``.
+    Every box is bounded by _Block.kernel, bit for bit the bound of the
+    formulas, so the heap order, the split order and each verdict follow
+    them exactly.
     """
 
     def __init__(self, block: _Block, u: float):
         box0 = (u, 1.0, -1.0, 1.0, -1.0, 1.0)  # p >= u = 4f - 3 >= 0
-        self.block = block
+        self.kernel = block.kernel
         self.u = u
-        self.best_pt = _center(box0)
-        self.best_lb = block.value(u, *self.best_pt)
-        self.heap = [(-block.box_bound(u, box0), box0)]
+        bound, self.best_pt, self.best_lb = block.kernel(u, box0)
+        self.heap = [(-bound, box0)]
         self.cells = 1
 
-    @property
-    def top(self) -> float:
-        return -self.heap[0][0]
-
-    @property
-    def settled(self) -> bool:
-        return self.top <= self.best_lb + _BLOCK_GAP or self.cells >= _CELL_BUDGET
-
     def split(self) -> None:
-        """Halve the top box along its widest axis and bound both halves."""
+        """Halve the top box along its widest axis (the first of equal
+        widths) and bound both halves."""
         _, box = heapq.heappop(self.heap)
-        widths = (box[1] - box[0], box[3] - box[2], box[5] - box[4])
-        axis = widths.index(max(widths))
-        lo, hi = box[2 * axis], box[2 * axis + 1]
-        mid = (lo + hi) / 2
-        for piece in ((lo, mid), (mid, hi)):
-            child = list(box)
-            child[2 * axis], child[2 * axis + 1] = piece
-            child_t = tuple(child)
-            pt = _center(child_t)
-            val = self.block.value(self.u, *pt)
+        p1, p2, q1, q2, r1, r2 = box
+        wp, wq, wr = p2 - p1, q2 - q1, r2 - r1
+        i = 2 if wq > wp else 0
+        if wr > (wq if i else wp):
+            i = 4
+        mid = (box[i] + box[i + 1]) / 2
+        for child in (box[: i + 1] + (mid,) + box[i + 2 :], box[:i] + (mid,) + box[i + 1 :]):
+            bound, pt, val = self.kernel(self.u, child)
             if val > self.best_lb:
                 self.best_lb, self.best_pt = val, pt
-            heapq.heappush(self.heap, (-self.block.box_bound(self.u, child_t), child_t))
-            self.cells += 1
+            heapq.heappush(self.heap, (-bound, child))
+        self.cells += 2
 
 
 def _build_blocks(d: int) -> tuple[list[_Block], float, dict[int, list[int]]]:
@@ -382,18 +395,21 @@ def ghz_numeric_bound(d: int) -> BoundReport:
         need = target * f - 1e-12
         searches = [_BlockSearch(block, u) for block in blocks]
         while True:
-            ub = 1.0 + free_weight
+            ub = lb = 1.0 + free_weight
+            pick, gap = None, 0.0
             for search in searches:
-                ub += search.top
-            live = [search for search in searches if not search.settled]
-            if not live or ub < need:
+                top, best = -search.heap[0][0], search.best_lb
+                ub += top
+                lb += best
+                # not settled (the stop rule of a search run alone); the first largest gap
+                if top > best + _BLOCK_GAP and search.cells < _CELL_BUDGET:
+                    if pick is None or top - best > gap:
+                        pick, gap = search, top - best
+            if pick is None or ub < need:
                 break
-            lb = 1.0 + free_weight
-            for search in searches:
-                lb += search.best_lb
             if lb >= need:
                 break  # ub >= need too: it was tested first
-            max(live, key=lambda search: search.top - search.best_lb).split()
+            pick.split()
         cells = sum(search.cells for search in searches)
         return ub >= need, cells, [search.best_pt for search in searches]
 
@@ -419,8 +435,10 @@ def ghz_numeric_bound(d: int) -> BoundReport:
     u_star = 4.0 * lo - 3.0
     for block, pt in zip(blocks, points):
         p, q, r = pt
-        floors = block._floors(u_star, p, q, r, p * p, q * q, r * r)
-        h_yy, hh_yy, h_0y, hh_0y = floors
+        h_yy = max(u_star, p + q - 1.5)
+        hh_yy = max(h_yy, math.sqrt(max(0.0, p * p + q * q - 1.5)))
+        h_0y = max(u_star, r + p - 1.5)
+        hh_0y = max(h_0y, math.sqrt(max(0.0, r * r + p * p - 1.5)))
         for c in members[block.y]:
             k = select_power_t(c, d).cos_value
             cap = min(_cap(k, h_yy, hh_yy), _cap(k, h_0y, hh_0y))

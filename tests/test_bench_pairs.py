@@ -69,3 +69,19 @@ def test_alternating_fresh_runs_on_one_checkout():
     assert "change_wins" not in starts
     firsts = [p < c for p, c in zip(starts["parent"]["values"], starts["change"]["values"])]
     assert firsts == [k % 2 == 0 for k in range(bench_pairs.RUNS)]
+
+
+def test_ghz_snippet_hashes_the_reports():
+    """``--ghz`` in one fresh process: the reports' repr of d = 2..8, their
+    7,208 boxes, and a time per d beside the total."""
+    import hashlib
+
+    from netcert import ghz_numeric_bound
+
+    out = bench_pairs.fresh_run(ROOT, bench_pairs.GHZ)
+    h = hashlib.sha256()
+    for d in range(2, 9):
+        h.update(repr(ghz_numeric_bound(d)).encode())
+    assert (out["sha256"], out["cells"]) == (h.hexdigest(), 7208)
+    per_d = [out["times"][f"d{d}_s"] for d in range(2, 9)]
+    assert out["times"]["ghz_s"] == sum(per_d) and min(per_d) > 0

@@ -16,7 +16,9 @@ from netcert import (
     ghz_section3_chain,
     theta_d,
 )
-from netcert.ghzbound import _MR_LIMIT, _build_blocks, is_prime
+from netcert.ghzbound import _MR_LIMIT, _BlockSearch, _build_blocks, _cap, is_prime
+
+import ghz_reference as ref
 
 CLOSED_FORM = {
     2: 0.9,
@@ -74,6 +76,18 @@ VERDICTS = {
     6: "1100110000100",
     7: "1101000101001",
     8: "1100000100011",
+}
+
+# The boxes each bisection step bounded before its verdict, in step order:
+# the search itself, not only where it ends (7,208 boxes over d = 2..8).
+CELLS = {
+    2: [3, 15, 1, 1, 21, 35, 103, 109, 149, 169, 291, 229, 285],
+    3: [1, 5, 15, 1, 1, 23, 1, 31, 41, 1, 49, 57, 65],
+    4: [2, 24, 2, 2, 2, 82, 34, 50, 358, 64, 98, 220, 370],
+    5: [2, 2, 2, 10, 80, 2, 2, 2, 2, 2, 2, 96, 174],
+    6: [3, 3, 3, 3, 21, 121, 3, 3, 3, 115, 321, 177, 303],
+    7: [3, 3, 3, 39, 3, 3, 3, 71, 3, 121, 105, 235, 255],
+    8: [4, 48, 4, 4, 4, 4, 4, 212, 4, 100, 236, 338, 932],
 }
 
 
@@ -207,6 +221,11 @@ def test_numeric_bound_frozen_search(d):
     assert [(f, ok) for f, ok, _ in report.solver_trace] == _bisection(VERDICTS[d])
     assert report.bound_numeric == min(f for f, ok in _bisection(VERDICTS[d]) if not ok)
     assert report.constraints_active == ACTIVE[d]
+    assert [cells for _, _, cells in report.solver_trace] == CELLS[d]
+
+
+def test_frozen_cells_total():
+    assert sum(map(sum, CELLS.values())) == 7208
 
 
 def _sub_box(rng, box):
@@ -214,6 +233,14 @@ def _sub_box(rng, box):
     for k in range(3):
         out += sorted(rng.uniform(box[2 * k], box[2 * k + 1]) for _ in range(2))
     return tuple(out)
+
+
+U_VALUES = (0.0, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
+
+
+def _value(block, u, p):
+    """The kernel's value at the point p: the centre of the box p x p."""
+    return block.kernel(u, (p[0], p[0], p[1], p[1], p[2], p[2]))[2]
 
 
 @pytest.mark.parametrize("d", sorted(NUMERIC))
@@ -224,10 +251,10 @@ def test_block_bounds_nest_and_dominate(d):
     rng = random.Random(d)
     blocks, _, _ = _build_blocks(d)
     for block in blocks:
-        for u in (0.0, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99):
+        for u in U_VALUES:
             for _ in range(8):
                 box = (u, 1.0, -1.0, 1.0, -1.0, 1.0)
-                bound = block.box_bound(u, box)
+                bound = block.kernel(u, box)[0]
                 for _ in range(6):
                     points = [
                         tuple(rng.uniform(box[2 * k], box[2 * k + 1]) for k in range(3))
@@ -236,11 +263,74 @@ def test_block_bounds_nest_and_dominate(d):
                     points.append(box[1::2])
                     points.append(box[0::2])
                     for p in points:
-                        assert bound >= block.value(u, *p)
+                        assert bound >= _value(block, u, p)
                     child = _sub_box(rng, box)
-                    child_bound = block.box_bound(u, child)
+                    child_bound = block.kernel(u, child)[0]
                     assert child_bound <= bound + 1e-12
                     box, bound = child, child_bound
+
+
+def _boxes(rng, u):
+    """Boxes of every shape the bound meets: nested sub-boxes of the start
+    box, q and r spans across zero, below it and at it, and points."""
+    box = (u, 1.0, -1.0, 1.0, -1.0, 1.0)
+    yield box
+    for _ in range(12):
+        box = _sub_box(rng, box)
+        yield box
+    for _ in range(24):
+        p = sorted(rng.uniform(u, 1.0) for _ in range(2))
+        q = sorted(rng.choice((rng.uniform(-1.0, 1.0), 0.0, -0.5)) for _ in range(2))
+        r = sorted(rng.uniform(-1.0, 0.0) for _ in range(2))
+        yield (*p, *q, *r)
+        yield (*p, *r, *q)
+        yield (p[0], p[0], q[0], q[0], r[1], r[1])
+
+
+@pytest.mark.parametrize("d", sorted(NUMERIC))
+def test_kernel_equals_the_formulas_bit_for_bit(d):
+    """_Block.kernel gives the formulas' bound, centre and centre value
+    exactly (==, not approx), with the cap groups the +/- classes give."""
+    rng = random.Random(100 + d)
+    blocks, _, _ = _build_blocks(d)
+    groups = ref.reference_groups(d)
+    assert [block.y for block in blocks] == sorted(groups)
+    for block in blocks:
+        want = groups[block.y]
+        assert block.groups == [(k, w, 1.0 + k, 1.0 - k * k) for k, w in want]
+        for u in U_VALUES:
+            for box in _boxes(rng, u):
+                pt = ref.center(box)
+                assert block.kernel(u, box) == (
+                    ref.box_bound(block.var_weight, want, u, box),
+                    pt,
+                    ref.value(block.var_weight, want, u, *pt),
+                ), (u, box)
+
+
+def test_cap_equals_the_formula():
+    """The constraints_active report reads _cap, the kernel's inlined cap."""
+    rng = random.Random(7)
+    for _ in range(2000):
+        k, h, hh = (rng.choice((rng.uniform(-1.0, 1.0), 0.0, 1.0)) for _ in range(3))
+        assert _cap(k, h, hh) == ref.cap(k, h, hh)
+
+
+@pytest.mark.parametrize("d", sorted(NUMERIC))
+def test_block_search_replays_the_reference(d):
+    """Split by split, _BlockSearch keeps the reference search's heap,
+    best value and best point: the same boxes in the same order."""
+    groups = ref.reference_groups(d)
+    for block in _build_blocks(d)[0]:
+        for u in (0.0, 0.5, 0.8, 0.99):
+            search = _BlockSearch(block, u)
+            want = ref.ReferenceSearch(block.var_weight, groups[block.y], u)
+            for _ in range(120):
+                assert (search.heap, search.best_lb, search.best_pt, search.cells) == (
+                    want.heap, want.best_lb, want.best_pt, want.cells
+                )
+                search.split()
+                want.split()
 
 
 def test_numeric_bound_invariants():
