@@ -224,10 +224,6 @@ def test_numeric_bound_frozen_search(d):
     assert [cells for _, _, cells in report.solver_trace] == CELLS[d]
 
 
-def test_frozen_cells_total():
-    assert sum(map(sum, CELLS.values())) == 7208
-
-
 def _sub_box(rng, box):
     out = []
     for k in range(3):
