@@ -5,7 +5,7 @@ From the repository root:
     python3 scripts/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
         [--sweep n,d[,budget] ...] [--table n,d[,budget[,orbit_cap]] ...] \\
         [--table-outputs CELL ...] [--lc-orbit n,d[,cap] ...] \\
-        [--verify] [--canonical] [--ghz] --out BENCH_x.json
+        [--verify] [--certify] [--canonical] [--ghz] --out BENCH_x.json
 
 Each kind is a snippet that runs RUNS times in a fresh process in each
 checkout (its ``src/`` on PYTHONPATH, PYTHONHASHSEED=0), the parent first on
@@ -25,6 +25,12 @@ snippet prints one JSON line ``{"sha256", "times": {name: value}, ...}``:
 - ``verify``: ``verify_obs3`` once per certificate ``certify_any`` gives for
   the ``certify_verify`` pool (seed 1 order, after the workload's warm-up);
   sha256 over all reports.
+- ``certify``: one round per graph of the ``certify_verify`` pool (seed 1
+  order, after the workload's warm-up): ``certify_any``, then
+  ``verify_obs3`` on its certificate; the median and total ms per round
+  (``median_ms``, ``total_ms``) and the shares of the total that certify and
+  verify take (``certify_share``, ``verify_share``); sha256 over each
+  certificate's v2 JSON with its report (a refusal's repr, if any).
 - ``canonical``: ``canonical_form`` per call (best of three) on the n = 8
   graphs the pool's orbit walks key and on every vertex-transitive Cayley
   multigraph of Z8, Z2^3 and Z4 x Z2 over Z_2 and Z_3; sha256 of the forms.
@@ -146,6 +152,37 @@ print(json.dumps({
     "sha256": h.hexdigest(),
     "times": {"median_ms": statistics.median(ms), "max_ms": max(ms), "total_ms": sum(ms)},
     "certificates": len(ms),
+}))
+"""
+
+CERTIFY = """
+import hashlib, json, statistics, sys, time
+sys.path.insert(0, "perfbench")
+import netcert, workloads
+graphs = workloads.certify_stream(1)
+workloads.warm_up()
+h, ms, certify_ms = hashlib.sha256(), [], 0.0
+for g in graphs:
+    start = time.perf_counter()
+    cert = netcert.certify_any(g)
+    mid = time.perf_counter()
+    report = netcert.verify_obs3(cert) if isinstance(cert, netcert.Certificate) else None
+    end = time.perf_counter()
+    ms.append((end - start) * 1e3)
+    certify_ms += (mid - start) * 1e3
+    if report is None:
+        h.update(repr(cert).encode())
+    else:
+        h.update(netcert.certificate_to_json(cert).encode())
+        h.update(json.dumps(report.to_json_obj(), sort_keys=True).encode())
+total = sum(ms)
+print(json.dumps({
+    "sha256": h.hexdigest(),
+    "times": {
+        "median_ms": statistics.median(ms), "total_ms": total,
+        "certify_share": certify_ms / total, "verify_share": 1 - certify_ms / total,
+    },
+    "rounds": len(ms),
 }))
 """
 
@@ -298,6 +335,9 @@ def main() -> int:
     ap.add_argument("--sweep", nargs="+", default=[], metavar="n,d[,budget]")
     ap.add_argument("--canonical", action="store_true", help="time canonical_form per call")
     ap.add_argument("--verify", action="store_true", help="time verify_obs3 per certificate")
+    ap.add_argument(
+        "--certify", action="store_true", help="time certify_any then verify_obs3 per graph"
+    )
     ap.add_argument("--ghz", action="store_true", help="time ghz_numeric_bound for d = 2..8")
     ap.add_argument("--table", nargs="+", default=[], metavar="n,d[,budget[,orbit_cap]]")
     ap.add_argument("--table-outputs", nargs="+", default=[], metavar="n,d[,budget[,orbit_cap]]")
@@ -311,6 +351,8 @@ def main() -> int:
     jobs += [(f"lc_orbit {cell}", LC_ORBIT, cell.split(",")) for cell in args.lc_orbit]
     if args.verify:
         jobs.append(("verify", VERIFY, []))
+    if args.certify:
+        jobs.append(("certify", CERTIFY, []))
     if args.canonical:
         jobs.append(("canonical", CANONICAL, []))
     if args.ghz:

@@ -11,8 +11,10 @@ bound is (7 + sqrt(4 + 5 lambda'/2))/10 with lambda' = 2 |cos(pi kappa/d)|.
 A Certificate stores only that proof: the graph, the local-complementation
 path to the member the operators live on, the groups, and S1, S2, S4 as
 exponent vectors over its generators; one function (_derive) derives the
-rest.  The reader also takes the earlier JSON form (no "version"), whose
-derived fields verify_obs3 compares with the derivation.
+rest, on integer vectors (S_i has X-part e and Z-part M e) and vertex
+bitmasks, and builds the PauliOperator forms only when they are read.  The
+reader also takes the earlier JSON form (no "version"), whose derived
+fields verify_obs3 compares with the derivation.
 
 Two constructions are implemented: ``obs1`` for constant edge
 multiplicity, built from generator quotients around an angle or triangle,
@@ -22,15 +24,17 @@ scaled by the edge weights around the triple.
 One rule set picks and builds them: the lazy angle order
 (multigraph._angles), the obs4 blocking tests (_blocked, _m_tilde), the witness
 exponents (_exponent_table) and the groups (_group_masks, from
-multigraph._partition_masks).  Two paths apply it: _certify_direct on one
-graph with Python ints, for certify_any, whose one scan (_scan) also gives
-_refusal its reasons, and _direct_pass on a table cell's canonical rows with
-integer arrays, a block at a time, for exhaustive_table; it reads each pair
-of mirror triples (a, b, c), (a, c, b) once (see its docstring).  Both
-check every witness they build against the verifier's witness conditions
-(_witness; _check_witnesses on each block's arrays, which are then dropped:
-a table keeps one construction code per class).  They stay two because
-arrays only pay off in bulk (the README gives the measurements).
+multigraph._partition_masks).  Two paths apply it, and each reads only the
+triples (a, b, c) with b < c, one of each mirror pair (see _direct_pass):
+_certify_direct on one graph with Python ints, for certify_any, whose
+per-triple flags (_triple_flags) also give _refusal its reasons for every
+ordered triple, and _direct_pass on a table cell's canonical rows with
+integer arrays, a block at a time, for exhaustive_table.  Both check every
+witness they build against the verifier's witness conditions, on vectors
+and bitmasks (_witness on one Proof; _check_witnesses on each block's
+arrays, which are then dropped: a table keeps one construction code per
+class).  They stay two because arrays only pay off in bulk (the README
+gives the measurements).
 
 A class that fails is walked along its local-complementation orbit:
 certify_any walks labeled graphs (multigraph._graph_walk), a table its
@@ -78,8 +82,8 @@ from .multigraph import (
     is_connected,
     local_complement,
 )
-from .network import marginal_chain_checks, prime
-from .pauli import PauliOperator, commutation_phase, relabel, restrict, support
+from .network import label_masks, marginal_mask_checks, partitions, prime
+from .pauli import PauliOperator, relabel
 from .stabilizer import word
 
 METHOD_CONSTANT = "obs1"
@@ -130,19 +134,57 @@ def fidelity_bound_from_lambda(lambda_prime: float) -> float:
 
 
 class Proof(NamedTuple):
-    """Everything a Certificate's stored fields imply (see _derive)."""
+    """Everything a Certificate's stored fields imply (see _derive).  S1..S4
+    are X-parts ``x``, Z-parts ``z`` and support bitmasks ``supports`` over
+    the vertices of ``certified_graph``; G1..G4 are bitmasks over
+    ``labels``, the vertex labels and then any group label that names no
+    vertex.  ``s1``..``s4`` (stabilizer.word of the X-part),
+    ``s4_relabeling`` and ``s4_twisted`` are built from them on each read."""
 
     certified_graph: Multigraph
-    s1: PauliOperator
-    s2: PauliOperator
-    s3: PauliOperator
-    s4: PauliOperator
-    s4_relabeling: tuple[tuple[str, str], ...]  # S4's sites in G1 -> their doubled copies
-    s4_twisted: PauliOperator  # S4 relabeled by s4_relabeling
+    x: tuple[list[int], ...]
+    z: tuple[list[int], ...]
+    supports: tuple[int, ...]
+    labels: list[str]
+    groups: list[int]
     kappa: int
     lambda_prime: float
     fidelity_bound: float
     method: str  # obs4 exactly when certified_graph's weights are not constant
+
+    s1 = property(lambda self: word(self.certified_graph, dict(enumerate(self.x[0]))))
+    s2 = property(lambda self: word(self.certified_graph, dict(enumerate(self.x[1]))))
+    s3 = property(lambda self: word(self.certified_graph, dict(enumerate(self.x[2]))))
+    s4 = property(lambda self: word(self.certified_graph, dict(enumerate(self.x[3]))))
+
+    @property
+    def s4_relabeling(self) -> tuple[tuple[str, str], ...]:  # S4's sites in G1 -> doubled copies
+        moved = _named(self.labels, self.supports[3] & self.groups[0])
+        return tuple(sorted((lbl, prime(lbl)) for lbl in moved))
+
+    @property
+    def s4_twisted(self) -> PauliOperator:  # S4 relabeled by s4_relabeling
+        return relabel(self.s4, dict(self.s4_relabeling))
+
+
+_PROOF_NAMES = frozenset((*Proof._fields, "s1", "s2", "s3", "s4", "s4_relabeling", "s4_twisted"))
+
+
+def _named(labels: Sequence[str], mask: int) -> list[str]:
+    return [lbl for v, lbl in enumerate(labels) if mask >> v & 1]
+
+
+def _sites(p: Proof, i: int, mask: int) -> dict[str, tuple[int, int]]:
+    """S_i's (x, z) exponents at its vertices in ``mask``, by label."""
+    sites = zip(p.labels, zip(p.x[i], p.z[i]))
+    return {lbl: xz for v, (lbl, xz) in enumerate(sites) if mask >> v & 1}
+
+
+def _symplectic(x1, z1, x2, z2, mask: int) -> int:
+    """sum of z1 x2 - z2 x1 over the vertices in ``mask``: mod d, the
+    commutation phase of (x1, z1) and (x2, z2) where ``mask`` holds every
+    vertex both act on."""
+    return sum(z1[v] * x2[v] - z2[v] * x1[v] for v in range(len(x1)) if mask >> v & 1)
 
 
 @dataclass(frozen=True)
@@ -174,7 +216,7 @@ class Certificate:
 
     def __getattr__(self, name: str):
         # reached only where normal lookup fails: the derived names read the Proof
-        if name in Proof._fields:
+        if name in _PROOF_NAMES:
             return getattr(self.proof, name)
         raise AttributeError(f"'Certificate' object has no attribute {name!r}")
 
@@ -185,25 +227,41 @@ def _general(g: Multigraph) -> bool:
 
 
 def _derive(cert: Certificate) -> Proof:
-    """Replay lc_path, build S1, S2, S4 and S3 = S1 S2 as words, move S4's
-    sites in G1 to their doubled copies, and take kappa from the twist of
-    S3 and the moved S4.  lambda' is 2 |cos(pi kappa / d)| by the exact case
-    split of select_power_t, which is exact for a kappa that S4's power
-    already makes optimal (verify_obs3 checks that it is); kappa = 0 bounds
-    nothing."""
+    """Replay lc_path and build S1, S2, S4 and S3 = S1 S2 as vectors: the
+    product of the generator powers e (stabilizer.word) has X-part e and
+    Z-part M e.  The groups become bitmasks.  kappa is the twist of S3 and S4
+    once S4's sites in G1 move to their doubled copies, which S3 never
+    touches: the symplectic sum over the vertices outside G1.  lambda' is
+    2 |cos(pi kappa / d)| by the exact case split of select_power_t, which is
+    exact for a kappa that S4's power already makes optimal (verify_obs3
+    checks that it is); kappa = 0 bounds nothing."""
     h = cert.graph
     for v in cert.lc_path:
         h = local_complement(h, v)
-    d = h.d
-    e3 = tuple((x + y) % d for x, y in zip(cert.e1, cert.e2))
-    s1, s2, s3, s4 = (word(h, dict(enumerate(e))) for e in (cert.e1, cert.e2, e3, cert.e4))
-    sigma = tuple(sorted((lbl, prime(lbl)) for lbl in support(s4) & set(cert.groups[0])))
-    s4_twisted = relabel(s4, dict(sigma))
-    kappa = commutation_phase(s3, s4_twisted)
+    d, n = h.d, h.n
+    if max(len(cert.e1), len(cert.e2), len(cert.e4)) > n:
+        raise StructureError(f"vertex {n} outside 0..{n - 1}")
+    ops = []
+    for e in (cert.e1, cert.e2, [x + y for x, y in zip(cert.e1, cert.e2)], cert.e4):
+        x, z, support = [ev % d for ev in e], [0] * n, 0
+        for v, ev in enumerate(x):
+            if ev:
+                z = [zu + ev * m for zu, m in zip(z, h.mult[v])]
+                support |= 1 << v
+        z = [zu % d for zu in z]
+        for v, zv in enumerate(z):
+            if zv:
+                support |= 1 << v
+        ops.append((x, z, support))
+    xs, zs, supports = zip(*ops)
+    bit = {lbl: 1 << v for v, lbl in enumerate(_labels(h))}
+    groups = label_masks(bit, cert.groups)
+    overlap = supports[2] & supports[3] & ~groups[0]
+    kappa = _symplectic(xs[2], zs[2], xs[3], zs[3], overlap) % d
     lam = 2.0 * select_power_t(kappa, d).cos_value if kappa else 2.0
     method = METHOD_GENERAL if _general(h) else METHOD_CONSTANT
     bound = fidelity_bound_from_lambda(lam)
-    return Proof(h, s1, s2, s3, s4, sigma, s4_twisted, kappa, lam, bound, method)
+    return Proof(h, xs, zs, supports, list(bit), groups, kappa, lam, bound, method)
 
 
 #: Kinds of direct-attempt failure, in the order _refusal reports them.
@@ -351,18 +409,17 @@ def _build_certificate(
         ea, eb, ec = 0, -1, -1
     t = select_power_t(m_tilde if general else m_ab, d).t
     tri1 = bool(m_bc) and not general
-    e1, e2, e3, e4 = (
-        tuple(dict(zip(triple, row)).get(v, 0) % d for v in range(n))
-        for row in _exponent_table(tri1, ea, eb, ec, t)
-    )
-    groups = tuple(
-        tuple(str(v) for v in range(n) if mask >> v & 1)
-        for mask in _group_masks(tri1, a, b, c, nb[a], nb[b], nb[c], (1 << n) - 1)
-    )
+    vectors = [[0] * n for _ in range(4)]
+    for e, (xa, xb, xc) in zip(vectors, _exponent_table(tri1, ea, eb, ec, t)):
+        e[a], e[b], e[c] = xa % d, xb % d, xc % d
+    e1, e2, e3, e4 = map(tuple, vectors)
+    labels = _labels(certified)
+    masks = _group_masks(tri1, a, b, c, nb[a], nb[b], nb[c], (1 << n) - 1)
+    groups = tuple(tuple(_named(labels, mask)) for mask in masks)
     if e3 != tuple((x + y) % d for x, y in zip(e1, e2)):
         raise StructureError("construction bug: S3 is not exactly S1 S2")
     cert = Certificate(graph, lc_path, groups, e1, e2, e4)
-    passed = _witness(cert)[0]
+    passed = _witness(cert.proof)[0]
     if failed := [name for name, ok in zip(_WITNESS_CHECKS, passed) if not ok]:
         raise StructureError(f"construction bug: failed {', '.join(failed)}")
     if general and cert.kappa != (-t * m_tilde) % d:
@@ -370,18 +427,16 @@ def _build_certificate(
     return cert
 
 
-def _scan(g: Multigraph, nb: Sequence[int]) -> Iterator[tuple]:
-    """The direct attempt's view of g, lazily, in _angles order: per triple
-    with edges AB and CA, the triple, m_ab, m_ca, the gcd h of its three edge
-    weights where _blocked's flags are clear (else None), and its flags
-    (t_abc, apex, m_tilde_zero); ``nb`` holds g's neighbor masks."""
-    d, mult = g.d, g.mult
-    for a, b, c in _angles(g):
-        m_ab, m_bc, m_ca = mult[a][b], mult[b][c], mult[c][a]
-        t_abc, apex = _blocked(m_bc, nb[a], nb[b], nb[c], b, c)
-        h = None if t_abc or apex else gcd(m_ab, m_bc, m_ca)
-        zero = h is not None and _m_tilde(m_ab, m_ca, h, d) == 0
-        yield (a, b, c), m_ab, m_ca, h, (t_abc, apex, zero)
+def _triple_flags(g: Multigraph, nb: Sequence[int], a: int, b: int, c: int):
+    """The direct attempt's view of g at a triple with edges AB and CA: the
+    gcd h of its three edge weights where _blocked's flags are clear (else
+    None), and its flags (t_abc, apex, m_tilde_zero); ``nb`` holds g's
+    neighbor masks."""
+    mult = g.mult
+    m_ab, m_bc, m_ca = mult[a][b], mult[b][c], mult[c][a]
+    t_abc, apex = _blocked(m_bc, nb[a], nb[b], nb[c], b, c)
+    h = None if t_abc or apex else gcd(m_ab, m_bc, m_ca)
+    return h, (t_abc, apex, h is not None and _m_tilde(m_ab, m_ca, h, g.d) == 0)
 
 
 def _certify_direct(
@@ -393,7 +448,12 @@ def _certify_direct(
     nb = _neighbor_masks(certified)
     general = _general(certified)
     if general:
-        usable = (triple for triple, _, _, _, flags in _scan(certified, nb) if not any(flags))
+        # by the mirror lemma (see _direct_pass) the first usable triple has b < c
+        usable = (
+            (a, b, c)
+            for a, b, c in _angles(certified)
+            if b < c and not any(_triple_flags(certified, nb, a, b, c)[1])
+        )
     else:
         usable = _angles(certified)
     triple = next(usable, None)
@@ -408,11 +468,13 @@ def _refusal(g: Multigraph, size: int, truncated: bool, orbit_cap: int) -> NotCe
     line and by kind, and how far the orbit search went."""
     reasons = [f"edge multiplicities {sorted({m for _, _, m in edges(g)})} are not constant"]
     kinds = ["non_constant"]
-    for (a, b, c), m_ab, m_ca, h, flags in _scan(g, _neighbor_masks(g)):
+    nb = _neighbor_masks(g)
+    for a, b, c in _angles(g):
+        h, flags = _triple_flags(g, nb, a, b, c)
         lines = (
             "vertices adjacent to all three present",
             "triangle with shared neighbors at the apex",
-            f"m_tilde = {m_ab}*{m_ca}/{h} = 0 (mod {g.d})",
+            f"m_tilde = {g.mult[a][b]}*{g.mult[c][a]}/{h} = 0 (mod {g.d})",
         )
         for kind, flag, line in zip(REJECTION_KINDS[1:], flags, lines):
             if flag:
@@ -486,9 +548,9 @@ def _direct_pass(rows: np.ndarray, n: int, d: int) -> _DirectPass:
 
     It reads each angle once, by the mirror lemma: at a triple (a, b, c)
     with edges AB and CA, validity (m_ab, m_ca nonzero) and the three
-    flags of _scan are unchanged when b and c swap, since each reads b and
-    c only symmetrically: nb_a & nb_b & nb_c, then m_bc, nb_b ^ nb_c and
-    the mask {b, c}, then m_ab m_ca and h, the gcd of all three weights.
+    flags of _triple_flags are unchanged when b and c swap, since each reads
+    b and c only symmetrically: nb_a & nb_b & nb_c, then m_bc, nb_b ^ nb_c
+    and the mask {b, c}, then m_ab m_ca and h, the gcd of all three weights.
     So the first usable triple in _angles order has b < c: were it
     (a, b, c) with b > c, its mirror (a, c, b) would be usable too and
     come earlier (same a, smaller second vertex).  And each kind's count
@@ -902,50 +964,46 @@ def verify_obs3(cert: Certificate) -> VerificationReport:
 _WITNESS_CHECKS = ("groups_partition", "commute", "supports", "kappa")
 
 
-def _witness(cert: Certificate):
+def _witness(p: Proof):
     """Per _WITNESS_CHECKS whether it holds (the groups partition the
     vertices, S1 and S2 commute, each S_i avoids group i, S3 and the
     relabeled S4 fail to commute with their overlap inside group 2), then
-    the sets verify_obs3 reports and reuses: the union of the groups, the
-    supports of S1..S4 and the overlap.  _build_certificate raises on any
-    check that fails."""
-    p = cert.proof
-    group_sets = [frozenset(grp) for grp in cert.groups]
-    union = frozenset().union(*group_sets)
-    n = cert.graph.n
-    partition = union == frozenset(_labels(cert.graph)) and sum(map(len, group_sets)) == n
-    commute = commutation_phase(p.s1, p.s2) % cert.graph.d == 0
-    supports = tuple(map(support, (p.s1, p.s2, p.s3, p.s4)))
-    avoid = not any(sup & grp for sup, grp in zip(supports, group_sets))
-    overlap = supports[2] & support(p.s4_twisted)
-    kappa = p.kappa != 0 and overlap <= group_sets[1]
-    return (partition, commute, avoid, kappa), union, supports, overlap
+    the overlap, as a vertex bitmask.  _build_certificate raises on any check
+    that fails."""
+    x, z, supports, groups = p.x, p.z, p.supports, p.groups
+    partition = partitions(p.certified_graph.n, groups)
+    commute = _symplectic(x[0], z[0], x[1], z[1], supports[0] & supports[1])
+    avoid = not any(sup & grp for sup, grp in zip(supports, groups))
+    # S4's sites in G1 move to the primed copies, which S3 never touches
+    overlap = supports[2] & supports[3] & ~groups[0]
+    kappa = p.kappa != 0 and not overlap & ~groups[1]
+    return (partition, commute % p.certified_graph.d == 0, avoid, kappa), overlap
 
 
 def _verify_obs3_checks(cert: Certificate, checks: list[Check]) -> None:
     from . import oracle
 
     p = cert.proof
-    d = cert.graph.d
-    parties = _labels(cert.graph)
-    passed, union, supports, overlap = _witness(cert)
+    d, n = cert.graph.d, cert.graph.n
+    passed, overlap = _witness(p)
     details = (
-        f"groups cover {sorted(union)} of {sorted(parties)}",
+        f"groups cover {sorted(set().union(*cert.groups))} of {sorted(p.labels[:n])}",
         "S1 S2 == S2 S1; S3 = S1 S2",
         "each S_i avoids group i",
-        f"kappa = {p.kappa}, overlap {sorted(overlap)}",
+        f"kappa = {p.kappa}, overlap {sorted(_named(p.labels, overlap))}",
     )
     checks.extend(map(Check, _WITNESS_CHECKS, passed, details))
-    premises = marginal_chain_checks(parties, cert.groups, *supports)
-    for name, ok in premises:
+    for name, ok in marginal_mask_checks(n, p.groups, p.supports):
         checks.append(Check(f"marginal: {name}", ok))
     lam = p.lambda_prime
     lam_ok = abs(lam - 2.0 * abs(math.cos(math.pi * p.kappa / d))) <= _LAMBDA_TOL
     checks.append(
         Check("lambda_bound", lam_ok, f"lambda' = {lam}, fidelity bound {p.fidelity_bound}")
     )
-    r3 = restrict(p.s3, cert.groups[1])
-    r4 = restrict(p.s4_twisted, cert.groups[1])
+    # S3 and the relabeled S4 restricted to group 2: the relabeling moved S4's G1 sites
+    g1, g2 = p.groups[:2]
+    r3 = PauliOperator.from_sites(d, _sites(p, 2, p.supports[2] & g2))
+    r4 = PauliOperator.from_sites(d, _sites(p, 3, p.supports[3] & g2 & ~g1))
     if r3.sites or r4.sites:
         ok = not oracle.shares_plus_one_eigenvector(r3, r4)
         detail = "restricted operators have no common +1 eigenvector"

@@ -12,14 +12,17 @@ G1..G4 of the parties gives two inflations of it:
 
 The marginal of a network on a region R keeps the part of each source
 inside R.  A certificate needs four such marginals to agree (see
-``marginal_chain_checks``), and each agreement depends only on which
+``marginal_mask_checks``), and each agreement depends only on which
 groups R meets, so it is decided from the groups and the region alone,
-without building a network.  The tests check this against an explicit
-multiset model of the three networks.
+without building a network: on vertex bitmasks for a certificate, on
+labels through ``marginal_chain_checks``.  The tests check this against an
+explicit multiset model of the three networks.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import StructureError
@@ -30,19 +33,37 @@ def prime(label: str) -> str:
     return f"{label}'"
 
 
-#: The four equalities, in the order marginal_chain_checks reports them.
+#: The four equalities, in the order marginal_mask_checks reports them.
 _CHECKS = ("S1 base vs cut", "S2 base vs cut", "S3 cut vs doubled", "S4 base vs doubled")
 
 
-def marginal_chain_checks(
-    parties: Iterable[str],
-    groups: Sequence[Iterable[str]],
-    support1: Iterable[str],
-    support2: Iterable[str],
-    support3: Iterable[str],
-    support4: Iterable[str],
+def label_masks(bit: dict[str, int], collections: Iterable[Iterable[str]]) -> list[int]:
+    """The bitmask of each collection of labels under ``bit``, which maps a
+    label to its bit and gives a label it lacks the next bit, 1 << len(bit)."""
+    masks = []
+    for labels in collections:
+        mask = 0
+        for lbl in map(str, labels):
+            if lbl not in bit:
+                bit[lbl] = 1 << len(bit)
+            mask |= bit[lbl]
+        masks.append(mask)
+    return masks
+
+
+def partitions(n: int, groups: Sequence[int]) -> bool:
+    """Whether the bitmasks ``groups`` partition the parties 0..n-1: their
+    union is every party and their sizes add up to n."""
+    return reduce(or_, groups, 0) == (1 << n) - 1 and sum(map(int.bit_count, groups)) == n
+
+
+def marginal_mask_checks(
+    n: int, groups: Sequence[int], regions: Sequence[int]
 ) -> list[tuple[str, bool]]:
-    """The four marginal equalities behind an incompatibility certificate.
+    """The four marginal equalities behind an incompatibility certificate,
+    on bitmasks: bit v is party v of 0..n-1, ``groups`` are G1..G4 (a bit
+    from n up is a group label that names no party) and ``regions`` the
+    supports of S1..S4, within the parties.
 
     S1 and S2 must see the same marginal in the base network and its cut
     inflation, S3 the same in the cut and doubled inflations, and S4, with
@@ -62,25 +83,39 @@ def marginal_chain_checks(
     Hence S1 and S2 hold iff R does not meet both G1 and G2, S3 iff it does
     not meet both G1 and G3, and S4 iff it does not meet both G1 and G4.
 
-    Party and support labels are names that ``prime`` never produces.
     Raises StructureError for fewer than two parties, for other than four
-    groups, for groups that do not partition the parties, and for a
-    support outside the parties, in that order.
+    groups and for groups that do not partition the parties, in that order.
     """
-    names = list(map(str, parties))
-    if len(names) < 2:
+    if n < 2:
         raise StructureError("need at least two parties")
     if len(groups) != 4:
         raise StructureError("need exactly four groups")
-    party_set = frozenset(names)
-    g1, g2, g3, g4 = sets = [frozenset(map(str, grp)) for grp in groups]
-    if frozenset().union(*sets) != party_set or sum(map(len, sets)) != len(party_set):
+    if not partitions(n, groups):
         raise StructureError("groups must partition the parties")
-    regions = [frozenset(map(str, s)) for s in (support1, support2, support3, support4)]
-    for region in regions:
-        if not region <= party_set:
-            raise StructureError(f"region {sorted(region)} not within parties")
+    g1, g2, g3, g4 = groups
     return [
-        (name, region.isdisjoint(g1) or region.isdisjoint(rewired))
+        (name, not (region & g1 and region & rewired))
         for name, region, rewired in zip(_CHECKS, regions, (g2, g2, g3, g4))
     ]
+
+
+def marginal_chain_checks(
+    parties: Iterable[str],
+    groups: Sequence[Iterable[str]],
+    support1: Iterable[str],
+    support2: Iterable[str],
+    support3: Iterable[str],
+    support4: Iterable[str],
+) -> list[tuple[str, bool]]:
+    """marginal_mask_checks on labels: the parties, the groups G1..G4 and
+    the supports of S1..S4 as collections of names that ``prime`` never
+    produces.  Raises its StructureErrors, then one for a support outside
+    the parties."""
+    bit = {lbl: 1 << v for v, lbl in enumerate(dict.fromkeys(map(str, parties)))}
+    n = len(bit)
+    regions = [frozenset(map(str, s)) for s in (support1, support2, support3, support4)]
+    checks = marginal_mask_checks(n, label_masks(bit, groups), label_masks(bit, regions))
+    for region in regions:
+        if any(bit[lbl] >> n for lbl in region):
+            raise StructureError(f"region {sorted(region)} not within parties")
+    return checks

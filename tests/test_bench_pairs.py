@@ -85,3 +85,28 @@ def test_ghz_snippet_hashes_the_reports():
     assert (out["sha256"], out["cells"]) == (h.hexdigest(), 7208)
     per_d = [out["times"][f"d{d}_s"] for d in range(2, 9)]
     assert out["times"]["ghz_s"] == sum(per_d) and min(per_d) > 0
+
+
+def test_certify_snippet_hashes_certificates_and_reports(monkeypatch):
+    """``--certify`` in one fresh process: one round per pool graph, each
+    certificate's v2 JSON with its report in the sha256, and the certify and
+    verify shares of the rounds' total."""
+    import hashlib
+    import json
+
+    import netcert
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    out = bench_pairs.fresh_run(ROOT, bench_pairs.CERTIFY)
+    h = hashlib.sha256()
+    for g in workloads.certify_stream(1):
+        cert = netcert.certify_any(g)
+        h.update(netcert.certificate_to_json(cert).encode())
+        h.update(json.dumps(netcert.verify_obs3(cert).to_json_obj(), sort_keys=True).encode())
+    assert (out["sha256"], out["rounds"]) == (h.hexdigest(), 216)
+    times = out["times"]
+    assert 0 < times["median_ms"] < times["total_ms"]
+    assert 0 < times["certify_share"] < 1
+    assert abs(times["certify_share"] + times["verify_share"] - 1) < 1e-12

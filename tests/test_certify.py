@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from certify_reference import reference_proof, reference_witness
 from network_reference import reference_chain
 
 from netcert import (
@@ -42,12 +43,15 @@ from netcert.certify import (
     _m_tilde,
     _orbit_walks,
     _PASS_BLOCK,
+    _triple_flags,
+    _witness,
     certificate_from_json_obj,
     certificate_to_json_obj,
 )
 from netcert import certify, multigraph, oracle
 from netcert.multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
+    _angles,
     _canonical_rows,
     _neighbor_masks,
     class_count,
@@ -421,6 +425,11 @@ def test_verifier_rejects_tampering():
     s3 = tuple((x + y) % 3 for x, y in zip(cert.e1, cert.e2))
     assert "kappa" in [c.name for c in verify_obs3(_tampered(cert, e4=s3)).failed()]
 
+    # a vector longer than the graph is not a proof
+    report = verify_obs3(_tampered(cert, e4=(*cert.e4, 1)))
+    detail = "verification aborted: vertex 3 outside 0..2"
+    assert report.checks == (certify.Check("integrity", False, detail),)
+
     # S4 at a power whose twist is not the best one: lambda' undercuts the bound
     cert5 = certify_any(triangle(5))
     assert cert5.e4 == (0, 0, 2) and verify_obs3(cert5).all_passed
@@ -556,6 +565,56 @@ def test_kappa_check_implies_the_eigenspace_obstruction(monkeypatch):
         assert commutation_phase(r3, r4) == cert.kappa
         passed = {c.name: c.passed for c in verify_obs3(cert).checks}
         assert passed["kappa"] and passed["eigenspace_obstruction"]
+
+
+def _tampered_layouts(cert):
+    """Five group layouts that break a certificate: G1 and G2 swapped, a
+    label that names no vertex added to G1, a vertex moved into G1, a vertex
+    in both G1 and G2, and the groups in reverse order."""
+    g1, g2, g3, g4 = cert.groups
+    moved = [v for grp in (g2, g3, g4) for v in grp][-1]
+    into_g1 = (g1 + (moved,), *(tuple(v for v in grp if v != moved) for grp in (g2, g3, g4)))
+    shared = next(v for v in map(str, range(cert.graph.n)) if v not in g2)
+    both = (g1 if shared in g1 else g1 + (shared,), g2 + (shared,), g3, g4)
+    return [(g2, g1, g3, g4), (g1 + ("x",), g2, g3, g4), into_g1, both, (g4, g3, g2, g1)]
+
+
+def test_vector_proof_matches_the_pauli_reference(monkeypatch):
+    """_derive and _witness on exponent vectors and bitmasks equal the
+    PauliOperator model of tests/certify_reference.py, exactly: kappa,
+    lambda', the bound, the method, S1..S4, the S4 relabeling and the
+    relabeled S4, the witness flags, and the union, supports and overlap as
+    labels.  On the certify_verify pool, 400 seeded random graphs (n 3..8,
+    d 2..9), every class of (4,4) and (5,3), five tampered group layouts of
+    each of their certificates, and the earlier-form fixtures."""
+    graphs = []
+    rng = np.random.default_rng(35)
+    while len(graphs) < 400:
+        d, n = int(rng.integers(2, 10)), int(rng.integers(3, 9))
+        eds = [(i, j, int(rng.integers(1, d))) for i, j in itertools.combinations(range(n), 2)]
+        g = Multigraph.from_edges(d, n, [e for e in eds if rng.random() < 0.5])
+        if is_connected(g):
+            graphs.append(g)
+    graphs += enumerate_connected_multigraphs(4, 4)
+    graphs += enumerate_connected_multigraphs(5, 3)
+    certs = [c for c in map(certify_any, graphs) if isinstance(c, Certificate)]
+    certs += _pool_certificates(monkeypatch)
+    assert len(certs) > 1400
+    certs += [_tampered(c, groups=groups) for c in certs for groups in _tampered_layouts(c)]
+    certs += [_v1_edited(fixture, lambda obj: None) for fixture in V1_FIXTURES]
+    names = ("kappa", "lambda_prime", "fidelity_bound", "method")
+    operators = ("s1", "s2", "s3", "s4", "s4_relabeling", "s4_twisted")
+    for cert in certs:
+        p, ref = cert.proof, reference_proof(cert)
+        for name in (*names, *operators):
+            assert getattr(p, name) == getattr(ref, name), (cert, name)
+        passed, overlap = _witness(p)
+        union = p.groups[0] | p.groups[1] | p.groups[2] | p.groups[3]
+        ref_passed, ref_union, ref_supports, ref_overlap = reference_witness(cert)
+        assert passed == ref_passed, cert
+        assert frozenset(certify._named(p.labels, union)) == ref_union
+        assert [frozenset(certify._named(p.labels, s)) for s in p.supports] == list(ref_supports)
+        assert frozenset(certify._named(p.labels, overlap)) == ref_overlap
 
 
 # ---------------------------------------------------------------- serialization
@@ -845,9 +904,9 @@ def test_mirror_triples_read_alike():
 @pytest.mark.parametrize("n,d", [(4, 4), (5, 3), (4, 8)])
 def test_direct_pass_triple_is_certify_direct_triple(n, d, monkeypatch):
     """On every class that certifies directly, the triple _direct_pass picks
-    among the triples with b < c is the one _certify_direct picks among all
-    ordered triples."""
-    picked = []
+    is the one _certify_direct picks, both among the triples with b < c, and
+    the first usable one among all ordered triples."""
+    picked, first = [], []
     build = certify._build_certificate
 
     def record(graph, lc_path, certified, triple, general, nb):
@@ -860,7 +919,11 @@ def test_direct_pass_triple_is_certify_direct_triple(n, d, monkeypatch):
     for k in np.flatnonzero(direct.construction).tolist():
         g = from_triu_vector(d, n, rows[k].tolist())
         assert _certify_direct(g, (), g) is not None
+        nb, general = _neighbor_masks(g), direct.construction[k] == 2
+        usable = (t for t in _angles(g) if not (general and any(_triple_flags(g, nb, *t)[1])))
+        first.append(next(usable))
     assert len(picked) == len(direct.triple) > 0
+    assert picked == first
     assert direct.triple.tolist() == [list(t) for t in picked]
     assert (direct.triple[:, 1] < direct.triple[:, 2]).all()
 
@@ -1011,8 +1074,8 @@ PATH4 = Multigraph.from_edges(2, 4, [(0, 1, 1), (0, 2, 1), (1, 3, 1)])
     [
         (_edited("_exponent_table", _with_row(2, (1, 1, 1))), "S3 is not exactly S1 S2", None),
         # S1 and S2 are words of an abelian stabilizer group, so only a faked
-        # phase reaches this check
-        (("commutation_phase", lambda a, b: 1), "failed commute$", None),
+        # symplectic sum reaches this check
+        (("_symplectic", lambda *args: 1), "failed commute$", None),
         (
             _edited("_group_masks", lambda m: (m[0] | m[1] | m[2] | m[3], 0, 0, 0)),
             "failed supports, kappa$",
