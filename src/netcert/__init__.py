@@ -1,7 +1,8 @@
 """netcert: certificates that qudit graph states cannot be prepared in
 networks of bipartite sources.
 
-The package is organized in layers:
+The package is organized in layers; ``pauli`` and ``stabilizer`` are the
+symbolic reference layer, which only ``oracle.dense`` and the tests read:
 
 - ``pauli``      exact symbolic Weyl-Heisenberg operators on named sites
 - ``multigraph`` multigraphs mod d: partitions, local complementation, enumeration
@@ -9,7 +10,7 @@ The package is organized in layers:
 - ``network``    the four marginal equalities of the inflation chain, in closed form
 - ``certify``    certificate search, verification, fidelity bounds
 - ``ghzbound``   GHZ fidelity upper bounds (closed form, prime bisection, numeric)
-- ``oracle``     dense-matrix ground truth and randomized property suites
+- ``oracle``     the exact eigenspace decision, dense ground truth, property suites
 - ``cli``        command-line front end
 """
 
@@ -39,6 +40,7 @@ from .errors import (
     WrongFamily,
 )
 from .ghzbound import (
+    GHZ_PARTIES,
     BoundReport,
     GhzChainRecord,
     bound_report,
@@ -75,7 +77,6 @@ from .pauli import (
     support,
 )
 from .stabilizer import (
-    GHZ_PARTIES,
     ghz_group,
     ghz_stabilizer_element,
     graph_generator,

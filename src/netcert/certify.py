@@ -12,9 +12,9 @@ A Certificate stores only that proof: the graph, the local-complementation
 path to the member the operators live on, the groups, and S1, S2, S4 as
 exponent vectors over its generators; one function (_derive) derives the
 rest, on integer vectors (S_i has X-part e and Z-part M e) and vertex
-bitmasks, and builds the PauliOperator forms only when they are read.  The
-reader also takes the earlier JSON form (no "version"), whose derived
-fields verify_obs3 compares with the derivation.
+bitmasks, on which verify_obs3 checks it too.  The reader also takes the
+earlier JSON form (no "version"), whose derived fields (_v1_fields, on
+the vectors) verify_obs3 compares with the derivation.
 
 Two constructions are implemented: ``obs1`` for constant edge
 multiplicity, built from generator quotients around an angle or triangle,
@@ -71,6 +71,7 @@ from .multigraph import (
     _check_orbit_cap,
     _graph_walk,
     _LCWalk,
+    _masks_connected,
     _neighbor_masks,
     _packed_keys,
     _partition_masks,
@@ -79,12 +80,9 @@ from .multigraph import (
     class_count,
     edges,
     from_triu_vector,
-    is_connected,
     local_complement,
 )
 from .network import label_masks, marginal_mask_checks, partitions, prime
-from .pauli import PauliOperator, relabel
-from .stabilizer import word
 
 METHOD_CONSTANT = "obs1"
 METHOD_GENERAL = "obs4"
@@ -138,8 +136,7 @@ class Proof(NamedTuple):
     are X-parts ``x``, Z-parts ``z`` and support bitmasks ``supports`` over
     the vertices of ``certified_graph``; G1..G4 are bitmasks over
     ``labels``, the vertex labels and then any group label that names no
-    vertex.  ``s1``..``s4`` (stabilizer.word of the X-part),
-    ``s4_relabeling`` and ``s4_twisted`` are built from them on each read."""
+    vertex; S_i's tau exponent is _tau(certified_graph, x[i])."""
 
     certified_graph: Multigraph
     x: tuple[list[int], ...]
@@ -152,32 +149,24 @@ class Proof(NamedTuple):
     fidelity_bound: float
     method: str  # obs4 exactly when certified_graph's weights are not constant
 
-    s1 = property(lambda self: word(self.certified_graph, dict(enumerate(self.x[0]))))
-    s2 = property(lambda self: word(self.certified_graph, dict(enumerate(self.x[1]))))
-    s3 = property(lambda self: word(self.certified_graph, dict(enumerate(self.x[2]))))
-    s4 = property(lambda self: word(self.certified_graph, dict(enumerate(self.x[3]))))
-
-    @property
-    def s4_relabeling(self) -> tuple[tuple[str, str], ...]:  # S4's sites in G1 -> doubled copies
-        moved = _named(self.labels, self.supports[3] & self.groups[0])
-        return tuple(sorted((lbl, prime(lbl)) for lbl in moved))
-
-    @property
-    def s4_twisted(self) -> PauliOperator:  # S4 relabeled by s4_relabeling
-        return relabel(self.s4, dict(self.s4_relabeling))
-
-
-_PROOF_NAMES = frozenset((*Proof._fields, "s1", "s2", "s3", "s4", "s4_relabeling", "s4_twisted"))
-
 
 def _named(labels: Sequence[str], mask: int) -> list[str]:
     return [lbl for v, lbl in enumerate(labels) if mask >> v & 1]
 
 
-def _sites(p: Proof, i: int, mask: int) -> dict[str, tuple[int, int]]:
-    """S_i's (x, z) exponents at its vertices in ``mask``, by label."""
-    sites = zip(p.labels, zip(p.x[i], p.z[i]))
-    return {lbl: xz for v, (lbl, xz) in enumerate(sites) if mask >> v & 1}
+def _restricted(p: Proof, i: int, mask: int) -> tuple[list[int], list[int], int]:
+    """S_i restricted to its vertices in ``mask``, phase dropped, as the
+    (x, z, tau) of oracle.shares_plus_one_eigenvector."""
+    keep = [mask >> v & 1 for v in range(len(p.x[i]))]
+    return [x * k for x, k in zip(p.x[i], keep)], [z * k for z, k in zip(p.z[i], keep)], 0
+
+
+def _tau(g: Multigraph, x: Sequence[int]) -> int:
+    """The tau exponent 2 sum_{u<v} x_u m_uv x_v mod 2d of the generator
+    word with X-part x on g (stabilizer.word)."""
+    nonzero, mult = [v for v, xv in enumerate(x) if xv], g.mult
+    pairs = sum(x[u] * mult[u][v] * x[v] for u, v in itertools.combinations(nonzero, 2))
+    return 2 * pairs % (2 * g.d)
 
 
 def _symplectic(x1, z1, x2, z2, mask: int) -> int:
@@ -195,7 +184,7 @@ class Certificate:
     generators of ``certified_graph``, the graph after the local
     complementations of ``lc_path``: word(e) has X-part e and Z-part M e.
     Everything else is the Proof that _derive computes, once per
-    certificate; its fields read as attributes (``s1``..``s4``, ``kappa``,
+    certificate; its fields read as attributes (``kappa``,
     ``lambda_prime``, ``fidelity_bound``, ``method``, ...).  ``claims`` holds
     the other fields of a file in the earlier JSON form, as (name, JSON
     text) pairs: verify_obs3 compares the derived ones with the Proof and
@@ -216,7 +205,7 @@ class Certificate:
 
     def __getattr__(self, name: str):
         # reached only where normal lookup fails: the derived names read the Proof
-        if name in _PROOF_NAMES:
+        if name in Proof._fields:
             return getattr(self.proof, name)
         raise AttributeError(f"'Certificate' object has no attribute {name!r}")
 
@@ -243,16 +232,12 @@ def _derive(cert: Certificate) -> Proof:
         raise StructureError(f"vertex {n} outside 0..{n - 1}")
     ops = []
     for e in (cert.e1, cert.e2, [x + y for x, y in zip(cert.e1, cert.e2)], cert.e4):
-        x, z, support = [ev % d for ev in e], [0] * n, 0
+        x, z = [ev % d for ev in e] + [0] * (n - len(e)), [0] * n
         for v, ev in enumerate(x):
             if ev:
                 z = [zu + ev * m for zu, m in zip(z, h.mult[v])]
-                support |= 1 << v
         z = [zu % d for zu in z]
-        for v, zv in enumerate(z):
-            if zv:
-                support |= 1 << v
-        ops.append((x, z, support))
+        ops.append((x, z, sum(1 << v for v in range(n) if x[v] or z[v])))
     xs, zs, supports = zip(*ops)
     bit = {lbl: 1 << v for v, lbl in enumerate(_labels(h))}
     groups = label_masks(bit, cert.groups)
@@ -284,8 +269,7 @@ class NotCertified:
     rejections: tuple[tuple[str, int], ...] = tuple((kind, 0) for kind in REJECTION_KINDS)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -310,10 +294,7 @@ class VerificationReport:
     def to_json_obj(self) -> dict:
         return {
             "all_passed": self.all_passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
+            "checks": [c._asdict() for c in self.checks],
             "ignored": list(self.ignored),
         }
 
@@ -440,12 +421,13 @@ def _triple_flags(g: Multigraph, nb: Sequence[int], a: int, b: int, c: int):
 
 
 def _certify_direct(
-    graph: Multigraph, lc_path: tuple[int, ...], certified: Multigraph
+    graph: Multigraph, lc_path: tuple[int, ...], certified: Multigraph, nb: list[int] | None = None
 ) -> Certificate | None:
     """Try every construction on one graph: obs1 at its first triple when the
     weights are constant, else obs4 at the first triple not _blocked.  A
-    Certificate, or None; _refusal explains a failure."""
-    nb = _neighbor_masks(certified)
+    Certificate, or None; _refusal explains a failure.  ``nb`` holds the
+    neighbor masks of ``certified``, if already built."""
+    nb = _neighbor_masks(certified) if nb is None else nb
     general = _general(certified)
     if general:
         # by the mirror lemma (see _direct_pass) the first usable triple has b < c
@@ -500,9 +482,10 @@ def certify_any(g: Multigraph, orbit_cap: int = DEFAULT_ORBIT_CAP) -> Certificat
     _check_orbit_cap(orbit_cap)
     if g.n < 3:
         return NotCertified(g, ("fewer than three vertices",))
-    if not is_connected(g):
+    nb = _neighbor_masks(g)
+    if not _masks_connected(nb):
         raise StructureError("graph is not connected")
-    cert = _certify_direct(g, (), g)
+    cert = _certify_direct(g, (), g, nb)
     if cert is not None:
         return cert
     walk = _graph_walk(g, orbit_cap)
@@ -993,8 +976,8 @@ def _verify_obs3_checks(cert: Certificate, checks: list[Check]) -> None:
         f"kappa = {p.kappa}, overlap {sorted(_named(p.labels, overlap))}",
     )
     checks.extend(map(Check, _WITNESS_CHECKS, passed, details))
-    for name, ok in marginal_mask_checks(n, p.groups, p.supports):
-        checks.append(Check(f"marginal: {name}", ok))
+    marginal = marginal_mask_checks(n, p.groups, p.supports)
+    checks.extend(Check(f"marginal: {name}", ok) for name, ok in marginal)
     lam = p.lambda_prime
     lam_ok = abs(lam - 2.0 * abs(math.cos(math.pi * p.kappa / d))) <= _LAMBDA_TOL
     checks.append(
@@ -1002,10 +985,9 @@ def _verify_obs3_checks(cert: Certificate, checks: list[Check]) -> None:
     )
     # S3 and the relabeled S4 restricted to group 2: the relabeling moved S4's G1 sites
     g1, g2 = p.groups[:2]
-    r3 = PauliOperator.from_sites(d, _sites(p, 2, p.supports[2] & g2))
-    r4 = PauliOperator.from_sites(d, _sites(p, 3, p.supports[3] & g2 & ~g1))
-    if r3.sites or r4.sites:
-        ok = not oracle.shares_plus_one_eigenvector(r3, r4)
+    if p.supports[2] & g2 or p.supports[3] & g2 & ~g1:
+        r3, r4 = _restricted(p, 2, g2), _restricted(p, 3, g2 & ~g1)
+        ok = not oracle.shares_plus_one_eigenvector(r3, r4, d)
         detail = "restricted operators have no common +1 eigenvector"
     else:
         # both restrictions are the identity, which fixes every vector
@@ -1030,19 +1012,19 @@ def _json_text(value) -> str:
 
 
 def _v1_fields(cert: Certificate) -> dict[str, str]:
-    """The derived fields of the earlier JSON form, as _json_text.  Each
-    factorization lists the nonzero exponents of the operator's vector, with
-    e3 = e1 + e2 (mod d)."""
-    p, d = cert.proof, cert.graph.d
-    e3 = tuple(x + y for x, y in zip(cert.e1, cert.e2))
+    """The derived fields of the earlier JSON form, as _json_text, from the
+    Proof: each operator's _tau, nonzero (x, z) by label and factorization
+    (its X-part; e3 = e1 + e2 mod d), and S4's vertices in G1, primed."""
+    p = cert.proof
     fields = {}
-    for i, op, e in zip(range(1, 5), (p.s1, p.s2, p.s3, p.s4), (cert.e1, cert.e2, e3, cert.e4)):
+    for i, (x, z) in enumerate(zip(p.x, p.z), start=1):
         fields[f"S{i}"] = {
-            "phase_exp": op.phase_exp,
-            "sites": {lbl: list(xz) for lbl, xz in op.sites},
-            "factorization": [[str(v), x % d] for v, x in enumerate(e) if x % d],
+            "phase_exp": _tau(p.certified_graph, x),
+            "sites": {lbl: [xv, zv] for lbl, xv, zv in zip(p.labels, x, z) if xv or zv},
+            "factorization": [[str(v), xv] for v, xv in enumerate(x) if xv],
         }
-    fields["S4prime_relabel"] = dict(p.s4_relabeling)
+    moved = _named(p.labels, p.supports[3] & p.groups[0])
+    fields["S4prime_relabel"] = {lbl: prime(lbl) for lbl in moved}
     fields.update((name, getattr(p, name)) for name in _V1_SCALARS)
     return {name: _json_text(value) for name, value in fields.items()}
 

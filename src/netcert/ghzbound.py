@@ -21,7 +21,7 @@ Three bounds of increasing sharpness and cost:
   to those formulas.
 
 ``ghz_section3_chain`` assembles the explicit three-party certificate
-chain behind the closed form, with all premises checked.
+chain behind the closed form, with all premises checked, on vectors.
 """
 
 from __future__ import annotations
@@ -32,11 +32,13 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .certify import fidelity_bound_from_lambda, select_power_t
+from .certify import _named, _symplectic, fidelity_bound_from_lambda, select_power_t
 from .errors import DimensionError, RangeError, StructureError, Unconverged, WrongFamily
-from .network import marginal_chain_checks
-from .pauli import PauliOperator, commutation_phase, multiply, power, relabel, support
-from .stabilizer import GHZ_PARTIES, ghz_stabilizer_element
+from .network import marginal_mask_checks, prime
+from .oracle import Vector, _power, _product
+
+#: The three parties of the GHZ state, in the order of its stabilizers' vectors.
+GHZ_PARTIES = ("A", "B", "C")
 
 _NUMERIC_RANGE = (2, 8)
 _F_TOL = 1e-4
@@ -122,11 +124,12 @@ def ghz_prime_bound(d: int) -> float:
 
 @dataclass(frozen=True)
 class GhzChainRecord:
-    """The explicit three-party certificate chain and its premises."""
+    """The explicit three-party certificate chain and its premises: S1..S4
+    as (x, z, tau) over GHZ_PARTIES, and S4's legs in G1 -> doubled copies."""
 
     d: int
-    stabilizers: tuple[PauliOperator, PauliOperator, PauliOperator, PauliOperator]
-    s4_relabeled: PauliOperator
+    stabilizers: tuple[Vector, Vector, Vector, Vector]
+    s4_relabeling: tuple[tuple[str, str], ...]
     t_power: int
     premises: tuple[tuple[str, bool], ...]
     kappa: int
@@ -138,43 +141,36 @@ class GhzChainRecord:
         return all(ok for _, ok in self.premises)
 
 
+def _ghz_element(d: int, a: int, b: int, c: int) -> Vector:
+    """The GHZ stabilizer S_abc = Z^a X^c (x) Z^(b-a) X^c (x) Z^(-b) X^c as
+    (x, z, tau); the per-site reorder phases cancel exactly, so tau = 0."""
+    return (c % d,) * 3, (a % d, (b - a) % d, -b % d), 0
+
+
 def ghz_section3_chain(d: int) -> GhzChainRecord:
     """Build and check the GHZ incompatibility chain on a triangle network.
 
     S1 = Z_B Z_A^dag, S2 = Z_A Z_C^dag, S3 = S1 S2 = Z_B Z_C^dag and
-    S4 = (X_A X_B X_C)^t with t = floor(d/2); the C leg of S4 is moved to
-    the doubled copy C'.
+    S4 = (X_A X_B X_C)^t with t = floor(d/2), in groups G1..G4 = {C}, {B},
+    {A}, {}; the C leg of S4 is moved to the doubled copy C', so kappa is
+    the symplectic sum of S3 and S4 over A and B.
     """
     if d < 2:
         raise DimensionError(f"qudit dimension must be >= 2, got {d}")
-    s1 = ghz_stabilizer_element(d, d - 1, 0, 0)
-    s2 = ghz_stabilizer_element(d, 1, 1, 0)
-    s3 = ghz_stabilizer_element(d, 0, 1, 0)
-    if multiply(s1, s2) != s3:
+    s1, s2, s3 = (_ghz_element(d, a, b, 0) for a, b in ((d - 1, 0), (1, 1), (0, 1)))
+    if _product(s1, s2, d) != s3:
         raise StructureError("chain bug: S3 is not exactly S1 S2")
-    choice = select_power_t(1, d)
-    t = choice.t
-    s4 = ghz_stabilizer_element(d, 0, 0, t)
-    if power(ghz_stabilizer_element(d, 0, 0, 1), t) != s4:
+    t, cos_value = select_power_t(1, d)
+    s4 = _ghz_element(d, 0, 0, t)
+    if _power(_ghz_element(d, 0, 0, 1), t, d) != s4:
         raise StructureError("chain bug: S4 is not the t-th power")
-    sigma = {"C": "C'"}
-    s4p = relabel(s4, sigma)
-    kappa = commutation_phase(s3, s4p) % d
-    groups = (frozenset({"C"}), frozenset({"B"}), frozenset({"A"}), frozenset())
-    premises = tuple(
-        marginal_chain_checks(
-            GHZ_PARTIES,
-            groups,
-            support(s1),
-            support(s2),
-            support(s3),
-            support(s4),
-        )
-    )
+    groups = (0b100, 0b010, 0b001, 0)  # {C}, {B}, {A}, {}: bit v is GHZ_PARTIES[v]
+    supports = [sum(1 << v for v in range(3) if x[v] or z[v]) for x, z, _ in (s1, s2, s3, s4)]
+    premises = tuple(marginal_mask_checks(3, groups, supports))
+    kappa = _symplectic(*s3[:2], *s4[:2], ~groups[0]) % d
     if kappa == 0:
         raise StructureError("chain bug: S3 and relabeled S4 commute")
-    sin_theta = math.sin(theta_d(d))
-    lam = 2.0 * choice.cos_value
+    lam = 2.0 * cos_value
     if abs(lam - 2.0 * abs(math.cos(math.pi * kappa / d))) > 1e-12:
         raise StructureError("chain bug: twist angle mismatch")
     bound = fidelity_bound_from_lambda(lam)
@@ -183,11 +179,11 @@ def ghz_section3_chain(d: int) -> GhzChainRecord:
     return GhzChainRecord(
         d=d,
         stabilizers=(s1, s2, s3, s4),
-        s4_relabeled=s4p,
+        s4_relabeling=tuple((v, prime(v)) for v in _named(GHZ_PARTIES, supports[3] & groups[0])),
         t_power=t,
         premises=premises,
         kappa=kappa,
-        sin_theta=sin_theta,
+        sin_theta=math.sin(theta_d(d)),
         bound=bound,
     )
 

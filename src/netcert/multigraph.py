@@ -146,15 +146,21 @@ def neighbors(g: Multigraph, i: int) -> set[int]:
 
 def is_connected(g: Multigraph) -> bool:
     """Breadth-first reachability of every vertex from vertex 0."""
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for u in range(g.n):
-            if g.mult[v][u] and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == g.n
+    return _masks_connected(_neighbor_masks(g))
+
+
+def _masks_connected(nb: Sequence[int]) -> bool:
+    """is_connected on the neighbor masks: a breadth-first search, a bitmask per level."""
+    seen = level = 1
+    while level:
+        reach = 0
+        while level:
+            low = level & -level
+            reach |= nb[low.bit_length() - 1]
+            level ^= low
+        level = reach & ~seen
+        seen |= level
+    return seen == (1 << len(nb)) - 1
 
 
 def permuted(g: Multigraph, perm: Sequence[int]) -> Multigraph:

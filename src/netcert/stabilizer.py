@@ -12,10 +12,9 @@ from __future__ import annotations
 from typing import Iterator, Mapping
 
 from .errors import RangeError, StructureError
+from .ghzbound import GHZ_PARTIES, _ghz_element
 from .multigraph import Multigraph
 from .pauli import PauliOperator
-
-GHZ_PARTIES = ("A", "B", "C")
 
 
 def word(g: Multigraph, exponents: Mapping[int, int]) -> PauliOperator:
@@ -51,18 +50,13 @@ def graph_generator(g: Multigraph, i: int) -> PauliOperator:
 
 
 def ghz_stabilizer_element(d: int, a: int, b: int, c: int) -> PauliOperator:
-    """The GHZ stabilizer S_abc = Z^a X^c (x) Z^{b-a} X^c (x) Z^{-b} X^c.
-
-    The per-site reorder phases cancel exactly, so the stored phase is 0.
-    Exponents must already lie in [0, d).
-    """
+    """The GHZ stabilizer S_abc = Z^a X^c (x) Z^{b-a} X^c (x) Z^{-b} X^c, the
+    symbolic form of ghzbound._ghz_element; exponents must lie in [0, d)."""
     for name, value in (("a", a), ("b", b), ("c", c)):
         if not 0 <= value < d:
             raise RangeError(f"exponent {name}={value} outside 0..{d - 1}")
-    la, lb, lc = GHZ_PARTIES
-    return PauliOperator.from_sites(
-        d, {la: (c, a), lb: (c, (b - a) % d), lc: (c, (-b) % d)}
-    )
+    x, z, _ = _ghz_element(d, a, b, c)
+    return PauliOperator.from_sites(d, dict(zip(GHZ_PARTIES, zip(x, z))))
 
 
 def ghz_group(d: int) -> Iterator[PauliOperator]:

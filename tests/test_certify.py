@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from certify_reference import reference_proof, reference_witness
+from certify_reference import proof_operators, reference_proof, reference_witness
 from network_reference import reference_chain
 
 from netcert import (
@@ -509,7 +509,8 @@ def test_marginal_checks_of_every_grouping_match_the_network_model():
     the 4-vertex path certificate, are the explicit networks' answer."""
     cert = certify_any(Multigraph.from_edges(2, 4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]))
     parties = ["0", "1", "2", "3"]
-    supports = [support(op) for op in (cert.s1, cert.s2, cert.s3, cert.s4)]
+    ref = reference_proof(cert)
+    supports = [support(op) for op in (ref.s1, ref.s2, ref.s3, ref.s4)]
     failing = 0
     for assign in itertools.product(range(4), repeat=4):
         groups = tuple(tuple(v for v in parties if assign[int(v)] == k) for k in range(4))
@@ -559,9 +560,10 @@ def test_kappa_check_implies_the_eigenspace_obstruction(monkeypatch):
     def unreachable(*args):
         raise AssertionError("the eigenspace check went past its first test")
 
-    monkeypatch.setattr(oracle, "multiply", unreachable)
+    monkeypatch.setattr(oracle, "_power", unreachable)
     for cert in certs:
-        r3, r4 = (restrict(op, cert.groups[1]) for op in (cert.s3, cert.s4_twisted))
+        ref = reference_proof(cert)
+        r3, r4 = (restrict(op, cert.groups[1]) for op in (ref.s3, ref.s4_twisted))
         assert commutation_phase(r3, r4) == cert.kappa
         passed = {c.name: c.passed for c in verify_obs3(cert).checks}
         assert passed["kappa"] and passed["eigenspace_obstruction"]
@@ -582,8 +584,9 @@ def _tampered_layouts(cert):
 def test_vector_proof_matches_the_pauli_reference(monkeypatch):
     """_derive and _witness on exponent vectors and bitmasks equal the
     PauliOperator model of tests/certify_reference.py, exactly: kappa,
-    lambda', the bound, the method, S1..S4, the S4 relabeling and the
-    relabeled S4, the witness flags, and the union, supports and overlap as
+    lambda', the bound, the method, S1..S4 (from the Proof's vectors with
+    _v1_fields' tau exponents), the S4 relabeling and the relabeled S4 (from
+    _v1_fields), the witness flags, and the union, supports and overlap as
     labels.  On the certify_verify pool, 400 seeded random graphs (n 3..8,
     d 2..9), every class of (4,4) and (5,3), five tampered group layouts of
     each of their certificates, and the earlier-form fixtures."""
@@ -606,8 +609,10 @@ def test_vector_proof_matches_the_pauli_reference(monkeypatch):
     operators = ("s1", "s2", "s3", "s4", "s4_relabeling", "s4_twisted")
     for cert in certs:
         p, ref = cert.proof, reference_proof(cert)
-        for name in (*names, *operators):
+        for name in names:
             assert getattr(p, name) == getattr(ref, name), (cert, name)
+        for name, op in zip(operators, proof_operators(cert)):
+            assert op == getattr(ref, name), (cert, name)
         passed, overlap = _witness(p)
         union = p.groups[0] | p.groups[1] | p.groups[2] | p.groups[3]
         ref_passed, ref_union, ref_supports, ref_overlap = reference_witness(cert)
@@ -771,7 +776,7 @@ def test_exhaustive_table_matches_certify_any(n, d, budget, orbit_cap):
 def test_direct_pass_operators_equal_certify_any():
     """The array witnesses of the (4,4) classes that certify directly are the
     operators, groups and exponent vectors of the certificates certify_any
-    emits."""
+    emits (their PauliOperator forms by tests/certify_reference.py)."""
     graphs = list(enumerate_connected_multigraphs(4, 4))
     direct = _direct_block(triu_rows(graphs), 4, 4)
     assert np.count_nonzero(direct.construction) == len(direct.triple) == 185
@@ -784,7 +789,8 @@ def test_direct_pass_operators_equal_certify_any():
         assert [cert.e1, cert.e2, cert.e4] == list(map(tuple, direct.x[k, [0, 1, 3]].tolist()))
         masks = [sum(1 << int(v) for v in grp) for grp in cert.groups]
         assert masks == direct.groups[k].tolist()
-        for i, w in enumerate((cert.s1, cert.s2, cert.s3, cert.s4)):
+        ref = reference_proof(cert)
+        for i, w in enumerate((ref.s1, ref.s2, ref.s3, ref.s4)):
             sites = {
                 str(v): (int(direct.x[k, i, v]), int(direct.z[k, i, v])) for v in range(g.n)
             }

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from netcert import (
+    GHZ_PARTIES,
     DimensionError,
+    PauliOperator,
     RangeError,
     WrongFamily,
     bound_report,
@@ -14,6 +16,9 @@ from netcert import (
     ghz_numeric_bound,
     ghz_prime_bound,
     ghz_section3_chain,
+    ghz_stabilizer_element,
+    relabel,
+    support,
     theta_d,
 )
 from netcert.ghzbound import _MR_LIMIT, _BlockSearch, _build_blocks, _cap, is_prime
@@ -177,9 +182,19 @@ def test_prime_bound_improves_on_closed_form_for_odd_primes():
         assert ghz_prime_bound(d) < ghz_closed_form_bound(d)
 
 
+def pauli_operator(d, vector):
+    """An (x, z, tau) vector over GHZ_PARTIES as a PauliOperator."""
+    x, z, tau = vector
+    return PauliOperator.from_sites(d, dict(zip(GHZ_PARTIES, zip(x, z))), tau)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_section3_chain(d):
     rec = ghz_section3_chain(d)
+    # S1..S4 are the symbolic layer's GHZ elements S_abc
+    abc = [(d - 1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, d // 2)]
+    ops = [pauli_operator(d, s) for s in rec.stabilizers]
+    assert ops == [ghz_stabilizer_element(d, *e) for e in abc]
     assert rec.all_premises_hold
     assert len(rec.premises) == 4
     assert rec.t_power == d // 2
@@ -187,11 +202,8 @@ def test_section3_chain(d):
     assert rec.bound == ghz_closed_form_bound(d)
     assert rec.sin_theta == math.sin(theta_d(d))
     # the fourth stabilizer is relabeled on one leg only
-    moved = set()
-    for s, sp in [(rec.stabilizers[3], rec.s4_relabeled)]:
-        from netcert import support
-
-        moved = support(sp) - support(s)
+    s4 = ops[3]
+    moved = support(relabel(s4, dict(rec.s4_relabeling))) - support(s4)
     assert moved == {"C'"}
 
 

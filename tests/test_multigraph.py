@@ -8,6 +8,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+from collections import deque
 
 import networkx as nx
 import numpy as np
@@ -303,6 +304,36 @@ def test_connectivity_and_neighbors():
     assert neighbors(g, 0) == {1}
     h = Multigraph.from_edges(2, 4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     assert is_connected(h)
+
+
+def reference_is_connected(g: Multigraph) -> bool:
+    """Breadth-first reachability from vertex 0 with a set and a deque."""
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for u in range(g.n):
+            if g.mult[v][u] and u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return len(seen) == g.n
+
+
+def test_is_connected_on_masks_matches_the_set_search():
+    """is_connected, a search on neighbor bitmasks, equals the set and deque
+    search on 500 seeded random graphs (n 2..12, d 2..5, edge density
+    0.1..0.6), connected and not."""
+    rng = np.random.default_rng(36)
+    outcomes = {True: 0, False: 0}
+    for _ in range(500):
+        d, n, density = int(rng.integers(2, 6)), int(rng.integers(2, 13)), rng.uniform(0.1, 0.6)
+        pairs = itertools.combinations(range(n), 2)
+        eds = [(i, j, int(rng.integers(1, d))) for i, j in pairs if rng.random() < density]
+        g = Multigraph.from_edges(d, n, eds)
+        want = reference_is_connected(g)
+        assert is_connected(g) == want, g
+        outcomes[want] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_parsing_text_and_json():

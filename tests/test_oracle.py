@@ -1,5 +1,7 @@
 """Dense ground truth: state builders, spectral helpers, randomized suites."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,16 @@ from netcert.oracle import (
 )
 from netcert.pauli import commutation_phase, multiply, power, relabel
 
+from certify_reference import as_vectors, reference_shares_plus_one_eigenvector
 from dense_reference import build_graph_state, build_graph_state_eig, ghz_state, monomial_form
+
+
+def decide(p, q):
+    """shares_plus_one_eigenvector on the (x, z, tau) vectors of two
+    PauliOperators, checked equal to the PauliOperator reference."""
+    got = shares_plus_one_eigenvector(*as_vectors(p, q), p.d)
+    assert got == reference_shares_plus_one_eigenvector(p, q), (p, q)
+    return got
 
 
 def test_weyl_matrices():
@@ -159,7 +170,7 @@ def test_shares_plus_one_eigenvector_matches_schur_reference():
             q = PauliOperator.from_sites(d, q.site_map(), int(rng.integers(2 * d)))
         else:
             q = random_weyl(rng, d, parties)
-        got = shares_plus_one_eigenvector(p, q)
+        got = decide(p, q)
         want = common_plus_one_eigenvector(dense(p, parties), dense(q, parties))
         assert got == want, (p, q)
         outcomes[got] += 1
@@ -169,7 +180,9 @@ def test_shares_plus_one_eigenvector_matches_schur_reference():
 def test_shares_plus_one_eigenvector_validation():
     p = PauliOperator.from_sites(3, {"A": (1, 0)})
     with pytest.raises(DimensionError):
-        shares_plus_one_eigenvector(p, PauliOperator.from_sites(2, {"A": (1, 0)}))
+        reference_shares_plus_one_eigenvector(p, PauliOperator.from_sites(2, {"A": (1, 0)}))
+    with pytest.raises(StructureError):
+        shares_plus_one_eigenvector(([1], [0], 0), ([1, 0], [0, 0], 0), 3)
     with pytest.raises(StructureError):
         monomial_form(p, ["A", "A"])
 
@@ -200,8 +213,8 @@ def test_shares_plus_one_eigenvector_ignores_party_names():
         rename = dict(zip(parties, names))
         renamed = relabel(p, rename), relabel(q, rename)
         for _ in range(2):
-            assert shares_plus_one_eigenvector(p, q) == want
-            assert shares_plus_one_eigenvector(*renamed) == want
+            assert decide(p, q) == want
+            assert decide(*renamed) == want
         order = [parties[j] for j in rng.permutation(k)]
         assert common_plus_one_eigenvector(dense(p, order), dense(q, order)) == want
         if d ** (k + 1) <= 125:
@@ -238,7 +251,7 @@ def _op(d, phase_exp, **sites):
 def test_shares_plus_one_eigenvector_hand_made_pairs(p, q, want):
     """Each way the group criterion can answer, against the Schur reference."""
     parties = ["A", "B"]
-    assert shares_plus_one_eigenvector(p, q) == want
+    assert decide(p, q) == want
     assert common_plus_one_eigenvector(dense(p, parties), dense(q, parties)) == want
 
 
@@ -251,19 +264,37 @@ def test_shares_plus_one_eigenvector_above_the_dense_limit():
     p = PauliOperator.from_sites(2, {f"B{j:02}": (1, 0) for j in range(12)})
     assert commutation_phase(p, q) == 0
     assert multiply(q, q) == PauliOperator.from_sites(2, {}, phase_exp=2)  # tau^2 = -1
-    assert shares_plus_one_eigenvector(p, q) is False
+    assert decide(p, q) is False
 
 
 def test_shares_plus_one_eigenvector_validates_every_call():
-    """The dimension check raises even right after the same operators'
-    content was decided."""
+    """The reference's dimension check and the party check raise even right
+    after the same operators' content was decided."""
     x, z = PauliOperator.from_sites(3, {"A": (1, 0)}), PauliOperator.from_sites(3, {"A": (0, 1)})
-    assert not shares_plus_one_eigenvector(x, z)
+    assert not decide(x, z)
     with pytest.raises(DimensionError):
-        shares_plus_one_eigenvector(x, PauliOperator.from_sites(2, {"A": (0, 1)}))
+        reference_shares_plus_one_eigenvector(x, PauliOperator.from_sites(2, {"A": (0, 1)}))
+    vx, _ = as_vectors(x, z)
+    with pytest.raises(StructureError):
+        shares_plus_one_eigenvector(vx, ([0, 0], [1, 0], 0), 3)
     xx = PauliOperator.from_sites(3, {"A": (1, 0), "B": (1, 0)})
     zz = PauliOperator.from_sites(3, {"A": (0, 1), "B": (0, 1)})
-    assert not shares_plus_one_eigenvector(xx, zz)
+    assert not decide(xx, zz)
+
+
+def test_shares_plus_one_eigenvector_on_every_single_site_pair():
+    """On one party, every pair of operators tau^t X^x Z^z, phases included,
+    for d <= 7: the vector decision is the PauliOperator reference's, and
+    both answers occur for every d."""
+    for d in range(2, 8):
+        ops = [(x, z, t) for x in range(d) for z in range(d) for t in range(2 * d)]
+        forms = {op: PauliOperator.from_sites(d, {"A": op[:2]}, op[2]) for op in ops}
+        answers = set()
+        for p, q in itertools.product(ops, repeat=2):
+            got = shares_plus_one_eigenvector(([p[0]], [p[1]], p[2]), ([q[0]], [q[1]], q[2]), d)
+            assert got == reference_shares_plus_one_eigenvector(forms[p], forms[q]), (d, p, q)
+            answers.add(got)
+        assert answers == {True, False}, d
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (2, 5)])

@@ -1,5 +1,8 @@
 """Symbolic operator algebra, cross-checked against dense matrices."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -161,3 +164,37 @@ def test_dimension_validation():
     b = PauliOperator.from_sites(3, {"0": (1, 0)})
     with pytest.raises(DimensionError):
         multiply(a, b)
+
+
+def netcert_imports(module: str) -> dict[str, set[str]]:
+    """What a netcert module's source imports from each other netcert
+    module, function-level imports included: the names of ``from .x import
+    a, b``, and ``*`` for a whole module (``from . import x``)."""
+    path = Path(__file__).resolve().parent.parent / "src" / "netcert" / f"{module}.py"
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            pairs = [(alias.name, "*") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").startswith("netcert")
+        ):
+            base = (node.module or "").removeprefix("netcert").lstrip(".")
+            pairs = [(base, a.name) if base else (a.name, "*") for a in node.names]
+        else:
+            continue
+        for name, what in pairs:
+            found.setdefault(name.removeprefix("netcert."), set()).add(what)
+    return found
+
+
+def test_library_modules_do_not_build_symbolic_operators():
+    """pauli and stabilizer are the symbolic reference layer: certify,
+    ghzbound, network, multigraph and cli import nothing from them, and
+    oracle imports from pauli only what dense needs."""
+    for module in ("certify", "ghzbound", "network", "multigraph", "cli"):
+        imports = netcert_imports(module)
+        assert not imports.keys() & {"pauli", "stabilizer"}, (module, imports)
+    oracle = netcert_imports("oracle")
+    assert "stabilizer" not in oracle
+    assert oracle["pauli"] <= {"PauliOperator", "support"}
+    assert netcert_imports("stabilizer")["pauli"] == {"PauliOperator"}
