@@ -8,21 +8,22 @@ symbolic reference layer, which only ``oracle.dense`` and the tests read:
 - ``multigraph`` multigraphs mod d: partitions, local complementation, enumeration
 - ``stabilizer`` graph-state generators and the GHZ stabilizer group
 - ``network``    the four marginal equalities of the inflation chain, in closed form
-- ``certify``    certificate search, verification, fidelity bounds
+- ``checker``    certificates, their JSON forms, the witness rule, verification, bounds
+- ``certify``    certificate search over single graphs and table cells
 - ``ghzbound``   GHZ fidelity upper bounds (closed form, prime bisection, numeric)
-- ``oracle``     the exact eigenspace decision, dense ground truth, property suites
+- ``oracle``     dense ground truth and property suites, for the tests and selftest
 - ``cli``        command-line front end
 """
 
-from .certify import (
+# The benchmark's layer trace (perfbench/layertrace.py) wraps certify.certify_any and
+# certify.verify_obs3, so certify binds checker's, and reads sys.modules["netcert.oracle"].
+from . import oracle  # noqa: F401
+from .certify import NotCertified, TableReport, certify_any, exhaustive_table
+from .checker import (
     Certificate,
-    NotCertified,
-    TableReport,
     VerificationReport,
     certificate_from_json,
     certificate_to_json,
-    certify_any,
-    exhaustive_table,
     fidelity_bound_from_lambda,
     select_power_t,
     verify_obs3,

@@ -1,20 +1,4 @@
-"""Certificates that a graph state cannot come from bipartite sources.
-
-A certificate names four stabilizer elements S1, S2, S3 = S1 S2, S4 and a
-partition of the vertices into four groups such that (i) each S_i avoids
-its own group, so four marginal equalities tie its statistics in the base
-network to inflated networks, and (ii) S3 and a relabeled S4 fail to
-commute by a d-th root of unity omega^kappa.  Any network state must then
-satisfy all four stabilizers at once only up to a fidelity below 1; the
-bound is (7 + sqrt(4 + 5 lambda'/2))/10 with lambda' = 2 |cos(pi kappa/d)|.
-
-A Certificate stores only that proof: the graph, the local-complementation
-path to the member the operators live on, the groups, and S1, S2, S4 as
-exponent vectors over its generators; one function (_derive) derives the
-rest, on integer vectors (S_i has X-part e and Z-part M e) and vertex
-bitmasks, on which verify_obs3 checks it too.  The reader also takes the
-earlier JSON form (no "version"), whose derived fields (_v1_fields, on
-the vectors) verify_obs3 compares with the derivation.
+"""The certificate search (netcert.checker defines and checks a certificate).
 
 Two constructions are implemented: ``obs1`` for constant edge
 multiplicity, built from generator quotients around an angle or triangle,
@@ -30,11 +14,10 @@ _certify_direct on one graph with Python ints, for certify_any, whose
 per-triple flags (_triple_flags) also give _refusal its reasons for every
 ordered triple, and _direct_pass on a table cell's canonical rows with
 integer arrays, a block at a time, for exhaustive_table.  Both check every
-witness they build against the verifier's witness conditions, on vectors
-and bitmasks (_witness on one Proof; _check_witnesses on each block's
-arrays, which are then dropped: a table keeps one construction code per
-class).  They stay two because arrays only pay off in bulk (the README
-gives the measurements).
+witness they build with the verifier's witness rule, checker._witness (on
+one Certificate through _derive; on each block's arrays in _check_witnesses,
+which are then dropped: a table keeps one construction code per class).
+They stay two because arrays only pay off in bulk (README measurements).
 
 A class that fails is walked along its local-complementation orbit:
 certify_any walks labeled graphs (multigraph._graph_walk), a table its
@@ -45,23 +28,29 @@ construction code and LC steps as arrays; it judges each class it appends.
 from __future__ import annotations
 
 import itertools
-import json
-import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateMultiplicity,
-    EnumerationOverflow,
-    NetcertError,
-    RangeError,
-    StructureError,
+# verify_obs3 is bound here for the benchmark's layer trace (see the package's import of oracle)
+from .checker import (  # noqa: F401
+    _WITNESS_CHECKS,
+    METHOD_CONSTANT,
+    METHOD_GENERAL,
+    Certificate,
+    _general,
+    _labels,
+    _named,
+    _product,
+    _support,
+    _witness,
+    select_power_t,
+    verify_obs3,
 )
+from .errors import EnumerationOverflow, RangeError, StructureError
 from .multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
     DEFAULT_ORBIT_CAP,
@@ -80,14 +69,7 @@ from .multigraph import (
     class_count,
     edges,
     from_triu_vector,
-    local_complement,
 )
-from .network import label_masks, marginal_mask_checks, partitions, prime
-
-METHOD_CONSTANT = "obs1"
-METHOD_GENERAL = "obs4"
-
-_LAMBDA_TOL = 1e-12
 
 #: exhaustive_table's default orbit_cap: the most classes one orbit walk visits.
 TABLE_ORBIT_CAP = 4096
@@ -95,159 +77,6 @@ TABLE_ORBIT_CAP = 4096
 #: Classes per block of the table's passes over classes, _direct_pass and
 #: _LCClasses.fill; bounds their (block, ...) temporaries.
 _PASS_BLOCK = 2048
-
-
-class PowerChoice(NamedTuple):
-    """Power t of the fourth operator and the exact |cos(pi t m / d)|."""
-
-    t: int
-    cos_value: float
-
-
-def select_power_t(m: int, d: int) -> PowerChoice:
-    """Choose t minimizing |cos(pi t m / d)| over t with t m != 0 mod d.
-
-    With g = gcd(m, d) and d' = d/g, the minimum is 0 when d' is even and
-    sin(pi / (2 d')) when d' is odd; it is attained at t = m^{-1} floor(d'/2)
-    modulo d'.  The cosine is returned exactly (case split, no rounding).
-    """
-    if d < 2:
-        raise RangeError(f"dimension must be >= 2, got {d}")
-    m %= d
-    if m == 0:
-        raise DegenerateMultiplicity(f"multiplicity divisible by {d}")
-    g = gcd(m, d)
-    d_red = d // g
-    m_red = m // g
-    t = (pow(m_red, -1, d_red) * (d_red // 2)) % d
-    cos_value = 0.0 if d_red % 2 == 0 else math.sin(math.pi / (2 * d_red))
-    return PowerChoice(t=t, cos_value=cos_value)
-
-
-def fidelity_bound_from_lambda(lambda_prime: float) -> float:
-    """Fidelity ceiling (7 + sqrt(4 + 5 lambda'/2)) / 10."""
-    if not 0.0 <= lambda_prime <= 2.0:
-        raise RangeError(f"lambda' must lie in [0, 2], got {lambda_prime}")
-    return (7.0 + math.sqrt(4.0 + 2.5 * lambda_prime)) / 10.0
-
-
-class Proof(NamedTuple):
-    """Everything a Certificate's stored fields imply (see _derive).  S1..S4
-    are X-parts ``x``, Z-parts ``z`` and support bitmasks ``supports`` over
-    the vertices of ``certified_graph``; G1..G4 are bitmasks over
-    ``labels``, the vertex labels and then any group label that names no
-    vertex; S_i's tau exponent is _tau(certified_graph, x[i])."""
-
-    certified_graph: Multigraph
-    x: tuple[list[int], ...]
-    z: tuple[list[int], ...]
-    supports: tuple[int, ...]
-    labels: list[str]
-    groups: list[int]
-    kappa: int
-    lambda_prime: float
-    fidelity_bound: float
-    method: str  # obs4 exactly when certified_graph's weights are not constant
-
-
-def _named(labels: Sequence[str], mask: int) -> list[str]:
-    return [lbl for v, lbl in enumerate(labels) if mask >> v & 1]
-
-
-def _restricted(p: Proof, i: int, mask: int) -> tuple[list[int], list[int], int]:
-    """S_i restricted to its vertices in ``mask``, phase dropped, as the
-    (x, z, tau) of oracle.shares_plus_one_eigenvector."""
-    keep = [mask >> v & 1 for v in range(len(p.x[i]))]
-    return [x * k for x, k in zip(p.x[i], keep)], [z * k for z, k in zip(p.z[i], keep)], 0
-
-
-def _tau(g: Multigraph, x: Sequence[int]) -> int:
-    """The tau exponent 2 sum_{u<v} x_u m_uv x_v mod 2d of the generator
-    word with X-part x on g (stabilizer.word)."""
-    nonzero, mult = [v for v, xv in enumerate(x) if xv], g.mult
-    pairs = sum(x[u] * mult[u][v] * x[v] for u, v in itertools.combinations(nonzero, 2))
-    return 2 * pairs % (2 * g.d)
-
-
-def _symplectic(x1, z1, x2, z2, mask: int) -> int:
-    """sum of z1 x2 - z2 x1 over the vertices in ``mask``: mod d, the
-    commutation phase of (x1, z1) and (x2, z2) where ``mask`` holds every
-    vertex both act on."""
-    return sum(z1[v] * x2[v] - z2[v] * x1[v] for v in range(len(x1)) if mask >> v & 1)
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """The proof a certificate consists of (see the module docstring).
-
-    ``e1``, ``e2`` and ``e4`` are S1, S2 and S4 as exponent vectors over the
-    generators of ``certified_graph``, the graph after the local
-    complementations of ``lc_path``: word(e) has X-part e and Z-part M e.
-    Everything else is the Proof that _derive computes, once per
-    certificate; its fields read as attributes (``kappa``,
-    ``lambda_prime``, ``fidelity_bound``, ``method``, ...).  ``claims`` holds
-    the other fields of a file in the earlier JSON form, as (name, JSON
-    text) pairs: verify_obs3 compares the derived ones with the Proof and
-    lists the construction records (PROVENANCE) as ignored.
-    """
-
-    graph: Multigraph
-    lc_path: tuple[int, ...]
-    groups: tuple[tuple[str, ...], ...]
-    e1: tuple[int, ...]
-    e2: tuple[int, ...]
-    e4: tuple[int, ...]
-    claims: tuple[tuple[str, str], ...] = ()
-
-    @cached_property
-    def proof(self) -> Proof:
-        return _derive(self)
-
-    def __getattr__(self, name: str):
-        # reached only where normal lookup fails: the derived names read the Proof
-        if name in Proof._fields:
-            return getattr(self.proof, name)
-        raise AttributeError(f"'Certificate' object has no attribute {name!r}")
-
-
-def _general(g: Multigraph) -> bool:
-    """Whether g's edge weights are not constant: obs4, else obs1."""
-    return len({m for row in g.mult for m in row if m}) > 1
-
-
-def _derive(cert: Certificate) -> Proof:
-    """Replay lc_path and build S1, S2, S4 and S3 = S1 S2 as vectors: the
-    product of the generator powers e (stabilizer.word) has X-part e and
-    Z-part M e.  The groups become bitmasks.  kappa is the twist of S3 and S4
-    once S4's sites in G1 move to their doubled copies, which S3 never
-    touches: the symplectic sum over the vertices outside G1.  lambda' is
-    2 |cos(pi kappa / d)| by the exact case split of select_power_t, which is
-    exact for a kappa that S4's power already makes optimal (verify_obs3
-    checks that it is); kappa = 0 bounds nothing."""
-    h = cert.graph
-    for v in cert.lc_path:
-        h = local_complement(h, v)
-    d, n = h.d, h.n
-    if max(len(cert.e1), len(cert.e2), len(cert.e4)) > n:
-        raise StructureError(f"vertex {n} outside 0..{n - 1}")
-    ops = []
-    for e in (cert.e1, cert.e2, [x + y for x, y in zip(cert.e1, cert.e2)], cert.e4):
-        x, z = [ev % d for ev in e] + [0] * (n - len(e)), [0] * n
-        for v, ev in enumerate(x):
-            if ev:
-                z = [zu + ev * m for zu, m in zip(z, h.mult[v])]
-        z = [zu % d for zu in z]
-        ops.append((x, z, sum(1 << v for v in range(n) if x[v] or z[v])))
-    xs, zs, supports = zip(*ops)
-    bit = {lbl: 1 << v for v, lbl in enumerate(_labels(h))}
-    groups = label_masks(bit, cert.groups)
-    overlap = supports[2] & supports[3] & ~groups[0]
-    kappa = _symplectic(xs[2], zs[2], xs[3], zs[3], overlap) % d
-    lam = 2.0 * select_power_t(kappa, d).cos_value if kappa else 2.0
-    method = METHOD_GENERAL if _general(h) else METHOD_CONSTANT
-    bound = fidelity_bound_from_lambda(lam)
-    return Proof(h, xs, zs, supports, list(bit), groups, kappa, lam, bound, method)
-
 
 #: Kinds of direct-attempt failure, in the order _refusal reports them.
 REJECTION_KINDS = ("non_constant", "t_abc", "apex", "m_tilde_zero")
@@ -267,40 +96,6 @@ class NotCertified:
     orbit_size: int = 1
     orbit_truncated: bool = False
     rejections: tuple[tuple[str, int], ...] = tuple((kind, 0) for kind in REJECTION_KINDS)
-
-
-class Check(NamedTuple):
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """The checks verify_obs3 ran, and the stored fields it read but did
-    not interpret (an earlier form's construction records); those never
-    count as a passed check."""
-
-    checks: tuple[Check, ...]
-    ignored: tuple[str, ...] = ()
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed(self) -> tuple[Check, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "checks": [c._asdict() for c in self.checks],
-            "ignored": list(self.ignored),
-        }
-
-
-def _labels(g: Multigraph) -> list[str]:
-    return [str(v) for v in range(g.n)]
 
 
 # The rules below are written once for both paths: on Python ints for one
@@ -379,7 +174,7 @@ def _build_certificate(
 ) -> Certificate:
     """The obs4 (``general``) or obs1 construction at a triple it accepts;
     ``nb`` holds the neighbor masks of ``certified``.  A construction bug,
-    such as a witness that fails one of verify_obs3's _WITNESS_CHECKS, raises
+    such as a witness that fails one of the witness conditions, raises
     here."""
     a, b, c = triple
     d, n, mult = certified.d, certified.n, certified.mult
@@ -400,12 +195,16 @@ def _build_certificate(
     if e3 != tuple((x + y) % d for x, y in zip(e1, e2)):
         raise StructureError("construction bug: S3 is not exactly S1 S2")
     cert = Certificate(graph, lc_path, groups, e1, e2, e4)
-    passed = _witness(cert.proof)[0]
-    if failed := [name for name, ok in zip(_WITNESS_CHECKS, passed) if not ok]:
-        raise StructureError(f"construction bug: failed {', '.join(failed)}")
+    _raise_failed(cert.witness)
     if general and cert.kappa != (-t * m_tilde) % d:
         raise StructureError("construction bug: kappa differs from -e m_tilde")
     return cert
+
+
+def _raise_failed(passed) -> None:
+    """Raise on each of _WITNESS_CHECKS that ``passed`` marks as failing."""
+    if failed := [name for name, ok in zip(_WITNESS_CHECKS, passed) if not ok]:
+        raise StructureError(f"construction bug: failed {', '.join(failed)}")
 
 
 def _triple_flags(g: Multigraph, nb: Sequence[int], a: int, b: int, c: int):
@@ -610,36 +409,16 @@ def _direct_block(rows: np.ndarray, n: int, d: int) -> _DirectBlock:
 
 
 def _check_witnesses(d, x, z, phase, groups, general, expected_kappa) -> None:
-    """The checks of _build_certificate, verify_obs3's witness conditions
-    among them, on (k, 4, n) operator arrays S1..S4."""
-    (x1, x2, x3, x4), (z1, z2, z3, z4) = x.transpose(1, 0, 2), z.transpose(1, 0, 2)
-    cross = (z1 * x2).sum(axis=1)
-    if not (
-        ((x1 + x2) % d == x3).all()
-        and ((z1 + z2) % d == z3).all()
-        and ((phase[:, 0] + phase[:, 1] + 2 * cross) % (2 * d) == phase[:, 2]).all()
-    ):
+    """_build_certificate's checks on (k, 4, n) arrays S1..S4 with (k, 4) tau
+    exponents ``phase`` and group bitmasks, every row at once: S3 = S1 S2
+    (_product), the witness conditions (_witness) and, for obs4, kappa = -t m_tilde."""
+    # by operator, then vertex: each entry is an array over the block
+    xs, zs, ts = x.transpose(1, 2, 0), z.transpose(1, 2, 0), phase.T
+    s1s2 = _product((xs[0], zs[0], ts[0]), (xs[1], zs[1], ts[1]), d)
+    if not all(map(np.array_equal, s1s2, (xs[2], zs[2], ts[2]))):
         raise StructureError("construction bug: S3 is not exactly S1 S2")
-    if ((cross - (z2 * x1).sum(axis=1)) % d).any():
-        raise StructureError("construction bug: S1 and S2 do not commute")
-    bits = 1 << np.arange(x.shape[2])
-    supports = (((x != 0) | (z != 0)) * bits).sum(axis=2)
-    touching = (supports & groups).any(axis=0)
-    if touching.any():
-        idx = int(touching.argmax()) + 1
-        raise StructureError(f"construction bug: S{idx} touches group {idx}")
-    # S4's sites in G1 move to the primed copies, which S3 never touches
-    outside_g1 = (groups[:, :1] & bits) == 0
-    kappa = ((z3 * x4 - z4 * x3) * outside_g1).sum(axis=1) % d
-    if not kappa.all():
-        raise StructureError("construction bug: S3 and relabeled S4 commute")
-    common = supports[:, 2] & supports[:, 3] & ~groups[:, 0]
-    if (common & ~groups[:, 1]).any():
-        raise StructureError("construction bug: overlap leaks outside group 2")
-    # they partition the vertices iff their union and their sum are all of them
-    full = (1 << x.shape[2]) - 1
-    if ((np.bitwise_or.reduce(groups, axis=1) != full) | (groups.sum(axis=1) != full)).any():
-        raise StructureError("construction bug: groups do not partition the vertices")
+    passed, _, kappa = _witness(d, xs, zs, list(map(_support, xs, zs)), groups.T)
+    _raise_failed([ok.all() for ok in passed])
     if (general & (kappa != expected_kappa)).any():
         raise StructureError("construction bug: kappa differs from -e m_tilde")
 
@@ -772,17 +551,12 @@ class _OrbitWalk(NamedTuple):
 
 
 def _orbit_walks(
-    rows: np.ndarray,
-    n: int,
-    d: int,
-    construction: np.ndarray,
-    orbit_cap: int,
-    labels: bool = True,
+    classes: _LCClasses, orbit_cap: int, labels: bool = True
 ) -> tuple[np.ndarray, list[_OrbitWalk]]:
     """The outcome of certify_any's orbit walk from every class of a cell
-    (canonical rows, n >= 3) whose direct attempt fails, in cell order: the
-    construction of the first member that certifies (1 obs1, 2 obs4, 0 if
-    none does), and the exact walks that decided it, where one was needed.
+    (n >= 3, its class store as built) whose direct attempt fails, in cell
+    order: the construction of the first member that certifies (1 obs1, 2
+    obs4, 0 if none does), and the exact walks that decided it, if needed.
 
     A walk is a breadth-first search over class indices, along the LC steps
     of the class store (_LCClasses); it stops at the first class that
@@ -803,14 +577,14 @@ def _orbit_walks(
     ``labels`` False walks every class, the reference the labels are tested
     against.
 
-    ``construction`` gives _direct_pass's outcome per class of the cell;
-    the store judges each class it appends the same way.
-    Relabeling permutes the blocked triples, so outcome, rejections and
-    construction depend only on the class, and its checked witness covers
-    the member a walk reaches, which is never built.  The relabelings in
-    the states fix the vertex order of a walk, and with it the path.
+    The store holds _direct_pass's outcome per class of the cell, and
+    judges each class it appends the same way.  Relabeling permutes the
+    blocked triples, so outcome, rejections and construction depend only on
+    the class, and its checked witness covers the member a walk reaches,
+    which is never built.  The relabelings in the states fix the vertex
+    order of a walk, and with it the path.
     """
-    classes = _LCClasses(n, d, rows, construction)
+    n, failing = classes.n, np.flatnonzero(classes.construction == 0)
     depth, reach = 0, 1 + n
     while reach <= orbit_cap:
         depth, reach = depth + 1, reach * n + 1
@@ -819,7 +593,6 @@ def _orbit_walks(
         if not len(todo):
             break
         classes.fill(todo)
-    failing = np.flatnonzero(construction == 0)
     cons = classes.construction.copy()
     if labels:
         dist = np.where(cons > 0, 0, -1)
@@ -887,242 +660,30 @@ def exhaustive_table(
     direct = np.bincount(construction, minlength=3).tolist()
     methods = {METHOD_CONSTANT: direct[1], METHOD_GENERAL: direct[2]}
     rejections = tuple(zip(REJECTION_KINDS, rejected.tolist()))
-
-    def graph(idx: int) -> Multigraph:
-        return from_triu_vector(d, n, rows[idx].tolist())
-
-    uncertified = []
+    total, uncertified = len(rows), []
     if n < 3:  # certify_any refuses every class outright
-        uncertified = [certify_any(graph(idx)) for idx in range(len(rows))]
+        uncertified = [certify_any(from_triu_vector(d, n, row)) for row in rows.tolist()]
     elif not construction.all():
-        outcome, walks = _orbit_walks(rows, n, d, construction, orbit_cap)
+        classes = _LCClasses(n, d, rows, construction)
+        # the store owns the rows: a fill that appends classes replaces them
+        # with a longer copy, and a reference here would keep the old ones
+        del rows
+        outcome, walks = _orbit_walks(classes, orbit_cap)
         rescues = np.bincount(outcome, minlength=3).tolist()
         methods.update({METHOD_CONSTANT + "+lc": rescues[1], METHOD_GENERAL + "+lc": rescues[2]})
-        uncertified = [
-            _refusal(graph(w.start), w.size, w.truncated, orbit_cap)
-            for w in walks
-            if w.path is None
-        ]
+        for w in walks:
+            if w.path is None:
+                g = from_triu_vector(d, n, classes.rows[w.start].tolist())
+                uncertified.append(_refusal(g, w.size, w.truncated, orbit_cap))
     return TableReport(
         n=n,
         d=d,
-        total=len(rows),
+        total=total,
         expected=expected,
-        certified=len(rows) - len(uncertified),
+        certified=total - len(uncertified),
         methods=tuple(sorted((k, v) for k, v in methods.items() if v)),
         uncertified=tuple(uncertified),
         complete=complete,
         examined=examined,
         rejections=rejections,
     )
-
-
-def verify_obs3(cert: Certificate) -> VerificationReport:
-    """Derive what a certificate claims from its stored proof, and check it.
-
-    Reports the derived kappa, lambda' and bound; checks the group
-    partition, that S1 and S2 commute, the supports, the twist kappa (nonzero,
-    overlap inside group 2), the four marginal equalities, that lambda' is
-    2 |cos(pi kappa / d)| (S4's power is the best one), and that the twisted
-    operators, restricted to group 2, share no +1 eigenvector
-    (``oracle.shares_plus_one_eigenvector``, exact at any dimension).  A
-    passing kappa check implies the last: with the overlap inside group 2,
-    restricting both operators to group 2 keeps their commutation phase
-    kappa != 0, so the eigenspace check is decided by its first test; it
-    stays, as the obstruction the bound rests on.  A certificate in the earlier form gets
-    one check per derived field it stores, named after the field, and its
-    construction records in ``ignored``.  A certificate whose derivation
-    raises fails an ``integrity`` check.
-    """
-    checks: list[Check] = []
-    try:
-        _verify_obs3_checks(cert, checks)
-    except (NetcertError, ValueError, KeyError) as exc:
-        checks.append(Check("integrity", False, f"verification aborted: {exc}"))
-    ignored = tuple(name for name, _ in cert.claims if name in PROVENANCE)
-    return VerificationReport(checks=tuple(checks), ignored=ignored)
-
-
-#: verify_obs3's four conditions on a witness, in the order it reports them.
-_WITNESS_CHECKS = ("groups_partition", "commute", "supports", "kappa")
-
-
-def _witness(p: Proof):
-    """Per _WITNESS_CHECKS whether it holds (the groups partition the
-    vertices, S1 and S2 commute, each S_i avoids group i, S3 and the
-    relabeled S4 fail to commute with their overlap inside group 2), then
-    the overlap, as a vertex bitmask.  _build_certificate raises on any check
-    that fails."""
-    x, z, supports, groups = p.x, p.z, p.supports, p.groups
-    partition = partitions(p.certified_graph.n, groups)
-    commute = _symplectic(x[0], z[0], x[1], z[1], supports[0] & supports[1])
-    avoid = not any(sup & grp for sup, grp in zip(supports, groups))
-    # S4's sites in G1 move to the primed copies, which S3 never touches
-    overlap = supports[2] & supports[3] & ~groups[0]
-    kappa = p.kappa != 0 and not overlap & ~groups[1]
-    return (partition, commute % p.certified_graph.d == 0, avoid, kappa), overlap
-
-
-def _verify_obs3_checks(cert: Certificate, checks: list[Check]) -> None:
-    from . import oracle
-
-    p = cert.proof
-    d, n = cert.graph.d, cert.graph.n
-    passed, overlap = _witness(p)
-    details = (
-        f"groups cover {sorted(set().union(*cert.groups))} of {sorted(p.labels[:n])}",
-        "S1 S2 == S2 S1; S3 = S1 S2",
-        "each S_i avoids group i",
-        f"kappa = {p.kappa}, overlap {sorted(_named(p.labels, overlap))}",
-    )
-    checks.extend(map(Check, _WITNESS_CHECKS, passed, details))
-    marginal = marginal_mask_checks(n, p.groups, p.supports)
-    checks.extend(Check(f"marginal: {name}", ok) for name, ok in marginal)
-    lam = p.lambda_prime
-    lam_ok = abs(lam - 2.0 * abs(math.cos(math.pi * p.kappa / d))) <= _LAMBDA_TOL
-    checks.append(
-        Check("lambda_bound", lam_ok, f"lambda' = {lam}, fidelity bound {p.fidelity_bound}")
-    )
-    # S3 and the relabeled S4 restricted to group 2: the relabeling moved S4's G1 sites
-    g1, g2 = p.groups[:2]
-    if p.supports[2] & g2 or p.supports[3] & g2 & ~g1:
-        r3, r4 = _restricted(p, 2, g2), _restricted(p, 3, g2 & ~g1)
-        ok = not oracle.shares_plus_one_eigenvector(r3, r4, d)
-        detail = "restricted operators have no common +1 eigenvector"
-    else:
-        # both restrictions are the identity, which fixes every vector
-        ok = False
-        detail = "restricted operators act trivially on group 2"
-    checks.append(Check("eigenspace_obstruction", ok, detail))
-    derived = _v1_fields(cert) if cert.claims else {}
-    for name, text in cert.claims:
-        if name in derived:
-            ok = text == derived[name]
-            checks.append(Check(name, ok, "" if ok else f"stored {text}, derived {derived[name]}"))
-
-
-#: Fields of the earlier JSON form that recorded how a certificate was built.
-PROVENANCE = ("triple", "kind", "exponents")
-_V1_SCALARS = ("kappa", "lambda_prime", "fidelity_bound", "method")
-_V2_FIELDS = ("version", "graph", "lc_path", "groups", "S1", "S2", "S4")
-
-
-def _json_text(value) -> str:
-    return json.dumps(value, sort_keys=True)
-
-
-def _v1_fields(cert: Certificate) -> dict[str, str]:
-    """The derived fields of the earlier JSON form, as _json_text, from the
-    Proof: each operator's _tau, nonzero (x, z) by label and factorization
-    (its X-part; e3 = e1 + e2 mod d), and S4's vertices in G1, primed."""
-    p = cert.proof
-    fields = {}
-    for i, (x, z) in enumerate(zip(p.x, p.z), start=1):
-        fields[f"S{i}"] = {
-            "phase_exp": _tau(p.certified_graph, x),
-            "sites": {lbl: [xv, zv] for lbl, xv, zv in zip(p.labels, x, z) if xv or zv},
-            "factorization": [[str(v), xv] for v, xv in enumerate(x) if xv],
-        }
-    moved = _named(p.labels, p.supports[3] & p.groups[0])
-    fields["S4prime_relabel"] = {lbl: prime(lbl) for lbl in moved}
-    fields.update((name, getattr(p, name)) for name in _V1_SCALARS)
-    return {name: _json_text(value) for name, value in fields.items()}
-
-
-def certificate_to_json_obj(cert: Certificate) -> dict:
-    """The JSON form, version 2: the stored proof and nothing derived.
-    Field order is part of the format."""
-    return {
-        "version": 2,
-        "graph": cert.graph.to_json_obj(),
-        "lc_path": list(cert.lc_path),
-        "groups": [list(grp) for grp in cert.groups],
-        "S1": list(cert.e1),
-        "S2": list(cert.e2),
-        "S4": list(cert.e4),
-    }
-
-
-def _typed(value, types: tuple[type, ...], among: tuple = ()):
-    # type(), not isinstance: JSON true/false load as bools, an int subclass
-    if type(value) not in types or (among and value not in among):
-        raise StructureError(f"malformed certificate object: unexpected {value!r}")
-    return value
-
-
-def _ints(value) -> tuple[int, ...]:
-    return tuple(_typed(x, (int,)) for x in _typed(value, (list,)))
-
-
-def _groups(groups) -> tuple[tuple[str, ...], ...]:
-    if len(_typed(groups, (list,))) != 4:
-        raise StructureError("malformed certificate object: groups must be G1..G4")
-    return tuple(tuple(_typed(lbl, (str,)) for lbl in _typed(grp, (list,))) for grp in groups)
-
-
-def _vector(value, graph: Multigraph) -> tuple[int, ...]:
-    e = _ints(value)
-    if len(e) != graph.n or not all(0 <= x < graph.d for x in e):
-        msg = f"{value!r} is not in Z_{graph.d}^{graph.n}"
-        raise StructureError(f"malformed certificate object: {msg}")
-    return e
-
-
-def _factorization_vector(factorization, graph: Multigraph) -> tuple[int, ...]:
-    """An earlier-form factorization [[label, exponent], ...] as a vector."""
-    e = [0] * graph.n
-    unseen = set(_labels(graph))
-    for lbl, x in _typed(factorization, (list,)):
-        if _typed(lbl, (str,)) not in unseen:
-            raise StructureError(f"malformed certificate object: repeated or unknown {lbl!r}")
-        unseen.remove(lbl)
-        e[int(lbl)] = _typed(x, (int,)) % graph.d
-    return tuple(e)
-
-
-def certificate_from_json_obj(obj: dict) -> Certificate:
-    """Inverse of certificate_to_json_obj.  An object without "version" is in
-    the earlier form: S1, S2 and S4 come from their factorizations, the other
-    fields become ``claims``.  A field not of its JSON type, a vertex or
-    exponent out of range, a repeated or unknown factor label, or a version
-    other than 2 raises StructureError."""
-    try:
-        graph = Multigraph.from_json_obj(obj["graph"])
-        lc_path = _ints(obj["lc_path"])
-        if not all(0 <= v < graph.n for v in lc_path):
-            raise StructureError(f"malformed certificate object: lc_path {list(lc_path)}")
-        claims = ()
-        if "version" in obj:
-            _typed(obj["version"], (int,), (2,))
-            if sorted(obj) != sorted(_V2_FIELDS):
-                raise StructureError(f"malformed certificate object: fields {sorted(obj)}")
-            groups = obj["groups"]
-            vectors = [_vector(obj[f"S{i}"], graph) for i in (1, 2, 4)]
-        else:
-            ops = obj["operators"]
-            groups = [obj["groups"][f"G{i}"] for i in range(1, 5)]
-            factorizations = (ops[f"S{i}"]["factorization"] for i in (1, 2, 4))
-            vectors = [_factorization_vector(f, graph) for f in factorizations]
-            # the construction records: type-checked, never interpreted
-            _ints(obj["triple"])
-            _typed(obj["kind"], (str,), ("angle", "triangle"))
-            _ints(list(_typed(obj["exponents"], (dict,)).values()))
-            stored = {name: ops[name] for name in ("S1", "S2", "S3", "S4", "S4prime_relabel")}
-            stored.update((name, obj[name]) for name in (*_V1_SCALARS, *PROVENANCE))
-            claims = tuple((name, _json_text(value)) for name, value in stored.items())
-        return Certificate(graph, lc_path, _groups(groups), *vectors, claims)
-    # AttributeError: a list in place of an object
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise StructureError(f"malformed certificate object: {exc}") from exc
-
-
-def certificate_to_json(cert: Certificate) -> str:
-    return json.dumps(certificate_to_json_obj(cert), indent=2) + "\n"
-
-
-def certificate_from_json(text: str) -> Certificate:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StructureError(f"invalid JSON: {exc}") from exc
-    return certificate_from_json_obj(obj)

@@ -21,17 +21,8 @@ from pathlib import Path
 from typing import Callable, NoReturn, Sequence
 
 from . import __version__
-from .certify import (
-    TABLE_ORBIT_CAP,
-    Certificate,
-    NotCertified,
-    TableReport,
-    certificate_from_json_obj,
-    certificate_to_json_obj,
-    certify_any,
-    exhaustive_table,
-    verify_obs3,
-)
+from .certify import TABLE_ORBIT_CAP, NotCertified, TableReport, certify_any, exhaustive_table
+from .checker import Certificate, certificate_from_json_obj, certificate_to_json_obj, verify_obs3
 from .errors import NetcertError
 from .ghzbound import bound_report
 from .multigraph import (

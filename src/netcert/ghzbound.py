@@ -30,12 +30,19 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
 
-from .certify import _named, _symplectic, fidelity_bound_from_lambda, select_power_t
+from .checker import (
+    Vector,
+    _named,
+    _power,
+    _product,
+    _support,
+    _witness,
+    fidelity_bound_from_lambda,
+    select_power_t,
+)
 from .errors import DimensionError, RangeError, StructureError, Unconverged, WrongFamily
 from .network import marginal_mask_checks, prime
-from .oracle import Vector, _power, _product
 
 #: The three parties of the GHZ state, in the order of its stabilizers' vectors.
 GHZ_PARTIES = ("A", "B", "C")
@@ -152,8 +159,8 @@ def ghz_section3_chain(d: int) -> GhzChainRecord:
 
     S1 = Z_B Z_A^dag, S2 = Z_A Z_C^dag, S3 = S1 S2 = Z_B Z_C^dag and
     S4 = (X_A X_B X_C)^t with t = floor(d/2), in groups G1..G4 = {C}, {B},
-    {A}, {}; the C leg of S4 is moved to the doubled copy C', so kappa is
-    the symplectic sum of S3 and S4 over A and B.
+    {A}, {}; the C leg of S4 is moved to the doubled copy C'.  The witness
+    passes checker._witness, with kappa the twist over the overlap, B.
     """
     if d < 2:
         raise DimensionError(f"qudit dimension must be >= 2, got {d}")
@@ -165,11 +172,12 @@ def ghz_section3_chain(d: int) -> GhzChainRecord:
     if _power(_ghz_element(d, 0, 0, 1), t, d) != s4:
         raise StructureError("chain bug: S4 is not the t-th power")
     groups = (0b100, 0b010, 0b001, 0)  # {C}, {B}, {A}, {}: bit v is GHZ_PARTIES[v]
-    supports = [sum(1 << v for v in range(3) if x[v] or z[v]) for x, z, _ in (s1, s2, s3, s4)]
+    xs, zs, _ = zip(s1, s2, s3, s4)
+    supports = list(map(_support, xs, zs))
     premises = tuple(marginal_mask_checks(3, groups, supports))
-    kappa = _symplectic(*s3[:2], *s4[:2], ~groups[0]) % d
-    if kappa == 0:
-        raise StructureError("chain bug: S3 and relabeled S4 commute")
+    passed, _, kappa = _witness(d, xs, zs, supports, groups)
+    if not all(passed):
+        raise StructureError("chain bug: the witness fails the verifier's conditions")
     lam = 2.0 * cos_value
     if abs(lam - 2.0 * abs(math.cos(math.pi * kappa / d))) > 1e-12:
         raise StructureError("chain bug: twist angle mismatch")

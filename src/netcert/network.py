@@ -52,9 +52,9 @@ def label_masks(bit: dict[str, int], collections: Iterable[Iterable[str]]) -> li
 
 
 def partitions(n: int, groups: Sequence[int]) -> bool:
-    """Whether the bitmasks ``groups`` partition the parties 0..n-1: their
-    union is every party and their sizes add up to n."""
-    return reduce(or_, groups, 0) == (1 << n) - 1 and sum(map(int.bit_count, groups)) == n
+    """Whether the bitmasks ``groups`` (ints, or integer arrays entrywise)
+    partition the parties 0..n-1: their union and their sum are all parties."""
+    return (reduce(or_, groups, 0) == (1 << n) - 1) & (sum(groups) == (1 << n) - 1)
 
 
 def marginal_mask_checks(

@@ -1,17 +1,13 @@
-"""Dense-matrix oracle backing the symbolic layer.
+"""Dense-matrix oracle backing the symbolic layer, and the lemma suites.
 
-Most of this is brute force on purpose: explicit Weyl matrices, Kronecker
+All of this is brute force on purpose: explicit Weyl matrices, Kronecker
 products, full-spectrum projectors.  Tests use it to validate phases,
-eigenspaces, and the operator inequalities the fidelity bounds rest on.
-
-One part runs in the library: ``verify_obs3`` decides its eigenspace check
-with ``shares_plus_one_eigenvector``, on (x, z, tau) vectors, from the group
-they generate, with exact integer arithmetic, so its cost does not grow
-with the dimension.  The dense routines ``dense`` (of a ``PauliOperator``),
-``plus_one_projector`` and ``common_plus_one_eigenvector`` are its test
-reference; ``dense`` refuses more than MAX_DENSE_DIMENSION dimensions.
-Only they and the lemma suites import scipy, inside the function, so the
-verifier does not pay for that import.
+eigenspaces, and the operator inequalities the fidelity bounds rest on; no
+library path runs it.  ``dense`` (of a ``PauliOperator``, at most
+MAX_DENSE_DIMENSION dimensions), ``plus_one_projector`` and
+``common_plus_one_eigenvector`` are the test reference of
+``checker.shares_plus_one_eigenvector``.  The randomized inequality suites
+(ALL_LEMMA_CHECKS) back ``netcert selftest``.  scipy loads inside functions.
 """
 
 from __future__ import annotations
@@ -19,16 +15,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import count
-from operator import mul
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import PropertyViolation, ResourceError, StructureError
 from .pauli import PauliOperator, support
-
-Vector = tuple[Sequence[int], Sequence[int], int]  # tau^t prod_s X_s^x_s Z_s^z_s as (x, z, t)
 
 #: Largest Hilbert-space dimension ``dense`` builds a matrix for.
 MAX_DENSE_DIMENSION = 4096
@@ -128,59 +120,6 @@ def common_plus_one_eigenvector(
     m = p1 @ p2 @ p1
     top = float(scipy.linalg.eigvalsh(m)[-1])
     return top > 1.0 - tol
-
-
-def _product(p: Vector, q: Vector, d: int) -> Vector:
-    """p q in normal order: per site X^x1 Z^z1 X^x2 Z^z2 = omega^(z1 x2)
-    X^(x1+x2) Z^(z1+z2), so tau's exponent gains 2 z1 x2 (pauli.multiply)."""
-    (px, pz, pt), (qx, qz, qt) = p, q
-    x = tuple((u + v) % d for u, v in zip(px, qx))
-    z = tuple((u + v) % d for u, v in zip(pz, qz))
-    return x, z, (pt + qt + 2 * sum(map(mul, pz, qx))) % (2 * d)
-
-
-def _power(p: Vector, a: int, d: int) -> Vector:
-    """p^a (a >= 0) as (a x, a z, a t + a(a-1) sum_s x_s z_s): each Z_s^z_s
-    that passes a later X_s^x_s adds omega^(x_s z_s), and X^d = Z^d = 1."""
-    x, z, t = p
-    tau = a * t + a * (a - 1) * sum(map(mul, x, z))
-    return tuple(a * u % d for u in x), tuple(a * u % d for u in z), tau % (2 * d)
-
-
-def shares_plus_one_eigenvector(p: Vector, q: Vector, d: int) -> bool:
-    """Whether two Weyl operators have a common +1 eigenvector, exactly.
-
-    ``p`` and ``q`` are (x, z, t) over one list of parties (``Vector``),
-    with exponents in [0, d) and t in [0, 2d).  Decided from the group S
-    that p and q generate, as in the stabilizer formalism (Gottesman,
-    arXiv:quant-ph/9705052).  If p q = omega^k q p with k != 0, a common +1
-    eigenvector v would give v = p q v = omega^k v.  Otherwise S is finite
-    and abelian, and (1/|S|) sum_{s in S} s projects onto the common +1
-    eigenspace.  Every Weyl operator with a nonzero Pauli part is
-    traceless, so the trace of that projector is dim |C| / |S| when the
-    group C of scalars in S is {1}, and 0 otherwise: a nontrivial group of
-    roots of unity sums to 0.  The (a, b) with p^a q^b scalar form a
-    lattice with basis (0, L), L the order of q's Pauli part, and (a0, b0)
-    with the least a0 >= 1; as p and q commute, (a, b) -> p^a q^b is a
-    homomorphism on it, so C = {1} iff q^L and p^a0 q^b0 are the identity.
-    Idle parties and the party order tensor S with identities or permute
-    its factors, so the answer holds over any parties that cover p and q.
-    """
-    (px, pz, _), (qx, qz, _) = p, q
-    if not len(px) == len(pz) == len(qx) == len(qz):
-        raise StructureError("operators are not over one list of parties")
-    if (sum(map(mul, pz, qx)) - sum(map(mul, qz, px))) % d:
-        return False
-    order = d // math.gcd(d, *qx, *qz)
-    if _power(q, order, d)[2]:
-        return False
-    # q^b's Pauli part for each b < L; p^a until one is p^-a's = p^(a(d-1))'s,
-    # at a = a0 <= the order of p's Pauli part
-    parts = {_power(q, b, d)[:2]: b for b in range(order)}
-    for a in count(1):
-        b = parts.get(_power(p, a * (d - 1), d)[:2])
-        if b is not None:
-            return _product(_power(p, a, d), _power(q, b, d), d)[2] == 0
 
 
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -1,6 +1,6 @@
 """A certificate's proof on PauliOperator words: the reference model for
-``netcert.certify._derive``, ``_witness`` and ``_v1_fields``, and for
-``netcert.oracle.shares_plus_one_eigenvector``, which work on exponent
+``netcert.checker._derive``, ``_witness`` and ``_v1_fields``, and for
+``netcert.checker.shares_plus_one_eigenvector``, which work on exponent
 vectors and vertex bitmasks.
 
 ``reference_proof`` replays the local complementations, builds S1, S2, S4
@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from netcert.certify import (
+from netcert.checker import (
     METHOD_CONSTANT,
     METHOD_GENERAL,
     Certificate,
@@ -116,7 +116,7 @@ def as_vectors(*ops: PauliOperator):
 
 
 def reference_shares_plus_one_eigenvector(p: PauliOperator, q: PauliOperator) -> bool:
-    """The eigenspace decision of oracle.shares_plus_one_eigenvector on
+    """The eigenspace decision of checker.shares_plus_one_eigenvector on
     PauliOperators, with q's and p's powers by repeated multiply."""
     if p.d != q.d:
         raise DimensionError(f"dimension mismatch: {p.d} vs {q.d}")

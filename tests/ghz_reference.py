@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from netcert.certify import select_power_t
+from netcert.checker import select_power_t
 from netcert.ghzbound import _pm_classes
 
 

@@ -44,11 +44,14 @@ from netcert.certify import (
     _orbit_walks,
     _PASS_BLOCK,
     _triple_flags,
+)
+from netcert.checker import (
+    _support,
     _witness,
     certificate_from_json_obj,
     certificate_to_json_obj,
 )
-from netcert import certify, multigraph, oracle
+from netcert import certify, checker, multigraph
 from netcert.multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
     _angles,
@@ -428,7 +431,7 @@ def test_verifier_rejects_tampering():
     # a vector longer than the graph is not a proof
     report = verify_obs3(_tampered(cert, e4=(*cert.e4, 1)))
     detail = "verification aborted: vertex 3 outside 0..2"
-    assert report.checks == (certify.Check("integrity", False, detail),)
+    assert report.checks == (checker.Check("integrity", False, detail),)
 
     # S4 at a power whose twist is not the best one: lambda' undercuts the bound
     cert5 = certify_any(triangle(5))
@@ -481,8 +484,8 @@ def test_verifier_decides_obstruction_above_dense_cap():
     commuting = _tampered(cert, e4=tuple((x + y) % 3 for x, y in zip(cert.e1, cert.e2)))
     report = verify_obs3(commuting)
     eig = [c for c in report.checks if c.name == "eigenspace_obstruction"]
-    detail = "restricted operators have no common +1 eigenvector"
-    assert eig == [certify.Check("eigenspace_obstruction", False, detail)]
+    detail = "restricted operators share a +1 eigenvector"
+    assert eig == [checker.Check("eigenspace_obstruction", False, detail)]
 
 
 @pytest.mark.parametrize("cap", [None, "1"])
@@ -501,7 +504,7 @@ def test_verifier_reports_empty_group_two(monkeypatch, cap):
         monkeypatch.setenv("NETCERT_CAP", cap)
     eig = [c for c in verify_obs3(emptied).checks if c.name == "eigenspace_obstruction"]
     detail = "restricted operators act trivially on group 2"
-    assert eig == [certify.Check("eigenspace_obstruction", False, detail)]
+    assert eig == [checker.Check("eigenspace_obstruction", False, detail)]
 
 
 def test_marginal_checks_of_every_grouping_match_the_network_model():
@@ -533,10 +536,10 @@ def test_verifier_reports_a_non_partition_as_integrity():
     g1, g2, g3, g4 = cert.groups
     assert g4, "test needs a nonempty fourth group"
     report = verify_obs3(_tampered(cert, groups=(g1, g2, g3, ())))
-    assert [c.name for c in report.checks] == [*certify._WITNESS_CHECKS, "integrity"]
+    assert [c.name for c in report.checks] == [*checker._WITNESS_CHECKS, "integrity"]
     assert not report.checks[0].passed
     detail = "verification aborted: groups must partition the parties"
-    assert report.checks[-1] == certify.Check("integrity", False, detail)
+    assert report.checks[-1] == checker.Check("integrity", False, detail)
 
 
 def _pool_certificates(monkeypatch):
@@ -560,7 +563,7 @@ def test_kappa_check_implies_the_eigenspace_obstruction(monkeypatch):
     def unreachable(*args):
         raise AssertionError("the eigenspace check went past its first test")
 
-    monkeypatch.setattr(oracle, "_power", unreachable)
+    monkeypatch.setattr(checker, "_power", unreachable)
     for cert in certs:
         ref = reference_proof(cert)
         r3, r4 = (restrict(op, cert.groups[1]) for op in (ref.s3, ref.s4_twisted))
@@ -613,13 +616,13 @@ def test_vector_proof_matches_the_pauli_reference(monkeypatch):
             assert getattr(p, name) == getattr(ref, name), (cert, name)
         for name, op in zip(operators, proof_operators(cert)):
             assert op == getattr(ref, name), (cert, name)
-        passed, overlap = _witness(p)
+        passed, overlap = p.witness, p.overlap
         union = p.groups[0] | p.groups[1] | p.groups[2] | p.groups[3]
         ref_passed, ref_union, ref_supports, ref_overlap = reference_witness(cert)
         assert passed == ref_passed, cert
-        assert frozenset(certify._named(p.labels, union)) == ref_union
-        assert [frozenset(certify._named(p.labels, s)) for s in p.supports] == list(ref_supports)
-        assert frozenset(certify._named(p.labels, overlap)) == ref_overlap
+        assert frozenset(checker._named(p.labels, union)) == ref_union
+        assert [frozenset(checker._named(p.labels, s)) for s in p.supports] == list(ref_supports)
+        assert frozenset(checker._named(p.labels, overlap)) == ref_overlap
 
 
 # ---------------------------------------------------------------- serialization
@@ -822,8 +825,7 @@ def test_orbit_walks_land_on_certify_any_members(n, d):
     uses."""
     rows = _cell_rows(n, d)
     direct = _direct_pass(rows, n, d)
-    args = (rows, n, d, direct.construction, 4096)
-    outcome, walks = _orbit_walks(*args, labels=False)
+    outcome, walks = _orbit_walks(_LCClasses(n, d, rows, direct.construction), 4096, labels=False)
     rescued = [w for w in walks if w.path is not None]
     assert [w.start for w in walks] == np.flatnonzero(direct.construction == 0).tolist()
     assert len(rescued) > 0
@@ -849,8 +851,8 @@ def test_orbit_labels_agree_with_exact_walks(n, d, budget):
     failing classes it appends, would mislabel three classes."""
     rows = _cell_rows(n, d, budget or DEFAULT_ENUMERATION_BUDGET)
     direct = _direct_pass(rows, n, d)
-    args = (rows, n, d, direct.construction, 4096)
-    (outcome, walks), (want, exact) = _orbit_walks(*args), _orbit_walks(*args, labels=False)
+    outcome, walks = _orbit_walks(_LCClasses(n, d, rows, direct.construction), 4096)
+    want, exact = _orbit_walks(_LCClasses(n, d, rows, direct.construction), 4096, labels=False)
     assert outcome.tolist() == want.tolist()
     walked = {w.start for w in walks}
     assert walks == [w for w in exact if w.start in walked]
@@ -934,6 +936,35 @@ def test_direct_pass_triple_is_certify_direct_triple(n, d, monkeypatch):
     assert (direct.triple[:, 1] < direct.triple[:, 2]).all()
 
 
+@pytest.mark.parametrize("n,d", [(4, 4), (5, 3)])
+def test_witness_rule_on_arrays_matches_it_on_proofs(n, d):
+    """_witness on a block's arrays gives, row by row, the flags, overlap
+    and kappa it gives on that row's Proof: over every class of the cell
+    that certifies directly, with its own groups and with each of the five
+    tampered layouts of _tampered_layouts."""
+    rows = _cell_rows(n, d)
+    direct = _direct_block(rows, n, d)
+    hits = rows[direct.construction > 0].tolist()
+    certs = [certify_any(from_triu_vector(d, n, row)) for row in hits]
+    xs, zs = direct.x.transpose(1, 2, 0), direct.z.transpose(1, 2, 0)
+    supports = list(map(_support, xs, zs))
+    layouts = [[cert.groups, *_tampered_layouts(cert)] for cert in certs]
+    failing = np.zeros(4, dtype=int)
+    for j in range(6):
+        proofs = [_tampered(cert, groups=groups[j]).proof for cert, groups in zip(certs, layouts)]
+        assert np.array_equal([p.x for p in proofs], direct.x)
+        assert np.array_equal([p.z for p in proofs], direct.z)
+        assert [p.supports for p in proofs] == list(zip(*(s.tolist() for s in supports)))
+        groups = np.array([p.groups for p in proofs])
+        passed, overlap, kappa = _witness(d, xs, zs, supports, groups.T)
+        assert list(zip(*(flag.tolist() for flag in passed))) == [p.witness for p in proofs]
+        assert overlap.tolist() == [p.overlap for p in proofs]
+        assert kappa.tolist() == [p.kappa for p in proofs]
+        failing += [np.count_nonzero(~flag) for flag in passed]
+    # the layouts fail every condition but commute, which no grouping changes
+    assert failing[1] == 0 and failing[[0, 2, 3]].all(), failing
+
+
 def test_direct_pass_checks_reject_tampered_witnesses():
     graphs = list(enumerate_connected_multigraphs(4, 3))
     direct = _direct_block(triu_rows(graphs), 4, 3)
@@ -956,10 +987,10 @@ def test_direct_pass_checks_reject_tampered_witnesses():
         _check_witnesses(**{**args, "phase": phase})
     groups = direct.groups.copy()
     groups[0, 3] = 0b1111
-    with pytest.raises(StructureError, match="S4 touches group 4"):
+    with pytest.raises(StructureError, match="failed groups_partition, supports$"):
         _check_witnesses(**{**args, "groups": groups})
     s4_is_s3 = [0, 1, 2, 2]
-    with pytest.raises(StructureError, match="S3 and relabeled S4 commute"):
+    with pytest.raises(StructureError, match="failed groups_partition, kappa$"):
         _check_witnesses(
             **{
                 **args,
@@ -970,22 +1001,23 @@ def test_direct_pass_checks_reject_tampered_witnesses():
         )
     with pytest.raises(StructureError, match="kappa differs"):
         _check_witnesses(**{**args, "expected_kappa": expected + 1})
-    # row 0 becomes S1 = Z_v, S2 = X_v, S3 = S1 S2 = tau^2 X_v Z_v: exact, not commuting
+    # row 0 becomes S1 = Z_v, S2 = X_v, S3 = S1 S2 = tau^2 X_v Z_v: exact, not
+    # commuting; v = 0 is group 1, so S1 meets it and S3 meets no relabeled S4
     x, z, phase = direct.x.copy(), direct.z.copy(), direct.phase.copy()
     x[0, :3], z[0, :3], phase[0, :3] = 0, 0, (0, 0, 2)
     z[0, 0, 0] = x[0, 1, 0] = x[0, 2, 0] = z[0, 2, 0] = 1
-    with pytest.raises(StructureError, match="S1 and S2 do not commute"):
+    with pytest.raises(StructureError, match="failed commute, supports, kappa$"):
         _check_witnesses(**{**args, "x": x, "z": z, "phase": phase})
     # without group 2 the groups no longer partition, and S3, S4 overlap in no group
     groups = direct.groups.copy()
     groups[:, 1] = 0
-    with pytest.raises(StructureError, match="overlap leaks outside group 2"):
+    with pytest.raises(StructureError, match="failed groups_partition, kappa$"):
         _check_witnesses(**{**args, "groups": groups})
     # one vertex dropped from each nonempty group 4: only the partition fails
     groups = direct.groups.copy()
     assert groups[:, 3].any()
     groups[:, 3] &= groups[:, 3] - 1
-    with pytest.raises(StructureError, match="groups do not partition the vertices"):
+    with pytest.raises(StructureError, match="failed groups_partition$"):
         _check_witnesses(**{**args, "groups": groups})
 
 
@@ -1062,9 +1094,9 @@ def test_class_store_takes_ascending_rows():
 
 
 def _edited(name, edit):
-    """(name, f) where f returns edit(result) of certify's original ``name``."""
+    """(certify, name, f) where f returns edit(result) of certify's original ``name``."""
     original = getattr(certify, name)
-    return name, lambda *args: edit(original(*args))
+    return certify, name, lambda *args: edit(original(*args))
 
 
 def _with_row(slot, row):
@@ -1081,7 +1113,7 @@ PATH4 = Multigraph.from_edges(2, 4, [(0, 1, 1), (0, 2, 1), (1, 3, 1)])
         (_edited("_exponent_table", _with_row(2, (1, 1, 1))), "S3 is not exactly S1 S2", None),
         # S1 and S2 are words of an abelian stabilizer group, so only a faked
         # symplectic sum reaches this check
-        (("_symplectic", lambda *args: 1), "failed commute$", None),
+        ((checker, "_symplectic", lambda *args: 1), "failed commute$", None),
         (
             _edited("_group_masks", lambda m: (m[0] | m[1] | m[2] | m[3], 0, 0, 0)),
             "failed supports, kappa$",
@@ -1105,7 +1137,7 @@ def test_build_certificate_raises_on_construction_bugs(monkeypatch, patch, messa
     (on the obs4 angle unless a graph is given)."""
     g = g or angle(3, 1, 2)
     assert isinstance(certify_any(g), Certificate)
-    monkeypatch.setattr(certify, *patch)
+    monkeypatch.setattr(*patch)
     with pytest.raises(StructureError, match=f"^construction bug: {message}"):
         certify_any(g)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from netcert import NetcertError, cli
-from netcert.certify import Check, VerificationReport
+from netcert.checker import Check, VerificationReport
 from netcert.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, build_parser, main
 
 TRIANGLE = "2 3; 0 1 1; 1 2 1; 0 2 1"

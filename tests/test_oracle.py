@@ -24,10 +24,10 @@ from netcert.oracle import (
     plus_one_projector,
     random_density,
     random_state,
-    shares_plus_one_eigenvector,
     weyl_x,
     weyl_z,
 )
+from netcert.checker import shares_plus_one_eigenvector
 from netcert.pauli import commutation_phase, multiply, power, relabel
 
 from certify_reference import as_vectors, reference_shares_plus_one_eigenvector

@@ -188,13 +188,29 @@ def netcert_imports(module: str) -> dict[str, set[str]]:
 
 
 def test_library_modules_do_not_build_symbolic_operators():
-    """pauli and stabilizer are the symbolic reference layer: certify,
-    ghzbound, network, multigraph and cli import nothing from them, and
+    """pauli and stabilizer are the symbolic reference layer: checker,
+    certify, ghzbound, network, multigraph and cli import nothing from them, and
     oracle imports from pauli only what dense needs."""
-    for module in ("certify", "ghzbound", "network", "multigraph", "cli"):
+    for module in ("checker", "certify", "ghzbound", "network", "multigraph", "cli"):
         imports = netcert_imports(module)
         assert not imports.keys() & {"pauli", "stabilizer"}, (module, imports)
     oracle = netcert_imports("oracle")
     assert "stabilizer" not in oracle
     assert oracle["pauli"] <= {"PauliOperator", "support"}
     assert netcert_imports("stabilizer")["pauli"] == {"PauliOperator"}
+
+
+def test_checker_import_boundary():
+    """checker imports from errors and network, and from multigraph only the
+    graph type and local_complement; ghzbound imports nothing from certify
+    or oracle; and no library module imports oracle but the package, which
+    the benchmark's layer trace needs, and the cli's selftest, which runs
+    its lemma suites."""
+    src = Path(__file__).resolve().parent.parent / "src" / "netcert"
+    modules = {path.stem for path in src.glob("*.py")}
+    checker = {m: names for m, names in netcert_imports("checker").items() if m in modules}
+    assert checker.keys() == {"errors", "network", "multigraph"}, checker
+    assert checker["multigraph"] == {"Multigraph", "local_complement"}
+    assert not netcert_imports("ghzbound").keys() & {"certify", "oracle"}
+    assert {m for m in modules if "oracle" in netcert_imports(m)} == {"__init__", "cli"}
+    assert netcert_imports("cli")["oracle"] == {"ALL_LEMMA_CHECKS"}
