@@ -9,7 +9,10 @@ From the repository root:
 
 Each kind is a snippet that runs RUNS times in a fresh process in each
 checkout (its ``src/`` on PYTHONPATH, PYTHONHASHSEED=0), the parent first on
-even k and the change first on odd k; run k of each side forms pair k.  A
+even k and the change first on odd k; run k of each side forms pair k.  No
+process reads or writes compiled bytecode: each gets PYTHONDONTWRITEBYTECODE=1
+and a fresh, empty PYTHONPYCACHEPREFIX, so stale ``__pycache__`` in either
+checkout is never read, and every entry records ``"bytecode": "none"``.  A
 snippet prints one JSON line ``{"sha256", "times": {name: value}, ...}``:
 
 - ``sweep n,d[,budget]``: ``multigraph._canonical_rows`` drained to the end;
@@ -32,21 +35,29 @@ snippet prints one JSON line ``{"sha256", "times": {name: value}, ...}``:
   verify take (``certify_share``, ``verify_share``); sha256 over each
   certificate's v2 JSON with its report (a refusal's repr, if any).
 - ``canonical``: ``canonical_form`` per call (best of three) on the n = 8
-  graphs the pool's orbit walks key and on every vertex-transitive Cayley
-  multigraph of Z8, Z2^3 and Z4 x Z2 over Z_2 and Z_3; sha256 of the forms.
+  graphs the pool's orbit walks key (each walk's start and every local
+  complement it takes, whether or not its class key needs the canonical
+  form) and on every vertex-transitive Cayley multigraph of Z8, Z2^3 and
+  Z4 x Z2 over Z_2 and Z_3; sha256 of the forms.
 - ``ghz``: ``ghz_numeric_bound(d)`` for d = 2..8 in turn, timed in total
   (``ghz_s``) and per d (``d2_s`` ... ``d8_s``); sha256 over the reports'
   repr, ``solver_trace`` cells included, and the cells' total (``cells``).
 
 perfbench runs pair by seed.  Run
 
-    python3 perfbench/run.py --workload W --seed K --seconds 60 --trace 0
+    PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload W --seed K \\
+        --seconds 60 --trace 0
 
 for seeds K = 1, 2, ... in both checkouts, the parent first on even K; each
-leaves ``.perfbench_out/report-W-seedK-trace0.json``.  Every workload with at
-least two seeds in both checkouts becomes one entry: each metric of its
-reports is a time, and its sha256 is over the reports' pinned outputs and
-failure notes.
+leaves ``.perfbench_out/report-W-seedK-trace0.json``.  Run them in checkouts
+that hold no ``__pycache__`` under ``src/`` or ``perfbench/``: then both
+sides compile netcert from source in every process, as a fresh checkout
+does, and read the installed packages' bytecode alike (a fresh
+PYTHONPYCACHEPREFIX would also hide numpy's, whose compilation then makes up
+most of ``setup_s``).  Every workload with at least two seeds in both
+checkouts becomes one entry, which records under ``pycache`` whether each
+checkout held any: each metric of its reports is a time, and its sha256 is
+over the reports' pinned outputs and failure notes.
 
 The file is one object keyed by kind (``"sweep 5,4"``, ``"verify"``,
 ``"perfbench table_5x4"``), each entry in the shape ``summarize`` gives:
@@ -71,6 +82,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 RUNS = 10
@@ -98,12 +110,15 @@ CANONICAL = """
 import hashlib, itertools, json, statistics, sys, time
 sys.path.insert(0, "perfbench")
 import netcert, workloads
-from netcert import multigraph
-keyed, canonical_form = [], multigraph.canonical_form
-multigraph.canonical_form = lambda g: keyed.append(g) or canonical_form(g)
+from netcert import certify, multigraph
+# the graphs the walks key: each walk's start and each LC image it takes
+keyed, walk, step = [], certify._graph_walk, multigraph.local_complement
+certify._graph_walk = lambda g, cap: keyed.append(g) or walk(g, cap)
+multigraph.local_complement = lambda g, a: keyed.append(step(g, a)) or keyed[-1]
 for g in workloads.certify_stream(1):
     netcert.certify_any(g)
-multigraph.canonical_form = canonical_form
+certify._graph_walk, multigraph.local_complement = walk, step
+canonical_form = multigraph.canonical_form
 groups = [
     (lambda a, b: (a + b) % 8, lambda a: -a % 8),
     (lambda a, b: a ^ b, lambda a: a),
@@ -245,13 +260,23 @@ def source_digest(root: Path) -> str:
 
 
 def fresh_run(root: Path, code: str, *args: str) -> dict:
-    """The JSON line a snippet prints, run in a fresh process in ``root``."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
-    out = subprocess.run(
-        [sys.executable, "-c", code, *args],
-        cwd=root, env=env, capture_output=True, text=True, check=True,
-    )
-    return {"src_sha256": source_digest(root), **json.loads(out.stdout)}
+    """The JSON line a snippet prints, run in a fresh process in ``root``
+    that neither reads nor writes compiled bytecode."""
+    with tempfile.TemporaryDirectory() as prefix:
+        env = dict(
+            os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0",
+            PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=prefix,
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            cwd=root, env=env, capture_output=True, text=True, check=True,
+        )
+    return {"src_sha256": source_digest(root), "bytecode": "none", **json.loads(out.stdout)}
+
+
+def holds_pycache(root: Path) -> bool:
+    """Whether the checkout holds compiled bytecode under ``src/`` or ``perfbench/``."""
+    return any(next((root / d).rglob("__pycache__"), None) for d in ("src", "perfbench"))
 
 
 def alternating(parent: Path, change: Path, run) -> dict[str, list[dict]]:
@@ -318,13 +343,15 @@ def perfbench(parent: Path, change: Path) -> dict[str, dict]:
                 "units": {m: v["unit"] for m, v in report["metrics"].items()},
             }
     common = sorted(sides["parent"].keys() & sides["change"].keys())
+    pycache = {"parent": holds_pycache(parent), "change": holds_pycache(change)}
     entries = {}
     for workload in sorted({w for w, _ in common}):
         seeds = [seed for w, seed in common if w == workload]
         if len(seeds) < 2:
             raise SystemExit(f"bench_pairs: {workload} needs two seeds run in both checkouts")
         results = {side: [runs[workload, seed] for seed in seeds] for side, runs in sides.items()}
-        entries[f"perfbench {workload}"] = {"seeds": seeds, **summarize(results)}
+        entry = {"seeds": seeds, "pycache": pycache, **summarize(results)}
+        entries[f"perfbench {workload}"] = entry
     return entries
 
 

@@ -188,15 +188,15 @@ def _build_certificate(
     vectors = [[0] * n for _ in range(4)]
     for e, (xa, xb, xc) in zip(vectors, _exponent_table(tri1, ea, eb, ec, t)):
         e[a], e[b], e[c] = xa % d, xb % d, xc % d
-    e1, e2, e3, e4 = map(tuple, vectors)
-    labels = _labels(certified)
+    e1, e2, e3, e4 = vectors
+    if e3 != [(x + y) % d for x, y in zip(e1, e2)]:
+        raise StructureError("construction bug: S3 is not exactly S1 S2")
+    labels = _labels(n)[0]
     masks = _group_masks(tri1, a, b, c, nb[a], nb[b], nb[c], (1 << n) - 1)
     groups = tuple(tuple(_named(labels, mask)) for mask in masks)
-    if e3 != tuple((x + y) % d for x, y in zip(e1, e2)):
-        raise StructureError("construction bug: S3 is not exactly S1 S2")
-    cert = Certificate(graph, lc_path, groups, e1, e2, e4)
-    _raise_failed(cert.witness)
-    if general and cert.kappa != (-t * m_tilde) % d:
+    cert = Certificate(graph, lc_path, groups, tuple(e1), tuple(e2), tuple(e4))
+    _raise_failed(cert.proof.witness)
+    if general and cert.proof.kappa != (-t * m_tilde) % d:
         raise StructureError("construction bug: kappa differs from -e m_tilde")
     return cert
 
@@ -223,24 +223,23 @@ def _certify_direct(
     graph: Multigraph, lc_path: tuple[int, ...], certified: Multigraph, nb: list[int] | None = None
 ) -> Certificate | None:
     """Try every construction on one graph: obs1 at its first triple when the
-    weights are constant, else obs4 at the first triple not _blocked.  A
+    weights are constant, else obs4 at the first triple whose _triple_flags
+    are all clear, which has b < c by the mirror lemma (see _direct_pass).  A
     Certificate, or None; _refusal explains a failure.  ``nb`` holds the
     neighbor masks of ``certified``, if already built."""
     nb = _neighbor_masks(certified) if nb is None else nb
-    general = _general(certified)
-    if general:
-        # by the mirror lemma (see _direct_pass) the first usable triple has b < c
-        usable = (
-            (a, b, c)
-            for a, b, c in _angles(certified)
-            if b < c and not any(_triple_flags(certified, nb, a, b, c)[1])
-        )
-    else:
-        usable = _angles(certified)
-    triple = next(usable, None)
-    if triple is None:
-        return None
-    return _build_certificate(graph, lc_path, certified, triple, general, nb)
+    if not _general(certified):
+        triple = next(_angles(certified), None)
+        return triple and _build_certificate(graph, lc_path, certified, triple, False, nb)
+    # nb_a & nb_b once per (a, b): a c whose mask meets it has _blocked's t_abc
+    for a, row in enumerate(certified.mult):
+        nbrs = list(itertools.compress(range(len(row)), row))
+        for i, b in enumerate(nbrs):
+            shared = nb[a] & nb[b]
+            for c in nbrs[i + 1 :]:
+                if not shared & nb[c] and not any(_triple_flags(certified, nb, a, b, c)[1]):
+                    return _build_certificate(graph, lc_path, certified, (a, b, c), True, nb)
+    return None
 
 
 def _refusal(g: Multigraph, size: int, truncated: bool, orbit_cap: int) -> NotCertified:

@@ -25,14 +25,15 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
+from itertools import repeat
 from math import gcd
-from operator import and_, mul, or_
+from operator import and_, itemgetter, mul, ne, or_
 from typing import NamedTuple, Sequence
 
 from .errors import DegenerateMultiplicity, NetcertError, RangeError, StructureError
 from .multigraph import Multigraph, local_complement
-from .network import label_masks, marginal_mask_checks, partitions, prime
+from .network import _CHECKS, _bits, label_masks, marginal_mask_checks, partitions, prime
 
 METHOD_CONSTANT = "obs1"
 METHOD_GENERAL = "obs4"
@@ -47,6 +48,7 @@ class PowerChoice(NamedTuple):
     cos_value: float
 
 
+@lru_cache(maxsize=1024)
 def select_power_t(m: int, d: int) -> PowerChoice:
     """Choose t minimizing |cos(pi t m / d)| over t with t m != 0 mod d.
 
@@ -88,7 +90,7 @@ def _symplectic(x1, z1, x2, z2, mask):
 
 def _support(x, z):
     """The vertex bitmask of the vertices where (x, z) acts."""
-    return sum(((xv != 0) | (zv != 0)) << v for v, (xv, zv) in enumerate(zip(x, z)))
+    return sum(map(mul, map(ne, map(or_, x, z), repeat(0)), _bits(len(x))))
 
 
 def _tau(g: Multigraph, x: Sequence[int]) -> int:
@@ -200,14 +202,18 @@ def _named(labels: Sequence[str], mask: int) -> list[str]:
     return [lbl for v, lbl in enumerate(labels) if mask >> v & 1]
 
 
-def _labels(g: Multigraph) -> list[str]:
-    return [str(v) for v in range(g.n)]
+@lru_cache(maxsize=64)
+def _labels(n: int) -> tuple[tuple[str, ...], dict[str, int], str]:
+    """Labels str(v) of vertices 0..n-1, their bits, and verify_obs3's sorted
+    list of them; shared, so callers copy what they change."""
+    labels = tuple(map(str, range(n)))
+    return labels, dict(zip(labels, _bits(n))), str(sorted(labels))
 
 
 def _restricted(p: Proof, i: int, mask: int) -> tuple[list[int], list[int], int]:
     """S_i on its vertices in ``mask``, phase dropped, as (x, z, tau)."""
-    keep = [mask >> v & 1 for v in range(len(p.x[i]))]
-    return [x * k for x, k in zip(p.x[i], keep)], [z * k for z, k in zip(p.z[i], keep)], 0
+    keep = [mask & bit != 0 for bit in _bits(len(p.x[i]))]
+    return list(map(mul, p.x[i], keep)), list(map(mul, p.z[i], keep)), 0
 
 
 @dataclass(frozen=True)
@@ -245,7 +251,7 @@ class Certificate:
 
 def _general(g: Multigraph) -> bool:
     """Whether g's edge weights are not constant: obs4, else obs1."""
-    return len({m for row in g.mult for m in row if m}) > 1
+    return len(set().union(*g.mult) - {0}) > 1
 
 
 def _derive(cert: Certificate) -> Proof:
@@ -262,15 +268,18 @@ def _derive(cert: Certificate) -> Proof:
     if max(len(cert.e1), len(cert.e2), len(cert.e4)) > n:
         raise StructureError(f"vertex {n} outside 0..{n - 1}")
     xs, zs = [], []
-    for e in (cert.e1, cert.e2, [x + y for x, y in zip(cert.e1, cert.e2)], cert.e4):
+    for e in (cert.e1, cert.e2, cert.e4):
         x, z = [ev % d for ev in e] + [0] * (n - len(e)), [0] * n
         for v, ev in enumerate(x):
             if ev:
                 z = [zu + ev * m for zu, m in zip(z, h.mult[v])]
         xs.append(x)
         zs.append([zu % d for zu in z])
+    # S3 = S1 S2 has X-part e1 + e2 and, as M is linear, Z-part z1 + z2
+    xs.insert(2, [(u + v) % d for u, v in zip(xs[0], xs[1])])
+    zs.insert(2, [(u + v) % d for u, v in zip(zs[0], zs[1])])
     supports = tuple(map(_support, xs, zs))
-    bit = {lbl: 1 << v for v, lbl in enumerate(_labels(h))}
+    bit = dict(_labels(n)[1])  # label_masks adds the labels that name no vertex
     groups = label_masks(bit, cert.groups)
     witness, overlap, kappa = _witness(d, xs, zs, supports, groups)
     lam = 2.0 * select_power_t(kappa, d).cos_value if kappa else 2.0
@@ -299,7 +308,7 @@ class VerificationReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(map(itemgetter(1), self.checks))
 
     def failed(self) -> tuple[Check, ...]:
         return tuple(c for c in self.checks if not c.passed)
@@ -342,14 +351,14 @@ def _verify_obs3_checks(cert: Certificate, checks: list[Check]) -> None:
     _, commute, avoid, _ = p.witness
     meets = (f"S{i} meets group {i}" for i, m in enumerate(map(and_, p.supports, p.groups), 1) if m)
     details = (
-        f"groups cover {sorted(set().union(*cert.groups))} of {sorted(p.labels[:n])}",
+        f"groups cover {sorted(set().union(*cert.groups))} of {_labels(n)[2]}",
         f"S1 S2 {'==' if commute else '!='} S2 S1; S3 = S1 S2",
         "each S_i avoids group i" if avoid else "; ".join(meets),
         f"kappa = {p.kappa}, overlap {sorted(_named(p.labels, p.overlap))}",
     )
     checks.extend(map(Check, _WITNESS_CHECKS, p.witness, details))
     marginal = marginal_mask_checks(n, p.groups, p.supports)
-    checks.extend(Check(f"marginal: {name}", ok) for name, ok in marginal)
+    checks.extend(map(Check, _MARGINAL, map(itemgetter(1), marginal)))
     lam = p.lambda_prime
     lam_ok = abs(lam - 2.0 * abs(math.cos(math.pi * p.kappa / d))) <= _LAMBDA_TOL
     checks.append(
@@ -372,6 +381,9 @@ def _verify_obs3_checks(cert: Certificate, checks: list[Check]) -> None:
             ok = text == derived[name]
             checks.append(Check(name, ok, "" if ok else f"stored {text}, derived {derived[name]}"))
 
+
+#: verify_obs3's names of the marginal equalities, in marginal_mask_checks's order.
+_MARGINAL = tuple(f"marginal: {name}" for name in _CHECKS)
 
 #: Fields of the earlier JSON form that recorded how a certificate was built.
 PROVENANCE = ("triple", "kind", "exponents")
@@ -443,7 +455,7 @@ def _vector(value, graph: Multigraph) -> tuple[int, ...]:
 def _factorization_vector(factorization, graph: Multigraph) -> tuple[int, ...]:
     """An earlier-form factorization [[label, exponent], ...] as a vector."""
     e = [0] * graph.n
-    unseen = set(_labels(graph))
+    unseen = set(_labels(graph.n)[0])
     for lbl, x in _typed(factorization, (list,)):
         if _typed(lbl, (str,)) not in unseen:
             raise StructureError(f"malformed certificate object: repeated or unknown {lbl!r}")

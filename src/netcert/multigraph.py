@@ -3,14 +3,15 @@
 A multigraph is a symmetric n x n matrix of multiplicities m_ij in
 {0, ..., d-1} with zero diagonal; multiplicity 0 is the same thing as an
 absent edge.  This module provides connectivity, local complementation
-and its orbit walk (_LCWalk; a table's walks run in certify._LCClasses),
-canonical forms under vertex relabeling, exhaustive enumeration of
-connected multigraphs up to isomorphism, and the certificate search's
-rules on the graph alone: the lazy angle order (_angles) and the
-neighborhood partition around an angle (_partition_masks), which
-find_angle_or_triangle and partition_neighborhoods present.  No library
-code calls those two views; they stay because the benchmark's layer trace
-(perfbench/layertrace.py, TRACED) wraps them, which a tier-1 test pins.
+and its orbit walk (_LCWalk, keyed by _ClassKey on labeled graphs; a
+table's walks run in certify._LCClasses), canonical forms under vertex
+relabeling, exhaustive enumeration of connected multigraphs up to
+isomorphism, and the certificate search's rules on the graph alone: the
+lazy angle order (_angles) and the neighborhood partition around an angle
+(_partition_masks), which find_angle_or_triangle and
+partition_neighborhoods present.  No library code calls those two views;
+they stay because the benchmark's layer trace (perfbench/layertrace.py,
+TRACED) wraps them, which a tier-1 test pins.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple, Sequ
 import numpy as np
 
 from .errors import DimensionError, EnumerationOverflow, ResourceError, StructureError
+from .network import _bits
 
 #: Most isomorphism classes an orbit search examines unless the caller sets its cap.
 DEFAULT_ORBIT_CAP = 10**6
@@ -573,7 +575,8 @@ class NeighborhoodPartition:
 
 def _neighbor_masks(g: Multigraph) -> list[int]:
     """Bit j of entry i is set iff vertices i and j are adjacent."""
-    return [sum(1 << j for j, m in enumerate(row) if m) for row in g.mult]
+    bits = _bits(g.n)
+    return [sum(itertools.compress(bits, row)) for row in g.mult]
 
 
 def _angles(g: Multigraph) -> Iterator[tuple[int, int, int]]:
@@ -631,15 +634,14 @@ def local_complement(g: Multigraph, a: int) -> Multigraph:
     """m_uv -> m_uv + m_au * m_av (mod d) for every pair u < v of neighbors of a."""
     if not 0 <= a < g.n:
         raise StructureError(f"vertex {a} outside 0..{g.n - 1}")
-    nbrs = sorted(neighbors(g, a))
-    rows = [list(r) for r in g.mult]
-    for x in range(len(nbrs)):
-        for y in range(x + 1, len(nbrs)):
-            u, v = nbrs[x], nbrs[y]
-            m = (rows[u][v] + g.mult[a][u] * g.mult[a][v]) % g.d
-            rows[u][v] = m
-            rows[v][u] = m
-    return Multigraph(d=g.d, n=g.n, mult=tuple(tuple(r) for r in rows))
+    d, row_a = g.d, g.mult[a]
+    nbrs = list(itertools.compress(range(g.n), row_a))
+    rows = list(map(list, g.mult))
+    for i, u in enumerate(nbrs):
+        m_au, row_u = row_a[u], rows[u]
+        for v in nbrs[i + 1 :]:
+            row_u[v] = rows[v][u] = (row_u[v] + m_au * row_a[v]) % d
+    return Multigraph(d=d, n=g.n, mult=tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -707,17 +709,46 @@ class _LCWalk:
                 queue.append(item)
 
 
-def _lc_images(g: Multigraph) -> Iterator[tuple[tuple[int, ...], Multigraph]]:
-    """_LCWalk expansion of labeled graphs: per vertex a, the canonical form
-    of LC(g, a), and LC(g, a)."""
+class _ClassKey:
+    """_graph_walk's class of a labeled graph g (n <= 8, else refused here),
+    equal to another iff their canonical forms are.  It hashes an invariant,
+    the sorted rows sorted; equal invariants are decided by equal matrices,
+    else by canonical_form, computed at most once per key."""
+
+    __slots__ = ("graph", "invariant", "hash", "form")
+
+    def __init__(self, g: Multigraph) -> None:
+        if g.n > _CANONICAL_MAX_N:
+            msg = f"canonical_form has no search bound past n={_CANONICAL_MAX_N}; n={g.n}"
+            raise ResourceError(msg)
+        self.graph, self.form = g, None
+        self.invariant = tuple(sorted(map(tuple, map(sorted, g.mult))))
+        self.hash = hash(self.invariant)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other: _ClassKey) -> bool:
+        if self.invariant != other.invariant:
+            return False
+        return self.graph.mult == other.graph.mult or self.canonical() == other.canonical()
+
+    def canonical(self) -> tuple[int, ...]:
+        self.form = self.form or canonical_form(self.graph)  # never empty: n >= 2
+        return self.form
+
+
+def _lc_images(g: Multigraph) -> Iterator[tuple[_ClassKey, Multigraph]]:
+    """_LCWalk expansion of labeled graphs: per vertex a, the class key of
+    LC(g, a), and LC(g, a)."""
     for a in range(g.n):
         image = local_complement(g, a)
-        yield canonical_form(image), image
+        yield _ClassKey(image), image
 
 
 def _graph_walk(g: Multigraph, cap: int) -> _LCWalk:
-    """The walk over g's orbit on labeled graphs, a class being a canonical form."""
-    return _LCWalk(g, canonical_form(g), _lc_images, cap)
+    """The walk over g's orbit on labeled graphs, a class being a _ClassKey."""
+    return _LCWalk(g, _ClassKey(g), _lc_images, cap)
 
 
 def _check_orbit_cap(cap: int) -> None:

@@ -21,7 +21,7 @@ explicit multiset model of the three networks.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -31,6 +31,12 @@ from .errors import StructureError
 def prime(label: str) -> str:
     """Name of the copy of a party in the doubled inflation."""
     return f"{label}'"
+
+
+@lru_cache(maxsize=64)
+def _bits(n: int) -> list[int]:
+    """The bit 1 << v of each party v of 0..n-1, shared: callers only read it."""
+    return [1 << v for v in range(n)]
 
 
 #: The four equalities, in the order marginal_mask_checks reports them.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import os
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,6 +70,23 @@ def test_alternating_fresh_runs_on_one_checkout():
     assert "change_wins" not in starts
     firsts = [p < c for p, c in zip(starts["parent"]["values"], starts["change"]["values"])]
     assert firsts == [k % 2 == 0 for k in range(bench_pairs.RUNS)]
+
+
+def test_fresh_runs_neither_read_nor_write_bytecode(tmp_path):
+    """A snippet's process writes no bytecode and looks for it only under a
+    fresh, empty pycache prefix, which is gone once the run ends; its entry
+    says so.  perfbench entries record whether a checkout holds any."""
+    snippet = (
+        "import json, os, sys; print(json.dumps({'sha256': 'x', 'times': {}, 'seen': "
+        "[sys.dont_write_bytecode, sys.pycache_prefix, os.listdir(sys.pycache_prefix)]}))"
+    )
+    out = bench_pairs.fresh_run(ROOT, snippet)
+    dont_write, prefix, listed = out["seen"]
+    assert dont_write is True and listed == [] and not os.path.exists(prefix)
+    assert not prefix.startswith(str(ROOT)) and out["bytecode"] == "none"
+    assert not bench_pairs.holds_pycache(tmp_path)
+    (tmp_path / "perfbench" / "__pycache__").mkdir(parents=True)
+    assert bench_pairs.holds_pycache(tmp_path)
 
 
 def test_ghz_snippet_hashes_the_reports():

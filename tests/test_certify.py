@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from certify_reference import proof_operators, reference_proof, reference_witness
 from network_reference import reference_chain
+from walk_reference import use_reference_walk
 
 from netcert import (
     Certificate,
@@ -28,6 +29,7 @@ from netcert import (
     enumerate_connected_multigraphs,
     exhaustive_table,
     fidelity_bound_from_lambda,
+    lc_orbit,
     select_power_t,
     verify_obs3,
 )
@@ -207,7 +209,10 @@ def test_direct_attempt_scales_with_the_graph():
         tracemalloc.stop()
     assert isinstance(cert, Certificate)
     assert cert.fidelity_bound == 0.9
-    assert verify_obs3(cert).all_passed
+    report = verify_obs3(cert)
+    assert report.all_passed
+    labels = sorted(map(str, range(100)))  # as strings: "0", "1", "10", ...
+    assert report.checks[0].detail == f"groups cover {labels} of {labels}"
     assert peak < 4 * 2**20
 
 
@@ -228,7 +233,7 @@ def test_lc_orbit_rescue():
 
 
 def test_lc_orbit_rescue_past_2_to_the_64():
-    """The orbit walk keys classes by canonical_form at any d: over
+    """The orbit walk's class keys work at any d: over
     d = 2^70 + 1, K4 with weight 3 on 0-1 and d - 1 elsewhere fails directly
     and certifies after LC at vertex 0."""
     d = 2**70 + 1
@@ -240,6 +245,67 @@ def test_lc_orbit_rescue_past_2_to_the_64():
     assert cert.lc_path == (0,)
     assert cert.fidelity_bound == 0.9
     assert verify_obs3(cert).all_passed
+
+
+def test_orbit_walk_refuses_nine_vertices_before_any_image(monkeypatch):
+    """n <= 8 stays the orbit walk's ceiling, checked at its start: on the
+    9-vertex path over Z_6 with weights 3, 2, 3, 2, ..., whose direct attempt
+    fails (every angle has m_tilde = 6 = 0), certify_any and lc_orbit raise
+    ResourceError before any local complementation runs."""
+    path = Multigraph.from_edges(6, 9, [(v, v + 1, 3 - v % 2) for v in range(8)])
+    assert _certify_direct(path, (), path) is None
+
+    def no_image(g, a):
+        raise AssertionError("an LC image was built")
+
+    monkeypatch.setattr(multigraph, "local_complement", no_image)
+    for walk in (certify_any, lc_orbit):
+        with pytest.raises(ResourceError, match="past n=8; n=9"):
+            walk(path)
+
+
+def _outcome(res):
+    """certify_any's answer as text: a certificate's JSON, or a refusal's repr."""
+    return certificate_to_json(res) if isinstance(res, Certificate) else repr(res)
+
+
+def _walks(orbit_graphs, certify_graphs, caps):
+    """lc_orbit at cap 64 on ``orbit_graphs`` and certify_any at each of
+    ``caps`` on ``certify_graphs``, as comparable values."""
+    orbits = [lc_orbit(g, 64) for g in orbit_graphs]
+    return (
+        [(o.graphs, o.paths, o.truncated) for o in orbits],
+        [_outcome(certify_any(g, *cap)) for g in certify_graphs for cap in caps],
+    )
+
+
+@pytest.mark.parametrize("n,d", [(4, 4), (5, 3), (3, 6)])
+def test_class_key_walk_matches_the_canonical_form_walk(n, d, monkeypatch):
+    """The orbit walk on class keys against the reference walk keyed by
+    canonical_form (tests/walk_reference.py), on every class of the cell:
+    lc_orbit's graphs, paths and truncation at cap 64, and certify_any at
+    orbit caps 1..64 on the classes whose direct attempt fails.  lc_orbit at
+    cap c yields the first c classes of that walk and flags truncation iff a
+    (c + 1)-th turns up (_LCWalk, which both walks share), so its cap-64 run
+    fixes every cap from 1 to 64."""
+    graphs = list(enumerate_connected_multigraphs(n, d))
+    walked = [g for g in graphs if _certify_direct(g, (), g) is None]
+    got = _walks(graphs, walked, [(cap,) for cap in range(1, 65)])
+    use_reference_walk(monkeypatch)
+    assert _walks(graphs, walked, [(cap,) for cap in range(1, 65)]) == got
+    assert len(walked) >= 2
+
+
+def test_class_key_walk_matches_the_canonical_form_walk_on_the_pool(monkeypatch):
+    """As above on the certify_verify benchmark pool: certify_any at the
+    default cap on every graph, lc_orbit at cap 64 on the 19 whose direct
+    attempt fails."""
+    graphs = _pool_graphs(monkeypatch)
+    walked = [g for g in graphs if _certify_direct(g, (), g) is None]
+    got = _walks(walked, graphs, [()])
+    use_reference_walk(monkeypatch)
+    assert _walks(walked, graphs, [()]) == got
+    assert len(walked) == 19
 
 
 def test_orbit_cap_truncation_reported():
@@ -542,12 +608,17 @@ def test_verifier_reports_a_non_partition_as_integrity():
     assert report.checks[-1] == checker.Check("integrity", False, detail)
 
 
-def _pool_certificates(monkeypatch):
-    """certify_any's certificates for the certify_verify benchmark pool."""
+def _pool_graphs(monkeypatch):
+    """The certify_verify benchmark pool, in its seed 1 order."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
 
-    return [certify_any(g) for g in workloads.certify_stream(1)]
+    return workloads.certify_stream(1)
+
+
+def _pool_certificates(monkeypatch):
+    """certify_any's certificates for the certify_verify benchmark pool."""
+    return [certify_any(g) for g in _pool_graphs(monkeypatch)]
 
 
 def test_kappa_check_implies_the_eigenspace_obstruction(monkeypatch):
@@ -934,6 +1005,46 @@ def test_direct_pass_triple_is_certify_direct_triple(n, d, monkeypatch):
     assert picked == first
     assert direct.triple.tolist() == [list(t) for t in picked]
     assert (direct.triple[:, 1] < direct.triple[:, 2]).all()
+
+
+def test_hoisted_scan_picks_the_rule_triple(monkeypatch):
+    """_certify_direct's scan with weights not constant, which forms
+    nb_a & nb_b once per (a, b), builds at the rule's triple: the first
+    ordered triple with b < c whose _triple_flags are all clear, or at none.
+    On every class of (4,4), (5,3) and (3,6), 400 seeded random graphs
+    (n 3..12, d 2..9), and the certify_verify pool with the orbit members
+    its walks visit."""
+    cells = [(4, 4), (5, 3), (3, 6)]
+    graphs = [g for cell in cells for g in enumerate_connected_multigraphs(*cell)]
+    rng = np.random.default_rng(43)
+    for _ in range(400):
+        n, d = int(rng.integers(3, 13)), int(rng.integers(2, 10))
+        eds = [(i, j, int(rng.integers(1, d))) for i, j in itertools.combinations(range(n), 2)
+               if rng.random() < 0.5]
+        graphs.append(Multigraph.from_edges(d, n, eds))
+    for g in _pool_graphs(monkeypatch):
+        graphs.extend(lc_orbit(g, 16).graphs if _certify_direct(g, (), g) is None else [g])
+    monkeypatch.setattr(certify, "_build_certificate", lambda *args: args[3])
+    found = Counter()
+    for g in filter(checker._general, graphs):
+        nb = _neighbor_masks(g)
+        rule = (t for t in _angles(g) if t[1] < t[2] and not any(_triple_flags(g, nb, *t)[1]))
+        triple = next(rule, None)
+        assert _certify_direct(g, (), g, nb) == triple, g
+        found[triple is None] += 1
+    assert min(found.values()) > 300
+
+
+@pytest.mark.parametrize("n,d", [(3, 6), (5, 4)])
+def test_table_refusals_give_the_reference_reasons(n, d):
+    """Every refusal of the cell states, line by line, the partition
+    reference's reasons for its class, as certify_any on the class does."""
+    report = exhaustive_table(n, d)
+    assert len(report.uncertified) == 2
+    for res in report.uncertified:
+        note = res.reasons[-1]
+        assert res.reasons[:-1] == tuple(line for _, line in reference_direct_reasons(res.graph))
+        assert certify_any(res.graph).reasons == res.reasons and note.startswith("all 1 graphs")
 
 
 @pytest.mark.parametrize("n,d", [(4, 4), (5, 3)])

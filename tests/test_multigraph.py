@@ -566,6 +566,61 @@ def test_canonical_form_large_n_guard():
     assert canonical_form(huge) == min((m[0][1], m[0][2], m[1][2]) for m in relabeled)
 
 
+def test_class_keys_are_equal_iff_canonical_forms_are(monkeypatch):
+    """The orbit walk's class keys (multigraph._ClassKey) decide equality as
+    canonical_form does, equal keys hash alike, and a key computes its
+    canonical form at most once: random graphs (n 3..8, d up to 2^70 + 1)
+    against random relabelings and each other; every pair of classes of
+    (6,2) and (5,3) whose invariants agree, which are not isomorphic; and
+    the 3-prism against K3,3, both 3-regular on six vertices."""
+    key = multigraph._ClassKey
+    calls = []
+    monkeypatch.setattr(
+        multigraph, "canonical_form", lambda g: calls.append(g) or canonical_form(g)
+    )
+
+    def agree(g, h):
+        kg, kh = key(g), key(h)
+        equal = canonical_form(g) == canonical_form(h)
+        calls.clear()
+        assert (kg == kh, kh == kg, kg == kh) == (equal,) * 3, (g, h)
+        assert len(calls) <= 2  # each key computes its form at most once
+        assert not equal or hash(kg) == hash(kh)
+        return equal
+
+    rng = np.random.default_rng(61)
+    by_n: dict[int, list[Multigraph]] = {}
+    for _ in range(300):
+        n = int(rng.integers(3, 9))
+        d = [2, 3, 5, 2**70 + 1][int(rng.integers(4))]
+        eds = [
+            (i, j, int(rng.integers(1, 9)) * (d // 9 + 1))
+            for i, j in itertools.combinations(range(n), 2)
+            if rng.random() < 0.5
+        ]
+        g = Multigraph.from_edges(d, n, eds)
+        assert agree(g, permuted(g, rng.permutation(n).tolist()))
+        for h in by_n.get(n, [])[-3:]:
+            agree(g, h)
+        by_n.setdefault(n, []).append(g)
+
+    collisions = 0
+    for n, d in [(6, 2), (5, 3)]:
+        groups: dict[tuple, list[Multigraph]] = {}
+        for g in enumerate_connected_multigraphs(n, d):
+            groups.setdefault(key(g).invariant, []).append(g)
+        for group in groups.values():
+            for g, h in itertools.combinations(group, 2):
+                assert not agree(g, h)
+                collisions += 1
+    assert collisions > 100
+
+    prism = Multigraph.from_edges(2, 6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1),
+                                         (3, 5, 1), (0, 3, 1), (1, 4, 1), (2, 5, 1)])
+    k33 = Multigraph.from_edges(2, 6, [(a, b, 1) for a in range(3) for b in range(3, 6)])
+    assert key(prism).invariant == key(k33).invariant and not agree(prism, k33)
+
+
 @functools.lru_cache(maxsize=None)
 def labeled_reference(n, d):
     """Every connected labeled vector that is its own canonical form, in id
