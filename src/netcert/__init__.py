@@ -5,7 +5,8 @@ The package is organized in layers; ``pauli`` and ``stabilizer`` are the
 symbolic reference layer, which only ``oracle.dense`` and the tests read:
 
 - ``pauli``      exact symbolic Weyl-Heisenberg operators on named sites
-- ``multigraph`` multigraphs mod d: partitions, local complementation, enumeration
+- ``graph``      the multigraph type mod d: parsers, connectivity, local complementation
+- ``multigraph`` orbit walks, canonical forms, enumeration, neighborhood partitions
 - ``stabilizer`` graph-state generators and the GHZ stabilizer group
 - ``network``    the four marginal equalities of the inflation chain, in closed form
 - ``checker``    certificates, their JSON forms, the witness rule, verification, bounds
@@ -51,17 +52,14 @@ from .ghzbound import (
     ghz_section3_chain,
     theta_d,
 )
+from .graph import Multigraph, is_connected, local_complement, neighbors
 from .multigraph import (
-    Multigraph,
     NeighborhoodPartition,
     OrbitResult,
     canonical_form,
     enumerate_connected_multigraphs,
     find_angle_or_triangle,
-    is_connected,
     lc_orbit,
-    local_complement,
-    neighbors,
     partition_neighborhoods,
 )
 from .network import marginal_chain_checks

@@ -51,23 +51,20 @@ from .checker import (  # noqa: F401
     verify_obs3,
 )
 from .errors import EnumerationOverflow, RangeError, StructureError
+from .graph import Multigraph, _masks_connected, _neighbor_masks, edges
 from .multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
     DEFAULT_ORBIT_CAP,
-    Multigraph,
     _angles,
     _canonical_rows,
     _check_orbit_cap,
     _graph_walk,
     _LCWalk,
-    _masks_connected,
-    _neighbor_masks,
     _packed_keys,
     _partition_masks,
     _permutations,
     _slots,
     class_count,
-    edges,
     from_triu_vector,
 )
 
@@ -549,9 +546,7 @@ class _OrbitWalk(NamedTuple):
     truncated: bool
 
 
-def _orbit_walks(
-    classes: _LCClasses, orbit_cap: int, labels: bool = True
-) -> tuple[np.ndarray, list[_OrbitWalk]]:
+def _orbit_walks(classes: _LCClasses, orbit_cap: int) -> tuple[np.ndarray, list[_OrbitWalk]]:
     """The outcome of certify_any's orbit walk from every class of a cell
     (n >= 3, its class store as built) whose direct attempt fails, in cell
     order: the construction of the first member that certifies (1 obs1, 2
@@ -573,8 +568,8 @@ def _orbit_walks(
     are still 0).  The exact walk (_LCWalk over _LCClasses.expand) runs for
     the rest: refusals, which need the orbit's size and truncation, classes
     with both constructions at their distance, and classes further out.
-    ``labels`` False walks every class, the reference the labels are tested
-    against.
+    The tests check the labels against exact walks from every class
+    (tests/walk_reference.py).
 
     The store holds _direct_pass's outcome per class of the cell, and
     judges each class it appends the same way.  Relabeling permutes the
@@ -593,15 +588,14 @@ def _orbit_walks(
             break
         classes.fill(todo)
     cons = classes.construction.copy()
-    if labels:
-        dist = np.where(cons > 0, 0, -1)
-        filled = np.flatnonzero(classes.succ[:, 0] >= 0)
-        for level in range(1, depth + 1):
-            filled = filled[dist[filled] < 0]
-            succ = classes.succ[filled]
-            at = (dist[succ] == level - 1).any(axis=1)
-            cons[filled[at]] = np.bitwise_or.reduce(cons[succ[at]], axis=1)
-            dist[filled[at]] = level
+    dist = np.where(cons > 0, 0, -1)
+    filled = np.flatnonzero(classes.succ[:, 0] >= 0)
+    for level in range(1, depth + 1):
+        filled = filled[dist[filled] < 0]
+        succ = classes.succ[filled]
+        at = (dist[succ] == level - 1).any(axis=1)
+        cons[filled[at]] = np.bitwise_or.reduce(cons[succ[at]], axis=1)
+        dist[filled[at]] = level
     outcome = cons[failing] % 3  # 0 where a walk must decide: no label, or both
     identity = tuple(range(n))
     walks = []

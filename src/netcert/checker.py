@@ -16,7 +16,9 @@ bitmasks, where _witness, for Python ints and integer arrays alike, states
 the four witness conditions once (the search applies it to table blocks).
 The reader also takes the earlier JSON form (no "version"), whose derived
 fields (_v1_fields) verify_obs3 compares with the derivation.  Imports:
-errors, network, and Multigraph and local_complement from multigraph.
+errors, network, and Multigraph, local_complement and _bits from graph.
+With those three modules it is the trusted base: pure Python, and a
+tier-1 test pins its import closure.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import repeat
 from math import gcd
-from operator import and_, itemgetter, mul, ne, or_
+from operator import and_, attrgetter, itemgetter, mul, ne, or_
 from typing import NamedTuple, Sequence
 
 from .errors import DegenerateMultiplicity, NetcertError, RangeError, StructureError
-from .multigraph import Multigraph, local_complement
-from .network import _CHECKS, _bits, label_masks, marginal_mask_checks, partitions, prime
+from .graph import Multigraph, _bits, local_complement
+from .network import _CHECKS, label_masks, marginal_mask_checks, partitions, prime
 
 METHOD_CONSTANT = "obs1"
 METHOD_GENERAL = "obs4"
@@ -223,8 +225,9 @@ class Certificate:
     generators of ``certified_graph``, the graph after the local
     complementations of ``lc_path``: word(e) has X-part e and Z-part M e.
     Everything else is the Proof that _derive computes, once per
-    certificate; its fields read as attributes (``kappa``,
-    ``lambda_prime``, ``fidelity_bound``, ``method``, ...).  ``claims`` holds
+    certificate; each of its fields but ``groups`` reads as a property
+    (``kappa``, ``lambda_prime``, ``fidelity_bound``, ``method``, ...), and
+    ``groups`` stays the stored labels.  ``claims`` holds
     the other fields of a file in the earlier JSON form, as (name, JSON
     text) pairs: verify_obs3 compares the derived ones with the Proof and
     lists the construction records (PROVENANCE) as ignored.
@@ -242,11 +245,10 @@ class Certificate:
     def proof(self) -> Proof:
         return _derive(self)
 
-    def __getattr__(self, name: str):
-        # reached only where normal lookup fails: the derived names read the Proof
-        if name in Proof._fields:
-            return getattr(self.proof, name)
-        raise AttributeError(f"'Certificate' object has no attribute {name!r}")
+
+# one read-only property per Proof field the dataclass does not store itself
+for _name in set(Proof._fields) - set(Certificate.__dataclass_fields__):
+    setattr(Certificate, _name, property(attrgetter(f"proof.{_name}")))
 
 
 def _general(g: Multigraph) -> bool:
@@ -389,6 +391,8 @@ _MARGINAL = tuple(f"marginal: {name}" for name in _CHECKS)
 PROVENANCE = ("triple", "kind", "exponents")
 _V1_SCALARS = ("kappa", "lambda_prime", "fidelity_bound", "method")
 _V2_FIELDS = ("version", "graph", "lc_path", "groups", "S1", "S2", "S4")
+_V1_FIELDS = ("graph", "lc_path", "groups", "operators", *_V1_SCALARS, *PROVENANCE)
+_V1_OPERATORS = ("S1", "S2", "S3", "S4", "S4prime_relabel")
 
 
 def _json_text(value) -> str:
@@ -468,8 +472,9 @@ def certificate_from_json_obj(obj: dict) -> Certificate:
     """Inverse of certificate_to_json_obj.  An object without "version" is in
     the earlier form: S1, S2 and S4 come from their factorizations, the other
     fields become ``claims``.  A field not of its JSON type, a vertex or
-    exponent out of range, a repeated or unknown factor label, or a version
-    other than 2 raises StructureError."""
+    exponent out of range, a repeated or unknown factor label, a version
+    other than 2, or a field, group or operator name that the form lacks
+    raises StructureError."""
     try:
         graph = Multigraph.from_json_obj(obj["graph"])
         lc_path = _ints(obj["lc_path"])
@@ -484,6 +489,9 @@ def certificate_from_json_obj(obj: dict) -> Certificate:
             vectors = [_vector(obj[f"S{i}"], graph) for i in (1, 2, 4)]
         else:
             ops = obj["operators"]
+            keys = sorted(obj), sorted(obj["groups"]), sorted(ops)
+            if keys != (sorted(_V1_FIELDS), ["G1", "G2", "G3", "G4"], sorted(_V1_OPERATORS)):
+                raise StructureError(f"malformed certificate object: fields {keys}")
             groups = [obj["groups"][f"G{i}"] for i in range(1, 5)]
             factorizations = (ops[f"S{i}"]["factorization"] for i in (1, 2, 4))
             vectors = [_factorization_vector(f, graph) for f in factorizations]
@@ -491,7 +499,7 @@ def certificate_from_json_obj(obj: dict) -> Certificate:
             _ints(obj["triple"])
             _typed(obj["kind"], (str,), ("angle", "triangle"))
             _ints(list(_typed(obj["exponents"], (dict,)).values()))
-            stored = {name: ops[name] for name in ("S1", "S2", "S3", "S4", "S4prime_relabel")}
+            stored = {name: ops[name] for name in _V1_OPERATORS}
             stored.update((name, obj[name]) for name in (*_V1_SCALARS, *PROVENANCE))
             claims = tuple((name, _json_text(value)) for name, value in stored.items())
         return Certificate(graph, lc_path, _groups(groups), *vectors, claims)

@@ -25,13 +25,8 @@ from .certify import TABLE_ORBIT_CAP, NotCertified, TableReport, certify_any, ex
 from .checker import Certificate, certificate_from_json_obj, certificate_to_json_obj, verify_obs3
 from .errors import NetcertError
 from .ghzbound import bound_report
-from .multigraph import (
-    DEFAULT_ENUMERATION_BUDGET,
-    DEFAULT_ORBIT_CAP,
-    Multigraph,
-    edges,
-    lc_orbit,
-)
+from .graph import Multigraph, edges
+from .multigraph import DEFAULT_ENUMERATION_BUDGET, DEFAULT_ORBIT_CAP, lc_orbit
 
 EXIT_OK = 0
 EXIT_ERROR = 1

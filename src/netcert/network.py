@@ -16,12 +16,14 @@ inside R.  A certificate needs four such marginals to agree (see
 groups R meets, so it is decided from the groups and the region alone,
 without building a network: on vertex bitmasks for a certificate, on
 labels through ``marginal_chain_checks``.  The tests check this against an
-explicit multiset model of the three networks.
+explicit multiset model of the three networks.  Part of the proof checker's
+trusted base (checker, graph, network, errors), it imports from netcert
+only errors.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -31,12 +33,6 @@ from .errors import StructureError
 def prime(label: str) -> str:
     """Name of the copy of a party in the doubled inflation."""
     return f"{label}'"
-
-
-@lru_cache(maxsize=64)
-def _bits(n: int) -> list[int]:
-    """The bit 1 << v of each party v of 0..n-1, shared: callers only read it."""
-    return [1 << v for v in range(n)]
 
 
 #: The four equalities, in the order marginal_mask_checks reports them.

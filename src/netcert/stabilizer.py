@@ -13,7 +13,7 @@ from typing import Iterator, Mapping
 
 from .errors import RangeError, StructureError
 from .ghzbound import GHZ_PARTIES, _ghz_element
-from .multigraph import Multigraph
+from .graph import Multigraph
 from .pauli import PauliOperator
 
 

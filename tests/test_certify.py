@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from certify_reference import proof_operators, reference_proof, reference_witness
 from network_reference import reference_chain
-from walk_reference import use_reference_walk
+from walk_reference import reference_orbit_walks, use_reference_walk
 
 from netcert import (
     Certificate,
@@ -54,15 +54,13 @@ from netcert.checker import (
     certificate_to_json_obj,
 )
 from netcert import certify, checker, multigraph
+from netcert.graph import _neighbor_masks, edges, is_connected
 from netcert.multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
     _angles,
     _canonical_rows,
-    _neighbor_masks,
     class_count,
-    edges,
     from_triu_vector,
-    is_connected,
     partition_neighborhoods,
     permuted,
     triu_to_matrices,
@@ -746,6 +744,44 @@ def test_malformed_certificates_rejected():
             _v1_edited(V1_FIXTURES[0], _set("operators", "S4", "factorization", 0, 0, label))
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set("groups", "G5", ["0"]),
+        _set("operators", "S5", {"phase_exp": 0, "sites": {}, "factorization": []}),
+        _set("note", "unchecked"),
+    ],
+    ids=["fifth_group", "fifth_operator", "unknown_field"],
+)
+def test_earlier_form_refuses_fields_it_never_checks(edit):
+    """The earlier-form reader takes exactly the fields of its form: a group
+    other than G1..G4, an operator other than S1..S4 and S4prime_relabel, or
+    another top-level field raises StructureError, where verify_obs3 would
+    pass a certificate whose extra field nothing checks."""
+    for fixture in V1_FIXTURES:
+        assert verify_obs3(_v1_edited(fixture, lambda obj: None)).all_passed
+        with pytest.raises(StructureError, match="malformed certificate object: fields"):
+            _v1_edited(fixture, edit)
+
+
+def test_certificate_reads_proof_fields_as_properties():
+    """Each Proof field that Certificate does not store is a read-only
+    property equal to the Proof's; ``groups`` stays the stored labels,
+    an unknown name still raises AttributeError, and the stored fields are
+    the dataclass's only fields."""
+    cert = certify_any(triangle(3))
+    derived = [name for name in checker.Proof._fields if name != "groups"]
+    assert derived and all(getattr(cert, name) == getattr(cert.proof, name) for name in derived)
+    props = [getattr(Certificate, name) for name in derived]
+    assert all(isinstance(prop, property) and prop.fset is None for prop in props)
+    # the stored labels, not the Proof's bitmasks
+    assert cert.groups == (("2",), ("1",), ("0",), ()) and cert.proof.groups == [4, 2, 1, 0]
+    with pytest.raises(AttributeError):
+        cert.no_such_field
+    stored = ["graph", "lc_path", "groups", "e1", "e2", "e4", "claims"]
+    assert [f.name for f in dataclasses.fields(Certificate)] == stored
+
+
 # ---------------------------------------------------------------- tallies
 
 
@@ -896,7 +932,7 @@ def test_orbit_walks_land_on_certify_any_members(n, d):
     uses."""
     rows = _cell_rows(n, d)
     direct = _direct_pass(rows, n, d)
-    outcome, walks = _orbit_walks(_LCClasses(n, d, rows, direct.construction), 4096, labels=False)
+    outcome, walks = reference_orbit_walks(_LCClasses(n, d, rows, direct.construction), 4096)
     rescued = [w for w in walks if w.path is not None]
     assert [w.start for w in walks] == np.flatnonzero(direct.construction == 0).tolist()
     assert len(rescued) > 0
@@ -923,7 +959,7 @@ def test_orbit_labels_agree_with_exact_walks(n, d, budget):
     rows = _cell_rows(n, d, budget or DEFAULT_ENUMERATION_BUDGET)
     direct = _direct_pass(rows, n, d)
     outcome, walks = _orbit_walks(_LCClasses(n, d, rows, direct.construction), 4096)
-    want, exact = _orbit_walks(_LCClasses(n, d, rows, direct.construction), 4096, labels=False)
+    want, exact = reference_orbit_walks(_LCClasses(n, d, rows, direct.construction), 4096)
     assert outcome.tolist() == want.tolist()
     walked = {w.start for w in walks}
     assert walks == [w for w in exact if w.start in walked]

@@ -31,12 +31,12 @@ from netcert import (
 )
 from netcert import multigraph
 from netcert.certify import _direct_pass, _LCClasses
+from netcert.graph import edges
 from netcert.multigraph import (
     _canonical_rows,
     _key_blocks,
     _packed_keys,
     class_count,
-    edges,
     from_triu_vector,
     permuted,
 )

@@ -19,6 +19,7 @@ from netcert import (
     restrict,
     support,
 )
+from netcert import graph, multigraph
 from netcert.oracle import dense
 from netcert.pauli import identity, single
 
@@ -189,9 +190,9 @@ def netcert_imports(module: str) -> dict[str, set[str]]:
 
 def test_library_modules_do_not_build_symbolic_operators():
     """pauli and stabilizer are the symbolic reference layer: checker,
-    certify, ghzbound, network, multigraph and cli import nothing from them, and
-    oracle imports from pauli only what dense needs."""
-    for module in ("checker", "certify", "ghzbound", "network", "multigraph", "cli"):
+    certify, ghzbound, network, graph, multigraph and cli import nothing from
+    them, and oracle imports from pauli only what dense needs."""
+    for module in ("checker", "certify", "ghzbound", "network", "graph", "multigraph", "cli"):
         imports = netcert_imports(module)
         assert not imports.keys() & {"pauli", "stabilizer"}, (module, imports)
     oracle = netcert_imports("oracle")
@@ -200,17 +201,38 @@ def test_library_modules_do_not_build_symbolic_operators():
     assert netcert_imports("stabilizer")["pauli"] == {"PauliOperator"}
 
 
-def test_checker_import_boundary():
-    """checker imports from errors and network, and from multigraph only the
-    graph type and local_complement; ghzbound imports nothing from certify
-    or oracle; and no library module imports oracle but the package, which
-    the benchmark's layer trace needs, and the cli's selftest, which runs
-    its lemma suites."""
+def test_checker_trusted_base():
+    """The static closure of checker's imports within netcert, its trusted
+    base, is {checker, graph, network, errors}: graph and network import
+    from netcert only errors, and no base module imports numpy or scipy.
+    multigraph's is_connected and local_complement, which the benchmark's
+    layer trace wraps under multigraph's name, are graph's objects."""
     src = Path(__file__).resolve().parent.parent / "src" / "netcert"
     modules = {path.stem for path in src.glob("*.py")}
-    checker = {m: names for m, names in netcert_imports("checker").items() if m in modules}
-    assert checker.keys() == {"errors", "network", "multigraph"}, checker
-    assert checker["multigraph"] == {"Multigraph", "local_complement"}
+    base, todo = set(), ["checker"]
+    while todo:
+        module = todo.pop()
+        if module not in base:
+            base.add(module)
+            todo.extend(m for m in netcert_imports(module) if m in modules)
+    assert base == {"checker", "graph", "network", "errors"}
+    for module in ("graph", "network"):
+        assert netcert_imports(module).keys() & modules == {"errors"}, module
+    for module in base:
+        nodes = list(ast.walk(ast.parse((src / f"{module}.py").read_text())))
+        names = [a.name for node in nodes if isinstance(node, ast.Import) for a in node.names]
+        names += [n.module for n in nodes if isinstance(n, ast.ImportFrom) and not n.level]
+        assert not {name.split(".")[0] for name in names} & {"numpy", "scipy"}, module
+    assert multigraph.is_connected is graph.is_connected
+    assert multigraph.local_complement is graph.local_complement
+
+
+def test_checker_import_boundary():
+    """ghzbound imports nothing from certify or oracle, and no library
+    module imports oracle but the package, which the benchmark's layer trace
+    needs, and the cli's selftest, which runs its lemma suites."""
+    src = Path(__file__).resolve().parent.parent / "src" / "netcert"
+    modules = {path.stem for path in src.glob("*.py")}
     assert not netcert_imports("ghzbound").keys() & {"certify", "oracle"}
     assert {m for m in modules if "oracle" in netcert_imports(m)} == {"__init__", "cli"}
     assert netcert_imports("cli")["oracle"] == {"ALL_LEMMA_CHECKS"}
