@@ -16,7 +16,8 @@ checkout is never read, and every entry records ``"bytecode": "none"``.  A
 snippet prints one JSON line ``{"sha256", "times": {name: value}, ...}``:
 
 - ``sweep n,d[,budget]``: ``multigraph._canonical_rows`` drained to the end;
-  sha256 over its chunks, with the row count and any overflow progress.
+  sha256 over its chunks as int64 (so the rows' dtype alone does not change
+  it), with the row count and any overflow progress.
 - ``table CELL``: ``exhaustive_table`` on the cell (an empty budget keeps the
   default, as in ``4,4,,5``); sha256 of the ``TableReport`` repr, and the
   process's peak RSS (``peak_rss_MB``) beside the time.
@@ -89,6 +90,7 @@ RUNS = 10
 
 SWEEP = """
 import hashlib, json, sys, time
+import numpy as np
 from netcert.errors import EnumerationOverflow
 from netcert.multigraph import DEFAULT_ENUMERATION_BUDGET, _canonical_rows
 n, d, *budget = map(int, sys.argv[1:])
@@ -96,7 +98,7 @@ h, rows, overflow = hashlib.sha256(), 0, None
 start = time.perf_counter()
 try:
     for chunk in _canonical_rows(n, d, budget[0] if budget else DEFAULT_ENUMERATION_BUDGET):
-        h.update(chunk.tobytes())
+        h.update(chunk.astype(np.int64).tobytes())
         rows += len(chunk)
 except EnumerationOverflow as exc:
     overflow = [exc.examined, exc.yielded]

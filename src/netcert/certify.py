@@ -63,6 +63,7 @@ from .multigraph import (
     _packed_keys,
     _partition_masks,
     _permutations,
+    _row_dtype,
     _slots,
     class_count,
     from_triu_vector,
@@ -344,20 +345,19 @@ def _direct_pass(rows: np.ndarray, n: int, d: int) -> _DirectPass:
 
 def _direct_block(rows: np.ndarray, n: int, d: int) -> _DirectBlock:
     """_direct_pass on one block of rows, with its checked witnesses.
-    Weights and neighbour masks are gathered through multigraph._slots, h
-    and m_tilde are computed only where _blocked's flags are clear, at about
-    one triple in twelve on (5,4), and matrices are built only for the rows
-    that certify, for Z = e M."""
+    Weights (in the rows' dtype) and neighbour masks (uint8: n <= 8) are
+    gathered through multigraph._slots, h and m_tilde are computed in int64
+    only where _blocked's flags are clear, at about one triple in twelve on
+    (5,4), and matrices are built only for the rows that certify, for Z = e M."""
     k, slot = len(rows), _slots(n)
     # the ordered triples with b < c, lexicographic: those with edges AB and
     # CA in _angles order, each mirror pair once (see _direct_pass)
     ta, tb, tc = np.array(
         [(a, b, c) for a, b, c in itertools.permutations(range(n), 3) if b < c], np.int32
     ).reshape(-1, 3).T
-    # int32 where there are triples: n >= 3 keeps d below 2^21
-    small = np.pad(rows, [(0, 0), (0, 1)]).astype(np.int32)
+    small = np.pad(rows, [(0, 0), (0, 1)])
     m_ab, m_bc, m_ca = (small[:, slot[i, j]] for i, j in ((ta, tb), (tb, tc), (tc, ta)))
-    nb = ((small[:, slot] != 0) << np.arange(n, dtype=np.int32)).sum(axis=2, dtype=np.int32)
+    nb = ((small[:, slot] != 0) << np.arange(n, dtype=np.uint8)).sum(axis=2, dtype=np.uint8)
     valid = (m_ab != 0) & (m_ca != 0)
     t_abc, apex = _blocked(m_bc, *(nb.take(x, axis=1) for x in (ta, tb, tc)), tb, tc)
     t_block, a_block = valid & t_abc, valid & apex
@@ -365,7 +365,9 @@ def _direct_block(rows: np.ndarray, n: int, d: int) -> _DirectBlock:
     z_block = np.zeros((k, len(ta)), dtype=bool)
     ab, bc, ca = (x.ravel()[clear].astype(np.int64) for x in (m_ab, m_bc, m_ca))
     z_block.ravel()[clear] = _m_tilde(ab, ca, np.gcd(np.gcd(ab, ca), bc), d) == 0
-    general = rows.max(axis=1) != np.where(rows != 0, rows, d).min(axis=1)
+    # the least nonzero weight, with zeros read as the row's largest (d would wrap in uint8)
+    top = rows.max(axis=1)
+    general = top != np.where(rows != 0, rows, top[:, None]).min(axis=1)
     usable = np.where(general[:, None], valid & ~(t_block | a_block | z_block), valid)
     certified = usable.any(axis=1)
     construction = (certified * (1 + general)).astype(np.int8)
@@ -453,9 +455,12 @@ class _LCClasses:
     d^(n choose 2) < 2^62, and local complementation between them: one
     store, by class index, of arrays that grow together.
 
-    ``rows`` holds the canonical form of each class: first the cell's, in
-    ascending order (as the sweep yields them; else StructureError), then
-    each class a step meets outside them (a cell cut short by its budget).
+    ``rows`` holds the canonical form of each class, in the dtype the sweep
+    yields (multigraph._row_dtype): first the cell's, in ascending order
+    (else StructureError), then each class a step meets outside them (a
+    cell cut short by its budget).  ``sorted_keys`` holds their packed keys
+    (rows @ keys.weights, by Horner over the columns: no int64 copy of the
+    rows) in ascending order, and ``order`` their classes.
     Class k stands for its canonical representative rep_k, and
     ``construction`` holds _direct_pass's outcome on it.  Once ``fill`` has
     run on k, ``succ[k, v]`` is the class of LC(rep_k, v) and
@@ -471,8 +476,11 @@ class _LCClasses:
         self.perms = _permutations(n)
         self.perm_rows: list[list[int]] | None = None  # ``perms`` as lists, for expand
         self.keys = _packed_keys(n, d)
-        # the packed keys of ``rows`` in ascending order, and their classes
-        self.sorted_keys, self.order = rows @ self.keys.weights, np.arange(len(rows))
+        self.sorted_keys = np.zeros(len(rows), dtype=np.int64)
+        for column in rows.T:
+            self.sorted_keys *= d
+            self.sorted_keys += column
+        self.order = np.arange(len(rows), dtype=np.int32)
         if (np.diff(self.sorted_keys) <= 0).any():
             raise StructureError("class store rows are not in strictly ascending order")
 
@@ -501,7 +509,8 @@ class _LCClasses:
         """Every step of the classes ``ks``, _PASS_BLOCK classes at a time:
         LC at v adds m_vi m_vj to entry (i, j), so the images of a row are
         ``(row + row[P1] * row[P2]) % d`` with P1, P2 the slots of (v, i) and
-        (v, j), and _Keys.least canonicalises them.  Only the steps to a
+        (v, j), formed in the narrowest signed dtype that holds (d - 1) +
+        (d - 1)^2, and _Keys.least canonicalises them.  Only the steps to a
         class the store lacks are kept past their block; once all blocks
         are done those classes are appended, their keys merged into the
         sorted key index and their outcome taken from _direct_pass."""
@@ -511,10 +520,10 @@ class _LCClasses:
         p1, p2 = np.empty((2, n, ncols + 1), dtype=np.intp)
         p1[:, slot], p2[:, slot] = slot[:, :, None], slot[:, None, :]
         p1, p2 = p1[:, :ncols], p2[:, :ncols]
-        ks, lost = np.asarray(ks, dtype=np.intp), []
+        ks, lost, wide = np.asarray(ks, dtype=np.intp), [], np.min_scalar_type(-d * (d - 1))
         for first in range(0, len(ks), _PASS_BLOCK):
             block = ks[first : first + _PASS_BLOCK]
-            ext = np.pad(self.rows[block], [(0, 0), (0, 1)])
+            ext = np.pad(self.rows[block].astype(wide), [(0, 0), (0, 1)])
             images = (ext[:, None, :ncols] + ext[:, p1] * ext[:, p2]) % d
             packed, relabel = self.keys.least(images.reshape(-1, ncols))
             pos = np.searchsorted(self.sorted_keys, packed).clip(max=len(self.order) - 1)
@@ -529,7 +538,7 @@ class _LCClasses:
             at = np.searchsorted(self.sorted_keys, new_keys)
             self.sorted_keys = np.insert(self.sorted_keys, at, new_keys)
             self.order = np.insert(self.order, at, len(self.order) + np.arange(len(new_keys)))
-            rows = (new_keys[:, None] // self.keys.weights) % d
+            rows = (new_keys[:, None] // self.keys.weights % d).astype(self.rows.dtype)
             grow = [(0, len(rows)), (0, 0)]
             self.rows = np.concatenate((self.rows, rows))
             self.construction = np.append(self.construction, _direct_pass(rows, n, d).construction)
@@ -565,9 +574,11 @@ def _orbit_walks(classes: _LCClasses, orbit_cap: int) -> tuple[np.ndarray, list[
     such walks can reach; then one breadth-first loop sets both labels level
     by level: a failing class with a step to level - 1 is at that level, and
     its ``cons`` is the OR of its steps' (those at its level or further out
-    are still 0).  The exact walk (_LCWalk over _LCClasses.expand) runs for
-    the rest: refusals, which need the orbit's size and truncation, classes
-    with both constructions at their distance, and classes further out.
+    are still 0); ``dist`` takes the narrowest signed dtype that holds
+    ``depth``, which grows as log_n(orbit_cap).  The exact walk (_LCWalk
+    over _LCClasses.expand) runs for the rest: refusals, which need the
+    orbit's size and truncation, classes with both constructions at their
+    distance, and classes further out.
     The tests check the labels against exact walks from every class
     (tests/walk_reference.py).
 
@@ -588,7 +599,7 @@ def _orbit_walks(classes: _LCClasses, orbit_cap: int) -> tuple[np.ndarray, list[
             break
         classes.fill(todo)
     cons = classes.construction.copy()
-    dist = np.where(cons > 0, 0, -1)
+    dist = (cons > 0).astype(np.min_scalar_type(-depth - 1)) - 1
     filled = np.flatnonzero(classes.succ[:, 0] >= 0)
     for level in range(1, depth + 1):
         filled = filled[dist[filled] < 0]
@@ -641,7 +652,7 @@ def exhaustive_table(
         complete, examined = False, exc.examined
     else:  # only now: _canonical_rows refuses an n too large for this power
         complete, examined = True, d ** (n * (n - 1) // 2)
-    rows = np.concatenate(chunks) if chunks else np.zeros((0, n * (n - 1) // 2), np.int64)
+    rows = np.concatenate(chunks) if chunks else np.zeros((0, n * (n - 1) // 2), _row_dtype(d))
     del chunks  # the rows are a copy; holding both doubles the cell for the whole table
     expected = class_count(n, d)
     if complete and len(rows) != expected:

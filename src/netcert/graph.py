@@ -90,11 +90,14 @@ class Multigraph:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Multigraph":
-        """Parse {"d": ..., "n": ..., "edges": [[i, j, m], ...]}."""
+        """Parse {"d": ..., "n": ..., "edges": [[i, j, m], ...]}; any other
+        key is a field no check reads, and is refused."""
         try:
             d, n, edges = obj["d"], obj["n"], obj["edges"]
         except (TypeError, KeyError) as exc:
             raise StructureError(f"graph object needs keys d, n, edges: {obj!r}") from exc
+        if extra := [key for key in obj if key not in ("d", "n", "edges")]:
+            raise StructureError(f"graph object has keys other than d, n, edges: {extra}")
         # type() is int: JSON true/false load as bools, an int subclass
         if not (type(d) is int and type(n) is int):
             raise StructureError(f"d and n must be integers, got d={d!r}, n={n!r}")

@@ -283,6 +283,14 @@ def _key_blocks(
         yield start, keys
 
 
+def _row_dtype(d: int) -> np.dtype:
+    """The dtype of a table cell's rows: the narrowest unsigned one that holds
+    d - 1 (uint8 up to d = 256), int64 past 32 bits (uint64 // int64 gives
+    float64)."""
+    dtype = np.min_scalar_type(d - 1)
+    return dtype if dtype.itemsize <= 4 else np.dtype(np.int64)
+
+
 def _sweep_span(n: int) -> int:
     """Most ids per block and per group of the sweep, and most blocks per pass."""
     return min(_SWEEP_BLOCK, 4096 if n <= 6 else 1024)
@@ -299,9 +307,10 @@ def _sweep_cut(n: int, d: int) -> int:
 
 def _canonical_rows(n: int, d: int, budget: int) -> Iterator[np.ndarray]:
     """Array core of enumerate_connected_multigraphs: the canonical connected
-    rows ((k, n choose 2) int64, ascending), in batches; connectivity is
-    tested once per _SWEEP_ROWS canonical rows (_canonical_runs).  Raises
-    EnumerationOverflow as the public generator does, with ``yielded``."""
+    rows ((k, n choose 2) in _row_dtype(d), ascending), in batches;
+    connectivity is tested once per _SWEEP_ROWS canonical rows
+    (_canonical_runs).  Raises EnumerationOverflow as the public generator
+    does, with ``yielded``."""
     if d < 2:
         raise DimensionError(f"qudit dimension must be >= 2, got {d}")
     if n < 2:
@@ -344,7 +353,7 @@ def _batches(runs: Iterable[np.ndarray], most: int) -> Iterator[np.ndarray]:
 
 def _canonical_runs(n: int, d: int, limit: int) -> Iterator[np.ndarray]:
     """The ids below ``limit`` that are their own canonical form, as digit
-    rows (int64, ascending), one run per group of blocks.  Ids run in
+    rows (_row_dtype(d), ascending), one run per group of blocks.  Ids run in
     aligned blocks of d^k sharing all but the last k digits, in passes of
     blocks; a block where some transposition key stays below its first id
     at every low part is skipped.  A surviving id's key row is its block's
@@ -370,14 +379,14 @@ def _canonical_runs(n: int, d: int, limit: int) -> Iterator[np.ndarray]:
         return out
 
     # the digits of each low part (zero at the high digits), and their shares
-    low = np.arange(size)[:, None] // weights % d
+    low = (np.arange(size)[:, None] // weights % d).astype(_row_dtype(d))
     low_ranks = keys.ranks(low)[:, lows:]
     low_sw = shares(swap_tables[lows:], low_ranks, len(swaps)).T.copy()  # swaps on the outer axis
     low_top = low_sw.max(axis=1)[:, None]
     per_group = span // size
     for first in range(begin, nblocks, span):
         blocks = np.arange(first, min(first + span, nblocks), dtype=dtype)
-        hi = blocks[:, None] * size // weights % d
+        hi = (blocks[:, None] * size // weights % d).astype(low.dtype)
         hi_ranks = keys.ranks(hi)[:, :lows]
         hi_sw = shares(swap_tables[:lows], hi_ranks, len(swaps)).T.copy()
         live = np.flatnonzero((hi_sw + low_top >= blocks * size).all(axis=0))
@@ -468,7 +477,7 @@ def _angles(g: Multigraph) -> Iterator[tuple[int, int, int]]:
 def _partition_masks(a, b, c, nb_a, nb_b, nb_c, full):
     """Bitmasks (e_a, e_b, e_c, j_ab, j_bc, j_ca, t_abc, far) of the
     NeighborhoodPartition of the vertices ``full`` around (a, b, c), given
-    the neighbor masks of a, b and c; on Python ints and int64 arrays alike."""
+    the neighbor masks of a, b and c; on Python ints and integer arrays alike."""
     rest = full & ~(1 << a | 1 << b | 1 << c)
     return (
         rest & nb_a & ~(nb_b | nb_c),

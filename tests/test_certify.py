@@ -764,6 +764,23 @@ def test_earlier_form_refuses_fields_it_never_checks(edit):
             _v1_edited(fixture, edit)
 
 
+def test_certificate_refuses_unknown_graph_key():
+    """A version-2 certificate whose graph holds a key other than d, n and
+    edges is refused: no check reads it, so it would otherwise verify."""
+    obj = certificate_to_json_obj(certify_any(Multigraph.from_text("3 4\n0 1 1\n1 2 2\n2 3 1")))
+    assert verify_obs3(certificate_from_json_obj(obj)).all_passed
+    obj["graph"]["note"] = "x"
+    with pytest.raises(StructureError, match="graph object has keys other than d, n, edges"):
+        certificate_from_json_obj(obj)
+
+
+def test_earlier_form_refuses_unknown_graph_key():
+    """The earlier-form reader refuses the same graph key, on every fixture."""
+    for fixture in V1_FIXTURES:
+        with pytest.raises(StructureError, match="graph object has keys other than d, n, edges"):
+            _v1_edited(fixture, _set("graph", "note", "x"))
+
+
 def test_certificate_reads_proof_fields_as_properties():
     """Each Proof field that Certificate does not store is a read-only
     property equal to the Proof's; ``groups`` stays the stored labels,
@@ -860,6 +877,17 @@ TABLE_CELLS = [  # n, d, enumeration budget, orbit cap; None keeps the default
     (5, 3, None, 6),
     (5, 3, None, 30),
     (5, 3, None, 31),
+    # the row dtype's bounds: paths (0, a, b) with a <= 16.  Rows are uint8
+    # up to d = 256, uint16 at 257; fill's images are int16 up to d = 181,
+    # int32 from 182; at d = 256 a zero read as d would wrap to 0 in uint8
+    (3, 181, 181 * 17, None),
+    (3, 182, 182 * 17, None),
+    (3, 255, 255 * 17, None),
+    (3, 256, 256 * 17, None),
+    (3, 257, 257 * 17, None),
+    # _orbit_walks' depth is 127 at cap 3^128, int8 labels, and 128 at 3^129
+    (3, 6, None, 3**128),
+    (3, 6, None, 3**129),
 ]
 
 
@@ -881,6 +909,29 @@ def test_exhaustive_table_matches_certify_any(n, d, budget, orbit_cap):
             "apex": 71520,
             "m_tilde_zero": 336,
         }
+
+
+@pytest.mark.parametrize(
+    "d,dtype",
+    [(181, np.uint8), (182, np.uint8), (255, np.uint8), (256, np.uint8), (257, np.uint16),
+     (65537, np.uint32)],
+)
+def test_table_rows_take_the_narrowest_dtype(d, dtype):
+    """The sweep's rows and the class store's, appended classes included,
+    are in the narrowest unsigned dtype holding d - 1; fill forms the
+    largest entry an LC image can take, (d - 1) + (d - 1)^2, without
+    overflow: on the triangle of weights w = d - 1, LC at 0 gives the path
+    (0, w, w), a class the store lacks."""
+    chunks = []
+    with pytest.raises(EnumerationOverflow):
+        chunks.extend(_canonical_rows(3, d, d * 3))
+    assert chunks and {rows.dtype for rows in chunks} == {np.dtype(dtype)}
+    w = d - 1
+    classes = _LCClasses(3, d, np.array([[w, w, w]], dtype), np.zeros(1, np.int8))
+    classes.fill([0])
+    assert classes.rows.dtype == dtype
+    assert classes.rows.tolist() == [[w, w, w], [0, w, w]]
+    assert classes.succ[0].tolist() == [1, 1, 1]
 
 
 def test_direct_pass_operators_equal_certify_any():

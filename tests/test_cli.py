@@ -161,15 +161,17 @@ def test_certify_input_errors(capsys):
         {"d": 2, "n": 3},
         {"d": 3, "n": 1025, "edges": [[0, 1, 1]]},
         {"d": 3, "n": 10**20, "edges": [[0, 1, 1]]},
+        {"d": 2, "n": 3, "edges": TRIANGLE_EDGES, "note": "x"},
     ],
     ids=[
-        "d-string", "n-float", "edges-int", "edge-pair",
-        "m-float", "m-string", "m-bool", "edge-int", "no-edges", "n-1025", "n-huge",
+        "d-string", "n-float", "edges-int", "edge-pair", "m-float", "m-string",
+        "m-bool", "edge-int", "no-edges", "n-1025", "n-huge", "extra-key",
     ],
 )
 def test_certify_rejects_malformed_json_graph(tmp_path, capsys, obj):
-    """A graph file that is not integers d, n and [i, j, m] triples exits 1
-    with one error line; the triangle it spells is not certified instead."""
+    """A graph file that is not integers d, n and [i, j, m] triples, or that
+    holds another key, exits 1 with one error line; the triangle it spells
+    is not certified instead."""
     path = tmp_path / "g.json"
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "certify", "--input", str(path))
