@@ -316,7 +316,8 @@ class _DirectBlock(NamedTuple):
 def _direct_pass(rows: np.ndarray, n: int, d: int) -> _DirectPass:
     """_certify_direct on every connected multigraph of a stack of
     upper-triangle rows (N, n choose 2), as arrays, _PASS_BLOCK rows at a
-    time; only the construction per graph and the rejection totals are kept.
+    time; only the construction per graph and the rejection totals are kept,
+    block by block, so one block's witnesses are alive at a time.
 
     Each graph gets the construction and the triple that _certify_direct
     picks (obs1 at its first triple when the weights are constant, else obs4
@@ -337,10 +338,12 @@ def _direct_pass(rows: np.ndarray, n: int, d: int) -> _DirectPass:
     _direct_block therefore keeps only the n(n-1)(n-2)/2 triples with
     b < c and doubles the blocked-triple counts.
     """
-    starts = range(0, max(len(rows), 1), _PASS_BLOCK)
-    blocks = (_direct_block(rows[i : i + _PASS_BLOCK], n, d) for i in starts)
-    construction, rejections = zip(*((b.construction, b.rejections.sum(axis=0)) for b in blocks))
-    return _DirectPass(np.concatenate(construction), np.sum(rejections, axis=0))
+    construction, rejections = np.empty(len(rows), np.int8), np.zeros(4, np.int64)
+    for i in range(0, len(rows), _PASS_BLOCK):
+        at = slice(i, i + _PASS_BLOCK)
+        construction[at], rejected = _direct_block(rows[at], n, d)[:2]
+        rejections += rejected.sum(axis=0)
+    return _DirectPass(construction, rejections)
 
 
 def _direct_block(rows: np.ndarray, n: int, d: int) -> _DirectBlock:
@@ -348,7 +351,9 @@ def _direct_block(rows: np.ndarray, n: int, d: int) -> _DirectBlock:
     Weights (in the rows' dtype) and neighbour masks (uint8: n <= 8) are
     gathered through multigraph._slots, h and m_tilde are computed in int64
     only where _blocked's flags are clear, at about one triple in twelve on
-    (5,4), and matrices are built only for the rows that certify, for Z = e M."""
+    (5,4), the (block, triples) arrays are dropped once each row's first
+    usable triple is known, and matrices are built only for the rows that
+    certify, for Z = e M."""
     k, slot = len(rows), _slots(n)
     # the ordered triples with b < c, lexicographic: those with edges AB and
     # CA in _angles order, each mirror pair once (see _direct_pass)
@@ -382,6 +387,7 @@ def _direct_block(rows: np.ndarray, n: int, d: int) -> _DirectBlock:
     a, b, c = (x[first].astype(np.int64) for x in (ta, tb, tc))
     obs4 = general[hit]
     ab, bc, ca = (x[hit, first].astype(np.int64) for x in (m_ab, m_bc, m_ca))
+    del m_ab, m_bc, m_ca, valid, t_abc, apex, t_block, a_block, z_block, usable
     tri1 = ((bc != 0) & ~obs4).astype(np.int64)
     mt, ea, eb, ec = _obs4_weights(ab, bc, ca, np.gcd(np.gcd(ab, ca), bc), d)
     ea, eb, ec = (np.where(obs4, e, obs1) for e, obs1 in ((ea, 0), (eb, -1), (ec, -1)))
@@ -509,22 +515,25 @@ class _LCClasses:
         """Every step of the classes ``ks``, _PASS_BLOCK classes at a time:
         LC at v adds m_vi m_vj to entry (i, j), so the images of a row are
         ``(row + row[P1] * row[P2]) % d`` with P1, P2 the slots of (v, i) and
-        (v, j), formed in the narrowest signed dtype that holds (d - 1) +
-        (d - 1)^2, and _Keys.least canonicalises them.  Only the steps to a
-        class the store lacks are kept past their block; once all blocks
-        are done those classes are appended, their keys merged into the
-        sorted key index and their outcome taken from _direct_pass."""
+        (v, j), formed in place in the narrowest signed dtype that holds
+        (d - 1) + (d - 1)^2, and _Keys.least canonicalises them.  Only the
+        steps to a class the store lacks are kept past their block; once all
+        blocks are done those classes are appended, their keys merged into
+        the sorted key index and their outcome taken from _direct_pass."""
         n, d, ncols = self.n, self.d, self.rows.shape[1]
         slot = _slots(n)
         # at column slot[i, j] of the image at v, the columns of (v, i) and (v, j)
         p1, p2 = np.empty((2, n, ncols + 1), dtype=np.intp)
         p1[:, slot], p2[:, slot] = slot[:, :, None], slot[:, None, :]
         p1, p2 = p1[:, :ncols], p2[:, :ncols]
-        ks, lost, wide = np.asarray(ks, dtype=np.intp), [], np.min_scalar_type(-d * (d - 1))
+        ks, lost, wide = np.asarray(ks), [], np.min_scalar_type(-d * (d - 1))
         for first in range(0, len(ks), _PASS_BLOCK):
-            block = ks[first : first + _PASS_BLOCK]
+            block = ks[first : first + _PASS_BLOCK].astype(np.intp)
             ext = np.pad(self.rows[block].astype(wide), [(0, 0), (0, 1)])
-            images = (ext[:, None, :ncols] + ext[:, p1] * ext[:, p2]) % d
+            images = ext[:, p1]
+            images *= ext[:, p2]
+            images += ext[:, None, :ncols]
+            images %= d
             packed, relabel = self.keys.least(images.reshape(-1, ncols))
             pos = np.searchsorted(self.sorted_keys, packed).clip(max=len(self.order) - 1)
             self.succ[block] = self.order[pos].reshape(-1, n)
@@ -572,13 +581,15 @@ def _orbit_walks(classes: _LCClasses, orbit_cap: int) -> tuple[np.ndarray, list[
     and ``depth`` is the largest such distance.  The store first fills the
     failing classes out to ``depth`` steps from the cell, which is all that
     such walks can reach; then one breadth-first loop sets both labels level
-    by level: a failing class with a step to level - 1 is at that level, and
-    its ``cons`` is the OR of its steps' (those at its level or further out
-    are still 0); ``dist`` takes the narrowest signed dtype that holds
-    ``depth``, which grows as log_n(orbit_cap).  The exact walk (_LCWalk
-    over _LCClasses.expand) runs for the rest: refusals, which need the
-    orbit's size and truncation, classes with both constructions at their
-    distance, and classes further out.
+    by level, one _PASS_BLOCK of failing classes (int32 indices) at a time:
+    a failing class with a step to level - 1 is at that level, and its
+    ``cons`` is the OR over those steps only (a class labelled by an earlier
+    block of the same level reads ``level``, and its ``cons`` is set);
+    ``dist`` takes the narrowest signed dtype that holds ``depth``, which
+    grows as log_n(orbit_cap).  The exact walk (_LCWalk over
+    _LCClasses.expand) runs for the rest: refusals, which need the orbit's
+    size and truncation, classes with both constructions at their distance,
+    and classes further out.
     The tests check the labels against exact walks from every class
     (tests/walk_reference.py).
 
@@ -589,24 +600,28 @@ def _orbit_walks(classes: _LCClasses, orbit_cap: int) -> tuple[np.ndarray, list[
     which is never built.  The relabelings in the states fix the vertex
     order of a walk, and with it the path.
     """
-    n, failing = classes.n, np.flatnonzero(classes.construction == 0)
+    n, cell = classes.n, len(classes.construction)
     depth, reach = 0, 1 + n
     while reach <= orbit_cap:
         depth, reach = depth + 1, reach * n + 1
     for _ in range(max(depth, 1)):
-        todo = np.flatnonzero((classes.construction == 0) & (classes.succ[:, 0] < 0))
-        if not len(todo):
+        todo = (classes.construction == 0) & (classes.succ[:, 0] < 0)
+        if not todo.any():
             break
-        classes.fill(todo)
+        classes.fill(np.flatnonzero(todo).astype(np.int32))
     cons = classes.construction.copy()
     dist = (cons > 0).astype(np.min_scalar_type(-depth - 1)) - 1
-    filled = np.flatnonzero(classes.succ[:, 0] >= 0)
+    filled = np.flatnonzero(classes.succ[:, 0] >= 0).astype(np.int32)
     for level in range(1, depth + 1):
         filled = filled[dist[filled] < 0]
-        succ = classes.succ[filled]
-        at = (dist[succ] == level - 1).any(axis=1)
-        cons[filled[at]] = np.bitwise_or.reduce(cons[succ[at]], axis=1)
-        dist[filled[at]] = level
+        for first in range(0, len(filled), _PASS_BLOCK):
+            block = filled[first : first + _PASS_BLOCK]
+            succ = classes.succ[block]
+            near = dist[succ] == level - 1
+            at = near.any(axis=1)
+            cons[block[at]] = np.bitwise_or.reduce(cons[succ[at]] * near[at], axis=1)
+            dist[block[at]] = level
+    failing = np.flatnonzero(classes.construction[:cell] == 0)
     outcome = cons[failing] % 3  # 0 where a walk must decide: no label, or both
     identity = tuple(range(n))
     walks = []

@@ -185,18 +185,25 @@ class _Keys(NamedTuple):
     """Relabeling keys of upper-triangle vectors over Z_d by table lookup
     (see _packed_keys).  A digit is one place, or several base-b places
     (digit // b^i % b) where d exceeds a table's rows; a chunk is a run of
-    places, and its rank the number they spell."""
+    places, and its rank the number they spell, the row of its table.
+    ``place`` and ``chunk`` serve ranks alone, which spells each chunk's
+    rank by Horner over its places."""
 
     weights: np.ndarray  # (N,) int64: vec @ weights is the rank of vec
     place: np.ndarray  # (3, places) int64: digit position, scale and radix
-    chunk: np.ndarray  # (places, C) int64: a place's weight in its chunk's rank
+    chunk: np.ndarray  # (places,) int64: the chunk of each place, runs in place order
     tables: tuple[np.ndarray, ...]  # (rows_c, n!), int32 while d^N < 2^31, else int64
     lows: int  # the chunks from this one on hold the digits from ``cut`` on
 
     def ranks(self, digits: np.ndarray) -> np.ndarray:
-        """Chunk ranks (k, C) of the digit rows (k, N)."""
-        pos, scale, radix = self.place
-        return (digits[:, pos] // scale % radix) @ self.chunk
+        """Chunk ranks (k, C) of the digit rows (k, N), by Horner over each
+        chunk's places, one column at a time (int64 scalars: a uint8 column
+        taken modulo a Python int 256 would overflow)."""
+        out = np.zeros((len(self.tables), len(digits)), np.int64)
+        for c, (pos, scale, radix) in zip(self.chunk, self.place.T):
+            out[c] *= radix
+            out[c] += digits[:, pos] // scale % radix
+        return out.T
 
     def least(self, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each digit row's least key (int64) and the index of the relabeling
@@ -217,9 +224,10 @@ def _packed_keys(n: int, d: int) -> _Keys:
     lexicographic order (``vec @ weights`` for the identity); column p of
     every table is the p-th permutation of itertools.permutations, so the
     argmin of a key row finds canonical_form.  A key is linear in the
-    digits, so the table of chunk c holds, per value of its places, their
-    share of all n! keys, and a key row is the sum of one row per chunk,
-    exact in the tables' integer dtype.  Each table takes at most
+    digits, so the table of chunk c holds, per value of its places (its rank,
+    the first place most significant), their share of all n! keys, and a
+    key row is the sum of one row per chunk, exact in the tables' integer
+    dtype.  Each table takes at most
     _TABLE_BYTES, in as few chunks as that allows, and no chunk spans digit
     _sweep_cut(n, d), the sweep's split of an id into high and low digits
     (fixed per (n, d), the cache's key).  (5,4) takes three tables (180 KB),
@@ -251,18 +259,15 @@ def _packed_keys(n: int, d: int) -> _Keys:
 
     high = runs(places[: cut * m])
     chunks = high + runs(places[cut * m :])
-    chunk = np.zeros((len(places), len(chunks)), dtype=np.int64)
-    tables, at = [], 0
-    for c, part in enumerate(chunks):
-        # mixed radix: a place weighs the product of the later places' radices
-        radices = [radix for _, _, radix in part]
-        chunk[at : at + len(part), c] = np.cumprod([1, *radices[:0:-1]])[::-1]
+    chunk = np.repeat(np.arange(len(chunks)), [len(part) for part in chunks])
+    tables = []
+    for part in chunks:
+        # mixed radix, the first place most significant
         table = np.zeros((1, len(perms)), dtype=dtype)
         for j, scale, radix in part:
             share = (np.arange(radix, dtype=np.int64)[:, None] * scale * wmat[j]).astype(dtype)
             table = (table[:, None, :] + share).reshape(-1, len(perms))
         tables.append(table)
-        at += len(part)
     keys = _Keys(weights, np.array(places, dtype=np.int64).T, chunk, tuple(tables), len(high))
     for a in (keys.weights, keys.place, keys.chunk, *keys.tables):
         a.setflags(write=False)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from certify_reference import proof_operators, reference_proof, reference_witness
 from network_reference import reference_chain
-from walk_reference import reference_orbit_walks, use_reference_walk
+from walk_reference import reference_labelled_walks, reference_orbit_walks, use_reference_walk
 
 from netcert import (
     Certificate,
@@ -1017,6 +1017,27 @@ def test_orbit_labels_agree_with_exact_walks(n, d, budget):
     assert len(walks) < len(exact)
 
 
+@pytest.mark.parametrize("block", [_PASS_BLOCK, 3])
+@pytest.mark.parametrize(
+    "n,d,budget", [(5, 4, None), (5, 3, None), (4, 8, None), (4, 5, None), (4, 6, 16000)]
+)
+def test_orbit_labels_match_the_whole_array_loop(monkeypatch, n, d, budget, block):
+    """_orbit_walks sets its labels one block of failing classes at a time
+    and ORs ``cons`` only over steps at level - 1: a class labelled by an
+    earlier block of the same level reads that level, and its ``cons`` is
+    already set.  So at any block it gives the outcome and the list of exact
+    walks of the whole-array loop (tests/walk_reference.py).  An OR over
+    every step changes no outcome but sends more classes to an exact walk
+    (at (5,4), 41 instead of 37 at the default block, 93 at block 3)."""
+    rows = _cell_rows(n, d, budget or DEFAULT_ENUMERATION_BUDGET)
+    construction = _direct_pass(rows, n, d).construction
+    want, exact = reference_labelled_walks(_LCClasses(n, d, rows, construction), 4096)
+    monkeypatch.setattr(certify, "_PASS_BLOCK", block)
+    outcome, walks = _orbit_walks(_LCClasses(n, d, rows, construction), 4096)
+    assert outcome.tolist() == want.tolist()
+    assert walks == exact
+
+
 @pytest.mark.parametrize("n,d", [(4, 4), (5, 3), (4, 8)])
 def test_direct_pass_outcome_is_a_class_invariant(n, d):
     """Relabeling a graph leaves its direct attempt's outcome, rejection
@@ -1277,6 +1298,25 @@ def test_class_store_fill_memory_is_bounded_per_block():
         tracemalloc.stop()
     assert (stores[1].succ[failing] >= 0).all()
     assert peaks[1] < 2 * peaks[0], peaks
+
+
+def test_orbit_labels_memory_is_bounded_per_block():
+    """_orbit_walks gathers the steps of one _PASS_BLOCK of failing classes
+    at a time: on (5,5) at budget 10M (88,985 classes, 42,896 failing), its
+    store filled beforehand, its traced peak stays below 12 bytes per class,
+    about what the labels and the failing classes' indices take; gathering
+    every failing class's steps at once took 29."""
+    rows = _cell_rows(5, 5, 10_000_000)
+    classes = _LCClasses(5, 5, rows, _direct_pass(rows, 5, 5).construction)
+    reference_labelled_walks(classes, 4096)  # fills the store as _orbit_walks does
+    assert len(np.flatnonzero(classes.construction == 0)) > 20 * _PASS_BLOCK
+    tracemalloc.start()
+    try:
+        _orbit_walks(classes, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * len(classes.construction), peak / len(classes.construction)
 
 
 def test_class_store_takes_ascending_rows():

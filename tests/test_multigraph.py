@@ -748,6 +748,28 @@ def test_keys_exact_on_both_sides_of_2_31(d, dtype):
     assert keys[0].tolist() == [d**3 - 1] * 6
 
 
+@pytest.mark.parametrize(
+    "n,d,dtype",
+    [(5, 4, np.uint8), (6, 4, np.int16), (3, 30000, np.uint16), (3, 255, np.uint8),
+     (3, 256, np.uint8), (3, 255, np.uint16), (3, 256, np.uint16), (3, 257, np.uint16)],
+)
+def test_ranks_match_the_chunk_matrix(n, d, dtype):
+    """_Keys.ranks, by Horner over each chunk's places, equals the product
+    of the digit rows' places with the matrix of each place's weight in its
+    chunk's rank, on one place per digit, several places per digit (d =
+    30000), and uint8 rows at d = 256, where a place's radix is 256."""
+    keys = _packed_keys(n, d)
+    pos, scale, radix = keys.place
+    assert (len(pos) > n * (n - 1) // 2) == (d == 30000)
+    chunk = np.zeros((len(pos), len(keys.tables)), dtype=np.int64)
+    for c in range(len(keys.tables)):
+        at = np.flatnonzero(keys.chunk == c)
+        chunk[at, c] = np.cumprod([1, *radix[at][:0:-1]])[::-1]
+    digits = np.random.default_rng(5).integers(0, d, (200, n * (n - 1) // 2)).astype(dtype)
+    digits[0] = d - 1
+    assert np.array_equal(keys.ranks(digits), (digits[:, pos] // scale % radix) @ chunk)
+
+
 def test_lookup_keys_match_int64_on_lc_images():
     """On every LC image of the (5,4) classes whose direct attempt fails, as
     _LCClasses.fill forms them, the looked-up keys equal the plain int64
