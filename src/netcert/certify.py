@@ -352,8 +352,8 @@ def _direct_block(rows: np.ndarray, n: int, d: int) -> _DirectBlock:
     gathered through multigraph._slots, h and m_tilde are computed in int64
     only where _blocked's flags are clear, at about one triple in twelve on
     (5,4), the (block, triples) arrays are dropped once each row's first
-    usable triple is known, and matrices are built only for the rows that
-    certify, for Z = e M."""
+    usable triple is known, and the witnesses of the rows that certify are
+    built from rows a, b and c of their matrices."""
     k, slot = len(rows), _slots(n)
     # the ordered triples with b < c, lexicographic: those with edges AB and
     # CA in _angles order, each mirror pair once (see _direct_pass)
@@ -396,14 +396,19 @@ def _direct_block(rows: np.ndarray, n: int, d: int) -> _DirectBlock:
     t = np.array([select_power_t(int(m), d).t for m in values], dtype=np.int64)[inverse]
 
     sel = np.arange(len(hit))
-    e = np.zeros((len(hit), 4, n), dtype=np.int64)
+    # S1..S4 in the narrowest signed dtype that holds 2n(d - 1)^2 + 4d, the
+    # largest sum _product or _symplectic forms on them
+    e = np.zeros((len(hit), 4, n), dtype=np.min_scalar_type(-(2 * n * (d - 1) ** 2 + 4 * d)))
     for i, (xa, xb, xc) in enumerate(_exponent_table(tri1, ea, eb, ec, t)):
         e[sel, i, a], e[sel, i, b], e[sel, i, c] = xa, xb, xc
     e %= d
     # word(): X-part e, Z-part M e, tau exponent 2 sum_{u<v} e_u m_uv e_v,
-    # where only e_a, e_b and e_c are nonzero
-    z = (e @ small[hit][:, slot]) % d
+    # where only e_a, e_b and e_c are nonzero: M e sums rows a, b and c of M
     xa, xb, xc = (e[sel, :, v] for v in (a, b, c))
+    z = np.zeros_like(e)
+    for x, v in ((xa, a), (xb, b), (xc, c)):
+        z += x[:, :, None] * small[hit[:, None], slot[v]][:, None, :]
+    z %= d
     pairs = xa * xb % d * ab[:, None] + xa * xc % d * ca[:, None] + xb * xc % d * bc[:, None]
     phase = 2 * (pairs % d)
     triple = np.stack((a, b, c), axis=1)
@@ -468,17 +473,21 @@ class _LCClasses:
     (rows @ keys.weights, by Horner over the columns: no int64 copy of the
     rows) in ascending order, and ``order`` their classes.
     Class k stands for its canonical representative rep_k, and
-    ``construction`` holds _direct_pass's outcome on it.  Once ``fill`` has
-    run on k, ``succ[k, v]`` is the class of LC(rep_k, v) and
-    ``relabel[k, v]`` the index into ``perms`` of the relabeling p with
-    LC(rep_k, v) = permuted(rep_k2, p); ``succ[k]`` is -1 until then.
+    ``construction`` holds _direct_pass's outcome on it.  Steps are kept
+    only for the classes ``fill`` has run on, one row each, in the order it
+    visited them: ``slot[k]`` is class k's row (int32, -1 until filled),
+    ``succ[slot[k], v]`` the class of LC(rep_k, v) and
+    ``relabel[slot[k], v]`` the index into ``perms`` of the relabeling p
+    with LC(rep_k, v) = permuted(rep_k2, p).  A table fills only the classes
+    its walks expand, the failing ones, about half of (6,4)'s.
     """
 
     def __init__(self, n: int, d: int, rows: np.ndarray, construction: np.ndarray) -> None:
         self.n, self.d = n, d
         self.rows, self.construction = rows, construction
-        self.succ = np.full((len(rows), n), -1, dtype=np.int32)
-        self.relabel = np.zeros((len(rows), n), dtype=np.uint16)  # n! <= 40,320
+        self.slot = np.full(len(rows), -1, dtype=np.int32)
+        self.succ = np.zeros((0, n), dtype=np.int32)
+        self.relabel = np.zeros((0, n), dtype=np.uint16)  # n! <= 40,320
         self.perms = _permutations(n)
         self.perm_rows: list[list[int]] | None = None  # ``perms`` as lists, for expand
         self.keys = _packed_keys(n, d)
@@ -487,7 +496,7 @@ class _LCClasses:
             self.sorted_keys *= d
             self.sorted_keys += column
         self.order = np.arange(len(rows), dtype=np.int32)
-        if (np.diff(self.sorted_keys) <= 0).any():
+        if (self.sorted_keys[1:] <= self.sorted_keys[:-1]).any():
             raise StructureError("class store rows are not in strictly ascending order")
 
     def expand(
@@ -498,13 +507,13 @@ class _LCClasses:
         perm^-1(a) of rep_k, relabeled by perm.  Fills class k first if no
         earlier ``fill`` did."""
         k, perm = state
-        succ = self.succ[k].tolist()
-        if succ[0] < 0:
+        if self.slot[k] < 0:
             self.fill([k])
-            succ = self.succ[k].tolist()
+        at = self.slot[k]
+        succ = self.succ[at].tolist()
         if self.perm_rows is None:  # built by the first walk: most cells walk none
             self.perm_rows = self.perms.tolist()
-        relabel = [self.perm_rows[j] for j in self.relabel[k].tolist()]
+        relabel = [self.perm_rows[j] for j in self.relabel[at].tolist()]
         inverse = [0] * self.n
         for i, a in enumerate(perm):
             inverse[a] = i
@@ -512,7 +521,8 @@ class _LCClasses:
             yield succ[v], (succ[v], tuple([perm[i] for i in relabel[v]]))
 
     def fill(self, ks: Sequence[int]) -> None:
-        """Every step of the classes ``ks``, _PASS_BLOCK classes at a time:
+        """Every step of the classes ``ks``, none of them filled yet, into
+        len(ks) new step rows, _PASS_BLOCK classes at a time:
         LC at v adds m_vi m_vj to entry (i, j), so the images of a row are
         ``(row + row[P1] * row[P2]) % d`` with P1, P2 the slots of (v, i) and
         (v, j), formed in place in the narrowest signed dtype that holds
@@ -527,6 +537,8 @@ class _LCClasses:
         p1[:, slot], p2[:, slot] = slot[:, :, None], slot[:, None, :]
         p1, p2 = p1[:, :ncols], p2[:, :ncols]
         ks, lost, wide = np.asarray(ks), [], np.min_scalar_type(-d * (d - 1))
+        base, grow = len(self.succ), [(0, len(ks)), (0, 0)]
+        self.succ, self.relabel = np.pad(self.succ, grow), np.pad(self.relabel, grow)
         for first in range(0, len(ks), _PASS_BLOCK):
             block = ks[first : first + _PASS_BLOCK].astype(np.intp)
             ext = np.pad(self.rows[block].astype(wide), [(0, 0), (0, 1)])
@@ -536,10 +548,12 @@ class _LCClasses:
             images %= d
             packed, relabel = self.keys.least(images.reshape(-1, ncols))
             pos = np.searchsorted(self.sorted_keys, packed).clip(max=len(self.order) - 1)
-            self.succ[block] = self.order[pos].reshape(-1, n)
-            self.relabel[block] = relabel.reshape(-1, n)
+            into = np.arange(base + first, base + first + len(block))
+            self.slot[block] = into
+            self.succ[into] = self.order[pos].reshape(-1, n)
+            self.relabel[into] = relabel.reshape(-1, n)
             if (missing := self.sorted_keys[pos] != packed).any():
-                lost.append(((block[:, None] * n + np.arange(n)).ravel()[missing], packed[missing]))
+                lost.append(((base + first) * n + np.flatnonzero(missing), packed[missing]))
         if lost:
             steps, packed = map(np.concatenate, zip(*lost))
             new_keys, where = np.unique(packed, return_inverse=True)
@@ -548,11 +562,9 @@ class _LCClasses:
             self.sorted_keys = np.insert(self.sorted_keys, at, new_keys)
             self.order = np.insert(self.order, at, len(self.order) + np.arange(len(new_keys)))
             rows = (new_keys[:, None] // self.keys.weights % d).astype(self.rows.dtype)
-            grow = [(0, len(rows)), (0, 0)]
             self.rows = np.concatenate((self.rows, rows))
             self.construction = np.append(self.construction, _direct_pass(rows, n, d).construction)
-            self.succ = np.pad(self.succ, grow, constant_values=-1)
-            self.relabel = np.pad(self.relabel, grow)
+            self.slot = np.pad(self.slot, (0, len(rows)), constant_values=-1)
 
 
 class _OrbitWalk(NamedTuple):
@@ -571,18 +583,20 @@ def _orbit_walks(classes: _LCClasses, orbit_cap: int) -> tuple[np.ndarray, list[
     obs4, 0 if none does), and the exact walks that decided it, if needed.
 
     A walk is a breadth-first search over class indices, along the LC steps
-    of the class store (_LCClasses); it stops at the first class that
-    certifies, so it expands only failing ones.  That class lies at the
-    start's distance ``dist`` to the nearest certified class, whatever the
-    vertex order.  So when every certified class at that distance has one
+    of the class store (_LCClasses), which holds steps only for the classes
+    it fills; it stops at the first class that certifies, so it expands,
+    and the store fills, only failing ones.  That class lies at the start's
+    distance ``dist`` to the nearest certified class, whatever the vertex
+    order.  So when every certified class at that distance has one
     construction (``cons``: 1 obs1, 2 obs4, 3 both), the outcome is known
     without a walk, provided the walk cannot be truncated first: at most n^i
     classes lie at distance i, so sum_{i <= dist} n^i <= orbit_cap suffices,
     and ``depth`` is the largest such distance.  The store first fills the
     failing classes out to ``depth`` steps from the cell, which is all that
     such walks can reach; then one breadth-first loop sets both labels level
-    by level, one _PASS_BLOCK of failing classes (int32 indices) at a time:
-    a failing class with a step to level - 1 is at that level, and its
+    by level, over the classes in runs of _PASS_BLOCK, gathering the steps
+    of each run's filled classes not yet labelled (no index array spans the
+    cell): a failing class with a step to level - 1 is at that level, and its
     ``cons`` is the OR over those steps only (a class labelled by an earlier
     block of the same level reads ``level``, and its ``cons`` is set);
     ``dist`` takes the narrowest signed dtype that holds ``depth``, which
@@ -605,28 +619,31 @@ def _orbit_walks(classes: _LCClasses, orbit_cap: int) -> tuple[np.ndarray, list[
     while reach <= orbit_cap:
         depth, reach = depth + 1, reach * n + 1
     for _ in range(max(depth, 1)):
-        todo = (classes.construction == 0) & (classes.succ[:, 0] < 0)
+        todo = (classes.construction == 0) & (classes.slot < 0)
         if not todo.any():
             break
         classes.fill(np.flatnonzero(todo).astype(np.int32))
     cons = classes.construction.copy()
-    dist = (cons > 0).astype(np.min_scalar_type(-depth - 1)) - 1
-    filled = np.flatnonzero(classes.succ[:, 0] >= 0).astype(np.int32)
+    dist = (cons > 0).astype(np.min_scalar_type(-depth - 1))
+    dist -= 1
     for level in range(1, depth + 1):
-        filled = filled[dist[filled] < 0]
-        for first in range(0, len(filled), _PASS_BLOCK):
-            block = filled[first : first + _PASS_BLOCK]
-            succ = classes.succ[block]
+        for first in range(0, len(dist), _PASS_BLOCK):
+            run = slice(first, first + _PASS_BLOCK)
+            block = first + np.flatnonzero((dist[run] < 0) & (classes.slot[run] >= 0))
+            succ = classes.succ[classes.slot[block]]
             near = dist[succ] == level - 1
             at = near.any(axis=1)
             cons[block[at]] = np.bitwise_or.reduce(cons[succ[at]] * near[at], axis=1)
             dist[block[at]] = level
-    failing = np.flatnonzero(classes.construction[:cell] == 0)
-    outcome = cons[failing] % 3  # 0 where a walk must decide: no label, or both
+    del dist
+    cons %= 3  # 0 where a walk must decide: no label, or both
+    failing = classes.construction[:cell] == 0
+    outcome = cons[:cell][failing]
+    # the failing classes a walk decides, in the order of outcome's zeros
+    undecided = np.flatnonzero(failing & (cons[:cell] == 0)).tolist()
     identity = tuple(range(n))
     walks = []
-    for i in np.flatnonzero(outcome == 0).tolist():
-        start = int(failing[i])
+    for i, start in zip(np.flatnonzero(outcome == 0).tolist(), undecided):
         walk, path = _LCWalk((start, identity), start, classes.expand, orbit_cap), None
         for size, (k, _, steps) in enumerate(walk, start=1):
             if classes.construction[k]:
@@ -676,7 +693,8 @@ def exhaustive_table(
             f"but Polya counting gives {expected}"
         )
     construction, rejected = _direct_pass(rows, n, d)
-    direct = np.bincount(construction, minlength=3).tolist()
+    # counted per code: bincount would first widen the codes to intp
+    direct = [int(np.count_nonzero(construction == code)) for code in range(3)]
     methods = {METHOD_CONSTANT: direct[1], METHOD_GENERAL: direct[2]}
     rejections = tuple(zip(REJECTION_KINDS, rejected.tolist()))
     total, uncertified = len(rows), []
@@ -688,7 +706,7 @@ def exhaustive_table(
         # with a longer copy, and a reference here would keep the old ones
         del rows
         outcome, walks = _orbit_walks(classes, orbit_cap)
-        rescues = np.bincount(outcome, minlength=3).tolist()
+        rescues = [int(np.count_nonzero(outcome == code)) for code in range(3)]
         methods.update({METHOD_CONSTANT + "+lc": rescues[1], METHOD_GENERAL + "+lc": rescues[2]})
         for w in walks:
             if w.path is None:

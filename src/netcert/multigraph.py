@@ -187,7 +187,9 @@ class _Keys(NamedTuple):
     (digit // b^i % b) where d exceeds a table's rows; a chunk is a run of
     places, and its rank the number they spell, the row of its table.
     ``place`` and ``chunk`` serve ranks alone, which spells each chunk's
-    rank by Horner over its places."""
+    rank by Horner over its places, in int32; ``least`` keys a block of
+    rows at a time (_key_blocks) and keeps each row's least key and
+    relabeling index."""
 
     weights: np.ndarray  # (N,) int64: vec @ weights is the rank of vec
     place: np.ndarray  # (3, places) int64: digit position, scale and radix
@@ -196,10 +198,11 @@ class _Keys(NamedTuple):
     lows: int  # the chunks from this one on hold the digits from ``cut`` on
 
     def ranks(self, digits: np.ndarray) -> np.ndarray:
-        """Chunk ranks (k, C) of the digit rows (k, N), by Horner over each
+        """Chunk ranks (k, C) of the digit rows (k, N), int32 (a rank is
+        below its table's row count, under 2^20), by Horner over each
         chunk's places, one column at a time (int64 scalars: a uint8 column
         taken modulo a Python int 256 would overflow)."""
-        out = np.zeros((len(self.tables), len(digits)), np.int64)
+        out = np.zeros((len(self.tables), len(digits)), np.int32)
         for c, (pos, scale, radix) in zip(self.chunk, self.place.T):
             out[c] *= radix
             out[c] += digits[:, pos] // scale % radix
@@ -207,8 +210,9 @@ class _Keys(NamedTuple):
 
     def least(self, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each digit row's least key (int64) and the index of the relabeling
-        that gives it: its canonical form, and the permutation reaching it."""
-        key, index = np.empty(len(digits), np.int64), np.empty(len(digits), np.intp)
+        that gives it (uint16: n! <= 40,320): its canonical form, and the
+        permutation reaching it."""
+        key, index = np.empty(len(digits), np.int64), np.empty(len(digits), np.uint16)
         for start, block in _key_blocks(self.tables, self.ranks(digits)):
             best = block.argmin(axis=1)
             at = slice(start, start + len(best))
@@ -278,13 +282,18 @@ def _key_blocks(
     tables: Sequence[np.ndarray], ranks: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The key rows sum_c tables[c][ranks[:, c]] of the rank rows (k, C), as
-    (first row, keys) over runs of rows of at most _KEY_BLOCK keys."""
+    (first row, keys) over runs of rows of at most _KEY_BLOCK keys.  Every
+    block is summed into one buffer, so a caller uses each block before it
+    asks for the next.  Each rank is below its table's rows by construction,
+    so ``take`` clips (its default mode would buffer its output)."""
     step = max(1, _KEY_BLOCK // tables[0].shape[1])
+    buffers = np.empty((2, min(step, len(ranks)), tables[0].shape[1]), tables[0].dtype)
     for start in range(0, len(ranks), step):
         r = ranks[start : start + step]
-        keys = tables[0].take(r[:, 0], axis=0)
+        keys, share = buffers[:, : len(r)]
+        tables[0].take(r[:, 0], axis=0, out=keys, mode="clip")
         for c in range(1, len(tables)):
-            keys += tables[c].take(r[:, c], axis=0)
+            keys += tables[c].take(r[:, c], axis=0, out=share, mode="clip")
         yield start, keys
 
 
@@ -383,6 +392,12 @@ def _canonical_runs(n: int, d: int, limit: int) -> Iterator[np.ndarray]:
             out += part.take(r, axis=0)
         return out
 
+    def least(parts, ranks):  # per rank row, its least key; the blocks die on return
+        out = np.empty(len(ranks), dtype)
+        for start, block in _key_blocks(parts, ranks):
+            out[start : start + len(block)] = block.min(axis=1)
+        return out
+
     # the digits of each low part (zero at the high digits), and their shares
     low = (np.arange(size)[:, None] // weights % d).astype(_row_dtype(d))
     low_ranks = keys.ranks(low)[:, lows:]
@@ -398,12 +413,9 @@ def _canonical_runs(n: int, d: int, limit: int) -> Iterator[np.ndarray]:
         for group in np.split(live, range(per_group, len(live), per_group)):
             ids = (blocks[group] * size)[:, None] + np.arange(size, dtype=dtype)
             b, j = np.nonzero((hi_sw[:, group, None] + low_sw[:, None, :]).min(axis=0) >= ids)
-            ids, least = ids[b, j], np.empty(len(b), dtype)
-            hi_keys = shares(tables[:lows], hi_ranks[group], ncols)
+            ids, hi_keys = ids[b, j], shares(tables[:lows], hi_ranks[group], ncols)
             ranks = np.column_stack([b, low_ranks[j]])
-            for start, block in _key_blocks((hi_keys, *tables[lows:]), ranks):
-                least[start : start + len(block)] = block.min(axis=1)
-            keep = (least == ids) & (ids < limit)
+            keep = (least((hi_keys, *tables[lows:]), ranks) == ids) & (ids < limit)
             yield hi[group[b[keep]]] + low[j[keep]]
 
 

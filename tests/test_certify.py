@@ -59,8 +59,11 @@ from netcert.multigraph import (
     DEFAULT_ENUMERATION_BUDGET,
     _angles,
     _canonical_rows,
+    _row_dtype,
+    canonical_form,
     class_count,
     from_triu_vector,
+    local_complement,
     partition_neighborhoods,
     permuted,
     triu_to_matrices,
@@ -888,6 +891,16 @@ TABLE_CELLS = [  # n, d, enumeration budget, orbit cap; None keeps the default
     # _orbit_walks' depth is 127 at cap 3^128, int8 labels, and 128 at 3^129
     (3, 6, None, 3**128),
     (3, 6, None, 3**129),
+    # the first d of each witness dtype, the narrowest that holds
+    # 2n(d - 1)^2 + 4d: int16 at (4,5), (5,5) and (3,6) above; int32 at
+    # (3,75), (4,65) and (5,59); int64 at (3,18920), out of reach of n = 4
+    # and 5 (d^(n choose 2) < 2^62)
+    (4, 5, None, None),
+    (5, 5, 25_000, None),
+    (3, 75, 75 * 17, None),
+    (4, 65, 65**3 + 2 * 65**2, None),
+    (5, 59, 59**6 + 59**3 + 2 * 59**2, None),
+    (3, 18920, 18920 + 1000, None),
 ]
 
 
@@ -931,7 +944,25 @@ def test_table_rows_take_the_narrowest_dtype(d, dtype):
     classes.fill([0])
     assert classes.rows.dtype == dtype
     assert classes.rows.tolist() == [[w, w, w], [0, w, w]]
-    assert classes.succ[0].tolist() == [1, 1, 1]
+    assert classes.succ[classes.slot[0]].tolist() == [1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "n,d,dtype",
+    [(3, 5, np.int8), (3, 6, np.int16), (3, 74, np.int16), (3, 75, np.int32),
+     (3, 18919, np.int32), (3, 18920, np.int64), (4, 4, np.int8), (4, 5, np.int16),
+     (4, 64, np.int16), (4, 65, np.int32), (5, 4, np.int8), (5, 5, np.int16),
+     (5, 58, np.int16), (5, 59, np.int32)],
+)
+def test_witness_stage_takes_the_narrowest_dtype(n, d, dtype):
+    """The direct pass builds S1..S4 in the narrowest signed dtype that holds
+    2n(d - 1)^2 + 4d, the largest sum _product or _symplectic forms on
+    them, on both sides of each widening: here on the path of weights
+    d - 1, whose obs1 witness checks."""
+    row = [[d - 1 if j == i + 1 else 0 for i in range(n) for j in range(i + 1, n)]]
+    direct = _direct_block(np.array(row, _row_dtype(d)), n, d)
+    assert direct.construction.tolist() == [1]
+    assert direct.x.dtype == direct.z.dtype == dtype
 
 
 def test_direct_pass_operators_equal_certify_any():
@@ -1260,8 +1291,10 @@ def test_direct_pass_memory_is_bounded_per_block():
 
 def test_class_store_memory_per_class():
     """The class store keeps its steps and outcomes as arrays, no Python
-    object per class: on (5,5) at budget 10M (88,985 classes) the store and
-    the steps of its failing classes retain under 64 bytes per class."""
+    object per class, and steps only for the classes it fills: on (5,5) at
+    budget 10M (88,985 classes) the store and the steps of its failing
+    classes retain under 36 bytes per class (42 with a step row for every
+    class)."""
     rows = _cell_rows(5, 5, 10_000_000)
     direct = _direct_pass(rows, 5, 5)
     failing = np.flatnonzero(direct.construction == 0)
@@ -1273,14 +1306,15 @@ def test_class_store_memory_per_class():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert (classes.succ[failing] >= 0).all()
-    assert retained < 64 * len(rows), retained / len(rows)
+    assert (classes.succ[classes.slot[failing]] >= 0).all()
+    assert retained < 36 * len(rows), retained / len(rows)
 
 
 def test_class_store_fill_memory_is_bounded_per_block():
     """fill keys, looks up and stores one _PASS_BLOCK of classes at a time:
     over the failing classes of (5,5) at budget 10M (21 blocks) its traced
-    peak stays below twice its peak on their first block."""
+    peak, less the step rows it stores, stays below twice its peak on their
+    first block."""
     rows = _cell_rows(5, 5, 10_000_000)
     direct = _direct_pass(rows, 5, 5)
     failing = np.flatnonzero(direct.construction == 0)
@@ -1293,19 +1327,21 @@ def test_class_store_fill_memory_is_bounded_per_block():
         for classes, part in zip(stores, parts):
             tracemalloc.reset_peak()
             classes.fill(part)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            stored = classes.succ.nbytes + classes.relabel.nbytes
+            peaks.append(tracemalloc.get_traced_memory()[1] - stored)
     finally:
         tracemalloc.stop()
-    assert (stores[1].succ[failing] >= 0).all()
+    assert (stores[1].succ[stores[1].slot[failing]] >= 0).all()
     assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_orbit_labels_memory_is_bounded_per_block():
-    """_orbit_walks gathers the steps of one _PASS_BLOCK of failing classes
-    at a time: on (5,5) at budget 10M (88,985 classes, 42,896 failing), its
-    store filled beforehand, its traced peak stays below 12 bytes per class,
-    about what the labels and the failing classes' indices take; gathering
-    every failing class's steps at once took 29."""
+    """_orbit_walks gathers the steps of one run of _PASS_BLOCK classes at
+    a time and holds no index array over the cell: on (5,5) at budget 10M
+    (88,985 classes, 42,896 failing), its store filled beforehand, its
+    traced peak stays below 7 bytes per class, about what the labels and
+    one run's temporaries take; with int32 indices of the failing classes
+    it took 8.8, and gathering every failing class's steps at once 29."""
     rows = _cell_rows(5, 5, 10_000_000)
     classes = _LCClasses(5, 5, rows, _direct_pass(rows, 5, 5).construction)
     reference_labelled_walks(classes, 4096)  # fills the store as _orbit_walks does
@@ -1316,7 +1352,37 @@ def test_orbit_labels_memory_is_bounded_per_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * len(classes.construction), peak / len(classes.construction)
+    assert peak < 7 * len(classes.construction), peak / len(classes.construction)
+
+
+@pytest.mark.parametrize(
+    "n,d,budget,orbit_cap", [(4, 4, None, 4096), (4, 6, 16000, 4096), (4, 6, 4665, 21)]
+)
+def test_class_store_keeps_one_step_row_per_filled_class(n, d, budget, orbit_cap):
+    """The store keeps steps only for the classes it fills, one row each, in
+    the order it fills them: after _orbit_walks, ``slot`` maps the filled
+    classes one to one onto the step rows, as many as fill was asked for,
+    and each row holds its class's steps by local_complement and
+    canonical_form.  Both budget-cut cells append classes met outside the
+    cell; at cap 21 (depth 2) walks also fill classes late, one by one
+    through expand."""
+    rows = _cell_rows(n, d, budget or DEFAULT_ENUMERATION_BUDGET)
+    classes = _LCClasses(n, d, rows, _direct_pass(rows, n, d).construction)
+    asked, late, fill, expand = [], [], classes.fill, classes.expand
+    classes.fill = lambda ks: asked.append(len(ks)) or fill(ks)
+    classes.expand = lambda state: late.append(classes.slot[state[0]] < 0) or expand(state)
+    _orbit_walks(classes, orbit_cap)
+    filled = np.flatnonzero(classes.slot >= 0)
+    assert len(classes.succ) == len(classes.relabel) == len(filled) == sum(asked)
+    assert sorted(classes.slot[filled].tolist()) == list(range(len(filled)))
+    assert (len(classes.construction) > len(rows)) == (budget is not None)
+    assert any(late) == (orbit_cap == 21)
+    for k in filled.tolist():
+        rep, at = from_triu_vector(d, n, classes.rows[k].tolist()), classes.slot[k]
+        for v, (k2, p) in enumerate(zip(classes.succ[at], classes.relabel[at])):
+            image, key = local_complement(rep, v), tuple(classes.rows[k2].tolist())
+            assert key == canonical_form(image)
+            assert permuted(from_triu_vector(d, n, key), classes.perms[p]) == image
 
 
 def test_class_store_takes_ascending_rows():

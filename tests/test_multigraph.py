@@ -223,9 +223,11 @@ def relabel_weights(n: int, d: int) -> np.ndarray:
 
 
 def lookup_keys(n: int, d: int, vecs: np.ndarray) -> np.ndarray:
-    """The relabeling keys of the rows vecs by the enumerator's chunk tables."""
+    """The relabeling keys of the rows vecs by the enumerator's chunk tables
+    (each block copied before the next overwrites it)."""
     keys = _packed_keys(n, d)
-    return np.concatenate([block for _, block in _key_blocks(keys.tables, keys.ranks(vecs))])
+    blocks = _key_blocks(keys.tables, keys.ranks(vecs))
+    return np.concatenate([block.copy() for _, block in blocks])
 
 
 def packed_reference(graphs: list[Multigraph]) -> list[tuple[int, ...]]:
@@ -510,7 +512,8 @@ def test_lc_step_table_matches_single_steps(n, d):
         rep = from_triu_vector(d, n, keys[k])
         for v in range(n):
             image = local_complement(rep, v)
-            k2, p = classes.succ[k][v], classes.perms[classes.relabel[k][v]]
+            at = classes.slot[k]
+            k2, p = classes.succ[at][v], classes.perms[classes.relabel[at][v]]
             key = tuple(classes.rows[k2].tolist())
             assert key == canonical_form(image)
             assert permuted(from_triu_vector(d, n, key), p) == image

@@ -73,16 +73,16 @@ def reference_labelled_walks(classes, orbit_cap):
     while reach <= orbit_cap:
         depth, reach = depth + 1, reach * n + 1
     for _ in range(max(depth, 1)):
-        todo = np.flatnonzero((classes.construction == 0) & (classes.succ[:, 0] < 0))
+        todo = np.flatnonzero((classes.construction == 0) & (classes.slot < 0))
         if not len(todo):
             break
         classes.fill(todo)
     cons = classes.construction.copy()
     dist = (cons > 0).astype(np.int64) - 1
-    filled = np.flatnonzero(classes.succ[:, 0] >= 0)
+    filled = np.flatnonzero(classes.slot >= 0)
     for level in range(1, depth + 1):
         filled = filled[dist[filled] < 0]
-        succ = classes.succ[filled]
+        succ = classes.succ[classes.slot[filled]]
         at = (dist[succ] == level - 1).any(axis=1)
         cons[filled[at]] = np.bitwise_or.reduce(cons[succ[at]], axis=1)
         dist[filled[at]] = level
