@@ -14,11 +14,11 @@ exponent vectors over its generators.  _derive derives the rest on
 (x, z, tau) integer vectors (S_i has X-part e and Z-part M e) and vertex
 bitmasks, where _witness, for Python ints and integer arrays alike, states
 the four witness conditions once (the search applies it to table blocks).
-The reader also takes the earlier JSON form (no "version"), whose derived
-fields (_v1_fields) verify_obs3 compares with the derivation.  Imports:
-errors, network, and Multigraph, local_complement and _bits from graph.
-With those three modules it is the trusted base: pure Python, and a
-tier-1 test pins its import closure.
+The reader takes only what its writer gives back as the same text, also
+in the earlier JSON form, whose derived fields (_v1_fields) verify_obs3
+compares with the derivation.  Imports: errors, network, and Multigraph,
+local_complement and _bits from graph.  With those three modules it is
+the trusted base: pure Python, and a tier-1 test pins its import closure.
 """
 
 from __future__ import annotations
@@ -227,10 +227,10 @@ class Certificate:
     Everything else is the Proof that _derive computes, once per
     certificate; each of its fields but ``groups`` reads as a property
     (``kappa``, ``lambda_prime``, ``fidelity_bound``, ``method``, ...), and
-    ``groups`` stays the stored labels.  ``claims`` holds
-    the other fields of a file in the earlier JSON form, as (name, JSON
-    text) pairs: verify_obs3 compares the derived ones with the Proof and
-    lists the construction records (PROVENANCE) as ignored.
+    ``groups`` stays the stored labels.  ``claims`` holds, as (name, JSON
+    text) pairs, the other fields of a file: verify_obs3 compares the
+    derived ones (_v1_fields, and certify's ``verification``) with the Proof
+    and lists the construction records (PROVENANCE) as ignored.
     """
 
     graph: Multigraph
@@ -334,9 +334,9 @@ def verify_obs3(cert: Certificate) -> VerificationReport:
     kappa check decides the last at its first test, as restricting both to
     group 2, which holds their overlap, keeps their commutation phase kappa;
     it stays, as the obstruction the bound rests on.  A failing check's detail
-    says what failed.  A certificate in the earlier form gets one check per
-    derived field it stores, named after the field, and its construction
-    records in ``ignored``.  One whose derivation raises fails ``integrity``.
+    says what failed.  Each derived field stored in ``claims`` gets a check
+    named after it (``verification``: the checks before), the construction
+    records go in ``ignored``, and a derivation that raises fails ``integrity``.
     """
     checks: list[Check] = []
     try:
@@ -377,7 +377,8 @@ def _verify_obs3_checks(cert: Certificate, checks: list[Check]) -> None:
         ok = False
         detail = "restricted operators act trivially on group 2"
     checks.append(Check("eigenspace_obstruction", ok, detail))
-    derived = _v1_fields(cert) if cert.claims else {}
+    report = VerificationReport(tuple(checks)).to_json_obj() if cert.claims else None
+    derived = {**_v1_fields(cert), "verification": _json_text(report)} if cert.claims else {}
     for name, text in cert.claims:
         if name in derived:
             ok = text == derived[name]
@@ -390,8 +391,6 @@ _MARGINAL = tuple(f"marginal: {name}" for name in _CHECKS)
 #: Fields of the earlier JSON form that recorded how a certificate was built.
 PROVENANCE = ("triple", "kind", "exponents")
 _V1_SCALARS = ("kappa", "lambda_prime", "fidelity_bound", "method")
-_V2_FIELDS = ("version", "graph", "lc_path", "groups", "S1", "S2", "S4")
-_V1_FIELDS = ("graph", "lc_path", "groups", "operators", *_V1_SCALARS, *PROVENANCE)
 _V1_OPERATORS = ("S1", "S2", "S3", "S4", "S4prime_relabel")
 
 
@@ -431,6 +430,14 @@ def certificate_to_json_obj(cert: Certificate) -> dict:
     }
 
 
+def _v1_to_json_obj(cert: Certificate) -> dict:
+    """The earlier JSON form of a certificate read from it, its claims as read."""
+    obj = {name: json.loads(text) for name, text in cert.claims}
+    obj["operators"] = {name: obj.pop(name) for name in _V1_OPERATORS}
+    groups = {f"G{i}": list(grp) for i, grp in enumerate(cert.groups, 1)}
+    return {**obj, "graph": cert.graph.to_json_obj(), "lc_path": list(cert.lc_path), "groups": groups}
+
+
 def _typed(value, types: tuple[type, ...], among: tuple = ()):
     # type(), not isinstance: JSON true/false load as bools, an int subclass
     if type(value) not in types or (among and value not in among):
@@ -438,73 +445,51 @@ def _typed(value, types: tuple[type, ...], among: tuple = ()):
     return value
 
 
-def _ints(value) -> tuple[int, ...]:
-    return tuple(_typed(x, (int,)) for x in _typed(value, (list,)))
-
-
-def _groups(groups) -> tuple[tuple[str, ...], ...]:
-    if len(_typed(groups, (list,))) != 4:
-        raise StructureError("malformed certificate object: groups must be G1..G4")
-    return tuple(tuple(_typed(lbl, (str,)) for lbl in _typed(grp, (list,))) for grp in groups)
-
-
-def _vector(value, graph: Multigraph) -> tuple[int, ...]:
-    e = _ints(value)
-    if len(e) != graph.n or not all(0 <= x < graph.d for x in e):
-        msg = f"{value!r} is not in Z_{graph.d}^{graph.n}"
-        raise StructureError(f"malformed certificate object: {msg}")
-    return e
-
-
 def _factorization_vector(factorization, graph: Multigraph) -> tuple[int, ...]:
     """An earlier-form factorization [[label, exponent], ...] as a vector."""
     e = [0] * graph.n
     unseen = set(_labels(graph.n)[0])
     for lbl, x in _typed(factorization, (list,)):
-        if _typed(lbl, (str,)) not in unseen:
-            raise StructureError(f"malformed certificate object: repeated or unknown {lbl!r}")
-        unseen.remove(lbl)
+        unseen.remove(_typed(lbl, (str,)))  # KeyError: a repeated or unknown label
         e[int(lbl)] = _typed(x, (int,)) % graph.d
     return tuple(e)
 
 
 def certificate_from_json_obj(obj: dict) -> Certificate:
-    """Inverse of certificate_to_json_obj.  An object without "version" is in
-    the earlier form: S1, S2 and S4 come from their factorizations, the other
-    fields become ``claims``.  A field not of its JSON type, a vertex or
-    exponent out of range, a repeated or unknown factor label, a version
-    other than 2, or a field, group or operator name that the form lacks
-    raises StructureError."""
+    """Inverse of certificate_to_json_obj, by one rule: read each field into
+    the certificate's types (ints by int() mod d, vectors padded or cut to n,
+    lc_path mod n, four groups of str labels), and raise StructureError
+    unless the certificate, written back, gives the same _json_text.  The
+    earlier form (no "version") is written back by _v1_to_json_obj, which
+    echoes its claims (stored operators, derived scalars, construction
+    records).  The comparison cannot see inside them, so _factorization_vector
+    checks the factorizations S1, S2 and S4 are read from, and the
+    construction records are type-checked here."""
     try:
         graph = Multigraph.from_json_obj(obj["graph"])
-        lc_path = _ints(obj["lc_path"])
-        if not all(0 <= v < graph.n for v in lc_path):
-            raise StructureError(f"malformed certificate object: lc_path {list(lc_path)}")
-        claims = ()
-        if "version" in obj:
-            _typed(obj["version"], (int,), (2,))
-            if sorted(obj) != sorted(_V2_FIELDS):
-                raise StructureError(f"malformed certificate object: fields {sorted(obj)}")
-            groups = obj["groups"]
-            vectors = [_vector(obj[f"S{i}"], graph) for i in (1, 2, 4)]
-        else:
-            ops = obj["operators"]
-            keys = sorted(obj), sorted(obj["groups"]), sorted(ops)
-            if keys != (sorted(_V1_FIELDS), ["G1", "G2", "G3", "G4"], sorted(_V1_OPERATORS)):
-                raise StructureError(f"malformed certificate object: fields {keys}")
-            groups = [obj["groups"][f"G{i}"] for i in range(1, 5)]
-            factorizations = (ops[f"S{i}"]["factorization"] for i in (1, 2, 4))
-            vectors = [_factorization_vector(f, graph) for f in factorizations]
-            # the construction records: type-checked, never interpreted
-            _ints(obj["triple"])
+        n, d = graph.n, graph.d
+        claims, write, keys = (), certificate_to_json_obj, range(4)
+        if "version" not in obj:
+            ops, write, keys = obj["operators"], _v1_to_json_obj, ("G1", "G2", "G3", "G4")
+            vectors = [_factorization_vector(ops[f"S{i}"]["factorization"], graph) for i in (1, 2, 4)]
+            for x in (*_typed(obj["triple"], (list,)), *_typed(obj["exponents"], (dict,)).values()):
+                _typed(x, (int,))
             _typed(obj["kind"], (str,), ("angle", "triangle"))
-            _ints(list(_typed(obj["exponents"], (dict,)).values()))
             stored = {name: ops[name] for name in _V1_OPERATORS}
             stored.update((name, obj[name]) for name in (*_V1_SCALARS, *PROVENANCE))
             claims = tuple((name, _json_text(value)) for name, value in stored.items())
-        return Certificate(graph, lc_path, _groups(groups), *vectors, claims)
-    # AttributeError: a list in place of an object
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        else:
+            vectors = [(*(int(x) % d for x in obj[f"S{i}"]), *[0] * n)[:n] for i in (1, 2, 4)]
+        groups = tuple(tuple(map(str, obj["groups"][key])) for key in keys)
+        lc_path = tuple(int(v) % n for v in obj["lc_path"])
+        cert = Certificate(graph, lc_path, groups, *vectors, claims)
+        if _json_text(back := write(cert)) != _json_text(obj):
+            texts = [{(k, _json_text(v)) for k, v in o.items()} for o in (obj, back)]
+            differ = sorted({k for k, _ in texts[0] ^ texts[1]})
+            raise StructureError(f"malformed certificate object: fields {differ}")
+        return cert
+    # AttributeError: a list in place of an object; OverflowError: int() of Infinity
+    except (AttributeError, LookupError, TypeError, ValueError, OverflowError) as exc:
         raise StructureError(f"malformed certificate object: {exc}") from exc
 
 
@@ -512,9 +497,23 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(certificate_to_json_obj(cert), indent=2) + "\n"
 
 
-def certificate_from_json(text: str) -> Certificate:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise StructureError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def read_json(text: str):
+    """json.loads, but a key given twice, or text it cannot read, raises StructureError."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    # ValueError: JSONDecodeError, or an integer past int()'s digit limit
+    except (ValueError, RecursionError) as exc:
         raise StructureError(f"invalid JSON: {exc}") from exc
-    return certificate_from_json_obj(obj)
+
+
+def certificate_from_json(text: str) -> Certificate:
+    return certificate_from_json_obj(read_json(text))

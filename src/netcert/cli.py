@@ -15,6 +15,7 @@ produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -22,8 +23,9 @@ from typing import Callable, NoReturn, Sequence
 
 from . import __version__
 from .certify import TABLE_ORBIT_CAP, NotCertified, TableReport, certify_any, exhaustive_table
-from .checker import Certificate, certificate_from_json_obj, certificate_to_json_obj, verify_obs3
-from .errors import NetcertError
+from .checker import Certificate, _json_text, certificate_from_json_obj, certificate_to_json_obj
+from .checker import read_json, verify_obs3
+from .errors import NetcertError, StructureError
 from .ghzbound import bound_report
 from .graph import Multigraph, edges
 from .multigraph import DEFAULT_ENUMERATION_BUDGET, DEFAULT_ORBIT_CAP, lc_orbit
@@ -61,9 +63,8 @@ def _load_graph(args: argparse.Namespace) -> Multigraph:
         text = args.inline.replace(";", "\n")
         return Multigraph.from_text(text)
     text = Path(args.input).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return Multigraph.from_json_obj(json.loads(text))
+    if text.lstrip().startswith("{"):
+        return Multigraph.from_json_obj(read_json(text))
     return Multigraph.from_text(text)
 
 
@@ -244,10 +245,15 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    obj = json.loads(Path(args.input).read_text())
-    if isinstance(obj, dict) and "certificate" in obj:
-        obj = obj["certificate"]
-    cert = certificate_from_json_obj(obj)
+    obj = read_json(Path(args.input).read_text())
+    wrapped = isinstance(obj, dict) and "certificate" in obj
+    cert = certificate_from_json_obj(obj["certificate"] if wrapped else obj)
+    if wrapped:  # certify's output: what it derives and prints beside the proof is claimed
+        claims = {k: _json_text(v) for k, v in obj.items() if k not in ("certified", "certificate")}
+        derived = {"method", "fidelity_bound", "verification"}
+        if obj.get("certified") is not True or claims.keys() - derived:
+            raise StructureError(f"not certify's output of a certificate: fields {sorted(obj)}")
+        cert = dataclasses.replace(cert, claims=cert.claims + tuple(claims.items()))
     report = verify_obs3(cert)
     if args.format == "human":
         lines = [
@@ -377,7 +383,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     func: Callable[[argparse.Namespace], int] = args.func
     try:
         return func(args)
-    except (NetcertError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (NetcertError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -1,6 +1,7 @@
 """Certificate constructions, verification, serialization, and tallies."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -1531,3 +1532,34 @@ def test_exhaustive_table_negative_case_d6():
     bad = {tuple(sorted(m for _, _, m in edges(nc.graph))) for nc in report.uncertified}
     # the multiplicity-(3, 2) angle is among the failures
     assert (2, 3) in bad
+
+
+def _plain(value):
+    """Every leaf of a TableReport, its NotCertified entries and their graphs."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _plain(getattr(value, field.name))
+    elif type(value) is tuple:
+        for item in value:
+            yield from _plain(item)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize(
+    "n,d,budget,digest",
+    [
+        (4, 6, None, "d1b96b12c5599ab4f02437c4b48888c160e6829a52b521f078ec0623967160e8"),
+        (4, 6, 16000, "bc19c37953e9488062c5deaad4c0adba8cb0b976c212d0a41a8a701714f4217f"),
+        (5, 4, None, "ff21c00d007c3ac39367cb091d71afefacba749f0241c5a04a1ee9fe6c5dccbc"),
+    ],
+    ids=["4-6", "4-6-budget16000", "5-4"],
+)
+def test_table_report_holds_plain_python_values(n, d, budget, digest):
+    """A TableReport holds plain int, bool, str and tuple values only, down
+    to its refusals' graphs: a NumPy scalar compares equal to an int, so the
+    table tests would pass while the repr changed.  The repr is pinned."""
+    report = exhaustive_table(n, d, **({} if budget is None else {"budget": budget}))
+    leaves = list(_plain(report))
+    assert {type(x) for x in leaves} <= {int, bool, str} and report.uncertified
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == digest

@@ -7,6 +7,7 @@ inflation equals the base marginal precisely when the region avoids both
 endpoints of every rewired source.
 """
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -25,7 +26,7 @@ from network_reference import (
 )
 
 from netcert import StructureError, ghz_section3_chain, marginal_chain_checks
-from netcert.network import prime
+from netcert.network import marginal_mask_checks, prime
 
 
 def src(*parties: str) -> frozenset[str]:
@@ -337,3 +338,17 @@ def test_closed_form_raises_as_reference_chain(args, message):
         with pytest.raises(StructureError) as excinfo:
             chain(*args)
         assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_supports_that_avoid_their_groups_pass_every_marginal_check(n):
+    """The witness's ``supports`` condition implies the four marginal
+    equalities: for every assignment of the vertices to G1..G4 and every
+    four supports S_i that avoid G_i, marginal_mask_checks passes all four
+    (32^n cases)."""
+    everyone = (1 << n) - 1
+    for labels in itertools.product(range(4), repeat=n):
+        groups = [sum(1 << v for v, g in enumerate(labels) if g == i) for i in range(4)]
+        choices = [[s for s in range(everyone + 1) if not s & g] for g in groups]
+        for supports in itertools.product(*choices):
+            assert all(ok for _, ok in marginal_mask_checks(n, groups, supports)), (groups, supports)
