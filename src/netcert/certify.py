@@ -13,10 +13,12 @@ triples (a, b, c) with b < c, one of each mirror pair (see _direct_pass):
 _certify_direct on one graph with Python ints, for certify_any, whose
 per-triple flags (_triple_flags) also give _refusal its reasons for every
 ordered triple, and _direct_pass on a table cell's canonical rows with
-integer arrays, a block at a time, for exhaustive_table.  Both check every
-witness they build with the verifier's witness rule, checker._witness (on
-one Certificate through _derive; on each block's arrays in _check_witnesses,
-which are then dropped: a table keeps one construction code per class).
+integer arrays, a block at a time, for exhaustive_table.  Both build S1, S2
+and S4, what a Certificate stores, derive S3 = S1 S2 by the verifier's rule
+(checker._derive: no tau, which no witness condition reads), and check every
+witness with its witness rule, checker._witness (on one Certificate through
+_derive; on each block's arrays in _check_witnesses, which are then dropped:
+a table keeps one construction code per class).
 They stay two because arrays only pay off in bulk (README measurements).
 
 A class that fails is walked along its local-complementation orbit:
@@ -44,7 +46,6 @@ from .checker import (  # noqa: F401
     _general,
     _labels,
     _named,
-    _product,
     _support,
     _witness,
     select_power_t,
@@ -125,7 +126,7 @@ def _obs4_weights(m_ab, m_bc, m_ca, h, d):
 
 
 def _exponent_table(tri1, ea, eb, ec, t):
-    """Generator exponents at (a, b, c) of S1, S2, S3 and S4.
+    """Generator exponents at (a, b, c) of S1, S2 and S4, a Certificate's e1, e2, e4.
 
     Where tri1 is 0 these are the obs4 words; obs1 on an angle is the case
     (ea, eb, ec) = (0, -1, -1).
@@ -137,7 +138,6 @@ def _exponent_table(tri1, ea, eb, ec, t):
     return (
         (pick(1, ea), pick(-1, 0), pick(0, ec)),
         (pick(-1, -ea), pick(0, -eb), pick(1, 0)),
-        (0, pick(-1, -eb), pick(1, ec)),
         (pick(0, t), 0, pick(t, 0)),
     )
 
@@ -183,16 +183,13 @@ def _build_certificate(
         ea, eb, ec = 0, -1, -1
     t = select_power_t(m_tilde if general else m_ab, d).t
     tri1 = bool(m_bc) and not general
-    vectors = [[0] * n for _ in range(4)]
+    vectors = [[0] * n for _ in range(3)]
     for e, (xa, xb, xc) in zip(vectors, _exponent_table(tri1, ea, eb, ec, t)):
         e[a], e[b], e[c] = xa % d, xb % d, xc % d
-    e1, e2, e3, e4 = vectors
-    if e3 != [(x + y) % d for x, y in zip(e1, e2)]:
-        raise StructureError("construction bug: S3 is not exactly S1 S2")
     labels = _labels(n)[0]
     masks = _group_masks(tri1, a, b, c, nb[a], nb[b], nb[c], (1 << n) - 1)
     groups = tuple(tuple(_named(labels, mask)) for mask in masks)
-    cert = Certificate(graph, lc_path, groups, tuple(e1), tuple(e2), tuple(e4))
+    cert = Certificate(graph, lc_path, groups, *map(tuple, vectors))
     _raise_failed(cert.proof.witness)
     if general and cert.proof.kappa != (-t * m_tilde) % d:
         raise StructureError("construction bug: kappa differs from -e m_tilde")
@@ -302,7 +299,7 @@ class _DirectPass(NamedTuple):
 
 class _DirectBlock(NamedTuple):
     """_DirectPass on one block, rejections per graph, with the witnesses of
-    its k graphs that certify, in block order; ``phase`` holds tau exponents."""
+    its k graphs that certify, in block order."""
 
     construction: np.ndarray
     rejections: np.ndarray  # (block, 4); 0 where certified
@@ -310,7 +307,6 @@ class _DirectBlock(NamedTuple):
     groups: np.ndarray  # (k, 4) vertex bitmasks of G1..G4
     x: np.ndarray  # (k, 4, n) X exponents of S1..S4
     z: np.ndarray  # (k, 4, n) Z exponents of S1..S4
-    phase: np.ndarray  # (k, 4)
 
 
 def _direct_pass(rows: np.ndarray, n: int, d: int) -> _DirectPass:
@@ -353,7 +349,7 @@ def _direct_block(rows: np.ndarray, n: int, d: int) -> _DirectBlock:
     only where _blocked's flags are clear, at about one triple in twelve on
     (5,4), the (block, triples) arrays are dropped once each row's first
     usable triple is known, and the witnesses of the rows that certify are
-    built from rows a, b and c of their matrices."""
+    built from rows a, b and c of their matrices, S3 as _derive forms it."""
     k, slot = len(rows), _slots(n)
     # the ordered triples with b < c, lexicographic: those with edges AB and
     # CA in _angles order, each mirror pair once (see _direct_pass)
@@ -396,36 +392,31 @@ def _direct_block(rows: np.ndarray, n: int, d: int) -> _DirectBlock:
     t = np.array([select_power_t(int(m), d).t for m in values], dtype=np.int64)[inverse]
 
     sel = np.arange(len(hit))
-    # S1..S4 in the narrowest signed dtype that holds 2n(d - 1)^2 + 4d, the
-    # largest sum _product or _symplectic forms on them
+    # S1..S4 in the narrowest signed dtype that holds 2n(d - 1)^2 + 4d, a
+    # bound on every sum formed on them: M e, S1 + S2 and _symplectic's
     e = np.zeros((len(hit), 4, n), dtype=np.min_scalar_type(-(2 * n * (d - 1) ** 2 + 4 * d)))
-    for i, (xa, xb, xc) in enumerate(_exponent_table(tri1, ea, eb, ec, t)):
+    for i, (xa, xb, xc) in zip((0, 1, 3), _exponent_table(tri1, ea, eb, ec, t)):
         e[sel, i, a], e[sel, i, b], e[sel, i, c] = xa, xb, xc
     e %= d
-    # word(): X-part e, Z-part M e, tau exponent 2 sum_{u<v} e_u m_uv e_v,
-    # where only e_a, e_b and e_c are nonzero: M e sums rows a, b and c of M
-    xa, xb, xc = (e[sel, :, v] for v in (a, b, c))
+    # word(): X-part e, Z-part M e, the sum of rows a, b, c of M times e_a, e_b, e_c
     z = np.zeros_like(e)
-    for x, v in ((xa, a), (xb, b), (xc, c)):
-        z += x[:, :, None] * small[hit[:, None], slot[v]][:, None, :]
+    for v in (a, b, c):
+        z += e[sel, :, v][:, :, None] * small[hit[:, None], slot[v]][:, None, :]
     z %= d
-    pairs = xa * xb % d * ab[:, None] + xa * xc % d * ca[:, None] + xb * xc % d * bc[:, None]
-    phase = 2 * (pairs % d)
+    # S3 = S1 S2 as _derive forms it
+    e[:, 2], z[:, 2] = (e[:, 0] + e[:, 1]) % d, (z[:, 0] + z[:, 1]) % d
     triple = np.stack((a, b, c), axis=1)
     groups = np.stack(_group_masks(tri1, a, b, c, *nb[hit, triple.T], (1 << n) - 1), axis=1)
-    _check_witnesses(d, e, z, phase, groups, obs4, (-t * mt) % d)
-    return _DirectBlock(construction, rejections, triple, groups, e, z, phase)
+    _check_witnesses(d, e, z, groups, obs4, (-t * mt) % d)
+    return _DirectBlock(construction, rejections, triple, groups, e, z)
 
 
-def _check_witnesses(d, x, z, phase, groups, general, expected_kappa) -> None:
-    """_build_certificate's checks on (k, 4, n) arrays S1..S4 with (k, 4) tau
-    exponents ``phase`` and group bitmasks, every row at once: S3 = S1 S2
-    (_product), the witness conditions (_witness) and, for obs4, kappa = -t m_tilde."""
+def _check_witnesses(d, x, z, groups, general, expected_kappa) -> None:
+    """_build_certificate's checks on (k, 4, n) arrays S1..S4 and (k, 4)
+    group bitmasks, every row at once: the witness conditions (_witness)
+    and, for obs4, kappa = -t m_tilde."""
     # by operator, then vertex: each entry is an array over the block
-    xs, zs, ts = x.transpose(1, 2, 0), z.transpose(1, 2, 0), phase.T
-    s1s2 = _product((xs[0], zs[0], ts[0]), (xs[1], zs[1], ts[1]), d)
-    if not all(map(np.array_equal, s1s2, (xs[2], zs[2], ts[2]))):
-        raise StructureError("construction bug: S3 is not exactly S1 S2")
+    xs, zs = x.transpose(1, 2, 0), z.transpose(1, 2, 0)
     passed, _, kappa = _witness(d, xs, zs, list(map(_support, xs, zs)), groups.T)
     _raise_failed([ok.all() for ok in passed])
     if (general & (kappa != expected_kappa)).any():

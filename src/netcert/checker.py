@@ -42,6 +42,9 @@ METHOD_GENERAL = "obs4"
 
 _LAMBDA_TOL = 1e-12
 
+#: Dimensions from here on state no bound: pi / (2 d) and pi kappa / d leave float range.
+_DIMENSION_LIMIT = 1 << 1022
+
 
 class PowerChoice(NamedTuple):
     """Power t of the fourth operator and the exact |cos(pi t m / d)|."""
@@ -57,9 +60,12 @@ def select_power_t(m: int, d: int) -> PowerChoice:
     With g = gcd(m, d) and d' = d/g, the minimum is 0 when d' is even and
     sin(pi / (2 d')) when d' is odd; it is attained at t = m^{-1} floor(d'/2)
     modulo d'.  The cosine is returned exactly (case split, no rounding).
+    A d from _DIMENSION_LIMIT on raises RangeError.
     """
     if d < 2:
         raise RangeError(f"dimension must be >= 2, got {d}")
+    if d >= _DIMENSION_LIMIT:
+        raise RangeError("dimension must be below 2^1022 to state a floating-point bound")
     m %= d
     if m == 0:
         raise DegenerateMultiplicity(f"multiplicity divisible by {d}")
@@ -77,7 +83,7 @@ def fidelity_bound_from_lambda(lambda_prime: float) -> float:
     return (7.0 + math.sqrt(4.0 + 2.5 * lambda_prime)) / 10.0
 
 
-# The (x, z, tau) rules.  _symplectic, _support and _product, like _witness, take
+# The (x, z, tau) rules.  _symplectic and _support, like _witness, take
 # Python ints or integer arrays over a block of operators as entries.
 
 Vector = tuple[Sequence[int], Sequence[int], int]  # tau^t prod_s X_s^x_s Z_s^z_s as (x, z, t)
@@ -336,12 +342,12 @@ def verify_obs3(cert: Certificate) -> VerificationReport:
     it stays, as the obstruction the bound rests on.  A failing check's detail
     says what failed.  Each derived field stored in ``claims`` gets a check
     named after it (``verification``: the checks before), the construction
-    records go in ``ignored``, and a derivation that raises fails ``integrity``.
+    records go in ``ignored``, and a derivation or check that raises fails ``integrity``.
     """
     checks: list[Check] = []
     try:
         _verify_obs3_checks(cert, checks)
-    except (NetcertError, ValueError, KeyError) as exc:
+    except (NetcertError, ValueError, KeyError, OverflowError) as exc:
         checks.append(Check("integrity", False, f"verification aborted: {exc}"))
     ignored = tuple(name for name, _ in cert.claims if name in PROVENANCE)
     return VerificationReport(checks=tuple(checks), ignored=ignored)

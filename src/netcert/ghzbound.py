@@ -158,19 +158,17 @@ def ghz_section3_chain(d: int) -> GhzChainRecord:
     """Build and check the GHZ incompatibility chain on a triangle network.
 
     S1 = Z_B Z_A^dag, S2 = Z_A Z_C^dag, S3 = S1 S2 = Z_B Z_C^dag and
-    S4 = (X_A X_B X_C)^t with t = floor(d/2), in groups G1..G4 = {C}, {B},
+    S4 = (X_A X_B X_C)^t with t = floor(d/2), S3 and S4 formed by the
+    checker's rules _product and _power, in groups G1..G4 = {C}, {B},
     {A}, {}; the C leg of S4 is moved to the doubled copy C'.  The witness
     passes checker._witness, with kappa the twist over the overlap, B.
     """
     if d < 2:
         raise DimensionError(f"qudit dimension must be >= 2, got {d}")
-    s1, s2, s3 = (_ghz_element(d, a, b, 0) for a, b in ((d - 1, 0), (1, 1), (0, 1)))
-    if _product(s1, s2, d) != s3:
-        raise StructureError("chain bug: S3 is not exactly S1 S2")
+    s1, s2 = (_ghz_element(d, a, b, 0) for a, b in ((d - 1, 0), (1, 1)))
+    s3 = _product(s1, s2, d)
     t, cos_value = select_power_t(1, d)
-    s4 = _ghz_element(d, 0, 0, t)
-    if _power(_ghz_element(d, 0, 0, 1), t, d) != s4:
-        raise StructureError("chain bug: S4 is not the t-th power")
+    s4 = _power(_ghz_element(d, 0, 0, 1), t, d)
     groups = (0b100, 0b010, 0b001, 0)  # {C}, {B}, {A}, {}: bit v is GHZ_PARTIES[v]
     xs, zs, _ = zip(s1, s2, s3, s4)
     supports = list(map(_support, xs, zs))
@@ -446,9 +444,6 @@ def ghz_numeric_bound(d: int) -> BoundReport:
         for c in members[block.y]:
             k = select_power_t(c, d).cos_value
             cap = min(_cap(k, h_yy, hh_yy), _cap(k, h_0y, hh_0y))
-            if cap >= 1.0:
-                active.add("unit")
-                continue
             c1 = math.sqrt(max(0.0, 1.0 + k - min(hh_yy, hh_0y) ** 2))
             if cap == min(1.0, c1):
                 active.add(f"phase(c={c},y={block.y})")

@@ -86,16 +86,16 @@ def expectation_value(matrix: np.ndarray, state: np.ndarray) -> complex:
     )
 
 
-def plus_one_projector(unitary: np.ndarray, tol: float = _ANGULAR_TOL) -> np.ndarray:
+def plus_one_projector(unitary: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the +1 eigenspace of a unitary.
 
     Uses a Schur decomposition (orthonormal even for degenerate spectra)
-    and keeps eigenvalues within angular tolerance of 1.
+    and keeps eigenvalues within angle _ANGULAR_TOL of 1.
     """
     import scipy.linalg
 
     t, q = scipy.linalg.schur(unitary, output="complex")
-    keep = np.abs(np.angle(np.diagonal(t))) <= tol
+    keep = np.abs(np.angle(np.diagonal(t))) <= _ANGULAR_TOL
     cols = q[:, keep]
     return cols @ cols.conj().T
 
@@ -105,9 +105,7 @@ def mean_plus_one(unitary: np.ndarray, state: np.ndarray) -> float:
     return float(expectation_value(plus_one_projector(unitary), state).real)
 
 
-def common_plus_one_eigenvector(
-    u1: np.ndarray, u2: np.ndarray, tol: float = _ANGULAR_TOL
-) -> bool:
+def common_plus_one_eigenvector(u1: np.ndarray, u2: np.ndarray) -> bool:
     """Whether the +1 eigenspaces of two unitaries intersect.
 
     The intersection is nonempty iff the largest eigenvalue of
@@ -115,11 +113,11 @@ def common_plus_one_eigenvector(
     """
     import scipy.linalg
 
-    p1 = plus_one_projector(u1, tol)
-    p2 = plus_one_projector(u2, tol)
+    p1 = plus_one_projector(u1)
+    p2 = plus_one_projector(u2)
     m = p1 @ p2 @ p1
     top = float(scipy.linalg.eigvalsh(m)[-1])
-    return top > 1.0 - tol
+    return top > 1.0 - _ANGULAR_TOL
 
 
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -957,9 +957,9 @@ def test_table_rows_take_the_narrowest_dtype(d, dtype):
 )
 def test_witness_stage_takes_the_narrowest_dtype(n, d, dtype):
     """The direct pass builds S1..S4 in the narrowest signed dtype that holds
-    2n(d - 1)^2 + 4d, the largest sum _product or _symplectic forms on
-    them, on both sides of each widening: here on the path of weights
-    d - 1, whose obs1 witness checks."""
+    2n(d - 1)^2 + 4d, a bound on every sum formed on them, on both sides
+    of each widening: here on the path of weights d - 1, whose obs1 witness
+    checks."""
     row = [[d - 1 if j == i + 1 else 0 for i in range(n) for j in range(i + 1, n)]]
     direct = _direct_block(np.array(row, _row_dtype(d)), n, d)
     assert direct.construction.tolist() == [1]
@@ -968,8 +968,9 @@ def test_witness_stage_takes_the_narrowest_dtype(n, d, dtype):
 
 def test_direct_pass_operators_equal_certify_any():
     """The array witnesses of the (4,4) classes that certify directly are the
-    operators, groups and exponent vectors of the certificates certify_any
-    emits (their PauliOperator forms by tests/certify_reference.py)."""
+    groups, exponent vectors and X- and Z-parts of S1..S4 of the
+    certificates certify_any emits (their PauliOperator forms by
+    tests/certify_reference.py, tau aside: the arrays hold none)."""
     graphs = list(enumerate_connected_multigraphs(4, 4))
     direct = _direct_block(triu_rows(graphs), 4, 4)
     assert np.count_nonzero(direct.construction) == len(direct.triple) == 185
@@ -987,8 +988,7 @@ def test_direct_pass_operators_equal_certify_any():
             sites = {
                 str(v): (int(direct.x[k, i, v]), int(direct.z[k, i, v])) for v in range(g.n)
             }
-            op = PauliOperator.from_sites(4, sites, int(direct.phase[k, i]))
-            assert op == w, (g, i)
+            assert PauliOperator.from_sites(4, sites).sites == w.sites, (g, i)
     failing = [g for g, code in zip(graphs, direct.construction) if not code]
     assert all(_certify_direct(g, (), g) is None for g in failing)
 
@@ -1226,16 +1226,11 @@ def test_direct_pass_checks_reject_tampered_witnesses():
         d=3,
         x=direct.x,
         z=direct.z,
-        phase=direct.phase,
         groups=direct.groups,
         general=direct.construction[direct.construction > 0] == 2,
         expected_kappa=expected,
     )
     _check_witnesses(**args)
-    phase = direct.phase.copy()
-    phase[0, 2] = (phase[0, 2] + 2) % 6
-    with pytest.raises(StructureError, match="not exactly S1 S2"):
-        _check_witnesses(**{**args, "phase": phase})
     groups = direct.groups.copy()
     groups[0, 3] = 0b1111
     with pytest.raises(StructureError, match="failed groups_partition, supports$"):
@@ -1252,13 +1247,13 @@ def test_direct_pass_checks_reject_tampered_witnesses():
         )
     with pytest.raises(StructureError, match="kappa differs"):
         _check_witnesses(**{**args, "expected_kappa": expected + 1})
-    # row 0 becomes S1 = Z_v, S2 = X_v, S3 = S1 S2 = tau^2 X_v Z_v: exact, not
+    # row 0 becomes S1 = Z_v, S2 = X_v, S3 = S1 S2 = X_v Z_v up to phase: not
     # commuting; v = 0 is group 1, so S1 meets it and S3 meets no relabeled S4
-    x, z, phase = direct.x.copy(), direct.z.copy(), direct.phase.copy()
-    x[0, :3], z[0, :3], phase[0, :3] = 0, 0, (0, 0, 2)
+    x, z = direct.x.copy(), direct.z.copy()
+    x[0, :3], z[0, :3] = 0, 0
     z[0, 0, 0] = x[0, 1, 0] = x[0, 2, 0] = z[0, 2, 0] = 1
     with pytest.raises(StructureError, match="failed commute, supports, kappa$"):
-        _check_witnesses(**{**args, "x": x, "z": z, "phase": phase})
+        _check_witnesses(**{**args, "x": x, "z": z})
     # without group 2 the groups no longer partition, and S3, S4 overlap in no group
     groups = direct.groups.copy()
     groups[:, 1] = 0
@@ -1415,7 +1410,6 @@ PATH4 = Multigraph.from_edges(2, 4, [(0, 1, 1), (0, 2, 1), (1, 3, 1)])
 @pytest.mark.parametrize(
     "patch, message, g",
     [
-        (_edited("_exponent_table", _with_row(2, (1, 1, 1))), "S3 is not exactly S1 S2", None),
         # S1 and S2 are words of an abelian stabilizer group, so only a faked
         # symplectic sum reaches this check
         ((checker, "_symplectic", lambda *args: 1), "failed commute$", None),
@@ -1424,7 +1418,7 @@ PATH4 = Multigraph.from_edges(2, 4, [(0, 1, 1), (0, 2, 1), (1, 3, 1)])
             "failed supports, kappa$",
             None,
         ),
-        (_edited("_exponent_table", _with_row(3, (0, 0, 0))), "failed kappa$", None),
+        (_edited("_exponent_table", _with_row(2, (0, 0, 0))), "failed kappa$", None),
         # the groups no longer partition the vertices, and S3, S4 overlap in no group
         (_edited("_group_masks", _with_row(1, 0)), "failed groups_partition, kappa$", None),
         (_edited("_obs4_weights", lambda w: (2 * w[0], *w[1:])), "kappa differs", None),
@@ -1435,7 +1429,7 @@ PATH4 = Multigraph.from_edges(2, 4, [(0, 1, 1), (0, 2, 1), (1, 3, 1)])
             PATH4,
         ),
     ],
-    ids=["s3", "commute", "supports", "kappa", "overlap", "kappa_value", "partition"],
+    ids=["commute", "supports", "kappa", "overlap", "kappa_value", "partition"],
 )
 def test_build_certificate_raises_on_construction_bugs(monkeypatch, patch, message, g):
     """Each construction check of _build_certificate fires on a tampered rule

@@ -481,6 +481,26 @@ def test_dimension_range_over_the_cap(capsys, command):
         cli._parse_range(f"2..{cli.MAX_RANGE + 2}")
 
 
+@pytest.mark.parametrize(
+    "d, states",
+    [(2**1022 - 2, True), (2**1022 - 1, True), (2**1022, False), (10**400, False),
+     (10**400 + 1, False)],
+    ids=["2^1022-2", "2^1022-1", "2^1022", "10^400", "10^400+1"],
+)
+def test_certify_states_a_bound_only_below_2_to_1022(capsys, d, states):
+    """From d = 2^1022 on, pi / (2 d) and pi kappa / d are past floating
+    point, so certify states no bound: exit 1 and one error line, with or
+    without --verify, even d or odd (it once ended in an OverflowError
+    traceback).  Just below, the certificate it emits verifies."""
+    argv = ["certify", "--inline", f"{d} 3; 0 1 1; 1 2 1", "--verify"]
+    if states:
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK and json.loads(out)["verification"]["all_passed"] is True
+    else:
+        _assert_refused(*run(capsys, *argv))
+        _assert_refused(*run(capsys, *argv[:-1]))
+
+
 def test_ghz_bound_huge_dimensions(capsys):
     """A prime near 10^18 gets its prime bound at once (trial division ran
     past 10 s); past the exact range of the primality test, exit 1."""
@@ -597,6 +617,23 @@ def test_verify_rejects_tampering(tmp_path, capsys):
         path.write_text(json.dumps(obj))
         code, out, _ = run(capsys, "verify", "--input", str(path))
         assert code == EXIT_NEGATIVE and "kappa" in _failed(out)
+
+
+@pytest.mark.parametrize("s4", ["kept", "S1+S2"])
+def test_verify_fails_integrity_past_the_dimension_ceiling(tmp_path, capsys, s4):
+    """A certificate whose d is edited to 10^400 fails integrity, exit 2,
+    where it once ended in an OverflowError traceback: its kappa of 2
+    reaches select_power_t's ceiling, and a kappa of 0 (S4 = S1 S2, which
+    commutes with S3) the float lambda' check."""
+    path = _v2_certificate(tmp_path, "3 4; 0 1 1; 1 2 2; 2 3 1")
+    obj = json.loads(path.read_text())
+    cert = obj["certificate"]
+    cert["graph"]["d"] = 10**400
+    if s4 == "S1+S2":
+        cert["S4"] = [x + y for x, y in zip(cert["S1"], cert["S2"])]
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", "--input", str(path))
+    assert code == EXIT_NEGATIVE and _failed(out)[-1] == "integrity"
 
 
 @pytest.mark.parametrize(

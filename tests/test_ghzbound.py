@@ -188,7 +188,7 @@ def pauli_operator(d, vector):
     return PauliOperator.from_sites(d, dict(zip(GHZ_PARTIES, zip(x, z))), tau)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", range(2, 9))
 def test_section3_chain(d):
     rec = ghz_section3_chain(d)
     # S1..S4 are the symbolic layer's GHZ elements S_abc
